@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -453,9 +452,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            default="antisym")
             p.add_argument("--max-len", type=int, dest="max_len")
         if name.startswith("define-"):
-            p.add_argument("--target", help="comma-joined x-tuple element names")
-            p.add_argument("--target-file", dest="target_file",
-                           help="JSON file with a values map")
+            target = p.add_mutually_exclusive_group(required=True)
+            target.add_argument("--target", help="comma-joined x-tuple element names")
+            target.add_argument("--target-file", dest="target_file",
+                                help="JSON file with a values map")
         if name == "define-global":
             p.add_argument("--depth", type=int, required=True)
 
@@ -491,10 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Dispatch a command line; prints the JSON report on stdout."""
     _INPUT_HASHES.clear()
-    threads = os.environ.get("CONTLOGIC_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print("CONTLOGIC_THREADS must be a positive integer", file=sys.stderr)
-        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

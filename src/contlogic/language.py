@@ -712,6 +712,14 @@ def rewrite_absdiff(f):
     raise StructuralError(f"not a formula: {f!r}")
 
 
+def _bound_names(f) -> set[str]:
+    if isinstance(f, Quant):
+        return {f.var} | _bound_names(f.body)
+    if isinstance(f, Op):
+        return set().union(*(_bound_names(a) for a in f.args))
+    return set()
+
+
 def _flip(kind: str) -> str:
     return "inf" if kind == "sup" else "sup"
 
@@ -722,14 +730,18 @@ def prenex(f):
     Quantifiers are hoisted argument by argument using the monotonicity of
     each connective (an increasing position preserves the quantifier kind, a
     decreasing one swaps sup and inf); every bound variable is renamed to a
-    fresh name, which makes hoisting capture-free.  `absdiff` is first
-    rewritten via its plus/monus identity; `med` is increasing in every
-    argument and is hoisted like min/max.
+    fresh name, which makes hoisting capture-free.  Fresh names are
+    `q1, q2, ...`, skipping every name that occurs in the formula, free or
+    bound.  `absdiff` is first rewritten via its plus/monus identity; `med`
+    is increasing in every argument and is hoisted like min/max.
     """
+    taken = {name for name, _ in free_vars(f)} | _bound_names(f)
     counter = [0]
 
     def fresh() -> str:
         counter[0] += 1
+        while f"q{counter[0]}" in taken:
+            counter[0] += 1
         return f"q{counter[0]}"
 
     def go(f):

@@ -17,6 +17,7 @@ parameter-sequence order for the triple kind).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -220,53 +221,69 @@ def _longest_triple_sequence(vals, nx, ny, eps, max_len):
 
     Only the parameter components b_t are branched on: the condition couples
     a_j solely at its own middle position j, so a per-position feasible set
-    of witnesses a_j is maintained and pruned as the sequence grows.  The
-    first a in carrier order is reported for each position.
+    of witnesses a_j is maintained and pruned as the sequence grows.
+
+    Sets of x-tuple indices are int bitsets, bit a standing for x-tuple a.
+    `far[b][c]` is the set of a with |phi(a, b) - phi(a, c)| >= eps, built
+    once per call from the values and eps scaled to integer numerators over
+    their common denominator; it is the only place values are compared.
+    Appending b to the prefix b_0 .. b_{L-1} narrows middle position j to
+    feasible[j] & far[b][b_0] & ... & far[b][b_{j-1}], one running AND
+    over the prefix.  The lowest set bit, the first a in carrier order, is
+    reported for each position.
     """
+    den = math.lcm(eps.denominator, *{v.denominator for row in vals for v in row})
+    gap = eps.numerator * (den // eps.denominator)
+    far = [[0] * ny for _ in range(ny)]
+    for a, row in enumerate(vals):
+        scaled = [v.numerator * (den // v.denominator) for v in row]
+        bit = 1 << a
+        for b in range(ny):
+            v = scaled[b]
+            far_b = far[b]
+            for c in range(b + 1, ny):
+                if abs(v - scaled[c]) >= gap:
+                    far_b[c] |= bit
+                    far[c][b] |= bit
+    everything = (1 << nx) - 1
     best_bs: list = []
     best_feasible: list = []
-    bs: list = []
-    feasible: list = []  # feasible[j] = list of a-indices usable at middle position j
 
-    def extend():
+    def extend(bs, feasible):
+        # feasible[j] = bitset of a-indices usable at position j of bs
         nonlocal best_bs, best_feasible
         if max_len is not None and len(bs) >= max_len:
             return True
         hit = False
         for b in range(ny):
-            new_feasible = []
-            ok = True
+            far_b = far[b]
+            new_feasible = feasible[:1]
+            acc = far_b[bs[0]] if bs else 0
             for j in range(1, len(bs)):
-                allowed = [a for a in feasible[j]
-                           if all(abs(vals[a][bs[i]] - vals[a][b]) >= eps for i in range(j))]
+                allowed = feasible[j] & acc
                 if not allowed:
-                    ok = False
                     break
                 new_feasible.append(allowed)
-            if not ok:
-                continue
-            saved = feasible[1:len(bs)]
-            for j, allowed in enumerate(new_feasible, start=1):
-                feasible[j] = allowed
-            bs.append(b)
-            feasible.append(list(range(nx)))  # the new last position, unconstrained so far
-            if len(bs) > len(best_bs):
-                best_bs = list(bs)
-                best_feasible = [list(f) for f in feasible]
-            hit = extend() or hit
-            bs.pop()
-            feasible.pop()
-            for j, old in enumerate(saved, start=1):
-                feasible[j] = old
-            if max_len is not None and len(best_bs) >= max_len:
-                return hit
+                acc &= far_b[bs[j]]
+            else:
+                new_feasible.append(everything)  # the new last position, unconstrained so far
+                new_bs = bs + [b]
+                if len(new_bs) > len(best_bs):
+                    best_bs, best_feasible = new_bs, new_feasible
+                hit = extend(new_bs, new_feasible) or hit
+                if max_len is not None and len(best_bs) >= max_len:
+                    return hit
         return hit
 
-    hit_bound = extend()
-    seq = [(best_feasible[j][0] if 0 < j < len(best_bs) - 1 else 0, b)
+    hit_bound = extend([], [])
+    seq = [(_lowest_bit(best_feasible[j]) if 0 < j < len(best_bs) - 1 else 0, b)
            for j, b in enumerate(best_bs)]
     bounded = bool(max_len is not None and len(best_bs) >= max_len and hit_bound)
     return seq, bounded
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def compute_N(M: FiniteStructure, phi, split: VariableSplit, epsilon) -> int:

@@ -154,6 +154,9 @@ class FiniteStructure:
             if raw_sig is None:
                 raise StructuralError("structure file has no signature and none was supplied")
             sig = Signature.from_json(raw_sig)
+        for key in ("carriers", "metric"):
+            if key not in data:
+                raise StructuralError(f"structure file has no {key!r}")
         carriers = {s: list(names) for s, names in data["carriers"].items()}
         index = {s: {n: i for i, n in enumerate(ns)} for s, ns in carriers.items()}
         metric = {}
@@ -166,7 +169,7 @@ class FiniteStructure:
             metric[s] = mat
         functions = {}
         for name, decl in sig.functions.items():
-            nested = data["functions"][name]
+            nested = _symbol_table(data, "functions", name)
             table = {}
 
             def walk_fn(node, prefix, sorts, decl=decl, table=table):
@@ -182,7 +185,7 @@ class FiniteStructure:
             functions[name] = table
         predicates = {}
         for name, decl in sig.predicates.items():
-            nested = data["predicates"][name]
+            nested = _symbol_table(data, "predicates", name)
             table = {}
 
             def walk_pred(node, prefix, sorts, decl=decl, table=table):
@@ -197,6 +200,13 @@ class FiniteStructure:
             walk_pred(nested, [], list(decl.arg_sorts))
             predicates[name] = table
         return FiniteStructure(sig, carriers, metric, functions, predicates)
+
+
+def _symbol_table(data: dict, section: str, name: str):
+    try:
+        return data[section][name]
+    except (KeyError, TypeError):
+        raise StructuralError(f"structure file has no {section} table for {name!r}") from None
 
 
 # ---------------------------------------------------------------------------

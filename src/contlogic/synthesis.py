@@ -70,6 +70,9 @@ class GridFunction:
 
     @staticmethod
     def from_json(data: dict) -> "GridFunction":
+        for key in ("arity", "pitch", "values"):
+            if key not in data:
+                raise StructuralError(f"grid function file has no {key!r}")
         arity = int(data["arity"])
         pitch = parse_rational(data["pitch"])
         steps = int(1 / pitch)

@@ -111,3 +111,56 @@ def classical_eval(carrier, relations, node, env):
         return any(classical_eval(carrier, relations, body, {**env, v: e})
                    for e in carrier)
     raise ValueError(tag)
+
+
+def triple_sequence_reference(vals, nx, ny, eps, max_len):
+    """Longest triple-condition sequence by direct Fraction comparison.
+
+    The list-based search that `stability._longest_triple_sequence` replaced
+    with bitsets: same DFS order, same first-strictly-longer rule, same
+    witness choice and bounded flag, so results must agree exactly.
+    """
+    best_bs: list = []
+    best_feasible: list = []
+    bs: list = []
+    feasible: list = []  # feasible[j] = list of a-indices usable at middle position j
+
+    def extend():
+        nonlocal best_bs, best_feasible
+        if max_len is not None and len(bs) >= max_len:
+            return True
+        hit = False
+        for b in range(ny):
+            new_feasible = []
+            ok = True
+            for j in range(1, len(bs)):
+                allowed = [a for a in feasible[j]
+                           if all(abs(vals[a][bs[i]] - vals[a][b]) >= eps for i in range(j))]
+                if not allowed:
+                    ok = False
+                    break
+                new_feasible.append(allowed)
+            if not ok:
+                continue
+            saved = feasible[1:len(bs)]
+            for j, allowed in enumerate(new_feasible, start=1):
+                feasible[j] = allowed
+            bs.append(b)
+            feasible.append(list(range(nx)))  # the new last position, unconstrained so far
+            if len(bs) > len(best_bs):
+                best_bs = list(bs)
+                best_feasible = [list(f) for f in feasible]
+            hit = extend() or hit
+            bs.pop()
+            feasible.pop()
+            for j, old in enumerate(saved, start=1):
+                feasible[j] = old
+            if max_len is not None and len(best_bs) >= max_len:
+                return hit
+        return hit
+
+    hit_bound = extend()
+    seq = [(best_feasible[j][0] if 0 < j < len(best_bs) - 1 else 0, b)
+           for j, b in enumerate(best_bs)]
+    bounded = bool(max_len is not None and len(best_bs) >= max_len and hit_bound)
+    return seq, bounded

@@ -227,8 +227,6 @@ def test_criterion_05_stability_quantities():
             assert compute_N(const, phi_c, split_c, F(k, 8)) == 2
 
         for name, M, phi in stability_corpus():
-            if name == "halfgraph4":
-                continue  # exhaustive N at every eps is wasteful here; covered below
             split = make_split(phi, ["x"], ["y"])
             values = [compute_N(M, phi, split, F(k, 8)) for k in range(1, 9)]
             assert all(a >= b for a, b in zip(values, values[1:])), (name, values)

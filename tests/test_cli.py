@@ -246,3 +246,31 @@ def test_decimal_epsilon_rejected(capsys, halfgraph_file):
     captured = capsys.readouterr()
     assert code == 1
     assert "decimal" in captured.err
+
+
+def run_fails_cleanly(capsys, argv, expected_code):
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["define-median", "define-monotone", "define-global"])
+def test_define_without_target_is_usage_error(capsys, algebra_file, command):
+    argv = [command, algebra_file, "--formula", "mu(meet(x,y))", "--split", "x;y"]
+    argv += ["--depth", "2"] if command == "define-global" else ["--epsilon", "1/4"]
+    run_fails_cleanly(capsys, argv, 2)
+    run_fails_cleanly(capsys, argv + ["--target", "s1", "--target-file", algebra_file], 2)
+
+
+@pytest.mark.parametrize("key", ["carriers", "metric", "predicates"])
+def test_check_structure_missing_section(capsys, algebra_file, tmp_path, key):
+    data = json.loads(open(algebra_file).read())
+    del data[key]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    run_fails_cleanly(capsys, ["check", str(path)], 1)
+
+
+def test_synth_on_structure_file(capsys, algebra_file):
+    run_fails_cleanly(capsys, ["synth", "--target", algebra_file, "--epsilon", "1/8"], 1)

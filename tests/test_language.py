@@ -31,6 +31,7 @@ from contlogic.language import (
     prenex,
     print_formula,
 )
+from contlogic.structures import env_from_names, eval_formula, gen_halfgraph
 
 IDENT = PLMonotone.identity()
 
@@ -178,6 +179,21 @@ def test_prenex_free_vars_preserved():
     for text in ["(sup x. R(x,y)) -. P(z)", "not (inf x. R(x,y))"]:
         f = parse(text, sig)
         assert free_vars(prenex(f)) == free_vars(f)
+
+
+def test_prenex_fresh_names_avoid_free_and_bound_names():
+    M = gen_halfgraph(2)
+    f = parse("sup x. phi(x, q1)", M.sig)
+    g = prenex(f)
+    assert print_formula(g, M.sig) == "sup q2. phi(q2, q1)"
+    env = env_from_names(M, {"q1": "b0"}, f)
+    assert eval_formula(M, env, g) == eval_formula(M, env, f) == 1
+
+    sig = simple_sig()
+    f = parse("(sup q2. R(q2, q1)) -. (inf x. R(x, q3))", sig)
+    g = prenex(f)
+    assert free_vars(g) == free_vars(f)
+    assert print_formula(g, sig) == "sup q4. sup q5. R(q4, q1) -. R(q5, q3)"
 
 
 def test_infer_modulus_rules():

@@ -1,13 +1,17 @@
 """Ladders, N(phi,eps), median and monotone definitions, gluing."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contlogic.errors import DefinitionAbort, StructuralError
 from contlogic.language import PLMonotone, PredDecl, Signature, SortDecl, parse
 from contlogic.stability import (
     LadderWitness,
+    _longest_triple_sequence,
     compute_N,
     find_ladder,
     global_definition,
@@ -26,9 +30,11 @@ from contlogic.structures import (
     gen_halfgraph,
     gen_prob_algebra,
     make_split,
+    tuple_names,
     tuples_of,
     value_matrix,
 )
+from oracles import triple_sequence_reference
 
 IDENT = PLMonotone.identity()
 
@@ -45,15 +51,18 @@ def algebra_setup(weights):
     return M, phi, make_split(phi, ["x"], ["y"])
 
 
-def constant_setup():
+def binary_setup(table, n):
+    """P(x,y) on n discrete points e0.., with P given by its value table."""
     sig = Signature([SortDecl("S", "d")],
                     predicates=[PredDecl("P", ("S", "S"), (IDENT, IDENT))])
-    n = 3
     metric = {"S": [[F(0) if i == j else F(1) for j in range(n)] for i in range(n)]}
-    table = {(i, j): F(1, 2) for i in range(n) for j in range(n)}
-    M = FiniteStructure(sig, {"S": ["e0", "e1", "e2"]}, metric, {}, {"P": table})
+    M = FiniteStructure(sig, {"S": [f"e{i}" for i in range(n)]}, metric, {}, {"P": table})
     phi = parse("P(x,y)", sig)
     return M, phi, make_split(phi, ["x"], ["y"])
+
+
+def constant_setup():
+    return binary_setup({(i, j): F(1, 2) for i in range(3) for j in range(3)}, 3)
 
 
 # -- type spaces -------------------------------------------------------------
@@ -168,8 +177,51 @@ def test_halfgraph_N_matches_naive_enumeration():
 
 
 def test_halfgraph_N_growth():
-    M, phi, split = halfgraph_setup(3)
-    assert compute_N(M, phi, split, F(1)) == 8
+    for n, expected in ((3, 8), (4, 10), (5, 12)):
+        M, phi, split = halfgraph_setup(n)
+        assert compute_N(M, phi, split, F(1)) == expected, n
+
+
+def triple_corpus():
+    """(name, setup) pairs: half-graphs, 2-atom algebras, constant, random binary."""
+    corpus = [(f"halfgraph{n}", halfgraph_setup(n)) for n in (2, 3, 4)]
+    corpus += [(f"algebra-{w}", algebra_setup([w, 1 - w]))
+               for w in (F(1, 2), F(5, 16), F(1, 4))]
+    corpus.append(("constant", constant_setup()))
+    rng = random.Random(2008)
+    for k in range(30):
+        n = rng.randint(3, 5)
+        table = {(i, j): F(rng.randint(0, 4), 4) for i in range(n) for j in range(n)}
+        corpus.append((f"random{k}", binary_setup(table, n)))
+    return corpus
+
+
+def test_triple_search_matches_fraction_reference():
+    """The bitset kernel returns exactly what the Fraction search returned."""
+    for name, (M, phi, split) in triple_corpus():
+        xts, yts, vals = value_matrix(M, phi, split)
+        for eps in (F(1, 2), F(1, 4), F(1, 8), F(3, 4)):
+            for max_len in (None, 4, 6):
+                expected = triple_sequence_reference(vals, len(xts), len(yts), eps, max_len)
+                got = _longest_triple_sequence(vals, len(xts), len(yts), eps, max_len)
+                assert got == expected, (name, eps, max_len)
+                w = find_ladder(M, phi, split, eps, "triple", max_len=max_len)
+                seq, bounded = expected
+                assert w.pairs == tuple((tuple_names(M, split.x, xts[a]),
+                                         tuple_names(M, split.y, yts[b])) for a, b in seq)
+                assert w.at_searched_bound == bounded
+                assert revalidate_ladder(M, phi, split, w)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data(),
+       st.sampled_from([F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(3, 4), F(1)]),
+       st.sampled_from([None, 2, 3, 4, 5, 6]))
+def test_triple_search_property(nx, ny, data, eps, max_len):
+    eighths = st.integers(0, 8).map(lambda k: F(k, 8))
+    vals = [data.draw(st.lists(eighths, min_size=ny, max_size=ny)) for _ in range(nx)]
+    assert _longest_triple_sequence(vals, nx, ny, eps, max_len) == \
+        triple_sequence_reference(vals, nx, ny, eps, max_len)
 
 
 def test_N_monotone_in_epsilon():
