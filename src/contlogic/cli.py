@@ -30,6 +30,7 @@ from .stability import (
 )
 from .structures import (
     FiniteStructure,
+    compile_formula,
     complete_structure,
     env_from_names,
     eval_formula,
@@ -62,7 +63,7 @@ def _read_json(path: str) -> dict:
 def _load_structure(path: str) -> FiniteStructure:
     data = _read_json(path)
     sig = None
-    ref = data.get("signature")
+    ref = data.get("signature") if isinstance(data, dict) else None
     if isinstance(ref, str):
         sig = Signature.from_json(_read_json(str(Path(path).parent / ref)))
     return FiniteStructure.from_json(data, sig)
@@ -104,6 +105,8 @@ def _target_vector_from_flags(M, phi, split, args):
             raise DomainError(f"no x-tuple named {args.target!r}")
         return phi_type(M, phi, split, xts[want])
     data = _read_json(args.target_file)
+    if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
+        raise DomainError(f"target file {args.target_file} needs a 'values' object")
     values = []
     for yt in yts:
         key = ",".join(tuple_names(M, split.y, yt))
@@ -319,23 +322,23 @@ def _verify_glue(M, phi, psi, chi, shared, fresh, fresh_sort):
     t_name, w_name = fresh
     fv = sorted(set(free_vars(phi)) | set(free_vars(psi)))
     pools = [range(len(M.carriers[s])) for _, s in fv]
-    pairs_at_one = [(i, j) for i in range(len(M.carriers[fresh_sort]))
-                    for j in range(len(M.carriers[fresh_sort]))
-                    if M.metric[fresh_sort][i][j] == 1]
-    if not pairs_at_one:
+    n = M.sizes[fresh_sort]
+    dist = M.metric_table[fresh_sort]
+    if dist.den not in dist.cells:
         raise DomainError(f"no pair at distance 1 in sort {fresh_sort}")
+    e0, e1 = divmod(dist.cells.index(dist.den), n)  # the first pair at distance 1
     import itertools
 
+    variables = [name for name, _ in fv] + [t_name, w_name]
+    chi_value, phi_value, psi_value = (compile_formula(M, f, variables) for f in (chi, phi, psi))
     phi_ok = True
     psi_ok = True
     for combo in itertools.product(*pools):
-        env = {n: i for (n, _), i in zip(fv, combo)}
-        e0, e1 = pairs_at_one[0]
-        env[t_name], env[w_name] = e0, e1
-        if eval_formula(M, env, chi) != eval_formula(M, env, phi):
+        at_one = (*combo, e0, e1)
+        if chi_value(at_one) != phi_value(at_one):
             phi_ok = False
-        env[w_name] = e0
-        if eval_formula(M, env, chi) != eval_formula(M, env, psi):
+        at_zero = (*combo, e0, e0)
+        if chi_value(at_zero) != psi_value(at_zero):
             psi_ok = False
     return {"recovers_phi_at_distance_1": phi_ok, "recovers_psi_at_distance_0": psi_ok}
 

@@ -26,6 +26,7 @@ from .language import (
 )
 from .structures import (
     FiniteStructure,
+    ScaledTable,
     VariableSplit,
     eval_formula,
     make_split,
@@ -49,9 +50,6 @@ class ImaginaryExpansion:
     representatives: list  # y-tuple (of carrier indices) per class
     projection: dict  # y-tuple index -> class index
     expanded: FiniteStructure
-
-    def class_of_tuple(self, yt_index: int) -> int:
-        return self.projection[yt_index]
 
 
 def build_imaginary(M: FiniteStructure, phi, split: VariableSplit,
@@ -96,7 +94,6 @@ def build_imaginary(M: FiniteStructure, phi, split: VariableSplit,
         return max(abs(u - v) for u, v in zip(a, b))
 
     n_classes = len(class_members)
-    new_metric = [[d_phi(i, j) for j in range(n_classes)] for i in range(n_classes)]
 
     x_moduli = tuple(infer_modulus(phi, M.sig, name) for name, _ in split.x)
     pred_decl = PredDecl(pred_name,
@@ -105,20 +102,18 @@ def build_imaginary(M: FiniteStructure, phi, split: VariableSplit,
     new_sig = M.sig.extended(sorts=[SortDecl(sort_name, metric_name)],
                              predicates=[pred_decl])
 
-    pred_table = {}
-    for xi, xt in enumerate(xts):
-        for ci in range(n_classes):
-            pred_table[tuple(xt) + (ci,)] = vals[xi][representatives[ci]]
+    # row-major in (x-tuple, class), since xts enumerates x-tuples lexicographically
+    pred_values = [vals[xi][rep] for xi in range(len(xts)) for rep in representatives]
 
     carriers = dict(M.carriers)
     carriers[sort_name] = class_names
-    metric = {s: M.metric[s] for s in M.sig.sort_names}
-    metric[sort_name] = new_metric
-    predicates = {name: dict(tbl) for name, tbl in M.predicates.items()}
-    predicates[pred_name] = pred_table
-    expanded = FiniteStructure(new_sig, carriers, metric,
-                               {name: dict(tbl) for name, tbl in M.functions.items()},
-                               predicates)
+    metric_table = dict(M.metric_table)
+    metric_table[sort_name] = ScaledTable.of(d_phi(i, j) for i in range(n_classes)
+                                             for j in range(n_classes))
+    predicate_table = dict(M.predicate_table)
+    predicate_table[pred_name] = ScaledTable.of(pred_values)
+    expanded = FiniteStructure.from_tables(new_sig, carriers, metric_table, M.function_table,
+                                           predicate_table)
     return ImaginaryExpansion(M, phi, split, sort_name, metric_name, pred_name,
                               class_members, class_names, [yts[r] for r in representatives],
                               projection, expanded)

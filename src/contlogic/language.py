@@ -298,24 +298,6 @@ def rename_var(f, old: str, new: str):
     raise StructuralError(f"not a formula: {f!r}")
 
 
-def formula_size(f) -> int:
-    if isinstance(f, Atom):
-        return 1 + sum(_term_size(t) for t in f.args)
-    if isinstance(f, (Const, ValueVar)):
-        return 1
-    if isinstance(f, Op):
-        return 1 + sum(formula_size(a) for a in f.args)
-    if isinstance(f, Quant):
-        return 1 + formula_size(f.body)
-    raise StructuralError(f"not a formula: {f!r}")
-
-
-def _term_size(t) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(_term_size(a) for a in t.args)
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer and parser
 

@@ -318,9 +318,6 @@ class MedianDefinition:
     observed_error: Fraction
     defined_values: tuple[Fraction, ...]
 
-    def evaluate(self, values_at_parameters: Sequence[Fraction]) -> Fraction:
-        return med(list(values_at_parameters), self.n_value)
-
 
 def _target_vector(M, split, yts, target) -> PhiTypeVector:
     if isinstance(target, PhiTypeVector):

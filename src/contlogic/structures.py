@@ -4,14 +4,22 @@ Carriers are finite per-sort element lists; tables are total and exact.
 Evaluation takes quantifiers to exact min/max over carriers, validation
 checks the pseudo-metric axioms and the quantitative inverse-modulus form
 of uniform continuity, and completion quotients by zero distance.
+
+Tables are stored flat and row-major: function tables as carrier indices,
+metric and predicate tables as int numerators over one denominator per
+table.  Formulas are compiled once into closures over those ints, so every
+value is computed in exact integer arithmetic and divided once at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from operator import add, getitem, itemgetter, mul, sub
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CompletionError, DomainError, StructuralError
 from .language import (
@@ -32,6 +40,7 @@ from .language import (
     parse,
 )
 from .values import (
+    CONNECTIVES,
     ONE,
     ZERO,
     apply_connective,
@@ -44,58 +53,123 @@ from .values import (
 IDENTITY = PLMonotone.identity()
 
 
+class ScaledTable(NamedTuple):
+    """Exact values as int numerators over one denominator, row-major."""
+
+    den: int
+    cells: list
+
+    @staticmethod
+    def of(values: Iterable[Fraction]) -> "ScaledTable":
+        values = list(values)
+        den = math.lcm(*{v.denominator for v in values})
+        return ScaledTable(den, [v.numerator * (den // v.denominator) for v in values])
+
+    def value(self, i: int) -> Fraction:
+        return Fraction(self.cells[i], self.den)
+
+
+def _strides(dims: Sequence[int]) -> list[int]:
+    out = [1] * len(dims)
+    for p in range(len(dims) - 2, -1, -1):
+        out[p] = out[p + 1] * dims[p + 1]
+    return out
+
+
 class FiniteStructure:
     """A finite interpretation of a signature with exact rational tables.
 
-    `metric` maps each sort to a square matrix indexed by carrier position;
-    `functions` and `predicates` map symbol names to dicts keyed by argument
-    index tuples.  Structures are immutable after construction.
+    `metric_table` maps each sort to its n*n distance table, `function_table`
+    maps each function symbol to its carrier indices and `predicate_table`
+    each predicate symbol to its values; all are flat and row-major in the
+    argument positions.  `metric`, `functions` and `predicates` are the
+    same tables as Fractions (nested rows, and dicts keyed by argument index
+    tuples), built on first use.  Structures are immutable after
+    construction.
     """
 
     def __init__(self, sig: Signature, carriers: Mapping[str, Sequence[str]],
                  metric: Mapping[str, Sequence[Sequence[Fraction]]],
                  functions: Mapping[str, Mapping[tuple, int]],
                  predicates: Mapping[str, Mapping[tuple, Fraction]]):
-        self.sig = sig
-        self.carriers = {s: tuple(names) for s, names in carriers.items()}
+        carriers = _checked_carriers(sig, carriers)
+        sizes = {s: len(names) for s, names in carriers.items()}
+        metric_table = {}
         for s in sig.sort_names:
-            if not self.carriers.get(s):
-                raise StructuralError(f"empty or missing carrier for sort {s}")
-            if len(set(self.carriers[s])) != len(self.carriers[s]):
-                raise StructuralError(f"duplicate element names in sort {s}")
-        self.index = {s: {name: i for i, name in enumerate(names)}
-                      for s, names in self.carriers.items()}
-        self.metric = {}
-        for s in sig.sort_names:
-            n = len(self.carriers[s])
+            n = sizes[s]
             rows = metric.get(s)
             if rows is None or len(rows) != n or any(len(r) != n for r in rows):
                 raise StructuralError(f"metric matrix for sort {s} must be {n}x{n}")
-            self.metric[s] = tuple(tuple(ensure_unit(v) for v in row) for row in rows)
-        self.functions = {}
+            metric_table[s] = ScaledTable.of(ensure_unit(v) for row in rows for v in row)
+        function_table = {}
         for name, decl in sig.functions.items():
             table = functions.get(name)
             if table is None:
                 raise StructuralError(f"missing table for function {name}")
-            self.functions[name] = dict(table)
-            for args in self._arg_tuples(decl.arg_sorts):
-                if args not in self.functions[name]:
+            cells = []
+            for args in _arg_tuples(sizes, decl.arg_sorts):
+                if args not in table:
                     raise StructuralError(f"function table {name} not total at {args}")
-                v = self.functions[name][args]
-                if not 0 <= v < len(self.carriers[decl.target]):
+                v = table[args]
+                if not 0 <= v < sizes[decl.target]:
                     raise StructuralError(f"function table {name} out of range at {args}")
-        self.predicates = {}
+                cells.append(v)
+            function_table[name] = cells
+        predicate_table = {}
         for name, decl in sig.predicates.items():
             table = predicates.get(name)
             if table is None:
                 raise StructuralError(f"missing table for predicate {name}")
-            self.predicates[name] = {k: ensure_unit(v) for k, v in table.items()}
-            for args in self._arg_tuples(decl.arg_sorts):
-                if args not in self.predicates[name]:
+            values = []
+            for args in _arg_tuples(sizes, decl.arg_sorts):
+                if args not in table:
                     raise StructuralError(f"predicate table {name} not total at {args}")
+                values.append(ensure_unit(table[args]))
+            predicate_table[name] = ScaledTable.of(values)
+        self._set_tables(sig, carriers, metric_table, function_table, predicate_table)
 
-    def _arg_tuples(self, arg_sorts: Sequence[str]):
-        return itertools.product(*(range(len(self.carriers[s])) for s in arg_sorts))
+    @classmethod
+    def from_tables(cls, sig: Signature, carriers: Mapping[str, Sequence[str]],
+                    metric_table: Mapping[str, ScaledTable],
+                    function_table: Mapping[str, list],
+                    predicate_table: Mapping[str, ScaledTable]) -> "FiniteStructure":
+        """A structure on flat tables that are already checked, shared, not copied."""
+        M = cls.__new__(cls)
+        M._set_tables(sig, {s: tuple(names) for s, names in carriers.items()},
+                      metric_table, function_table, predicate_table)
+        return M
+
+    def _set_tables(self, sig, carriers, metric_table, function_table, predicate_table):
+        self.sig = sig
+        self.carriers = carriers
+        self.sizes = {s: len(names) for s, names in carriers.items()}
+        self.index = {s: {name: i for i, name in enumerate(names)}
+                      for s, names in carriers.items()}
+        self.metric_table = dict(metric_table)
+        self.function_table = dict(function_table)
+        self.predicate_table = dict(predicate_table)
+        decls = {**sig.functions, **sig.predicates}
+        self._strides = {name: _strides([self.sizes[s] for s in decl.arg_sorts])
+                         for name, decl in decls.items()}
+
+    @cached_property
+    def metric(self) -> dict:
+        out = {}
+        for s, table in self.metric_table.items():
+            n = self.sizes[s]
+            out[s] = tuple(tuple(table.value(i * n + j) for j in range(n)) for i in range(n))
+        return out
+
+    @cached_property
+    def functions(self) -> dict:
+        return {name: dict(zip(_arg_tuples(self.sizes, decl.arg_sorts), self.function_table[name]))
+                for name, decl in self.sig.functions.items()}
+
+    @cached_property
+    def predicates(self) -> dict:
+        return {name: {args: self.predicate_table[name].value(i)
+                       for i, args in enumerate(_arg_tuples(self.sizes, decl.arg_sorts))}
+                for name, decl in self.sig.predicates.items()}
 
     def element_name(self, sort: str, idx: int) -> str:
         return self.carriers[sort][idx]
@@ -107,99 +181,143 @@ class FiniteStructure:
             raise StructuralError(f"no element {name!r} in sort {sort}") from None
 
     def distance(self, sort: str, i: int, j: int) -> Fraction:
-        return self.metric[sort][i][j]
+        return self.metric_table[sort].value(i * self.sizes[sort] + j)
 
     def pred_value(self, name: str, args: tuple) -> Fraction:
         if self.sig.is_metric(name):
-            sort = self.sig.metric_sort[name]
-            return self.metric[sort][args[0]][args[1]]
-        return self.predicates[name][args]
+            return self.distance(self.sig.metric_sort[name], args[0], args[1])
+        return self.predicate_table[name].value(sum(map(mul, args, self._strides[name])))
 
     def fn_value(self, name: str, args: tuple) -> int:
-        return self.functions[name][args]
+        return self.function_table[name][sum(map(mul, args, self._strides[name]))]
 
     # -- JSON -----------------------------------------------------------------
 
     def to_json(self, inline_signature: bool = True) -> dict:
-        def nested_fn(decl: FuncDecl):
-            def build(prefix, sorts):
-                if not sorts:
-                    idx = self.functions[decl.name][tuple(prefix)]
-                    return self.carriers[decl.target][idx]
-                return [build(prefix + [i], sorts[1:])
-                        for i in range(len(self.carriers[sorts[0]]))]
-            return build([], list(decl.arg_sorts))
+        def dims(arg_sorts):
+            return [self.sizes[s] for s in arg_sorts]
 
-        def nested_pred(decl: PredDecl):
-            def build(prefix, sorts):
-                if not sorts:
-                    return format_rational(self.predicates[decl.name][tuple(prefix)])
-                return [build(prefix + [i], sorts[1:])
-                        for i in range(len(self.carriers[sorts[0]]))]
-            return build([], list(decl.arg_sorts))
+        def formatted(table: ScaledTable) -> list:
+            text = {c: format_rational(Fraction(c, table.den)) for c in set(table.cells)}
+            return list(map(text.__getitem__, table.cells))
 
         return {
             "signature": self.sig.to_json() if inline_signature else None,
             "carriers": {s: list(names) for s, names in self.carriers.items()},
-            "metric": {s: [[format_rational(v) for v in row] for row in rows]
-                       for s, rows in self.metric.items()},
-            "functions": {name: nested_fn(decl) for name, decl in self.sig.functions.items()},
-            "predicates": {name: nested_pred(decl) for name, decl in self.sig.predicates.items()},
+            "metric": {s: _nested(formatted(table), dims((s, s)))
+                       for s, table in self.metric_table.items()},
+            "functions": {
+                name: _nested(list(map(self.carriers[decl.target].__getitem__,
+                                       self.function_table[name])), dims(decl.arg_sorts))
+                for name, decl in self.sig.functions.items()},
+            "predicates": {name: _nested(formatted(self.predicate_table[name]),
+                                         dims(decl.arg_sorts))
+                           for name, decl in self.sig.predicates.items()},
         }
 
     @staticmethod
     def from_json(data: dict, sig: Optional[Signature] = None) -> "FiniteStructure":
+        """Load a structure file, filling the flat tables from its nested lists.
+
+        Each distinct rational string of a table is parsed and range-checked once.
+        """
+        if not isinstance(data, dict):
+            raise StructuralError("structure file must be a JSON object")
         if sig is None:
             raw_sig = data.get("signature")
             if raw_sig is None:
                 raise StructuralError("structure file has no signature and none was supplied")
             sig = Signature.from_json(raw_sig)
         for key in ("carriers", "metric"):
-            if key not in data:
+            if not isinstance(data.get(key), dict):
                 raise StructuralError(f"structure file has no {key!r}")
-        carriers = {s: list(names) for s, names in data["carriers"].items()}
-        index = {s: {n: i for i, n in enumerate(ns)} for s, ns in carriers.items()}
-        metric = {}
-        for s, rows in data["metric"].items():
-            mat = [[parse_rational(v) for v in row] for row in rows]
-            for row in mat:
-                for v in row:
-                    if v > 1:
-                        raise DomainError(f"metric diameter exceeds 1 in sort {s}")
-            metric[s] = mat
-        functions = {}
+        carriers = {}
+        for s, names in data["carriers"].items():
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise StructuralError(f"carrier of sort {s} must be a list of element names")
+            carriers[s] = tuple(names)
+        carriers = _checked_carriers(sig, carriers)
+        sizes = {s: len(names) for s, names in carriers.items()}
+
+        def scaled(texts: list, name: str, check) -> ScaledTable:
+            try:
+                distinct = set(texts)
+            except TypeError:  # a leaf that is a list: the table is nested too deep
+                raise StructuralError(f"table {name} has wrong shape") from None
+            values = {text: parse_rational(text) for text in distinct}
+            for v in values.values():
+                check(v)
+            den = math.lcm(*(v.denominator for v in values.values()))
+            num = {text: v.numerator * (den // v.denominator) for text, v in values.items()}
+            return ScaledTable(den, list(map(num.__getitem__, texts)))
+
+        metric_table = {}
+        for s in sig.sort_names:
+            n = sizes[s]
+
+            def in_metric(v, s=s):
+                if v > 1:
+                    raise DomainError(f"metric diameter exceeds 1 in sort {s}")
+                ensure_unit(v)
+
+            cells = _flatten(data["metric"].get(s), (n, n))
+            if cells is None:
+                raise StructuralError(f"metric matrix for sort {s} must be {n}x{n}")
+            metric_table[s] = scaled(cells, sig.metric_of[s], in_metric)
+        function_table = {}
         for name, decl in sig.functions.items():
-            nested = _symbol_table(data, "functions", name)
-            table = {}
-
-            def walk_fn(node, prefix, sorts, decl=decl, table=table):
-                if not sorts:
-                    table[tuple(prefix)] = index[decl.target][node]
-                    return
-                if len(node) != len(carriers[sorts[0]]):
-                    raise StructuralError(f"table {decl.name} has wrong shape")
-                for i, sub in enumerate(node):
-                    walk_fn(sub, prefix + [i], sorts[1:])
-
-            walk_fn(nested, [], list(decl.arg_sorts))
-            functions[name] = table
-        predicates = {}
+            cells = _flatten(_symbol_table(data, "functions", name),
+                             [sizes[s] for s in decl.arg_sorts])
+            if cells is None:
+                raise StructuralError(f"table {name} has wrong shape")
+            index = {e: i for i, e in enumerate(carriers[decl.target])}
+            try:
+                function_table[name] = list(map(index.__getitem__, cells))
+            except (KeyError, TypeError):
+                raise StructuralError(
+                    f"function table {name} has a value outside sort {decl.target}") from None
+        predicate_table = {}
         for name, decl in sig.predicates.items():
-            nested = _symbol_table(data, "predicates", name)
-            table = {}
+            cells = _flatten(_symbol_table(data, "predicates", name),
+                             [sizes[s] for s in decl.arg_sorts])
+            if cells is None:
+                raise StructuralError(f"table {name} has wrong shape")
+            predicate_table[name] = scaled(cells, name, ensure_unit)
+        return FiniteStructure.from_tables(sig, carriers, metric_table, function_table,
+                                           predicate_table)
 
-            def walk_pred(node, prefix, sorts, decl=decl, table=table):
-                if not sorts:
-                    table[tuple(prefix)] = parse_rational(node)
-                    return
-                if len(node) != len(carriers[sorts[0]]):
-                    raise StructuralError(f"table {decl.name} has wrong shape")
-                for i, sub in enumerate(node):
-                    walk_pred(sub, prefix + [i], sorts[1:])
 
-            walk_pred(nested, [], list(decl.arg_sorts))
-            predicates[name] = table
-        return FiniteStructure(sig, carriers, metric, functions, predicates)
+def _checked_carriers(sig: Signature, carriers: Mapping[str, Sequence[str]]) -> dict:
+    carriers = {s: tuple(names) for s, names in carriers.items()}
+    for s in sig.sort_names:
+        if not carriers.get(s):
+            raise StructuralError(f"empty or missing carrier for sort {s}")
+        if len(set(carriers[s])) != len(carriers[s]):
+            raise StructuralError(f"duplicate element names in sort {s}")
+    return carriers
+
+
+def _arg_tuples(sizes: Mapping[str, int], arg_sorts: Sequence[str]):
+    return itertools.product(*(range(sizes[s]) for s in arg_sorts))
+
+
+def _flatten(node, dims: Sequence[int]) -> Optional[list]:
+    """Row-major leaves of a nested list of shape `dims`, or None if it has another shape."""
+    level = [node]
+    for n in dims:
+        if any(type(x) is not list or len(x) != n for x in level):
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    return level
+
+
+def _nested(cells: list, dims: Sequence[int]):
+    """Inverse of `_flatten`: nested lists of shape `dims` over row-major cells."""
+    if not dims:
+        return cells[0]
+    for n in reversed(dims[1:]):
+        cells = [cells[i:i + n] for i in range(0, len(cells), n)]
+    return cells
 
 
 def _symbol_table(data: dict, section: str, name: str):
@@ -211,14 +329,33 @@ def _symbol_table(data: dict, section: str, name: str):
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# A compiled node is a closure e -> int, where e is the list of carrier
+# indices of the free variables followed by one slot per quantifier.  Its
+# value is the int over a scale fixed at compile time: a table's
+# denominator at an atom, twice the child's scale under `half`, and the
+# lcm of the children's scales at a binary connective or `med`.  Every
+# node's value lies in [0, scale].
 
 
-def eval_term(M: FiniteStructure, env: Mapping[str, object], t) -> int:
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise StructuralError(f"unbound variable {t.name!r}")
-        return env[t.name]  # type: ignore[return-value]
-    return M.fn_value(t.func, tuple(eval_term(M, env, a) for a in t.args))
+def compile_formula(M: FiniteStructure, f, variables: Sequence[str],
+                    env: Optional[Mapping[str, object]] = None
+                    ) -> Callable[[Sequence[int]], Fraction]:
+    """Exact evaluator of f on M as a function of carrier indices.
+
+    The returned function takes one carrier index per entry of `variables`,
+    in that order, and returns the truth value as a Fraction.  Value
+    variables are read from `env` now, as constants.  Unbound variables,
+    bad `med` arities and unknown connectives raise StructuralError here.
+    """
+    compiler = _Compiler(M, env or {}, len(variables))
+    node, scale = compiler.formula(f, {name: slot for slot, name in enumerate(variables)})
+    pad = [0] * compiler.quantifiers
+
+    def evaluate(indices: Sequence[int]) -> Fraction:
+        return Fraction(node([*indices, *pad]), scale)
+
+    return evaluate
 
 
 def eval_formula(M: FiniteStructure, env: Mapping[str, object], f) -> Fraction:
@@ -226,31 +363,151 @@ def eval_formula(M: FiniteStructure, env: Mapping[str, object], f) -> Fraction:
 
     Structure variables map to carrier indices; value variables map to
     Fractions.  Quantifiers take min/max over the bound sort's carrier.
+    Callers that evaluate one formula many times compile it once with
+    `compile_formula` instead.
     """
-    if isinstance(f, Atom):
-        return M.pred_value(f.pred, tuple(eval_term(M, env, t) for t in f.args))
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, ValueVar):
-        v = env.get(f.name)
-        if not isinstance(v, Fraction):
-            raise StructuralError(f"value variable {f.name!r} not bound to a rational")
-        return v
-    if isinstance(f, Op):
-        vals = [eval_formula(M, env, a) for a in f.args]
-        if f.op == "med":
-            return med(vals, f.n)
-        return apply_connective(f.op, vals)
-    if isinstance(f, Quant):
-        inner = dict(env)
-        best = None
-        for i in range(len(M.carriers[f.sort])):
-            inner[f.var] = i
-            v = eval_formula(M, inner, f.body)
-            if best is None or (f.kind == "sup" and v > best) or (f.kind == "inf" and v < best):
-                best = v
-        return best
-    raise StructuralError(f"not a formula: {f!r}")
+    names = list(env)
+    return compile_formula(M, f, names, env)([env[n] for n in names])
+
+
+def _constant(c):
+    return lambda e: c
+
+
+class _Compiler:
+    def __init__(self, M: FiniteStructure, env: Mapping[str, object], free: int):
+        self.M = M
+        self.env = env
+        self.free = free
+        self.quantifiers = 0
+
+    def term(self, t, scope: Mapping[str, int]):
+        """A variable's slot (an int), or a closure e -> carrier index."""
+        if isinstance(t, Var):
+            if t.name not in scope:
+                raise StructuralError(f"unbound variable {t.name!r}")
+            return scope[t.name]
+        return self.lookup(self.M.function_table[t.func],
+                           [self.term(a, scope) for a in t.args], self.M._strides[t.func])
+
+    def lookup(self, cells: list, args: list, strides: Sequence[int]):
+        """Closure e -> cells[flat index of the argument terms]."""
+        if not args:
+            return _constant(cells[0])
+        if len(args) == 1:
+            a = args[0]
+            if type(a) is int:
+                return lambda e: cells[e[a]]
+            return lambda e: cells[a(e)]
+        if len(args) == 2:
+            a, b = args
+            n = strides[0]
+            if type(a) is int and type(b) is int:
+                return lambda e: cells[e[a] * n + e[b]]
+            ga = itemgetter(a) if type(a) is int else a
+            gb = itemgetter(b) if type(b) is int else b
+            return lambda e: cells[ga(e) * n + gb(e)]
+        parts = [(itemgetter(a) if type(a) is int else a, s) for a, s in zip(args, strides)]
+        return lambda e: cells[sum(g(e) * s for g, s in parts)]
+
+    def formula(self, f, scope: Mapping[str, int]):
+        """(closure e -> numerator, scale)."""
+        if isinstance(f, Atom):
+            args = [self.term(t, scope) for t in f.args]
+            sig = self.M.sig
+            if sig.is_metric(f.pred):
+                sort = sig.metric_sort[f.pred]
+                table, strides = self.M.metric_table[sort], (self.M.sizes[sort], 1)
+            else:
+                table, strides = self.M.predicate_table[f.pred], self.M._strides[f.pred]
+            return self.lookup(table.cells, args, strides), table.den
+        if isinstance(f, Const):
+            return _constant(f.value.numerator), f.value.denominator
+        if isinstance(f, ValueVar):
+            # a quantifier binding the same name hides the environment's value
+            v = None if scope.get(f.name, -1) >= self.free else self.env.get(f.name)
+            if not isinstance(v, Fraction):
+                raise StructuralError(f"value variable {f.name!r} not bound to a rational")
+            return _constant(v.numerator), v.denominator
+        if isinstance(f, Op):
+            args = [self.formula(a, scope) for a in f.args]
+            if f.op == "med":
+                med([ZERO] * len(args), f.n)  # raises med's own arity errors
+                return _median(args, f.n)
+            if CONNECTIVES.get(f.op, (None,))[0] != len(args):
+                apply_connective(f.op, [ZERO] * len(args))  # raises the connective's error
+            return _connective(f.op, args)
+        if isinstance(f, Quant):
+            slot = self.free + self.quantifiers
+            self.quantifiers += 1
+            body, scale = self.formula(f.body, {**scope, f.var: slot})
+            return _quantifier(f.kind, body, slot, range(self.M.sizes[f.sort]), scale), scale
+        raise StructuralError(f"not a formula: {f!r}")
+
+
+def _quantifier(kind: str, body, slot: int, carrier: range, scale: int):
+    """sup or inf of body over the carrier, stopping early at scale or 0."""
+    if kind == "sup":
+        def node(e):
+            best = -1
+            for i in carrier:
+                e[slot] = i
+                v = body(e)
+                if v > best:
+                    if v == scale:
+                        return v
+                    best = v
+            return best
+    else:
+        def node(e):
+            best = scale + 1
+            for i in carrier:
+                e[slot] = i
+                v = body(e)
+                if v < best:
+                    if not v:
+                        return v
+                    best = v
+            return best
+    return node
+
+
+def _connective(op: str, args: list):
+    if op == "neg":
+        (a, s), = args
+        return (lambda e: s - a(e)), s
+    if op == "half":
+        (a, s), = args
+        return a, 2 * s
+    (a, sa), (b, sb) = args
+    scale = math.lcm(sa, sb)
+    ka, kb = scale // sa, scale // sb
+    if op == "monus":
+        def node(e):
+            d = a(e) * ka - b(e) * kb
+            return d if d > 0 else 0
+    elif op == "min":
+        def node(e):
+            x, y = a(e) * ka, b(e) * kb
+            return x if x < y else y
+    elif op == "max":
+        def node(e):
+            x, y = a(e) * ka, b(e) * kb
+            return x if x > y else y
+    elif op == "plus_trunc":
+        def node(e):
+            t = a(e) * ka + b(e) * kb
+            return t if t < scale else scale
+    else:  # absdiff
+        def node(e):
+            return abs(a(e) * ka - b(e) * kb)
+    return node, scale
+
+
+def _median(args: list, n: int):
+    scale = math.lcm(*(s for _, s in args))
+    parts = [(a, scale // s) for a, s in args]
+    return (lambda e: sorted([a(e) * k for a, k in parts])[n - 1]), scale
 
 
 def env_from_names(M: FiniteStructure, bindings: Mapping[str, str], f) -> dict:
@@ -300,66 +557,92 @@ def validate(M: FiniteStructure) -> ValidationReport:
 
     Violations are data, not errors; the report lists each with witnesses.
     Uniform continuity is checked in the quantitative inverse-modulus form,
-    which is exact on finite structures.
+    which is exact on finite structures.  All comparisons are on the int
+    tables: a change c/D violates the bound u(d) iff c > floor(u(d) * D),
+    and u is evaluated once per distinct distance.
     """
     out = []
+    rows = {}
     for sort in M.sig.sort_names:
         names = M.carriers[sort]
-        dm = M.metric[sort]
+        den, cells = M.metric_table[sort]
         n = len(names)
+        dm = rows[sort] = [cells[i * n:(i + 1) * n] for i in range(n)]
+        cols = [list(c) for c in zip(*dm)]
         for i in range(n):
             if dm[i][i] != 0:
                 out.append(Violation("metric_reflexivity", sort, (names[i],),
-                                     f"d({names[i]},{names[i]}) = {format_rational(dm[i][i])}"))
+                                     f"d({names[i]},{names[i]}) = "
+                                     f"{format_rational(Fraction(dm[i][i], den))}"))
         for i in range(n):
-            for j in range(i + 1, n):
-                if dm[i][j] != dm[j][i]:
-                    out.append(Violation("metric_symmetry", sort, (names[i], names[j]),
-                                         "d(x,y) != d(y,x)"))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if dm[i][j] > dm[i][k] + dm[k][j]:
-                        out.append(Violation(
-                            "metric_triangle", sort, (names[i], names[j], names[k]),
-                            f"d = {format_rational(dm[i][j])} > "
-                            f"{format_rational(dm[i][k] + dm[k][j])}"))
-
-    def check_symbol(name, arg_sorts, moduli, value_at, is_function, target_sort=None):
-        for pos, (sort, u) in enumerate(zip(arg_sorts, moduli)):
-            other = [range(len(M.carriers[s])) for p, s in enumerate(arg_sorts) if p != pos]
-            size = len(M.carriers[sort])
-            for ctx in itertools.product(*other):
-                for z in range(size):
-                    for w in range(z + 1, size):
-                        args_z = list(ctx[:pos]) + [z] + list(ctx[pos:])
-                        args_w = list(ctx[:pos]) + [w] + list(ctx[pos:])
-                        bound = u.eval(M.metric[sort][z][w])
-                        if is_function:
-                            vz = value_at(tuple(args_z))
-                            vw = value_at(tuple(args_w))
-                            change = M.metric[target_sort][vz][vw]
-                        else:
-                            change = abs(value_at(tuple(args_z)) - value_at(tuple(args_w)))
-                        if change > bound:
-                            wz = M.element_name(sort, z)
-                            ww = M.element_name(sort, w)
+            if dm[i][i + 1:] != cols[i][i + 1:]:
+                for j in range(i + 1, n):
+                    if dm[i][j] != dm[j][i]:
+                        out.append(Violation("metric_symmetry", sort, (names[i], names[j]),
+                                             "d(x,y) != d(y,x)"))
+        for i, row in enumerate(dm):
+            for j, col in enumerate(cols):
+                dij = row[j]
+                if dij and dij > min(map(add, row, col)):
+                    for k in range(n):
+                        if dij > row[k] + col[k]:
                             out.append(Violation(
-                                "modulus_function" if is_function else "modulus_predicate",
-                                name, (wz, ww),
-                                f"argument {pos}: change {format_rational(change)} > "
-                                f"u(d) = {format_rational(bound)}"))
-        return
+                                "metric_triangle", sort, (names[i], names[j], names[k]),
+                                f"d = {format_rational(Fraction(dij, den))} > "
+                                f"{format_rational(Fraction(row[k] + col[k], den))}"))
+
+    def check_symbol(name, decl, cells, den, target_rows=None):
+        """Moduli of one symbol; `target_rows` (the target sort's metric) marks a function."""
+        dims = [M.sizes[s] for s in decl.arg_sorts]
+        for pos, (sort, u) in enumerate(zip(decl.arg_sorts, decl.moduli)):
+            size = dims[pos]
+            dist_den, dist = M.metric_table[sort]
+            cols = _columns(cells, dims, pos)
+            if target_rows is not None:
+                rows_at = [[target_rows[a] for a in col] for col in cols]
+
+                def changes(z, w):  # d(f(.., z, ..), f(.., w, ..)) per context
+                    return map(getitem, rows_at[z], cols[w])
+            else:
+                def changes(z, w):  # |P(.., z, ..) - P(.., w, ..)| per context
+                    return map(abs, map(sub, cols[z], cols[w]))
+            bounds: dict = {}
+            found = []
+            for z in range(size):
+                for w in range(z + 1, size):
+                    d = dist[z * size + w]
+                    if d not in bounds:
+                        bound = u.eval(Fraction(d, dist_den))
+                        bounds[d] = bound, bound.numerator * den // bound.denominator
+                    bound, threshold = bounds[d]
+                    if max(changes(z, w)) > threshold:
+                        found += [(k, z, w, c, bound) for k, c in enumerate(changes(z, w))
+                                  if c > threshold]
+            found.sort(key=lambda v: v[:3])  # context, then z, then w
+            for _, z, w, change, bound in found:
+                out.append(Violation(
+                    "modulus_function" if target_rows is not None else "modulus_predicate",
+                    name, (M.element_name(sort, z), M.element_name(sort, w)),
+                    f"argument {pos}: change {format_rational(Fraction(change, den))} > "
+                    f"u(d) = {format_rational(bound)}"))
 
     for name, decl in M.sig.functions.items():
-        check_symbol(name, decl.arg_sorts, decl.moduli,
-                     lambda args, name=name: M.fn_value(name, args),
-                     True, decl.target)
+        check_symbol(name, decl, M.function_table[name], M.metric_table[decl.target].den,
+                     rows[decl.target])
     for name, decl in M.sig.predicates.items():
-        check_symbol(name, decl.arg_sorts, decl.moduli,
-                     lambda args, name=name: M.pred_value(name, args),
-                     False)
+        table = M.predicate_table[name]
+        check_symbol(name, decl, table.cells, table.den)
     return ValidationReport(out)
+
+
+def _columns(cells: list, dims: Sequence[int], pos: int) -> list:
+    """cols[z] = the cells whose argument at `pos` is z, in the order of the other arguments."""
+    inner = math.prod(dims[pos + 1:])
+    block = dims[pos] * inner
+    starts = range(0, len(cells), block)
+    return [list(itertools.chain.from_iterable(cells[o + z * inner:o + (z + 1) * inner]
+                                               for o in starts))
+            for z in range(dims[pos])]
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +681,22 @@ def complete_structure(M: FiniteStructure) -> CompletionResult:
     class_of = {}
     classes = {}
     for sort in M.sig.sort_names:
-        n = len(M.carriers[sort])
+        n = M.sizes[sort]
+        dist = M.metric_table[sort].cells
         rep = list(range(n))
         for i in range(n):
-            for j in range(i):
-                if M.metric[sort][i][j] == 0 and rep[i] == i:
-                    rep[i] = rep[j]
+            earlier = dist[i * n:i * n + i]
+            if 0 in earlier:
+                rep[i] = rep[earlier.index(0)]
         members: dict[int, list[int]] = {}
         for i in range(n):
             members.setdefault(rep[i], []).append(i)
         ordered = sorted(members)
-        class_of[sort] = {i: ordered.index(rep[i]) for i in range(n)}
+        class_of[sort] = [ordered.index(rep[i]) for i in range(n)]
         classes[sort] = [(M.element_name(sort, r), [M.element_name(sort, m) for m in members[r]])
                          for r in ordered]
+    if all(len(classes[s]) == M.sizes[s] for s in M.sig.sort_names):
+        return CompletionResult(M, classes)  # no two elements at distance 0
 
     bad = []
     new_carriers = {s: [rep for rep, _ in classes[s]] for s in M.sig.sort_names}
@@ -419,39 +705,40 @@ def complete_structure(M: FiniteStructure) -> CompletionResult:
     new_metric = {}
     for sort in M.sig.sort_names:
         idxs = reps[sort]
-        new_metric[sort] = [[M.metric[sort][i][j] for j in idxs] for i in idxs]
+        n = M.sizes[sort]
+        den, dist = M.metric_table[sort]
+        new_rows = [[dist[i * n + j] for j in idxs] for i in idxs]
+        new_metric[sort] = ScaledTable(den, [v for row in new_rows for v in row])
         # well-definedness of the metric on classes
-        for i in range(len(M.carriers[sort])):
-            for j in range(len(M.carriers[sort])):
-                ci, cj = class_of[sort][i], class_of[sort][j]
-                if M.metric[sort][i][j] != new_metric[sort][ci][cj]:
+        cls = class_of[sort]
+        for i in range(n):
+            row = new_rows[cls[i]]
+            for j in range(n):
+                if dist[i * n + j] != row[cls[j]]:
                     bad.append(("d", (M.element_name(sort, i), M.element_name(sort, j))))
 
-    new_functions = {}
-    for name, decl in M.sig.functions.items():
+    def quotient(name, arg_sorts, cells, value_class):
         table = {}
-        for args in M._arg_tuples(decl.arg_sorts):
-            cargs = tuple(class_of[s][a] for s, a in zip(decl.arg_sorts, args))
-            value = class_of[decl.target][M.fn_value(name, args)]
+        for args, value in zip(_arg_tuples(M.sizes, arg_sorts), cells):
+            cargs = tuple(class_of[s][a] for s, a in zip(arg_sorts, args))
+            value = value_class(value)
             if cargs in table and table[cargs] != value:
-                bad.append((name, tuple(M.element_name(s, a)
-                                        for s, a in zip(decl.arg_sorts, args))))
+                bad.append((name, tuple(M.element_name(s, a) for s, a in zip(arg_sorts, args))))
             table[cargs] = value
-        new_functions[name] = table
+        return [table[cargs] for cargs in itertools.product(
+            *(range(len(reps[s])) for s in arg_sorts))]
+
+    new_functions = {name: quotient(name, decl.arg_sorts, M.function_table[name],
+                                    class_of[decl.target].__getitem__)
+                     for name, decl in M.sig.functions.items()}
     new_predicates = {}
     for name, decl in M.sig.predicates.items():
-        table = {}
-        for args in M._arg_tuples(decl.arg_sorts):
-            cargs = tuple(class_of[s][a] for s, a in zip(decl.arg_sorts, args))
-            value = M.pred_value(name, args)
-            if cargs in table and table[cargs] != value:
-                bad.append((name, tuple(M.element_name(s, a)
-                                        for s, a in zip(decl.arg_sorts, args))))
-            table[cargs] = value
-        new_predicates[name] = table
+        den, cells = M.predicate_table[name]
+        new_predicates[name] = ScaledTable(den, quotient(name, decl.arg_sorts, cells, int))
     if bad:
         raise CompletionError("tables not constant on zero-distance classes", bad)
-    structure = FiniteStructure(M.sig, new_carriers, new_metric, new_functions, new_predicates)
+    structure = FiniteStructure.from_tables(M.sig, new_carriers, new_metric, new_functions,
+                                            new_predicates)
     return CompletionResult(structure, classes)
 
 
@@ -490,18 +777,10 @@ def is_elementary_substructure(M: FiniteStructure, subset: Mapping[str, Sequence
         y_sort = var_sorts[first]
         params = [(n, s) for n, s in fv if n != first]
         pools = [sub_idx[s] for _, s in params]
+        value = compile_formula(M, f, [n for n, _ in params] + [first])
         for combo in itertools.product(*pools):
-            env = {n: i for (n, _), i in zip(params, combo)}
-            inf_m = None
-            for b in range(len(M.carriers[y_sort])):
-                env[first] = b
-                v = eval_formula(M, env, f)
-                inf_m = v if inf_m is None else min(inf_m, v)
-            inf_a = None
-            for b in sub_idx[y_sort]:
-                env[first] = b
-                v = eval_formula(M, env, f)
-                inf_a = v if inf_a is None else min(inf_a, v)
+            inf_m = min(value((*combo, b)) for b in range(M.sizes[y_sort]))
+            inf_a = min((value((*combo, b)) for b in sub_idx[y_sort]), default=None)
             if inf_a != inf_m:
                 witness_names = tuple(M.element_name(s, i)
                                       for (_, s), i in zip(params, combo))
@@ -540,24 +819,12 @@ def tuple_names(M: FiniteStructure, vars_: Sequence[tuple[str, str]], tup) -> tu
     return tuple(M.element_name(s, i) for (_, s), i in zip(vars_, tup))
 
 
-def tuple_distance(M: FiniteStructure, vars_: Sequence[tuple[str, str]], t1, t2) -> Fraction:
-    """Max metric on tuples, the standard tuple-sort distance."""
-    return max((M.metric[s][a][b] for (_, s), a, b in zip(vars_, t1, t2)), default=ZERO)
-
-
 def value_matrix(M: FiniteStructure, phi, split: VariableSplit):
     """vals[x_tuple_index][y_tuple_index] = phi(x_tuple, y_tuple), exact."""
     xts = tuples_of(M, split.x)
     yts = tuples_of(M, split.y)
-    rows = []
-    for xt in xts:
-        env = {n: i for (n, _), i in zip(split.x, xt)}
-        row = []
-        for yt in yts:
-            env.update({n: i for (n, _), i in zip(split.y, yt)})
-            row.append(eval_formula(M, env, phi))
-        rows.append(tuple(row))
-    return xts, yts, tuple(rows)
+    value = compile_formula(M, phi, [n for n, _ in split.x + split.y])
+    return xts, yts, tuple(tuple(value(xt + yt) for yt in yts) for xt in xts)
 
 
 # ---------------------------------------------------------------------------

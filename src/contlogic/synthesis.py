@@ -405,7 +405,3 @@ def lattice_closure_vectors(axis: Sequence[Fraction], constants: Sequence[Fracti
             break
     return list(known)
 
-
-def best_lattice_error(axis, constants, depth, target_vector) -> Fraction:
-    vectors = lattice_closure_vectors(axis, constants, depth)
-    return min(max(abs(a - b) for a, b in zip(vec, target_vector)) for vec in vectors)

@@ -89,6 +89,11 @@ class FiniteTopometricSpace:
 
     @staticmethod
     def from_json(data: dict) -> "FiniteTopometricSpace":
+        if not isinstance(data, dict):
+            raise StructuralError("space file must be a JSON object")
+        for key in ("points", "closed_sets", "metric"):
+            if key not in data:
+                raise StructuralError(f"space file has no {key!r}")
         points = tuple(data["points"])
         pos = {p: i for i, p in enumerate(points)}
         closed = tuple(frozenset(pos[p] for p in F) for F in data["closed_sets"])

@@ -31,6 +31,8 @@ def ensure_unit(q) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p". Decimal notation is rejected to avoid silent rounding."""
+    if not isinstance(text, str):
+        raise DomainError(f"rational literal {text!r} must be a string")
     s = text.strip()
     if "." in s:
         raise DomainError(f"decimal literal {text!r} rejected; use p/q")

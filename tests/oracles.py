@@ -5,9 +5,14 @@ machinery: they compute expected values directly from raw definitions, so
 agreement with the main code paths is meaningful.
 """
 
+import itertools
 from fractions import Fraction as F
 
+from contlogic.errors import StructuralError
+from contlogic.language import Atom, Const, Op, Quant, ValueVar, Var
+from contlogic.structures import ValidationReport, Violation
 from contlogic.topometric import FiniteTopometricSpace
+from contlogic.values import apply_connective, format_rational, med
 
 
 def atomless_defect_bruteforce(weights):
@@ -164,3 +169,109 @@ def triple_sequence_reference(vals, nx, ny, eps, max_len):
            for j, b in enumerate(best_bs)]
     bounded = bool(max_len is not None and len(best_bs) >= max_len and hit_bound)
     return seq, bounded
+
+
+def eval_term_reference(M, env, t) -> int:
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise StructuralError(f"unbound variable {t.name!r}")
+        return env[t.name]  # type: ignore[return-value]
+    return M.fn_value(t.func, tuple(eval_term_reference(M, env, a) for a in t.args))
+
+
+def eval_formula_reference(M, env, f) -> F:
+    """Tree-walking Fraction interpreter, the reference for `structures.eval_formula`.
+
+    Structure variables map to carrier indices; value variables map to
+    Fractions.  Quantifiers take min/max over the bound sort's carrier.
+    """
+    if isinstance(f, Atom):
+        return M.pred_value(f.pred, tuple(eval_term_reference(M, env, t) for t in f.args))
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, ValueVar):
+        v = env.get(f.name)
+        if not isinstance(v, F):
+            raise StructuralError(f"value variable {f.name!r} not bound to a rational")
+        return v
+    if isinstance(f, Op):
+        vals = [eval_formula_reference(M, env, a) for a in f.args]
+        if f.op == "med":
+            return med(vals, f.n)
+        return apply_connective(f.op, vals)
+    if isinstance(f, Quant):
+        inner = dict(env)
+        best = None
+        for i in range(len(M.carriers[f.sort])):
+            inner[f.var] = i
+            v = eval_formula_reference(M, inner, f.body)
+            if best is None or (f.kind == "sup" and v > best) or (f.kind == "inf" and v < best):
+                best = v
+        return best
+    raise StructuralError(f"not a formula: {f!r}")
+
+
+def validate_reference(M) -> ValidationReport:
+    """Fraction-table validator, the reference for `structures.validate`.
+
+    Compares every pair and triple directly and evaluates the modulus at
+    every pair; the int-table validator must reproduce its report exactly.
+    """
+    out = []
+    for sort in M.sig.sort_names:
+        names = M.carriers[sort]
+        dm = M.metric[sort]
+        n = len(names)
+        for i in range(n):
+            if dm[i][i] != 0:
+                out.append(Violation("metric_reflexivity", sort, (names[i],),
+                                     f"d({names[i]},{names[i]}) = {format_rational(dm[i][i])}"))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if dm[i][j] != dm[j][i]:
+                    out.append(Violation("metric_symmetry", sort, (names[i], names[j]),
+                                         "d(x,y) != d(y,x)"))
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if dm[i][j] > dm[i][k] + dm[k][j]:
+                        out.append(Violation(
+                            "metric_triangle", sort, (names[i], names[j], names[k]),
+                            f"d = {format_rational(dm[i][j])} > "
+                            f"{format_rational(dm[i][k] + dm[k][j])}"))
+
+    def check_symbol(name, arg_sorts, moduli, value_at, is_function, target_sort=None):
+        for pos, (sort, u) in enumerate(zip(arg_sorts, moduli)):
+            other = [range(len(M.carriers[s])) for p, s in enumerate(arg_sorts) if p != pos]
+            size = len(M.carriers[sort])
+            for ctx in itertools.product(*other):
+                for z in range(size):
+                    for w in range(z + 1, size):
+                        args_z = list(ctx[:pos]) + [z] + list(ctx[pos:])
+                        args_w = list(ctx[:pos]) + [w] + list(ctx[pos:])
+                        bound = u.eval(M.metric[sort][z][w])
+                        if is_function:
+                            vz = value_at(tuple(args_z))
+                            vw = value_at(tuple(args_w))
+                            change = M.metric[target_sort][vz][vw]
+                        else:
+                            change = abs(value_at(tuple(args_z)) - value_at(tuple(args_w)))
+                        if change > bound:
+                            wz = M.element_name(sort, z)
+                            ww = M.element_name(sort, w)
+                            out.append(Violation(
+                                "modulus_function" if is_function else "modulus_predicate",
+                                name, (wz, ww),
+                                f"argument {pos}: change {format_rational(change)} > "
+                                f"u(d) = {format_rational(bound)}"))
+        return
+
+    for name, decl in M.sig.functions.items():
+        check_symbol(name, decl.arg_sorts, decl.moduli,
+                     lambda args, name=name: M.fn_value(name, args),
+                     True, decl.target)
+    for name, decl in M.sig.predicates.items():
+        check_symbol(name, decl.arg_sorts, decl.moduli,
+                     lambda args, name=name: M.pred_value(name, args),
+                     False)
+    return ValidationReport(out)

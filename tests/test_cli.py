@@ -274,3 +274,29 @@ def test_check_structure_missing_section(capsys, algebra_file, tmp_path, key):
 
 def test_synth_on_structure_file(capsys, algebra_file):
     run_fails_cleanly(capsys, ["synth", "--target", algebra_file, "--epsilon", "1/8"], 1)
+
+
+def test_check_structure_file_not_an_object(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    run_fails_cleanly(capsys, ["check", str(path)], 1)
+
+
+@pytest.mark.parametrize("content", [{"vals": {}}, ["1", "0"], {"values": {"s0": 1}}])
+def test_define_median_bad_target_file(capsys, algebra_file, tmp_path, content):
+    tf = tmp_path / "target.json"
+    tf.write_text(json.dumps(content))
+    run_fails_cleanly(capsys, ["define-median", algebra_file, "--formula", "mu(meet(x,y))",
+                               "--split", "x;y", "--epsilon", "1/4", "--target-file", str(tf)], 1)
+
+
+@pytest.mark.parametrize("missing", ["points", "closed_sets", "metric", None])
+def test_cbrank_malformed_space(capsys, tmp_path, missing):
+    space = {"points": ["p"], "closed_sets": [[], ["p"]], "metric": [["0"]]}
+    if missing is None:
+        space = [space]
+    else:
+        del space[missing]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    run_fails_cleanly(capsys, ["cbrank", str(path), "--epsilon", "1/2"], 1)
