@@ -9,6 +9,7 @@ emitted when one exists), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -412,7 +413,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; each parse_args call fills a fresh namespace."""
     top = argparse.ArgumentParser(prog="contlogic",
                                   description="continuous-logic workbench")
     sub = top.add_subparsers(dest="command", required=True)

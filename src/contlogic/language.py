@@ -161,22 +161,36 @@ class Signature:
         def pl(bps) -> PLMonotone:
             return PLMonotone(tuple((parse_rational(x), parse_rational(y)) for x, y in bps))
 
-        sorts = []
-        raw_sorts = data.get("sorts", [])
-        for entry in raw_sorts:
-            if isinstance(entry, str):
-                metric = "d" if len(raw_sorts) == 1 else f"d_{entry}"
-                sorts.append(SortDecl(entry, metric))
-            else:
-                sorts.append(SortDecl(entry["name"], entry.get("metric", "d")))
+        if not isinstance(data, dict):
+            raise StructuralError("signature must be a JSON object")
+
+        def checked(section: str, *keys: str) -> list:
+            """The section's entries; a sort may also be a bare name."""
+            raw = data.get(section, [])
+            if not isinstance(raw, list):
+                raise StructuralError(f"signature {section} must be a list")
+            for entry in raw:
+                if section == "sorts" and isinstance(entry, str):
+                    continue
+                if not isinstance(entry, dict):
+                    raise StructuralError(f"a signature {section} entry must be an object")
+                for key in keys:
+                    if key not in entry:
+                        raise StructuralError(f"a signature {section} entry has no {key!r}")
+            return raw
+
+        raw_sorts = checked("sorts", "name")
+        sorts = [SortDecl(entry, "d" if len(raw_sorts) == 1 else f"d_{entry}")
+                 if isinstance(entry, str) else SortDecl(entry["name"], entry.get("metric", "d"))
+                 for entry in raw_sorts]
         functions = [
             FuncDecl(f["name"], tuple(f["arg_sorts"]), f["target_sort"],
                      tuple(pl(m) for m in f["moduli"]))
-            for f in data.get("functions", [])
+            for f in checked("functions", "name", "arg_sorts", "target_sort", "moduli")
         ]
         predicates = [
             PredDecl(p["name"], tuple(p["arg_sorts"]), tuple(pl(m) for m in p["moduli"]))
-            for p in data.get("predicates", [])
+            for p in checked("predicates", "name", "arg_sorts", "moduli")
         ]
         return Signature(sorts, functions, predicates)
 

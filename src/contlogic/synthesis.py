@@ -14,15 +14,32 @@ absorb the target's oscillation over one pitch step into epsilon.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import DomainError, StructuralError
 from .language import Const, Op, ValueVar
-from .values import ZERO, ensure_unit, format_rational, is_dyadic, parse_rational
+from .values import (
+    CONNECTIVES,
+    ZERO,
+    apply_connective,
+    ensure_unit,
+    format_rational,
+    is_dyadic,
+    med,
+    parse_rational,
+)
 
 MAX_SLOPE = 64
+
+
+def _check_pitch(pitch: Fraction) -> Fraction:
+    p = ensure_unit(pitch)
+    if p == 0 or not is_dyadic(p) or p.numerator != 1:
+        raise StructuralError("pitch must be a dyadic unit fraction")
+    return p
 
 
 @dataclass(frozen=True)
@@ -36,9 +53,7 @@ class GridFunction:
     def __post_init__(self):
         if self.arity < 1:
             raise StructuralError("arity must be at least 1")
-        p = ensure_unit(self.pitch)
-        if p == 0 or not is_dyadic(p) or (1 / p).denominator != 1:
-            raise StructuralError("pitch must be a dyadic unit fraction")
+        _check_pitch(self.pitch)
         pts = set(self.grid_points())
         if set(self.values) != pts:
             raise StructuralError("values must cover exactly the grid")
@@ -70,51 +85,117 @@ class GridFunction:
 
     @staticmethod
     def from_json(data: dict) -> "GridFunction":
+        """Checks arity, pitch and the value count before building the grid."""
+        if not isinstance(data, dict):
+            raise StructuralError("grid function file must be a JSON object")
         for key in ("arity", "pitch", "values"):
             if key not in data:
                 raise StructuralError(f"grid function file has no {key!r}")
-        arity = int(data["arity"])
-        pitch = parse_rational(data["pitch"])
-        steps = int(1 / pitch)
-        axis = [pitch * k for k in range(steps + 1)]
-        pts = list(itertools.product(axis, repeat=arity))
-        flat = [parse_rational(v) for v in data["values"]]
-        if len(flat) != len(pts):
+        arity = data["arity"]
+        if isinstance(arity, str) and arity.strip().isdecimal():
+            arity = int(arity)
+        if type(arity) is not int:
+            raise StructuralError(f"arity {arity!r} is not an integer")
+        if arity < 1:
+            raise StructuralError("arity must be at least 1")
+        pitch = _check_pitch(parse_rational(data["pitch"]))
+        texts = data["values"]
+        if not isinstance(texts, list):
+            raise StructuralError("grid function values must be a list")
+        steps = pitch.denominator
+        # (steps + 1) ** arity >= 2 ** arity exceeds the count once arity
+        # passes its bit length, so a huge arity is never raised to a power
+        if arity > len(texts).bit_length() or (steps + 1) ** arity != len(texts):
             raise StructuralError(
-                f"expected {len(pts)} grid values, got {len(flat)}")
-        return GridFunction(arity, pitch, dict(zip(pts, flat)))
+                f"expected {steps + 1}^{arity} grid values, got {len(texts)}")
+        axis = [pitch * k for k in range(steps + 1)]
+        pts = itertools.product(axis, repeat=arity)
+        return GridFunction(arity, pitch, dict(zip(pts, map(parse_rational, texts))))
 
 
-def eval_value_formula(expr, point: Mapping[str, Fraction]) -> Fraction:
-    """Evaluate an expression over value variables at a point of [0,1]^n.
+def eval_on_grid(expr, points: Sequence[Sequence[Fraction]]) -> tuple[list[int], int]:
+    """Values of an expression at every point, as int numerators over one scale.
 
-    Synthesized expressions share subterms heavily, so evaluation memoizes
-    on node identity and is linear in the number of distinct nodes.
+    Value variable t<i> reads coordinate i of each point.  Each distinct
+    node of the expression DAG is visited once, children first, without
+    recursion, and gets one numerator per point over a scale fixed per
+    node: a constant's denominator, the lcm of the coordinates' denominators
+    at a variable, twice the child's scale under `half`, and the lcm of the
+    children's scales at a binary connective or `med`.
     """
-    from .values import apply_connective, med
-
-    memo: dict = {}
-
-    def go(node) -> Fraction:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Const):
-            value = node.value
+    coords = {}
+    for i in range(len(points[0]) if points else 0):
+        column = [pt[i] for pt in points]
+        scale = math.lcm(*(v.denominator for v in column))
+        coords[f"t{i}"] = [v.numerator * (scale // v.denominator) for v in column], scale
+    done: dict = {}  # id(node) -> (numerators, scale)
+    stack = [(expr, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        if isinstance(node, Op):
+            if not ready:  # evaluate the arguments first, left to right
+                stack.append((node, True))
+                stack.extend((a, False) for a in reversed(node.args))
+                continue
+            value = _vector_op(node, [done[id(a)] for a in node.args])
+        elif isinstance(node, Const):
+            value = [node.value.numerator] * len(points), node.value.denominator
         elif isinstance(node, ValueVar):
-            if node.name not in point:
+            if node.name not in coords:
                 raise StructuralError(f"unbound value variable {node.name!r}")
-            value = point[node.name]
-        elif isinstance(node, Op):
-            vals = [go(a) for a in node.args]
-            value = med(vals, node.n) if node.op == "med" else apply_connective(node.op, vals)
+            value = coords[node.name]
         else:
             raise StructuralError(
                 "expression must use only value variables, connectives, constants")
-        memo[key] = value
-        return value
+        done[id(node)] = value
+    return done[id(expr)]
 
-    return go(expr)
+
+def _rescaled(args: list, scale: int) -> list:
+    return [nums if s == scale else [x * (scale // s) for x in nums] for nums, s in args]
+
+
+def _vector_op(node: Op, args: list) -> tuple[list[int], int]:
+    op = node.op
+    if op == "med":
+        med([ZERO] * len(args), node.n)  # raises med's own arity errors
+        scale = math.lcm(*(s for _, s in args))
+        k = node.n - 1
+        return [sorted(column)[k] for column in zip(*_rescaled(args, scale))], scale
+    if CONNECTIVES.get(op, (None,))[0] != len(args):
+        apply_connective(op, [ZERO] * len(args))  # raises the connective's error
+    if op == "neg":
+        (a, s), = args
+        return [s - x for x in a], s
+    if op == "half":
+        (a, s), = args
+        return a, 2 * s
+    scale = math.lcm(args[0][1], args[1][1])
+    a, b = _rescaled(args, scale)
+    if op == "monus":
+        out = [x - y if x > y else 0 for x, y in zip(a, b)]
+    elif op == "min":
+        out = [x if x < y else y for x, y in zip(a, b)]
+    elif op == "max":
+        out = [x if x > y else y for x, y in zip(a, b)]
+    elif op == "plus_trunc":
+        out = [x + y if x + y < scale else scale for x, y in zip(a, b)]
+    else:  # absdiff
+        out = [abs(x - y) for x, y in zip(a, b)]
+    return out, scale
+
+
+def _grid_error(expr, target: GridFunction) -> Fraction:
+    """Exact max over grid points of |expression - target|."""
+    pts = target.grid_points()
+    got, scale = eval_on_grid(expr, pts)
+    want = [target.values[pt] for pt in pts]
+    den = math.lcm(scale, *(v.denominator for v in want))
+    k = den // scale
+    return Fraction(max(abs(x * k - v.numerator * (den // v.denominator))
+                        for x, v in zip(got, want)), den)
 
 
 def uses_only_neg_monus_constants(expr) -> bool:
@@ -193,8 +274,6 @@ def _fold_min(exprs):
 
 def _constant_fold(expr):
     """Fold all-constant subterms, preserving subterm sharing."""
-    from .values import apply_connective, med
-
     memo: dict = {}
 
     def go(node):
@@ -348,15 +427,10 @@ def synthesize(target: GridFunction, epsilon,
         g_rows.append(_fold_max(row))
     expr = _constant_fold(_fold_min(g_rows))
 
-    worst = max(abs(eval_value_formula(expr, _point_env(pt)) - target.values[pt])
-                for pt in pts)
+    worst = _grid_error(expr, target)
     if worst > eps:
         raise AssertionError("synthesis exceeded the requested error bound")
     return SynthesisResult(expr, worst, _expr_size(expr), eps, k)
-
-
-def _point_env(pt: Sequence[Fraction]) -> dict:
-    return {f"t{i}": v for i, v in enumerate(pt)}
 
 
 def verify_synthesis(expr, target: GridFunction) -> Fraction:
@@ -365,8 +439,7 @@ def verify_synthesis(expr, target: GridFunction) -> Fraction:
     allowed = {f"t{i}" for i in range(target.arity)}
     if not names <= allowed:
         raise StructuralError(f"expression uses variables {sorted(names - allowed)}")
-    return max(abs(eval_value_formula(expr, _point_env(pt)) - target.values[pt])
-               for pt in target.grid_points())
+    return _grid_error(expr, target)
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +453,21 @@ def lattice_closure_vectors(axis: Sequence[Fraction], constants: Sequence[Fracti
     Seeds are the variable itself and the given constants; closure is taken
     to the stated depth with deduplication by value vector.  Every vector in
     the closure is 1-Lipschitz on the grid, which is the point of the
-    negative witness.
+    negative witness.  The closure runs on int numerators over the common
+    denominator of the axis and the constants.
     """
-    var = tuple(axis)
-    seeds = {var} | {tuple(ensure_unit(c) for _ in axis) for c in constants}
+    constants = [ensure_unit(c) for c in constants]
+    axis = [Fraction(t) for t in axis]
+    den = math.lcm(*(v.denominator for v in [*axis, *constants]))
+    var = tuple(t.numerator * (den // t.denominator) for t in axis)
+    seeds = {var} | {(c.numerator * (den // c.denominator),) * len(var) for c in constants}
     known = dict.fromkeys(seeds, 0)
     frontier = set(seeds)
     for level in range(1, depth + 1):
         new = set()
         snapshot = list(known)
         for u in frontier:
-            cand = tuple(1 - x for x in u)
+            cand = tuple(den - x for x in u)
             if cand not in known:
                 new.add(cand)
         for u in frontier:
@@ -403,5 +480,4 @@ def lattice_closure_vectors(axis: Sequence[Fraction], constants: Sequence[Fracti
         frontier = new
         if not new:
             break
-    return list(known)
-
+    return [tuple(Fraction(x, den) for x in vec) for vec in known]

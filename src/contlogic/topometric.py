@@ -6,17 +6,41 @@ intersection), a genuine metric, and a declared test set of epsilons for
 which closed metric neighbourhoods of closed sets must again be closed.
 The derivative of a subset removes its relatively open pieces of metric
 diameter at most epsilon; ranks iterate the derivative.
+
+Internally a set of points is an int bitmask (bit p for point p) and the
+metric is held as int numerators over its common denominator, so the
+derivative and the epsilon-degree compare ints only.  For each epsilon,
+`far[p]` is the mask of the points at distance > epsilon from p: a set S
+has diameter <= epsilon iff `far[p] & S == 0` for every p in S.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from operator import add
 
 from .errors import StructuralError
-from .values import ZERO, ensure_unit, format_rational, parse_rational
+from .values import ensure_unit, format_rational, parse_rational
+
+
+def _mask(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _members(mask: int) -> frozenset:
+    return frozenset(_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -25,42 +49,69 @@ class FiniteTopometricSpace:
     closed_sets: tuple[frozenset, ...]  # frozensets of point indices
     metric: tuple[tuple[Fraction, ...], ...]
     test_epsilons: tuple[Fraction, ...]
+    # derived in __post_init__: the closed sets as bitmasks, and the metric
+    # as int numerators over the denominator `_den`
+    _closed_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _num: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.points)
         if len(set(self.points)) != n or n == 0:
             raise StructuralError("points must be distinct and non-empty")
-        fam = set(self.closed_sets)
-        if frozenset() not in fam or frozenset(range(n)) not in fam:
+        masks = tuple(_mask(F) for F in self.closed_sets)
+        fam = set(masks)
+        if 0 not in fam or (1 << n) - 1 not in fam:
             raise StructuralError("closed sets must contain the empty and full sets")
-        for A in fam:
-            for B in fam:
-                if A | B not in fam or A & B not in fam:
-                    raise StructuralError("closed sets must be closed under union and intersection")
+        members = list(fam)
+        for A in members:
+            if not (fam.issuperset(map(A.__or__, members))
+                    and fam.issuperset(map(A.__and__, members))):
+                raise StructuralError("closed sets must be closed under union and intersection")
         if len(self.metric) != n or any(len(row) != n for row in self.metric):
             raise StructuralError("metric matrix has the wrong shape")
+        rows = [[Fraction(v) for v in row] for row in self.metric]
+        den = math.lcm(*(v.denominator for row in rows for v in row))
+        num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+        cols = list(zip(*num))
         for i in range(n):
-            if self.metric[i][i] != 0:
+            row = num[i]
+            if row[i] != 0:
                 raise StructuralError("metric must vanish on the diagonal")
             for j in range(n):
-                ensure_unit(self.metric[i][j])
-                if self.metric[i][j] != self.metric[j][i]:
+                if not 0 <= row[j] <= den:
+                    ensure_unit(rows[i][j])
+                if row[j] != num[j][i]:
                     raise StructuralError("metric must be symmetric")
-                if i != j and self.metric[i][j] == 0:
+                if i != j and row[j] == 0:
                     raise StructuralError("metric must separate distinct points")
-                for k in range(n):
-                    if self.metric[i][j] > self.metric[i][k] + self.metric[k][j]:
-                        raise StructuralError("metric violates the triangle inequality")
+                if row[j] > min(map(add, row, cols[j])):
+                    raise StructuralError("metric violates the triangle inequality")
+        object.__setattr__(self, "_closed_masks", masks)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         # the metric refines the topology automatically on a finite point set
         # with a genuine metric; what needs checking is neighbourhood closure
         for eps in self.test_epsilons:
-            ensure_unit(eps)
+            eps = ensure_unit(eps)
+            near = self._near(eps)
             for F in fam:
-                nb = self.closed_neighbourhood(F, eps)
-                if nb not in fam:
+                if _neighbourhood(near, F) not in fam:
                     raise StructuralError(
                         f"closed {format_rational(eps)}-neighbourhood of a closed set "
                         "is not closed")
+
+    def _near(self, eps: Fraction) -> list[int]:
+        """near[q]: the mask of the points p with metric[p][q] <= eps."""
+        bound, scale = eps.numerator * self._den, eps.denominator
+        n = len(self.points)
+        return [_mask(p for p in range(n) if self._num[p][q] * scale <= bound)
+                for q in range(n)]
+
+    def _far(self, eps: Fraction) -> list[int]:
+        """far[p]: the mask of the points q with metric[p][q] > eps."""
+        full = (1 << len(self.points)) - 1
+        return [full & ~m for m in self._near(eps)]
 
     def index(self, name: str) -> int:
         try:
@@ -69,15 +120,7 @@ class FiniteTopometricSpace:
             raise StructuralError(f"no point named {name!r}") from None
 
     def closed_neighbourhood(self, subset: frozenset, eps: Fraction) -> frozenset:
-        return frozenset(p for p in range(len(self.points))
-                         if any(self.metric[p][q] <= eps for q in subset)) if subset \
-            else frozenset()
-
-    def diameter(self, subset) -> Fraction:
-        pts = list(subset)
-        if len(pts) < 2:
-            return ZERO
-        return max(self.metric[p][q] for p in pts for q in pts)
+        return _members(_neighbourhood(self._near(Fraction(eps)), _mask(subset)))
 
     def to_json(self) -> dict:
         return {
@@ -94,12 +137,48 @@ class FiniteTopometricSpace:
         for key in ("points", "closed_sets", "metric"):
             if key not in data:
                 raise StructuralError(f"space file has no {key!r}")
+            if not isinstance(data[key], list):
+                raise StructuralError(f"space file's {key!r} must be a list")
         points = tuple(data["points"])
+        if not all(isinstance(p, str) for p in points):
+            raise StructuralError("point names must be strings")
         pos = {p: i for i, p in enumerate(points)}
-        closed = tuple(frozenset(pos[p] for p in F) for F in data["closed_sets"])
+        closed = []
+        for F in data["closed_sets"]:
+            if not isinstance(F, list):
+                raise StructuralError("each closed set must be a list of point names")
+            for p in F:
+                if not isinstance(p, str) or p not in pos:
+                    raise StructuralError(f"closed set names unknown point {p!r}")
+            closed.append(frozenset(pos[p] for p in F))
+        if not all(isinstance(row, list) for row in data["metric"]):
+            raise StructuralError("each metric row must be a list")
         metric = tuple(tuple(parse_rational(v) for v in row) for row in data["metric"])
+        if not isinstance(data.get("test_epsilons", []), list):
+            raise StructuralError("space file's 'test_epsilons' must be a list")
         eps = tuple(parse_rational(e) for e in data.get("test_epsilons", []))
-        return FiniteTopometricSpace(points, closed, metric, eps)
+        return FiniteTopometricSpace(points, tuple(closed), metric, eps)
+
+
+def _neighbourhood(near: list[int], subset: int) -> int:
+    out = 0
+    for q in _bits(subset):
+        out |= near[q]
+    return out
+
+
+def _is_small(far: list[int], subset: int) -> bool:
+    """Diameter of the subset <= epsilon, for the epsilon of `far`."""
+    return not any(far[p] & subset for p in _bits(subset))
+
+
+def _derive(closed: tuple[int, ...], far: list[int], subset: int) -> int:
+    result = subset
+    for F in closed:
+        G = F & subset
+        if _is_small(far, subset & ~G):
+            result &= G
+    return result
 
 
 def cb_derivative(X: FiniteTopometricSpace, subset: frozenset, epsilon) -> frozenset:
@@ -108,14 +187,8 @@ def cb_derivative(X: FiniteTopometricSpace, subset: frozenset, epsilon) -> froze
     Intersects all subsets closed in the subspace whose relative complement
     has diameter at most epsilon.
     """
-    eps = ensure_unit(epsilon)
-    subset = frozenset(subset)
-    result = subset
-    for F in X.closed_sets:
-        G = F & subset
-        if X.diameter(subset - G) <= eps:
-            result &= G
-    return result
+    far = X._far(ensure_unit(epsilon))
+    return _members(_derive(X._closed_masks, far, _mask(subset)))
 
 
 @dataclass
@@ -133,57 +206,80 @@ def cb_rank(X: FiniteTopometricSpace, epsilon) -> CBResult:
     become stationary before emptying, the surviving points have unbounded
     rank, reported as None.
     """
-    eps = ensure_unit(epsilon)
-    stages = [frozenset(range(len(X.points)))]
+    far = X._far(ensure_unit(epsilon))
+    stages = [(1 << len(X.points)) - 1]
     while stages[-1]:
-        nxt = cb_derivative(X, stages[-1], eps)
+        nxt = _derive(X._closed_masks, far, stages[-1])
         if nxt == stages[-1]:
             break
         stages.append(nxt)
     stationary = bool(stages[-1])
     ranks: dict = {}
     for p in range(len(X.points)):
-        if stationary and p in stages[-1]:
+        if stationary and stages[-1] >> p & 1:
             ranks[p] = None
         else:
-            ranks[p] = max(i for i, S in enumerate(stages) if p in S)
-    degrees = [epsilon_degree(X, S, eps) for S in stages]
-    return CBResult(stages, ranks, degrees, stationary)
+            ranks[p] = max(i for i, S in enumerate(stages) if S >> p & 1)
+    degrees = [_degree(far, S) for S in stages]
+    return CBResult([_members(S) for S in stages], ranks, degrees, stationary)
 
 
 def epsilon_degree(X: FiniteTopometricSpace, subset: frozenset, epsilon) -> int:
     """Minimal number of diameter-<=epsilon blocks covering the subset.
 
-    Brute-force exact cover using maximal admissible blocks; every finite
-    set is epsilon-finite, so this always terminates.  The empty set has
-    degree 0.
+    Every finite set is epsilon-finite, so this always terminates.  The
+    empty set has degree 0.
     """
-    eps = ensure_unit(epsilon)
-    pts = sorted(subset)
-    if not pts:
-        return 0
-    blocks = _maximal_small_blocks(X, pts, eps)
-    for k in range(1, len(pts) + 1):
-        for combo in itertools.combinations(blocks, k):
-            covered = frozenset().union(*combo)
-            if covered >= frozenset(pts):
-                return k
-    raise AssertionError("unreachable: singletons always cover")
+    return _degree(X._far(ensure_unit(epsilon)), _mask(subset))
 
 
-def _maximal_small_blocks(X: FiniteTopometricSpace, pts: Sequence[int], eps: Fraction):
-    """Inclusion-maximal subsets of pts with diameter <= eps.
+def _degree(far: list[int], subset: int) -> int:
+    """Minimum cover of the subset by maximal blocks, by iterative deepening.
 
     Restricting covers to maximal blocks is harmless: any admissible block
-    extends to a maximal one.  Enumerated top-down; fine for desk-scale
-    point counts.
+    extends to a maximal one.  Some block of any cover holds the lowest
+    uncovered point, so each level branches only on the maximal blocks
+    through that point.
     """
-    candidates: list[frozenset] = []
-    for size in range(len(pts), 0, -1):
-        for combo in itertools.combinations(pts, size):
-            S = frozenset(combo)
-            if any(S <= c for c in candidates):
-                continue
-            if X.diameter(S) <= eps:
-                candidates.append(S)
-    return candidates
+    if not subset:
+        return 0
+    through: dict = {p: [] for p in _bits(subset)}
+    for block in _maximal_blocks(far, subset):
+        for p in _bits(block):
+            through[p].append(block)
+
+    def covers(uncovered: int, k: int) -> bool:
+        if not uncovered:
+            return True
+        if not k:
+            return False
+        low = (uncovered & -uncovered).bit_length() - 1
+        return any(covers(uncovered & ~block, k - 1) for block in through[low])
+
+    k = 1
+    while not covers(subset, k):
+        k += 1
+    return k
+
+
+def _maximal_blocks(far: list[int], subset: int) -> list[int]:
+    """Inclusion-maximal subsets of diameter <= epsilon: the maximal cliques
+    of the "within epsilon" graph on the subset (Bron-Kerbosch with pivoting).
+    """
+    adj = {p: subset & ~far[p] & ~(1 << p) for p in _bits(subset)}
+    blocks: list[int] = []
+
+    def expand(clique: int, cand: int, done: int):
+        if not cand:
+            if not done:
+                blocks.append(clique)
+            return
+        pivot = max(_bits(cand | done), key=lambda u: (cand & adj[u]).bit_count())
+        for v in _bits(cand & ~adj[pivot]):
+            bit = 1 << v
+            expand(clique | bit, cand & adj[v], done & adj[v])
+            cand &= ~bit
+            done |= bit
+
+    expand(0, subset, 0)
+    return blocks

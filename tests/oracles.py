@@ -7,12 +7,13 @@ agreement with the main code paths is meaningful.
 
 import itertools
 from fractions import Fraction as F
+from typing import Mapping, Sequence
 
 from contlogic.errors import StructuralError
 from contlogic.language import Atom, Const, Op, Quant, ValueVar, Var
 from contlogic.structures import ValidationReport, Violation
-from contlogic.topometric import FiniteTopometricSpace
-from contlogic.values import apply_connective, format_rational, med
+from contlogic.topometric import CBResult, FiniteTopometricSpace
+from contlogic.values import apply_connective, ensure_unit, format_rational, med
 
 
 def atomless_defect_bruteforce(weights):
@@ -275,3 +276,111 @@ def validate_reference(M) -> ValidationReport:
                      lambda args, name=name: M.pred_value(name, args),
                      False)
     return ValidationReport(out)
+
+
+# ---------------------------------------------------------------------------
+# Cantor-Bendixson ranks on frozensets and Fractions
+
+
+def _diameter(X, subset) -> F:
+    pts = list(subset)
+    if len(pts) < 2:
+        return F(0)
+    return max(X.metric[p][q] for p in pts for q in pts)
+
+
+def cb_derivative_reference(X, subset: frozenset, epsilon) -> frozenset:
+    eps = ensure_unit(epsilon)
+    subset = frozenset(subset)
+    result = subset
+    for C in X.closed_sets:
+        G = C & subset
+        if _diameter(X, subset - G) <= eps:
+            result &= G
+    return result
+
+
+def cb_rank_reference(X, epsilon) -> CBResult:
+    """Frozenset/Fraction CB ranks, the reference for `topometric.cb_rank`.
+
+    Compares Fraction distances directly and finds each epsilon-degree by
+    enumerating every subset of the stage.
+    """
+    eps = ensure_unit(epsilon)
+    stages = [frozenset(range(len(X.points)))]
+    while stages[-1]:
+        nxt = cb_derivative_reference(X, stages[-1], eps)
+        if nxt == stages[-1]:
+            break
+        stages.append(nxt)
+    stationary = bool(stages[-1])
+    ranks: dict = {}
+    for p in range(len(X.points)):
+        if stationary and p in stages[-1]:
+            ranks[p] = None
+        else:
+            ranks[p] = max(i for i, S in enumerate(stages) if p in S)
+    degrees = [epsilon_degree_reference(X, S, eps) for S in stages]
+    return CBResult(stages, ranks, degrees, stationary)
+
+
+def epsilon_degree_reference(X, subset: frozenset, epsilon) -> int:
+    """Brute-force exact cover using maximal admissible blocks."""
+    eps = ensure_unit(epsilon)
+    pts = sorted(subset)
+    if not pts:
+        return 0
+    blocks = _maximal_small_blocks(X, pts, eps)
+    for k in range(1, len(pts) + 1):
+        for combo in itertools.combinations(blocks, k):
+            covered = frozenset().union(*combo)
+            if covered >= frozenset(pts):
+                return k
+    raise AssertionError("unreachable: singletons always cover")
+
+
+def _maximal_small_blocks(X, pts: Sequence[int], eps: F):
+    """Inclusion-maximal subsets of pts with diameter <= eps, top-down."""
+    candidates: list[frozenset] = []
+    for size in range(len(pts), 0, -1):
+        for combo in itertools.combinations(pts, size):
+            S = frozenset(combo)
+            if any(S <= c for c in candidates):
+                continue
+            if _diameter(X, S) <= eps:
+                candidates.append(S)
+    return candidates
+
+
+# ---------------------------------------------------------------------------
+# Value expressions, one point at a time
+
+
+def eval_value_formula_reference(expr, point: Mapping[str, F]) -> F:
+    """Evaluate an expression over value variables at a point of [0,1]^n.
+
+    The per-point Fraction evaluator that `synthesis` replaced with one pass
+    over the whole grid; it memoizes on node identity.
+    """
+    memo: dict = {}
+
+    def go(node) -> F:
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        if isinstance(node, Const):
+            value = node.value
+        elif isinstance(node, ValueVar):
+            if node.name not in point:
+                raise StructuralError(f"unbound value variable {node.name!r}")
+            value = point[node.name]
+        elif isinstance(node, Op):
+            vals = [go(a) for a in node.args]
+            value = med(vals, node.n) if node.op == "med" else apply_connective(node.op, vals)
+        else:
+            raise StructuralError(
+                "expression must use only value variables, connectives, constants")
+        memo[key] = value
+        return value
+
+    return go(expr)

@@ -300,3 +300,60 @@ def test_cbrank_malformed_space(capsys, tmp_path, missing):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space))
     run_fails_cleanly(capsys, ["cbrank", str(path), "--epsilon", "1/2"], 1)
+
+
+@pytest.mark.parametrize("change", [
+    {"closed_sets": [[], ["p", "x"], ["p", "q"]]},
+    {"closed_sets": [[], [["p"]], ["p", "q"]]},
+    {"closed_sets": [[], "p", ["p", "q"]]},
+    {"points": [["p"], "q"]},
+    {"metric": ["0 1", "1 0"]},
+    {"test_epsilons": "1/2"},
+])
+def test_cbrank_malformed_members(capsys, tmp_path, change):
+    space = {"points": ["p", "q"], "closed_sets": [[], ["p", "q"]],
+             "metric": [["0", "1"], ["1", "0"]], **change}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    run_fails_cleanly(capsys, ["cbrank", str(path), "--epsilon", "1/2"], 1)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("functions", "name"), ("functions", "arg_sorts"), ("functions", "target_sort"),
+    ("functions", "moduli"), ("predicates", "name"), ("predicates", "moduli"),
+    ("sorts", "name"),
+])
+def test_check_signature_entry_missing_key(capsys, algebra_file, tmp_path, section, key):
+    data = json.loads(open(algebra_file).read())
+    del data["signature"][section][0][key]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    run_fails_cleanly(capsys, ["check", str(path)], 1)
+
+
+@pytest.mark.parametrize("grid", [
+    {"arity": 1, "pitch": "0", "values": ["0"]},
+    {"arity": "x", "pitch": "1/2", "values": ["0", "0", "0"]},
+    {"arity": 1, "pitch": "1/2", "values": ["0", "0"]},
+    {"arity": 40, "pitch": "1/2", "values": ["0"]},
+])
+def test_synth_malformed_grid(capsys, tmp_path, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    run_fails_cleanly(capsys, ["synth", "--target", str(path), "--epsilon", "1/8"], 1)
+
+
+def test_back_to_back_runs_share_no_state(capsys, algebra_file):
+    from contlogic.cli import _build_parser
+
+    argv = ["tv", algebra_file, "--subset", "s0,s3",
+            "--formula", "y@mu(meet(x,y))", "--formula", "y@d(x,y)"]
+    assert _build_parser().parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
+    run(argv)
+    first = capsys.readouterr().out
+    assert _build_parser().parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
+    run(argv)
+    assert capsys.readouterr().out == first
+    assert run(["tv", algebra_file, "--subset", "s0", "--no-such-flag"]) == 2
+    assert run(["check", algebra_file]) == 0
+    assert run(["modulus-convert", "--direction", "sideways", "--pl", "0:0,1:1"]) == 2

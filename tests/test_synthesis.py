@@ -1,14 +1,19 @@
 """Connective synthesis on grids and the monotone-lattice negative witness."""
 
+import itertools
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from contlogic.errors import DomainError, StructuralError
 from contlogic.language import Const, Op, ValueVar
 from contlogic.synthesis import (
     GridFunction,
+    eval_on_grid,
     lattice_closure_vectors,
     synthesize,
     uses_only_neg_monus_constants,
@@ -95,3 +100,114 @@ def test_negative_witness_double_capped():
     target_vec = tuple(min(2 * t, F(1)) for t in axis)
     err = min(max(abs(a - b) for a, b in zip(vec, target_vec)) for vec in vectors)
     assert err >= F(1, 4)
+
+
+def assert_grid_matches_reference(expr, points):
+    from oracles import eval_value_formula_reference
+
+    nums, scale = eval_on_grid(expr, points)
+    want = [eval_value_formula_reference(expr, {f"t{i}": v for i, v in enumerate(pt)})
+            for pt in points]
+    assert [F(x, scale) for x in nums] == want
+
+
+def test_grid_evaluator_matches_reference_on_synthesized_expressions():
+    rng = random.Random(5)
+    axis8 = [F(k, 8) for k in range(9)]
+    for _ in range(4):
+        values = {(t,): F(rng.randrange(17), 16) for t in axis8}
+        res = synthesize(GridFunction(1, F(1, 8), values), F(1, 16))
+        points = [(t,) for t in axis8] + [(F(1, 3),), (F(5, 7),)]  # off-grid too
+        assert_grid_matches_reference(res.expression, points)
+    axis4 = [F(k, 4) for k in range(5)]
+    values = {pt: F(rng.randrange(9), 8) for pt in itertools.product(axis4, repeat=2)}
+    res = synthesize(GridFunction(2, F(1, 4), values), F(1, 8))
+    assert_grid_matches_reference(res.expression, list(itertools.product(axis4, repeat=2)))
+
+
+BINARY = ("monus", "min", "max", "plus_trunc", "absdiff")
+
+
+def random_dag(rng, arity, size):
+    """Expression DAG over t0..t(arity-1) using every connective and med, with sharing."""
+    nodes = [ValueVar(f"t{i}") for i in range(arity)]
+    nodes += [Const(F(rng.randrange(d + 1), d)) for d in (1, 3, 8)]
+    for _ in range(size):
+        kind = rng.choice(("neg", "half", "med") + BINARY)
+        if kind in ("neg", "half"):
+            node = Op(kind, (rng.choice(nodes),))
+        elif kind == "med":
+            n = rng.choice([1, 2, 3])
+            node = Op("med", tuple(rng.choice(nodes) for _ in range(2 * n - 1)), n)
+        else:
+            node = Op(kind, (rng.choice(nodes), rng.choice(nodes)))
+        nodes.append(node)
+    return nodes[-1], nodes
+
+
+def test_grid_evaluator_matches_reference_on_random_dags():
+    rng = random.Random(17)
+    ops = set()
+    for arity in (1, 2, 3):
+        points = [tuple(F(rng.randrange(0, 7), 6) for _ in range(arity)) for _ in range(12)]
+        for _ in range(40):
+            expr, nodes = random_dag(rng, arity, 25)
+            ops |= {n.op for n in nodes if isinstance(n, Op)}
+            assert_grid_matches_reference(expr, points)
+    assert ops == {"neg", "half", "med", *BINARY}
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 40))
+def test_grid_evaluator_property(seed, arity, size):
+    rng = random.Random(seed)
+    points = [tuple(F(rng.randrange(0, 9), 8) for _ in range(arity)) for _ in range(6)]
+    expr, _ = random_dag(rng, arity, size)
+    assert_grid_matches_reference(expr, points)
+
+
+@pytest.mark.parametrize("expr, message", [
+    (Op("neg", (ValueVar("t3"),)), "unbound value variable 't3'"),
+    (Op("neg", ("t0",)), "only value variables, connectives, constants"),
+    (Op("med", (ValueVar("t0"),) * 2, 2), "med_2 expects 3 arguments"),
+    (Op("min", (ValueVar("t0"),)), "min expects 2 arguments"),
+    (Op("sqrt", (ValueVar("t0"),)), "unknown connective 'sqrt'"),
+])
+def test_grid_evaluator_errors(expr, message):
+    from oracles import eval_value_formula_reference
+
+    with pytest.raises(StructuralError, match=message):
+        eval_on_grid(expr, [(F(1, 2),)])
+    with pytest.raises(StructuralError, match=message):
+        eval_value_formula_reference(expr, {"t0": F(1, 2)})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"arity": 1, "pitch": "0", "values": ["0"]}, "pitch"),
+    ({"arity": 1, "pitch": "1/3", "values": ["0"] * 4}, "pitch"),
+    ({"arity": 1, "pitch": "2", "values": ["0"]}, "outside"),
+    ({"arity": "x", "pitch": "1/2", "values": ["0"] * 3}, "arity"),
+    ({"arity": 0, "pitch": "1/2", "values": []}, "arity"),
+    ({"arity": 1.5, "pitch": "1/2", "values": ["0"] * 3}, "arity"),
+    ({"arity": 1, "pitch": "1/2", "values": "0,0,0"}, "list"),
+    ({"arity": 2, "pitch": "1/2", "values": ["0"] * 8}, "3\\^2 grid values, got 8"),
+    ({"arity": 40, "pitch": "1/2", "values": ["0"]}, "3\\^40 grid values, got 1"),
+    ({"arity": 10 ** 12, "pitch": "1", "values": ["0"] * 5}, "grid values, got 5"),
+])
+def test_grid_function_from_json_rejects(data, message):
+    with pytest.raises((StructuralError, DomainError), match=message):
+        GridFunction.from_json(data)
+
+
+def test_grid_function_from_json_accepts_string_arity():
+    back = GridFunction.from_json({"arity": "1", "pitch": "1/2", "values": ["0", "1/2", "1"]})
+    assert back.values == {(F(0),): F(0), (F(1, 2),): F(1, 2), (F(1),): F(1)}
+
+
+def test_lattice_closure_values_are_exact_unit_vectors():
+    axis = [F(k, 4) for k in range(5)]
+    vectors = lattice_closure_vectors(axis, [F(1, 3)], depth=3)
+    assert len(set(vectors)) == len(vectors)
+    assert tuple(axis) in vectors
+    assert tuple(1 - t for t in axis) in vectors
+    assert tuple(min(t, F(1, 3)) for t in axis) in vectors
+    assert all(isinstance(v, F) for vec in vectors for v in vec)

@@ -6,10 +6,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from contlogic.errors import StructuralError
+from contlogic.errors import DomainError, StructuralError
 from contlogic.topometric import (
     FiniteTopometricSpace,
+    _bits,
+    _mask,
+    _maximal_blocks,
     cb_derivative,
     cb_rank,
     epsilon_degree,
@@ -120,3 +125,105 @@ def test_json_round_trip():
     assert set(X2.closed_sets) == set(X.closed_sets)
     assert X2.metric == X.metric
     assert X2.test_epsilons == X.test_epsilons
+
+
+EPSILONS = (F(0), F(1, 8), F(1, 4), F(1, 2), F(1))
+
+
+def assert_matches_reference(X, eps):
+    from oracles import (
+        cb_derivative_reference,
+        cb_rank_reference,
+        epsilon_degree_reference,
+    )
+
+    got, want = cb_rank(X, eps), cb_rank_reference(X, eps)
+    assert (got.stages, got.ranks, got.degrees, got.stationary) == \
+        (want.stages, want.ranks, want.degrees, want.stationary)
+    for S in got.stages:
+        assert cb_derivative(X, S, eps) == cb_derivative_reference(X, S, eps)
+    even = frozenset(range(0, len(X.points), 2))
+    assert epsilon_degree(X, even, eps) == epsilon_degree_reference(X, even, eps)
+
+
+def assert_blocks_match_reference(X, eps):
+    """The maximal cliques are exactly the reference's maximal small blocks."""
+    from oracles import _maximal_small_blocks
+
+    full = range(len(X.points))
+    blocks = {frozenset(_bits(b)) for b in _maximal_blocks(X._far(eps), _mask(full))}
+    assert blocks == set(_maximal_small_blocks(X, full, eps))
+
+
+def test_cb_rank_matches_reference_on_random_spaces():
+    """Bitmask ranks == the frozenset/Fraction reference, 6-14 points."""
+    from oracles import random_valid_topometric_space
+
+    rng = random.Random(2024)
+    for n in range(6, 15):
+        for _ in range(2 if n <= 12 else 1):
+            X, _ = random_valid_topometric_space(rng, n, rng.choice([F(1, 4), F(1, 2)]))
+            for eps in EPSILONS:
+                assert_matches_reference(X, eps)
+
+
+def test_cb_rank_matches_reference_on_corpus_like_spaces():
+    """Points on a line at sixteenths, as the benchmark corpus draws them."""
+    rng = random.Random(11)
+    for n in (6, 8, 10, 12):
+        coords = sorted(rng.sample(range(17), n))
+        metric = [[F(abs(a - b), 16) for b in coords] for a in coords]
+        family = {frozenset(), frozenset(range(n))}
+        for _ in range(3):
+            lo = rng.randrange(n)
+            family.add(frozenset(range(lo, rng.randrange(lo, n) + 1)))
+        family = saturate(family)
+        X = FiniteTopometricSpace(tuple(f"p{i}" for i in range(n)), tuple(family),
+                                  tuple(tuple(row) for row in metric), ())
+        for eps in EPSILONS:
+            assert_matches_reference(X, eps)
+            assert_blocks_match_reference(X, eps)
+
+
+def saturate(family):
+    """Close a family of frozensets under union and intersection."""
+    family = set(family)
+    while True:
+        new = {op(A, B) for A in family for B in family for op in (frozenset.__or__,
+                                                                   frozenset.__and__)}
+        if new <= family:
+            return family
+        family |= new
+
+
+@given(st.integers(2, 8), st.data(), st.sampled_from(EPSILONS))
+def test_cb_rank_property(n, data, eps):
+    from oracles import random_metric
+
+    seed = data.draw(st.integers(0, 2 ** 16))
+    metric = random_metric(random.Random(seed), n, [F(1, 8), F(1, 4), F(1, 2), F(1)])
+    sets = data.draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=4))
+    family = saturate({frozenset(), frozenset(range(n)), *sets})
+    X = FiniteTopometricSpace(tuple(f"p{i}" for i in range(n)), tuple(family),
+                              tuple(tuple(row) for row in metric), ())
+    assert_matches_reference(X, eps)
+    assert_blocks_match_reference(X, eps)
+
+
+def test_invariant_messages():
+    third = [[F(0), F(1, 4), F(3, 4)], [F(1, 4), F(0), F(1, 4)], [F(3, 4), F(1, 4), F(0)]]
+    closed = [[], ["a", "b", "c"]]
+    with pytest.raises(StructuralError, match="triangle"):
+        space(["a", "b", "c"], closed, third)
+    with pytest.raises(StructuralError, match="symmetric"):
+        space(["a", "b"], closed[:1] + [["a", "b"]], [[F(0), F(1)], [F(1, 2), F(0)]])
+    with pytest.raises(StructuralError, match="diagonal"):
+        space(["a", "b"], [[], ["a", "b"]], [[F(1), F(1)], [F(1), F(0)]])
+    with pytest.raises(DomainError, match="outside"):
+        space(["a", "b"], [[], ["a", "b"]], [[F(0), F(2)], [F(2), F(0)]])
+    with pytest.raises(StructuralError, match="wrong shape"):
+        space(["a", "b"], [[], ["a", "b"]], [[F(0), F(1)]])
+    with pytest.raises(StructuralError, match="1/4-neighbourhood"):
+        space(["a", "b", "c"], [[], ["a"], ["a", "b", "c"]],
+              [[F(0), F(1, 4), F(1)], [F(1, 4), F(0), F(1)], [F(1), F(1), F(0)]],
+              eps=[F(1, 4)])
