@@ -19,6 +19,7 @@ from . import __version__
 from .errors import ContlogicError, DefinitionAbort, DomainError
 from .language import PLMonotone, Signature, parse, prenex, print_formula
 from .stability import (
+    PhiTypeVector,
     compute_N,
     find_ladder,
     global_definition,
@@ -37,10 +38,9 @@ from .structures import (
     eval_formula,
     is_elementary_substructure,
     make_split,
+    phi_instance,
     tuple_names,
-    tuples_of,
     validate,
-    value_matrix,
 )
 from .synthesis import GridFunction, expression_text, expression_tree_size, synthesize
 from .topometric import FiniteTopometricSpace, cb_rank
@@ -94,28 +94,21 @@ def _split_from_flag(text: str):
 
 
 def _target_vector_from_flags(M, phi, split, args):
-    xts, yts, vals = value_matrix(M, phi, split)
+    inst = phi_instance(M, phi, split)
     if args.target is not None:
-        names = tuple(v.strip() for v in args.target.split(","))
-        want = None
-        for i, xt in enumerate(xts):
-            if tuple_names(M, split.x, xt) == names:
-                want = i
-                break
+        want = inst.x_index.get(tuple(v.strip() for v in args.target.split(",")))
         if want is None:
             raise DomainError(f"no x-tuple named {args.target!r}")
-        return phi_type(M, phi, split, xts[want])
+        return phi_type(M, phi, split, inst.xts[want])
     data = _read_json(args.target_file)
     if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
         raise DomainError(f"target file {args.target_file} needs a 'values' object")
     values = []
-    for yt in yts:
-        key = ",".join(tuple_names(M, split.y, yt))
+    for names in inst.y_index:
+        key = ",".join(names)
         if key not in data["values"]:
             raise DomainError(f"target file misses parameter {key!r}")
         values.append(parse_rational(data["values"][key]))
-    from .stability import PhiTypeVector
-
     return PhiTypeVector(tuple(values))
 
 
@@ -221,7 +214,7 @@ def _cmd_typespace(args):
     M = _load_structure(args.structure)
     phi, split = _phi_and_split(M, args)
     space = phi_type_space(M, phi, split)
-    xts = tuples_of(M, split.x)
+    xts = phi_instance(M, phi, split).xts
     payload = {
         "point_count": len(space.points),
         "points": [

@@ -8,10 +8,7 @@ recovering phi through class representatives.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import StructuralError
 from .language import (
@@ -29,11 +26,10 @@ from .structures import (
     ScaledTable,
     VariableSplit,
     eval_formula,
-    make_split,
+    phi_instance,
+    sup_distances,
     tuple_names,
-    tuples_of,
     validate,
-    value_matrix,
 )
 
 
@@ -69,8 +65,9 @@ def build_imaginary(M: FiniteStructure, phi, split: VariableSplit,
                 or name in M.sig.sorts:
             raise StructuralError(f"name {name!r} already used in the signature")
 
-    xts, yts, vals = value_matrix(M, phi, split)
-    columns = [tuple(vals[xi][yi] for xi in range(len(xts))) for yi in range(len(yts))]
+    inst = phi_instance(M, phi, split)
+    num, yts = inst.num, inst.yts
+    columns = [tuple(row[yi] for row in num) for yi in range(len(yts))]
 
     class_members: list[list[int]] = []
     projection = {}
@@ -88,13 +85,6 @@ def build_imaginary(M: FiniteStructure, phi, split: VariableSplit,
     class_names = ["[" + ",".join(tuple_names(M, split.y, yts[rep])) + "]"
                    for rep in representatives]
 
-    def d_phi(ci: int, cj: int) -> Fraction:
-        a = columns[representatives[ci]]
-        b = columns[representatives[cj]]
-        return max(abs(u - v) for u, v in zip(a, b))
-
-    n_classes = len(class_members)
-
     x_moduli = tuple(infer_modulus(phi, M.sig, name) for name, _ in split.x)
     pred_decl = PredDecl(pred_name,
                          tuple(s for _, s in split.x) + (sort_name,),
@@ -103,15 +93,15 @@ def build_imaginary(M: FiniteStructure, phi, split: VariableSplit,
                              predicates=[pred_decl])
 
     # row-major in (x-tuple, class), since xts enumerates x-tuples lexicographically
-    pred_values = [vals[xi][rep] for xi in range(len(xts)) for rep in representatives]
+    pred_values = [row[rep] for row in num for rep in representatives]
+    d_phi = sup_distances([columns[rep] for rep in representatives])
 
     carriers = dict(M.carriers)
     carriers[sort_name] = class_names
     metric_table = dict(M.metric_table)
-    metric_table[sort_name] = ScaledTable.of(d_phi(i, j) for i in range(n_classes)
-                                             for j in range(n_classes))
+    metric_table[sort_name] = ScaledTable.over(inst.scale, [d for row in d_phi for d in row])
     predicate_table = dict(M.predicate_table)
-    predicate_table[pred_name] = ScaledTable.of(pred_values)
+    predicate_table[pred_name] = ScaledTable.over(inst.scale, pred_values)
     expanded = FiniteStructure.from_tables(new_sig, carriers, metric_table, M.function_table,
                                            predicate_table)
     return ImaginaryExpansion(M, phi, split, sort_name, metric_name, pred_name,
@@ -169,38 +159,3 @@ def verify_tphi(E: ImaginaryExpansion):
         value = eval_formula(E.expanded, {}, sentence)
         rows.append({"name": name, "value": value, "holds": value == 0})
     return all(r["holds"] for r in rows), rows
-
-
-def automorphisms(M: FiniteStructure):
-    """Brute-force sort-preserving automorphisms; carriers capped at 6 elements."""
-    for s in M.sig.sort_names:
-        if len(M.carriers[s]) > 6:
-            raise StructuralError("automorphism search capped at 6-element carriers")
-    sorts = M.sig.sort_names
-    pools = [itertools.permutations(range(len(M.carriers[s]))) for s in sorts]
-    for perms in itertools.product(*pools):
-        pi = dict(zip(sorts, perms))
-        if _is_automorphism(M, pi):
-            yield pi
-
-
-def _is_automorphism(M: FiniteStructure, pi: Mapping[str, Sequence[int]]) -> bool:
-    for s in M.sig.sort_names:
-        p = pi[s]
-        dm = M.metric[s]
-        n = len(M.carriers[s])
-        for i in range(n):
-            for j in range(n):
-                if dm[p[i]][p[j]] != dm[i][j]:
-                    return False
-    for name, decl in M.sig.functions.items():
-        for args, value in M.functions[name].items():
-            mapped = tuple(pi[s][a] for s, a in zip(decl.arg_sorts, args))
-            if M.fn_value(name, mapped) != pi[decl.target][value]:
-                return False
-    for name, decl in M.sig.predicates.items():
-        for args, value in M.predicates[name].items():
-            mapped = tuple(pi[s][a] for s, a in zip(decl.arg_sorts, args))
-            if M.pred_value(name, mapped) != value:
-                return False
-    return True

@@ -158,9 +158,6 @@ class Signature:
 
     @staticmethod
     def from_json(data: dict) -> "Signature":
-        def pl(bps) -> PLMonotone:
-            return PLMonotone(tuple((parse_rational(x), parse_rational(y)) for x, y in bps))
-
         if not isinstance(data, dict):
             raise StructuralError("signature must be a JSON object")
 
@@ -177,19 +174,38 @@ class Signature:
                 for key in keys:
                     if key not in entry:
                         raise StructuralError(f"a signature {section} entry has no {key!r}")
+                for key in ("name", "target_sort", "metric"):
+                    if not isinstance(entry.get(key, ""), str):
+                        raise StructuralError(f"a signature {section} {key} must be a string")
             return raw
+
+        def arg_sorts(entry) -> tuple:
+            value = entry["arg_sorts"]
+            if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+                raise StructuralError(f"{entry['name']}: arg_sorts must be a list of sort names")
+            return tuple(value)
+
+        def moduli(entry) -> tuple:
+            value = entry["moduli"]
+            if not isinstance(value, list) or not all(
+                    isinstance(bps, list)
+                    and all(isinstance(bp, list) and len(bp) == 2 for bp in bps)
+                    for bps in value):
+                raise StructuralError(f"{entry['name']}: moduli must be a list of "
+                                      "breakpoint lists, each breakpoint [in, out]")
+            return tuple(PLMonotone(tuple((parse_rational(x), parse_rational(y)) for x, y in bps))
+                         for bps in value)
 
         raw_sorts = checked("sorts", "name")
         sorts = [SortDecl(entry, "d" if len(raw_sorts) == 1 else f"d_{entry}")
                  if isinstance(entry, str) else SortDecl(entry["name"], entry.get("metric", "d"))
                  for entry in raw_sorts]
         functions = [
-            FuncDecl(f["name"], tuple(f["arg_sorts"]), f["target_sort"],
-                     tuple(pl(m) for m in f["moduli"]))
+            FuncDecl(f["name"], arg_sorts(f), f["target_sort"], moduli(f))
             for f in checked("functions", "name", "arg_sorts", "target_sort", "moduli")
         ]
         predicates = [
-            PredDecl(p["name"], tuple(p["arg_sorts"]), tuple(pl(m) for m in p["moduli"]))
+            PredDecl(p["name"], arg_sorts(p), moduli(p))
             for p in checked("predicates", "name", "arg_sorts", "moduli")
         ]
         return Signature(sorts, functions, predicates)
@@ -396,6 +412,9 @@ class _Parser:
             raise GrammarError(f"variable {t.text!r} must start lowercase", t.pos)
         if t.text in _KEYWORDS:
             raise GrammarError(f"keyword {t.text!r} cannot be a variable", t.pos)
+        if t.text in self.sig.functions:
+            # the body would read the name as the function symbol, never as this variable
+            raise GrammarError(f"function symbol {t.text!r} cannot be a variable", t.pos)
         sort = None
         if self.peek().kind == ":":
             self.next()

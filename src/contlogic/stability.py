@@ -16,8 +16,6 @@ parameter-sequence order for the triple kind).
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -27,9 +25,10 @@ from .language import Atom, Op, Var, free_vars
 from .structures import (
     FiniteStructure,
     VariableSplit,
+    fraction_rows,
+    phi_instance,
+    sup_distances,
     tuple_names,
-    tuples_of,
-    value_matrix,
 )
 from .values import ONE, ZERO, flim_prefix, med
 
@@ -59,34 +58,23 @@ class PhiTypeSpace:
 
 def phi_type(M: FiniteStructure, phi, split: VariableSplit, a_tuple) -> PhiTypeVector:
     """The phi-type of one x-tuple: the vector of its values at every parameter."""
-    xts, yts, vals = value_matrix(M, phi, split)
-    xi = xts.index(tuple(a_tuple))
-    return PhiTypeVector(vals[xi], realizer=xi)
+    inst = phi_instance(M, phi, split)
+    xi = inst.xts.index(tuple(a_tuple))
+    return PhiTypeVector(inst.vals[xi], realizer=xi)
 
 
 def phi_type_space(M: FiniteStructure, phi, split: VariableSplit) -> PhiTypeSpace:
     """All realized phi-types, deduplicated, with the sup-difference metric."""
-    xts, yts, vals = value_matrix(M, phi, split)
-    points: list[PhiTypeVector] = []
-    realizers: list[list[int]] = []
-    seen: dict = {}
-    for xi in range(len(xts)):
-        row = vals[xi]
-        if row in seen:
-            realizers[seen[row]].append(xi)
-        else:
-            seen[row] = len(points)
-            points.append(PhiTypeVector(row, realizer=xi))
-            realizers.append([xi])
-    n = len(points)
-    if points and points[0].values:
-        metric = tuple(
-            tuple(max(abs(u - v) for u, v in zip(points[i].values, points[j].values))
-                  for j in range(n))
-            for i in range(n))
-    else:
-        metric = tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
-    return PhiTypeSpace(tuple(points), metric, tuple(tuple(r) for r in realizers))
+    inst = phi_instance(M, phi, split)
+    realizers: dict = {}  # distinct int row -> the x-tuple indices realizing it
+    for xi, row in enumerate(inst.num):
+        realizers.setdefault(row, []).append(xi)
+    rows = list(realizers)
+    points = tuple(PhiTypeVector(values, realizer=reals[0])
+                   for values, reals in zip(fraction_rows(rows, inst.scale),
+                                            realizers.values()))
+    metric = fraction_rows(sup_distances(rows), inst.scale)
+    return PhiTypeSpace(points, metric, tuple(map(tuple, realizers.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +96,12 @@ class LadderWitness:
         return len(self.pairs)
 
 
-def _pair_indices(M: FiniteStructure, split: VariableSplit, witness: LadderWitness):
-    xts = tuples_of(M, split.x)
-    yts = tuples_of(M, split.y)
-    x_index = {tuple_names(M, split.x, t): i for i, t in enumerate(xts)}
-    y_index = {tuple_names(M, split.y, t): i for i, t in enumerate(yts)}
-    return [(x_index[a], y_index[b]) for a, b in witness.pairs]
-
-
 def revalidate_ladder(M: FiniteStructure, phi, split: VariableSplit,
                       witness: LadderWitness) -> bool:
-    """Re-check the stored inequalities of a witness by direct evaluation."""
-    xts, yts, vals = value_matrix(M, phi, split)
-    pairs = _pair_indices(M, split, witness)
+    """Re-check the stored inequalities of a witness on the exact values."""
+    inst = phi_instance(M, phi, split)
+    vals = inst.vals
+    pairs = [(inst.x_index[a], inst.y_index[b]) for a, b in witness.pairs]
     eps = witness.epsilon
     if witness.kind == "antisym":
         return all(abs(vals[pairs[i][0]][pairs[j][1]] - vals[pairs[j][0]][pairs[i][1]]) >= eps
@@ -176,8 +157,10 @@ def find_ladder(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    xts, yts, vals = value_matrix(M, phi, split)
+    inst = phi_instance(M, phi, split)
+    xts, yts, num = inst.xts, inst.yts, inst.num
     nx, ny = len(xts), len(yts)
+    gap = _gap(eps, inst.scale)
 
     def names(pairs):
         return tuple((tuple_names(M, split.x, xts[a]), tuple_names(M, split.y, yts[b]))
@@ -185,64 +168,72 @@ def find_ladder(M: FiniteStructure, phi, split: VariableSplit, epsilon,
 
     if kind == "antisym":
         def admits(stack, a, b):
-            return all(abs(vals[pa][b] - vals[a][pb]) >= eps for pa, pb in stack)
+            return all(abs(num[pa][b] - num[a][pb]) >= gap for pa, pb in stack)
 
         pairs, bounded = _search_pairwise(nx, ny, admits, max_len)
         return LadderWitness("antisym", eps, names(pairs), at_searched_bound=bounded)
 
     if kind == "order":
-        values = sorted({v for row in vals for v in row})
+        values = sorted(set().union(*num))
         best_pairs: list = []
         best_rs = (None, None)
         bounded = False
         for r in values:
             for s in values:
-                if s - r < eps:
+                if s - r < gap:
                     continue
 
                 def admits(stack, a, b, r=r, s=s):
-                    return all(vals[pa][b] <= r and vals[a][pb] >= s for pa, pb in stack)
+                    return all(num[pa][b] <= r and num[a][pb] >= s for pa, pb in stack)
 
                 pairs, hit = _search_pairwise(nx, ny, admits, max_len)
                 if len(pairs) > len(best_pairs):
-                    best_pairs, best_rs, bounded = pairs, (r, s), hit
+                    best_rs = (Fraction(r, inst.scale), Fraction(s, inst.scale))
+                    best_pairs, bounded = pairs, hit
         return LadderWitness("order", eps, names(best_pairs),
                              r=best_rs[0], s=best_rs[1], at_searched_bound=bounded)
 
     if kind == "triple":
-        seq, bounded = _longest_triple_sequence(vals, nx, ny, eps, max_len)
+        seq, bounded = _longest_triple_sequence(num, inst.scale, nx, ny, eps, max_len)
         return LadderWitness("triple", eps, names(seq), at_searched_bound=bounded)
 
     raise StructuralError(f"unknown ladder kind {kind!r}")
 
 
-def _longest_triple_sequence(vals, nx, ny, eps, max_len):
+def _gap(eps: Fraction, scale: int) -> int:
+    """The least int k with k / scale >= eps.
+
+    Ints over `scale` differ by at least eps exactly when they differ by at
+    least k.
+    """
+    return -(-eps.numerator * scale // eps.denominator)
+
+
+def _longest_triple_sequence(num, scale, nx, ny, eps, max_len):
     """Longest sequence for the triple condition (*).
 
     Only the parameter components b_t are branched on: the condition couples
     a_j solely at its own middle position j, so a per-position feasible set
     of witnesses a_j is maintained and pruned as the sequence grows.
 
-    Sets of x-tuple indices are int bitsets, bit a standing for x-tuple a.
-    `far[b][c]` is the set of a with |phi(a, b) - phi(a, c)| >= eps, built
-    once per call from the values and eps scaled to integer numerators over
-    their common denominator; it is the only place values are compared.
+    `num` holds the values as int rows over `scale`.  Sets of x-tuple
+    indices are int bitsets, bit a standing for x-tuple a.  `far[b][c]` is
+    the set of a with |phi(a, b) - phi(a, c)| >= eps, built once per call;
+    it is the only place values are compared.
     Appending b to the prefix b_0 .. b_{L-1} narrows middle position j to
     feasible[j] & far[b][b_0] & ... & far[b][b_{j-1}], one running AND
     over the prefix.  The lowest set bit, the first a in carrier order, is
     reported for each position.
     """
-    den = math.lcm(eps.denominator, *{v.denominator for row in vals for v in row})
-    gap = eps.numerator * (den // eps.denominator)
+    gap = _gap(eps, scale)
     far = [[0] * ny for _ in range(ny)]
-    for a, row in enumerate(vals):
-        scaled = [v.numerator * (den // v.denominator) for v in row]
+    for a, row in enumerate(num):
         bit = 1 << a
         for b in range(ny):
-            v = scaled[b]
+            v = row[b]
             far_b = far[b]
             for c in range(b + 1, ny):
-                if abs(v - scaled[c]) >= gap:
+                if abs(v - row[c]) >= gap:
                     far_b[c] |= bit
                     far[c][b] |= bit
     everything = (1 << nx) - 1
@@ -295,10 +286,11 @@ def compute_N(M: FiniteStructure, phi, split: VariableSplit, epsilon) -> int:
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    xts, yts, vals = value_matrix(M, phi, split)
-    if not xts or not yts:
+    inst = phi_instance(M, phi, split)
+    if not inst.xts or not inst.yts:
         raise DomainError("empty structure")
-    seq, _ = _longest_triple_sequence(vals, len(xts), len(yts), eps, None)
+    seq, _ = _longest_triple_sequence(inst.num, inst.scale, len(inst.xts), len(inst.yts),
+                                      eps, None)
     return max(len(seq), 2)
 
 
@@ -353,7 +345,8 @@ def median_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     if N < 2:
         raise DomainError("the ladder bound N is always at least 2")
     arity = 2 * N - 1
-    xts, yts, vals = value_matrix(M, phi, split)
+    inst = phi_instance(M, phi, split)
+    xts, yts, vals = inst.xts, inst.yts, inst.vals
     tgt = _target_vector(M, split, yts, target)
     t = tgt.values
 
@@ -441,7 +434,8 @@ def monotone_parameters(M: FiniteStructure, phi, split: VariableSplit, epsilon, 
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    xts, yts, vals = value_matrix(M, phi, split)
+    inst = phi_instance(M, phi, split)
+    xts, yts, vals = inst.xts, inst.yts, inst.vals
     tgt = _target_vector(M, split, yts, target)
     t = tgt.values
 
@@ -491,7 +485,8 @@ def monotone_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     """
     eps = Fraction(epsilon)
     chosen, records, tgt = monotone_parameters(M, phi, split, eps, target)
-    xts, yts, vals = value_matrix(M, phi, split)
+    inst = phi_instance(M, phi, split)
+    xts, yts, vals = inst.xts, inst.yts, inst.vals
     t = tgt.values
     n = len(chosen)
 
@@ -528,34 +523,6 @@ def monotone_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
                               tuple(records), bound, tuple(candidates), g)
 
 
-def monotone_sup_on_grid(defn: MonotoneDefinition, M: FiniteStructure, phi,
-                         split: VariableSplit, target, v: Sequence[Fraction],
-                         pitch: Fraction) -> Fraction:
-    """Reference sup over a full u-grid of the given pitch, for cross-checks."""
-    eps = defn.epsilon
-    xts, yts, vals = value_matrix(M, phi, split)
-    tgt = _target_vector(M, split, yts, target)
-    t = tgt.values
-    chosen = defn.parameters
-    steps = int(1 / pitch)
-    axis = [pitch * k for k in range(steps + 1)]
-
-    def f(u):
-        best = ZERO
-        for a in range(len(yts)):
-            if all(vals[c][a] <= ui for c, ui in zip(chosen, u)):
-                best = max(best, t[a])
-        return best
-
-    def h(u):
-        if not u:
-            return ONE
-        return min(min(max(vi + eps - ui, ZERO), eps) for ui, vi in zip(u, v)) / eps
-
-    return max((h(u) * f(u) for u in itertools.product(axis, repeat=len(chosen))),
-               default=ZERO)
-
-
 # ---------------------------------------------------------------------------
 # Staged (global) definitions through forced limits
 
@@ -579,26 +546,20 @@ def global_definition(M: FiniteStructure, phi, split: VariableSplit, target,
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
-    xts, yts, vals = value_matrix(M, phi, split)
-    tgt = _target_vector(M, split, yts, target)
+    tgt = _target_vector(M, split, phi_instance(M, phi, split).yts, target)
     stages = []
-    n_cache: dict = {}
     for n in range(depth):
-        eps = Fraction(1, 2 ** n)
-        if eps not in n_cache:
-            n_cache[eps] = compute_N(M, phi, split, eps)
         try:
-            stages.append(median_definition(M, phi, split, eps, tgt,
-                                            n_value=n_cache[eps]))
+            stages.append(median_definition(M, phi, split, Fraction(1, 2 ** n), tgt))
         except DefinitionAbort as abort:
             raise DefinitionAbort("stage-failed", stage=n, inner=abort.reason,
                                   **abort.details) from abort
     finals = []
     errors = []
-    for b in range(len(yts)):
+    for b, target_value in enumerate(tgt.values):
         trace = flim_prefix([st.defined_values[b] for st in stages])
         finals.append(trace.modified_prefix[-1])
-        errors.append(abs(finals[-1] - tgt.values[b]))
+        errors.append(abs(finals[-1] - target_value))
     bound = Fraction(1, 2 ** (depth - 1))
     if any(e > bound for e in errors):
         raise AssertionError("staged-definition bound violated")

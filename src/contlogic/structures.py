@@ -65,6 +65,12 @@ class ScaledTable(NamedTuple):
         den = math.lcm(*{v.denominator for v in values})
         return ScaledTable(den, [v.numerator * (den // v.denominator) for v in values])
 
+    @staticmethod
+    def over(scale: int, cells: list) -> "ScaledTable":
+        """The values cells[i] / scale, in the lowest terms `of` would give them."""
+        g = math.gcd(scale, *cells)
+        return ScaledTable(scale // g, [c // g for c in cells])
+
     def value(self, i: int) -> Fraction:
         return Fraction(self.cells[i], self.den)
 
@@ -151,6 +157,11 @@ class FiniteStructure:
         decls = {**sig.functions, **sig.predicates}
         self._strides = {name: _strides([self.sizes[s] for s in decl.arg_sorts])
                          for name, decl in decls.items()}
+
+    @cached_property
+    def _phi_instances(self) -> dict:
+        """(formula, split) -> PhiInstance, filled by `phi_instance`."""
+        return {}
 
     @cached_property
     def metric(self) -> dict:
@@ -348,14 +359,22 @@ def compile_formula(M: FiniteStructure, f, variables: Sequence[str],
     variables are read from `env` now, as constants.  Unbound variables,
     bad `med` arities and unknown connectives raise StructuralError here.
     """
+    value, scale = _compile_scaled(M, f, variables, env)
+    return lambda indices: Fraction(value(indices), scale)
+
+
+def _compile_scaled(M: FiniteStructure, f, variables: Sequence[str],
+                    env: Optional[Mapping[str, object]] = None
+                    ) -> tuple[Callable[[Sequence[int]], int], int]:
+    """`compile_formula` before its final division: (int evaluator, scale).
+
+    The evaluator's value over `scale` is the truth value; the scale is the
+    same for every input.
+    """
     compiler = _Compiler(M, env or {}, len(variables))
     node, scale = compiler.formula(f, {name: slot for slot, name in enumerate(variables)})
     pad = [0] * compiler.quantifiers
-
-    def evaluate(indices: Sequence[int]) -> Fraction:
-        return Fraction(node([*indices, *pad]), scale)
-
-    return evaluate
+    return (lambda indices: node([*indices, *pad])), scale
 
 
 def eval_formula(M: FiniteStructure, env: Mapping[str, object], f) -> Fraction:
@@ -819,12 +838,61 @@ def tuple_names(M: FiniteStructure, vars_: Sequence[tuple[str, str]], tup) -> tu
     return tuple(M.element_name(s, i) for (_, s), i in zip(vars_, tup))
 
 
+class PhiInstance:
+    """A formula with a variable split on one structure, and its value matrix.
+
+    `num[i][j]` over `scale` is phi(xts[i], yts[j]); `vals` holds the same
+    values as Fractions and is built on first use.  `x_index` and `y_index`
+    map a tuple of element names to its position in `xts` or `yts`.
+    """
+
+    def __init__(self, M: FiniteStructure, phi, split: VariableSplit):
+        self.xts = xts = tuples_of(M, split.x)
+        self.yts = yts = tuples_of(M, split.y)
+        self.x_index = {tuple_names(M, split.x, t): i for i, t in enumerate(xts)}
+        self.y_index = {tuple_names(M, split.y, t): i for i, t in enumerate(yts)}
+        value, self.scale = _compile_scaled(M, phi, [n for n, _ in split.x + split.y])
+        self.num = tuple(tuple(value(xt + yt) for yt in yts) for xt in xts)
+
+    @cached_property
+    def vals(self) -> tuple:
+        return fraction_rows(self.num, self.scale)
+
+
+def phi_instance(M: FiniteStructure, phi, split: VariableSplit) -> PhiInstance:
+    """The instance of (M, phi, split), built on the first call and kept on M."""
+    key = (phi, split)
+    inst = M._phi_instances.get(key)
+    if inst is None:
+        inst = M._phi_instances[key] = PhiInstance(M, phi, split)
+    return inst
+
+
 def value_matrix(M: FiniteStructure, phi, split: VariableSplit):
     """vals[x_tuple_index][y_tuple_index] = phi(x_tuple, y_tuple), exact."""
-    xts = tuples_of(M, split.x)
-    yts = tuples_of(M, split.y)
-    value = compile_formula(M, phi, [n for n, _ in split.x + split.y])
-    return xts, yts, tuple(tuple(value(xt + yt) for yt in yts) for xt in xts)
+    inst = phi_instance(M, phi, split)
+    return inst.xts, inst.yts, inst.vals
+
+
+def fraction_rows(rows, scale: int) -> tuple:
+    """Int rows over `scale` as rows of Fractions, each distinct value converted once."""
+    frac = {v: Fraction(v, scale) for v in set().union(*rows)}
+    return tuple(tuple(map(frac.__getitem__, row)) for row in rows)
+
+
+def sup_distances(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """d[i][j] = max_k |vectors[i][k] - vectors[j][k]|, 0 for empty vectors.
+
+    The sup-difference metric of phi-types (on rows of a value matrix) and
+    of canonical parameters (on its columns), on ints over one scale.
+    """
+    n = len(vectors)
+    d = [[0] * n for _ in range(n)]
+    for i, u in enumerate(vectors):
+        row = d[i]
+        for j in range(i + 1, n):
+            row[j] = d[j][i] = max(map(abs, map(sub, u, vectors[j])), default=0)
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, StructuralError
@@ -126,20 +125,13 @@ def apply_connective(name: str, args: Sequence[Fraction], const_value=None) -> F
 def med(values: Sequence[Fraction], n: int) -> Fraction:
     """Median connective: min over n-subsets of 2n-1 arguments of their max.
 
-    Equals the n-th smallest of the multiset, which is how it is computed;
-    `med_by_subsets` keeps the defining form for cross-checks.
+    Equals the n-th smallest of the multiset, which is how it is computed.
     """
     if n < 1:
         raise StructuralError("med requires n >= 1")
     if len(values) != 2 * n - 1:
         raise StructuralError(f"med_{n} expects {2 * n - 1} arguments, got {len(values)}")
     return sorted(values)[n - 1]
-
-
-def med_by_subsets(values: Sequence[Fraction], n: int) -> Fraction:
-    if len(values) != 2 * n - 1:
-        raise StructuralError(f"med_{n} expects {2 * n - 1} arguments, got {len(values)}")
-    return min(max(values[i] for i in w) for w in combinations(range(2 * n - 1), n))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ agreement with the main code paths is meaningful.
 
 import itertools
 from fractions import Fraction as F
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from contlogic.errors import StructuralError
 from contlogic.language import Atom, Const, Op, Quant, ValueVar, Var
-from contlogic.structures import ValidationReport, Violation
+from contlogic.stability import PhiTypeSpace, PhiTypeVector, _target_vector
+from contlogic.structures import ScaledTable, ValidationReport, Violation, value_matrix
 from contlogic.topometric import CBResult, FiniteTopometricSpace
-from contlogic.values import apply_connective, ensure_unit, format_rational, med
+from contlogic.values import ONE, ZERO, apply_connective, ensure_unit, format_rational, med
 
 
 def atomless_defect_bruteforce(weights):
@@ -384,3 +386,130 @@ def eval_value_formula_reference(expr, point: Mapping[str, F]) -> F:
         return value
 
     return go(expr)
+
+
+def med_by_subsets(values: Sequence[F], n: int) -> F:
+    """The defining form of med_n: min over n-subsets of the arguments of their max."""
+    if len(values) != 2 * n - 1:
+        raise StructuralError(f"med_{n} expects {2 * n - 1} arguments, got {len(values)}")
+    return min(max(values[i] for i in w) for w in combinations(range(2 * n - 1), n))
+
+
+def automorphisms(M):
+    """Brute-force sort-preserving automorphisms; carriers capped at 6 elements."""
+    for s in M.sig.sort_names:
+        if len(M.carriers[s]) > 6:
+            raise StructuralError("automorphism search capped at 6-element carriers")
+    sorts = M.sig.sort_names
+    pools = [itertools.permutations(range(len(M.carriers[s]))) for s in sorts]
+    for perms in itertools.product(*pools):
+        pi = dict(zip(sorts, perms))
+        if _is_automorphism(M, pi):
+            yield pi
+
+
+def _is_automorphism(M, pi: Mapping[str, Sequence[int]]) -> bool:
+    for s in M.sig.sort_names:
+        p = pi[s]
+        dm = M.metric[s]
+        n = len(M.carriers[s])
+        for i in range(n):
+            for j in range(n):
+                if dm[p[i]][p[j]] != dm[i][j]:
+                    return False
+    for name, decl in M.sig.functions.items():
+        for args, value in M.functions[name].items():
+            mapped = tuple(pi[s][a] for s, a in zip(decl.arg_sorts, args))
+            if M.fn_value(name, mapped) != pi[decl.target][value]:
+                return False
+    for name, decl in M.sig.predicates.items():
+        for args, value in M.predicates[name].items():
+            mapped = tuple(pi[s][a] for s, a in zip(decl.arg_sorts, args))
+            if M.pred_value(name, mapped) != value:
+                return False
+    return True
+
+
+def monotone_sup_on_grid(defn, M, phi, split, target, v: Sequence[F], pitch: F) -> F:
+    """The monotone definition's sup over a full u-grid of the given pitch."""
+    eps = defn.epsilon
+    xts, yts, vals = value_matrix(M, phi, split)
+    tgt = _target_vector(M, split, yts, target)
+    t = tgt.values
+    chosen = defn.parameters
+    steps = int(1 / pitch)
+    axis = [pitch * k for k in range(steps + 1)]
+
+    def f(u):
+        best = ZERO
+        for a in range(len(yts)):
+            if all(vals[c][a] <= ui for c, ui in zip(chosen, u)):
+                best = max(best, t[a])
+        return best
+
+    def h(u):
+        if not u:
+            return ONE
+        return min(min(max(vi + eps - ui, ZERO), eps) for ui, vi in zip(u, v)) / eps
+
+    return max((h(u) * f(u) for u in itertools.product(axis, repeat=len(chosen))),
+               default=ZERO)
+
+
+def phi_type_space_reference(M, phi, split) -> PhiTypeSpace:
+    """Realized phi-types and their sup-difference metric by Fraction arithmetic.
+
+    The code `stability.phi_type_space` ran before it worked on int rows.
+    """
+    xts, yts, vals = value_matrix(M, phi, split)
+    points: list = []
+    realizers: list = []
+    seen: dict = {}
+    for xi in range(len(xts)):
+        row = vals[xi]
+        if row in seen:
+            realizers[seen[row]].append(xi)
+        else:
+            seen[row] = len(points)
+            points.append(PhiTypeVector(row, realizer=xi))
+            realizers.append([xi])
+    n = len(points)
+    if points and points[0].values:
+        metric = tuple(
+            tuple(max(abs(u - v) for u, v in zip(points[i].values, points[j].values))
+                  for j in range(n))
+            for i in range(n))
+    else:
+        metric = tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
+    return PhiTypeSpace(tuple(points), metric, tuple(tuple(r) for r in realizers))
+
+
+def imaginary_tables_reference(M, phi, split):
+    """(classes, d_phi table, class-predicate table) by Fraction arithmetic.
+
+    Classes are the parameter tuples with equal value columns, in order of
+    first occurrence; d_phi is the sup over x-tuples of the column
+    difference, as `imaginaries.build_imaginary` computed it before it
+    worked on int columns.
+    """
+    xts, yts, vals = value_matrix(M, phi, split)
+    columns = [tuple(vals[xi][yi] for xi in range(len(xts))) for yi in range(len(yts))]
+    class_members: list = []
+    column_to_class: dict = {}
+    for yi, col in enumerate(columns):
+        if col in column_to_class:
+            class_members[column_to_class[col]].append(yi)
+        else:
+            column_to_class[col] = len(class_members)
+            class_members.append([yi])
+    representatives = [members[0] for members in class_members]
+
+    def d_phi(ci: int, cj: int) -> F:
+        a = columns[representatives[ci]]
+        b = columns[representatives[cj]]
+        return max(abs(u - v) for u, v in zip(a, b))
+
+    n = len(class_members)
+    metric = ScaledTable.of(d_phi(i, j) for i in range(n) for j in range(n))
+    predicate = ScaledTable.of(vals[xi][rep] for xi in range(len(xts)) for rep in representatives)
+    return class_members, metric, predicate

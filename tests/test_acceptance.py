@@ -29,7 +29,6 @@ from contlogic.stability import (
     glue_formula,
     median_definition,
     monotone_definition,
-    monotone_sup_on_grid,
     phi_type,
     revalidate_ladder,
 )
@@ -63,6 +62,7 @@ from contlogic.values import (
 
 from oracles import (
     atomless_defect_bruteforce,
+    monotone_sup_on_grid,
     pra_axioms_bruteforce,
     random_metric,
     random_valid_topometric_space,

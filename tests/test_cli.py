@@ -331,6 +331,35 @@ def test_check_signature_entry_missing_key(capsys, algebra_file, tmp_path, secti
     run_fails_cleanly(capsys, ["check", str(path)], 1)
 
 
+def _set_entry(section, key, value):
+    def mutate(sig):
+        sig[section][0][key] = value
+    return mutate
+
+
+def _set_breakpoint(sig):
+    sig["functions"][2]["moduli"][0][0] = ["1"]  # compl, the first unary function
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_entry("functions", "moduli", 5),
+    _set_breakpoint,
+    _set_entry("functions", "arg_sorts", 5),
+    _set_entry("predicates", "arg_sorts", 5),
+    _set_entry("predicates", "moduli", [5]),
+    _set_entry("functions", "name", ["meet"]),
+    _set_entry("functions", "target_sort", ["B"]),
+    _set_entry("sorts", "metric", ["d"]),
+], ids=["moduli-int", "breakpoint-short", "fn-arg-sorts-int", "pred-arg-sorts-int",
+        "modulus-int", "name-list", "target-list", "metric-list"])
+def test_check_signature_entry_bad_shape(capsys, algebra_file, tmp_path, mutate):
+    data = json.loads(open(algebra_file).read())
+    mutate(data["signature"])
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    run_fails_cleanly(capsys, ["check", str(path)], 1)
+
+
 @pytest.mark.parametrize("grid", [
     {"arity": 1, "pitch": "0", "values": ["0"]},
     {"arity": "x", "pitch": "1/2", "values": ["0", "0", "0"]},

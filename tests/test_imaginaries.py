@@ -5,23 +5,19 @@ from fractions import Fraction as F
 import pytest
 
 from contlogic.errors import StructuralError
-from contlogic.imaginaries import (
-    automorphisms,
-    build_imaginary,
-    make_split,
-    tphi_sentences,
-    tuples_of,
-    value_matrix,
-    verify_tphi,
-)
+from contlogic.imaginaries import build_imaginary, tphi_sentences, verify_tphi
 from contlogic.language import parse
 from contlogic.structures import (
     FiniteStructure,
     eval_formula,
     from_classical,
     gen_prob_algebra,
+    make_split,
+    tuples_of,
     validate,
+    value_matrix,
 )
+from oracles import automorphisms
 
 
 def discrete_two_point():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contlogic.errors import (
     GrammarError,
@@ -12,6 +14,7 @@ from contlogic.errors import (
     UnknownSymbolError,
 )
 from contlogic.language import (
+    App,
     Atom,
     Condition,
     Const,
@@ -22,6 +25,7 @@ from contlogic.language import (
     Quant,
     Signature,
     SortDecl,
+    ValueVar,
     Var,
     expand_condition,
     free_vars,
@@ -98,6 +102,14 @@ def test_parse_errors_are_distinct():
         parse("P(x) )", sig)
 
 
+def test_bound_variable_may_not_be_a_function_symbol():
+    # `inf zero. mu(compl(zero))` would read zero as the constant, giving 1 instead of 0
+    sig = pra_like_sig()
+    for text in ("inf zero. mu(compl(zero))", "sup compl. mu(x)"):
+        with pytest.raises(GrammarError):
+            parse(text, sig)
+
+
 def test_free_vars():
     sig = simple_sig()
     assert free_vars(parse("sup x. R(x,y)", sig)) == {("y", "S")}
@@ -149,6 +161,71 @@ def random_formula(rng, sig, depth, scope=()):
     op = rng.choice(["monus", "plus_trunc", "min", "max", "absdiff"])
     return Op(op, (random_formula(rng, sig, depth - 1, scope),
                    random_formula(rng, sig, depth - 1, scope)))
+
+
+def two_sorted_sig():
+    return Signature(
+        [SortDecl("A", "dA"), SortDecl("B", "dB")],
+        functions=[FuncDecl("a0", (), "A", ()), FuncDecl("f", ("A",), "B", (IDENT,))],
+        predicates=[PredDecl("P", ("A",), (IDENT,)),
+                    PredDecl("R", ("A", "B"), (IDENT, IDENT))],
+    )
+
+
+# variable names that collide with each other (shadowing) and with symbol names
+VAR_NAMES = ("x", "y", "mu", "d", "dA")
+VALUE_NAMES = ("x", "t", "zero", "mu", "f")
+
+
+@st.composite
+def terms(draw, sig, sort, scope, depth):
+    """A term of the given sort over the variables in scope (name -> sort)."""
+    names = [n for n, s in scope.items() if s == sort]
+    funcs = [d for d in sig.functions.values() if d.target == sort and (depth or not d.arg_sorts)]
+    options = [("var", n) for n in names] + [("fn", d) for d in funcs]
+    kind, choice = draw(st.sampled_from(options))
+    if kind == "var":
+        return Var(choice, sort)
+    args = tuple(draw(terms(sig, s, scope, depth - 1)) for s in choice.arg_sorts)
+    return App(choice.name, args, choice.target)
+
+
+@st.composite
+def formulas(draw, sig, scope, depth):
+    """Formulas whose sorts are resolved the way `parse` resolves them."""
+    leaves = ["const", "value", "atom"]
+    kind = draw(st.sampled_from(leaves if depth == 0 else
+                                leaves + ["quant", "quant", "neg", "half", "binary", "med"]))
+    if kind == "const":
+        return Const(F(draw(st.integers(0, 8)), 8))
+    if kind == "value":
+        return ValueVar(draw(st.sampled_from(VALUE_NAMES)))
+    if kind == "atom":
+        preds = [sig.pred_decl(name) for name in [*sig.predicates, *sig.metric_sort]]
+        decl = draw(st.sampled_from(preds))
+        return Atom(decl.name, tuple(draw(terms(sig, s, scope, 2)) for s in decl.arg_sorts))
+    if kind == "quant":
+        var = draw(st.sampled_from(VAR_NAMES))
+        sort = draw(st.sampled_from(sig.sort_names))
+        body = draw(formulas(sig, {**scope, var: sort}, depth - 1))
+        return Quant(draw(st.sampled_from(["sup", "inf"])), var, sort, body)
+    if kind in ("neg", "half"):
+        return Op(kind, (draw(formulas(sig, scope, depth - 1)),))
+    if kind == "binary":
+        op = draw(st.sampled_from(["monus", "plus_trunc", "min", "max", "absdiff"]))
+        return Op(op, tuple(draw(formulas(sig, scope, depth - 1)) for _ in range(2)))
+    n = draw(st.integers(1, 2))
+    return Op("med", tuple(draw(formulas(sig, scope, depth - 1)) for _ in range(2 * n - 1)), n)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(["one sort", "two sorts"]), st.data())
+def test_print_parse_round_trip_property(which, data):
+    sig = pra_like_sig() if which == "one sort" else two_sorted_sig()
+    # each free variable name keeps one sort, so parse can infer it from its positions
+    free = {"x": sig.sort_names[0], "y": sig.sort_names[-1], "mu": sig.sort_names[0]}
+    f = data.draw(formulas(sig, free, 4))
+    assert parse(print_formula(f, sig), sig) == f
 
 
 def test_prenex_shapes():

@@ -19,7 +19,6 @@ from contlogic.stability import (
     median_definition,
     monotone_definition,
     monotone_parameters,
-    monotone_sup_on_grid,
     phi_type,
     phi_type_space,
     revalidate_ladder,
@@ -30,11 +29,12 @@ from contlogic.structures import (
     gen_halfgraph,
     gen_prob_algebra,
     make_split,
+    phi_instance,
     tuple_names,
     tuples_of,
     value_matrix,
 )
-from oracles import triple_sequence_reference
+from oracles import monotone_sup_on_grid, triple_sequence_reference
 
 IDENT = PLMonotone.identity()
 
@@ -200,10 +200,12 @@ def test_triple_search_matches_fraction_reference():
     """The bitset kernel returns exactly what the Fraction search returned."""
     for name, (M, phi, split) in triple_corpus():
         xts, yts, vals = value_matrix(M, phi, split)
+        inst = phi_instance(M, phi, split)
         for eps in (F(1, 2), F(1, 4), F(1, 8), F(3, 4)):
             for max_len in (None, 4, 6):
                 expected = triple_sequence_reference(vals, len(xts), len(yts), eps, max_len)
-                got = _longest_triple_sequence(vals, len(xts), len(yts), eps, max_len)
+                got = _longest_triple_sequence(inst.num, inst.scale, len(xts), len(yts),
+                                               eps, max_len)
                 assert got == expected, (name, eps, max_len)
                 w = find_ladder(M, phi, split, eps, "triple", max_len=max_len)
                 seq, bounded = expected
@@ -220,7 +222,8 @@ def test_triple_search_matches_fraction_reference():
 def test_triple_search_property(nx, ny, data, eps, max_len):
     eighths = st.integers(0, 8).map(lambda k: F(k, 8))
     vals = [data.draw(st.lists(eighths, min_size=ny, max_size=ny)) for _ in range(nx)]
-    assert _longest_triple_sequence(vals, nx, ny, eps, max_len) == \
+    num = [[int(v * 8) for v in row] for row in vals]
+    assert _longest_triple_sequence(num, 8, nx, ny, eps, max_len) == \
         triple_sequence_reference(vals, nx, ny, eps, max_len)
 
 

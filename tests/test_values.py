@@ -15,12 +15,12 @@ from contlogic.values import (
     inverse_from_delta,
     is_dyadic,
     med,
-    med_by_subsets,
     parse_rational,
     pl_capped_sum,
     pl_compose,
     pl_half,
 )
+from oracles import med_by_subsets
 
 
 def grid(step_denom=32):
