@@ -355,12 +355,13 @@ def _cmd_synth(args):
     target = GridFunction.from_json(_read_json(args.target))
     step = parse_rational(args.step_modulus) if args.step_modulus else None
     res = synthesize(target, parse_rational(args.epsilon), step_modulus=step)
-    text = expression_text(res.expression)
+    size = expression_tree_size(res.expression)
+    text = expression_text(res.expression, size)
     return 0, {
         "expression": text if text is not None else "(too large to write out)",
         "max_error": format_rational(res.max_error),
         "distinct_nodes": res.size,
-        "written_out_nodes": expression_tree_size(res.expression),
+        "written_out_nodes": size,
         "requested_epsilon": format_rational(res.requested_epsilon),
     }
 
@@ -516,7 +517,7 @@ def run(argv) -> int:
     except DefinitionAbort as exc:
         return emit(1, {"aborted": exc.reason,
                         "details": {k: str(v) for k, v in sorted(exc.details.items())}})
-    except ContlogicError as exc:
+    except (ContlogicError, OSError) as exc:  # OSError: an --out path cannot be written
         print(f"contlogic: {exc}", file=sys.stderr)
         return 1
 

@@ -672,7 +672,15 @@ def print_formula(f, sig: Optional[Signature] = None) -> str:
             return t.func
         return f"{t.func}({', '.join(pt(a) for a in t.args)})"
 
+    memo: dict = {}  # (id(node), level) -> text: a shared node prints once per call
+
     def go(f, level: int) -> str:
+        key = (id(f), level)
+        if key not in memo:
+            memo[key] = write(f, level)
+        return memo[key]
+
+    def write(f, level: int) -> str:
         if isinstance(f, Quant):
             ann = f":{f.sort}" if annotate and f.sort else ""
             s = f"{f.kind} {f.var}{ann}. {go(f.body, _QUANT)}"

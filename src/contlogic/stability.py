@@ -544,8 +544,8 @@ def global_definition(M: FiniteStructure, phi, split: VariableSplit, target,
     the per-parameter error of the combined value against the target is at
     most 2^-(depth-1).
     """
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
+    if not 1 <= depth <= 16:  # each stage is a full median search, seconds at small eps
+        raise DomainError("depth must be between 1 and 16")
     tgt = _target_vector(M, split, phi_instance(M, phi, split).yts, target)
     stages = []
     for n in range(depth):

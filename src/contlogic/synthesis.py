@@ -29,6 +29,8 @@ from .values import (
     format_rational,
     is_dyadic,
     med,
+    monus,
+    neg,
     parse_rational,
 )
 
@@ -67,18 +69,6 @@ class GridFunction:
     def grid_points(self):
         return list(itertools.product(self.axis(), repeat=self.arity))
 
-    def step_oscillation(self) -> Fraction:
-        """Max change of the target between axis-adjacent grid points."""
-        worst = ZERO
-        axis = self.axis()
-        for pt in self.grid_points():
-            for axis_i in range(self.arity):
-                k = axis.index(pt[axis_i])
-                if k + 1 < len(axis):
-                    nxt = pt[:axis_i] + (axis[k + 1],) + pt[axis_i + 1:]
-                    worst = max(worst, abs(self.values[pt] - self.values[nxt]))
-        return worst
-
     def to_json(self) -> dict:
         flat = [format_rational(self.values[pt]) for pt in self.grid_points()]
         return {"arity": self.arity, "pitch": format_rational(self.pitch), "values": flat}
@@ -116,86 +106,128 @@ class GridFunction:
 def eval_on_grid(expr, points: Sequence[Sequence[Fraction]]) -> tuple[list[int], int]:
     """Values of an expression at every point, as int numerators over one scale.
 
-    Value variable t<i> reads coordinate i of each point.  Each distinct
-    node of the expression DAG is visited once, children first, without
-    recursion, and gets one numerator per point over a scale fixed per
-    node: a constant's denominator, the lcm of the coordinates' denominators
-    at a variable, twice the child's scale under `half`, and the lcm of the
-    children's scales at a binary connective or `med`.
+    Value variable t<i> reads coordinate i of each point.  Constants and
+    coordinates must lie in [0,1].
     """
-    coords = {}
-    for i in range(len(points[0]) if points else 0):
-        column = [pt[i] for pt in points]
-        scale = math.lcm(*(v.denominator for v in column))
-        coords[f"t{i}"] = [v.numerator * (scale // v.denominator) for v in column], scale
-    done: dict = {}  # id(node) -> (numerators, scale)
+    nums, scale, _ = _eval_packed(expr, points)
+    return nums, scale
+
+
+def _eval_packed(expr, points):
+    """`eval_on_grid` and the count of distinct nodes, in two loops over the DAG.
+
+    The first loop visits each distinct node once, children first, without recursion; it
+    checks the node and fixes its exact scale: a constant's denominator, the
+    lcm of the coordinates' denominators at a variable, twice the child's
+    scale under `half`, and the lcm of the children's scales at a binary
+    connective or `med`.  The second loop evaluates each node once over D,
+    the lcm of all those scales, with the points packed into one int, one
+    lane of `D.bit_length() + 2` bits per point.  Every value lies in
+    [0, D], so the top bit of a lane is free as a guard for `monus`, and
+    every lane of a `half` argument is even at scale D.
+    """
+    columns = {f"t{i}": [ensure_unit(pt[i]) for pt in points]
+               for i in range(len(points[0]) if points else 0)}
+    var_scale = {name: math.lcm(*(v.denominator for v in col)) for name, col in columns.items()}
+    scale: dict = {}  # id(node) -> exact scale of the node's values
+    order = []  # the distinct nodes, children first
     stack = [(expr, False)]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, ready = stack.pop()
-        if id(node) in done:
+        node, ready = pop()
+        if ready:  # an Op whose arguments all have their scales
+            op, args = node.op, node.args
+            if op == "med":
+                med([ZERO] * len(args), node.n)  # raises med's own arity errors
+            elif CONNECTIVES.get(op, (None,))[0] != len(args):
+                apply_connective(op, [ZERO] * len(args))  # raises the connective's error
+            s = math.lcm(*[scale[id(a)] for a in args])
+            scale[id(node)] = 2 * s if op == "half" else s
+        elif id(node) in scale:
             continue
-        if isinstance(node, Op):
-            if not ready:  # evaluate the arguments first, left to right
-                stack.append((node, True))
-                stack.extend((a, False) for a in reversed(node.args))
-                continue
-            value = _vector_op(node, [done[id(a)] for a in node.args])
+        elif isinstance(node, Op):  # the arguments first, left to right
+            push((node, True))
+            for a in reversed(node.args):
+                if id(a) not in scale:
+                    push((a, False))
+            continue
         elif isinstance(node, Const):
-            value = [node.value.numerator] * len(points), node.value.denominator
+            if not 0 <= node.value.numerator <= node.value.denominator:
+                raise DomainError(f"value {node.value} outside [0,1]")
+            scale[id(node)] = node.value.denominator
         elif isinstance(node, ValueVar):
-            if node.name not in coords:
+            if node.name not in columns:
                 raise StructuralError(f"unbound value variable {node.name!r}")
-            value = coords[node.name]
+            scale[id(node)] = var_scale[node.name]
         else:
             raise StructuralError(
                 "expression must use only value variables, connectives, constants")
-        done[id(node)] = value
-    return done[id(expr)]
+        order.append(node)
+
+    D = math.lcm(*set(scale.values()))
+    lanes = len(points)
+    width = D.bit_length() + 2
+    mask = (1 << width) - 1
+    ones = ((1 << (width * lanes)) - 1) // mask  # 1 in every lane
+    full = D * ones
+    guard = ones << (width - 1)
+    shift = width - 1
+
+    def pack(nums) -> int:
+        x = 0
+        for v in reversed(nums):
+            x = (x << width) | v
+        return x
+
+    def unpack(x: int) -> list[int]:
+        return [(x >> (i * width)) & mask for i in range(lanes)]
+
+    def monus(x: int, y: int) -> int:
+        t = x + guard - y  # lane = 2^shift + x - y, its guard bit set iff x >= y
+        g = t & guard
+        return t & (g - (g >> shift))
+
+    coords = {name: pack([v.numerator * (D // v.denominator) for v in col])
+              for name, col in columns.items()}
+    val: dict = {}
+    for node in order:
+        if isinstance(node, Op):
+            op = node.op
+            args = [val[id(a)] for a in node.args]
+            if op == "monus":
+                x = monus(*args)
+            elif op == "neg":
+                x = full - args[0]
+            elif op == "half":
+                x = args[0] >> 1
+            elif op == "min":
+                x = args[0] - monus(*args)
+            elif op == "max":
+                x = args[1] + monus(*args)
+            elif op == "absdiff":
+                x = monus(*args) + monus(args[1], args[0])
+            elif op == "plus_trunc":
+                x = full - monus(full - args[0], args[1])
+            else:  # med
+                k = node.n - 1
+                x = pack([sorted(column)[k] for column in zip(*map(unpack, args))])
+        elif isinstance(node, Const):
+            x = node.value.numerator * (D // node.value.denominator) * ones
+        else:
+            x = coords[node.name]
+        val[id(node)] = x
+    return unpack(val[id(expr)]), D, len(order)
 
 
-def _rescaled(args: list, scale: int) -> list:
-    return [nums if s == scale else [x * (scale // s) for x in nums] for nums, s in args]
-
-
-def _vector_op(node: Op, args: list) -> tuple[list[int], int]:
-    op = node.op
-    if op == "med":
-        med([ZERO] * len(args), node.n)  # raises med's own arity errors
-        scale = math.lcm(*(s for _, s in args))
-        k = node.n - 1
-        return [sorted(column)[k] for column in zip(*_rescaled(args, scale))], scale
-    if CONNECTIVES.get(op, (None,))[0] != len(args):
-        apply_connective(op, [ZERO] * len(args))  # raises the connective's error
-    if op == "neg":
-        (a, s), = args
-        return [s - x for x in a], s
-    if op == "half":
-        (a, s), = args
-        return a, 2 * s
-    scale = math.lcm(args[0][1], args[1][1])
-    a, b = _rescaled(args, scale)
-    if op == "monus":
-        out = [x - y if x > y else 0 for x, y in zip(a, b)]
-    elif op == "min":
-        out = [x if x < y else y for x, y in zip(a, b)]
-    elif op == "max":
-        out = [x if x > y else y for x, y in zip(a, b)]
-    elif op == "plus_trunc":
-        out = [x + y if x + y < scale else scale for x, y in zip(a, b)]
-    else:  # absdiff
-        out = [abs(x - y) for x, y in zip(a, b)]
-    return out, scale
-
-
-def _grid_error(expr, target: GridFunction) -> Fraction:
-    """Exact max over grid points of |expression - target|."""
+def _grid_error(expr, target: GridFunction) -> tuple[Fraction, int]:
+    """Exact max over grid points of |expression - target|, and the distinct-node count."""
     pts = target.grid_points()
-    got, scale = eval_on_grid(expr, pts)
+    got, scale, nodes = _eval_packed(expr, pts)
     want = [target.values[pt] for pt in pts]
     den = math.lcm(scale, *(v.denominator for v in want))
     k = den // scale
     return Fraction(max(abs(x * k - v.numerator * (den // v.denominator))
-                        for x, v in zip(got, want)), den)
+                        for x, v in zip(got, want)), den), nodes
 
 
 def uses_only_neg_monus_constants(expr) -> bool:
@@ -243,12 +275,16 @@ def _round_dyadic(v: Fraction, k: int) -> Fraction:
     return Fraction((v * scale * 2 + 1).__floor__() // 2, scale)
 
 
+# Each constructor makes one node, and a Const when every argument is one,
+# so synthesized expressions hold no all-constant subterm.
 def _monus(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(monus(a.value, b.value))
     return Op("monus", (a, b))
 
 
 def _neg(a):
-    return Op("neg", (a,))
+    return Const(neg(a.value)) if isinstance(a, Const) else Op("neg", (a,))
 
 
 def _fold_max(exprs):
@@ -272,31 +308,6 @@ def _fold_min(exprs):
     return _monus(x, _monus(x, y))
 
 
-def _constant_fold(expr):
-    """Fold all-constant subterms, preserving subterm sharing."""
-    memo: dict = {}
-
-    def go(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Op):
-            args = tuple(go(a) for a in node.args)
-            if all(isinstance(a, Const) for a in args):
-                vals = [a.value for a in args]
-                folded = med(vals, node.n) if node.op == "med" \
-                    else apply_connective(node.op, vals)
-                out = Const(folded)
-            else:
-                out = Op(node.op, args, node.n)
-        else:
-            out = node
-        memo[key] = out
-        return out
-
-    return go(expr)
-
-
 @dataclass
 class SynthesisResult:
     expression: object
@@ -304,22 +315,6 @@ class SynthesisResult:
     size: int
     requested_epsilon: Fraction
     rounding_exponent: int
-
-
-def _expr_size(expr) -> int:
-    """Distinct-node count; subterm sharing makes the tree count misleading."""
-    seen: set = set()
-
-    def go(node):
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, Op):
-            for a in node.args:
-                go(a)
-
-    go(expr)
-    return len(seen)
 
 
 def expression_tree_size(expr) -> int:
@@ -337,13 +332,12 @@ def expression_tree_size(expr) -> int:
     return go(expr)
 
 
-def expression_text(expr, max_nodes: int = 200_000) -> Optional[str]:
-    """Grammar text of the expression, or None when writing it out is too large."""
+def expression_text(expr, tree_size: int, max_nodes: int = 200_000) -> Optional[str]:
+    """Grammar text of the expression, or None when its `expression_tree_size`
+    exceeds max_nodes."""
     from .language import print_formula
 
-    if expression_tree_size(expr) > max_nodes:
-        return None
-    return print_formula(expr)
+    return None if tree_size > max_nodes else print_formula(expr)
 
 
 def _two_point_interpolant(x, y, fx_approx, fy_approx, coord: int, pitch: Fraction):
@@ -425,12 +419,12 @@ def synthesize(target: GridFunction, epsilon,
         if not row:  # single-point grid cannot occur (pitch <= 1 gives >= 2 points)
             row = [Const(approx[x])]
         g_rows.append(_fold_max(row))
-    expr = _constant_fold(_fold_min(g_rows))
+    expr = _fold_min(g_rows)
 
-    worst = _grid_error(expr, target)
+    worst, size = _grid_error(expr, target)
     if worst > eps:
         raise AssertionError("synthesis exceeded the requested error bound")
-    return SynthesisResult(expr, worst, _expr_size(expr), eps, k)
+    return SynthesisResult(expr, worst, size, eps, k)
 
 
 def verify_synthesis(expr, target: GridFunction) -> Fraction:
@@ -439,7 +433,7 @@ def verify_synthesis(expr, target: GridFunction) -> Fraction:
     allowed = {f"t{i}" for i in range(target.arity)}
     if not names <= allowed:
         raise StructuralError(f"expression uses variables {sorted(names - allowed)}")
-    return _grid_error(expr, target)
+    return _grid_error(expr, target)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -102,18 +102,8 @@ CONNECTIVES: dict[str, tuple[int, Callable[..., Fraction]]] = {
 }
 
 
-def apply_connective(name: str, args: Sequence[Fraction], const_value=None) -> Fraction:
-    """Apply a named connective to exact rational arguments.
-
-    `const` takes no arguments and returns its payload; every other name
-    must be applied at its declared arity.
-    """
-    if name == "const":
-        if args:
-            raise StructuralError("const takes no arguments")
-        if const_value is None:
-            raise StructuralError("const requires a payload")
-        return ensure_unit(const_value)
+def apply_connective(name: str, args: Sequence[Fraction]) -> Fraction:
+    """Apply a named connective, at its declared arity, to exact rational arguments."""
     if name not in CONNECTIVES:
         raise StructuralError(f"unknown connective {name!r}")
     arity, fn = CONNECTIVES[name]
@@ -364,25 +354,24 @@ def inverse_from_delta(delta: PLMonotone) -> PLMonotone:
         else:
             xs.add(data[0] / 2)
             xs.add(data[0])
-    # crossings between component pairs refine the envelope grid
+    # each component once per base knot; between two adjacent knots every
+    # component is linear, and two of them cross strictly inside the interval
+    # exactly when their difference changes sign strictly across it
     base = sorted(xs)
-    for x0, x1 in zip(base, base[1:]):
-        for i, c1 in enumerate(components):
-            for c2 in components[i + 1:]:
-                a0, a1 = comp_eval(c1, x0), comp_eval(c1, x1)
-                b0, b1 = comp_eval(c2, x0), comp_eval(c2, x1)
-                if None in (a0, a1, b0, b1):
-                    continue
-                num = (b0 - a0) * (x1 - x0)
-                den = (a1 - a0) - (b1 - b0)
-                if den != 0:
-                    x = x0 + num / den
-                    if x0 < x < x1:
-                        xs.add(x)
+    table = [[comp_eval(c, x) for x in base] for c in components]
+    for k, (x0, x1) in enumerate(zip(base, base[1:])):
+        live = [(row[k], row[k + 1]) for row in table
+                if row[k] is not None and row[k + 1] is not None]
+        for i, (a0, a1) in enumerate(live):
+            for b0, b1 in live[i + 1:]:
+                if (a0 < b0 and b1 < a1) or (b0 < a0 and a1 < b1):
+                    xs.add(x0 + (b0 - a0) * (x1 - x0) / ((a1 - a0) - (b1 - b0)))
+    top = {x: max(v for v in column if v is not None) for x, column in zip(base, zip(*table))}
 
     def envelope(x: Fraction) -> Fraction:
-        vals = [v for v in (comp_eval(c, x) for c in components) if v is not None]
-        return max(vals)
+        if x in top:
+            return top[x]
+        return max(v for v in (comp_eval(c, x) for c in components) if v is not None)
 
     pts = [(x, envelope(x)) for x in sorted(xs)]
     for (_, y0), (_, y1) in zip(pts, pts[1:]):

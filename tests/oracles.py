@@ -10,12 +10,21 @@ from fractions import Fraction as F
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from contlogic.errors import StructuralError
+from contlogic.errors import DomainError, StructuralError
 from contlogic.language import Atom, Const, Op, Quant, ValueVar, Var
 from contlogic.stability import PhiTypeSpace, PhiTypeVector, _target_vector
 from contlogic.structures import ScaledTable, ValidationReport, Violation, value_matrix
 from contlogic.topometric import CBResult, FiniteTopometricSpace
-from contlogic.values import ONE, ZERO, apply_connective, ensure_unit, format_rational, med
+from contlogic.values import (
+    ONE,
+    ZERO,
+    PLMonotone,
+    _u0_pieces,
+    apply_connective,
+    ensure_unit,
+    format_rational,
+    med,
+)
 
 
 def atomless_defect_bruteforce(weights):
@@ -388,6 +397,46 @@ def eval_value_formula_reference(expr, point: Mapping[str, F]) -> F:
     return go(expr)
 
 
+def apply_connective_reference(name: str, args: Sequence[F], const_value=None) -> F:
+    """`values.apply_connective`, plus the nullary `const` that returns its payload."""
+    if name == "const":
+        if args:
+            raise StructuralError("const takes no arguments")
+        if const_value is None:
+            raise StructuralError("const requires a payload")
+        return ensure_unit(const_value)
+    return apply_connective(name, args)
+
+
+def constant_fold_reference(expr):
+    """Fold all-constant subterms, preserving subterm sharing.
+
+    The separate pass that `synthesis` used to run over a finished
+    expression; the synthesis constructors now fold as they build.
+    """
+    memo: dict = {}
+
+    def go(node):
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        if isinstance(node, Op):
+            args = tuple(go(a) for a in node.args)
+            if all(isinstance(a, Const) for a in args):
+                vals = [a.value for a in args]
+                folded = med(vals, node.n) if node.op == "med" \
+                    else apply_connective(node.op, vals)
+                out = Const(folded)
+            else:
+                out = Op(node.op, args, node.n)
+        else:
+            out = node
+        memo[key] = out
+        return out
+
+    return go(expr)
+
+
 def med_by_subsets(values: Sequence[F], n: int) -> F:
     """The defining form of med_n: min over n-subsets of the arguments of their max."""
     if len(values) != 2 * n - 1:
@@ -513,3 +562,82 @@ def imaginary_tables_reference(M, phi, split):
     metric = ScaledTable.of(d_phi(i, j) for i in range(n) for j in range(n))
     predicate = ScaledTable.of(vals[xi][rep] for xi in range(len(xts)) for rep in representatives)
     return class_members, metric, predicate
+
+
+# ---------------------------------------------------------------------------
+# Continuity moduli
+
+
+def inverse_from_delta_reference(delta: PLMonotone) -> PLMonotone:
+    """`values.inverse_from_delta` with the pairwise crossing scan it used to run.
+
+    The same u0 pieces, ramps and base knots; then every pair of components
+    is evaluated afresh at both ends of every base interval, and the
+    crossing of the two lines is kept when it falls strictly inside.
+    """
+    for _, y in delta.breakpoints[1:]:
+        if y == 0:
+            raise DomainError("delta must be positive on (0,1]")
+    pieces = _u0_pieces(delta)
+
+    def u0_at(r: F) -> F:
+        best = ZERO
+        for r0, t0, r1, t1 in pieces:
+            if r0 <= r <= r1:
+                t = t0 if r1 == r0 else t0 + (r - r0) * (t1 - t0) / (r1 - r0)
+                best = max(best, t)
+        return best
+
+    anchors = sorted({r for piece in pieces for r in (piece[0], piece[2])} - {ZERO})
+    # components of the envelope: u0's pieces plus one ramp per anchor
+    components = [("seg", piece) for piece in pieces]
+    for v in anchors:
+        components.append(("ramp", (v, u0_at(v))))
+
+    def comp_eval(comp, x: F):
+        kind, data = comp
+        if kind == "seg":
+            r0, t0, r1, t1 = data
+            if not (r0 <= x <= r1):
+                return None
+            return t0 if r1 == r0 else t0 + (x - r0) * (t1 - t0) / (r1 - r0)
+        v, h = data
+        if x <= v / 2:
+            return ZERO
+        if x >= v:
+            return h
+        return h * (2 * x / v - 1)
+
+    xs = {ZERO, ONE}
+    for kind, data in components:
+        if kind == "seg":
+            xs.add(data[0])
+            xs.add(data[2])
+        else:
+            xs.add(data[0] / 2)
+            xs.add(data[0])
+    # crossings between component pairs refine the envelope grid
+    base = sorted(xs)
+    for x0, x1 in zip(base, base[1:]):
+        for i, c1 in enumerate(components):
+            for c2 in components[i + 1:]:
+                a0, a1 = comp_eval(c1, x0), comp_eval(c1, x1)
+                b0, b1 = comp_eval(c2, x0), comp_eval(c2, x1)
+                if None in (a0, a1, b0, b1):
+                    continue
+                num = (b0 - a0) * (x1 - x0)
+                den = (a1 - a0) - (b1 - b0)
+                if den != 0:
+                    x = x0 + num / den
+                    if x0 < x < x1:
+                        xs.add(x)
+
+    def envelope(x: F) -> F:
+        vals = [v for v in (comp_eval(c, x) for c in components) if v is not None]
+        return max(vals)
+
+    pts = [(x, envelope(x)) for x in sorted(xs)]
+    for (_, y0), (_, y1) in zip(pts, pts[1:]):
+        if y1 < y0:
+            raise AssertionError("inverse_from_delta produced a non-monotone envelope")
+    return PLMonotone(tuple(pts))

@@ -386,3 +386,17 @@ def test_back_to_back_runs_share_no_state(capsys, algebra_file):
     assert run(["tv", algebra_file, "--subset", "s0", "--no-such-flag"]) == 2
     assert run(["check", algebra_file]) == 0
     assert run(["modulus-convert", "--direction", "sideways", "--pl", "0:0,1:1"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["complete", "--out"], ["check", "--out"],
+                                   ["prenex", "--formula", "mu(x)", "--out"]])
+def test_unwritable_out_path_exits_1(capsys, algebra_file, tmp_path, flags):
+    command, *rest = flags
+    out = str(tmp_path / "missing-dir" / "out.json")
+    run_fails_cleanly(capsys, [command, algebra_file, *rest, out], 1)
+
+
+@pytest.mark.parametrize("depth", ["0", "17", str(10 ** 30)])
+def test_define_global_depth_outside_the_cap_exits_1(capsys, algebra_file, depth):
+    run_fails_cleanly(capsys, ["define-global", algebra_file, "--formula", "mu(meet(x,y))",
+                               "--split", "x;y", "--target", "s2", "--depth", depth], 1)

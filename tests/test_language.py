@@ -1,5 +1,6 @@
 """Parser, printer, prenex shape, free variables, modulus inference."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -362,3 +363,38 @@ def test_multisort_annotations():
         parse("d_A(x, y) -. d_B(x, y)", sig)
     with pytest.raises(SortMismatchError):
         parse("sup x. d_A(x, x) -. d_B(x, x)", sig)
+
+
+def tree_copy(f):
+    """The same formula with no node shared: every occurrence is its own object."""
+    if isinstance(f, Op):
+        return Op(f.op, tuple(tree_copy(a) for a in f.args), f.n)
+    if isinstance(f, Quant):
+        return Quant(f.kind, f.var, f.sort, tree_copy(f.body))
+    return dataclasses.replace(f)
+
+
+def test_print_formula_on_a_shared_graph_matches_its_tree_copy():
+    sig = simple_sig()
+    levels = [
+        lambda x: Op("monus", (x, Op("neg", (x,)))),
+        lambda x: Op("plus_trunc", (Op("half", (x,)), x)),
+        lambda x: Op("min", (x, x)),
+        lambda x: Quant("sup", "x", "S", Op("absdiff", (x, x))),
+        lambda x: Op("max", (x, Op("monus", (Const(F(1, 3)), x)))),
+        lambda x: Op("med", (x, Op("half", (x,)), x), 2),
+    ]
+    node = Op("monus", (Atom("P", (Var("x", "S"),)), ValueVar("t0")))
+    size = 3  # written-out nodes; each level at least doubles it
+    for k in range(12):
+        node = levels[k % len(levels)](node)
+        size = {0: 2 * size + 2, 1: 2 * size + 2, 2: 2 * size + 1,
+                3: 2 * size + 2, 4: 2 * size + 3, 5: 3 * size + 2}[k % len(levels)]
+    assert size >= 2 ** 14
+    tree = tree_copy(node)
+    text = print_formula(node, sig)
+    # booleans: pytest's diff of two mismatched texts this long takes minutes
+    same_text = text == print_formula(tree, sig)
+    assert same_text
+    round_trip = parse(text, sig) == tree
+    assert round_trip

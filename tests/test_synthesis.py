@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contlogic.errors import DomainError, StructuralError
-from contlogic.language import Const, Op, ValueVar
+from contlogic.language import Const, Op, ValueVar, print_formula
 from contlogic.synthesis import (
     GridFunction,
     eval_on_grid,
@@ -211,3 +211,105 @@ def test_lattice_closure_values_are_exact_unit_vectors():
     assert tuple(1 - t for t in axis) in vectors
     assert tuple(min(t, F(1, 3)) for t in axis) in vectors
     assert all(isinstance(v, F) for vec in vectors for v in vec)
+
+
+# ---------------------------------------------------------------------------
+# Folding while building, and the packed grid evaluator's lane boundaries
+
+
+def distinct_nodes(expr) -> list:
+    seen, out, stack = set(), [], [expr]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(node.args if isinstance(node, Op) else ())
+    return out
+
+
+def fold_targets():
+    """Seeded 1-D and 2-D targets, constant ones included (their ramps have a == 0)."""
+    rng = random.Random(41)
+    out = []
+    for pitch, eps in ((F(1, 4), F(1, 8)), (F(1, 8), F(1, 16)), (F(1, 8), F(1, 4))):
+        for _ in range(3):
+            out.append((grid1(pitch, lambda t: F(rng.randrange(17), 16)), eps))
+        for c in (F(0), F(1), F(1, 2), F(1, 3)):
+            out.append((grid1(pitch, lambda t, c=c: c), eps))
+    axis4 = [F(k, 4) for k in range(5)]
+    for fn in (lambda s, t: F(rng.randrange(9), 8), lambda s, t: F(0),
+               lambda s, t: F(1), lambda s, t: F(3, 8), lambda s, t: max(s - t, F(0))):
+        values = {(s, t): fn(s, t) for s in axis4 for t in axis4}
+        out.append((GridFunction(2, F(1, 4), values), F(1, 8)))
+    return out
+
+
+def test_synthesis_output_is_a_fixed_point_of_the_reference_fold():
+    from oracles import constant_fold_reference
+
+    for target, eps in fold_targets():
+        res = synthesize(target, eps)
+        nodes = distinct_nodes(res.expression)
+        assert len(nodes) == res.size
+        assert not any(isinstance(n, Op) and all(isinstance(a, Const) for a in n.args)
+                       for n in nodes)
+        folded = constant_fold_reference(res.expression)
+        assert print_formula(folded) == print_formula(res.expression)
+        assert len(distinct_nodes(folded)) == res.size
+        assert verify_synthesis(res.expression, target) == res.max_error <= eps
+
+
+def test_packed_evaluator_lane_boundaries():
+    t0, t1 = ValueVar("t0"), ValueVar("t1")
+    zero, one = Const(F(0)), Const(F(1))
+    axis8 = [(F(k, 8),) for k in range(9)]
+    deep = t0
+    for _ in range(8):
+        deep = Op("half", (deep,))
+    deep_const = one
+    for _ in range(8):
+        deep_const = Op("half", (deep_const,))
+    cases = [
+        (deep, axis8),
+        (deep_const, axis8),
+        (Op("monus", (deep, Op("neg", (deep_const,)))), axis8),
+        (Op("plus_trunc", (one, one)), axis8),
+        (Op("plus_trunc", (t0, t0)), axis8),
+        (Op("absdiff", (t0, t0)), axis8),
+        (Op("absdiff", (zero, one)), axis8),
+        (Op("absdiff", (t0, Op("neg", (t0,)))), [(F(0),), (F(1),)]),
+        (Op("monus", (Const(F(1, 3)), t0)), axis8),
+        (Op("max", (Const(F(5, 7)), Op("min", (t0, Const(F(1, 3)))))), axis8),
+        (Op("plus_trunc", (Const(F(5, 7)), Op("half", (Const(F(1, 3)),)))), axis8),
+        (Op("absdiff", (Const(F(1, 3)), Const(F(5, 7)))), [(F(1, 2),)]),
+        (Op("neg", (t0,)), [(F(1, 2),)]),
+        (Op("plus_trunc", (t0, Const(F(5, 7)))), [(F(1, 3),), (F(5, 7),), (F(0),), (F(1),)]),
+    ]
+    for expr, points in cases:
+        assert_grid_matches_reference(expr, points)
+    # the extremes themselves, not only agreement with the reference
+    for expr, want in ((Op("plus_trunc", (one, one)), 1), (deep_const, F(1, 256)),
+                       (Op("absdiff", (zero, one)), 1), (Op("absdiff", (one, one)), 0)):
+        nums, scale = eval_on_grid(expr, [(F(0),), (F(1),)])
+        assert [F(x, scale) for x in nums] == [want, want]
+
+
+def test_packed_evaluator_med_over_81_lanes():
+    """med over the 2-D pitch-1/8 grid: 81 lanes, unpacked, sorted and repacked."""
+    t0, t1 = ValueVar("t0"), ValueVar("t1")
+    points = list(itertools.product([F(k, 8) for k in range(9)], repeat=2))
+    args = (t0, t1, Op("neg", (t0,)), Const(F(1, 3)), Op("half", (t1,)))
+    for n, expr_args in ((3, args), (2, args[:3]), (1, args[:1])):
+        expr = Op("med", expr_args, n)
+        assert_grid_matches_reference(expr, points)
+        assert_grid_matches_reference(Op("monus", (expr, Op("half", (expr,)))), points)
+
+
+def test_packed_evaluator_rejects_values_outside_the_unit_interval():
+    with pytest.raises(DomainError, match="outside"):
+        eval_on_grid(Op("neg", (ValueVar("t0"),)), [(F(3, 2),)])
+    with pytest.raises(DomainError, match="outside"):
+        eval_on_grid(Op("neg", (Const(F(-1, 2)),)), [(F(1, 2),)])
+    with pytest.raises(DomainError, match="outside"):
+        eval_on_grid(Const(F(1, 2)), [(F(1, 2), F(3))])

@@ -20,7 +20,7 @@ from contlogic.values import (
     pl_compose,
     pl_half,
 )
-from oracles import med_by_subsets
+from oracles import apply_connective_reference, med_by_subsets
 
 
 def grid(step_denom=32):
@@ -46,7 +46,12 @@ def test_connective_values():
     # min through its truncated-subtraction form: x /\ y = x -. (x -. y)
     x, y = F(2, 3), F(1, 3)
     assert apply_connective("monus", [x, apply_connective("monus", [x, y])]) == F(1, 3)
-    assert apply_connective("const", [], const_value=F(1, 3)) == F(1, 3)
+    assert apply_connective_reference("const", [], const_value=F(1, 3)) == F(1, 3)
+    assert apply_connective_reference("min", [F(2, 3), F(1, 3)]) == F(1, 3)
+    with pytest.raises(StructuralError, match="payload"):
+        apply_connective_reference("const", [])
+    with pytest.raises(StructuralError, match="unknown connective 'const'"):
+        apply_connective("const", [])
     with pytest.raises(StructuralError):
         apply_connective("monus", [F(1, 2)])
     with pytest.raises(StructuralError):
@@ -214,3 +219,35 @@ def test_inverse_from_delta_dominates_u0_and_stays_sound():
                 elif y0 <= r:
                     u0 = x0 + (r - y0) * (x1 - x0) / (y1 - y0)
             assert uhat.eval(r) >= u0
+
+
+def random_delta(rng):
+    """A PL delta positive on (0,1], with flat runs, delta(0) > 0 and delta(1) = 1 common."""
+    xs = sorted(rng.sample([F(k, 32) for k in range(1, 32)], rng.randrange(0, 6)))
+    xs = [F(0)] + xs + [F(1)]
+    ys = [F(0) if rng.random() < 0.5 else F(rng.randrange(1, 9), 16)]
+    for _ in xs[1:]:
+        step = F(rng.randrange(1, 9), 32) if ys[-1] == 0 or rng.random() < 0.6 else F(0)
+        ys.append(min(ys[-1] + step, F(1)))
+    if rng.random() < 0.3:
+        ys[-1] = F(1)
+    return PLMonotone(tuple(zip(xs, ys)))
+
+
+def test_inverse_from_delta_matches_the_pairwise_scan():
+    """One table of component values per knot gives the reference's breakpoints exactly."""
+    from oracles import inverse_from_delta_reference
+
+    rng = random.Random(31)
+    seen = {"flat run": 0, "delta(0) > 0": 0, "delta(1) = 1": 0}
+    deltas = [PLMonotone.identity(), PLMonotone.constant(F(1)),
+              PLMonotone(((F(0), F(1, 2)), (F(1), F(1, 2))))]
+    deltas += [random_delta(rng) for _ in range(240)]
+    for delta in deltas:
+        ys = [y for _, y in delta.breakpoints]
+        seen["flat run"] += any(a == b for a, b in zip(ys, ys[1:]))
+        seen["delta(0) > 0"] += ys[0] > 0
+        seen["delta(1) = 1"] += ys[-1] == 1
+        assert inverse_from_delta(delta).breakpoints == \
+            inverse_from_delta_reference(delta).breakpoints
+    assert min(seen.values()) >= 40, seen
