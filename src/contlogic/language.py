@@ -283,28 +283,60 @@ def _term_vars(t, out: set):
             _term_vars(a, out)
 
 
+def children(f) -> tuple:
+    """The subformulas of a node: an `Op`'s args, a `Quant`'s body, none at a leaf."""
+    if isinstance(f, Op):
+        return f.args
+    if isinstance(f, Quant):
+        return (f.body,)
+    if isinstance(f, (Atom, Const, ValueVar)):
+        return ()
+    raise StructuralError(f"not a formula: {f!r}")
+
+
+def rebuild(f, kids):
+    """The node f with its subformulas replaced by kids, in `children` order."""
+    if isinstance(f, Op):
+        return Op(f.op, tuple(kids), f.n)
+    if isinstance(f, Quant):
+        (body,) = kids
+        return Quant(f.kind, f.var, f.sort, body)
+    return f
+
+
+def nodes(f) -> list:
+    """Each distinct node of f (by id) once, children first, without recursion."""
+    seen: set = set()
+    order = []
+    stack = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(children(node)))
+    return order
+
+
 def free_vars(f) -> set[tuple[str, str]]:
     """Free variables of a formula as (name, sort) pairs.
 
     Value variables are reported with the pseudo-sort ``@value``.
     """
-    if isinstance(f, Atom):
-        out: set = set()
-        for t in f.args:
-            _term_vars(t, out)
-        return out
-    if isinstance(f, Const):
-        return set()
-    if isinstance(f, ValueVar):
-        return {(f.name, VALUE_SORT)}
-    if isinstance(f, Op):
-        out = set()
-        for a in f.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(f, Quant):
-        return {(n, s) for (n, s) in free_vars(f.body) if n != f.var}
-    raise StructuralError(f"not a formula: {f!r}")
+    free: dict = {}  # id(node) -> its free variables
+    for node in nodes(f):
+        out = set().union(*(free[id(k)] for k in children(node)))
+        if isinstance(node, Atom):
+            for t in node.args:
+                _term_vars(t, out)
+        elif isinstance(node, ValueVar):
+            out.add((node.name, VALUE_SORT))
+        elif isinstance(node, Quant):
+            out = {(n, s) for (n, s) in out if n != node.var}
+        free[id(node)] = out
+    return free[id(f)]
 
 
 def _rename_term(t, old: str, new: str):
@@ -315,17 +347,15 @@ def _rename_term(t, old: str, new: str):
 
 def rename_var(f, old: str, new: str):
     """Rename free occurrences of a structure variable, respecting shadowing."""
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_rename_term(t, old, new) for t in f.args))
-    if isinstance(f, (Const, ValueVar)):
-        return f
-    if isinstance(f, Op):
-        return Op(f.op, tuple(rename_var(a, old, new) for a in f.args), f.n)
-    if isinstance(f, Quant):
-        if f.var == old:
-            return f
-        return Quant(f.kind, f.var, f.sort, rename_var(f.body, old, new))
-    raise StructuralError(f"not a formula: {f!r}")
+    out: dict = {}  # id(node) -> the renamed node
+    for node in nodes(f):
+        if isinstance(node, Atom):
+            out[id(node)] = Atom(node.pred, tuple(_rename_term(t, old, new) for t in node.args))
+        elif isinstance(node, Quant) and node.var == old:
+            out[id(node)] = node
+        else:
+            out[id(node)] = rebuild(node, [out[id(k)] for k in children(node)])
+    return out[id(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -550,19 +580,19 @@ def _scan_sort_constraints(f, name: str, sig: Signature, out: set):
             for a, s in zip(t.args, decl.arg_sorts):
                 scan_term(a, s)
 
-    if isinstance(f, Atom):
-        decl = sig.pred_decl(f.pred)
-        if len(f.args) != len(decl.arg_sorts):
-            raise SortMismatchError(
-                f"{f.pred} expects {len(decl.arg_sorts)} arguments, got {len(f.args)}")
-        for a, s in zip(f.args, decl.arg_sorts):
-            scan_term(a, s)
-    elif isinstance(f, Op):
-        for a in f.args:
-            _scan_sort_constraints(a, name, sig, out)
-    elif isinstance(f, Quant):
-        if f.var != name:  # identical names shadow; the inner scope is a new variable
-            _scan_sort_constraints(f.body, name, sig, out)
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            decl = sig.pred_decl(node.pred)
+            if len(node.args) != len(decl.arg_sorts):
+                raise SortMismatchError(
+                    f"{node.pred} expects {len(decl.arg_sorts)} arguments, got {len(node.args)}")
+            for a, s in zip(node.args, decl.arg_sorts):
+                scan_term(a, s)
+        elif not (isinstance(node, Quant) and node.var == name):
+            # identical names shadow; the inner scope is a new variable
+            stack.extend(reversed(children(node)))
 
 
 def _resolve_var_sort(f, name: str, annotated: Optional[str], sig: Signature) -> str:
@@ -607,16 +637,10 @@ def _attach_sorts(f, sig: Signature, env: dict):
             raise SortMismatchError(
                 f"{f.pred} expects {len(decl.arg_sorts)} arguments, got {len(f.args)}")
         return Atom(f.pred, tuple(fix_term(a, s) for a, s in zip(f.args, decl.arg_sorts)))
-    if isinstance(f, (Const, ValueVar)):
-        return f
-    if isinstance(f, Op):
-        return Op(f.op, tuple(_attach_sorts(a, sig, env) for a in f.args), f.n)
     if isinstance(f, Quant):
         sort = _resolve_var_sort(f.body, f.var, f.sort, sig)
-        inner = dict(env)
-        inner[f.var] = sort
-        return Quant(f.kind, f.var, sort, _attach_sorts(f.body, sig, inner))
-    raise StructuralError(f"not a formula: {f!r}")
+        return Quant(f.kind, f.var, sort, _attach_sorts(f.body, sig, {**env, f.var: sort}))
+    return rebuild(f, [_attach_sorts(k, sig, env) for k in children(f)])
 
 
 def parse(text: str, sig: Signature):
@@ -627,7 +651,9 @@ def parse(text: str, sig: Signature):
         t = p.peek()
         raise GrammarError(f"trailing input {t.text!r}", t.pos)
     annotations: dict = {}
-    for name, sort in _free_term_var_names(raw):
+    for name, sort in free_vars(raw):
+        if sort == VALUE_SORT:
+            continue
         if name in annotations:
             if sort is not None and annotations[name] is not None and sort != annotations[name]:
                 raise SortMismatchError(f"variable {name!r} annotated at two sorts")
@@ -638,21 +664,6 @@ def parse(text: str, sig: Signature):
     for name in sorted(annotations):
         env[name] = _resolve_var_sort(raw, name, annotations[name], sig)
     return _attach_sorts(raw, sig, env)
-
-
-def _free_term_var_names(f, bound=frozenset()) -> set:
-    out = set()
-    if isinstance(f, Atom):
-        vs: set = set()
-        for t in f.args:
-            _term_vars(t, vs)
-        out |= {(n, s) for n, s in vs if n not in bound}
-    elif isinstance(f, Op):
-        for a in f.args:
-            out |= _free_term_var_names(a, bound)
-    elif isinstance(f, Quant):
-        out |= _free_term_var_names(f.body, bound | {f.var})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -722,25 +733,15 @@ def print_formula(f, sig: Optional[Signature] = None) -> str:
 
 def rewrite_absdiff(f):
     """Replace |a-b| by (a -. b) +. (b -. a) throughout."""
-    if isinstance(f, (Atom, Const, ValueVar)):
-        return f
-    if isinstance(f, Op):
-        args = tuple(rewrite_absdiff(a) for a in f.args)
-        if f.op == "absdiff":
-            a, b = args
-            return Op("plus_trunc", (Op("monus", (a, b)), Op("monus", (b, a))))
-        return Op(f.op, args, f.n)
-    if isinstance(f, Quant):
-        return Quant(f.kind, f.var, f.sort, rewrite_absdiff(f.body))
-    raise StructuralError(f"not a formula: {f!r}")
-
-
-def _bound_names(f) -> set[str]:
-    if isinstance(f, Quant):
-        return {f.var} | _bound_names(f.body)
-    if isinstance(f, Op):
-        return set().union(*(_bound_names(a) for a in f.args))
-    return set()
+    out: dict = {}  # id(node) -> the rewritten node
+    for node in nodes(f):
+        kids = [out[id(k)] for k in children(node)]
+        if isinstance(node, Op) and node.op == "absdiff":
+            a, b = kids
+            out[id(node)] = Op("plus_trunc", (Op("monus", (a, b)), Op("monus", (b, a))))
+        else:
+            out[id(node)] = rebuild(node, kids)
+    return out[id(f)]
 
 
 def _flip(kind: str) -> str:
@@ -758,7 +759,8 @@ def prenex(f):
     bound.  `absdiff` is first rewritten via its plus/monus identity; `med`
     is increasing in every argument and is hoisted like min/max.
     """
-    taken = {name for name, _ in free_vars(f)} | _bound_names(f)
+    taken = {name for name, _ in free_vars(f)}
+    taken |= {node.var for node in nodes(f) if isinstance(node, Quant)}
     counter = [0]
 
     def fresh() -> str:
@@ -768,29 +770,28 @@ def prenex(f):
         return f"q{counter[0]}"
 
     def go(f):
-        if isinstance(f, (Atom, Const, ValueVar)):
-            return [], f
         if isinstance(f, Quant):
             name = fresh()
             prefix, matrix = go(rename_var(f.body, f.var, name))
             return [(f.kind, name, f.sort)] + prefix, matrix
-        if isinstance(f, Op):
-            if f.op == "med":
-                dirs = (+1,) * len(f.args)
-            elif f.op in MONOTONICITY:
-                dirs = MONOTONICITY[f.op]
-            else:
-                raise StructuralError(f"no monotonicity data for connective {f.op!r}")
-            prefix = []
-            matrices = []
-            for direction, arg in zip(dirs, f.args):
-                sub_prefix, matrix = go(arg)
-                if direction < 0:
-                    sub_prefix = [(_flip(k), v, s) for k, v, s in sub_prefix]
-                prefix.extend(sub_prefix)
-                matrices.append(matrix)
-            return prefix, Op(f.op, tuple(matrices), f.n)
-        raise StructuralError(f"not a formula: {f!r}")
+        kids = children(f)  # raises for a non-formula
+        if not isinstance(f, Op):
+            return [], f
+        if f.op == "med":
+            dirs = (+1,) * len(kids)
+        elif f.op in MONOTONICITY:
+            dirs = MONOTONICITY[f.op]
+        else:
+            raise StructuralError(f"no monotonicity data for connective {f.op!r}")
+        prefix = []
+        matrices = []
+        for direction, arg in zip(dirs, kids):
+            sub_prefix, matrix = go(arg)
+            if direction < 0:
+                sub_prefix = [(_flip(k), v, s) for k, v, s in sub_prefix]
+            prefix.extend(sub_prefix)
+            matrices.append(matrix)
+        return prefix, rebuild(f, matrices)
 
     prefix, matrix = go(rewrite_absdiff(f))
     out = matrix
@@ -802,15 +803,7 @@ def prenex(f):
 def is_prenex(f) -> bool:
     while isinstance(f, Quant):
         f = f.body
-    return _quantifier_free(f)
-
-
-def _quantifier_free(f) -> bool:
-    if isinstance(f, Quant):
-        return False
-    if isinstance(f, Op):
-        return all(_quantifier_free(a) for a in f.args)
-    return True
+    return not any(isinstance(node, Quant) for node in nodes(f))
 
 
 # ---------------------------------------------------------------------------
@@ -828,46 +821,34 @@ def infer_modulus(f, sig: Signature, var: str) -> PLMonotone:
         raise StructuralError(f"variable {var!r} is not free in the formula")
     zero = PLMonotone.zero()
 
+    def total(mods) -> PLMonotone:
+        out = zero
+        for m in mods:
+            if m != zero:
+                out = pl_capped_sum(out, m)
+        return out
+
+    def through(moduli, args) -> PLMonotone:
+        """Modulus of a symbol with these argument moduli applied to these terms."""
+        return total(pl_compose(u, m) for u, m in zip(moduli, map(term_mod, args)) if m != zero)
+
     def term_mod(t) -> PLMonotone:
         if isinstance(t, Var):
             return PLMonotone.identity() if t.name == var else zero
-        decl = sig.func_decl(t.func)
-        out = zero
-        for u, a in zip(decl.moduli, t.args):
-            m = term_mod(a)
-            if m != zero:
-                out = pl_capped_sum(out, pl_compose(u, m))
-        return out
+        return through(sig.func_decl(t.func).moduli, t.args)
 
-    def go(f) -> PLMonotone:
-        if isinstance(f, Atom):
-            decl = sig.pred_decl(f.pred)
+    mods: dict = {}  # id(node) -> the node's modulus in var
+    for node in nodes(f):
+        if isinstance(node, Atom):
+            out = through(sig.pred_decl(node.pred).moduli, node.args)
+        elif isinstance(node, Quant) and node.var == var:
             out = zero
-            for u, a in zip(decl.moduli, f.args):
-                m = term_mod(a)
-                if m != zero:
-                    out = pl_capped_sum(out, pl_compose(u, m))
-            return out
-        if isinstance(f, (Const, ValueVar)):
-            return zero
-        if isinstance(f, Op):
-            if f.op == "neg":
-                return go(f.args[0])
-            if f.op == "half":
-                return pl_half(go(f.args[0]))
-            out = zero
-            for a in f.args:
-                m = go(a)
-                if m != zero:
-                    out = pl_capped_sum(out, m)
-            return out
-        if isinstance(f, Quant):
-            if f.var == var:
-                return zero
-            return go(f.body)
-        raise StructuralError(f"not a formula: {f!r}")
-
-    return go(f)
+        else:
+            out = total(mods[id(k)] for k in children(node))
+            if isinstance(node, Op) and node.op == "half":
+                out = pl_half(out)
+        mods[id(node)] = out
+    return mods[id(f)]
 
 
 # ---------------------------------------------------------------------------

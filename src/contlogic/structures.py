@@ -40,13 +40,11 @@ from .language import (
     parse,
 )
 from .values import (
-    CONNECTIVES,
     ONE,
     ZERO,
-    apply_connective,
+    check_connective,
     ensure_unit,
     format_rational,
-    med,
     parse_rational,
 )
 
@@ -88,10 +86,7 @@ class FiniteStructure:
     `metric_table` maps each sort to its n*n distance table, `function_table`
     maps each function symbol to its carrier indices and `predicate_table`
     each predicate symbol to its values; all are flat and row-major in the
-    argument positions.  `metric`, `functions` and `predicates` are the
-    same tables as Fractions (nested rows, and dicts keyed by argument index
-    tuples), built on first use.  Structures are immutable after
-    construction.
+    argument positions.  Structures are immutable after construction.
     """
 
     def __init__(self, sig: Signature, carriers: Mapping[str, Sequence[str]],
@@ -162,25 +157,6 @@ class FiniteStructure:
     def _phi_instances(self) -> dict:
         """(formula, split) -> PhiInstance, filled by `phi_instance`."""
         return {}
-
-    @cached_property
-    def metric(self) -> dict:
-        out = {}
-        for s, table in self.metric_table.items():
-            n = self.sizes[s]
-            out[s] = tuple(tuple(table.value(i * n + j) for j in range(n)) for i in range(n))
-        return out
-
-    @cached_property
-    def functions(self) -> dict:
-        return {name: dict(zip(_arg_tuples(self.sizes, decl.arg_sorts), self.function_table[name]))
-                for name, decl in self.sig.functions.items()}
-
-    @cached_property
-    def predicates(self) -> dict:
-        return {name: {args: self.predicate_table[name].value(i)
-                       for i, args in enumerate(_arg_tuples(self.sizes, decl.arg_sorts))}
-                for name, decl in self.sig.predicates.items()}
 
     def element_name(self, sort: str, idx: int) -> str:
         return self.carriers[sort][idx]
@@ -450,11 +426,9 @@ class _Compiler:
             return _constant(v.numerator), v.denominator
         if isinstance(f, Op):
             args = [self.formula(a, scope) for a in f.args]
+            check_connective(f.op, len(args), f.n)
             if f.op == "med":
-                med([ZERO] * len(args), f.n)  # raises med's own arity errors
                 return _median(args, f.n)
-            if CONNECTIVES.get(f.op, (None,))[0] != len(args):
-                apply_connective(f.op, [ZERO] * len(args))  # raises the connective's error
             return _connective(f.op, args)
         if isinstance(f, Quant):
             slot = self.free + self.quantifiers

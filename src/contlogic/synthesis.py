@@ -20,15 +20,13 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import DomainError, StructuralError
-from .language import Const, Op, ValueVar
+from .language import Const, Op, ValueVar, nodes
 from .values import (
-    CONNECTIVES,
     ZERO,
-    apply_connective,
+    check_connective,
     ensure_unit,
     format_rational,
     is_dyadic,
-    med,
     monus,
     neg,
     parse_rational,
@@ -137,10 +135,7 @@ def _eval_packed(expr, points):
         node, ready = pop()
         if ready:  # an Op whose arguments all have their scales
             op, args = node.op, node.args
-            if op == "med":
-                med([ZERO] * len(args), node.n)  # raises med's own arity errors
-            elif CONNECTIVES.get(op, (None,))[0] != len(args):
-                apply_connective(op, [ZERO] * len(args))  # raises the connective's error
+            check_connective(op, len(args), node.n)
             s = math.lcm(*[scale[id(a)] for a in args])
             scale[id(node)] = 2 * s if op == "half" else s
         elif id(node) in scale:
@@ -232,41 +227,15 @@ def _grid_error(expr, target: GridFunction) -> tuple[Fraction, int]:
 
 def uses_only_neg_monus_constants(expr) -> bool:
     """AST scan: negation, truncated subtraction, dyadic constants, variables."""
-    seen: set = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, ValueVar):
-            continue
-        if isinstance(node, Const):
-            if not is_dyadic(node.value):
-                return False
-            continue
-        if isinstance(node, Op) and node.op in ("neg", "monus"):
-            stack.extend(node.args)
-            continue
-        return False
-    return True
+    return all(isinstance(node, ValueVar)
+               or isinstance(node, Const) and is_dyadic(node.value)
+               or isinstance(node, Op) and node.op in ("neg", "monus")
+               for node in nodes(expr))
 
 
 def value_variables(expr) -> set:
     """Names of the value variables occurring in an expression (DAG-aware)."""
-    seen: set = set()
-    names: set = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, ValueVar):
-            names.add(node.name)
-        elif isinstance(node, Op):
-            stack.extend(node.args)
-    return names
+    return {node.name for node in nodes(expr) if isinstance(node, ValueVar)}
 
 
 def _round_dyadic(v: Fraction, k: int) -> Fraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
 
@@ -110,6 +110,17 @@ def apply_connective(name: str, args: Sequence[Fraction]) -> Fraction:
     if len(args) != arity:
         raise StructuralError(f"{name} expects {arity} arguments, got {len(args)}")
     return fn(*args)
+
+
+def check_connective(name: str, k: int, n: Optional[int] = None) -> None:
+    """Raise the StructuralError that applying `name` to k arguments raises.
+
+    `n` is `med`'s arity parameter; the other connectives ignore it.
+    """
+    if name == "med":
+        med([ZERO] * k, n)
+    elif CONNECTIVES.get(name, (None,))[0] != k:
+        apply_connective(name, [ZERO] * k)
 
 
 def med(values: Sequence[Fraction], n: int) -> Fraction:

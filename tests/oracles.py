@@ -6,14 +6,22 @@ agreement with the main code paths is meaningful.
 """
 
 import itertools
+import math
 from fractions import Fraction as F
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from contlogic.errors import DomainError, StructuralError
-from contlogic.language import Atom, Const, Op, Quant, ValueVar, Var
+from contlogic.language import Atom, Const, Op, PredDecl, Quant, SortDecl, ValueVar, Var
 from contlogic.stability import PhiTypeSpace, PhiTypeVector, _target_vector
-from contlogic.structures import ScaledTable, ValidationReport, Violation, value_matrix
+from contlogic.structures import (
+    FiniteStructure,
+    ScaledTable,
+    ValidationReport,
+    Violation,
+    gen_halfgraph,
+    value_matrix,
+)
 from contlogic.topometric import CBResult, FiniteTopometricSpace
 from contlogic.values import (
     ONE,
@@ -25,6 +33,45 @@ from contlogic.values import (
     format_rational,
     med,
 )
+
+
+class FractionTables(NamedTuple):
+    """A structure's tables in the form the `FiniteStructure` constructor takes."""
+
+    metric: dict  # sort -> n x n rows of Fractions
+    functions: dict  # function -> {argument index tuple: carrier index}
+    predicates: dict  # predicate -> {argument index tuple: Fraction}
+
+
+def fraction_tables(M) -> FractionTables:
+    """M's flat int tables read back as Fractions, cell by cell."""
+
+    def arg_tuples(arg_sorts):
+        return itertools.product(*(range(M.sizes[s]) for s in arg_sorts))
+
+    metric = {s: tuple(tuple(M.distance(s, i, j) for j in range(n)) for i in range(n))
+              for s, n in M.sizes.items()}
+    functions = {name: dict(zip(arg_tuples(decl.arg_sorts), M.function_table[name]))
+                 for name, decl in M.sig.functions.items()}
+    predicates = {name: {args: M.pred_value(name, args) for args in arg_tuples(decl.arg_sorts)}
+                  for name, decl in M.sig.predicates.items()}
+    return FractionTables(metric, functions, predicates)
+
+
+def glued_halfgraph(n):
+    """Half-graph n with a discrete two-point sort E and psi(x, y) = phi(y, x), for gluing."""
+    base = gen_halfgraph(n)
+    ident = PLMonotone.identity()
+    sig = base.sig.extended(sorts=[SortDecl("E", "d_E")],
+                            predicates=[PredDecl("psi", ("V", "V"), (ident, ident))])
+    carriers = dict(base.carriers)
+    carriers["E"] = ["e0", "e1"]
+    metric, _, predicates = fraction_tables(base)
+    metric["E"] = [[F(0), F(1)], [F(1), F(0)]]
+    size = len(base.carriers["V"])
+    predicates["psi"] = {(i, j): predicates["phi"][(j, i)]
+                         for i in range(size) for j in range(size)}
+    return FiniteStructure(sig, carriers, metric, {}, predicates)
 
 
 def atomless_defect_bruteforce(weights):
@@ -131,12 +178,18 @@ def classical_eval(carrier, relations, node, env):
 
 
 def triple_sequence_reference(vals, nx, ny, eps, max_len):
-    """Longest triple-condition sequence by direct Fraction comparison.
+    """Longest triple-condition sequence by direct comparison of the values.
 
     The list-based search that `stability._longest_triple_sequence` replaced
     with bitsets: same DFS order, same first-strictly-longer rule, same
-    witness choice and bounded flag, so results must agree exactly.
+    witness choice and bounded flag, so results must agree exactly.  The
+    Fraction values and eps are compared as int numerators over their
+    common denominator, one subtraction per pair and no table built ahead.
     """
+    eps = F(eps)
+    den = math.lcm(eps.denominator, *(v.denominator for row in vals for v in row))
+    num = [[v.numerator * (den // v.denominator) for v in row] for row in vals]
+    gap = eps.numerator * (den // eps.denominator)
     best_bs: list = []
     best_feasible: list = []
     bs: list = []
@@ -151,8 +204,16 @@ def triple_sequence_reference(vals, nx, ny, eps, max_len):
             new_feasible = []
             ok = True
             for j in range(1, len(bs)):
-                allowed = [a for a in feasible[j]
-                           if all(abs(vals[a][bs[i]] - vals[a][b]) >= eps for i in range(j))]
+                earlier = bs[:j]
+                allowed = []
+                for a in feasible[j]:
+                    row = num[a]
+                    v = row[b]
+                    for c in earlier:
+                        if abs(row[c] - v) < gap:
+                            break
+                    else:
+                        allowed.append(a)
                 if not allowed:
                     ok = False
                     break
@@ -230,9 +291,10 @@ def validate_reference(M) -> ValidationReport:
     every pair; the int-table validator must reproduce its report exactly.
     """
     out = []
+    metric = fraction_tables(M).metric
     for sort in M.sig.sort_names:
         names = M.carriers[sort]
-        dm = M.metric[sort]
+        dm = metric[sort]
         n = len(names)
         for i in range(n):
             if dm[i][i] != 0:
@@ -261,11 +323,11 @@ def validate_reference(M) -> ValidationReport:
                     for w in range(z + 1, size):
                         args_z = list(ctx[:pos]) + [z] + list(ctx[pos:])
                         args_w = list(ctx[:pos]) + [w] + list(ctx[pos:])
-                        bound = u.eval(M.metric[sort][z][w])
+                        bound = u.eval(metric[sort][z][w])
                         if is_function:
                             vz = value_at(tuple(args_z))
                             vw = value_at(tuple(args_w))
-                            change = M.metric[target_sort][vz][vw]
+                            change = metric[target_sort][vz][vw]
                         else:
                             change = abs(value_at(tuple(args_z)) - value_at(tuple(args_w)))
                         if change > bound:
@@ -451,58 +513,67 @@ def automorphisms(M):
             raise StructuralError("automorphism search capped at 6-element carriers")
     sorts = M.sig.sort_names
     pools = [itertools.permutations(range(len(M.carriers[s]))) for s in sorts]
+    tables = fraction_tables(M)
     for perms in itertools.product(*pools):
         pi = dict(zip(sorts, perms))
-        if _is_automorphism(M, pi):
+        if _is_automorphism(M, tables, pi):
             yield pi
 
 
-def _is_automorphism(M, pi: Mapping[str, Sequence[int]]) -> bool:
+def _is_automorphism(M, tables: FractionTables, pi: Mapping[str, Sequence[int]]) -> bool:
     for s in M.sig.sort_names:
         p = pi[s]
-        dm = M.metric[s]
+        dm = tables.metric[s]
         n = len(M.carriers[s])
         for i in range(n):
             for j in range(n):
                 if dm[p[i]][p[j]] != dm[i][j]:
                     return False
     for name, decl in M.sig.functions.items():
-        for args, value in M.functions[name].items():
+        for args, value in tables.functions[name].items():
             mapped = tuple(pi[s][a] for s, a in zip(decl.arg_sorts, args))
             if M.fn_value(name, mapped) != pi[decl.target][value]:
                 return False
     for name, decl in M.sig.predicates.items():
-        for args, value in M.predicates[name].items():
+        for args, value in tables.predicates[name].items():
             mapped = tuple(pi[s][a] for s, a in zip(decl.arg_sorts, args))
             if M.pred_value(name, mapped) != value:
                 return False
     return True
 
 
-def monotone_sup_on_grid(defn, M, phi, split, target, v: Sequence[F], pitch: F) -> F:
-    """The monotone definition's sup over a full u-grid of the given pitch."""
-    eps = defn.epsilon
-    xts, yts, vals = value_matrix(M, phi, split)
-    tgt = _target_vector(M, split, yts, target)
-    t = tgt.values
-    chosen = defn.parameters
-    steps = int(1 / pitch)
-    axis = [pitch * k for k in range(steps + 1)]
+def monotone_sup_on_grid(defn, M, phi, split, target, vs: Sequence[Sequence[F]],
+                         pitch: F) -> list:
+    """The monotone definition's sup over a full u-grid of the given pitch, at each v of vs.
 
-    def f(u):
-        best = ZERO
-        for a in range(len(yts)):
-            if all(vals[c][a] <= ui for c, ui in zip(chosen, u)):
-                best = max(best, t[a])
-        return best
+    f(u) is computed once per grid point.  h(u, v) * f(u) is compared as
+    ints: u, v and eps over one common denominator, the target over its own.
+    """
+    _, yts, vals = value_matrix(M, phi, split)
+    t = _target_vector(M, split, yts, target).values
+    observed = [[vals[c][a] for c in defn.parameters] for a in range(len(yts))]
+    den = math.lcm(pitch.denominator, defn.epsilon.denominator,
+                   *(x.denominator for row in [*observed, *vs] for x in row))
+    tden = math.lcm(*(x.denominator for x in t))
 
-    def h(u):
-        if not u:
-            return ONE
-        return min(min(max(vi + eps - ui, ZERO), eps) for ui, vi in zip(u, v)) / eps
+    def scaled(x, d=den) -> int:
+        return x.numerator * (d // x.denominator)
 
-    return max((h(u) * f(u) for u in itertools.product(axis, repeat=len(chosen))),
-               default=ZERO)
+    eps = scaled(defn.epsilon)
+    axis = [scaled(pitch * k) for k in range(int(1 / pitch) + 1)]
+    grid = list(itertools.product(axis, repeat=len(defn.parameters)))
+    rows = [([scaled(x) for x in row], scaled(ta, tden)) for row, ta in zip(observed, t)]
+    f = [max((ta for row, ta in rows if all(x <= ui for x, ui in zip(row, u))), default=0)
+         for u in grid]
+    out = []
+    for v in vs:
+        v = [scaled(x) for x in v]
+        best = 0
+        for u, fu in zip(grid, f):
+            h = min((min(max(vi + eps - ui, 0), eps) for ui, vi in zip(u, v)), default=eps)
+            best = max(best, h * fu)
+        out.append(F(best, eps * tden))
+    return out
 
 
 def phi_type_space_reference(M, phi, split) -> PhiTypeSpace:

@@ -62,6 +62,7 @@ from contlogic.values import (
 
 from oracles import (
     atomless_defect_bruteforce,
+    glued_halfgraph,
     monotone_sup_on_grid,
     pra_axioms_bruteforce,
     random_metric,
@@ -270,25 +271,9 @@ def test_criterion_07_monotone_definition_bound():
                             if all(ui <= vi for ui, vi in zip(u, v)):
                                 assert d.evaluate(u) <= d.evaluate(v)
                     if n <= 3 and n > 0:
-                        for a in range(len(yts)):
-                            v = tuple(vals[c][a] for c in d.parameters)
-                            assert d.evaluate(v) == monotone_sup_on_grid(
-                                d, M, phi, split, target, v, eps / 4)
-
-
-def glued_halfgraph(n):
-    base = gen_halfgraph(n)
-    sig = base.sig.extended(sorts=[SortDecl("E", "d_E")],
-                            predicates=[PredDecl("psi", ("V", "V"), (IDENT, IDENT))])
-    carriers = dict(base.carriers)
-    carriers["E"] = ["e0", "e1"]
-    metric = dict(base.metric)
-    metric["E"] = [[F(0), F(1)], [F(1), F(0)]]
-    predicates = {name: dict(t) for name, t in base.predicates.items()}
-    size = len(base.carriers["V"])
-    predicates["psi"] = {(i, j): base.predicates["phi"][(j, i)]
-                         for i in range(size) for j in range(size)}
-    return FiniteStructure(sig, carriers, metric, {}, predicates)
+                        vs = [tuple(vals[c][a] for c in d.parameters) for a in range(len(yts))]
+                        assert [d.evaluate(v) for v in vs] == monotone_sup_on_grid(
+                            d, M, phi, split, target, vs, eps / 4)
 
 
 def test_criterion_08_gluing_identities():

@@ -8,6 +8,7 @@ import pytest
 from contlogic.cli import run
 from contlogic.structures import gen_halfgraph, gen_prob_algebra
 from contlogic.synthesis import GridFunction
+from oracles import glued_halfgraph
 
 
 @pytest.fixture()
@@ -144,22 +145,7 @@ def test_define_global(capsys, algebra_file):
 
 
 def test_glue_verify(capsys, tmp_path):
-    from contlogic.language import PLMonotone, PredDecl, SortDecl
-    from contlogic.structures import FiniteStructure
-
-    base = gen_halfgraph(1)
-    ident = PLMonotone.identity()
-    sig = base.sig.extended(sorts=[SortDecl("E", "d_E")],
-                            predicates=[PredDecl("psi", ("V", "V"), (ident, ident))])
-    carriers = dict(base.carriers)
-    carriers["E"] = ["e0", "e1"]
-    metric = dict(base.metric)
-    metric["E"] = [[F(0), F(1)], [F(1), F(0)]]
-    predicates = {name: dict(t) for name, t in base.predicates.items()}
-    n = len(base.carriers["V"])
-    predicates["psi"] = {(i, j): base.predicates["phi"][(j, i)]
-                         for i in range(n) for j in range(n)}
-    M = FiniteStructure(sig, carriers, metric, {}, predicates)
+    M = glued_halfgraph(1)
     path = tmp_path / "glued.json"
     path.write_text(json.dumps(M.to_json()))
     code, report = run_json(capsys, [

@@ -6,6 +6,7 @@
 they replaced.  Values must agree bit for bit, reports entry for entry.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -30,12 +31,14 @@ from contlogic.language import (
     ValueVar,
     Var,
     expand_condition,
+    is_prenex,
     parse,
     prenex,
 )
 from contlogic.structures import (
     FiniteStructure,
     apa_sentence,
+    compile_formula,
     eval_formula,
     from_classical,
     gen_prob_algebra,
@@ -253,7 +256,14 @@ def binary_structures(draw):
 
 
 @st.composite
-def formulas(draw, scope=("x",), depth=3):
+def formulas(draw, scope=("x",), depth=3, binders=("x", "y", "z"), values=("p",)):
+    """Formulas over `binary_signature`: terms read the names in scope, a
+    quantifier binds one of `binders` (it may shadow; none without binders),
+    value variables are named from `values`."""
+
+    def sub(scope=scope):
+        return formulas(scope=scope, depth=depth - 1, binders=binders, values=values)
+
     def term():
         t = Var(draw(st.sampled_from(scope)), "S")
         for _ in range(draw(st.integers(0, 2))):
@@ -268,26 +278,64 @@ def formulas(draw, scope=("x",), depth=3):
             return Atom(kind, (term(), term()))
         if kind == "const":
             return Const(draw(st.sampled_from(QUARTERS + [F(1, 3)])))
-        return ValueVar("p")
-    kind = draw(st.sampled_from(["quant", "neg", "half", "binary", "med"]))
+        return ValueVar(draw(st.sampled_from(values)))
+    kind = draw(st.sampled_from(["quant"] * bool(binders) + ["neg", "half", "binary", "med"]))
     if kind == "quant":
-        name = draw(st.sampled_from(["x", "y", "z"]))  # may shadow
-        body = draw(formulas(scope=tuple(set(scope) | {name}), depth=depth - 1))
+        name = draw(st.sampled_from(binders))
+        body = draw(sub(scope=tuple(dict.fromkeys((*scope, name)))))  # in a fixed order
         return Quant(draw(st.sampled_from(["sup", "inf"])), name, "S", body)
     if kind in ("neg", "half"):
-        return Op(kind, (draw(formulas(scope=scope, depth=depth - 1)),))
+        return Op(kind, (draw(sub()),))
     if kind == "med":
-        args = tuple(draw(formulas(scope=scope, depth=depth - 1)) for _ in range(3))
-        return Op("med", args, 2)
+        return Op("med", tuple(draw(sub()) for _ in range(3)), 2)
     op = draw(st.sampled_from(["monus", "min", "max", "plus_trunc", "absdiff"]))
-    return Op(op, (draw(formulas(scope=scope, depth=depth - 1)),
-                   draw(formulas(scope=scope, depth=depth - 1))))
+    return Op(op, (draw(sub()), draw(sub())))
 
 
 @given(binary_structures(), formulas(), st.sampled_from(QUARTERS + [F(2, 3)]))
 def test_random_formulas_match_reference(M, f, p):
     for x in range(len(M.carriers["S"])):
         same_value(M, {"x": x, "p": p}, f)
+
+
+# Free names that prenex's fresh names q1, q2, ... must skip, bound names that
+# shadow free ones and each other, and names of the signature's symbols.
+FREE_NAMES = ("q1", "f")
+BOUND_NAMES = ("q1", "q2", "f", "P", "d")
+VALUE_NAMES = ("q3", "R")  # a binder of the same name would hide the value
+
+
+@st.composite
+def colliding_formulas(draw):
+    """Two nested quantifiers over `absdiff` and `med`, next to free uses of the names.
+
+    The other subformulas are quantifier-free, so the prenex form has three
+    quantifiers and every assignment can be checked.
+    """
+    def part(scope):
+        return draw(formulas(scope=scope, depth=1, binders=(), values=VALUE_NAMES))
+
+    kinds = st.sampled_from(["sup", "inf"])
+    outer, inner = draw(st.sampled_from(BOUND_NAMES)), draw(st.sampled_from(BOUND_NAMES))
+    mid = FREE_NAMES + (outer,)
+    med = Op("med", (part(mid + (inner,)), part(mid), part(mid + (inner,))), 2)
+    body = Op("absdiff", (part(mid), Quant(draw(kinds), inner, "S", med)))
+    op = draw(st.sampled_from(["monus", "min", "max", "plus_trunc"]))
+    args = [Quant(draw(kinds), outer, "S", body), part(FREE_NAMES)]
+    return Op(op, tuple(args[::-1] if draw(st.booleans()) else args))
+
+
+@given(binary_structures(), colliding_formulas())
+def test_prenex_with_colliding_names_matches_reference(M, f):
+    g = prenex(f)
+    assert is_prenex(g)
+    carrier = range(len(M.carriers["S"]))
+    for ps in itertools.product((F(1, 4), F(2, 3)), repeat=len(VALUE_NAMES)):
+        values = dict(zip(VALUE_NAMES, ps))
+        prenex_value = compile_formula(M, g, FREE_NAMES, values)
+        for xs in itertools.product(carrier, repeat=len(FREE_NAMES)):
+            env = {**dict(zip(FREE_NAMES, xs)), **values}
+            assert prenex_value(xs) == eval_formula_reference(M, env, f), (f, g)
 
 
 @given(binary_structures())

@@ -17,7 +17,7 @@ from contlogic.structures import (
     validate,
     value_matrix,
 )
-from oracles import automorphisms
+from oracles import automorphisms, fraction_tables
 
 
 def discrete_two_point():
@@ -29,7 +29,7 @@ def test_distance_formula_two_classes():
     phi = parse("d(x,y)", M.sig)
     E = build_imaginary(M, phi, make_split(phi, ["x"], ["y"]))
     assert len(E.class_names) == 2
-    assert E.expanded.metric["S_phi"][0][1] == 1
+    assert fraction_tables(E.expanded).metric["S_phi"][0][1] == 1
     assert validate(E.expanded).valid
 
 
@@ -57,13 +57,12 @@ def test_tphi_detects_perturbation():
     M = discrete_two_point()
     phi = parse("d(x,y)", M.sig)
     E = build_imaginary(M, phi, make_split(phi, ["x"], ["y"]))
-    tables = {name: dict(tbl) for name, tbl in E.expanded.predicates.items()}
+    metric, functions, tables = fraction_tables(E.expanded)
     for key in list(tables["P_phi"]):
         if key[-1] == 0:  # every entry of class 0's row, moved 1/4 toward 1/2
             v = tables["P_phi"][key]
             tables["P_phi"][key] = v + F(1, 4) if v <= F(1, 2) else v - F(1, 4)
-    mutated = FiniteStructure(E.expanded.sig, E.expanded.carriers, E.expanded.metric,
-                              E.expanded.functions, tables)
+    mutated = FiniteStructure(E.expanded.sig, E.expanded.carriers, metric, functions, tables)
     sentences = tphi_sentences(E)
     value = eval_formula(mutated, {}, sentences[0][1])
     assert value == F(1, 4)
@@ -86,11 +85,12 @@ def test_tuple_sort_is_pairs_with_max_metric():
     E = build_imaginary(M, phi, split)
     yts = tuples_of(M, split.y)
     assert len(E.class_names) == len(yts) == 4
+    metric, expanded = fraction_tables(M).metric, fraction_tables(E.expanded).metric
     for i, yi in enumerate(yts):
         for j, yj in enumerate(yts):
             ci, cj = E.projection[i], E.projection[j]
-            expected = max(M.metric["S"][a][b] for a, b in zip(yi, yj))
-            assert E.expanded.metric["S_phi"][ci][cj] == expected
+            expected = max(metric["S"][a][b] for a, b in zip(yi, yj))
+            assert expanded["S_phi"][ci][cj] == expected
 
 
 def test_automorphism_fixes_class_iff_it_fixes_row():

@@ -28,15 +28,20 @@ from contlogic.language import (
     SortDecl,
     ValueVar,
     Var,
+    children,
     expand_condition,
     free_vars,
     infer_modulus,
     is_prenex,
+    nodes,
     parse,
     prenex,
     print_formula,
+    rebuild,
+    rename_var,
 )
-from contlogic.structures import env_from_names, eval_formula, gen_halfgraph
+from contlogic.structures import FiniteStructure, env_from_names, eval_formula, gen_halfgraph
+from oracles import fraction_tables
 
 IDENT = PLMonotone.identity()
 
@@ -116,6 +121,37 @@ def test_free_vars():
     assert free_vars(parse("sup x. R(x,y)", sig)) == {("y", "S")}
     assert free_vars(parse("P(x) -. Q(x)", sig)) == {("x", "S")}
     assert free_vars(parse("1/2", sig)) == set()
+
+
+def test_nodes_children_and_rebuild():
+    x = Var("x", "S")
+    p = Atom("P", (x,))
+    shared = Op("half", (p,))
+    q = Quant("sup", "x", "S", shared)
+    f = Op("med", (shared, q, Const(F(1, 2))), 2)
+    assert [children(g) for g in (p, shared, q, f)] == [(), (p,), (shared,), f.args]
+    assert nodes(f) == [p, shared, q, Const(F(1, 2)), f]  # each once, children first
+    assert rebuild(q, [p]) == Quant("sup", "x", "S", p)
+    assert rebuild(f, f.args) == f and rebuild(p, []) is p
+
+
+@pytest.mark.parametrize("f", [
+    Op("neg", ("x",)),
+    Quant("sup", "x", "S", "x"),
+    Op("max", (Atom("P", (Var("x", "S"),)), Quant("inf", "y", "S", Op("half", ("x",))))),
+])
+def test_a_non_formula_node_raises_structural_error(f):
+    sig = simple_sig()
+    M = FiniteStructure(sig, {"S": ["a", "b"]}, {"S": [[F(0), F(1)], [F(1), F(0)]]},
+                        {"g": {(0,): 1, (1,): 0}},
+                        {"P": {(0,): F(0), (1,): F(1)}, "Q": {(0,): F(1), (1,): F(0)},
+                         "R": {(i, j): F(i * j) for i in range(2) for j in range(2)}})
+    calls = [lambda: free_vars(f), lambda: rename_var(f, "x", "z"), lambda: prenex(f),
+             lambda: infer_modulus(f, sig, "x"), lambda: print_formula(f, sig),
+             lambda: eval_formula(M, {"x": 0}, f), lambda: nodes(f)]
+    for call in calls:
+        with pytest.raises(StructuralError, match="not a formula: 'x'"):
+            call()
 
 
 def test_round_trip_on_samples():
@@ -323,6 +359,7 @@ def test_infer_modulus_soundness_on_validated_structures():
         u = infer_modulus(f, M.sig, var)
         sorts = dict(free_vars(f))
         sort = sorts[var]
+        metric = fraction_tables(M).metric
         pools = {o: range(len(M.carriers[sorts[o]])) for o in others}
         import itertools
 
@@ -333,7 +370,7 @@ def test_infer_modulus_soundness_on_validated_structures():
                 for w in range(n):
                     vz = eval_formula(M, {**env, var: z}, f)
                     vw = eval_formula(M, {**env, var: w}, f)
-                    assert abs(vz - vw) <= u.eval(M.metric[sort][z][w])
+                    assert abs(vz - vw) <= u.eval(metric[sort][z][w])
 
 
 def test_expand_condition():
@@ -363,6 +400,9 @@ def test_multisort_annotations():
         parse("d_A(x, y) -. d_B(x, y)", sig)
     with pytest.raises(SortMismatchError):
         parse("sup x. d_A(x, x) -. d_B(x, x)", sig)
+    # a binder of the same name starts a new variable, of its own sort
+    f = parse("max(d_A(x, x), sup x. inf y. across(y, x))", sig)
+    assert free_vars(f) == {("x", "A")} and f.args[1].sort == "B"
 
 
 def tree_copy(f):

@@ -34,7 +34,7 @@ from contlogic.structures import (
     tuples_of,
     value_matrix,
 )
-from oracles import monotone_sup_on_grid, triple_sequence_reference
+from oracles import glued_halfgraph, monotone_sup_on_grid, triple_sequence_reference
 
 IDENT = PLMonotone.identity()
 
@@ -329,10 +329,9 @@ def test_monotone_candidate_sup_matches_grid_sup():
     target = phi_type(M, phi, split, xts[1])
     d = monotone_definition(M, phi, split, eps, target)
     if len(d.parameters) <= 3:
-        for a in range(len(yts)):
-            v = tuple(vals[c][a] for c in d.parameters)
-            grid_sup = monotone_sup_on_grid(d, M, phi, split, target, v, eps / 4)
-            assert d.evaluate(v) == grid_sup
+        vs = [tuple(vals[c][a] for c in d.parameters) for a in range(len(yts))]
+        assert [d.evaluate(v) for v in vs] == monotone_sup_on_grid(
+            d, M, phi, split, target, vs, eps / 4)
 
 
 def test_monotone_adversarial_target_aborts():
@@ -368,23 +367,8 @@ def test_global_definition_constant_exact():
 # -- gluing --------------------------------------------------------------------
 
 
-def glued_halfgraph():
-    """Half-graph with an extra discrete two-point sort for the gluing pair."""
-    base = gen_halfgraph(2)
-    sig = base.sig.extended(sorts=[SortDecl("E", "d_E")],
-                            predicates=[PredDecl("psi", ("V", "V"), (IDENT, IDENT))])
-    carriers = dict(base.carriers)
-    carriers["E"] = ["e0", "e1"]
-    metric = dict(base.metric)
-    metric["E"] = [[F(0), F(1)], [F(1), F(0)]]
-    predicates = {name: dict(t) for name, t in base.predicates.items()}
-    n = len(base.carriers["V"])
-    predicates["psi"] = {(i, j): base.predicates["phi"][(j, i)] for i in range(n) for j in range(n)}
-    return FiniteStructure(sig, carriers, metric, {}, predicates)
-
-
 def test_glue_recovery_identities_exhaustive():
-    M = glued_halfgraph()
+    M = glued_halfgraph(2)
     phi = parse("phi(x,y)", M.sig)
     psi = parse("psi(x,z)", M.sig)
     chi = glue_formula(phi, psi, "x", ("t", "w"), "E", M.sig)
@@ -400,7 +384,7 @@ def test_glue_recovery_identities_exhaustive():
 
 
 def test_glue_rejects_bad_inputs():
-    M = glued_halfgraph()
+    M = glued_halfgraph(2)
     phi = parse("phi(x,y)", M.sig)
     psi = parse("psi(x,z)", M.sig)
     with pytest.raises(StructuralError):

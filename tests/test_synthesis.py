@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contlogic.errors import DomainError, StructuralError
-from contlogic.language import Const, Op, ValueVar, print_formula
+from contlogic.language import Const, Op, Quant, ValueVar, print_formula
 from contlogic.synthesis import (
     GridFunction,
     eval_on_grid,
@@ -171,6 +171,9 @@ def test_grid_evaluator_property(seed, arity, size):
     (Op("med", (ValueVar("t0"),) * 2, 2), "med_2 expects 3 arguments"),
     (Op("min", (ValueVar("t0"),)), "min expects 2 arguments"),
     (Op("sqrt", (ValueVar("t0"),)), "unknown connective 'sqrt'"),
+    (Quant("sup", "x", "S", ValueVar("t0")), "only value variables, connectives, constants"),
+    (Op("max", (ValueVar("t0"), Quant("inf", "x", "S", "x"))),
+     "only value variables, connectives, constants"),
 ])
 def test_grid_evaluator_errors(expr, message):
     from oracles import eval_value_formula_reference
