@@ -120,31 +120,6 @@ def revalidate_ladder(M: FiniteStructure, phi, split: VariableSplit,
     raise StructuralError(f"unknown ladder kind {witness.kind!r}")
 
 
-def _search_pairwise(nx, ny, admits, max_len):
-    """DFS over pairs in index order; returns the first longest pair sequence."""
-    best: list = []
-    stack: list = []
-    hit_bound = [False]
-
-    def extend():
-        if max_len is not None and len(stack) >= max_len:
-            hit_bound[0] = True
-            return
-        for a in range(nx):
-            for b in range(ny):
-                if admits(stack, a, b):
-                    stack.append((a, b))
-                    if len(stack) > len(best):
-                        best[:] = stack
-                    extend()
-                    stack.pop()
-                    if max_len is not None and len(best) >= max_len:
-                        return
-
-    extend()
-    return list(best), hit_bound[0] and len(best) >= (max_len or 0)
-
-
 def find_ladder(M: FiniteStructure, phi, split: VariableSplit, epsilon,
                 kind: str, max_len: Optional[int] = None) -> LadderWitness:
     """Longest ladder of the requested kind, up to max_len when given.
@@ -153,10 +128,17 @@ def find_ladder(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     order:   phi(a_i,b_j) <= r and phi(a_j,b_i) >= s for i < j, where the
              pair (r, s) with r <= s - eps is chosen among observed values.
     triple:  |phi(a_j,b_i) - phi(a_j,b_k)| >= eps for i < j < k.
+
+    Pairs (a, b) are numbered a * |y-tuples| + b.  The antisym and order
+    witnesses are the first longest pair sequences of a DFS that tries pairs
+    in that order at every position; the order kind keeps the first (r, s)
+    in value order with a strictly longer ladder.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
+    if max_len is not None and max_len < 1:
+        raise DomainError("max-len must be at least 1")
     inst = phi_instance(M, phi, split)
     xts, yts, num = inst.xts, inst.yts, inst.num
     nx, ny = len(xts), len(yts)
@@ -166,31 +148,56 @@ def find_ladder(M: FiniteStructure, phi, split: VariableSplit, epsilon,
         return tuple((tuple_names(M, split.x, xts[a]), tuple_names(M, split.y, yts[b]))
                      for a, b in pairs)
 
-    if kind == "antisym":
-        def admits(stack, a, b):
-            return all(abs(num[pa][b] - num[a][pb]) >= gap for pa, pb in stack)
+    def as_pairs(seq):
+        return [divmod(p, ny) for p in seq]
 
-        pairs, bounded = _search_pairwise(nx, ny, admits, max_len)
-        return LadderWitness("antisym", eps, names(pairs), at_searched_bound=bounded)
+    values = sorted(set().union(*num))
+    if kind == "antisym":
+        # The condition is symmetric in i and j and fails for i == j, so a
+        # ladder is a clique of pairs and every reordering of it is one too.
+        # The DFS meets sequences in lexicographic order, so its first
+        # longest sequence is sorted: searching increasing pair numbers,
+        # with the compatible q > p after p, returns the same witness.
+        far_cols = [{v: _bits(abs(w - v) >= gap for w in row) for v in values} for row in num]
+
+        def compatible(p):
+            a, b = divmod(p, ny)
+            return _pair_row(num, ny, far_cols[a], b)
+
+        def after(p):
+            return compatible(p) >> (p + 1) << (p + 1)
+
+        seq, bounded = _longest_chain(nx * ny, after, compatible, max_len, 0)
+        return LadderWitness("antisym", eps, names(as_pairs(seq)), at_searched_bound=bounded)
 
     if kind == "order":
-        values = sorted(set().union(*num))
-        best_pairs: list = []
+        best_seq: list = []
         best_rs = (None, None)
         bounded = False
         for r in values:
+            at_most_r = [_bits(w <= r for w in row) for row in num]
             for s in values:
-                if s - r < gap:
-                    continue
+                if s - r < gap or max_len is not None and len(best_seq) >= max_len:
+                    continue  # no later (r, s) can beat a ladder of length max_len
+                # q = (c, d) may follow p = (a, b) iff phi(a, d) <= r and phi(c, b) >= s
+                # and p may follow q iff phi(c, b) <= r and phi(a, d) >= s
+                at_least_s = [_bits(w >= s for w in row) for row in num]
+                later = [{v: low if v >= s else 0 for v in values} for low in at_most_r]
+                earlier = [{v: high if v <= r else 0 for v in values} for high in at_least_s]
 
-                def admits(stack, a, b, r=r, s=s):
-                    return all(num[pa][b] <= r and num[a][pb] >= s for pa, pb in stack)
+                def after(p, later=later):
+                    a, b = divmod(p, ny)
+                    return _pair_row(num, ny, later[a], b)
 
-                pairs, hit = _search_pairwise(nx, ny, admits, max_len)
-                if len(pairs) > len(best_pairs):
+                def adjacent(p, later=later, earlier=earlier):
+                    a, b = divmod(p, ny)
+                    return _pair_row(num, ny, later[a], b) | _pair_row(num, ny, earlier[a], b)
+
+                seq, hit = _longest_chain(nx * ny, after, adjacent, max_len, len(best_seq))
+                if len(seq) > len(best_seq):
                     best_rs = (Fraction(r, inst.scale), Fraction(s, inst.scale))
-                    best_pairs, bounded = pairs, hit
-        return LadderWitness("order", eps, names(best_pairs),
+                    best_seq, bounded = seq, hit
+        return LadderWitness("order", eps, names(as_pairs(best_seq)),
                              r=best_rs[0], s=best_rs[1], at_searched_bound=bounded)
 
     if kind == "triple":
@@ -198,6 +205,83 @@ def find_ladder(M: FiniteStructure, phi, split: VariableSplit, epsilon,
         return LadderWitness("triple", eps, names(seq), at_searched_bound=bounded)
 
     raise StructuralError(f"unknown ladder kind {kind!r}")
+
+
+def _bits(flags) -> int:
+    """The bitset with bit i set for each true flags[i]."""
+    return sum(1 << i for i, flag in enumerate(flags) if flag)
+
+
+def _pair_row(num, ny, table, b):
+    """The pairs (c, d) with d in table[phi(c, b)], as a bitset.
+
+    Pair (c, d) is bit c * ny + d, so each row c contributes one shifted
+    column bitset.
+    """
+    mask = 0
+    for c, row in enumerate(num):
+        mask |= table[row[b]] << (c * ny)
+    return mask
+
+
+def _longest_chain(n, after, adjacent, max_len, floor):
+    """First longest sequence p_0, p_1, ... of elements 0..n-1 with p_j after p_i for i < j.
+
+    `after(p)` is the bitset of the q allowed anywhere after p, and
+    `adjacent(p)` that of the q allowed after p or with p allowed after
+    them; p is in neither.  `after` is called once per node; the sets of
+    `adjacent` are kept for the call once built, and are built only for
+    the vertices a bound colours, so a search that ends early on a large
+    input holds few of them.  The DFS tries the allowed q in increasing
+    order at every position, stops at max_len when given, and keeps the
+    first sequence of each strictly greater length, but only those longer
+    than `floor`; it returns [] when there is none.  The flag says a
+    sequence of length max_len was found.
+
+    Bound.  The candidates of a node are the q allowed after every element
+    of its prefix.  Every later element is one of them and any two later
+    elements are adjacent, so they form a clique inside the candidates.
+    A node whose prefix length plus a bound on such cliques
+    (`_cliques_at_most`) is not above the best length so far cannot yield
+    a longer sequence, nor one of length max_len (the search ends once it
+    has one), so cutting it changes neither the result nor the flag.  The
+    bound is checked on entry to a node, and the number of candidates
+    alone again after each child.
+    """
+    built: list = [None] * n
+    best: list = []
+    stack: list = []
+    target = floor  # a sequence must be longer than this to be kept
+
+    def neighbours(p):
+        if built[p] is None:
+            built[p] = adjacent(p)
+        return built[p]
+
+    def extend(cand):
+        nonlocal best, target
+        depth = len(stack)
+        if max_len is not None and depth >= max_len:
+            return True
+        if _cliques_at_most(cand, neighbours, target - depth):
+            return False
+        hit = False
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            stack.append(p)
+            if depth + 1 > target:
+                best, target = list(stack), depth + 1
+            hit = extend(cand & after(p)) or hit
+            stack.pop()
+            if max_len is not None and target >= max_len or cand.bit_count() <= target - depth:
+                break
+        return hit
+
+    hit = extend((1 << n) - 1)
+    return best, bool(max_len is not None and len(best) >= max_len and hit)
 
 
 def _gap(eps: Fraction, scale: int) -> int:
@@ -214,43 +298,103 @@ def _longest_triple_sequence(num, scale, nx, ny, eps, max_len):
 
     Only the parameter components b_t are branched on: the condition couples
     a_j solely at its own middle position j, so a per-position feasible set
-    of witnesses a_j is maintained and pruned as the sequence grows.
+    of witnesses a_j is maintained and narrowed as the sequence grows.
+    The search visits valid sequences in lexicographic order (every prefix
+    of a valid sequence is valid) and keeps the first one of each strictly
+    greater length, so it returns the lexicographically least longest one,
+    or the least one of length max_len.
 
-    `num` holds the values as int rows over `scale`.  Sets of x-tuple
-    indices are int bitsets, bit a standing for x-tuple a.  `far[b][c]` is
-    the set of a with |phi(a, b) - phi(a, c)| >= eps, built once per call;
-    it is the only place values are compared.
-    Appending b to the prefix b_0 .. b_{L-1} narrows middle position j to
-    feasible[j] & far[b][b_0] & ... & far[b][b_{j-1}], one running AND
-    over the prefix.  The lowest set bit, the first a in carrier order, is
-    reported for each position.
+    Column classes.  Parameters b, c with equal columns (phi(a, b) =
+    phi(a, c) for every a) are interchangeable: swapping one for the other
+    anywhere in a sequence changes no comparison, no feasible set and no
+    witness.  So the least sequence of any length uses only the lowest index
+    of each class, and only those representatives are branched on.
+
+    Sets of x-tuple indices are int bitsets, bit a standing for x-tuple a.
+    `far[k][l]` is the set of a with |phi(a, b) - phi(a, c)| >= eps for the
+    representatives b, c of classes k, l, built once per call; it is the
+    only place values are compared.  Appending b to the prefix b_0 ..
+    b_{m-1} narrows middle position j to feasible[j] & far[b][b_0] & ... &
+    far[b][b_{j-1}], one running AND over the prefix.  The lowest set bit,
+    the first a in carrier order, is reported for each position.
+
+    Bound.  Call b, c far somewhere when far[b][c] is not empty, and let
+    nbr[b] be the classes far somewhere from b.
+
+    1. If i + 2 <= k, taking j = i + 1 shows that some a is in
+       far[b_k][b_i], so b_i and b_k are far somewhere (and so in
+       different classes).
+    2. So at a node with prefix b_0 .. b_{m-1}, every later position
+       k >= m lies in C = nbr[b_0] & ... & nbr[b_{m-2}] (all classes when
+       m < 2).  It also lies in the set V of classes that can be appended
+       to the prefix: deleting positions m .. k-1 leaves a valid sequence,
+       since each middle witness a_j of the longer sequence still meets
+       every remaining condition.  V is within C, because a class outside C
+       fails the middle position j = i + 1 for some i <= m - 2.
+    3. Later positions of one parity are pairwise at least 2 apart, so by
+       1 they form a clique of the far-somewhere graph inside V.  A clique
+       meets each colour class of a proper colouring at most once.  So for
+       every set S of classes containing V, with c(S) the size of S or the
+       number of colours of its greedy colouring (`_cliques_at_most`), every
+       extension of the prefix has
+
+           length <= m + 2 * c(S).
+
+    A node where this is at most the best length so far cannot yield a
+    strictly longer sequence, nor one of length max_len (the search ends as
+    soon as it has one), so cutting it changes neither the result nor the
+    bounded flag.  The bound is checked on entry with S = the node's
+    candidates: all classes at the root, and below it the parent's V &
+    nbr[b_{m-2}], which contains V by 1 and 2 and lies within C.  It is
+    checked again with S = V once the children are known and whenever a
+    child raised the best length, and only V is branched on.
     """
     gap = _gap(eps, scale)
-    far = [[0] * ny for _ in range(ny)]
+    cols = list(zip(*num)) if nx else [()] * ny
+    first: dict = {}  # column -> the lowest b with that column
+    for b, col in enumerate(cols):
+        first.setdefault(col, b)
+    reps = list(first.values())
+    nc = len(reps)
+    far = [[0] * nc for _ in range(nc)]
     for a, row in enumerate(num):
         bit = 1 << a
-        for b in range(ny):
-            v = row[b]
-            far_b = far[b]
-            for c in range(b + 1, ny):
-                if abs(v - row[c]) >= gap:
-                    far_b[c] |= bit
-                    far[c][b] |= bit
+        for k in range(nc):
+            v = row[reps[k]]
+            far_k = far[k]
+            for l in range(k + 1, nc):
+                if abs(v - row[reps[l]]) >= gap:
+                    far_k[l] |= bit
+                    far[l][k] |= bit
+    nbr = [_bits(far_k) for far_k in far]
     everything = (1 << nx) - 1
     best_bs: list = []
     best_feasible: list = []
 
-    def extend(bs, feasible):
-        # feasible[j] = bitset of a-indices usable at position j of bs
+    def hopeless(m, classes):
+        # m + 2 * (clique bound of classes) <= the best length so far
+        return _cliques_at_most(classes, nbr.__getitem__, (len(best_bs) - m) // 2)
+
+    def extend(bs, feasible, cand):
+        # feasible[j] = bitset of a-indices usable at position j of bs;
+        # cand = a superset of the classes that can be appended to bs
         nonlocal best_bs, best_feasible
-        if max_len is not None and len(bs) >= max_len:
+        m = len(bs)
+        if max_len is not None and m >= max_len:
             return True
-        hit = False
-        for b in range(ny):
+        if hopeless(m, cand):
+            return False
+        children = []  # (class, feasible sets after appending it), in class order
+        valid = 0
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
             far_b = far[b]
             new_feasible = feasible[:1]
             acc = far_b[bs[0]] if bs else 0
-            for j in range(1, len(bs)):
+            for j in range(1, m):
                 allowed = feasible[j] & acc
                 if not allowed:
                     break
@@ -258,19 +402,56 @@ def _longest_triple_sequence(num, scale, nx, ny, eps, max_len):
                 acc &= far_b[bs[j]]
             else:
                 new_feasible.append(everything)  # the new last position, unconstrained so far
-                new_bs = bs + [b]
-                if len(new_bs) > len(best_bs):
-                    best_bs, best_feasible = new_bs, new_feasible
-                hit = extend(new_bs, new_feasible) or hit
-                if max_len is not None and len(best_bs) >= max_len:
-                    return hit
+                children.append((b, new_feasible))
+                valid |= low
+        if hopeless(m, valid):
+            return False
+        child_cand = valid & nbr[bs[-1]] if bs else valid
+        hit = False
+        for b, new_feasible in children:
+            reached = len(best_bs)
+            new_bs = bs + [b]
+            if m + 1 > len(best_bs):
+                best_bs, best_feasible = new_bs, new_feasible
+            hit = extend(new_bs, new_feasible, child_cand) or hit
+            if max_len is not None and len(best_bs) >= max_len:
+                return hit
+            if len(best_bs) > reached and hopeless(m, valid):
+                return hit
         return hit
 
-    hit_bound = extend([], [])
-    seq = [(_lowest_bit(best_feasible[j]) if 0 < j < len(best_bs) - 1 else 0, b)
-           for j, b in enumerate(best_bs)]
+    hit_bound = extend([], [], (1 << nc) - 1)
+    seq = [(_lowest_bit(best_feasible[j]) if 0 < j < len(best_bs) - 1 else 0, reps[k])
+           for j, k in enumerate(best_bs)]
     bounded = bool(max_len is not None and len(best_bs) >= max_len and hit_bound)
     return seq, bounded
+
+
+def _cliques_at_most(cand: int, adjacent, size: int) -> bool:
+    """True when no clique inside the vertex set `cand` can have more than `size` vertices.
+
+    `adjacent(v)` is the bitset of the neighbours of v in a graph without
+    loops.  The proof is the number of vertices or a greedy colouring with
+    at most `size` colours: each colour class is grown from the lowest
+    uncoloured vertex, adding every later one not adjacent to those already
+    taken, so the classes are independent and a clique meets each of them
+    at most once.  False means neither proof holds; the colouring stops
+    once it needs more than `size` classes, so it asks for the neighbours
+    of few vertices when `size` is small.
+    """
+    if cand.bit_count() <= size:
+        return True
+    colours = 0
+    while cand:
+        if colours >= size:
+            return False
+        colours += 1
+        free = cand
+        while free:
+            low = free & -free
+            cand ^= low
+            free &= ~adjacent(low.bit_length() - 1) & ~low
+    return True
 
 
 def _lowest_bit(mask: int) -> int:

@@ -13,13 +13,22 @@ from typing import Mapping, NamedTuple, Sequence
 
 from contlogic.errors import DomainError, StructuralError
 from contlogic.language import Atom, Const, Op, PredDecl, Quant, SortDecl, ValueVar, Var
-from contlogic.stability import PhiTypeSpace, PhiTypeVector, _target_vector
+from contlogic.stability import (
+    LadderWitness,
+    PhiTypeSpace,
+    PhiTypeVector,
+    _gap,
+    _lowest_bit,
+    _target_vector,
+)
 from contlogic.structures import (
     FiniteStructure,
     ScaledTable,
     ValidationReport,
     Violation,
     gen_halfgraph,
+    phi_instance,
+    tuple_names,
     value_matrix,
 )
 from contlogic.topometric import CBResult, FiniteTopometricSpace
@@ -242,6 +251,132 @@ def triple_sequence_reference(vals, nx, ny, eps, max_len):
            for j, b in enumerate(best_bs)]
     bounded = bool(max_len is not None and len(best_bs) >= max_len and hit_bound)
     return seq, bounded
+
+
+def triple_sequence_unpruned(num, scale, nx, ny, eps, max_len):
+    """The bitset triple search without column classes or the colouring bound.
+
+    `stability._longest_triple_sequence` as it was before it branched on
+    column classes and cut branches by the colouring bound: every parameter
+    is tried at every position, so the pruned kernel must return exactly
+    this on inputs small enough for it to finish.
+    """
+    gap = _gap(eps, scale)
+    far = [[0] * ny for _ in range(ny)]
+    for a, row in enumerate(num):
+        bit = 1 << a
+        for b in range(ny):
+            v = row[b]
+            far_b = far[b]
+            for c in range(b + 1, ny):
+                if abs(v - row[c]) >= gap:
+                    far_b[c] |= bit
+                    far[c][b] |= bit
+    everything = (1 << nx) - 1
+    best_bs: list = []
+    best_feasible: list = []
+
+    def extend(bs, feasible):
+        # feasible[j] = bitset of a-indices usable at position j of bs
+        nonlocal best_bs, best_feasible
+        if max_len is not None and len(bs) >= max_len:
+            return True
+        hit = False
+        for b in range(ny):
+            far_b = far[b]
+            new_feasible = feasible[:1]
+            acc = far_b[bs[0]] if bs else 0
+            for j in range(1, len(bs)):
+                allowed = feasible[j] & acc
+                if not allowed:
+                    break
+                new_feasible.append(allowed)
+                acc &= far_b[bs[j]]
+            else:
+                new_feasible.append(everything)  # the new last position, unconstrained so far
+                new_bs = bs + [b]
+                if len(new_bs) > len(best_bs):
+                    best_bs, best_feasible = new_bs, new_feasible
+                hit = extend(new_bs, new_feasible) or hit
+                if max_len is not None and len(best_bs) >= max_len:
+                    return hit
+        return hit
+
+    hit_bound = extend([], [])
+    seq = [(_lowest_bit(best_feasible[j]) if 0 < j < len(best_bs) - 1 else 0, b)
+           for j, b in enumerate(best_bs)]
+    bounded = bool(max_len is not None and len(best_bs) >= max_len and hit_bound)
+    return seq, bounded
+
+
+def _search_pairwise(nx, ny, admits, max_len):
+    """DFS over pairs in index order; returns the first longest pair sequence."""
+    best: list = []
+    stack: list = []
+    hit_bound = [False]
+
+    def extend():
+        if max_len is not None and len(stack) >= max_len:
+            hit_bound[0] = True
+            return
+        for a in range(nx):
+            for b in range(ny):
+                if admits(stack, a, b):
+                    stack.append((a, b))
+                    if len(stack) > len(best):
+                        best[:] = stack
+                    extend()
+                    stack.pop()
+                    if max_len is not None and len(best) >= max_len:
+                        return
+
+    extend()
+    return list(best), hit_bound[0] and len(best) >= (max_len or 0)
+
+
+def pairwise_ladder_unpruned(M, phi, split, epsilon, kind, max_len=None) -> LadderWitness:
+    """The antisym and order ladders by the unpruned pair search.
+
+    `stability.find_ladder` as it was before its bitset DFS: every pair is
+    tried at every position and `admits` rescans the stack, so it finishes
+    only on small inputs or with a small max_len.
+    """
+    eps = F(epsilon)
+    inst = phi_instance(M, phi, split)
+    xts, yts, num = inst.xts, inst.yts, inst.num
+    nx, ny = len(xts), len(yts)
+    gap = _gap(eps, inst.scale)
+
+    def names(pairs):
+        return tuple((tuple_names(M, split.x, xts[a]), tuple_names(M, split.y, yts[b]))
+                     for a, b in pairs)
+
+    if kind == "antisym":
+        def admits(stack, a, b):
+            return all(abs(num[pa][b] - num[a][pb]) >= gap for pa, pb in stack)
+
+        pairs, bounded = _search_pairwise(nx, ny, admits, max_len)
+        return LadderWitness("antisym", eps, names(pairs), at_searched_bound=bounded)
+
+    assert kind == "order", kind
+    values = sorted(set().union(*num))
+    best_pairs: list = []
+    best_rs = (None, None)
+    bounded = False
+    for r in values:
+        for s in values:
+            if s - r < gap:
+                continue
+
+            def admits(stack, a, b, r=r, s=s):
+                return all(num[pa][b] <= r and num[a][pb] >= s for pa, pb in stack)
+
+            pairs, hit = _search_pairwise(nx, ny, admits, max_len)
+            if len(pairs) > len(best_pairs):
+                best_rs = (F(r, inst.scale), F(s, inst.scale))
+                best_pairs, bounded = pairs, hit
+    return LadderWitness("order", eps, names(best_pairs),
+                         r=best_rs[0], s=best_rs[1], at_searched_bound=bounded)
 
 
 def eval_term_reference(M, env, t) -> int:

@@ -249,6 +249,17 @@ def test_define_without_target_is_usage_error(capsys, algebra_file, command):
     run_fails_cleanly(capsys, argv + ["--target", "s1", "--target-file", algebra_file], 2)
 
 
+@pytest.mark.parametrize("kind", ["antisym", "order", "triple"])
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_stability_max_len_below_one(capsys, halfgraph_file, kind, max_len):
+    code = run(["stability", halfgraph_file, "--formula", "phi(x,y)", "--split", "x;y",
+                "--epsilon", "1", "--kind", kind, "--max-len", max_len])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip() == "contlogic: max-len must be at least 1"
+
+
 @pytest.mark.parametrize("key", ["carriers", "metric", "predicates"])
 def test_check_structure_missing_section(capsys, algebra_file, tmp_path, key):
     data = json.loads(open(algebra_file).read())

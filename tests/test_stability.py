@@ -1,6 +1,8 @@
 """Ladders, N(phi,eps), median and monotone definitions, gluing."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -34,7 +36,13 @@ from contlogic.structures import (
     tuples_of,
     value_matrix,
 )
-from oracles import glued_halfgraph, monotone_sup_on_grid, triple_sequence_reference
+from oracles import (
+    glued_halfgraph,
+    monotone_sup_on_grid,
+    pairwise_ladder_unpruned,
+    triple_sequence_reference,
+    triple_sequence_unpruned,
+)
 
 IDENT = PLMonotone.identity()
 
@@ -128,6 +136,54 @@ def test_ladder_transpose_symmetry():
         assert len(w) == len(wt)
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError when the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("kind", ["antisym", "order"])
+def test_halfgraph4_ladders_without_max_len(kind):
+    """Length 9 on the half-graph n = 4 at eps 1: the search ends without a cap."""
+    M, phi, split = halfgraph_setup(4)
+    with deadline(20):
+        w = find_ladder(M, phi, split, F(1), kind)
+    assert len(w) == 9
+    assert not w.at_searched_bound
+    assert revalidate_ladder(M, phi, split, w)
+    # the antisym witness lists its ladder in increasing pair order
+    pairs = [(M.element_index("V", a[0]), M.element_index("V", b[0])) for a, b in w.pairs]
+    if kind == "antisym":
+        assert pairs == sorted(pairs)
+
+
+def test_antisym_ladder_on_random_structures_finishes():
+    """Antisym ladders of length 16 on quarter-valued structures on 8 points, eps 1/4.
+
+    The search over increasing pair numbers takes well under 1 s on each.
+    Searching every order of each ladder returns the same witness but runs
+    past the deadline on the first of them, so the deadline tells the two
+    apart.
+    """
+    rng = random.Random(5)
+    for _ in range(3):
+        table = {(i, j): F(rng.randint(0, 4), 4) for i in range(8) for j in range(8)}
+        M, phi, split = binary_setup(table, 8)
+        with deadline(20):
+            w = find_ladder(M, phi, split, F(1, 4), "antisym")
+        assert len(w) == 16
+        assert revalidate_ladder(M, phi, split, w)
+
+
 def test_revalidate_rejects_tampered_witness():
     M, phi, split = halfgraph_setup(2)
     w = find_ladder(M, phi, split, F(1), "antisym")
@@ -177,9 +233,15 @@ def test_halfgraph_N_matches_naive_enumeration():
 
 
 def test_halfgraph_N_growth():
-    for n, expected in ((3, 8), (4, 10), (5, 12)):
+    """N = 2n + 2 on the half-graphs n = 2..16 at eps 1 and 1/2.
+
+    Observed values, not a theorem.  The colouring bound at the root is
+    2n + 2 as well: the n + 1 column classes are pairwise far somewhere.
+    """
+    for n in range(2, 17):
         M, phi, split = halfgraph_setup(n)
-        assert compute_N(M, phi, split, F(1)) == expected, n
+        for eps in (F(1), F(1, 2)):
+            assert compute_N(M, phi, split, eps) == 2 * n + 2, (n, eps)
 
 
 def triple_corpus():
@@ -213,6 +275,67 @@ def test_triple_search_matches_fraction_reference():
                                          tuple_names(M, split.y, yts[b])) for a, b in seq)
                 assert w.at_searched_bound == bounded
                 assert revalidate_ladder(M, phi, split, w)
+
+
+MEDIUM_EPS = (F(1, 4), F(1, 2), F(3, 4), F(1))
+
+
+def medium_corpus():
+    """(name, setup, small) triples past the Fraction oracle's reach.
+
+    Half-graphs n = 5, 6, the 2- and 3-atom algebras and seeded
+    quarter-valued binary structures on 5-8 points.  `small` marks the
+    inputs with at most 8 parameters other than the half-graphs, where the
+    exhaustive unpruned searches finish at large eps.
+    """
+    corpus = [(f"halfgraph{n}", halfgraph_setup(n), False) for n in (5, 6)]
+    corpus += [(f"algebra-{w}", algebra_setup(w), True)
+               for w in ([F(1, 2)] * 2, [F(1, 4), F(3, 4)], [F(1, 3)] * 3)]
+    rng = random.Random(2026)
+    for k in range(3):
+        n = rng.randint(5, 8)
+        table = {(i, j): F(rng.randint(0, 4), 4) for i in range(n) for j in range(n)}
+        corpus.append((f"random{k}-{n}", binary_setup(table, n), True))
+    return corpus
+
+
+def test_triple_search_matches_unpruned_kernel():
+    """Column classes and the colouring bound change no witness and no flag.
+
+    Without a max_len the unpruned search is exhaustive; on the half-graph
+    n = 6, and at eps 1/4 on the larger inputs, it takes seconds per run,
+    so those runs are left to the half-graph N test and the Fraction oracle.
+    """
+    for name, (M, phi, split), small in medium_corpus():
+        inst = phi_instance(M, phi, split)
+        nx, ny = len(inst.xts), len(inst.yts)
+        for eps in MEDIUM_EPS:
+            for max_len in (None, 3, 5, 6):
+                if max_len is None and (name == "halfgraph6" or eps == F(1, 4) and ny > 6):
+                    continue
+                expected = triple_sequence_unpruned(inst.num, inst.scale, nx, ny, eps, max_len)
+                got = _longest_triple_sequence(inst.num, inst.scale, nx, ny, eps, max_len)
+                assert got == expected, (name, eps, max_len)
+
+
+@pytest.mark.parametrize("kind", ["antisym", "order"])
+def test_pairwise_ladders_match_unpruned_search(kind):
+    """The bitset ladder DFS returns the witness, (r, s) and flag of the pair search.
+
+    The unpruned search grows fast with max_len and as eps shrinks: without
+    a max_len it ran for minutes on the half-graph n = 4 and takes 1.3 s on
+    the 8-point structure here at eps 3/4, and with max_len 6 at eps 1/4 it
+    takes 1 s there.  So max_len 6 runs at eps 1/2 and above, and the
+    unbounded search at eps 1 on the inputs marked small.
+    """
+    for name, (M, phi, split), small in medium_corpus():
+        for eps in MEDIUM_EPS:
+            for max_len in (None, 3, 5, 6):
+                if max_len is None and not (small and eps == 1) or max_len == 6 and eps < F(1, 2):
+                    continue
+                expected = pairwise_ladder_unpruned(M, phi, split, eps, kind, max_len)
+                assert find_ladder(M, phi, split, eps, kind, max_len) == expected, \
+                    (name, eps, max_len)
 
 
 @settings(deadline=None)
