@@ -11,13 +11,22 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .errors import ContlogicError, DefinitionAbort, DomainError
-from .language import PLMonotone, Signature, parse, prenex, print_formula
+from .language import (
+    VALUE_SORT,
+    PLMonotone,
+    Signature,
+    free_vars,
+    parse,
+    prenex,
+    print_formula,
+)
 from .stability import (
     PhiTypeVector,
     compute_N,
@@ -32,7 +41,7 @@ from .stability import (
 )
 from .structures import (
     FiniteStructure,
-    compile_formula,
+    compile_row,
     complete_structure,
     env_from_names,
     eval_formula,
@@ -296,44 +305,46 @@ def _cmd_define_global(args):
 
 
 def _cmd_glue(args):
+    fresh = tuple(name.strip() for name in args.fresh.split(","))
+    if len(fresh) != 2 or not all(fresh):
+        raise DomainError("--fresh must be two variable names: t,w")
     M = _load_structure(args.structure)
     phi = parse(args.phi, M.sig)
     psi = parse(args.psi, M.sig)
-    t_name, _, w_name = args.fresh.partition(",")
-    chi = glue_formula(phi, psi, args.shared, (t_name.strip(), w_name.strip()),
-                       args.fresh_sort, M.sig)
+    chi = glue_formula(phi, psi, args.shared, fresh, args.fresh_sort, M.sig)
     payload = {"chi": print_formula(chi, M.sig)}
     if args.verify:
-        payload["identities"] = _verify_glue(M, phi, psi, chi, args.shared,
-                                             (t_name.strip(), w_name.strip()),
-                                             args.fresh_sort)
+        payload["identities"] = _verify_glue(M, phi, psi, chi, fresh, args.fresh_sort)
     return 0, payload
 
 
-def _verify_glue(M, phi, psi, chi, shared, fresh, fresh_sort):
-    from .language import free_vars
+def _verify_glue(M, phi, psi, chi, fresh, fresh_sort):
+    """Whether chi equals phi at the first pair (t, w) at distance 1 and psi at (t, t).
 
-    t_name, w_name = fresh
-    fv = sorted(set(free_vars(phi)) | set(free_vars(psi)))
-    pools = [range(len(M.carriers[s])) for _, s in fv]
+    All three formulas are evaluated as rows over the last free variable of
+    phi and psi; values over different scales are compared cross-multiplied.
+    """
+    fv = sorted(v for v in free_vars(phi) | free_vars(psi) if v[1] != VALUE_SORT)
     n = M.sizes[fresh_sort]
     dist = M.metric_table[fresh_sort]
     if dist.den not in dist.cells:
         raise DomainError(f"no pair at distance 1 in sort {fresh_sort}")
     e0, e1 = divmod(dist.cells.index(dist.den), n)  # the first pair at distance 1
-    import itertools
+    # a value variable is not among the variables, so compiling reports it unbound
+    variables = [(fresh[0], fresh_sort), (fresh[1], fresh_sort), *fv]
+    (chi_row, chi_scale), (phi_row, phi_scale), (psi_row, psi_scale) = (
+        compile_row(M, f, variables) for f in (chi, phi, psi))
 
-    variables = [name for name, _ in fv] + [t_name, w_name]
-    chi_value, phi_value, psi_value = (compile_formula(M, f, variables) for f in (chi, phi, psi))
-    phi_ok = True
-    psi_ok = True
-    for combo in itertools.product(*pools):
-        at_one = (*combo, e0, e1)
-        if chi_value(at_one) != phi_value(at_one):
-            phi_ok = False
-        at_zero = (*combo, e0, e0)
-        if chi_value(at_zero) != psi_value(at_zero):
-            psi_ok = False
+    def recovers(row, scale, prefix):
+        return (list(map(scale.__mul__, chi_row(prefix)))
+                == list(map(chi_scale.__mul__, row(prefix))))
+
+    phi_ok = psi_ok = True
+    for combo in itertools.product(*(range(M.sizes[s]) for _, s in fv[:-1])):
+        phi_ok = phi_ok and recovers(phi_row, phi_scale, (e0, e1, *combo))
+        psi_ok = psi_ok and recovers(psi_row, psi_scale, (e0, e0, *combo))
+        if not (phi_ok or psi_ok):
+            break
     return {"recovers_phi_at_distance_1": phi_ok, "recovers_psi_at_distance_0": psi_ok}
 
 

@@ -325,7 +325,12 @@ def free_vars(f) -> set[tuple[str, str]]:
 
     Value variables are reported with the pseudo-sort ``@value``.
     """
-    free: dict = {}  # id(node) -> its free variables
+    return free_var_map(f)[id(f)]
+
+
+def free_var_map(f) -> dict:
+    """id(node) -> the free variables of that node, as in `free_vars`, for every node of f."""
+    free: dict = {}
     for node in nodes(f):
         out = set().union(*(free[id(k)] for k in children(node)))
         if isinstance(node, Atom):
@@ -336,7 +341,7 @@ def free_vars(f) -> set[tuple[str, str]]:
         elif isinstance(node, Quant):
             out = {(n, s) for (n, s) in out if n != node.var}
         free[id(node)] = out
-    return free[id(f)]
+    return free
 
 
 def _rename_term(t, old: str, new: str):

@@ -32,10 +32,12 @@ from .language import (
     PredDecl,
     Quant,
     Signature,
+    VALUE_SORT,
     SortDecl,
     ValueVar,
     Var,
     expand_condition,
+    free_var_map,
     free_vars,
     parse,
 )
@@ -317,12 +319,30 @@ def _symbol_table(data: dict, section: str, name: str):
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# A compiled node is a closure e -> int, where e is the list of carrier
-# indices of the free variables followed by one slot per quantifier.  Its
-# value is the int over a scale fixed at compile time: a table's
-# denominator at an atom, twice the child's scale under `half`, and the
-# lcm of the children's scales at a binary connective or `med`.  Every
-# node's value lies in [0, scale].
+# A formula compiles once into closures over e, the list of carrier indices
+# of the free variables followed by one slot per quantifier.  A node's value
+# is an int over a scale fixed at compile time: a table's denominator at an
+# atom, twice the child's scale under `half`, and the lcm of the children's
+# scales at a binary connective or `med`.  Every value lies in [0, scale].
+#
+# Each node is compiled against at most one row variable: the last
+# variable given to `compile_row`, or the variable of the innermost
+# quantifier above it whose body reads it and is not itself a quantifier.
+# A node that reads the row variable is a row node, a closure e -> list of
+# numerators with one entry per element of that variable's carrier, in
+# carrier order.  Rows are read-only: a node may return the same list on
+# every call.  Any other node is a scalar node, a closure e -> int, and a
+# row parent broadcasts it.  A lookup with the row variable in one
+# argument reads a slice of the flat table, taken once per compile;
+# connectives and `med` work element-wise on rows, and sup/inf over a row
+# body is max/min of the row.  A quantifier whose body does not read its
+# variable is its body, since carriers are not empty.  Python loops remain
+# only where a nested quantifier reads an outer variable: a quantifier that
+# reads the enclosing row variable sets that variable's slot element by
+# element, and a quantifier whose body is a quantifier reading its variable
+# sets its own slot, stopping early once the value reaches the scale (sup)
+# or 0 (inf).  Which variables each node reads comes from one
+# `free_var_map` pass, made when the first quantifier is compiled.
 
 
 def compile_formula(M: FiniteStructure, f, variables: Sequence[str],
@@ -335,22 +355,45 @@ def compile_formula(M: FiniteStructure, f, variables: Sequence[str],
     variables are read from `env` now, as constants.  Unbound variables,
     bad `med` arities and unknown connectives raise StructuralError here.
     """
-    value, scale = _compile_scaled(M, f, variables, env)
-    return lambda indices: Fraction(value(indices), scale)
+    node, scale, _, pad = _compile(M, f, variables, env, None)
+    return lambda indices: Fraction(node([*indices, *pad]), scale)
 
 
-def _compile_scaled(M: FiniteStructure, f, variables: Sequence[str],
-                    env: Optional[Mapping[str, object]] = None
-                    ) -> tuple[Callable[[Sequence[int]], int], int]:
-    """`compile_formula` before its final division: (int evaluator, scale).
+def compile_row(M: FiniteStructure, f, variables: Sequence[tuple[str, str]],
+                env: Optional[Mapping[str, object]] = None
+                ) -> tuple[Callable[[Sequence[int]], list], int]:
+    """Exact evaluator of f on M along the carrier of its last variable: (row, scale).
 
-    The evaluator's value over `scale` is the truth value; the scale is the
-    same for every input.
+    `variables` are (name, sort) pairs.  row(prefix) takes one carrier index
+    per variable but the last and returns one int per element of the last
+    variable's carrier, in carrier order; each over `scale` is the truth
+    value there.  Without variables, row(()) holds the one value.  The list
+    is read-only.  Errors are those of `compile_formula`.
     """
-    compiler = _Compiler(M, env or {}, len(variables))
-    node, scale = compiler.formula(f, {name: slot for slot, name in enumerate(variables)})
-    pad = [0] * compiler.quantifiers
-    return (lambda indices: node([*indices, *pad])), scale
+    names = [name for name, _ in variables]
+    if not variables:
+        node, scale, _, pad = _compile(M, f, names, env, None)
+        return (lambda prefix: [node([*pad])]), scale
+    name, sort = variables[-1]
+    carrier = range(M.sizes[sort])
+    node, scale, is_row, pad = _compile(M, f, names, env, (name, carrier))
+    pad = [0, *pad]  # the last variable's slot, which only quantifier loops set
+    if is_row:
+        return (lambda prefix: node([*prefix, *pad])), scale
+    width = len(carrier)
+    return (lambda prefix: [node([*prefix, *pad])] * width), scale
+
+
+def _compile(M: FiniteStructure, f, names: Sequence[str], env, row):
+    """(node, scale, is_row, pad): f compiled with `names` in slots 0, 1, ...
+
+    `row` is (name, carrier) of the row variable, or None; `pad` fills the
+    quantifier slots after the variables' slots.
+    """
+    compiler = _Compiler(M, env or {}, len(names), f)
+    node, scale, is_row = compiler.formula(
+        f, {name: slot for slot, name in enumerate(names)}, row)
+    return node, scale, is_row, [0] * compiler.quantifiers
 
 
 def eval_formula(M: FiniteStructure, env: Mapping[str, object], f) -> Fraction:
@@ -359,7 +402,7 @@ def eval_formula(M: FiniteStructure, env: Mapping[str, object], f) -> Fraction:
     Structure variables map to carrier indices; value variables map to
     Fractions.  Quantifiers take min/max over the bound sort's carrier.
     Callers that evaluate one formula many times compile it once with
-    `compile_formula` instead.
+    `compile_formula` or `compile_row` instead.
     """
     names = list(env)
     return compile_formula(M, f, names, env)([env[n] for n in names])
@@ -369,77 +412,136 @@ def _constant(c):
     return lambda e: c
 
 
+class _Slices(dict):
+    """base -> cells[base : base + span : stride], each slice taken on first use."""
+
+    __slots__ = ("cells", "stride", "span")
+
+    def __init__(self, cells: list, stride: int, span: int):
+        self.cells, self.stride, self.span = cells, stride, span
+
+    def __missing__(self, base: int) -> list:
+        out = self[base] = self.cells[base:base + self.span:self.stride]
+        return out
+
+
 class _Compiler:
-    def __init__(self, M: FiniteStructure, env: Mapping[str, object], free: int):
+    def __init__(self, M: FiniteStructure, env: Mapping[str, object], free: int, f):
         self.M = M
         self.env = env
         self.free = free
+        self.f = f
         self.quantifiers = 0
+        self.slices: dict = {}  # (id(cells), argument position) -> _Slices
 
-    def term(self, t, scope: Mapping[str, int]):
-        """A variable's slot (an int), or a closure e -> carrier index."""
+    @cached_property
+    def reads(self) -> dict:
+        """id(node) -> its free variables, for every node of f; only quantifiers ask."""
+        return free_var_map(self.f)
+
+    def reads_var(self, f, name: str) -> bool:
+        return any(n == name and s != VALUE_SORT for n, s in self.reads[id(f)])
+
+    def term(self, t, scope: Mapping[str, int], row):
+        """(getter, is_row) of a term.
+
+        A scalar getter is a variable's slot (an int) or a closure e ->
+        carrier index; a row getter is the row variable's carrier (a range)
+        or a closure e -> list of carrier indices.
+        """
         if isinstance(t, Var):
             if t.name not in scope:
                 raise StructuralError(f"unbound variable {t.name!r}")
-            return scope[t.name]
+            if row is not None and t.name == row[0]:
+                return row[1], True
+            return scope[t.name], False
         return self.lookup(self.M.function_table[t.func],
-                           [self.term(a, scope) for a in t.args], self.M._strides[t.func])
+                           [self.term(a, scope, row) for a in t.args], self.M._strides[t.func])
 
     def lookup(self, cells: list, args: list, strides: Sequence[int]):
-        """Closure e -> cells[flat index of the argument terms]."""
-        if not args:
-            return _constant(cells[0])
-        if len(args) == 1:
-            a = args[0]
-            if type(a) is int:
-                return lambda e: cells[e[a]]
-            return lambda e: cells[a(e)]
-        if len(args) == 2:
-            a, b = args
-            n = strides[0]
-            if type(a) is int and type(b) is int:
-                return lambda e: cells[e[a] * n + e[b]]
-            ga = itemgetter(a) if type(a) is int else a
-            gb = itemgetter(b) if type(b) is int else b
-            return lambda e: cells[ga(e) * n + gb(e)]
-        parts = [(itemgetter(a) if type(a) is int else a, s) for a, s in zip(args, strides)]
-        return lambda e: cells[sum(g(e) * s for g, s in parts)]
+        """(closure, is_row): cells at the flat index of the argument terms."""
+        rows = [p for p, (_, is_row) in enumerate(args) if is_row]
+        if not rows:
+            return _scalar_lookup(cells, [g for g, _ in args], strides), False
+        scalars = [(g, strides[p]) for p, (g, is_row) in enumerate(args) if not is_row]
+        if len(rows) > 1:
+            return _index_lookup(cells, [(args[p][0], strides[p]) for p in rows], scalars), True
+        p, = rows
+        g = args[p][0]
+        if not scalars:  # a unary table is its own row
+            if type(g) is range:
+                return (lambda e: cells), True
+            return (lambda e: [cells[i] for i in g(e)]), True
+        key = (id(cells), p)
+        slices = self.slices.get(key)
+        if slices is None:
+            span = strides[p - 1] if p else len(cells)
+            slices = self.slices[key] = _Slices(cells, strides[p], span)
+        if len(scalars) == 1 and type(scalars[0][0]) is int:
+            (a, s), = scalars
+            at = lambda e: slices[e[a] * s]  # noqa: E731
+        else:
+            base = _offset(scalars)
+            at = lambda e: slices[base(e)]  # noqa: E731
+        if type(g) is range:
+            return at, True
 
-    def formula(self, f, scope: Mapping[str, int]):
-        """(closure e -> numerator, scale)."""
+        def node(e):
+            part = at(e)
+            return [part[i] for i in g(e)]
+        return node, True
+
+    def formula(self, f, scope: Mapping[str, int], row):
+        """(closure, scale, is_row); `row` is (name, carrier) of the row variable or None."""
         if isinstance(f, Atom):
-            args = [self.term(t, scope) for t in f.args]
+            args = [self.term(t, scope, row) for t in f.args]
             sig = self.M.sig
             if sig.is_metric(f.pred):
                 sort = sig.metric_sort[f.pred]
                 table, strides = self.M.metric_table[sort], (self.M.sizes[sort], 1)
             else:
                 table, strides = self.M.predicate_table[f.pred], self.M._strides[f.pred]
-            return self.lookup(table.cells, args, strides), table.den
+            node, is_row = self.lookup(table.cells, args, strides)
+            return node, table.den, is_row
         if isinstance(f, Const):
-            return _constant(f.value.numerator), f.value.denominator
+            return _constant(f.value.numerator), f.value.denominator, False
         if isinstance(f, ValueVar):
             # a quantifier binding the same name hides the environment's value
             v = None if scope.get(f.name, -1) >= self.free else self.env.get(f.name)
             if not isinstance(v, Fraction):
                 raise StructuralError(f"value variable {f.name!r} not bound to a rational")
-            return _constant(v.numerator), v.denominator
+            return _constant(v.numerator), v.denominator, False
         if isinstance(f, Op):
-            args = [self.formula(a, scope) for a in f.args]
+            args = [self.formula(a, scope, row) for a in f.args]
             check_connective(f.op, len(args), f.n)
+            width = len(row[1]) if row is not None else 0
             if f.op == "med":
-                return _median(args, f.n)
-            return _connective(f.op, args)
+                return _median(args, f.n, width)
+            return _connective(f.op, args, width)
         if isinstance(f, Quant):
             slot = self.free + self.quantifiers
             self.quantifiers += 1
-            body, scale = self.formula(f.body, {**scope, f.var: slot})
-            return _quantifier(f.kind, body, slot, range(self.M.sizes[f.sort]), scale), scale
+            inner = {**scope, f.var: slot}
+            if not self.reads_var(f.body, f.var):
+                return self.formula(f.body, inner, row)  # the carrier is not empty
+            carrier = range(self.M.sizes[f.sort])
+            if isinstance(f.body, Quant):
+                # a row of the body would loop over f.var anyway: loop here, stopping early
+                body, scale, _ = self.formula(f.body, inner, None)
+                node = _quantifier(f.kind, body, slot, carrier, scale)
+            else:
+                body, scale, _ = self.formula(f.body, inner, (f.var, carrier))
+                best = max if f.kind == "sup" else min
+                node = lambda e: best(body(e))  # noqa: E731
+            if row is None or not self.reads_var(f, row[0]):
+                return node, scale, False
+            r, outer = scope[row[0]], row[1]
+            return (lambda e: [node(e) for e[r] in outer]), scale, True
         raise StructuralError(f"not a formula: {f!r}")
 
 
 def _quantifier(kind: str, body, slot: int, carrier: range, scale: int):
-    """sup or inf of body over the carrier, stopping early at scale or 0."""
+    """sup or inf of a scalar body over the carrier, stopping early at scale or 0."""
     if kind == "sup":
         def node(e):
             best = -1
@@ -465,16 +567,86 @@ def _quantifier(kind: str, body, slot: int, carrier: range, scale: int):
     return node
 
 
-def _connective(op: str, args: list):
+def _offset(scalars: list):
+    """Closure e -> the flat offset of the scalar arguments, from (getter, stride) pairs."""
+    parts = [(itemgetter(g) if type(g) is int else g, s) for g, s in scalars]
+    return lambda e: sum(g(e) * s for g, s in parts)
+
+
+def _scalar_lookup(cells: list, args: list, strides: Sequence[int]):
+    """Closure e -> cells[flat index of the scalar argument getters]."""
+    if not args:
+        return _constant(cells[0])
+    if len(args) == 1:
+        a = args[0]
+        if type(a) is int:
+            return lambda e: cells[e[a]]
+        return lambda e: cells[a(e)]
+    if len(args) == 2:
+        a, b = args
+        n = strides[0]
+        if type(a) is int and type(b) is int:
+            return lambda e: cells[e[a] * n + e[b]]
+        ga = itemgetter(a) if type(a) is int else a
+        gb = itemgetter(b) if type(b) is int else b
+        return lambda e: cells[ga(e) * n + gb(e)]
+    parts = [(itemgetter(a) if type(a) is int else a, s) for a, s in zip(args, strides)]
+    return lambda e: cells[sum(g(e) * s for g, s in parts)]
+
+
+def _index_lookup(cells: list, rows: list, scalars: list):
+    """Row closure for two or more row arguments: cells at the element-wise flat index.
+
+    `rows` and `scalars` are (getter, stride) pairs of the arguments.
+    """
+    getters = [(lambda e, g=g: g) if type(g) is range else g for g, _ in rows]
+    if len(rows) == 2 and not scalars:
+        (ga, gb), ((_, sa), (_, sb)) = getters, rows
+        return lambda e: [cells[x * sa + y * sb] for x, y in zip(ga(e), gb(e))]
+    strides = [s for _, s in rows]
+    base = _offset(scalars)
+
+    def node(e):
+        b = base(e)
+        return [cells[b + sum(map(mul, t, strides))] for t in zip(*[g(e) for g in getters])]
+    return node
+
+
+def _broadcast(a, k: int, is_row: bool, width: int):
+    """Row closure of a child's numerators times k; a scalar child is repeated `width` times."""
+    if is_row:
+        return a if k == 1 else (lambda e: [k * x for x in a(e)])
+    if k == 1:
+        return lambda e: [a(e)] * width
+    return lambda e: [a(e) * k] * width
+
+
+def _connective(op: str, args: list, width: int):
     if op == "neg":
-        (a, s), = args
-        return (lambda e: s - a(e)), s
+        (a, s, is_row), = args
+        if is_row:
+            return (lambda e: [s - x for x in a(e)]), s, True
+        return (lambda e: s - a(e)), s, False
     if op == "half":
-        (a, s), = args
-        return a, 2 * s
-    (a, sa), (b, sb) = args
+        (a, s, is_row), = args
+        return a, 2 * s, is_row
+    (a, sa, ra), (b, sb, rb) = args
     scale = math.lcm(sa, sb)
     ka, kb = scale // sa, scale // sb
+    if ra or rb:
+        a, b = _broadcast(a, ka, ra, width), _broadcast(b, kb, rb, width)
+        if op == "monus":
+            node = lambda e: [x - y if x > y else 0 for x, y in zip(a(e), b(e))]  # noqa: E731
+        elif op == "min":
+            node = lambda e: [x if x < y else y for x, y in zip(a(e), b(e))]  # noqa: E731
+        elif op == "max":
+            node = lambda e: [x if x > y else y for x, y in zip(a(e), b(e))]  # noqa: E731
+        elif op == "plus_trunc":
+            node = lambda e: [t if t < scale else scale  # noqa: E731
+                              for t in map(add, a(e), b(e))]
+        else:  # absdiff
+            node = lambda e: [x - y if x > y else y - x for x, y in zip(a(e), b(e))]  # noqa: E731
+        return node, scale, True
     if op == "monus":
         def node(e):
             d = a(e) * ka - b(e) * kb
@@ -494,13 +666,16 @@ def _connective(op: str, args: list):
     else:  # absdiff
         def node(e):
             return abs(a(e) * ka - b(e) * kb)
-    return node, scale
+    return node, scale, False
 
 
-def _median(args: list, n: int):
-    scale = math.lcm(*(s for _, s in args))
-    parts = [(a, scale // s) for a, s in args]
-    return (lambda e: sorted([a(e) * k for a, k in parts])[n - 1]), scale
+def _median(args: list, n: int, width: int):
+    scale = math.lcm(*(s for _, s, _ in args))
+    if not any(is_row for _, _, is_row in args):
+        parts = [(a, scale // s) for a, s, _ in args]
+        return (lambda e: sorted([a(e) * k for a, k in parts])[n - 1]), scale, False
+    parts = [_broadcast(a, scale // s, is_row, width) for a, s, is_row in args]
+    return (lambda e: [sorted(t)[n - 1] for t in zip(*[p(e) for p in parts])]), scale, True
 
 
 def env_from_names(M: FiniteStructure, bindings: Mapping[str, str], f) -> dict:
@@ -753,6 +928,8 @@ def is_elementary_substructure(M: FiniteStructure, subset: Mapping[str, Sequence
     sub_idx = {}
     for sort in M.sig.sort_names:
         names = subset.get(sort, ())
+        if not names:
+            raise StructuralError(f"subset is empty in sort {sort}")
         sub_idx[sort] = [M.element_index(sort, n) for n in names]
     for name, decl in M.sig.functions.items():
         pools = [sub_idx[s] for s in decl.arg_sorts]
@@ -768,17 +945,22 @@ def is_elementary_substructure(M: FiniteStructure, subset: Mapping[str, Sequence
         if first not in var_sorts:
             raise StructuralError(f"distinguished variable {first!r} not free in the formula")
         y_sort = var_sorts[first]
-        params = [(n, s) for n, s in fv if n != first]
-        pools = [sub_idx[s] for _, s in params]
-        value = compile_formula(M, f, [n for n, _ in params] + [first])
-        for combo in itertools.product(*pools):
-            inf_m = min(value((*combo, b)) for b in range(M.sizes[y_sort]))
-            inf_a = min((value((*combo, b)) for b in sub_idx[y_sort]), default=None)
+        if y_sort == VALUE_SORT:
+            raise StructuralError(f"distinguished variable {first!r} is a value variable")
+        # a value variable is not in params, so compiling reports it unbound
+        params = [(n, s) for n, s in fv if n != first and s != VALUE_SORT]
+        row, scale = compile_row(M, f, params + [(first, y_sort)])
+        sub_y = sub_idx[y_sort]
+        for combo in itertools.product(*(sub_idx[s] for _, s in params)):
+            values = row(combo)
+            inf_m = min(values)
+            inf_a = min(map(values.__getitem__, sub_y))
             if inf_a != inf_m:
                 witness_names = tuple(M.element_name(s, i)
                                       for (_, s), i in zip(params, combo))
                 return False, {"formula": f, "tuple": witness_names,
-                               "inf_over_structure": inf_m, "inf_over_subset": inf_a}
+                               "inf_over_structure": Fraction(inf_m, scale),
+                               "inf_over_subset": Fraction(inf_a, scale)}
     return True, None
 
 
@@ -825,8 +1007,12 @@ class PhiInstance:
         self.yts = yts = tuples_of(M, split.y)
         self.x_index = {tuple_names(M, split.x, t): i for i, t in enumerate(xts)}
         self.y_index = {tuple_names(M, split.y, t): i for i, t in enumerate(yts)}
-        value, self.scale = _compile_scaled(M, phi, [n for n, _ in split.x + split.y])
-        self.num = tuple(tuple(value(xt + yt) for yt in yts) for xt in xts)
+        variables = split.x + split.y
+        row, self.scale = compile_row(M, phi, variables)
+        # one row per tuple of all variables but the last, in lexicographic order
+        flat = list(itertools.chain.from_iterable(map(row, tuples_of(M, variables[:-1]))))
+        m = len(yts)
+        self.num = tuple(tuple(flat[i:i + m]) for i in range(0, len(flat), m))
 
     @cached_property
     def vals(self) -> tuple:

@@ -397,3 +397,38 @@ def test_unwritable_out_path_exits_1(capsys, algebra_file, tmp_path, flags):
 def test_define_global_depth_outside_the_cap_exits_1(capsys, algebra_file, depth):
     run_fails_cleanly(capsys, ["define-global", algebra_file, "--formula", "mu(meet(x,y))",
                                "--split", "x;y", "--target", "s2", "--depth", depth], 1)
+
+
+def fails_with(capsys, argv, message):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"contlogic: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["glue", "--phi", "mu(meet(x,y)) -. a", "--psi", "mu(join(x,z))", "--shared", "x",
+     "--fresh", "t,w", "--fresh-sort", "B", "--verify"],
+    ["tv", "--subset", "s0,s3", "--formula", "y@mu(y) -. a"],
+], ids=["glue-verify", "tv"])
+def test_value_variable_exits_1(capsys, algebra_file, command):
+    name, *rest = command
+    fails_with(capsys, [name, algebra_file, *rest], "value variable 'a' not bound to a rational")
+
+
+def test_tv_distinguished_value_variable_exits_1(capsys, algebra_file):
+    fails_with(capsys, ["tv", algebra_file, "--subset", "s0,s3", "--formula", "a@mu(y) -. a"],
+               "distinguished variable 'a' is a value variable")
+
+
+def test_tv_empty_subset_exits_1(capsys, halfgraph_file):
+    fails_with(capsys, ["tv", halfgraph_file, "--subset", "", "--formula", "y@d(y,y)"],
+               "subset is empty in sort V")
+
+
+@pytest.mark.parametrize("fresh", ["t", "t,", ",w", "t,w,u", " , "])
+def test_glue_fresh_needs_two_names(capsys, algebra_file, fresh):
+    fails_with(capsys, ["glue", algebra_file, "--phi", "mu(meet(x,y))", "--psi", "mu(join(x,z))",
+                        "--shared", "x", "--fresh", fresh, "--fresh-sort", "B"],
+               "--fresh must be two variable names: t,w")

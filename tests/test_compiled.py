@@ -1,9 +1,10 @@
 """Differential tests: compiled evaluation and int-table validation against the oracles.
 
-`eval_formula` compiles formulas to closures over integer tables and
-`validate` compares integers; `oracles.eval_formula_reference` and
-`oracles.validate_reference` are the Fraction interpreter and validator
-they replaced.  Values must agree bit for bit, reports entry for entry.
+`eval_formula` and `compile_row` compile formulas to closures over integer
+tables, whole rows at a time, and `validate` compares integers;
+`oracles.eval_formula_reference` and `oracles.validate_reference` are the
+Fraction interpreter and validator they replaced.  Values must agree bit
+for bit, reports entry for entry.
 """
 
 import itertools
@@ -37,13 +38,16 @@ from contlogic.language import (
 )
 from contlogic.structures import (
     FiniteStructure,
+    PhiInstance,
     apa_sentence,
     compile_formula,
+    compile_row,
     eval_formula,
     from_classical,
     gen_prob_algebra,
     make_split,
     pra_conditions,
+    tuples_of,
     validate,
 )
 
@@ -340,3 +344,161 @@ def test_prenex_with_colliding_names_matches_reference(M, f):
 @given(binary_structures())
 def test_random_structures_validate_like_reference(M):
     same_report(M)
+
+
+# ---------------------------------------------------------------------------
+# row kernels: a quantifier's body over the whole carrier at once
+
+# z (and w, u) are bound; x and y are free, p is a value variable.  Each term
+# puts the bound variable at another argument position or depth.
+ROW_TERMS = ["z", "meet(z,x)", "meet(x,z)", "join(z,y)", "join(y,z)", "compl(z)",
+             "meet(compl(z),x)", "join(meet(x,z),compl(y))", "meet(z,z)", "join(meet(z,y),z)"]
+ROW_ATOMS = [f"mu({t})" for t in ROW_TERMS] + [
+    "d(z,x)", "d(x,z)", "d(z,z)", "d(meet(z,x),join(y,z))", "d(compl(z),meet(x,y))",
+    "d(one,z)", "d(z,zero)"]
+# children that do not read z, so a row parent broadcasts them
+SCALARS = ["mu(x)", "d(x,y)", "p", "1/3", "mu(meet(compl(x),y))"]
+ROW_BODIES = (
+    ROW_ATOMS
+    + [f"{op}({a}, {b})" for op in ("min", "max")
+       for a, b in (("mu(z)", "d(z,x)"), ("mu(meet(z,x))", "p"), ("1/3", "mu(join(z,y))"))]
+    + [f"{a} {op} {b}" for op in ("-.", "+.")
+       for a, b in (("mu(z)", "d(z,y)"), ("mu(meet(x,z))", "mu(x)"), ("p", "d(z,x)"),
+                    ("half mu(z)", "half half d(x,z)"))]
+    + [f"|{a} - {b}|" for a, b in (("mu(meet(z,x))", "mu(meet(z,y))"), ("mu(z)", "1/3"),
+                                    ("d(x,y)", "half d(z,y)"))]
+    + ["not mu(meet(z,y))", "not half d(z,x)", "half half mu(compl(z))"]
+    + ["med 1(mu(z))", "med 2(p, mu(z), d(z,x))", "med 2(mu(x), 1/3, d(z,y))",
+       "med 3(mu(z), mu(x), half d(z,y), not mu(z), p)"]
+    + SCALARS
+)
+NESTED = [
+    # the inner quantifier reads the outer variable
+    "sup z. inf w. |mu(meet(z,w)) - mu(x)|",
+    "inf z. |sup w. d(w,z) -. mu(meet(w,x)) - mu(z)|",
+    "sup z. inf w. sup u. d(meet(z,w), join(u,x))",
+    "inf z. max(mu(z), inf w. d(join(w,y), z))",
+    "sup z. med 2(inf w. d(w,meet(z,x)), p, mu(z))",
+    # the inner quantifier ignores the outer variable
+    "sup z. max(mu(z), inf w. mu(meet(w,x)))",
+    "inf z. inf w. |mu(meet(w,x)) - p|",
+    "sup z. |mu(meet(z,y)) - sup w. d(w,x)|",
+    # bodies that ignore their variable
+    "sup z. mu(meet(x,y))",
+    "inf z. p",
+    "sup z. inf w. mu(z)",
+    # shadowed names: the inner binder hides the outer or the free variable
+    "sup z. max(mu(z), sup z. d(z,x))",
+    "sup x. |mu(meet(x,y)) - inf x. d(x,y)|",
+    "inf z. (sup x. mu(meet(x,z))) -. mu(x)",
+    "sup y. inf z. |mu(meet(z,y)) - half mu(x)|",
+]
+
+
+@pytest.mark.parametrize("weights", [[F(1)], [F(1, 4), F(1, 4), F(1, 2)]],
+                         ids=["2-elements", "8-elements"])
+def test_row_kernels_match_reference(weights):
+    M = gen_prob_algebra(weights)
+    carrier = range(M.sizes["B"])
+    formulas = [f"{q} z. {body}" for body in ROW_BODIES for q in ("sup", "inf")] + NESTED
+    for text in formulas:
+        f = parse(text, M.sig)
+        for x, y in itertools.product(carrier, repeat=2):
+            same_value(M, {"x": x, "y": y, "p": F(2, 5)}, f)
+
+
+def same_rows(M, f, variables, values):
+    """compile_row over the last of `variables` against the reference, at every prefix."""
+    row, scale = compile_row(M, f, variables, values)
+    *head, (last, sort) = variables
+    for prefix in itertools.product(*(range(M.sizes[s]) for _, s in head)):
+        env = {**dict(zip([n for n, _ in head], prefix)), **values}
+        want = [eval_formula_reference(M, {**env, last: i}, f) for i in range(M.sizes[sort])]
+        assert [F(v, scale) for v in row(prefix)] == want, (f, prefix)
+
+
+def test_row_entry_point_matches_reference():
+    M = gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)])
+    B = "B"
+    for text in ROW_BODIES + NESTED:
+        f = parse(text, M.sig)
+        # z free: the row runs over it; a formula without z gives a broadcast row
+        same_rows(M, f, [("x", B), ("y", B), ("z", B)], {"p": F(2, 5)})
+    for text in ROW_BODIES[::3]:
+        same_rows(M, parse(text, M.sig), [("z", B), ("y", B), ("x", B)], {"p": F(2, 5)})
+    closed = apa_sentence(M.sig)
+    row, scale = compile_row(M, closed, [])
+    assert [F(v, scale) for v in row(())] == [eval_formula_reference(M, {}, closed)]
+    same_rows(M, closed, [("x", B)], {})
+
+
+def one_point_structure():
+    return FiniteStructure(
+        binary_signature(), {"S": ["e0"]}, {"S": [[F(0)]]}, {"f": {(0,): 0}},
+        {"P": {(0,): F(1, 3)}, "R": {(0, 0): F(3, 4)}})
+
+
+def test_row_kernels_on_one_and_three_points():
+    x, z, w = Var("x", "S"), Var("z", "S"), Var("w", "S")
+    fz = App("f", (z,), "S")
+    bodies = [
+        Atom("R", (z, x)), Atom("R", (x, fz)), Atom("R", (fz, z)), Atom("d", (z, z)),
+        Op("absdiff", (Atom("P", (fz,)), ValueVar("p"))),
+        Op("med", (Atom("P", (z,)), Atom("R", (x, x)), Const(F(1, 2))), 2),
+        Quant("inf", "w", "S", Op("max", (Atom("R", (w, z)), Atom("P", (x,))))),
+        Quant("inf", "w", "S", Atom("R", (w, x))),
+    ]
+    for M in (one_point_structure(), small_structure()):
+        for body in bodies:
+            for kind in ("sup", "inf"):
+                f = Quant(kind, "z", "S", body)
+                for i in range(M.sizes["S"]):
+                    same_value(M, {"x": i, "p": F(1, 6)}, f)
+            same_rows(M, body, [("x", "S"), ("z", "S")], {"p": F(1, 6)})
+
+
+def test_row_kernels_on_ternary_symbols():
+    sig = Signature([SortDecl("S", "d")],
+                    functions=[FuncDecl("g", ("S", "S", "S"), "S", (IDENT,) * 3)],
+                    predicates=[PredDecl("T", ("S", "S", "S"), (IDENT,) * 3)])
+    n = 3
+    cube = list(itertools.product(range(n), repeat=3))
+    M = FiniteStructure(
+        sig, {"S": ["a", "b", "c"]}, {"S": [[F(int(i != j)) for j in range(n)] for i in range(n)]},
+        {"g": {t: (t[0] * 2 + t[1] + 2 * t[2]) % n for t in cube}},
+        {"T": {t: F((t[0] + 3 * t[1] + 5 * t[2]) % 7, 6) for t in cube}})
+    x, y, z = Var("x", "S"), Var("y", "S"), Var("z", "S")
+    g = lambda *args: App("g", args, "S")  # noqa: E731
+    for args in [(z, x, y), (x, z, y), (x, y, z), (z, z, x), (x, z, z), (z, y, z), (z, z, z),
+                 (g(z, x, z), y, z), (x, g(y, z, x), g(z, z, z))]:
+        f = Atom("T", args)
+        same_rows(M, f, [("x", "S"), ("y", "S"), ("z", "S")], {})
+        for i, j in itertools.product(range(n), repeat=2):
+            same_value(M, {"x": i, "y": j}, Quant("sup", "z", "S", f))
+
+
+def test_rows_over_an_imaginary_sort_match_reference():
+    M = gen_prob_algebra([F(1, 4), F(3, 4)])
+    phi = parse("mu(meet(x,y))", M.sig)
+    E = build_imaginary(M, phi, make_split(phi, ["x"], ["y"]))
+    N, pred = E.expanded, Atom(E.pred_name, (Var("x", "B"), Var("c", E.sort_name)))
+    for f in (pred, Op("absdiff", (pred, Atom(E.metric_name, (Var("c", E.sort_name),
+                                                               Var("c2", E.sort_name)))))):
+        same_rows(N, f, [("c2", E.sort_name), ("x", "B"), ("c", E.sort_name)], {})
+        same_rows(N, f, [("c2", E.sort_name), ("c", E.sort_name), ("x", "B")], {})
+
+
+@pytest.mark.parametrize("text", [
+    "|mu(meet(x,y1)) - d(y2, join(x,y1))|",
+    "sup z. |mu(meet(x,z)) - mu(meet(y1,join(z,y2)))|",
+    "inf z. max(d(z,y2), mu(meet(x,y1)))",
+])
+def test_phi_instance_rows_match_fraction_matrix(text):
+    M = gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)])
+    phi = parse(text, M.sig)
+    split = make_split(phi, ["x"], ["y1", "y2"])
+    inst = PhiInstance(M, phi, split)
+    names = [n for n, _ in split.x + split.y]
+    want = [[eval_formula_reference(M, dict(zip(names, xt + yt)), phi)
+             for yt in tuples_of(M, split.y)] for xt in tuples_of(M, split.x)]
+    assert [[F(v, inst.scale) for v in row] for row in inst.num] == want

@@ -127,13 +127,13 @@ def test_each_command_compiles_phi_once(monkeypatch, capsys, tmp_path, argv):
     text = "mu(meet(x,y))"
     phi = parse(text, M.sig)
     compiled = []
-    original = structures._compile_scaled
+    original = structures.compile_row
 
     def counting(M, f, *args, **kwargs):
         compiled.append(f)
         return original(M, f, *args, **kwargs)
 
-    monkeypatch.setattr(structures, "_compile_scaled", counting)
+    monkeypatch.setattr(structures, "compile_row", counting)
     command = [a if a != "TARGET" else str(target) for a in argv]
     code = run([command[0], str(path), "--formula", text, "--split", "x;y", *command[1:]])
     assert code == 0, capsys.readouterr().err
