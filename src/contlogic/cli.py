@@ -35,7 +35,7 @@ from .stability import (
     glue_formula,
     median_definition,
     monotone_definition,
-    phi_type,
+    phi_type_at,
     phi_type_space,
     revalidate_ladder,
 )
@@ -108,7 +108,7 @@ def _target_vector_from_flags(M, phi, split, args):
         want = inst.x_index.get(tuple(v.strip() for v in args.target.split(",")))
         if want is None:
             raise DomainError(f"no x-tuple named {args.target!r}")
-        return phi_type(M, phi, split, inst.xts[want])
+        return phi_type_at(inst, want)
     data = _read_json(args.target_file)
     if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
         raise DomainError(f"target file {args.target_file} needs a 'values' object")

@@ -16,6 +16,7 @@ parameter-sequence order for the triple kind).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -30,7 +31,7 @@ from .structures import (
     sup_distances,
     tuple_names,
 )
-from .values import ONE, ZERO, flim_prefix, med
+from .values import ZERO, flim_prefix, med
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +60,12 @@ class PhiTypeSpace:
 def phi_type(M: FiniteStructure, phi, split: VariableSplit, a_tuple) -> PhiTypeVector:
     """The phi-type of one x-tuple: the vector of its values at every parameter."""
     inst = phi_instance(M, phi, split)
-    xi = inst.xts.index(tuple(a_tuple))
-    return PhiTypeVector(inst.vals[xi], realizer=xi)
+    return phi_type_at(inst, inst.xts.index(tuple(a_tuple)))
+
+
+def phi_type_at(inst, xi: int) -> PhiTypeVector:
+    """The phi-type of the x-tuple at index `xi` of a `PhiInstance`."""
+    return PhiTypeVector(fraction_rows([inst.num[xi]], inst.scale)[0], realizer=xi)
 
 
 def phi_type_space(M: FiniteStructure, phi, split: VariableSplit) -> PhiTypeSpace:
@@ -98,22 +103,33 @@ class LadderWitness:
 
 def revalidate_ladder(M: FiniteStructure, phi, split: VariableSplit,
                       witness: LadderWitness) -> bool:
-    """Re-check the stored inequalities of a witness on the exact values."""
+    """Re-check the stored inequalities of a witness on the exact values.
+
+    The values are compared as ints over the instance's scale, against the
+    integer thresholds that eps, r and s put on it.  An empty witness
+    satisfies its inequalities vacuously, for every kind.
+    """
     inst = phi_instance(M, phi, split)
-    vals = inst.vals
+    num, scale = inst.num, inst.scale
     pairs = [(inst.x_index[a], inst.y_index[b]) for a, b in witness.pairs]
-    eps = witness.epsilon
+    eps = Fraction(witness.epsilon)
+    gap = _gap(eps, scale)
     if witness.kind == "antisym":
-        return all(abs(vals[pairs[i][0]][pairs[j][1]] - vals[pairs[j][0]][pairs[i][1]]) >= eps
+        return all(abs(num[pairs[i][0]][pairs[j][1]] - num[pairs[j][0]][pairs[i][1]]) >= gap
                    for i in range(len(pairs)) for j in range(i + 1, len(pairs)))
     if witness.kind == "order":
-        r, s = witness.r, witness.s
-        if r is None or s is None or r > s - eps:
+        if witness.r is None or witness.s is None:
+            return not pairs
+        r, s = Fraction(witness.r), Fraction(witness.s)
+        if r > s - eps:
             return False
-        return all(vals[pairs[i][0]][pairs[j][1]] <= r and vals[pairs[j][0]][pairs[i][1]] >= s
+        at_most_r = r.numerator * scale // r.denominator  # the greatest k with k / scale <= r
+        at_least_s = _gap(s, scale)
+        return all(num[pairs[i][0]][pairs[j][1]] <= at_most_r
+                   and num[pairs[j][0]][pairs[i][1]] >= at_least_s
                    for i in range(len(pairs)) for j in range(i + 1, len(pairs)))
     if witness.kind == "triple":
-        return all(abs(vals[pairs[j][0]][pairs[i][1]] - vals[pairs[j][0]][pairs[k][1]]) >= eps
+        return all(abs(num[pairs[j][0]][pairs[i][1]] - num[pairs[j][0]][pairs[k][1]]) >= gap
                    for i in range(len(pairs))
                    for j in range(i + 1, len(pairs))
                    for k in range(j + 1, len(pairs)))
@@ -288,6 +304,7 @@ def _gap(eps: Fraction, scale: int) -> int:
     """The least int k with k / scale >= eps.
 
     Ints over `scale` differ by at least eps exactly when they differ by at
+    least k, and an int over `scale` is at least eps exactly when it is at
     least k.
     """
     return -(-eps.numerator * scale // eps.denominator)
@@ -493,14 +510,16 @@ class MedianDefinition:
 
 
 def _target_vector(M, split, yts, target) -> PhiTypeVector:
-    if isinstance(target, PhiTypeVector):
-        if len(target.values) != len(yts):
-            raise StructuralError("target vector length does not match the parameter carrier")
-        return target
-    values = tuple(Fraction(v) for v in target)
-    if len(values) != len(yts):
+    """The target as a PhiTypeVector with one value in [0, 1] per parameter tuple."""
+    tgt = target if isinstance(target, PhiTypeVector) else PhiTypeVector(
+        tuple(Fraction(v) for v in target))
+    if len(tgt.values) != len(yts):
         raise StructuralError("target vector length does not match the parameter carrier")
-    return PhiTypeVector(values)
+    for b, v in enumerate(tgt.values):
+        if not 0 <= v <= 1:
+            name = ",".join(tuple_names(M, split.y, yts[b]))
+            raise DomainError(f"target value {v} at parameter {name!r} is outside [0, 1]")
+    return tgt
 
 
 def median_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
@@ -522,14 +541,14 @@ def median_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    N = compute_N(M, phi, split, eps) if n_value is None else n_value
-    if N < 2:
-        raise DomainError("the ladder bound N is always at least 2")
-    arity = 2 * N - 1
     inst = phi_instance(M, phi, split)
     xts, yts, vals = inst.xts, inst.yts, inst.vals
     tgt = _target_vector(M, split, yts, target)
     t = tgt.values
+    N = compute_N(M, phi, split, eps) if n_value is None else n_value
+    if N < 2:
+        raise DomainError("the ladder bound N is always at least 2")
+    arity = 2 * N - 1
 
     # index sets w are bitmasks over positions of the chosen prefix
     witnesses: dict[int, int] = {}
@@ -601,6 +620,19 @@ class MonotoneDefinition:
     evaluate: Callable[[Sequence[Fraction]], Fraction] = field(repr=False)
 
 
+def _monotone_scale(scale: int, eps: Fraction, t) -> tuple:
+    """One int scale L for the value matrix, the target t and eps.
+
+    L is 3 times the lcm of `scale`, eps's denominator and t's denominators.
+    Returns (L, k, T, E): a value-matrix numerator times k, T[b] and E are
+    the numerators over L of phi, t[b] and eps.  T and E are multiples of 3,
+    so the thirds of the violation slack are ints over L too.
+    """
+    L = 3 * math.lcm(scale, eps.denominator, *(v.denominator for v in t))
+    return (L, L // scale, [v.numerator * (L // v.denominator) for v in t],
+            eps.numerator * (L // eps.denominator))
+
+
 def monotone_parameters(M: FiniteStructure, phi, split: VariableSplit, epsilon, target):
     """Parameter list from the violation-elimination loop, with its records.
 
@@ -611,45 +643,46 @@ def monotone_parameters(M: FiniteStructure, phi, split: VariableSplit, epsilon, 
     with phi(c, a_i) > s_i and phi(c, b_i) < r_i for every record.  Each
     round permanently eliminates its violating pair, so at most |M|^2
     rounds occur.
+
+    Values are compared as ints over the scale of `_monotone_scale`; the
+    records hold r and s as Fractions.  A pair stops being a violation for
+    good once a chosen c separates it, and the new c separates the pair of
+    its round, so the scan for the next violation resumes after it; the c
+    admissible for every record so far are kept as one bitset.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
     inst = phi_instance(M, phi, split)
-    xts, yts, vals = inst.xts, inst.yts, inst.vals
+    num, yts = inst.num, inst.yts
     tgt = _target_vector(M, split, yts, target)
-    t = tgt.values
+    L, k, T, E = _monotone_scale(inst.scale, eps, tgt.values)
 
     chosen: list[int] = []
+    rows: list = []  # the chosen rows of the value matrix, over L
     records: list[tuple] = []
-    while True:
-        violation = None
-        for a in range(len(yts)):
-            for b in range(len(yts)):
-                if t[a] <= t[b] + 3 * eps:
-                    continue
-                if all(vals[c][a] <= vals[c][b] + eps for c in chosen):
-                    violation = (a, b)
-                    break
-            if violation:
-                break
-        if violation is None:
-            return chosen, records, tgt
-        a, b = violation
-        slack = (t[a] - t[b] - 3 * eps) / 3
-        r = t[b] + slack
-        s = r + 3 * eps + slack
-        records.append((a, b, r, s))
-        chosen_c = None
-        for c in range(len(xts)):
-            if all(vals[c][ai] > si and vals[c][bi] < ri for ai, bi, ri, si in records):
-                chosen_c = c
-                break
-        if chosen_c is None:
+    admissible = (1 << len(num)) - 1
+
+    def violations():  # reads `rows` as it stands when each pair is reached
+        for a, ta in enumerate(T):
+            for b, tb in enumerate(T):
+                if ta - tb > 3 * E and all(row[a] <= row[b] + E for row in rows):
+                    yield a, b
+
+    for a, b in violations():
+        slack = (T[a] - T[b] - 3 * E) // 3  # exact: both terms are multiples of 3
+        r = T[b] + slack
+        s = r + 3 * E + slack
+        records.append((a, b, Fraction(r, L), Fraction(s, L)))
+        admissible &= _bits(row[a] * k > s and row[b] * k < r for row in num)
+        if not admissible:
             raise DefinitionAbort("no-admissible-parameter", step=len(records) - 1,
                                   pair=(tuple_names(M, split.y, yts[a]),
                                         tuple_names(M, split.y, yts[b])))
-        chosen.append(chosen_c)
+        c = _lowest_bit(admissible)
+        chosen.append(c)
+        rows.append([v * k for v in num[c]])
+    return chosen, records, tgt
 
 
 def monotone_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
@@ -663,45 +696,55 @@ def monotone_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     of observed value tuples and their coordinatewise +eps shifts: any u
     with f(u) = target(a*) is dominated by the observed tuple of a*, where h
     is no smaller and f no smaller.
+
+    Everything runs on ints over the scale L of `_monotone_scale`:
+    h(u, v) * eps = min_i clamp(v_i + eps - u_i, 0, eps) and f(u) are ints
+    over L, so g is an int over eps * L.  Since h <= 1, candidates are
+    tried in decreasing f and the scan stops once f alone cannot beat the
+    best product.
     """
     eps = Fraction(epsilon)
     chosen, records, tgt = monotone_parameters(M, phi, split, eps, target)
     inst = phi_instance(M, phi, split)
-    xts, yts, vals = inst.xts, inst.yts, inst.vals
-    t = tgt.values
+    L, k, T, E = _monotone_scale(inst.scale, eps, tgt.values)
     n = len(chosen)
 
-    observed = [tuple(vals[c][a] for c in chosen) for a in range(len(yts))]
-    candidates = sorted({u for u in observed}
-                        | {tuple(min(ui + eps, ONE) for ui in u) for u in observed})
+    observed = list(zip(*([v * k for v in inst.num[c]] for c in chosen))) or [()] * len(T)
+    candidates = sorted(set(observed) | {tuple(min(ui + E, L) for ui in u) for u in observed})
+    f_at = [max((ta for ta, o in zip(T, observed) if all(map(int.__le__, o, u))), default=0)
+            for u in candidates]
+    # the candidates where f > 0, in decreasing f
+    live = sorted(((fu, u) for fu, u in zip(f_at, candidates) if fu),
+                  key=lambda pair: -pair[0])
 
-    def f(u: Sequence[Fraction]) -> Fraction:
-        best = ZERO
-        for a in range(len(yts)):
-            if all(vals[c][a] <= ui for c, ui in zip(chosen, u)):
-                best = max(best, t[a])
+    def g_scaled(v, m: int) -> int:
+        # g(v) * eps * L * m for v over L * m
+        em = E * m
+        best = 0
+        for fu, u in live:
+            if fu * em <= best:
+                break
+            h = min(em, min((vi + em - ui * m for ui, vi in zip(u, v)), default=em))
+            if h > 0 and h * fu > best:
+                best = h * fu
         return best
-
-    f_at = {u: f(u) for u in candidates}
-
-    def h(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        if not u:
-            return ONE
-        return min(min(max(vi + eps - ui, ZERO), eps) for ui, vi in zip(u, v)) / eps
 
     def g(v: Sequence[Fraction]) -> Fraction:
         v = tuple(Fraction(x) for x in v)
         if len(v) != n:
             raise StructuralError(f"g expects a {n}-tuple")
-        return max((h(u, v) * f_at[u] for u in candidates), default=ZERO)
+        den = math.lcm(L, *(x.denominator for x in v))
+        m = den // L
+        return Fraction(g_scaled([x.numerator * (den // x.denominator) for x in v], m),
+                        E * L * m)
 
-    errors = [abs(g(observed[a]) - t[a]) for a in range(len(yts))]
-    bound = max(errors) if errors else ZERO
-    if bound > 3 * eps:
+    worst = max((abs(g_scaled(o, 1) - ta * E) for ta, o in zip(T, observed)), default=0)
+    if worst > 3 * E * E:
         raise AssertionError("monotone-definition bound violated")
     return MonotoneDefinition(eps, tuple(chosen),
-                              tuple(tuple_names(M, split.x, xts[c]) for c in chosen),
-                              tuple(records), bound, tuple(candidates), g)
+                              tuple(tuple_names(M, split.x, inst.xts[c]) for c in chosen),
+                              tuple(records), Fraction(worst, E * L),
+                              fraction_rows(candidates, L), g)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from fractions import Fraction as F
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
-from contlogic.errors import DomainError, StructuralError
+from contlogic.errors import DefinitionAbort, DomainError, StructuralError
 from contlogic.language import Atom, Const, Op, PredDecl, Quant, SortDecl, ValueVar, Var
 from contlogic.stability import (
     LadderWitness,
+    MonotoneDefinition,
     PhiTypeSpace,
     PhiTypeVector,
     _gap,
@@ -81,6 +82,30 @@ def glued_halfgraph(n):
     predicates["psi"] = {(i, j): predicates["phi"][(j, i)]
                          for i in range(size) for j in range(size)}
     return FiniteStructure(sig, carriers, metric, {}, predicates)
+
+
+def relabelled_json(data: dict, perm: Mapping[str, Sequence[int]]) -> dict:
+    """A structure file (with its signature inline) with each sort's carrier reordered.
+
+    Position i of sort s holds the old element perm[s][i]; every metric,
+    function and predicate table is re-indexed to match, so the result
+    describes an isomorphic copy with the same element names.
+    """
+    def reindex(table, arg_sorts):
+        if not arg_sorts:
+            return table
+        return [reindex(table[j], arg_sorts[1:]) for j in perm[arg_sorts[0]]]
+
+    sig = data["signature"]
+    return {
+        "signature": sig,
+        "carriers": {s: [names[j] for j in perm[s]] for s, names in data["carriers"].items()},
+        "metric": {s: reindex(table, [s, s]) for s, table in data["metric"].items()},
+        "functions": {d["name"]: reindex(data["functions"][d["name"]], d["arg_sorts"])
+                      for d in sig["functions"]},
+        "predicates": {d["name"]: reindex(data["predicates"][d["name"]], d["arg_sorts"])
+                       for d in sig["predicates"]},
+    }
 
 
 def atomless_defect_bruteforce(weights):
@@ -709,6 +734,124 @@ def monotone_sup_on_grid(defn, M, phi, split, target, vs: Sequence[Sequence[F]],
             best = max(best, h * fu)
         out.append(F(best, eps * tden))
     return out
+
+
+def revalidate_ladder_reference(M, phi, split, witness) -> bool:
+    """`stability.revalidate_ladder` on Fraction values, as it ran before ints.
+
+    Kept as it was but for the empty witness, which satisfies its
+    inequalities vacuously for every kind.
+    """
+    xts, yts, vals = value_matrix(M, phi, split)
+    x_index = {tuple_names(M, split.x, t): i for i, t in enumerate(xts)}
+    y_index = {tuple_names(M, split.y, t): i for i, t in enumerate(yts)}
+    pairs = [(x_index[a], y_index[b]) for a, b in witness.pairs]
+    eps = witness.epsilon
+    n = len(pairs)
+    if witness.kind == "antisym":
+        return all(abs(vals[pairs[i][0]][pairs[j][1]] - vals[pairs[j][0]][pairs[i][1]]) >= eps
+                   for i in range(n) for j in range(i + 1, n))
+    if witness.kind == "order":
+        r, s = witness.r, witness.s
+        if r is None or s is None:
+            return not pairs
+        if r > s - eps:
+            return False
+        return all(vals[pairs[i][0]][pairs[j][1]] <= r and vals[pairs[j][0]][pairs[i][1]] >= s
+                   for i in range(n) for j in range(i + 1, n))
+    if witness.kind == "triple":
+        return all(abs(vals[pairs[j][0]][pairs[i][1]] - vals[pairs[j][0]][pairs[k][1]]) >= eps
+                   for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+    raise StructuralError(f"unknown ladder kind {witness.kind!r}")
+
+
+def monotone_parameters_reference(M, phi, split, epsilon, target):
+    """`stability.monotone_parameters` by Fraction arithmetic, as it ran before ints.
+
+    Each round rescans every parameter pair from the start and tries every
+    x-tuple in carrier order against every record.
+    """
+    eps = F(epsilon)
+    if eps <= 0:
+        raise DomainError("epsilon must be positive")
+    xts, yts, vals = value_matrix(M, phi, split)
+    tgt = _target_vector(M, split, yts, target)
+    t = tgt.values
+
+    chosen: list = []
+    records: list = []
+    while True:
+        violation = None
+        for a in range(len(yts)):
+            for b in range(len(yts)):
+                if t[a] <= t[b] + 3 * eps:
+                    continue
+                if all(vals[c][a] <= vals[c][b] + eps for c in chosen):
+                    violation = (a, b)
+                    break
+            if violation:
+                break
+        if violation is None:
+            return chosen, records, tgt
+        a, b = violation
+        slack = (t[a] - t[b] - 3 * eps) / 3
+        r = t[b] + slack
+        s = r + 3 * eps + slack
+        records.append((a, b, r, s))
+        chosen_c = None
+        for c in range(len(xts)):
+            if all(vals[c][ai] > si and vals[c][bi] < ri for ai, bi, ri, si in records):
+                chosen_c = c
+                break
+        if chosen_c is None:
+            raise DefinitionAbort("no-admissible-parameter", step=len(records) - 1,
+                                  pair=(tuple_names(M, split.y, yts[a]),
+                                        tuple_names(M, split.y, yts[b])))
+        chosen.append(chosen_c)
+
+
+def monotone_definition_reference(M, phi, split, epsilon, target) -> MonotoneDefinition:
+    """`stability.monotone_definition` by Fraction arithmetic, as it ran before ints.
+
+    g(v) multiplies h(u, v) by f(u) as Fractions at every candidate u.
+    """
+    eps = F(epsilon)
+    chosen, records, tgt = monotone_parameters_reference(M, phi, split, eps, target)
+    xts, yts, vals = value_matrix(M, phi, split)
+    t = tgt.values
+    n = len(chosen)
+
+    observed = [tuple(vals[c][a] for c in chosen) for a in range(len(yts))]
+    candidates = sorted({u for u in observed}
+                        | {tuple(min(ui + eps, ONE) for ui in u) for u in observed})
+
+    def f(u):
+        best = ZERO
+        for a in range(len(yts)):
+            if all(vals[c][a] <= ui for c, ui in zip(chosen, u)):
+                best = max(best, t[a])
+        return best
+
+    f_at = {u: f(u) for u in candidates}
+
+    def h(u, v):
+        if not u:
+            return ONE
+        return min(min(max(vi + eps - ui, ZERO), eps) for ui, vi in zip(u, v)) / eps
+
+    def g(v):
+        v = tuple(F(x) for x in v)
+        if len(v) != n:
+            raise StructuralError(f"g expects a {n}-tuple")
+        return max((h(u, v) * f_at[u] for u in candidates), default=ZERO)
+
+    errors = [abs(g(observed[a]) - t[a]) for a in range(len(yts))]
+    bound = max(errors) if errors else ZERO
+    if bound > 3 * eps:
+        raise AssertionError("monotone-definition bound violated")
+    return MonotoneDefinition(eps, tuple(chosen),
+                              tuple(tuple_names(M, split.x, xts[c]) for c in chosen),
+                              tuple(records), bound, tuple(candidates), g)
 
 
 def phi_type_space_reference(M, phi, split) -> PhiTypeSpace:

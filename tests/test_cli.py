@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from contlogic.cli import run
-from contlogic.structures import gen_halfgraph, gen_prob_algebra
+from contlogic.language import PLMonotone, PredDecl, Signature, SortDecl
+from contlogic.structures import FiniteStructure, gen_halfgraph, gen_prob_algebra
 from contlogic.synthesis import GridFunction
 from oracles import glued_halfgraph
 
@@ -432,3 +433,33 @@ def test_glue_fresh_needs_two_names(capsys, algebra_file, fresh):
     fails_with(capsys, ["glue", algebra_file, "--phi", "mu(meet(x,y))", "--psi", "mu(join(x,z))",
                         "--shared", "x", "--fresh", fresh, "--fresh-sort", "B"],
                "--fresh must be two variable names: t,w")
+
+
+@pytest.mark.parametrize("value", ["2", "-1", "3/2"])
+@pytest.mark.parametrize("command", ["define-median", "define-monotone", "define-global"])
+def test_target_outside_unit_interval_exits_1(capsys, algebra_file, tmp_path, command, value):
+    tf = tmp_path / "target.json"
+    tf.write_text(json.dumps({"values": {"s0": "0", "s1": "1/2", "s2": value, "s3": "1"}}))
+    argv = [command, algebra_file, "--formula", "mu(meet(x,y))", "--split", "x;y",
+            "--target-file", str(tf)]
+    argv += ["--depth", "2"] if command == "define-global" else ["--epsilon", "1/8"]
+    fails_with(capsys, argv, f"target value {value} at parameter 's2' is outside [0, 1]")
+
+
+@pytest.mark.parametrize("kind, length", [("antisym", 1), ("order", 0), ("triple", 2)])
+def test_constant_structure_ladders_revalidate(capsys, tmp_path, kind, length):
+    """On a constant structure the order ladder is empty, and it revalidates vacuously."""
+    identity = PLMonotone.identity()
+    sig = Signature([SortDecl("S", "d")],
+                    predicates=[PredDecl("P", ("S", "S"), (identity, identity))])
+    metric = {"S": [[F(int(i != j)) for j in range(3)] for i in range(3)]}
+    table = {(i, j): F(1, 2) for i in range(3) for j in range(3)}
+    M = FiniteStructure(sig, {"S": ["e0", "e1", "e2"]}, metric, {}, {"P": table})
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps(M.to_json()))
+    code, report = run_json(capsys, ["stability", str(path), "--formula", "P(x,y)",
+                                     "--split", "x;y", "--epsilon", "1/2", "--kind", kind])
+    assert code == 0
+    body = report["report"]
+    assert body["length"] == length
+    assert body["revalidated"] is True

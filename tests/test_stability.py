@@ -13,6 +13,7 @@ from contlogic.errors import DefinitionAbort, StructuralError
 from contlogic.language import PLMonotone, PredDecl, Signature, SortDecl, parse
 from contlogic.stability import (
     LadderWitness,
+    PhiTypeVector,
     _longest_triple_sequence,
     compute_N,
     find_ladder,
@@ -38,8 +39,12 @@ from contlogic.structures import (
 )
 from oracles import (
     glued_halfgraph,
+    monotone_definition_reference,
+    monotone_parameters_reference,
     monotone_sup_on_grid,
     pairwise_ladder_unpruned,
+    relabelled_json,
+    revalidate_ladder_reference,
     triple_sequence_reference,
     triple_sequence_unpruned,
 )
@@ -193,6 +198,46 @@ def test_revalidate_rejects_tampered_witness():
         assert not revalidate_ladder(M, phi, split, tampered)
 
 
+def test_revalidate_matches_fraction_reference():
+    """Int revalidation agrees with the Fraction check on seeded random witnesses.
+
+    Each witness's eps (antisym, triple) or r and s (order) is the tightest
+    value its pairs allow, moved by -1/97, 0 or +1/97, so both verdicts
+    occur and the int thresholds are taken on and off the value scale.
+    """
+    rng = random.Random(3)
+    off = F(1, 97)
+    verdicts = set()
+    for name, (M, phi, split) in triple_corpus()[:12]:
+        xts, yts, vals = value_matrix(M, phi, split)
+        for _ in range(60):
+            ps = [(rng.randrange(len(xts)), rng.randrange(len(yts)))
+                  for _ in range(rng.randint(2, 4))]
+            n = len(ps)
+            kind = rng.choice(("antisym", "order", "triple"))
+            r = s = None
+            if kind == "antisym":
+                diffs = [abs(vals[ps[i][0]][ps[j][1]] - vals[ps[j][0]][ps[i][1]])
+                         for i in range(n) for j in range(i + 1, n)]
+            elif kind == "triple":
+                diffs = [abs(vals[ps[j][0]][ps[i][1]] - vals[ps[j][0]][ps[k][1]])
+                         for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
+            else:
+                r = max(vals[ps[i][0]][ps[j][1]] for i in range(n) for j in range(i + 1, n))
+                s = min(vals[ps[j][0]][ps[i][1]] for i in range(n) for j in range(i + 1, n))
+                r += rng.choice((-off, 0, off))
+                s += rng.choice((-off, 0, off))
+                diffs = [off]
+            eps = max(min(diffs, default=off) + rng.choice((-off, 0, off)), off)
+            pairs = tuple((tuple_names(M, split.x, xts[a]), tuple_names(M, split.y, yts[b]))
+                          for a, b in ps)
+            w = LadderWitness(kind, eps, pairs, r, s)
+            want = revalidate_ladder_reference(M, phi, split, w)
+            assert revalidate_ladder(M, phi, split, w) == want, (name, w)
+            verdicts.add((kind, want))
+    assert len(verdicts) == 6
+
+
 # -- N(phi, eps) --------------------------------------------------------------
 
 
@@ -256,6 +301,14 @@ def triple_corpus():
         table = {(i, j): F(rng.randint(0, 4), 4) for i in range(n) for j in range(n)}
         corpus.append((f"random{k}", binary_setup(table, n)))
     return corpus
+
+
+@pytest.mark.parametrize("kind", ["antisym", "order", "triple"])
+def test_empty_witness_revalidates(kind):
+    M, phi, split = constant_setup()
+    assert revalidate_ladder(M, phi, split, LadderWitness(kind, F(1, 2), ()))
+    with pytest.raises(StructuralError):
+        revalidate_ladder(M, phi, split, LadderWitness("spiral", F(1, 2), ()))
 
 
 def test_triple_search_matches_fraction_reference():
@@ -463,6 +516,136 @@ def test_monotone_adversarial_target_aborts():
     target = [F(1) if i % 2 == 0 else F(0) for i in range(len(yts))]
     with pytest.raises(DefinitionAbort):
         monotone_parameters(M, phi, split, F(1, 16), target)
+
+
+def monotone_corpus():
+    """(name, setup, targets) triples for the int/Fraction monotone comparison.
+
+    Inputs: 2- and 3-atom algebras, half-graphs n = 2, 3 and seeded random
+    binary structures with values in quarters, sixths or eighths.  Targets: a few
+    realized phi-types, seeded target-file vectors with denominator 7, a
+    constant vector (no parameters are needed) and alternating 0/1 values
+    (these abort on the half-graphs).
+    """
+    rng = random.Random(11)
+    corpus = [(f"algebra-{w}", algebra_setup(w))
+              for w in ([F(1, 2)] * 2, [F(1, 4), F(3, 4)], [F(1, 5), F(2, 5), F(2, 5)])]
+    corpus += [(f"halfgraph{n}", halfgraph_setup(n)) for n in (2, 3)]
+    for k, den in enumerate((4, 6, 8, 4, 6, 8)):
+        n = rng.randint(3, 6)
+        table = {(i, j): F(rng.randint(0, den), den) for i in range(n) for j in range(n)}
+        corpus.append((f"random{k}-{n}", binary_setup(table, n)))
+    for name, (M, phi, split) in corpus:
+        xts, yts, _ = value_matrix(M, phi, split)
+        targets = [phi_type(M, phi, split, xts[xi])
+                   for xi in sorted(rng.sample(range(len(xts)), min(4, len(xts))))]
+        targets += [[F(rng.randint(0, 7), 7) for _ in yts] for _ in range(3)]
+        targets.append([F(3, 7)] * len(yts))
+        targets.append([F(i % 2) for i in range(len(yts))])
+        yield name, (M, phi, split), targets
+
+
+MONOTONE_EPS = (F(1, 24), F(1, 16), F(1, 12), F(1, 8), F(1, 5), F(1, 3), F(3, 7))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the reason and details of the DefinitionAbort it raises."""
+    try:
+        return fn(*args)
+    except DefinitionAbort as abort:
+        return ("aborted", abort.reason, abort.details)
+
+
+def test_monotone_ints_match_fraction_reference():
+    """Int rounds and certificate give what the Fraction code gave, field by field.
+
+    Compared: parameters, records, observed error, candidates and g on the
+    observed tuples and on a seeded grid with denominators off the scale;
+    for aborting targets, the reason and details.  The eps include values
+    off the instances' scales (1/3, 1/5, 3/7, and 1/24 and 1/12 on some).
+    """
+    rng = random.Random(7)
+    aborts = successes = empty = 0
+    for name, (M, phi, split), targets in monotone_corpus():
+        for eps in MONOTONE_EPS:
+            for target in targets:
+                where = (name, eps, target)
+                want = outcome(monotone_parameters_reference, M, phi, split, eps, target)
+                assert outcome(monotone_parameters, M, phi, split, eps, target) == want, where
+                if want[0] == "aborted":
+                    aborts += 1
+                    continue
+                ref = monotone_definition_reference(M, phi, split, eps, target)
+                got = monotone_definition(M, phi, split, eps, target)
+                assert got.parameters == ref.parameters, where
+                assert got.records == ref.records, where
+                assert got.observed_error == ref.observed_error, where
+                assert got.candidates == ref.candidates, where
+                n = len(got.parameters)
+                empty += n == 0
+                successes += 1
+                grid = list(ref.candidates)
+                grid += [tuple(F(rng.randint(0, d), d) for _ in range(n))
+                         for d in (1, 2, 3, 7, 12, 35) for _ in range(3)]
+                for v in grid:
+                    assert got.evaluate(v) == ref.evaluate(v), (where, v)
+    assert aborts and successes and empty
+
+
+def relabelling_inputs():
+    """(structure, formula) pairs for the relabelling property, each of one sort."""
+    rng = random.Random(5)
+    inputs = [(gen_prob_algebra([F(1, 2), F(1, 4), F(1, 4)]), "mu(meet(x,y))"),
+              (gen_prob_algebra([F(1, 3), F(2, 3)]), "sup z. mu(meet(meet(x,z),y))"),
+              (gen_halfgraph(3), "phi(x,y)")]
+    for n in (4, 5):
+        table = {(i, j): F(rng.randint(0, 6), 6) for i in range(n) for j in range(n)}
+        inputs.append((binary_setup(table, n)[0], "P(x,y)"))
+    return inputs
+
+
+RELABELLING_INPUTS = relabelling_inputs()
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(range(len(RELABELLING_INPUTS))), st.data())
+def test_relabelled_carrier_keeps_monotone_bound_and_typespace(which, data):
+    """Permuting the carrier order in the JSON gives an isomorphic structure.
+
+    Its typespace has the same multiset of distances, and define-monotone
+    for the same targets (a named realized type and a vector keyed by
+    parameter names) still meets its 3*eps bound, checked through `evaluate`
+    at the relabelled structure's own values.
+    """
+    M, text = RELABELLING_INPUTS[which]
+    (sort, names), = M.carriers.items()
+    perm = data.draw(st.permutations(range(len(names))))
+    N = FiniteStructure.from_json(relabelled_json(M.to_json(), {sort: perm}))
+    phi = parse(text, M.sig)
+    split = make_split(phi, ["x"], ["y"])
+
+    def distances(K):
+        return sorted(d for row in phi_type_space(K, phi, split).metric for d in row)
+
+    assert distances(N) == distances(M)
+    eps = data.draw(st.sampled_from((F(1, 16), F(1, 24), F(1, 32))))
+    x = data.draw(st.sampled_from(names))
+    by_name = {name: F(data.draw(st.integers(0, 7)), 7) for name in names}
+    for K in (M, N):
+        inst = phi_instance(K, phi, split)
+        ynames = [tuple_names(K, split.y, t) for t in inst.yts]
+        targets = [phi_type(K, phi, split, (K.element_index(sort, x),)),
+                   [by_name[b] for (b,) in ynames]]
+        for target in targets:
+            t = target.values if isinstance(target, PhiTypeVector) else target
+            try:
+                d = monotone_definition(K, phi, split, eps, target)
+            except DefinitionAbort:
+                continue
+            assert d.observed_error <= 3 * eps
+            for b, tb in enumerate(t):
+                v = [F(inst.num[c][b], inst.scale) for c in d.parameters]
+                assert abs(d.evaluate(v) - tb) <= 3 * eps
 
 
 # -- staged global definitions -------------------------------------------------
