@@ -51,7 +51,7 @@ from .structures import (
     tuple_names,
     validate,
 )
-from .synthesis import GridFunction, expression_text, expression_tree_size, synthesize
+from .synthesis import GridFunction, expression_text, synthesize
 from .topometric import FiniteTopometricSpace, cb_rank
 from .values import format_rational, parse_rational
 
@@ -366,13 +366,12 @@ def _cmd_synth(args):
     target = GridFunction.from_json(_read_json(args.target))
     step = parse_rational(args.step_modulus) if args.step_modulus else None
     res = synthesize(target, parse_rational(args.epsilon), step_modulus=step)
-    size = expression_tree_size(res.expression)
-    text = expression_text(res.expression, size)
+    text = expression_text(res.expression, res.written_out_nodes)
     return 0, {
         "expression": text if text is not None else "(too large to write out)",
         "max_error": format_rational(res.max_error),
         "distinct_nodes": res.size,
-        "written_out_nodes": size,
+        "written_out_nodes": res.written_out_nodes,
         "requested_epsilon": format_rational(res.requested_epsilon),
     }
 

@@ -22,6 +22,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import DomainError, StructuralError
 from .language import Const, Op, ValueVar, nodes
 from .values import (
+    CONNECTIVES,
     ZERO,
     check_connective,
     ensure_unit,
@@ -33,6 +34,7 @@ from .values import (
 )
 
 MAX_SLOPE = 64
+_ARITY = {name: arity for name, (arity, _) in CONNECTIVES.items()}
 
 
 def _check_pitch(pitch: Fraction) -> Fraction:
@@ -107,59 +109,88 @@ def eval_on_grid(expr, points: Sequence[Sequence[Fraction]]) -> tuple[list[int],
     Value variable t<i> reads coordinate i of each point.  Constants and
     coordinates must lie in [0,1].
     """
-    nums, scale, _ = _eval_packed(expr, points)
+    nums, scale, _, _ = _eval_packed(expr, points)
     return nums, scale
 
 
 def _eval_packed(expr, points):
-    """`eval_on_grid` and the count of distinct nodes, in two loops over the DAG.
+    """`eval_on_grid`, the count of distinct nodes and the written-out size.
 
-    The first loop visits each distinct node once, children first, without recursion; it
-    checks the node and fixes its exact scale: a constant's denominator, the
-    lcm of the coordinates' denominators at a variable, twice the child's
-    scale under `half`, and the lcm of the children's scales at a binary
-    connective or `med`.  The second loop evaluates each node once over D,
-    the lcm of all those scales, with the points packed into one int, one
-    lane of `D.bit_length() + 2` bits per point.  Every value lies in
-    [0, D], so the top bit of a lane is free as a guard for `monus`, and
-    every lane of a `half` argument is even at scale D.
+    One children-first walk over the DAG, without recursion, finishes each
+    distinct node once: it checks the node, records its written-out size (1
+    plus its arguments' sizes) and fixes its exact scale: a constant's
+    denominator, the lcm of the coordinates' denominators at a variable,
+    twice the child's scale under `half`, and the lcm of the children's
+    scales at a binary connective or `med`.  A second loop evaluates each
+    connective once over D, the lcm of all those scales, with the points
+    packed into one int, one lane of `D.bit_length() + 2` bits per point.
+    Every value lies in [0, D], so the top bit of a lane is free as a guard
+    for `monus`, and every lane of a `half` argument is even at scale D.
     """
     columns = {f"t{i}": [ensure_unit(pt[i]) for pt in points]
                for i in range(len(points[0]) if points else 0)}
     var_scale = {name: math.lcm(*(v.denominator for v in col)) for name, col in columns.items()}
     scale: dict = {}  # id(node) -> exact scale of the node's values
-    order = []  # the distinct nodes, children first
-    stack = [(expr, False)]
-    push, pop = stack.append, stack.pop
-    while stack:
-        node, ready = pop()
-        if ready:  # an Op whose arguments all have their scales
-            op, args = node.op, node.args
-            check_connective(op, len(args), node.n)
-            s = math.lcm(*[scale[id(a)] for a in args])
-            scale[id(node)] = 2 * s if op == "half" else s
-        elif id(node) in scale:
-            continue
-        elif isinstance(node, Op):  # the arguments first, left to right
-            push((node, True))
-            for a in reversed(node.args):
-                if id(a) not in scale:
-                    push((a, False))
-            continue
-        elif isinstance(node, Const):
+    size: dict = {}  # id(node) -> written-out size of the node
+    ops, consts, variables = [], [], []  # the distinct nodes, each list children first
+    lcm = math.lcm
+
+    def leaf(node) -> int:
+        cls = type(node)
+        if cls is Const:
             if not 0 <= node.value.numerator <= node.value.denominator:
                 raise DomainError(f"value {node.value} outside [0,1]")
-            scale[id(node)] = node.value.denominator
-        elif isinstance(node, ValueVar):
+            s = node.value.denominator
+            consts.append(node)
+        elif cls is ValueVar:
             if node.name not in columns:
                 raise StructuralError(f"unbound value variable {node.name!r}")
-            scale[id(node)] = var_scale[node.name]
+            s = var_scale[node.name]
+            variables.append(node)
         else:
             raise StructuralError(
                 "expression must use only value variables, connectives, constants")
-        order.append(node)
+        scale[id(node)] = s
+        size[id(node)] = 1
+        return s
+
+    stack = [expr] if type(expr) is Op else []
+    if not stack:
+        leaf(expr)
+    push, pop = stack.append, stack.pop
+    while stack:  # an Op stays on the stack until its arguments are finished
+        node = stack[-1]
+        key = id(node)
+        if key in scale:  # pushed by two parents before either was finished
+            pop()
+            continue
+        s = z = 1
+        waiting = False
+        for a in node.args:
+            k = id(a)
+            if k in scale:
+                s = lcm(s, scale[k])
+                z += size[k]
+            elif type(a) is Op:
+                push(a)
+                waiting = True
+            else:
+                s = lcm(s, leaf(a))
+                z += 1
+        if waiting:
+            continue
+        pop()
+        op, args = node.op, node.args
+        if _ARITY.get(op) != len(args):  # med, or a call that raises
+            check_connective(op, len(args), node.n)
+        scale[key] = 2 * s if op == "half" else s
+        size[key] = z
+        ops.append(node)
 
     D = math.lcm(*set(scale.values()))
+    written = size[id(expr)]
+    scale.clear()  # the walk's tables go before the values come
+    size.clear()
     lanes = len(points)
     width = D.bit_length() + 2
     mask = (1 << width) - 1
@@ -184,16 +215,19 @@ def _eval_packed(expr, points):
 
     coords = {name: pack([v.numerator * (D // v.denominator) for v in col])
               for name, col in columns.items()}
-    val: dict = {}
-    for node in order:
-        if isinstance(node, Op):
-            op = node.op
-            args = [val[id(a)] for a in node.args]
-            if op == "monus":
-                x = monus(*args)
-            elif op == "neg":
-                x = full - args[0]
-            elif op == "half":
+    val: dict = {id(v): coords[v.name] for v in variables}
+    val.update((id(c), c.value.numerator * (D // c.value.denominator) * ones) for c in consts)
+    for node in ops:
+        op, args = node.op, node.args
+        if op == "monus":  # monus and neg are inlined: synthesis writes nothing else
+            t = val[id(args[0])] + guard - val[id(args[1])]
+            g = t & guard
+            x = t & (g - (g >> shift))
+        elif op == "neg":
+            x = full - val[id(args[0])]
+        else:
+            args = [val[id(a)] for a in args]
+            if op == "half":
                 x = args[0] >> 1
             elif op == "min":
                 x = args[0] - monus(*args)
@@ -206,23 +240,20 @@ def _eval_packed(expr, points):
             else:  # med
                 k = node.n - 1
                 x = pack([sorted(column)[k] for column in zip(*map(unpack, args))])
-        elif isinstance(node, Const):
-            x = node.value.numerator * (D // node.value.denominator) * ones
-        else:
-            x = coords[node.name]
         val[id(node)] = x
-    return unpack(val[id(expr)]), D, len(order)
+    return unpack(val[id(expr)]), D, len(ops) + len(consts) + len(variables), written
 
 
-def _grid_error(expr, target: GridFunction) -> tuple[Fraction, int]:
-    """Exact max over grid points of |expression - target|, and the distinct-node count."""
+def _grid_error(expr, target: GridFunction) -> tuple[Fraction, int, int]:
+    """Exact max over grid points of |expression - target|, the distinct-node
+    count and the written-out size."""
     pts = target.grid_points()
-    got, scale, nodes = _eval_packed(expr, pts)
+    got, scale, nodes, written = _eval_packed(expr, pts)
     want = [target.values[pt] for pt in pts]
     den = math.lcm(scale, *(v.denominator for v in want))
     k = den // scale
     return Fraction(max(abs(x * k - v.numerator * (den // v.denominator))
-                        for x, v in zip(got, want)), den), nodes
+                        for x, v in zip(got, want)), den), nodes, written
 
 
 def uses_only_neg_monus_constants(expr) -> bool:
@@ -238,22 +269,16 @@ def value_variables(expr) -> set:
     return {node.name for node in nodes(expr) if isinstance(node, ValueVar)}
 
 
-def _round_dyadic(v: Fraction, k: int) -> Fraction:
-    """Nearest multiple of 2^-k, half rounded up; monotone in v."""
-    scale = 2 ** k
-    return Fraction((v * scale * 2 + 1).__floor__() // 2, scale)
-
-
 # Each constructor makes one node, and a Const when every argument is one,
 # so synthesized expressions hold no all-constant subterm.
 def _monus(a, b):
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(monus(a.value, b.value))
     return Op("monus", (a, b))
 
 
 def _neg(a):
-    return Const(neg(a.value)) if isinstance(a, Const) else Op("neg", (a,))
+    return Const(neg(a.value)) if type(a) is Const else Op("neg", (a,))
 
 
 def _fold_max(exprs):
@@ -284,6 +309,7 @@ class SynthesisResult:
     size: int
     requested_epsilon: Fraction
     rounding_exponent: int
+    written_out_nodes: int
 
 
 def expression_tree_size(expr) -> int:
@@ -309,35 +335,8 @@ def expression_text(expr, tree_size: int, max_nodes: int = 200_000) -> Optional[
     return None if tree_size > max_nodes else print_formula(expr)
 
 
-def _two_point_interpolant(x, y, fx_approx, fy_approx, coord: int, pitch: Fraction):
-    """Expression in t_<coord> matching the approximations at x and y exactly.
-
-    x and y differ in the chosen coordinate; the descending ramp template
-    (A -. m(t -. u)) \\/ B handles A >= B, and its negation handles A < B.
-    """
-    u, v = x[coord], y[coord]
-    a, b = fx_approx, fy_approx
-    if u > v:
-        u, v, a, b = v, u, b, a
-    flip = a < b
-    if flip:
-        a, b = 1 - a, 1 - b
-    # now a >= b on the left endpoint u < v
-    if a == 0:
-        core = Const(ZERO)
-    else:
-        # smallest integer m with m*(v-u) >= a
-        m = (a / (v - u)).__ceil__()
-        if m > MAX_SLOPE:
-            raise DomainError(
-                f"slope {m} exceeds the cap {MAX_SLOPE} for the pair {x} -> {y}")
-        t = ValueVar(f"t{coord}")
-        step = _monus(t, Const(u))
-        core = Const(a)
-        for _ in range(m):
-            core = _monus(core, step)
-    ramp = _fold_max([core, Const(b)]) if b > 0 else core
-    return _neg(ramp) if flip else ramp
+def _point_text(pt) -> str:
+    return f"({', '.join(map(format_rational, pt))})"
 
 
 def synthesize(target: GridFunction, epsilon,
@@ -354,46 +353,73 @@ def synthesize(target: GridFunction, epsilon,
     when `step_modulus` is supplied explicitly; the grid certificate
     itself never needs it.  A pair needing a slope beyond the cap raises
     a DomainError naming it.
+
+    The pairs are built on ints: coordinates as indices over steps =
+    1/pitch, roundings as numerators over K = 2^k, and constants take their
+    Fractions from per-call tables.
     """
     eps = ensure_unit(epsilon)
     if eps == 0:
         raise DomainError("epsilon must be positive")
     if not is_dyadic(eps):
         raise DomainError("epsilon must be dyadic")
-    if step_modulus is not None and eps < 2 * Fraction(step_modulus):
+    if step_modulus is not None and eps < 2 * ensure_unit(step_modulus):
         raise DomainError(
             f"epsilon {format_rational(eps)} is below twice the declared step "
             f"modulus {format_rational(Fraction(step_modulus))}")
     k = 0
     while Fraction(1, 2 ** (k + 1)) > eps:
         k += 1
+    K = 2 ** k
 
+    steps = target.pitch.denominator
+    axis = target.axis()
     pts = target.grid_points()
-    approx = {pt: _round_dyadic(target.values[pt], k) for pt in pts}
-
-    def differing_coord(x, y):
-        for c in range(target.arity):
-            if x[c] != y[c]:
-                return c
-        return None
+    idx = list(itertools.product(range(steps + 1), repeat=target.arity))
+    # nearest multiple of 1/K, half rounded up
+    approx = [(2 * v.numerator * K + v.denominator) // (2 * v.denominator)
+              for v in map(target.values.__getitem__, pts)]
+    level = {i: Fraction(i, K) for a in approx for i in (a, K - a)}
+    names = [f"t{c}" for c in range(target.arity)]
 
     g_rows = []
-    for x in pts:
+    for xi, (x, ax) in enumerate(zip(idx, approx)):
         row = []
-        for y in pts:
-            c = differing_coord(x, y)
-            if c is None:
+        for yi, (y, ay) in enumerate(zip(idx, approx)):
+            if xi == yi:
                 continue
-            row.append(_two_point_interpolant(x, y, approx[x], approx[y], c, target.pitch))
-        if not row:  # single-point grid cannot occur (pitch <= 1 gives >= 2 points)
-            row = [Const(approx[x])]
+            c = 0
+            while x[c] == y[c]:
+                c += 1
+            u, v = x[c], y[c]
+            a, b = (ax, ay) if u < v else (ay, ax)
+            if u > v:
+                u, v = v, u
+            flip = a < b
+            if flip:
+                a, b = K - a, K - b
+            if a == 0:
+                row.append(Const(ZERO))
+                continue
+            m = -(-a * steps // ((v - u) * K))  # the least m with m * (v - u) / steps >= a / K
+            if m > MAX_SLOPE:
+                raise DomainError(f"slope {m} exceeds the cap {MAX_SLOPE} for the pair "
+                                  f"{_point_text(pts[xi])} -> {_point_text(pts[yi])}")
+            step = Op("monus", (ValueVar(names[c]), Const(axis[u])))
+            ramp = Const(level[a])
+            for _ in range(m):
+                ramp = Op("monus", (ramp, step))
+            if b > 0:  # (A -. m(t -. u)) \\/ B
+                nx = Op("neg", (ramp,))
+                ramp = Op("neg", (Op("monus", (nx, Op("monus", (nx, Const(level[K - b]))))),))
+            row.append(Op("neg", (ramp,)) if flip else ramp)
         g_rows.append(_fold_max(row))
     expr = _fold_min(g_rows)
 
-    worst, size = _grid_error(expr, target)
+    worst, size, written = _grid_error(expr, target)
     if worst > eps:
         raise AssertionError("synthesis exceeded the requested error bound")
-    return SynthesisResult(expr, worst, size, eps, k)
+    return SynthesisResult(expr, worst, size, eps, k, written)
 
 
 def verify_synthesis(expr, target: GridFunction) -> Fraction:

@@ -35,15 +35,10 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if "." in s:
         raise DomainError(f"decimal literal {text!r} rejected; use p/q")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"bad rational literal {text!r}: {exc}") from exc
+    num, slash, den = s.partition("/")
     try:
-        return Fraction(int(s))
-    except ValueError as exc:
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad rational literal {text!r}") from exc
 
 

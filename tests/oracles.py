@@ -32,6 +32,7 @@ from contlogic.structures import (
     tuple_names,
     value_matrix,
 )
+from contlogic.synthesis import MAX_SLOPE
 from contlogic.topometric import CBResult, FiniteTopometricSpace
 from contlogic.values import (
     ONE,
@@ -42,6 +43,8 @@ from contlogic.values import (
     ensure_unit,
     format_rational,
     med,
+    monus,
+    neg,
 )
 
 
@@ -657,6 +660,84 @@ def constant_fold_reference(expr):
         return out
 
     return go(expr)
+
+
+def synthesize_reference(target, epsilon):
+    """The expression `synthesis.synthesize` builds, built on Fractions.
+
+    The builder that `synthesis` replaced with one on int numerators: the
+    same nodes, built in the same order with the same sharing and folding.
+    It certifies nothing; a pair whose slope passes the cap raises the same
+    DomainError.
+    """
+    k = 0
+    while F(1, 2 ** (k + 1)) > epsilon:
+        k += 1
+    pts = target.grid_points()
+    approx = {pt: F((target.values[pt] * 2 ** (k + 1) + 1).__floor__() // 2, 2 ** k)
+              for pt in pts}
+    rows = []
+    for x in pts:
+        row = []
+        for y in pts:
+            differing = [c for c in range(target.arity) if x[c] != y[c]]
+            if differing:
+                row.append(_two_point_interpolant(x, y, approx[x], approx[y], differing[0]))
+        rows.append(_fold_max(row))
+    return _fold_min(rows)
+
+
+def _two_point_interpolant(x, y, a, b, coord: int):
+    """Expression in t_<coord> equal to a at x and to b at y (A >= B: the ramp
+    (A -. m(t -. u)) \\/ B; A < B: the negated ramp of the negations)."""
+    u, v = x[coord], y[coord]
+    if u > v:
+        u, v, a, b = v, u, b, a
+    flip = a < b
+    if flip:
+        a, b = 1 - a, 1 - b
+    if a == 0:
+        core = Const(ZERO)
+    else:
+        m = (a / (v - u)).__ceil__()  # the least m with m * (v - u) >= a
+        if m > MAX_SLOPE:
+            raise DomainError(f"slope {m} exceeds the cap {MAX_SLOPE} for the pair "
+                              f"({', '.join(map(format_rational, x))}) -> "
+                              f"({', '.join(map(format_rational, y))})")
+        t = ValueVar(f"t{coord}")
+        step = _monus(t, Const(u))
+        core = Const(a)
+        for _ in range(m):
+            core = _monus(core, step)
+    ramp = _fold_max([core, Const(b)]) if b > 0 else core
+    return _neg(ramp) if flip else ramp
+
+
+def _monus(a, b):
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(monus(a.value, b.value))
+    return Op("monus", (a, b))
+
+
+def _neg(a):
+    return Const(neg(a.value)) if isinstance(a, Const) else Op("neg", (a,))
+
+
+def _fold_max(exprs):
+    if len(exprs) == 1:
+        return exprs[0]
+    mid = len(exprs) // 2
+    x, y = _fold_max(exprs[:mid]), _fold_max(exprs[mid:])
+    nx, ny = _neg(x), _neg(y)
+    return _neg(_monus(nx, _monus(nx, ny)))
+
+
+def _fold_min(exprs):
+    if len(exprs) == 1:
+        return exprs[0]
+    mid = len(exprs) // 2
+    x, y = _fold_min(exprs[:mid]), _fold_min(exprs[mid:])
+    return _monus(x, _monus(x, y))
 
 
 def med_by_subsets(values: Sequence[F], n: int) -> F:

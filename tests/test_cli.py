@@ -463,3 +463,36 @@ def test_constant_structure_ladders_revalidate(capsys, tmp_path, kind, length):
     body = report["report"]
     assert body["length"] == length
     assert body["revalidated"] is True
+
+
+def write_grid(tmp_path, steps, value_at):
+    """A 1-D grid file of pitch 1/steps with value_at(k) at the k-th point."""
+    target = GridFunction(1, F(1, steps), {(F(k, steps),): value_at(k)
+                                           for k in range(steps + 1)})
+    path = tmp_path / f"grid{steps}.json"
+    path.write_text(json.dumps(target.to_json()))
+    return str(path)
+
+
+def run_fails_with(capsys, argv, message):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"contlogic: {message}\n")
+
+
+@pytest.mark.parametrize("modulus", ["-1", "-1/16", "2", "17/16"])
+def test_synth_step_modulus_outside_unit_interval_exits_1(capsys, tmp_path, modulus):
+    path = write_grid(tmp_path, 8, lambda k: F(k, 8))
+    run_fails_with(capsys, ["synth", "--target", path, "--epsilon", "1/8",
+                            f"--step-modulus={modulus}"], f"value {modulus} outside [0,1]")
+
+
+def test_synth_slope_cap(capsys, tmp_path):
+    """Alternating 0/1 needs slope 1/pitch: 128 passes the cap of 64, 64 meets it."""
+    path = write_grid(tmp_path, 128, lambda k: F(k % 2))
+    run_fails_with(capsys, ["synth", "--target", path, "--epsilon", "1/4"],
+                   "slope 128 exceeds the cap 64 for the pair (0) -> (1/128)")
+    path = write_grid(tmp_path, 64, lambda k: F(k % 2))
+    code, report = run_json(capsys, ["synth", "--target", path, "--epsilon", "1/4"])
+    assert code == 0
+    assert report["report"]["max_error"] == "0"

@@ -409,6 +409,27 @@ def test_N_monotone_in_epsilon():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+@settings(max_examples=60)
+@given(st.integers(2, 6), st.sampled_from((2, 3, 4, 8)), st.data())
+def test_N_and_ladder_lengths_as_epsilon_grows(n, den, data):
+    """Metamorphic, on random binary structures of 2-6 points: N and the
+    antisym, order and triple ladder lengths do not grow with eps, N equals
+    max(2, the longest triple ladder found without a length cap), and N is
+    even."""
+    cells = data.draw(st.lists(st.integers(0, den), min_size=n * n, max_size=n * n))
+    M, phi, split = binary_setup({(i, j): F(cells[i * n + j], den)
+                                  for i in range(n) for j in range(n)}, n)
+    previous = None
+    for eps in (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)):
+        N = compute_N(M, phi, split, eps)
+        lengths = [N] + [len(find_ladder(M, phi, split, eps, kind))
+                         for kind in ("antisym", "order", "triple")]
+        assert N == max(2, lengths[3]) and N % 2 == 0, (eps, lengths)
+        if previous:
+            assert all(b <= a for a, b in zip(previous, lengths)), (eps, previous, lengths)
+        previous = lengths
+
+
 # -- median definitions -------------------------------------------------------
 
 

@@ -10,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contlogic.errors import DomainError, StructuralError
-from contlogic.language import Const, Op, Quant, ValueVar, print_formula
+from contlogic.language import Const, Op, Quant, ValueVar, nodes, print_formula
 from contlogic.synthesis import (
     GridFunction,
     eval_on_grid,
+    expression_tree_size,
     lattice_closure_vectors,
     synthesize,
     uses_only_neg_monus_constants,
@@ -261,6 +262,65 @@ def test_synthesis_output_is_a_fixed_point_of_the_reference_fold():
         assert print_formula(folded) == print_formula(res.expression)
         assert len(distinct_nodes(folded)) == res.size
         assert verify_synthesis(res.expression, target) == res.max_error <= eps
+
+
+def dag_shape(expr) -> list:
+    """Each distinct node once, children first, with its arguments as positions."""
+    pos, shape = {}, []
+    for node in nodes(expr):
+        pos[id(node)] = len(shape)
+        shape.append((node.op, node.n, tuple(pos[id(a)] for a in node.args))
+                     if isinstance(node, Op) else node)
+    return shape
+
+
+def reference_targets():
+    """`fold_targets`, plus seeded 1-, 2- and 3-D grids with drawn targets, their
+    flips 1 - f, zero and constant ones, at epsilons from 1 down to 2^-20."""
+    rng = random.Random(43)
+    out = fold_targets()
+    for arity, pitch, eps in ((1, F(1), F(1)), (1, F(1, 4), F(3, 8)), (1, F(1, 16), F(1, 32)),
+                              (1, F(1, 4), F(1, 2 ** 20)), (2, F(1, 2), F(1, 16)),
+                              (3, F(1, 2), F(1, 8))):
+        grid = list(itertools.product([pitch * i for i in range(pitch.denominator + 1)],
+                                      repeat=arity))
+        drawn = {pt: F(rng.randrange(65), 64) for pt in grid}
+        for fn in (drawn.get, lambda pt: 1 - drawn[pt], lambda pt: F(0), lambda pt: F(1, 3)):
+            out.append((GridFunction(arity, pitch, {pt: fn(pt) for pt in grid}), eps))
+    return out
+
+
+def test_int_build_matches_the_fraction_reference():
+    from oracles import synthesize_reference
+
+    for target, eps in reference_targets():
+        ref = synthesize_reference(target, eps)
+        res = synthesize(target, eps)
+        assert dag_shape(res.expression) == dag_shape(ref)
+        assert print_formula(res.expression) == print_formula(ref)
+        assert res.size == len(distinct_nodes(ref))
+        assert res.written_out_nodes == expression_tree_size(ref) \
+            == expression_tree_size(res.expression)
+        assert res.max_error == verify_synthesis(ref, target)
+
+
+@pytest.mark.parametrize("arity, spike, message", [
+    (1, 1, "slope 128 exceeds the cap 64 for the pair (0) -> (1/128)"),
+    (1, 128, "slope 128 exceeds the cap 64 for the pair (127/128) -> (1)"),
+    (2, 1, "slope 128 exceeds the cap 64 for the pair (0, 0) -> (0, 1/128)"),
+])
+def test_slope_cap_names_the_pair_like_the_reference(arity, spike, message):
+    """At pitch 1/128 a jump of 1 between neighbours in the last coordinate
+    needs slope 128; the error names the first such pair in grid order."""
+    from oracles import synthesize_reference
+
+    axis = [F(k, 128) for k in range(129)]
+    target = GridFunction(arity, F(1, 128), {pt: F(int(pt[-1] == axis[spike]))
+                                             for pt in itertools.product(axis, repeat=arity)})
+    for build in (synthesize_reference, synthesize):
+        with pytest.raises(DomainError) as info:
+            build(target, F(1, 4))
+        assert str(info.value) == message
 
 
 def test_packed_evaluator_lane_boundaries():
