@@ -335,17 +335,15 @@ def _verify_glue(M, phi, psi, chi, fresh, fresh_sort):
     (chi_row, chi_scale), (phi_row, phi_scale), (psi_row, psi_scale) = (
         compile_row(M, f, variables) for f in (chi, phi, psi))
 
-    def recovers(row, scale, prefix):
-        return (list(map(scale.__mul__, chi_row(prefix)))
-                == list(map(chi_scale.__mul__, row(prefix))))
+    pools = [range(M.sizes[s]) for _, s in fv[:-1]]
 
-    phi_ok = psi_ok = True
-    for combo in itertools.product(*(range(M.sizes[s]) for _, s in fv[:-1])):
-        phi_ok = phi_ok and recovers(phi_row, phi_scale, (e0, e1, *combo))
-        psi_ok = psi_ok and recovers(psi_row, psi_scale, (e0, e0, *combo))
-        if not (phi_ok or psi_ok):
-            break
-    return {"recovers_phi_at_distance_1": phi_ok, "recovers_psi_at_distance_0": psi_ok}
+    def recovers(row, scale, t, w):  # one (t, w) at a time, so chi's tabled rows are reused
+        return all(list(map(scale.__mul__, chi_row((t, w, *combo))))
+                   == list(map(chi_scale.__mul__, row((t, w, *combo))))
+                   for combo in itertools.product(*pools))
+
+    return {"recovers_phi_at_distance_1": recovers(phi_row, phi_scale, e0, e1),
+            "recovers_psi_at_distance_0": recovers(psi_row, psi_scale, e0, e0)}
 
 
 def _cmd_cbrank(args):

@@ -185,6 +185,16 @@ class Signature:
                 raise StructuralError(f"{entry['name']}: arg_sorts must be a list of sort names")
             return tuple(value)
 
+        built: dict = {}  # breakpoint strings -> their PLMonotone, built once per signature
+
+        def modulus(bps: list) -> PLMonotone:
+            key = tuple(map(tuple, bps))
+            u = built.get(key) if all(isinstance(v, str) for bp in key for v in bp) else None
+            if u is None:  # parse_rational rejects a breakpoint that is not a string
+                u = built[key] = PLMonotone(tuple((parse_rational(x), parse_rational(y))
+                                                  for x, y in key))
+            return u
+
         def moduli(entry) -> tuple:
             value = entry["moduli"]
             if not isinstance(value, list) or not all(
@@ -193,8 +203,7 @@ class Signature:
                     for bps in value):
                 raise StructuralError(f"{entry['name']}: moduli must be a list of "
                                       "breakpoint lists, each breakpoint [in, out]")
-            return tuple(PLMonotone(tuple((parse_rational(x), parse_rational(y)) for x, y in bps))
-                         for bps in value)
+            return tuple(map(modulus, value))
 
         raw_sorts = checked("sorts", "name")
         sorts = [SortDecl(entry, "d" if len(raw_sorts) == 1 else f"d_{entry}")

@@ -342,7 +342,22 @@ def _symbol_table(data: dict, section: str, name: str):
 # element, and a quantifier whose body is a quantifier reading its variable
 # sets its own slot, stopping early once the value reaches the scale (sup)
 # or 0 (inf).  Which variables each node reads comes from one
-# `free_var_map` pass, made when the first quantifier is compiled.
+# `free_var_map` pass, made when the compiler first needs it.
+#
+# Nodes that do per-element work are tabled: connective and `med` rows,
+# lookups through a function term, rows filled by a quantifier, and
+# sup/inf nodes.  Such a node keeps its output, for the life of the
+# compile, keyed by the slots it reads, when its scope holds a variable
+# other than the row variable that it does not read and whose slot a loop
+# or a call sets (no loop sets the slot of a quantifier whose body
+# ignores it).  A node that reads no slot is computed once; one that
+# reads one slot keeps one output per value of it, at most one carrier's
+# worth; one that reads more keeps only its last output, and is tabled
+# only if an unread slot is bound inside all the slots it reads (slots
+# are numbered outermost first), since only then does that output come
+# round again.  Plain table slices are not tabled: `_Slices` keeps them
+# already.  A table holds the values the node would compute, so values
+# are unchanged.
 
 
 def compile_formula(M: FiniteStructure, f, variables: Sequence[str],
@@ -433,14 +448,28 @@ class _Compiler:
         self.f = f
         self.quantifiers = 0
         self.slices: dict = {}  # (id(cells), argument position) -> _Slices
+        self.unset: set = set()  # slots of quantifiers whose body ignores them
 
     @cached_property
     def reads(self) -> dict:
-        """id(node) -> its free variables, for every node of f; only quantifiers ask."""
+        """id(node) -> its free variables, for every node of f; asked for on first need."""
         return free_var_map(self.f)
 
     def reads_var(self, f, name: str) -> bool:
         return any(n == name and s != VALUE_SORT for n, s in self.reads[id(f)])
+
+    def tabled(self, f, node, scope: Mapping[str, int], row):
+        """node, kept in a table keyed by the slots f reads where that saves work."""
+        skip = row[0] if row is not None else None
+        others = {slot for name, slot in scope.items()
+                  if name != skip and slot not in self.unset}
+        if not others:
+            return node
+        read = sorted({scope[n] for n, s in self.reads[id(f)] if s != VALUE_SORT and n != skip})
+        others.difference_update(read)
+        if not others or len(read) > 1 and max(others) < read[-1]:
+            return node
+        return _table(node, read)
 
     def term(self, t, scope: Mapping[str, int], row):
         """(getter, is_row) of a term.
@@ -502,6 +531,9 @@ class _Compiler:
             else:
                 table, strides = self.M.predicate_table[f.pred], self.M._strides[f.pred]
             node, is_row = self.lookup(table.cells, args, strides)
+            rows = [g for g, r in args if r]
+            if len(rows) > 1 or rows and type(rows[0]) is not range:  # not a plain slice
+                node = self.tabled(f, node, scope, row)
             return node, table.den, is_row
         if isinstance(f, Const):
             return _constant(f.value.numerator), f.value.denominator, False
@@ -515,14 +547,17 @@ class _Compiler:
             args = [self.formula(a, scope, row) for a in f.args]
             check_connective(f.op, len(args), f.n)
             width = len(row[1]) if row is not None else 0
-            if f.op == "med":
-                return _median(args, f.n, width)
-            return _connective(f.op, args, width)
+            node, scale, is_row = (_median(args, f.n, width) if f.op == "med"
+                                   else _connective(f.op, args, width))
+            if is_row and f.op != "half":
+                node = self.tabled(f, node, scope, row)
+            return node, scale, is_row
         if isinstance(f, Quant):
             slot = self.free + self.quantifiers
             self.quantifiers += 1
             inner = {**scope, f.var: slot}
             if not self.reads_var(f.body, f.var):
+                self.unset.add(slot)
                 return self.formula(f.body, inner, row)  # the carrier is not empty
             carrier = range(self.M.sizes[f.sort])
             if isinstance(f.body, Quant):
@@ -534,10 +569,43 @@ class _Compiler:
                 best = max if f.kind == "sup" else min
                 node = lambda e: best(body(e))  # noqa: E731
             if row is None or not self.reads_var(f, row[0]):
-                return node, scale, False
+                return self.tabled(f, node, scope, row), scale, False
             r, outer = scope[row[0]], row[1]
-            return (lambda e: [node(e) for e[r] in outer]), scale, True
+            return self.tabled(f, lambda e: [node(e) for e[r] in outer], scope, row), scale, True
         raise StructuralError(f"not a formula: {f!r}")
+
+
+def _table(node, slots: list):
+    """node behind a table: its output per value of one slot, once for none, else the last."""
+    if not slots:
+        out = None
+
+        def tabled(e):
+            nonlocal out
+            if out is None:
+                out = node(e)
+            return out
+    elif len(slots) == 1:
+        s, = slots
+        memo: dict = {}
+
+        def tabled(e):
+            try:
+                return memo[e[s]]
+            except KeyError:
+                out = memo[e[s]] = node(e)
+                return out
+    else:
+        key = itemgetter(*slots)
+        last = out = None
+
+        def tabled(e):
+            nonlocal last, out
+            k = key(e)
+            if k != last:
+                last, out = k, node(e)
+            return out
+    return tabled
 
 
 def _quantifier(kind: str, body, slot: int, carrier: range, scale: int):
@@ -727,9 +795,11 @@ def validate(M: FiniteStructure) -> ValidationReport:
     Uniform continuity is checked in the quantitative inverse-modulus form,
     which is exact on finite structures.  All comparisons are on the int
     tables: a change c/D violates the bound u(d) iff c > floor(u(d) * D),
-    and u is evaluated once per distinct distance.
+    and u is evaluated once per distinct distance of each sort, shared by
+    every symbol and argument with that modulus and that D.
     """
     out = []
+    thresholds: dict = {}  # (u, sort, D) -> {distance numerator: (u(d), floor(u(d) * D))}
     rows = {}
     for sort in M.sig.sort_names:
         names = M.carriers[sort]
@@ -774,7 +844,7 @@ def validate(M: FiniteStructure) -> ValidationReport:
             else:
                 def changes(z, w):  # |P(.., z, ..) - P(.., w, ..)| per context
                     return map(abs, map(sub, cols[z], cols[w]))
-            bounds: dict = {}
+            bounds = thresholds.setdefault((u, sort, den), {})
             found = []
             for z in range(size):
                 for w in range(z + 1, size):

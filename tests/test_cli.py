@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from contlogic.cli import run
-from contlogic.language import PLMonotone, PredDecl, Signature, SortDecl
+from contlogic.cli import _verify_glue, run
+from contlogic.language import PLMonotone, PredDecl, Signature, SortDecl, parse
+from contlogic.stability import glue_formula
 from contlogic.structures import FiniteStructure, gen_halfgraph, gen_prob_algebra
 from contlogic.synthesis import GridFunction
 from oracles import glued_halfgraph
@@ -158,6 +159,22 @@ def test_glue_verify(capsys, tmp_path):
         "recovers_phi_at_distance_1": True,
         "recovers_psi_at_distance_0": True,
     }
+
+
+@pytest.mark.parametrize("chi, want", [
+    ("glued", (True, True)),
+    ("mu(meet(x,y))", (True, False)),
+    ("mu(join(x,z))", (False, True)),
+    ("mu(meet(x,z)) +. d(t,w)", (False, False)),
+])
+def test_glue_identities_report_each_failure(chi, want):
+    """Each identity is checked on its own, whatever the other one gives."""
+    M = gen_prob_algebra([F(1, 4), F(3, 4)])
+    phi, psi = parse("mu(meet(x,y))", M.sig), parse("mu(join(x,z))", M.sig)
+    chi = (glue_formula(phi, psi, "x", ("t", "w"), "B", M.sig) if chi == "glued"
+           else parse(chi, M.sig))
+    got = _verify_glue(M, phi, psi, chi, ("t", "w"), "B")
+    assert (got["recovers_phi_at_distance_1"], got["recovers_psi_at_distance_0"]) == want
 
 
 def test_cbrank(capsys, tmp_path):
@@ -356,6 +373,28 @@ def test_check_signature_entry_bad_shape(capsys, algebra_file, tmp_path, mutate)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     run_fails_cleanly(capsys, ["check", str(path)], 1)
+
+
+@pytest.mark.parametrize("value, message", [
+    (0, "rational literal 0 must be a string"),
+    ([["1"]], "rational literal [['1']] must be a string"),
+    (None, "rational literal None must be a string"),
+    ({"a": 1}, "rational literal {'a': 1} must be a string"),
+    ("1/0", "bad rational literal '1/0'"),
+])
+def test_check_breakpoint_not_a_rational_string(capsys, algebra_file, tmp_path, value, message):
+    """Signatures build each distinct breakpoint list once; a bad one still fails in one line.
+
+    The bad value sits in meet's second modulus, after the same identity
+    modulus has been built for compl and for meet's first argument.
+    """
+    data = json.loads(open(algebra_file).read())
+    meet, = (f for f in data["signature"]["functions"] if f["name"] == "meet")
+    meet["moduli"][1][1][1] = value
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"contlogic: {message}\n"
 
 
 @pytest.mark.parametrize("grid", [

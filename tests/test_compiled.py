@@ -32,6 +32,7 @@ from contlogic.language import (
     ValueVar,
     Var,
     expand_condition,
+    free_vars,
     is_prenex,
     parse,
     prenex,
@@ -39,6 +40,7 @@ from contlogic.language import (
 from contlogic.structures import (
     FiniteStructure,
     PhiInstance,
+    ScaledTable,
     apa_sentence,
     compile_formula,
     compile_row,
@@ -502,3 +504,137 @@ def test_phi_instance_rows_match_fraction_matrix(text):
     want = [[eval_formula_reference(M, dict(zip(names, xt + yt)), phi)
              for yt in tuples_of(M, split.y)] for xt in tuples_of(M, split.x)]
     assert [[F(v, inst.scale) for v in row] for row in inst.num] == want
+
+
+# ---------------------------------------------------------------------------
+# tables: a node that does per-element work keeps its output per value of the
+# slots it reads while a variable it does not read changes
+
+# x and y are free, p is a value variable; every other name is bound.
+TABLED = [
+    # inner rows that ignore an outer variable: mu(meet(x,z)) by x, mu(meet(w,z)) by w
+    "sup w. inf z. |mu(meet(x,z)) - mu(meet(w,z))|",
+    "inf w. sup z. max(mu(meet(w,z)), d(meet(x,z), y))",
+    # a row that reads no slot at all is computed once
+    "sup w. inf z. |mu(compl(z)) - mu(meet(w,z))|",
+    "sup w. inf z. min(d(z,z), mu(meet(join(w,z),x)))",
+    # T_phi shape: a row filled by a quantifier (phi over v) kept per w across u
+    "sup u. inf w. sup v. |(sup z. |mu(meet(v,z)) - mu(meet(w,z))|) - mu(meet(v,u))|",
+    "sup w. inf u. sup v. |(inf z. d(meet(v,z), join(u,z))) - mu(meet(v,x))|",
+    # sup/inf nodes that ignore an enclosing variable
+    "sup w. inf u. max(mu(meet(u,w)), sup z. mu(meet(z,x)))",
+    "inf w. sup u. |mu(meet(u,w)) - inf z. d(meet(z,u), y)|",
+    # a node that reads two slots (v and w) under a loop over u that it ignores
+    "sup v. sup w. inf u. sup z. |mu(meet(meet(v,w),z)) - mu(meet(u,z))|",
+    "inf v. sup w. inf u. sup z. med 2(mu(meet(v,z)), d(join(w,z), v), mu(meet(u,z)))",
+    # shadowed names: each binder of z has its own slot and its own tables
+    "sup z. inf w. sup z. |mu(meet(z,w)) - mu(meet(z,x))|",
+    "sup z. inf w. max(mu(meet(z,w)), sup z. inf u. d(meet(u,z), w))",
+    "sup w. inf z. max(mu(meet(z,w)), sup w. inf z. d(meet(z,w), x))",
+    "inf x. sup w. |mu(meet(x,w)) - sup x. mu(meet(x,y))|",
+    # med under a quantifier, and value variables
+    "sup w. inf z. med 2(mu(meet(x,z)), mu(meet(w,z)), d(z,y))",
+    "inf w. sup z. med 3(mu(meet(z,x)), p, mu(compl(z)), d(meet(w,z),y), half mu(z))",
+    "sup w. inf z. (mu(meet(x,z)) -. p) +. mu(meet(w,z))",
+    "inf w. sup u. min(p, sup z. |mu(meet(u,z)) - half mu(meet(x,z))|)",
+    # a quantifier whose body ignores its variable sits between the loops
+    "sup w. inf u. sup z. |mu(meet(w,z)) - mu(meet(x,z))|",
+]
+
+
+@pytest.mark.parametrize("weights", [[F(1, 2), F(1, 2)], [F(1, 4), F(1, 4), F(1, 2)]],
+                         ids=["4-elements", "8-elements"])
+def test_tabled_nodes_match_reference(weights):
+    M = gen_prob_algebra(weights)
+    carrier = range(M.sizes["B"])
+    for text in TABLED:
+        f = parse(text, M.sig)
+        names = sorted(n for n, s in free_vars(f) if s == "B")  # x, y or both, if read
+        for values in itertools.product(carrier, repeat=len(names)):
+            same_value(M, {**dict(zip(names, values)), "p": F(2, 5)}, f)
+
+
+def test_tables_hold_across_calls_in_any_order():
+    """compile_formula's free slots change between calls, in whatever order they come.
+
+    Each formula has a node that reads both x and y under a loop over u that
+    it ignores, so it keeps only its last output; a key without one of x, y
+    returns a stale one when only that slot has changed since.
+    """
+    M = gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)])
+    pairs = list(itertools.product(range(M.sizes["B"]), repeat=2))
+    random.Random(13).shuffle(pairs)
+    for text in ["inf u. sup z. |mu(meet(meet(x,y),z)) - mu(meet(u,z))|",
+                 "sup u. |(inf z. d(meet(x,z), join(y,z))) - mu(meet(u,x))|",
+                 "sup u. inf z. med 2(mu(meet(join(x,z),y)), mu(meet(u,z)), p)"]:
+        f = parse(text, M.sig)
+        value = compile_formula(M, f, ["x", "y"], {"p": F(2, 5)})
+        for x, y in pairs + pairs[::-1]:
+            assert value((x, y)) == eval_formula_reference(M, {"x": x, "y": y, "p": F(2, 5)}, f)
+
+
+def test_tabled_rows_across_calls_match_reference():
+    """Tables live for one compile, so they span the calls of one row closure."""
+    M = gen_prob_algebra([F(1, 4), F(3, 4)])
+    B = "B"
+    variables = [("v", B), ("w", B), ("x", B), ("y", B)]
+    for text in ["sup z. |mu(meet(meet(v,w),z)) - mu(meet(x,join(y,z)))|",  # reads v and w
+                 "inf z. max(mu(meet(v,z)), d(meet(y,z), x))",
+                 "mu(meet(meet(w,x),y)) +. (sup z. mu(meet(y,z)))",
+                 "sup u. |mu(meet(meet(u,v),y)) - inf z. mu(meet(z,w))|"]:
+        same_rows(M, parse(text, M.sig), variables, {})
+
+
+class CountingCells(list):
+    """Table cells that count their single-element reads; slices are not counted."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        if type(i) is int:
+            self.reads += 1
+        return super().__getitem__(i)
+
+
+def counting_measure(M):
+    """M with its `mu` table read through CountingCells, and those cells."""
+    den, cells = M.predicate_table["mu"]
+    counted = CountingCells(cells)
+    tables = {**M.predicate_table, "mu": ScaledTable(den, counted)}
+    return FiniteStructure.from_tables(M.sig, M.carriers, M.metric_table, M.function_table,
+                                       tables), counted
+
+
+SUP_PHI = "sup z. |mu(meet(x,z)) - mu(meet(y,z))|"
+
+
+def test_tables_build_each_row_once():
+    """The sup-phi's rows mu(meet(x,z)) and mu(meet(y,z)) are built once per x and per y."""
+    M, counted = counting_measure(gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)]))
+    n = M.sizes["B"]
+    phi = parse(SUP_PHI, M.sig)
+    split = make_split(phi, ["x"], ["y"])
+    PhiInstance(M, phi, split)
+    assert counted.reads == 2 * n * n  # without tables: one of each per (x, y), 2 * n**3
+    E = build_imaginary(M, phi, split)
+    counted.reads = 0
+    for _, sentence in tphi_sentences(E):
+        assert eval_formula(E.expanded, {}, sentence) == 0
+    # sentences 2 and 3 each build the two rows at most once per x and per y
+    assert counted.reads <= 4 * n * n
+
+
+def sup_phi_algebra(k):
+    return gen_prob_algebra([F(w, sum(range(5, 5 + k))) for w in range(5, 5 + k)])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_tphi_sentences_vanish_for_the_sup_phi(k):
+    M = sup_phi_algebra(k)
+    phi = parse(SUP_PHI, M.sig)
+    E = build_imaginary(M, phi, make_split(phi, ["x"], ["y"]))
+    for _, sentence in tphi_sentences(E):
+        if k == 3:
+            assert same_value(E.expanded, {}, sentence) == 0
+        else:
+            assert eval_formula(E.expanded, {}, sentence) == 0

@@ -1,14 +1,19 @@
 """Canonical-parameter sort construction and its defining sentences."""
 
+import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contlogic.errors import StructuralError
 from contlogic.imaginaries import build_imaginary, tphi_sentences, verify_tphi
 from contlogic.language import parse
 from contlogic.structures import (
     FiniteStructure,
+    apa_sentence,
     eval_formula,
     from_classical,
     gen_prob_algebra,
@@ -17,7 +22,7 @@ from contlogic.structures import (
     validate,
     value_matrix,
 )
-from oracles import automorphisms, fraction_tables
+from oracles import automorphisms, fraction_tables, relabelled_json
 
 
 def discrete_two_point():
@@ -119,3 +124,58 @@ def test_split_must_partition_free_vars():
         make_split(phi, ["x"], ["z"])
     with pytest.raises(StructuralError):
         make_split(phi, ["x", "y"], ["y"])
+
+
+# -- relabelling ----------------------------------------------------------------
+
+
+def relabelling_bases():
+    """Probability-algebra files: two valid ones and two that fail validation."""
+    valid = [gen_prob_algebra([F(1, 2), F(1, 4), F(1, 4)]).to_json(),
+             gen_prob_algebra([F(5, 18), F(6, 18), F(7, 18)]).to_json()]
+    broken_meet = json.loads(json.dumps(valid[0]))
+    broken_meet["functions"]["meet"][6][7] = "s0"  # breaks distributivity and the modulus
+    broken_mu = json.loads(json.dumps(valid[1]))
+    broken_mu["predicates"]["mu"][3] = "0"
+    return valid + [broken_meet, broken_mu]
+
+
+RELABELLING_BASES = relabelling_bases()
+DISTRIBUTIVITY = "sup x. sup y. sup z. d(meet(x,join(y,z)), join(meet(x,y),meet(x,z)))"
+SUP_PHI = "sup z. |mu(meet(x,z)) - mu(meet(y,z))|"
+
+
+@settings(max_examples=24)
+@given(st.sampled_from(range(len(RELABELLING_BASES))), st.permutations(range(8)))
+def test_relabelled_carrier_keeps_validation_sentences_and_classes(which, perm):
+    """Permuting the carrier order in the JSON gives an isomorphic structure.
+
+    It has the same violations up to the order of their witnesses, the same
+    values of the atomlessness and distributivity sentences, and, when it
+    is valid, the same number of canonical-parameter classes with T_phi
+    vanishing.
+    """
+    data = RELABELLING_BASES[which]
+    M = FiniteStructure.from_json(data)
+    N = FiniteStructure.from_json(relabelled_json(data, {"B": perm}))
+
+    def violations(K):
+        return Counter((v.kind, v.subject, v.detail) for v in validate(K).violations)
+
+    assert violations(N) == violations(M)
+    for sentence in (apa_sentence(M.sig), parse(DISTRIBUTIVITY, M.sig)):
+        assert eval_formula(N, {}, sentence) == eval_formula(M, {}, sentence)
+    if not validate(M).valid:
+        phi = parse(SUP_PHI, N.sig)
+        with pytest.raises(StructuralError):
+            build_imaginary(N, phi, make_split(phi, ["x"], ["y"]))
+        return
+    for text in (SUP_PHI, "mu(meet(x,y))", "|mu(y) - half mu(x)|"):  # 8, 8 and 5 or 8 classes
+        classes = []
+        for K in (M, N):
+            phi = parse(text, K.sig)
+            E = build_imaginary(K, phi, make_split(phi, ["x"], ["y"]))
+            all_zero, _ = verify_tphi(E)
+            assert all_zero
+            classes.append(len(E.class_names))
+        assert classes[0] == classes[1]
