@@ -35,20 +35,19 @@ from .stability import (
     glue_formula,
     median_definition,
     monotone_definition,
-    phi_type_at,
+    phi_type,
     phi_type_space,
     revalidate_ladder,
 )
 from .structures import (
     FiniteStructure,
+    PhiInstance,
     compile_row,
     complete_structure,
     env_from_names,
     eval_formula,
     is_elementary_substructure,
     make_split,
-    phi_instance,
-    tuple_names,
     validate,
 )
 from .synthesis import GridFunction, expression_text, synthesize
@@ -102,29 +101,30 @@ def _split_from_flag(text: str):
     return xs, ys
 
 
-def _target_vector_from_flags(M, phi, split, args):
-    inst = phi_instance(M, phi, split)
+def _instance(args) -> PhiInstance:
+    """The structure file, formula and split of a command, built into one instance."""
+    M = _load_structure(args.structure)
+    phi = parse(args.formula, M.sig)
+    xs, ys = _split_from_flag(args.split)
+    return PhiInstance(M, phi, make_split(phi, xs, ys))
+
+
+def _target_vector_from_flags(inst, args):
     if args.target is not None:
         want = inst.x_index.get(tuple(v.strip() for v in args.target.split(",")))
         if want is None:
             raise DomainError(f"no x-tuple named {args.target!r}")
-        return phi_type_at(inst, want)
+        return phi_type(inst, want)
     data = _read_json(args.target_file)
     if not isinstance(data, dict) or not isinstance(data.get("values"), dict):
         raise DomainError(f"target file {args.target_file} needs a 'values' object")
     values = []
-    for names in inst.y_index:
+    for names in inst.y_names:
         key = ",".join(names)
         if key not in data["values"]:
             raise DomainError(f"target file misses parameter {key!r}")
         values.append(parse_rational(data["values"][key]))
     return PhiTypeVector(tuple(values))
-
-
-def _phi_and_split(M, args):
-    phi = parse(args.formula, M.sig)
-    xs, ys = _split_from_flag(args.split)
-    return phi, make_split(phi, xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +196,12 @@ def _cmd_tv(args):
 def _cmd_imaginary(args):
     from .imaginaries import build_imaginary, verify_tphi
 
-    M = _load_structure(args.structure)
-    phi, split = _phi_and_split(M, args)
-    E = build_imaginary(M, phi, split)
+    inst = _instance(args)
+    E = build_imaginary(inst)
     ok, rows = verify_tphi(E)
     payload = {
-        "classes": {name: list(tuple_names(M, split.y, rep))
-                    for name, rep in zip(E.class_names, E.representatives)},
+        "classes": {name: list(inst.y_names[members[0]])
+                    for name, members in zip(E.class_names, E.class_members)},
         "class_count": len(E.class_names),
         "t_phi": [{"name": r["name"], "value": format_rational(r["value"]),
                    "holds": r["holds"]} for r in rows],
@@ -220,14 +219,12 @@ def _cmd_imaginary(args):
 
 
 def _cmd_typespace(args):
-    M = _load_structure(args.structure)
-    phi, split = _phi_and_split(M, args)
-    space = phi_type_space(M, phi, split)
-    xts = phi_instance(M, phi, split).xts
+    inst = _instance(args)
+    space = phi_type_space(inst)
     payload = {
         "point_count": len(space.points),
         "points": [
-            {"realizers": [",".join(tuple_names(M, split.x, xts[i])) for i in reals],
+            {"realizers": [",".join(inst.x_names[i]) for i in reals],
              "values": [format_rational(v) for v in p.values]}
             for p, reals in zip(space.points, space.realizers)
         ],
@@ -237,17 +234,15 @@ def _cmd_typespace(args):
 
 
 def _cmd_stability(args):
-    M = _load_structure(args.structure)
-    phi, split = _phi_and_split(M, args)
-    witness = find_ladder(M, phi, split, parse_rational(args.epsilon), args.kind,
-                          max_len=args.max_len)
+    inst = _instance(args)
+    witness = find_ladder(inst, parse_rational(args.epsilon), args.kind, max_len=args.max_len)
     payload = {
         "kind": witness.kind,
         "epsilon": format_rational(witness.epsilon),
         "length": len(witness),
         "pairs": [{"a": list(a), "b": list(b)} for a, b in witness.pairs],
         "at_searched_bound": witness.at_searched_bound,
-        "revalidated": revalidate_ladder(M, phi, split, witness),
+        "revalidated": revalidate_ladder(inst, witness),
     }
     if witness.r is not None:
         payload["r"] = format_rational(witness.r)
@@ -256,17 +251,14 @@ def _cmd_stability(args):
 
 
 def _cmd_nvalue(args):
-    M = _load_structure(args.structure)
-    phi, split = _phi_and_split(M, args)
-    n = compute_N(M, phi, split, parse_rational(args.epsilon))
+    n = compute_N(_instance(args), parse_rational(args.epsilon))
     return 0, {"epsilon": args.epsilon, "N": n}
 
 
 def _cmd_define_median(args):
-    M = _load_structure(args.structure)
-    phi, split = _phi_and_split(M, args)
-    target = _target_vector_from_flags(M, phi, split, args)
-    d = median_definition(M, phi, split, parse_rational(args.epsilon), target)
+    inst = _instance(args)
+    target = _target_vector_from_flags(inst, args)
+    d = median_definition(inst, parse_rational(args.epsilon), target)
     return 0, {
         "epsilon": format_rational(d.epsilon),
         "N": d.n_value,
@@ -277,10 +269,9 @@ def _cmd_define_median(args):
 
 
 def _cmd_define_monotone(args):
-    M = _load_structure(args.structure)
-    phi, split = _phi_and_split(M, args)
-    target = _target_vector_from_flags(M, phi, split, args)
-    d = monotone_definition(M, phi, split, parse_rational(args.epsilon), target)
+    inst = _instance(args)
+    target = _target_vector_from_flags(inst, args)
+    d = monotone_definition(inst, parse_rational(args.epsilon), target)
     return 0, {
         "epsilon": format_rational(d.epsilon),
         "parameters": [",".join(names) for names in d.parameter_names],
@@ -291,10 +282,8 @@ def _cmd_define_monotone(args):
 
 
 def _cmd_define_global(args):
-    M = _load_structure(args.structure)
-    phi, split = _phi_and_split(M, args)
-    target = _target_vector_from_flags(M, phi, split, args)
-    d = global_definition(M, phi, split, target, args.depth)
+    inst = _instance(args)
+    d = global_definition(inst, _target_vector_from_flags(inst, args), args.depth)
     return 0, {
         "depth": d.depth,
         "error_bound": format_rational(d.error_bound),

@@ -23,24 +23,20 @@ from .language import (
 )
 from .structures import (
     FiniteStructure,
+    PhiInstance,
     ScaledTable,
-    VariableSplit,
     eval_formula,
-    phi_instance,
     sup_distances,
-    tuple_names,
     validate,
 )
+
+# the names of the new sort, its metric and the class predicate
+SORT_NAME, METRIC_NAME, PRED_NAME = "S_phi", "d_phi", "P_phi"
 
 
 @dataclass
 class ImaginaryExpansion:
-    base: FiniteStructure
-    formula: object
-    split: VariableSplit
-    sort_name: str
-    metric_name: str
-    pred_name: str
+    instance: PhiInstance
     class_members: list  # list of lists of y-tuple indices
     class_names: list
     representatives: list  # y-tuple (of carrier indices) per class
@@ -48,24 +44,22 @@ class ImaginaryExpansion:
     expanded: FiniteStructure
 
 
-def build_imaginary(M: FiniteStructure, phi, split: VariableSplit,
-                    sort_name: str = "S_phi", metric_name: str = "d_phi",
-                    pred_name: str = "P_phi") -> ImaginaryExpansion:
-    """Expand M with the canonical-parameter sort for phi under the given split.
+def build_imaginary(inst: PhiInstance) -> ImaginaryExpansion:
+    """Expand M with the canonical-parameter sort for phi under the instance's split.
 
     The new sort's elements are classes of parameter tuples at pseudo-distance
     zero (equal value rows); the class predicate has identity modulus in the
     class argument and inferred moduli in the free arguments.
     """
+    M, phi, split = inst.M, inst.phi, inst.split
     report = validate(M)
     if not report.valid:
         raise StructuralError(f"base structure fails validation: {report.violations[0]}")
-    for name in (sort_name, metric_name, pred_name):
+    for name in (SORT_NAME, METRIC_NAME, PRED_NAME):
         if name in M.sig.functions or name in M.sig.predicates or name in M.sig.metric_sort \
                 or name in M.sig.sorts:
             raise StructuralError(f"name {name!r} already used in the signature")
 
-    inst = phi_instance(M, phi, split)
     num, yts = inst.num, inst.yts
     columns = [tuple(row[yi] for row in num) for yi in range(len(yts))]
 
@@ -82,14 +76,13 @@ def build_imaginary(M: FiniteStructure, phi, split: VariableSplit,
             class_members.append([yi])
         projection[yi] = ci
     representatives = [members[0] for members in class_members]
-    class_names = ["[" + ",".join(tuple_names(M, split.y, yts[rep])) + "]"
-                   for rep in representatives]
+    class_names = ["[" + ",".join(inst.y_names[rep]) + "]" for rep in representatives]
 
     x_moduli = tuple(infer_modulus(phi, M.sig, name) for name, _ in split.x)
-    pred_decl = PredDecl(pred_name,
-                         tuple(s for _, s in split.x) + (sort_name,),
+    pred_decl = PredDecl(PRED_NAME,
+                         tuple(s for _, s in split.x) + (SORT_NAME,),
                          x_moduli + (PLMonotone.identity(),))
-    new_sig = M.sig.extended(sorts=[SortDecl(sort_name, metric_name)],
+    new_sig = M.sig.extended(sorts=[SortDecl(SORT_NAME, METRIC_NAME)],
                              predicates=[pred_decl])
 
     # row-major in (x-tuple, class), since xts enumerates x-tuples lexicographically
@@ -97,16 +90,15 @@ def build_imaginary(M: FiniteStructure, phi, split: VariableSplit,
     d_phi = sup_distances([columns[rep] for rep in representatives])
 
     carriers = dict(M.carriers)
-    carriers[sort_name] = class_names
+    carriers[SORT_NAME] = class_names
     metric_table = dict(M.metric_table)
-    metric_table[sort_name] = ScaledTable.over(inst.scale, [d for row in d_phi for d in row])
+    metric_table[SORT_NAME] = ScaledTable.over(inst.scale, [d for row in d_phi for d in row])
     predicate_table = dict(M.predicate_table)
-    predicate_table[pred_name] = ScaledTable.over(inst.scale, pred_values)
+    predicate_table[PRED_NAME] = ScaledTable.over(inst.scale, pred_values)
     expanded = FiniteStructure.from_tables(new_sig, carriers, metric_table, M.function_table,
                                            predicate_table)
-    return ImaginaryExpansion(M, phi, split, sort_name, metric_name, pred_name,
-                              class_members, class_names, [yts[r] for r in representatives],
-                              projection, expanded)
+    return ImaginaryExpansion(inst, class_members, class_names,
+                              [yts[r] for r in representatives], projection, expanded)
 
 
 def tphi_sentences(E: ImaginaryExpansion) -> list[tuple[str, object]]:
@@ -114,16 +106,15 @@ def tphi_sentences(E: ImaginaryExpansion) -> list[tuple[str, object]]:
 
     All three evaluate to exactly 0 on every built expansion.
     """
-    phi = E.formula
-    split = E.split
+    phi, split = E.instance.phi, E.instance.split
     used = {n for n, _ in split.x} | {n for n, _ in split.y}
     z1, z2 = "z_cp1", "z_cp2"
     if z1 in used or z2 in used:
         z1, z2 = "z_cp1_", "z_cp2_"
 
     def p_phi_atom(zname: str):
-        args = tuple(Var(n, s) for n, s in split.x) + (Var(zname, E.sort_name),)
-        return Atom(E.pred_name, args)
+        args = tuple(Var(n, s) for n, s in split.x) + (Var(zname, SORT_NAME),)
+        return Atom(PRED_NAME, args)
 
     def sup_over(vars_, body):
         for name, sort in reversed(vars_):
@@ -137,16 +128,16 @@ def tphi_sentences(E: ImaginaryExpansion) -> list[tuple[str, object]]:
 
     # sup_zz' | d_phi(z,z') - sup_x |P(x,z) - P(x,z')| |
     inner = sup_over(split.x, Op("absdiff", (p_phi_atom(z1), p_phi_atom(z2))))
-    s1 = Quant("sup", z1, E.sort_name,
-               Quant("sup", z2, E.sort_name,
-                     Op("absdiff", (Atom(E.metric_name,
-                                         (Var(z1, E.sort_name), Var(z2, E.sort_name))),
+    s1 = Quant("sup", z1, SORT_NAME,
+               Quant("sup", z2, SORT_NAME,
+                     Op("absdiff", (Atom(METRIC_NAME,
+                                         (Var(z1, SORT_NAME), Var(z2, SORT_NAME))),
                                     inner))))
     # sup_z inf_y sup_x |phi(x,y) - P(x,z)|
     mismatch = sup_over(split.x, Op("absdiff", (phi, p_phi_atom(z1))))
-    s2 = Quant("sup", z1, E.sort_name, inf_over(split.y, mismatch))
+    s2 = Quant("sup", z1, SORT_NAME, inf_over(split.y, mismatch))
     # sup_y inf_z sup_x |phi(x,y) - P(x,z)|
-    s3 = sup_over(split.y, Quant("inf", z1, E.sort_name, mismatch))
+    s3 = sup_over(split.y, Quant("inf", z1, SORT_NAME, mismatch))
     return [("metric_matches_sup_difference", s1),
             ("every_class_is_a_parameter", s2),
             ("every_parameter_has_a_class", s3)]

@@ -580,6 +580,14 @@ class _Parser:
         return Var(t.text, sort)
 
 
+def _arg_sorts(symbol: str, args: tuple, decl) -> tuple:
+    """The argument sorts of a symbol's declaration, once `args` has as many entries."""
+    if len(args) != len(decl.arg_sorts):
+        raise SortMismatchError(
+            f"{symbol} expects {len(decl.arg_sorts)} arguments, got {len(args)}")
+    return decl.arg_sorts
+
+
 def _scan_sort_constraints(f, name: str, sig: Signature, out: set):
     """Collect the sorts demanded for variable `name` by symbol positions."""
 
@@ -590,19 +598,14 @@ def _scan_sort_constraints(f, name: str, sig: Signature, out: set):
                 if t.sort is not None:
                     out.add(t.sort)
         else:
-            decl = sig.func_decl(t.func)
-            for a, s in zip(t.args, decl.arg_sorts):
+            for a, s in zip(t.args, _arg_sorts(t.func, t.args, sig.func_decl(t.func))):
                 scan_term(a, s)
 
     stack = [f]
     while stack:
         node = stack.pop()
         if isinstance(node, Atom):
-            decl = sig.pred_decl(node.pred)
-            if len(node.args) != len(decl.arg_sorts):
-                raise SortMismatchError(
-                    f"{node.pred} expects {len(decl.arg_sorts)} arguments, got {len(node.args)}")
-            for a, s in zip(node.args, decl.arg_sorts):
+            for a, s in zip(node.args, _arg_sorts(node.pred, node.args, sig.pred_decl(node.pred))):
                 scan_term(a, s)
         elif not (isinstance(node, Quant) and node.var == name):
             # identical names shadow; the inner scope is a new variable
@@ -637,20 +640,14 @@ def _attach_sorts(f, sig: Signature, env: dict):
                 raise SortMismatchError(f"variable {t.name!r} of sort {sort} used at sort {expected}")
             return Var(t.name, sort)
         decl = sig.func_decl(t.func)
-        if len(t.args) != len(decl.arg_sorts):
-            raise SortMismatchError(
-                f"{t.func} expects {len(decl.arg_sorts)} arguments, got {len(t.args)}")
+        sorts = _arg_sorts(t.func, t.args, decl)
         if decl.target != expected:
             raise SortMismatchError(f"{t.func} has sort {decl.target}, used at sort {expected}")
-        return App(t.func, tuple(fix_term(a, s) for a, s in zip(t.args, decl.arg_sorts)),
-                   decl.target)
+        return App(t.func, tuple(map(fix_term, t.args, sorts)), decl.target)
 
     if isinstance(f, Atom):
-        decl = sig.pred_decl(f.pred)
-        if len(f.args) != len(decl.arg_sorts):
-            raise SortMismatchError(
-                f"{f.pred} expects {len(decl.arg_sorts)} arguments, got {len(f.args)}")
-        return Atom(f.pred, tuple(fix_term(a, s) for a, s in zip(f.args, decl.arg_sorts)))
+        sorts = _arg_sorts(f.pred, f.args, sig.pred_decl(f.pred))
+        return Atom(f.pred, tuple(map(fix_term, f.args, sorts)))
     if isinstance(f, Quant):
         sort = _resolve_var_sort(f.body, f.var, f.sort, sig)
         return Quant(f.kind, f.var, sort, _attach_sorts(f.body, sig, {**env, f.var: sort}))

@@ -23,14 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DefinitionAbort, DomainError, StructuralError
 from .language import Atom, Op, Var, free_vars
-from .structures import (
-    FiniteStructure,
-    VariableSplit,
-    fraction_rows,
-    phi_instance,
-    sup_distances,
-    tuple_names,
-)
+from .structures import PhiInstance, fraction_rows, sup_distances
 from .values import ZERO, flim_prefix, med
 
 
@@ -57,20 +50,13 @@ class PhiTypeSpace:
     realizers: tuple[tuple[int, ...], ...]  # x-tuple indices realizing each point
 
 
-def phi_type(M: FiniteStructure, phi, split: VariableSplit, a_tuple) -> PhiTypeVector:
-    """The phi-type of one x-tuple: the vector of its values at every parameter."""
-    inst = phi_instance(M, phi, split)
-    return phi_type_at(inst, inst.xts.index(tuple(a_tuple)))
-
-
-def phi_type_at(inst, xi: int) -> PhiTypeVector:
-    """The phi-type of the x-tuple at index `xi` of a `PhiInstance`."""
+def phi_type(inst: PhiInstance, xi: int) -> PhiTypeVector:
+    """The phi-type of the x-tuple at index `xi`: its values at every parameter."""
     return PhiTypeVector(fraction_rows([inst.num[xi]], inst.scale)[0], realizer=xi)
 
 
-def phi_type_space(M: FiniteStructure, phi, split: VariableSplit) -> PhiTypeSpace:
+def phi_type_space(inst: PhiInstance) -> PhiTypeSpace:
     """All realized phi-types, deduplicated, with the sup-difference metric."""
-    inst = phi_instance(M, phi, split)
     realizers: dict = {}  # distinct int row -> the x-tuple indices realizing it
     for xi, row in enumerate(inst.num):
         realizers.setdefault(row, []).append(xi)
@@ -101,15 +87,13 @@ class LadderWitness:
         return len(self.pairs)
 
 
-def revalidate_ladder(M: FiniteStructure, phi, split: VariableSplit,
-                      witness: LadderWitness) -> bool:
+def revalidate_ladder(inst: PhiInstance, witness: LadderWitness) -> bool:
     """Re-check the stored inequalities of a witness on the exact values.
 
     The values are compared as ints over the instance's scale, against the
     integer thresholds that eps, r and s put on it.  An empty witness
     satisfies its inequalities vacuously, for every kind.
     """
-    inst = phi_instance(M, phi, split)
     num, scale = inst.num, inst.scale
     pairs = [(inst.x_index[a], inst.y_index[b]) for a, b in witness.pairs]
     eps = Fraction(witness.epsilon)
@@ -136,8 +120,8 @@ def revalidate_ladder(M: FiniteStructure, phi, split: VariableSplit,
     raise StructuralError(f"unknown ladder kind {witness.kind!r}")
 
 
-def find_ladder(M: FiniteStructure, phi, split: VariableSplit, epsilon,
-                kind: str, max_len: Optional[int] = None) -> LadderWitness:
+def find_ladder(inst: PhiInstance, epsilon, kind: str,
+                max_len: Optional[int] = None) -> LadderWitness:
     """Longest ladder of the requested kind, up to max_len when given.
 
     antisym: |phi(a_i,b_j) - phi(a_j,b_i)| >= eps for i < j.
@@ -155,14 +139,12 @@ def find_ladder(M: FiniteStructure, phi, split: VariableSplit, epsilon,
         raise DomainError("epsilon must be positive")
     if max_len is not None and max_len < 1:
         raise DomainError("max-len must be at least 1")
-    inst = phi_instance(M, phi, split)
-    xts, yts, num = inst.xts, inst.yts, inst.num
-    nx, ny = len(xts), len(yts)
+    num = inst.num
+    nx, ny = len(inst.xts), len(inst.yts)
     gap = _gap(eps, inst.scale)
 
     def names(pairs):
-        return tuple((tuple_names(M, split.x, xts[a]), tuple_names(M, split.y, yts[b]))
-                     for a, b in pairs)
+        return tuple((inst.x_names[a], inst.y_names[b]) for a, b in pairs)
 
     def as_pairs(seq):
         return [divmod(p, ny) for p in seq]
@@ -475,7 +457,7 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def compute_N(M: FiniteStructure, phi, split: VariableSplit, epsilon) -> int:
+def compute_N(inst: PhiInstance, epsilon) -> int:
     """Minimal N such that no length-(N+1) sequence satisfies the triple condition.
 
     Computed relative to M by exhaustive search; length-2 sequences satisfy
@@ -484,7 +466,6 @@ def compute_N(M: FiniteStructure, phi, split: VariableSplit, epsilon) -> int:
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    inst = phi_instance(M, phi, split)
     if not inst.xts or not inst.yts:
         raise DomainError("empty structure")
     seq, _ = _longest_triple_sequence(inst.num, inst.scale, len(inst.xts), len(inst.yts),
@@ -509,21 +490,21 @@ class MedianDefinition:
     defined_values: tuple[Fraction, ...]
 
 
-def _target_vector(M, split, yts, target) -> PhiTypeVector:
+def _target_vector(inst: PhiInstance, target) -> PhiTypeVector:
     """The target as a PhiTypeVector with one value in [0, 1] per parameter tuple."""
     tgt = target if isinstance(target, PhiTypeVector) else PhiTypeVector(
         tuple(Fraction(v) for v in target))
-    if len(tgt.values) != len(yts):
+    if len(tgt.values) != len(inst.yts):
         raise StructuralError("target vector length does not match the parameter carrier")
     for b, v in enumerate(tgt.values):
         if not 0 <= v <= 1:
-            name = ",".join(tuple_names(M, split.y, yts[b]))
+            name = ",".join(inst.y_names[b])
             raise DomainError(f"target value {v} at parameter {name!r} is outside [0, 1]")
     return tgt
 
 
-def median_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
-                      target, n_value: Optional[int] = None) -> MedianDefinition:
+def median_definition(inst: PhiInstance, epsilon, target,
+                      n_value: Optional[int] = None) -> MedianDefinition:
     """Constructive median-value definition of a target vector within eps.
 
     Runs the 2N-1 step loop with N = compute_N (which `n_value` may supply
@@ -541,11 +522,10 @@ def median_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    inst = phi_instance(M, phi, split)
     xts, yts, vals = inst.xts, inst.yts, inst.vals
-    tgt = _target_vector(M, split, yts, target)
+    tgt = _target_vector(inst, target)
     t = tgt.values
-    N = compute_N(M, phi, split, eps) if n_value is None else n_value
+    N = compute_N(inst, eps) if n_value is None else n_value
     if N < 2:
         raise DomainError("the ladder bound N is always at least 2")
     arity = 2 * N - 1
@@ -567,7 +547,7 @@ def median_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
                 bits = tuple(i for i in range(len(chosen)) if S >> i & 1)
                 raise DefinitionAbort("ladder-bound-exceeded", step=step,
                                       w=bits[:N],
-                                      witness=tuple_names(M, split.y, yts[a]))
+                                      witness=inst.y_names[a])
             sub = S
             while sub:  # all non-empty submasks of S
                 if sub not in witnesses:
@@ -598,8 +578,7 @@ def median_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     observed = max(abs(d - tv) for d, tv in zip(defined, t)) if defined else ZERO
     if observed > eps:
         raise AssertionError("median bound violated despite passing the ladder checks")
-    return MedianDefinition(eps, N, tuple(chosen),
-                            tuple(tuple_names(M, split.x, xts[c]) for c in chosen),
+    return MedianDefinition(eps, N, tuple(chosen), tuple(inst.x_names[c] for c in chosen),
                             tgt, observed, defined)
 
 
@@ -633,7 +612,7 @@ def _monotone_scale(scale: int, eps: Fraction, t) -> tuple:
             eps.numerator * (L // eps.denominator))
 
 
-def monotone_parameters(M: FiniteStructure, phi, split: VariableSplit, epsilon, target):
+def monotone_parameters(inst: PhiInstance, epsilon, target):
     """Parameter list from the violation-elimination loop, with its records.
 
     Repeatedly find parameters (a, b) where every chosen c has
@@ -653,9 +632,8 @@ def monotone_parameters(M: FiniteStructure, phi, split: VariableSplit, epsilon, 
     eps = Fraction(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    inst = phi_instance(M, phi, split)
-    num, yts = inst.num, inst.yts
-    tgt = _target_vector(M, split, yts, target)
+    num = inst.num
+    tgt = _target_vector(inst, target)
     L, k, T, E = _monotone_scale(inst.scale, eps, tgt.values)
 
     chosen: list[int] = []
@@ -677,16 +655,14 @@ def monotone_parameters(M: FiniteStructure, phi, split: VariableSplit, epsilon, 
         admissible &= _bits(row[a] * k > s and row[b] * k < r for row in num)
         if not admissible:
             raise DefinitionAbort("no-admissible-parameter", step=len(records) - 1,
-                                  pair=(tuple_names(M, split.y, yts[a]),
-                                        tuple_names(M, split.y, yts[b])))
+                                  pair=(inst.y_names[a], inst.y_names[b]))
         c = _lowest_bit(admissible)
         chosen.append(c)
         rows.append([v * k for v in num[c]])
     return chosen, records, tgt
 
 
-def monotone_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
-                        target) -> MonotoneDefinition:
+def monotone_definition(inst: PhiInstance, epsilon, target) -> MonotoneDefinition:
     """Continuous increasing combination g with |g(phi(c_i,a)) - target(a)| <= 3*eps.
 
     g(v) = sup_u h_u(v) f(u) with f the monotone step function
@@ -704,8 +680,7 @@ def monotone_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     best product.
     """
     eps = Fraction(epsilon)
-    chosen, records, tgt = monotone_parameters(M, phi, split, eps, target)
-    inst = phi_instance(M, phi, split)
+    chosen, records, tgt = monotone_parameters(inst, eps, target)
     L, k, T, E = _monotone_scale(inst.scale, eps, tgt.values)
     n = len(chosen)
 
@@ -741,8 +716,7 @@ def monotone_definition(M: FiniteStructure, phi, split: VariableSplit, epsilon,
     worst = max((abs(g_scaled(o, 1) - ta * E) for ta, o in zip(T, observed)), default=0)
     if worst > 3 * E * E:
         raise AssertionError("monotone-definition bound violated")
-    return MonotoneDefinition(eps, tuple(chosen),
-                              tuple(tuple_names(M, split.x, inst.xts[c]) for c in chosen),
+    return MonotoneDefinition(eps, tuple(chosen), tuple(inst.x_names[c] for c in chosen),
                               tuple(records), Fraction(worst, E * L),
                               fraction_rows(candidates, L), g)
 
@@ -760,8 +734,7 @@ class StagedDefinition:
     error_bound: Fraction
 
 
-def global_definition(M: FiniteStructure, phi, split: VariableSplit, target,
-                      depth: int) -> StagedDefinition:
+def global_definition(inst: PhiInstance, target, depth: int) -> StagedDefinition:
     """Median definitions at eps = 2^-n for n < depth, combined by forced limit.
 
     For targets whose every stage succeeds (realized targets in particular),
@@ -770,11 +743,11 @@ def global_definition(M: FiniteStructure, phi, split: VariableSplit, target,
     """
     if not 1 <= depth <= 16:  # each stage is a full median search, seconds at small eps
         raise DomainError("depth must be between 1 and 16")
-    tgt = _target_vector(M, split, phi_instance(M, phi, split).yts, target)
+    tgt = _target_vector(inst, target)
     stages = []
     for n in range(depth):
         try:
-            stages.append(median_definition(M, phi, split, Fraction(1, 2 ** n), tgt))
+            stages.append(median_definition(inst, Fraction(1, 2 ** n), tgt))
         except DefinitionAbort as abort:
             raise DefinitionAbort("stage-failed", stage=n, inner=abort.reason,
                                   **abort.details) from abort

@@ -155,11 +155,6 @@ class FiniteStructure:
         self._strides = {name: _strides([self.sizes[s] for s in decl.arg_sorts])
                          for name, decl in decls.items()}
 
-    @cached_property
-    def _phi_instances(self) -> dict:
-        """(formula, split) -> PhiInstance, filled by `phi_instance`."""
-        return {}
-
     def element_name(self, sort: str, idx: int) -> str:
         return self.carriers[sort][idx]
 
@@ -182,7 +177,7 @@ class FiniteStructure:
 
     # -- JSON -----------------------------------------------------------------
 
-    def to_json(self, inline_signature: bool = True) -> dict:
+    def to_json(self) -> dict:
         def dims(arg_sorts):
             return [self.sizes[s] for s in arg_sorts]
 
@@ -191,7 +186,7 @@ class FiniteStructure:
             return list(map(text.__getitem__, table.cells))
 
         return {
-            "signature": self.sig.to_json() if inline_signature else None,
+            "signature": self.sig.to_json(),
             "carriers": {s: list(names) for s, names in self.carriers.items()},
             "metric": {s: _nested(formatted(table), dims((s, s)))
                        for s, table in self.metric_table.items()},
@@ -1050,6 +1045,9 @@ def make_split(phi, x_names: Sequence[str], y_names: Sequence[str]) -> VariableS
     fv = dict(free_vars(phi))
     if set(x_names) | set(y_names) != set(fv) or set(x_names) & set(y_names):
         raise StructuralError(f"split must partition the free variables {sorted(fv)}")
+    for name in (*x_names, *y_names):  # split variables range over carriers
+        if fv[name] == VALUE_SORT:
+            raise StructuralError(f"value variable {name!r} not bound to a rational")
     return VariableSplit(tuple((n, fv[n]) for n in x_names),
                          tuple((n, fv[n]) for n in y_names))
 
@@ -1067,16 +1065,21 @@ def tuple_names(M: FiniteStructure, vars_: Sequence[tuple[str, str]], tup) -> tu
 class PhiInstance:
     """A formula with a variable split on one structure, and its value matrix.
 
-    `num[i][j]` over `scale` is phi(xts[i], yts[j]); `vals` holds the same
-    values as Fractions and is built on first use.  `x_index` and `y_index`
-    map a tuple of element names to its position in `xts` or `yts`.
+    The stability and canonical-parameter functions take one; a command
+    builds it once and passes it on.  `num[i][j]` over `scale` is
+    phi(xts[i], yts[j]); `vals` holds the same values as Fractions and is
+    built on first use.  `x_names[i]` and `y_names[j]` are the element
+    names of xts[i] and yts[j], and `x_index` and `y_index` map them back.
     """
 
     def __init__(self, M: FiniteStructure, phi, split: VariableSplit):
+        self.M, self.phi, self.split = M, phi, split
         self.xts = xts = tuples_of(M, split.x)
         self.yts = yts = tuples_of(M, split.y)
-        self.x_index = {tuple_names(M, split.x, t): i for i, t in enumerate(xts)}
-        self.y_index = {tuple_names(M, split.y, t): i for i, t in enumerate(yts)}
+        self.x_names = [tuple_names(M, split.x, t) for t in xts]
+        self.y_names = [tuple_names(M, split.y, t) for t in yts]
+        self.x_index = {names: i for i, names in enumerate(self.x_names)}
+        self.y_index = {names: i for i, names in enumerate(self.y_names)}
         variables = split.x + split.y
         row, self.scale = compile_row(M, phi, variables)
         # one row per tuple of all variables but the last, in lexicographic order
@@ -1089,18 +1092,9 @@ class PhiInstance:
         return fraction_rows(self.num, self.scale)
 
 
-def phi_instance(M: FiniteStructure, phi, split: VariableSplit) -> PhiInstance:
-    """The instance of (M, phi, split), built on the first call and kept on M."""
-    key = (phi, split)
-    inst = M._phi_instances.get(key)
-    if inst is None:
-        inst = M._phi_instances[key] = PhiInstance(M, phi, split)
-    return inst
-
-
 def value_matrix(M: FiniteStructure, phi, split: VariableSplit):
     """vals[x_tuple_index][y_tuple_index] = phi(x_tuple, y_tuple), exact."""
-    inst = phi_instance(M, phi, split)
+    inst = PhiInstance(M, phi, split)
     return inst.xts, inst.yts, inst.vals
 
 

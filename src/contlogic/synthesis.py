@@ -327,12 +327,12 @@ def expression_tree_size(expr) -> int:
     return go(expr)
 
 
-def expression_text(expr, tree_size: int, max_nodes: int = 200_000) -> Optional[str]:
+def expression_text(expr, tree_size: int) -> Optional[str]:
     """Grammar text of the expression, or None when its `expression_tree_size`
-    exceeds max_nodes."""
+    exceeds 200,000 nodes."""
     from .language import print_formula
 
-    return None if tree_size > max_nodes else print_formula(expr)
+    return None if tree_size > 200_000 else print_formula(expr)
 
 
 def _point_text(pt) -> str:

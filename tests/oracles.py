@@ -28,9 +28,6 @@ from contlogic.structures import (
     ValidationReport,
     Violation,
     gen_halfgraph,
-    phi_instance,
-    tuple_names,
-    value_matrix,
 )
 from contlogic.synthesis import MAX_SLOPE
 from contlogic.topometric import CBResult, FiniteTopometricSpace
@@ -362,7 +359,7 @@ def _search_pairwise(nx, ny, admits, max_len):
     return list(best), hit_bound[0] and len(best) >= (max_len or 0)
 
 
-def pairwise_ladder_unpruned(M, phi, split, epsilon, kind, max_len=None) -> LadderWitness:
+def pairwise_ladder_unpruned(inst, epsilon, kind, max_len=None) -> LadderWitness:
     """The antisym and order ladders by the unpruned pair search.
 
     `stability.find_ladder` as it was before its bitset DFS: every pair is
@@ -370,14 +367,12 @@ def pairwise_ladder_unpruned(M, phi, split, epsilon, kind, max_len=None) -> Ladd
     only on small inputs or with a small max_len.
     """
     eps = F(epsilon)
-    inst = phi_instance(M, phi, split)
-    xts, yts, num = inst.xts, inst.yts, inst.num
-    nx, ny = len(xts), len(yts)
+    num = inst.num
+    nx, ny = len(inst.xts), len(inst.yts)
     gap = _gap(eps, inst.scale)
 
     def names(pairs):
-        return tuple((tuple_names(M, split.x, xts[a]), tuple_names(M, split.y, yts[b]))
-                     for a, b in pairs)
+        return tuple((inst.x_names[a], inst.y_names[b]) for a, b in pairs)
 
     if kind == "antisym":
         def admits(stack, a, b):
@@ -783,15 +778,14 @@ def _is_automorphism(M, tables: FractionTables, pi: Mapping[str, Sequence[int]])
     return True
 
 
-def monotone_sup_on_grid(defn, M, phi, split, target, vs: Sequence[Sequence[F]],
-                         pitch: F) -> list:
+def monotone_sup_on_grid(defn, inst, target, vs: Sequence[Sequence[F]], pitch: F) -> list:
     """The monotone definition's sup over a full u-grid of the given pitch, at each v of vs.
 
     f(u) is computed once per grid point.  h(u, v) * f(u) is compared as
     ints: u, v and eps over one common denominator, the target over its own.
     """
-    _, yts, vals = value_matrix(M, phi, split)
-    t = _target_vector(M, split, yts, target).values
+    yts, vals = inst.yts, inst.vals
+    t = _target_vector(inst, target).values
     observed = [[vals[c][a] for c in defn.parameters] for a in range(len(yts))]
     den = math.lcm(pitch.denominator, defn.epsilon.denominator,
                    *(x.denominator for row in [*observed, *vs] for x in row))
@@ -817,16 +811,14 @@ def monotone_sup_on_grid(defn, M, phi, split, target, vs: Sequence[Sequence[F]],
     return out
 
 
-def revalidate_ladder_reference(M, phi, split, witness) -> bool:
+def revalidate_ladder_reference(inst, witness) -> bool:
     """`stability.revalidate_ladder` on Fraction values, as it ran before ints.
 
     Kept as it was but for the empty witness, which satisfies its
     inequalities vacuously for every kind.
     """
-    xts, yts, vals = value_matrix(M, phi, split)
-    x_index = {tuple_names(M, split.x, t): i for i, t in enumerate(xts)}
-    y_index = {tuple_names(M, split.y, t): i for i, t in enumerate(yts)}
-    pairs = [(x_index[a], y_index[b]) for a, b in witness.pairs]
+    vals = inst.vals
+    pairs = [(inst.x_index[a], inst.y_index[b]) for a, b in witness.pairs]
     eps = witness.epsilon
     n = len(pairs)
     if witness.kind == "antisym":
@@ -846,7 +838,7 @@ def revalidate_ladder_reference(M, phi, split, witness) -> bool:
     raise StructuralError(f"unknown ladder kind {witness.kind!r}")
 
 
-def monotone_parameters_reference(M, phi, split, epsilon, target):
+def monotone_parameters_reference(inst, epsilon, target):
     """`stability.monotone_parameters` by Fraction arithmetic, as it ran before ints.
 
     Each round rescans every parameter pair from the start and tries every
@@ -855,8 +847,8 @@ def monotone_parameters_reference(M, phi, split, epsilon, target):
     eps = F(epsilon)
     if eps <= 0:
         raise DomainError("epsilon must be positive")
-    xts, yts, vals = value_matrix(M, phi, split)
-    tgt = _target_vector(M, split, yts, target)
+    xts, yts, vals = inst.xts, inst.yts, inst.vals
+    tgt = _target_vector(inst, target)
     t = tgt.values
 
     chosen: list = []
@@ -886,19 +878,18 @@ def monotone_parameters_reference(M, phi, split, epsilon, target):
                 break
         if chosen_c is None:
             raise DefinitionAbort("no-admissible-parameter", step=len(records) - 1,
-                                  pair=(tuple_names(M, split.y, yts[a]),
-                                        tuple_names(M, split.y, yts[b])))
+                                  pair=(inst.y_names[a], inst.y_names[b]))
         chosen.append(chosen_c)
 
 
-def monotone_definition_reference(M, phi, split, epsilon, target) -> MonotoneDefinition:
+def monotone_definition_reference(inst, epsilon, target) -> MonotoneDefinition:
     """`stability.monotone_definition` by Fraction arithmetic, as it ran before ints.
 
     g(v) multiplies h(u, v) by f(u) as Fractions at every candidate u.
     """
     eps = F(epsilon)
-    chosen, records, tgt = monotone_parameters_reference(M, phi, split, eps, target)
-    xts, yts, vals = value_matrix(M, phi, split)
+    chosen, records, tgt = monotone_parameters_reference(inst, eps, target)
+    yts, vals = inst.yts, inst.vals
     t = tgt.values
     n = len(chosen)
 
@@ -930,17 +921,16 @@ def monotone_definition_reference(M, phi, split, epsilon, target) -> MonotoneDef
     bound = max(errors) if errors else ZERO
     if bound > 3 * eps:
         raise AssertionError("monotone-definition bound violated")
-    return MonotoneDefinition(eps, tuple(chosen),
-                              tuple(tuple_names(M, split.x, xts[c]) for c in chosen),
+    return MonotoneDefinition(eps, tuple(chosen), tuple(inst.x_names[c] for c in chosen),
                               tuple(records), bound, tuple(candidates), g)
 
 
-def phi_type_space_reference(M, phi, split) -> PhiTypeSpace:
+def phi_type_space_reference(inst) -> PhiTypeSpace:
     """Realized phi-types and their sup-difference metric by Fraction arithmetic.
 
     The code `stability.phi_type_space` ran before it worked on int rows.
     """
-    xts, yts, vals = value_matrix(M, phi, split)
+    xts, vals = inst.xts, inst.vals
     points: list = []
     realizers: list = []
     seen: dict = {}
@@ -963,7 +953,7 @@ def phi_type_space_reference(M, phi, split) -> PhiTypeSpace:
     return PhiTypeSpace(tuple(points), metric, tuple(tuple(r) for r in realizers))
 
 
-def imaginary_tables_reference(M, phi, split):
+def imaginary_tables_reference(inst):
     """(classes, d_phi table, class-predicate table) by Fraction arithmetic.
 
     Classes are the parameter tuples with equal value columns, in order of
@@ -971,7 +961,7 @@ def imaginary_tables_reference(M, phi, split):
     difference, as `imaginaries.build_imaginary` computed it before it
     worked on int columns.
     """
-    xts, yts, vals = value_matrix(M, phi, split)
+    xts, yts, vals = inst.xts, inst.yts, inst.vals
     columns = [tuple(vals[xi][yi] for xi in range(len(xts))) for yi in range(len(yts))]
     class_members: list = []
     column_to_class: dict = {}

@@ -34,6 +34,7 @@ from contlogic.stability import (
 )
 from contlogic.structures import (
     FiniteStructure,
+    PhiInstance,
     apa_sentence,
     check_theory,
     eval_formula,
@@ -42,7 +43,6 @@ from contlogic.structures import (
     gen_prob_algebra,
     make_split,
     pra_conditions,
-    value_matrix,
 )
 from contlogic.synthesis import (
     GridFunction,
@@ -180,7 +180,7 @@ def test_criterion_04_tphi_exactness():
         assert len(corpus) == 10
         for M, text, (xs, ys) in corpus:
             phi = parse(text, M.sig)
-            E = build_imaginary(M, phi, make_split(phi, xs, ys))
+            E = build_imaginary(PhiInstance(M, phi, make_split(phi, xs, ys)))
             ok, rows = verify_tphi(E)
             assert ok, (text, rows)
 
@@ -194,8 +194,13 @@ def constant_structure():
     return FiniteStructure(sig, {"S": ["e0", "e1", "e2"]}, metric, {}, {"P": table})
 
 
+def xy_instance(M, text):
+    phi = parse(text, M.sig)
+    return PhiInstance(M, phi, make_split(phi, ["x"], ["y"]))
+
+
 def stability_corpus():
-    """Structures + formulas for the ladder and definition criteria."""
+    """Named instances, split x;y, for the ladder and definition criteria."""
     hg2 = gen_halfgraph(2)
     hg4 = gen_halfgraph(4)
     alg2 = gen_prob_algebra([F(1, 2), F(1, 2)])
@@ -203,47 +208,41 @@ def stability_corpus():
     two = from_classical(["a", "b"], {}, {"E": []})
     const = constant_structure()
     return [
-        ("halfgraph2", hg2, parse("phi(x,y)", hg2.sig)),
-        ("halfgraph4", hg4, parse("phi(x,y)", hg4.sig)),
-        ("uniform-2-atoms", alg2, parse("mu(meet(x,y))", alg2.sig)),
-        ("skew-2-atoms", alg2b, parse("mu(meet(x,y))", alg2b.sig)),
-        ("discrete-pair", two, parse("d(x,y)", two.sig)),
-        ("constant", const, parse("P(x,y)", const.sig)),
+        ("halfgraph2", xy_instance(hg2, "phi(x,y)")),
+        ("halfgraph4", xy_instance(hg4, "phi(x,y)")),
+        ("uniform-2-atoms", xy_instance(alg2, "mu(meet(x,y))")),
+        ("skew-2-atoms", xy_instance(alg2b, "mu(meet(x,y))")),
+        ("discrete-pair", xy_instance(two, "d(x,y)")),
+        ("constant", xy_instance(const, "P(x,y)")),
     ]
 
 
 def test_criterion_05_stability_quantities():
     with budget(5, 60.0, "half-graph ladder, constant N, N monotone in epsilon"):
-        hg8 = gen_halfgraph(8)
-        phi8 = parse("phi(x,y)", hg8.sig)
-        split8 = make_split(phi8, ["x"], ["y"])
-        w = find_ladder(hg8, phi8, split8, F(1), "antisym", max_len=8)
+        hg8 = xy_instance(gen_halfgraph(8), "phi(x,y)")
+        w = find_ladder(hg8, F(1), "antisym", max_len=8)
         assert len(w) == 8
-        assert revalidate_ladder(hg8, phi8, split8, w)
+        assert revalidate_ladder(hg8, w)
 
-        const = constant_structure()
-        phi_c = parse("P(x,y)", const.sig)
-        split_c = make_split(phi_c, ["x"], ["y"])
+        const = xy_instance(constant_structure(), "P(x,y)")
         for k in range(1, 9):
-            assert compute_N(const, phi_c, split_c, F(k, 8)) == 2
+            assert compute_N(const, F(k, 8)) == 2
 
-        for name, M, phi in stability_corpus():
-            split = make_split(phi, ["x"], ["y"])
-            values = [compute_N(M, phi, split, F(k, 8)) for k in range(1, 9)]
+        for name, inst in stability_corpus():
+            values = [compute_N(inst, F(k, 8)) for k in range(1, 9)]
             assert all(a >= b for a, b in zip(values, values[1:])), (name, values)
 
 
 def test_criterion_06_median_definition_bound():
     with budget(6, 300.0, "median definitions for every realized type"):
-        for name, M, phi in stability_corpus():
-            split = make_split(phi, ["x"], ["y"])
-            xts, yts, vals = value_matrix(M, phi, split)
+        for name, inst in stability_corpus():
+            xts, yts, vals = inst.xts, inst.yts, inst.vals
             assert len(yts) <= 16
             for eps in (F(1, 2), F(1, 4), F(1, 8)):
-                n_value = compute_N(M, phi, split, eps)
+                n_value = compute_N(inst, eps)
                 for xi in range(len(xts)):
-                    target = phi_type(M, phi, split, xts[xi])
-                    d = median_definition(M, phi, split, eps, target, n_value=n_value)
+                    target = phi_type(inst, xi)
+                    d = median_definition(inst, eps, target, n_value=n_value)
                     # bound re-verified by an explicit exhaustive scan
                     worst = max(
                         abs(med([vals[c][b] for c in d.parameters], d.n_value)
@@ -255,13 +254,12 @@ def test_criterion_06_median_definition_bound():
 
 def test_criterion_07_monotone_definition_bound():
     with budget(7, 300.0, "monotone definitions for every realized type"):
-        for name, M, phi in stability_corpus():
-            split = make_split(phi, ["x"], ["y"])
-            xts, yts, vals = value_matrix(M, phi, split)
+        for name, inst in stability_corpus():
+            xts, yts, vals = inst.xts, inst.yts, inst.vals
             for eps in (F(1, 2), F(1, 4), F(1, 8)):
                 for xi in range(len(xts)):
-                    target = phi_type(M, phi, split, xts[xi])
-                    d = monotone_definition(M, phi, split, eps, target)
+                    target = phi_type(inst, xi)
+                    d = monotone_definition(inst, eps, target)
                     assert d.observed_error <= 3 * eps, (name, eps, xi)
                     n = len(d.parameters)
                     evaluated = sorted({tuple(vals[c][a] for c in d.parameters)
@@ -273,7 +271,7 @@ def test_criterion_07_monotone_definition_bound():
                     if n <= 3 and n > 0:
                         vs = [tuple(vals[c][a] for c in d.parameters) for a in range(len(yts))]
                         assert [d.evaluate(v) for v in vs] == monotone_sup_on_grid(
-                            d, M, phi, split, target, vs, eps / 4)
+                            d, inst, target, vs, eps / 4)
 
 
 def test_criterion_08_gluing_identities():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from contlogic.cli import _verify_glue, run
-from contlogic.language import PLMonotone, PredDecl, Signature, SortDecl, parse
+from contlogic.language import FuncDecl, PLMonotone, PredDecl, Signature, SortDecl, parse
 from contlogic.stability import glue_formula
 from contlogic.structures import FiniteStructure, gen_halfgraph, gen_prob_algebra
 from contlogic.synthesis import GridFunction
@@ -451,7 +451,9 @@ def fails_with(capsys, argv, message):
     ["glue", "--phi", "mu(meet(x,y)) -. a", "--psi", "mu(join(x,z))", "--shared", "x",
      "--fresh", "t,w", "--fresh-sort", "B", "--verify"],
     ["tv", "--subset", "s0,s3", "--formula", "y@mu(y) -. a"],
-], ids=["glue-verify", "tv"])
+    ["nvalue", "--formula", "mu(meet(x,y)) -. a", "--split", "x,a;y", "--epsilon", "1/2"],
+    ["typespace", "--formula", "mu(meet(x,y)) -. a", "--split", "x;y,a"],
+], ids=["glue-verify", "tv", "nvalue-split", "typespace-split"])
 def test_value_variable_exits_1(capsys, algebra_file, command):
     name, *rest = command
     fails_with(capsys, [name, algebra_file, *rest], "value variable 'a' not bound to a rational")
@@ -535,3 +537,38 @@ def test_synth_slope_cap(capsys, tmp_path):
     code, report = run_json(capsys, ["synth", "--target", path, "--epsilon", "1/4"])
     assert code == 0
     assert report["report"]["max_error"] == "0"
+
+
+@pytest.mark.parametrize("formula, message", [
+    ("sup x. sup y. P(x, f(y, z))", "f expects 1 arguments, got 2"),
+    ("dA(c(x), c)", "c expects 0 arguments, got 1"),
+])
+def test_eval_function_arity_error_exits_1(capsys, tmp_path, formula, message):
+    """On two sorts, an extra function argument is reported as such, not as unsortable."""
+    identity = PLMonotone.identity()
+    sig = Signature([SortDecl("A", "dA"), SortDecl("B", "dB")],
+                    functions=[FuncDecl("f", ("A",), "B", (identity,)),
+                               FuncDecl("c", (), "A", ())],
+                    predicates=[PredDecl("P", ("A", "B"), (identity, identity))])
+    discrete = [[F(0), F(1)], [F(1), F(0)]]
+    M = FiniteStructure(sig, {"A": ["a0", "a1"], "B": ["b0", "b1"]},
+                        {"A": discrete, "B": discrete},
+                        {"f": {(0,): 0, (1,): 1}, "c": {(): 0}},
+                        {"P": {(i, j): F(i * j) for i in range(2) for j in range(2)}})
+    path = tmp_path / "two-sorted.json"
+    path.write_text(json.dumps(M.to_json()))
+    fails_with(capsys, ["eval", str(path), "-e", formula], message)
+
+
+def test_imaginary_name_already_in_the_signature_exits_1(capsys, algebra_file, tmp_path):
+    """The expansion adds S_phi, d_phi and P_phi; a signature that has one of them is refused."""
+    data = json.loads(open(algebra_file).read())
+    data["signature"]["predicates"].append(
+        {"name": "P_phi", "arg_sorts": ["B"], "moduli": [[["0", "0"], ["1", "1"]]]})
+    data["predicates"]["P_phi"] = ["0"] * len(data["carriers"]["B"])
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path)]) == 0
+    capsys.readouterr()
+    fails_with(capsys, ["imaginary", str(path), "--formula", "mu(meet(x,y))", "--split", "x;y"],
+               "name 'P_phi' already used in the signature")

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contlogic.errors import StructuralError
-from contlogic.imaginaries import build_imaginary, tphi_sentences
+from contlogic.imaginaries import METRIC_NAME, PRED_NAME, SORT_NAME, build_imaginary, tphi_sentences
 from contlogic.language import (
     App,
     Atom,
@@ -111,7 +111,7 @@ def test_tphi_sentences_on_imaginary_expansions_match_reference():
     ]
     for M, text, (xs, ys) in cases:
         phi = parse(text, M.sig)
-        E = build_imaginary(M, phi, make_split(phi, xs, ys))
+        E = build_imaginary(PhiInstance(M, phi, make_split(phi, xs, ys)))
         assert len(E.expanded.sig.sort_names) == 2
         for _, sentence in tphi_sentences(E):
             assert same_value(E.expanded, {}, sentence) == 0
@@ -482,12 +482,12 @@ def test_row_kernels_on_ternary_symbols():
 def test_rows_over_an_imaginary_sort_match_reference():
     M = gen_prob_algebra([F(1, 4), F(3, 4)])
     phi = parse("mu(meet(x,y))", M.sig)
-    E = build_imaginary(M, phi, make_split(phi, ["x"], ["y"]))
-    N, pred = E.expanded, Atom(E.pred_name, (Var("x", "B"), Var("c", E.sort_name)))
-    for f in (pred, Op("absdiff", (pred, Atom(E.metric_name, (Var("c", E.sort_name),
-                                                               Var("c2", E.sort_name)))))):
-        same_rows(N, f, [("c2", E.sort_name), ("x", "B"), ("c", E.sort_name)], {})
-        same_rows(N, f, [("c2", E.sort_name), ("c", E.sort_name), ("x", "B")], {})
+    E = build_imaginary(PhiInstance(M, phi, make_split(phi, ["x"], ["y"])))
+    N, pred = E.expanded, Atom(PRED_NAME, (Var("x", "B"), Var("c", SORT_NAME)))
+    for f in (pred, Op("absdiff", (pred, Atom(METRIC_NAME, (Var("c", SORT_NAME),
+                                                             Var("c2", SORT_NAME)))))):
+        same_rows(N, f, [("c2", SORT_NAME), ("x", "B"), ("c", SORT_NAME)], {})
+        same_rows(N, f, [("c2", SORT_NAME), ("c", SORT_NAME), ("x", "B")], {})
 
 
 @pytest.mark.parametrize("text", [
@@ -614,9 +614,9 @@ def test_tables_build_each_row_once():
     n = M.sizes["B"]
     phi = parse(SUP_PHI, M.sig)
     split = make_split(phi, ["x"], ["y"])
-    PhiInstance(M, phi, split)
+    inst = PhiInstance(M, phi, split)
     assert counted.reads == 2 * n * n  # without tables: one of each per (x, y), 2 * n**3
-    E = build_imaginary(M, phi, split)
+    E = build_imaginary(inst)
     counted.reads = 0
     for _, sentence in tphi_sentences(E):
         assert eval_formula(E.expanded, {}, sentence) == 0
@@ -632,7 +632,7 @@ def sup_phi_algebra(k):
 def test_tphi_sentences_vanish_for_the_sup_phi(k):
     M = sup_phi_algebra(k)
     phi = parse(SUP_PHI, M.sig)
-    E = build_imaginary(M, phi, make_split(phi, ["x"], ["y"]))
+    E = build_imaginary(PhiInstance(M, phi, make_split(phi, ["x"], ["y"])))
     for _, sentence in tphi_sentences(E):
         if k == 3:
             assert same_value(E.expanded, {}, sentence) == 0

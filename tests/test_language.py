@@ -405,6 +405,29 @@ def test_multisort_annotations():
     assert free_vars(f) == {("x", "A")} and f.args[1].sort == "B"
 
 
+
+def arity_sig():
+    """Two sorts, so a free variable gets its sort only from the position it stands in."""
+    return Signature(
+        [SortDecl("A", "dA"), SortDecl("B", "dB")],
+        functions=[FuncDecl("f", ("A",), "B", (IDENT,)), FuncDecl("c", (), "A", ())],
+        predicates=[PredDecl("P", ("A", "B"), (IDENT, IDENT))],
+    )
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sup x. sup y. P(x, f(y, z))", "f expects 1 arguments, got 2"),
+    ("sup x. sup y. P(x, f(y, z:A))", "f expects 1 arguments, got 2"),
+    ("sup x. P(x, f(x, x))", "f expects 1 arguments, got 2"),
+    ("dA(c(x), c)", "c expects 0 arguments, got 1"),
+    ("dA(c(x:A), c)", "c expects 0 arguments, got 1"),
+])
+def test_function_arity_is_reported_before_sort_inference(text, message):
+    """An argument past a function's arity is an arity error, not an unsortable variable."""
+    with pytest.raises(SortMismatchError) as err:
+        parse(text, arity_sig())
+    assert str(err.value) == message
+
 def tree_copy(f):
     """The same formula with no node shared: every occurrence is its own object."""
     if isinstance(f, Op):

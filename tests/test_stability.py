@@ -28,14 +28,11 @@ from contlogic.stability import (
 )
 from contlogic.structures import (
     FiniteStructure,
+    PhiInstance,
     eval_formula,
     gen_halfgraph,
     gen_prob_algebra,
     make_split,
-    phi_instance,
-    tuple_names,
-    tuples_of,
-    value_matrix,
 )
 from oracles import (
     glued_halfgraph,
@@ -52,26 +49,31 @@ from oracles import (
 IDENT = PLMonotone.identity()
 
 
+def instance(M, text, xs=("x",), ys=("y",)):
+    """The instance of the formula `text` on M, split into xs and ys."""
+    phi = parse(text, M.sig)
+    return PhiInstance(M, phi, make_split(phi, xs, ys))
+
+
 def halfgraph_setup(n):
-    M = gen_halfgraph(n)
-    phi = parse("phi(x,y)", M.sig)
-    return M, phi, make_split(phi, ["x"], ["y"])
+    return instance(gen_halfgraph(n), "phi(x,y)")
 
 
 def algebra_setup(weights):
-    M = gen_prob_algebra(weights)
-    phi = parse("mu(meet(x,y))", M.sig)
-    return M, phi, make_split(phi, ["x"], ["y"])
+    return instance(gen_prob_algebra(weights), "mu(meet(x,y))")
 
 
-def binary_setup(table, n):
-    """P(x,y) on n discrete points e0.., with P given by its value table."""
+def binary_structure(table, n):
+    """n discrete points e0.., with the binary predicate P given by its value table."""
     sig = Signature([SortDecl("S", "d")],
                     predicates=[PredDecl("P", ("S", "S"), (IDENT, IDENT))])
     metric = {"S": [[F(0) if i == j else F(1) for j in range(n)] for i in range(n)]}
-    M = FiniteStructure(sig, {"S": [f"e{i}" for i in range(n)]}, metric, {}, {"P": table})
-    phi = parse("P(x,y)", sig)
-    return M, phi, make_split(phi, ["x"], ["y"])
+    return FiniteStructure(sig, {"S": [f"e{i}" for i in range(n)]}, metric, {}, {"P": table})
+
+
+def binary_setup(table, n):
+    """P(x,y) on `binary_structure(table, n)`."""
+    return instance(binary_structure(table, n), "P(x,y)")
 
 
 def constant_setup():
@@ -82,17 +84,17 @@ def constant_setup():
 
 
 def test_phi_type_space_constant():
-    M, phi, split = constant_setup()
-    space = phi_type_space(M, phi, split)
+    inst = constant_setup()
+    space = phi_type_space(inst)
     assert len(space.points) == 1
     assert space.metric == ((F(0),),)
 
 
 def test_phi_type_space_halfgraph():
-    M, phi, split = halfgraph_setup(2)
-    space = phi_type_space(M, phi, split)
-    a0 = phi_type(M, phi, split, (M.element_index("V", "a0"),))
-    a1 = phi_type(M, phi, split, (M.element_index("V", "a1"),))
+    inst = halfgraph_setup(2)
+    space = phi_type_space(inst)
+    a0 = phi_type(inst, inst.x_index[("a0",)])
+    a1 = phi_type(inst, inst.x_index[("a1",)])
     assert a0.values != a1.values
     d = max(abs(u - v) for u, v in zip(a0.values, a1.values))
     assert d == 1
@@ -100,8 +102,8 @@ def test_phi_type_space_halfgraph():
 
 
 def test_phi_type_space_two_atom_algebra():
-    M, phi, split = algebra_setup([F(1, 2), F(1, 2)])
-    space = phi_type_space(M, phi, split)
+    inst = algebra_setup([F(1, 2), F(1, 2)])
+    space = phi_type_space(inst)
     assert len(space.points) == 4
 
 
@@ -109,35 +111,34 @@ def test_phi_type_space_two_atom_algebra():
 
 
 def test_halfgraph_antisymmetric_ladder_length_8():
-    M, phi, split = halfgraph_setup(8)
-    w = find_ladder(M, phi, split, F(1), "antisym", max_len=8)
+    inst = halfgraph_setup(8)
+    w = find_ladder(inst, F(1), "antisym", max_len=8)
     assert len(w) == 8
     assert w.at_searched_bound
-    assert revalidate_ladder(M, phi, split, w)
+    assert revalidate_ladder(inst, w)
 
 
 def test_constant_phi_antisym_ladder_length_1():
-    M, phi, split = constant_setup()
-    w = find_ladder(M, phi, split, F(1, 4), "antisym")
+    inst = constant_setup()
+    w = find_ladder(inst, F(1, 4), "antisym")
     assert len(w) == 1
     assert not w.at_searched_bound
 
 
 def test_halfgraph_order_ladder():
-    M, phi, split = halfgraph_setup(4)
-    w = find_ladder(M, phi, split, F(1), "order", max_len=4)
+    inst = halfgraph_setup(4)
+    w = find_ladder(inst, F(1), "order", max_len=4)
     assert (w.r, w.s) == (F(0), F(1))
     assert len(w) == 4
-    assert revalidate_ladder(M, phi, split, w)
+    assert revalidate_ladder(inst, w)
 
 
 def test_ladder_transpose_symmetry():
-    M, phi, split = halfgraph_setup(3)
-    phi_t = parse("phi(y,x)", M.sig)  # transpose: swap roles via the split
-    split_t = make_split(phi_t, ["x"], ["y"])
+    inst = halfgraph_setup(3)
+    transposed = instance(inst.M, "phi(y,x)")  # swap roles via the split
     for eps in (F(1), F(1, 2)):
-        w = find_ladder(M, phi, split, eps, "antisym", max_len=6)
-        wt = find_ladder(M, phi_t, split_t, eps, "antisym", max_len=6)
+        w = find_ladder(inst, eps, "antisym", max_len=6)
+        wt = find_ladder(transposed, eps, "antisym", max_len=6)
         assert len(w) == len(wt)
 
 
@@ -159,14 +160,14 @@ def deadline(seconds):
 @pytest.mark.parametrize("kind", ["antisym", "order"])
 def test_halfgraph4_ladders_without_max_len(kind):
     """Length 9 on the half-graph n = 4 at eps 1: the search ends without a cap."""
-    M, phi, split = halfgraph_setup(4)
+    inst = halfgraph_setup(4)
     with deadline(20):
-        w = find_ladder(M, phi, split, F(1), kind)
+        w = find_ladder(inst, F(1), kind)
     assert len(w) == 9
     assert not w.at_searched_bound
-    assert revalidate_ladder(M, phi, split, w)
+    assert revalidate_ladder(inst, w)
     # the antisym witness lists its ladder in increasing pair order
-    pairs = [(M.element_index("V", a[0]), M.element_index("V", b[0])) for a, b in w.pairs]
+    pairs = [(inst.x_index[a], inst.y_index[b]) for a, b in w.pairs]
     if kind == "antisym":
         assert pairs == sorted(pairs)
 
@@ -182,20 +183,20 @@ def test_antisym_ladder_on_random_structures_finishes():
     rng = random.Random(5)
     for _ in range(3):
         table = {(i, j): F(rng.randint(0, 4), 4) for i in range(8) for j in range(8)}
-        M, phi, split = binary_setup(table, 8)
+        inst = binary_setup(table, 8)
         with deadline(20):
-            w = find_ladder(M, phi, split, F(1, 4), "antisym")
+            w = find_ladder(inst, F(1, 4), "antisym")
         assert len(w) == 16
-        assert revalidate_ladder(M, phi, split, w)
+        assert revalidate_ladder(inst, w)
 
 
 def test_revalidate_rejects_tampered_witness():
-    M, phi, split = halfgraph_setup(2)
-    w = find_ladder(M, phi, split, F(1), "antisym")
-    assert revalidate_ladder(M, phi, split, w)
+    inst = halfgraph_setup(2)
+    w = find_ladder(inst, F(1), "antisym")
+    assert revalidate_ladder(inst, w)
     if len(w.pairs) >= 2:
         tampered = LadderWitness(w.kind, w.epsilon, (w.pairs[0], w.pairs[0]), w.r, w.s)
-        assert not revalidate_ladder(M, phi, split, tampered)
+        assert not revalidate_ladder(inst, tampered)
 
 
 def test_revalidate_matches_fraction_reference():
@@ -208,8 +209,8 @@ def test_revalidate_matches_fraction_reference():
     rng = random.Random(3)
     off = F(1, 97)
     verdicts = set()
-    for name, (M, phi, split) in triple_corpus()[:12]:
-        xts, yts, vals = value_matrix(M, phi, split)
+    for name, inst in triple_corpus()[:12]:
+        xts, yts, vals = inst.xts, inst.yts, inst.vals
         for _ in range(60):
             ps = [(rng.randrange(len(xts)), rng.randrange(len(yts)))
                   for _ in range(rng.randint(2, 4))]
@@ -229,11 +230,10 @@ def test_revalidate_matches_fraction_reference():
                 s += rng.choice((-off, 0, off))
                 diffs = [off]
             eps = max(min(diffs, default=off) + rng.choice((-off, 0, off)), off)
-            pairs = tuple((tuple_names(M, split.x, xts[a]), tuple_names(M, split.y, yts[b]))
-                          for a, b in ps)
+            pairs = tuple((inst.x_names[a], inst.y_names[b]) for a, b in ps)
             w = LadderWitness(kind, eps, pairs, r, s)
-            want = revalidate_ladder_reference(M, phi, split, w)
-            assert revalidate_ladder(M, phi, split, w) == want, (name, w)
+            want = revalidate_ladder_reference(inst, w)
+            assert revalidate_ladder(inst, w) == want, (name, w)
             verdicts.add((kind, want))
     assert len(verdicts) == 6
 
@@ -242,9 +242,9 @@ def test_revalidate_matches_fraction_reference():
 
 
 def test_constant_phi_N_is_2():
-    M, phi, split = constant_setup()
+    inst = constant_setup()
     for k in range(1, 9):
-        assert compute_N(M, phi, split, F(k, 8)) == 2
+        assert compute_N(inst, F(k, 8)) == 2
 
 
 def test_halfgraph_N_matches_naive_enumeration():
@@ -254,8 +254,8 @@ def test_halfgraph_N_matches_naive_enumeration():
     naive oracle enumerates parameter sequences and asks for a per-middle
     witness directly.  halfgraph(2) is small enough to enumerate fully.
     """
-    M, phi, split = halfgraph_setup(2)
-    xts, yts, vals = value_matrix(M, phi, split)
+    inst = halfgraph_setup(2)
+    xts, yts, vals = inst.xts, inst.yts, inst.vals
     eps = F(1)
 
     def ok_seq(ys):
@@ -274,7 +274,7 @@ def test_halfgraph_N_matches_naive_enumeration():
         else:
             break
     assert naive == 6
-    assert compute_N(M, phi, split, eps) == 6
+    assert compute_N(inst, eps) == 6
 
 
 def test_halfgraph_N_growth():
@@ -284,9 +284,9 @@ def test_halfgraph_N_growth():
     2n + 2 as well: the n + 1 column classes are pairwise far somewhere.
     """
     for n in range(2, 17):
-        M, phi, split = halfgraph_setup(n)
+        inst = halfgraph_setup(n)
         for eps in (F(1), F(1, 2)):
-            assert compute_N(M, phi, split, eps) == 2 * n + 2, (n, eps)
+            assert compute_N(inst, eps) == 2 * n + 2, (n, eps)
 
 
 def triple_corpus():
@@ -305,29 +305,27 @@ def triple_corpus():
 
 @pytest.mark.parametrize("kind", ["antisym", "order", "triple"])
 def test_empty_witness_revalidates(kind):
-    M, phi, split = constant_setup()
-    assert revalidate_ladder(M, phi, split, LadderWitness(kind, F(1, 2), ()))
+    inst = constant_setup()
+    assert revalidate_ladder(inst, LadderWitness(kind, F(1, 2), ()))
     with pytest.raises(StructuralError):
-        revalidate_ladder(M, phi, split, LadderWitness("spiral", F(1, 2), ()))
+        revalidate_ladder(inst, LadderWitness("spiral", F(1, 2), ()))
 
 
 def test_triple_search_matches_fraction_reference():
     """The bitset kernel returns exactly what the Fraction search returned."""
-    for name, (M, phi, split) in triple_corpus():
-        xts, yts, vals = value_matrix(M, phi, split)
-        inst = phi_instance(M, phi, split)
+    for name, inst in triple_corpus():
+        xts, yts, vals = inst.xts, inst.yts, inst.vals
         for eps in (F(1, 2), F(1, 4), F(1, 8), F(3, 4)):
             for max_len in (None, 4, 6):
                 expected = triple_sequence_reference(vals, len(xts), len(yts), eps, max_len)
                 got = _longest_triple_sequence(inst.num, inst.scale, len(xts), len(yts),
                                                eps, max_len)
                 assert got == expected, (name, eps, max_len)
-                w = find_ladder(M, phi, split, eps, "triple", max_len=max_len)
+                w = find_ladder(inst, eps, "triple", max_len=max_len)
                 seq, bounded = expected
-                assert w.pairs == tuple((tuple_names(M, split.x, xts[a]),
-                                         tuple_names(M, split.y, yts[b])) for a, b in seq)
+                assert w.pairs == tuple((inst.x_names[a], inst.y_names[b]) for a, b in seq)
                 assert w.at_searched_bound == bounded
-                assert revalidate_ladder(M, phi, split, w)
+                assert revalidate_ladder(inst, w)
 
 
 MEDIUM_EPS = (F(1, 4), F(1, 2), F(3, 4), F(1))
@@ -359,8 +357,7 @@ def test_triple_search_matches_unpruned_kernel():
     n = 6, and at eps 1/4 on the larger inputs, it takes seconds per run,
     so those runs are left to the half-graph N test and the Fraction oracle.
     """
-    for name, (M, phi, split), small in medium_corpus():
-        inst = phi_instance(M, phi, split)
+    for name, inst, small in medium_corpus():
         nx, ny = len(inst.xts), len(inst.yts)
         for eps in MEDIUM_EPS:
             for max_len in (None, 3, 5, 6):
@@ -381,13 +378,13 @@ def test_pairwise_ladders_match_unpruned_search(kind):
     takes 1 s there.  So max_len 6 runs at eps 1/2 and above, and the
     unbounded search at eps 1 on the inputs marked small.
     """
-    for name, (M, phi, split), small in medium_corpus():
+    for name, inst, small in medium_corpus():
         for eps in MEDIUM_EPS:
             for max_len in (None, 3, 5, 6):
                 if max_len is None and not (small and eps == 1) or max_len == 6 and eps < F(1, 2):
                     continue
-                expected = pairwise_ladder_unpruned(M, phi, split, eps, kind, max_len)
-                assert find_ladder(M, phi, split, eps, kind, max_len) == expected, \
+                expected = pairwise_ladder_unpruned(inst, eps, kind, max_len)
+                assert find_ladder(inst, eps, kind, max_len) == expected, \
                     (name, eps, max_len)
 
 
@@ -404,8 +401,8 @@ def test_triple_search_property(nx, ny, data, eps, max_len):
 
 
 def test_N_monotone_in_epsilon():
-    M, phi, split = algebra_setup([F(1, 2), F(1, 2)])
-    values = [compute_N(M, phi, split, F(k, 8)) for k in range(1, 9)]
+    inst = algebra_setup([F(1, 2), F(1, 2)])
+    values = [compute_N(inst, F(k, 8)) for k in range(1, 9)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -417,12 +414,11 @@ def test_N_and_ladder_lengths_as_epsilon_grows(n, den, data):
     max(2, the longest triple ladder found without a length cap), and N is
     even."""
     cells = data.draw(st.lists(st.integers(0, den), min_size=n * n, max_size=n * n))
-    M, phi, split = binary_setup({(i, j): F(cells[i * n + j], den)
-                                  for i in range(n) for j in range(n)}, n)
+    inst = binary_setup({(i, j): F(cells[i * n + j], den) for i in range(n) for j in range(n)}, n)
     previous = None
     for eps in (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)):
-        N = compute_N(M, phi, split, eps)
-        lengths = [N] + [len(find_ladder(M, phi, split, eps, kind))
+        N = compute_N(inst, eps)
+        lengths = [N] + [len(find_ladder(inst, eps, kind))
                          for kind in ("antisym", "order", "triple")]
         assert N == max(2, lengths[3]) and N % 2 == 0, (eps, lengths)
         if previous:
@@ -430,43 +426,58 @@ def test_N_and_ladder_lengths_as_epsilon_grows(n, den, data):
         previous = lengths
 
 
+@settings(max_examples=40)
+@given(st.integers(2, 6), st.sampled_from((2, 3, 4)), st.data())
+def test_relabelled_carrier_keeps_N_and_ladder_lengths(n, den, data):
+    """Permuting the carrier order in the JSON of a random binary structure
+    changes neither N nor the antisym, order and triple ladder lengths."""
+    cells = data.draw(st.lists(st.integers(0, den), min_size=n * n, max_size=n * n))
+    M = binary_structure({(i, j): F(cells[i * n + j], den) for i in range(n) for j in range(n)}, n)
+    perm = data.draw(st.permutations(range(n)))
+    N = FiniteStructure.from_json(relabelled_json(M.to_json(), {"S": perm}))
+    eps = data.draw(st.sampled_from((F(1, 4), F(1, 3), F(1, 2), F(1))))
+
+    def lengths(K):
+        inst = instance(K, "P(x,y)")
+        return [compute_N(inst, eps)] + [len(find_ladder(inst, eps, kind))
+                                         for kind in ("antisym", "order", "triple")]
+
+    assert lengths(N) == lengths(M)
+
 # -- median definitions -------------------------------------------------------
 
 
 def test_median_definition_constant_target():
-    M, phi, split = constant_setup()
-    yts = tuples_of(M, split.y)
-    target = [F(1, 2)] * len(yts)
-    d = median_definition(M, phi, split, F(1, 4), target)
+    inst = constant_setup()
+    target = [F(1, 2)] * len(inst.yts)
+    d = median_definition(inst, F(1, 4), target)
     assert d.observed_error == 0
 
 
 def test_median_definition_realized_targets_all_eps():
-    for M, phi, split in [halfgraph_setup(2), algebra_setup([F(1, 2), F(1, 2)])]:
-        xts, yts, vals = value_matrix(M, phi, split)
+    for inst in [halfgraph_setup(2), algebra_setup([F(1, 2), F(1, 2)])]:
         for eps in (F(1, 2), F(1, 4), F(1, 8)):
-            for xi in range(len(xts)):
-                d = median_definition(M, phi, split, eps, phi_type(M, phi, split, xts[xi]))
+            for xi in range(len(inst.xts)):
+                d = median_definition(inst, eps, phi_type(inst, xi))
                 assert d.observed_error <= eps
 
 
 def test_median_definition_two_atom_example():
-    M, phi, split = algebra_setup([F(1, 2), F(1, 2)])
-    xts, yts, vals = value_matrix(M, phi, split)
-    xi = M.element_index("B", "s1")
-    d = median_definition(M, phi, split, F(1, 4), phi_type(M, phi, split, (xi,)))
+    inst = algebra_setup([F(1, 2), F(1, 2)])
+    vals = inst.vals
+    xi = inst.x_index[("s1",)]
+    d = median_definition(inst, F(1, 4), phi_type(inst, xi))
     # re-verify the bound by an explicit scan over all parameters
-    for b in range(len(yts)):
+    for b in range(len(inst.yts)):
         assert abs(med([vals[c][b] for c in d.parameters], d.n_value) - vals[xi][b]) <= F(1, 4)
 
 
 def test_median_definition_unrealizable_target_aborts():
-    M, phi, split = halfgraph_setup(2)
-    yts = tuples_of(M, split.y)
+    inst = halfgraph_setup(2)
     # alternating extreme target far from every x-row
-    target = [F(1) if i % 2 == 0 else F(0) for i in range(len(yts))]
+    target = [F(1) if i % 2 == 0 else F(0) for i in range(len(inst.yts))]
     with pytest.raises(DefinitionAbort):
-        median_definition(M, phi, split, F(1, 8), target)
+        median_definition(inst, F(1, 8), target)
 
 
 def med(values, n):
@@ -477,22 +488,21 @@ def med(values, n):
 
 
 def test_monotone_constant_target_empty_parameters():
-    M, phi, split = constant_setup()
-    yts = tuples_of(M, split.y)
-    target = [F(1, 2)] * len(yts)
-    chosen, records, _ = monotone_parameters(M, phi, split, F(1, 8), target)
+    inst = constant_setup()
+    target = [F(1, 2)] * len(inst.yts)
+    chosen, records, _ = monotone_parameters(inst, F(1, 8), target)
     assert chosen == [] and records == []
-    d = monotone_definition(M, phi, split, F(1, 8), target)
+    d = monotone_definition(inst, F(1, 8), target)
     assert d.observed_error == 0
     assert d.evaluate(()) == F(1, 2)
 
 
 def test_monotone_realized_targets():
-    M, phi, split = algebra_setup([F(1, 2), F(1, 2)])
-    xts, yts, vals = value_matrix(M, phi, split)
+    inst = algebra_setup([F(1, 2), F(1, 2)])
+    xts, yts, vals = inst.xts, inst.yts, inst.vals
     eps = F(1, 8)
     for xi in range(len(xts)):
-        d = monotone_definition(M, phi, split, eps, phi_type(M, phi, split, xts[xi]))
+        d = monotone_definition(inst, eps, phi_type(inst, xi))
         assert d.observed_error <= 3 * eps
         # the displayed implication holds for every pair after termination
         for a in range(len(yts)):
@@ -502,10 +512,9 @@ def test_monotone_realized_targets():
 
 
 def test_monotone_g_is_coordinatewise_monotone():
-    M, phi, split = algebra_setup([F(1, 2), F(1, 2)])
-    xts, _, _ = value_matrix(M, phi, split)
+    inst = algebra_setup([F(1, 2), F(1, 2)])
     eps = F(1, 8)
-    d = monotone_definition(M, phi, split, eps, phi_type(M, phi, split, xts[1]))
+    d = monotone_definition(inst, eps, phi_type(inst, 1))
     n = len(d.parameters)
     if n:
         grid = [F(k, 4) for k in range(5)]
@@ -520,23 +529,20 @@ def test_monotone_g_is_coordinatewise_monotone():
 
 
 def test_monotone_candidate_sup_matches_grid_sup():
-    M, phi, split = algebra_setup([F(1, 2), F(1, 2)])
-    xts, yts, vals = value_matrix(M, phi, split)
+    inst = algebra_setup([F(1, 2), F(1, 2)])
     eps = F(1, 8)
-    target = phi_type(M, phi, split, xts[1])
-    d = monotone_definition(M, phi, split, eps, target)
+    target = phi_type(inst, 1)
+    d = monotone_definition(inst, eps, target)
     if len(d.parameters) <= 3:
-        vs = [tuple(vals[c][a] for c in d.parameters) for a in range(len(yts))]
-        assert [d.evaluate(v) for v in vs] == monotone_sup_on_grid(
-            d, M, phi, split, target, vs, eps / 4)
+        vs = [tuple(inst.vals[c][a] for c in d.parameters) for a in range(len(inst.yts))]
+        assert [d.evaluate(v) for v in vs] == monotone_sup_on_grid(d, inst, target, vs, eps / 4)
 
 
 def test_monotone_adversarial_target_aborts():
-    M, phi, split = halfgraph_setup(2)
-    yts = tuples_of(M, split.y)
-    target = [F(1) if i % 2 == 0 else F(0) for i in range(len(yts))]
+    inst = halfgraph_setup(2)
+    target = [F(1) if i % 2 == 0 else F(0) for i in range(len(inst.yts))]
     with pytest.raises(DefinitionAbort):
-        monotone_parameters(M, phi, split, F(1, 16), target)
+        monotone_parameters(inst, F(1, 16), target)
 
 
 def monotone_corpus():
@@ -556,14 +562,14 @@ def monotone_corpus():
         n = rng.randint(3, 6)
         table = {(i, j): F(rng.randint(0, den), den) for i in range(n) for j in range(n)}
         corpus.append((f"random{k}-{n}", binary_setup(table, n)))
-    for name, (M, phi, split) in corpus:
-        xts, yts, _ = value_matrix(M, phi, split)
-        targets = [phi_type(M, phi, split, xts[xi])
+    for name, inst in corpus:
+        xts, yts = inst.xts, inst.yts
+        targets = [phi_type(inst, xi)
                    for xi in sorted(rng.sample(range(len(xts)), min(4, len(xts))))]
         targets += [[F(rng.randint(0, 7), 7) for _ in yts] for _ in range(3)]
         targets.append([F(3, 7)] * len(yts))
         targets.append([F(i % 2) for i in range(len(yts))])
-        yield name, (M, phi, split), targets
+        yield name, inst, targets
 
 
 MONOTONE_EPS = (F(1, 24), F(1, 16), F(1, 12), F(1, 8), F(1, 5), F(1, 3), F(3, 7))
@@ -587,17 +593,17 @@ def test_monotone_ints_match_fraction_reference():
     """
     rng = random.Random(7)
     aborts = successes = empty = 0
-    for name, (M, phi, split), targets in monotone_corpus():
+    for name, inst, targets in monotone_corpus():
         for eps in MONOTONE_EPS:
             for target in targets:
                 where = (name, eps, target)
-                want = outcome(monotone_parameters_reference, M, phi, split, eps, target)
-                assert outcome(monotone_parameters, M, phi, split, eps, target) == want, where
+                want = outcome(monotone_parameters_reference, inst, eps, target)
+                assert outcome(monotone_parameters, inst, eps, target) == want, where
                 if want[0] == "aborted":
                     aborts += 1
                     continue
-                ref = monotone_definition_reference(M, phi, split, eps, target)
-                got = monotone_definition(M, phi, split, eps, target)
+                ref = monotone_definition_reference(inst, eps, target)
+                got = monotone_definition(inst, eps, target)
                 assert got.parameters == ref.parameters, where
                 assert got.records == ref.records, where
                 assert got.observed_error == ref.observed_error, where
@@ -621,7 +627,7 @@ def relabelling_inputs():
               (gen_halfgraph(3), "phi(x,y)")]
     for n in (4, 5):
         table = {(i, j): F(rng.randint(0, 6), 6) for i in range(n) for j in range(n)}
-        inputs.append((binary_setup(table, n)[0], "P(x,y)"))
+        inputs.append((binary_structure(table, n), "P(x,y)"))
     return inputs
 
 
@@ -642,25 +648,21 @@ def test_relabelled_carrier_keeps_monotone_bound_and_typespace(which, data):
     (sort, names), = M.carriers.items()
     perm = data.draw(st.permutations(range(len(names))))
     N = FiniteStructure.from_json(relabelled_json(M.to_json(), {sort: perm}))
-    phi = parse(text, M.sig)
-    split = make_split(phi, ["x"], ["y"])
+    insts = [instance(K, text) for K in (M, N)]
 
-    def distances(K):
-        return sorted(d for row in phi_type_space(K, phi, split).metric for d in row)
+    def distances(inst):
+        return sorted(d for row in phi_type_space(inst).metric for d in row)
 
-    assert distances(N) == distances(M)
+    assert distances(insts[1]) == distances(insts[0])
     eps = data.draw(st.sampled_from((F(1, 16), F(1, 24), F(1, 32))))
     x = data.draw(st.sampled_from(names))
     by_name = {name: F(data.draw(st.integers(0, 7)), 7) for name in names}
-    for K in (M, N):
-        inst = phi_instance(K, phi, split)
-        ynames = [tuple_names(K, split.y, t) for t in inst.yts]
-        targets = [phi_type(K, phi, split, (K.element_index(sort, x),)),
-                   [by_name[b] for (b,) in ynames]]
+    for inst in insts:
+        targets = [phi_type(inst, inst.x_index[(x,)]), [by_name[b] for (b,) in inst.y_names]]
         for target in targets:
             t = target.values if isinstance(target, PhiTypeVector) else target
             try:
-                d = monotone_definition(K, phi, split, eps, target)
+                d = monotone_definition(inst, eps, target)
             except DefinitionAbort:
                 continue
             assert d.observed_error <= 3 * eps
@@ -673,21 +675,19 @@ def test_relabelled_carrier_keeps_monotone_bound_and_typespace(which, data):
 
 
 def test_global_definition_depths():
-    M, phi, split = algebra_setup([F(1, 2), F(1, 2)])
-    xts, _, _ = value_matrix(M, phi, split)
-    target = phi_type(M, phi, split, xts[2])
-    one = global_definition(M, phi, split, target, 1)
+    inst = algebra_setup([F(1, 2), F(1, 2)])
+    target = phi_type(inst, 2)
+    one = global_definition(inst, target, 1)
     assert one.error_bound == 1
-    staged = global_definition(M, phi, split, target, 4)
+    staged = global_definition(inst, target, 4)
     assert staged.error_bound == F(1, 8)
     assert all(e <= F(1, 8) for e in staged.errors)
 
 
 def test_global_definition_constant_exact():
-    M, phi, split = constant_setup()
-    yts = tuples_of(M, split.y)
-    target = [F(1, 2)] * len(yts)
-    staged = global_definition(M, phi, split, target, 5)
+    inst = constant_setup()
+    target = [F(1, 2)] * len(inst.yts)
+    staged = global_definition(inst, target, 5)
     assert all(e == 0 for e in staged.errors)
 
 
@@ -726,16 +726,14 @@ def test_glue_rejects_bad_inputs():
 
 
 def test_symmetry_corollary_within_two_eps():
-    M, phi, split = algebra_setup([F(1, 2), F(1, 2)])
-    phi_t = parse("mu(meet(y,x))", M.sig)
-    split_t = make_split(phi_t, ["y"], ["x"])  # transpose roles
-    xts, yts, vals = value_matrix(M, phi, split)
+    inst = algebra_setup([F(1, 2), F(1, 2)])
+    transposed = instance(inst.M, "mu(meet(y,x))", ["y"], ["x"])  # transpose roles
     eps = F(1, 4)
-    for a in range(len(xts)):
-        for b in range(len(yts)):
-            p = phi_type(M, phi, split, xts[a])
-            q = phi_type(M, phi_t, split_t, yts[b])
-            dp = median_definition(M, phi, split, eps, p)
-            dq = median_definition(M, phi_t, split_t, eps, q)
+    for a in range(len(inst.xts)):
+        for b in range(len(inst.yts)):
+            p = phi_type(inst, a)
+            q = phi_type(transposed, b)
+            dp = median_definition(inst, eps, p)
+            dq = median_definition(transposed, eps, q)
             # both definitions approximate phi(a, b) within eps
             assert abs(dp.defined_values[b] - dq.defined_values[a]) <= 2 * eps

@@ -2,15 +2,27 @@
 
 import importlib
 import importlib.util
+import json
+from fractions import Fraction as F
 from pathlib import Path
+
+# the CLI imports it on first use, and the tracer patches only loaded modules
+import contlogic.imaginaries  # noqa: F401
+from contlogic.cli import run
+from contlogic.structures import gen_prob_algebra
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
 
 
-def test_every_traced_name_is_a_callable():
+def load_layertrace():
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_every_traced_name_is_a_callable():
+    layertrace = load_layertrace()
     missing = []
     for short, attrs in layertrace.WRAPPED.items():
         module = importlib.import_module(f"contlogic.{short}")
@@ -21,3 +33,46 @@ def test_every_traced_name_is_a_callable():
             if not callable(owner):
                 missing.append(f"contlogic.{short}.{attr}")
     assert not missing, missing
+
+
+def test_tracer_sees_every_stage_of_the_instance_commands(capsys, tmp_path):
+    """Each traced stability and imaginaries stage these commands reach records a call,
+    and tracing changes no report."""
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)]).to_json()))
+    instance = [str(path), "--formula", "mu(meet(x,y))", "--split", "x;y"]
+    commands = [
+        ["typespace", *instance],
+        ["stability", *instance, "--epsilon", "1/4", "--kind", "triple"],
+        ["nvalue", *instance, "--epsilon", "1/4"],
+        ["define-median", *instance, "--epsilon", "1/4", "--target", "s3"],
+        ["define-monotone", *instance, "--epsilon", "1/8", "--target", "s5"],
+        ["define-global", *instance, "--depth", "2", "--target", "s1"],
+        ["imaginary", *instance],
+    ]
+
+    def reports(recorder=None):
+        out = []
+        for argv in commands:
+            root = recorder.open_command() if recorder else None
+            code = run(argv)
+            text = capsys.readouterr().out
+            if recorder:
+                recorder.close_command(root, len(text))
+            out.append((code, text))
+        return out
+
+    untraced = reports()
+    assert [code for code, _ in untraced] == [0] * len(commands)
+    layertrace = load_layertrace()
+    recorder = layertrace.Recorder()
+    recorder.install()
+    try:
+        traced = reports(recorder)
+    finally:
+        recorder.uninstall()
+    assert traced == untraced
+    calls = recorder.summary()
+    reached = [f"{short}.{attr}" for short in ("stability", "imaginaries")
+               for attr in layertrace.WRAPPED[short] if attr != "glue_formula"]
+    assert [name for name in reached if not calls.get(f"{name}.calls")] == []

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contlogic.errors import DomainError, StructuralError
@@ -196,18 +196,46 @@ def saturate(family):
         family |= new
 
 
-@given(st.integers(2, 8), st.data(), st.sampled_from(EPSILONS))
-def test_cb_rank_property(n, data, eps):
+def drawn_space(n, data):
+    """A space on p0..p{n-1}: a seeded random metric, closed sets drawn and saturated."""
     from oracles import random_metric
 
     seed = data.draw(st.integers(0, 2 ** 16))
     metric = random_metric(random.Random(seed), n, [F(1, 8), F(1, 4), F(1, 2), F(1)])
     sets = data.draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=4))
     family = saturate({frozenset(), frozenset(range(n)), *sets})
-    X = FiniteTopometricSpace(tuple(f"p{i}" for i in range(n)), tuple(family),
-                              tuple(tuple(row) for row in metric), ())
+    return FiniteTopometricSpace(tuple(f"p{i}" for i in range(n)), tuple(family),
+                                 tuple(tuple(row) for row in metric), ())
+
+
+@given(st.integers(2, 8), st.data(), st.sampled_from(EPSILONS))
+def test_cb_rank_property(n, data, eps):
+    X = drawn_space(n, data)
     assert_matches_reference(X, eps)
     assert_blocks_match_reference(X, eps)
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 8), st.data(), st.sampled_from(EPSILONS))
+def test_relabelled_space_keeps_ranks_and_degrees(n, data, eps):
+    """Permuting the point order in the JSON gives an isomorphic space.
+
+    Each point (by name) keeps its rank, each stage keeps its points and
+    its epsilon-degree, and stationarity does not change.
+    """
+    X = drawn_space(n, data)
+    perm = data.draw(st.permutations(range(n)))
+    text = X.to_json()
+    text["points"] = [text["points"][j] for j in perm]
+    text["metric"] = [[text["metric"][i][j] for j in perm] for i in perm]
+    Y = FiniteTopometricSpace.from_json(text)
+
+    def by_name(Z):
+        res = cb_rank(Z, eps)
+        return ({Z.points[p]: r for p, r in res.ranks.items()},
+                [{Z.points[p] for p in S} for S in res.stages], res.degrees, res.stationary)
+
+    assert by_name(Y) == by_name(X)
 
 
 def test_invariant_messages():
