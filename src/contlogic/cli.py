@@ -52,7 +52,7 @@ from .structures import (
 )
 from .synthesis import GridFunction, expression_text, synthesize
 from .topometric import FiniteTopometricSpace, cb_rank
-from .values import format_rational, parse_rational
+from .values import format_ratio, format_rational, parse_ratio, parse_rational
 
 _INPUT_HASHES: dict = {}
 
@@ -84,12 +84,12 @@ def _parse_pl(text: str) -> PLMonotone:
         left, _, right = chunk.partition(":")
         if not right:
             raise DomainError(f"breakpoint {chunk!r} must look like in:out")
-        points.append((parse_rational(left), parse_rational(right)))
-    return PLMonotone(tuple(points))
+        points.append((*parse_ratio(left), *parse_ratio(right)))
+    return PLMonotone.through(points)
 
 
 def _fmt_pl(u: PLMonotone) -> str:
-    return ",".join(f"{format_rational(x)}:{format_rational(y)}" for x, y in u.breakpoints)
+    return ",".join(f"{x}:{y}" for x, y in u.formatted())
 
 
 def _split_from_flag(text: str):
@@ -221,14 +221,15 @@ def _cmd_imaginary(args):
 def _cmd_typespace(args):
     inst = _instance(args)
     space = phi_type_space(inst)
+    text = {v: format_ratio(v, space.scale) for v in set().union(*space.rows, *space.distances)}
     payload = {
-        "point_count": len(space.points),
+        "point_count": len(space.rows),
         "points": [
             {"realizers": [",".join(inst.x_names[i]) for i in reals],
-             "values": [format_rational(v) for v in p.values]}
-            for p, reals in zip(space.points, space.realizers)
+             "values": list(map(text.__getitem__, row))}
+            for row, reals in zip(space.rows, space.realizers)
         ],
-        "metric": [[format_rational(v) for v in row] for row in space.metric],
+        "metric": [list(map(text.__getitem__, row)) for row in space.distances],
     }
     return 0, payload
 
@@ -374,8 +375,9 @@ def _cmd_modulus_convert(args):
         return 0, {"delta": format_rational(delta(parse_rational(args.epsilon)))}
     from .values import inverse_from_delta
 
-    out = inverse_from_delta(u)
-    return 0, {"inverse": _fmt_pl(out)}
+    if args.epsilon is not None:
+        raise DomainError("--epsilon applies only to inverse-to-delta")
+    return 0, {"inverse": _fmt_pl(inverse_from_delta(u))}
 
 
 def _cmd_prenex(args):

@@ -34,7 +34,7 @@ from .values import (
     ensure_unit,
     format_rational,
     is_dyadic,
-    parse_rational,
+    parse_ratio,
     pl_capped_sum,
     pl_compose,
     pl_half,
@@ -103,6 +103,10 @@ class Signature:
         for fdecl in self.functions.values():
             if fdecl.target not in self.sorts:
                 raise UnknownSymbolError(f"{fdecl.name}: unknown target sort {fdecl.target}")
+        ident = PLMonotone.identity()
+        self._pred_decls = {m: PredDecl(m, (s, s), (ident, ident))
+                            for m, s in self.metric_sort.items()}
+        self._pred_decls.update(self.predicates)
 
     @property
     def sort_names(self) -> list[str]:
@@ -112,13 +116,11 @@ class Signature:
         return name in self.metric_sort
 
     def pred_decl(self, name: str) -> PredDecl:
-        if name in self.predicates:
-            return self.predicates[name]
-        if name in self.metric_sort:
-            s = self.metric_sort[name]
-            ident = PLMonotone.identity()
-            return PredDecl(name, (s, s), (ident, ident))
-        raise UnknownSymbolError(f"unknown predicate {name!r}")
+        """A declared predicate, or a metric symbol as a binary predicate with identity moduli."""
+        decl = self._pred_decls.get(name)
+        if decl is None:
+            raise UnknownSymbolError(f"unknown predicate {name!r}")
+        return decl
 
     def func_decl(self, name: str) -> FuncDecl:
         if name in self.functions:
@@ -140,7 +142,7 @@ class Signature:
 
     def to_json(self) -> dict:
         def pl(u: PLMonotone):
-            return [[format_rational(x), format_rational(y)] for x, y in u.breakpoints]
+            return list(map(list, u.formatted()))
 
         return {
             "sorts": [{"name": s.name, "metric": s.metric} for s in self.sorts.values()],
@@ -190,9 +192,9 @@ class Signature:
         def modulus(bps: list) -> PLMonotone:
             key = tuple(map(tuple, bps))
             u = built.get(key) if all(isinstance(v, str) for bp in key for v in bp) else None
-            if u is None:  # parse_rational rejects a breakpoint that is not a string
-                u = built[key] = PLMonotone(tuple((parse_rational(x), parse_rational(y))
-                                                  for x, y in key))
+            if u is None:  # parse_ratio rejects a breakpoint that is not a string
+                u = built[key] = PLMonotone.through((*parse_ratio(x), *parse_ratio(y))
+                                                    for x, y in key)
             return u
 
         def moduli(entry) -> tuple:

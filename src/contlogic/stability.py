@@ -45,9 +45,12 @@ class PhiTypeVector:
 
 @dataclass(frozen=True)
 class PhiTypeSpace:
-    points: tuple[PhiTypeVector, ...]
-    metric: tuple[tuple[Fraction, ...], ...]
-    realizers: tuple[tuple[int, ...], ...]  # x-tuple indices realizing each point
+    """The realized phi-types as distinct int value rows over `scale`, with their sup-distances."""
+
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
+    distances: list[list[int]]
+    realizers: tuple[tuple[int, ...], ...]  # x-tuple indices realizing each row
 
 
 def phi_type(inst: PhiInstance, xi: int) -> PhiTypeVector:
@@ -60,12 +63,9 @@ def phi_type_space(inst: PhiInstance) -> PhiTypeSpace:
     realizers: dict = {}  # distinct int row -> the x-tuple indices realizing it
     for xi, row in enumerate(inst.num):
         realizers.setdefault(row, []).append(xi)
-    rows = list(realizers)
-    points = tuple(PhiTypeVector(values, realizer=reals[0])
-                   for values, reals in zip(fraction_rows(rows, inst.scale),
-                                            realizers.values()))
-    metric = fraction_rows(sup_distances(rows), inst.scale)
-    return PhiTypeSpace(points, metric, tuple(map(tuple, realizers.values())))
+    rows = tuple(realizers)
+    return PhiTypeSpace(inst.scale, rows, sup_distances(rows),
+                        tuple(map(tuple, realizers.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,11 @@ from .values import (
     ONE,
     ZERO,
     check_connective,
+    check_unit,
     ensure_unit,
+    format_ratio,
     format_rational,
-    parse_rational,
+    parse_ratio,
 )
 
 IDENTITY = PLMonotone.identity()
@@ -228,21 +230,21 @@ class FiniteStructure:
                 distinct = set(texts)
             except TypeError:  # a leaf that is a list: the table is nested too deep
                 raise StructuralError(f"table {name} has wrong shape") from None
-            values = {text: parse_rational(text) for text in distinct}
-            for v in values.values():
-                check(v)
-            den = math.lcm(*(v.denominator for v in values.values()))
-            num = {text: v.numerator * (den // v.denominator) for text, v in values.items()}
+            values = {text: parse_ratio(text) for text in distinct}
+            for p, q in values.values():
+                check(p, q)
+            den = math.lcm(*(q for _, q in values.values()))
+            num = {text: p * (den // q) for text, (p, q) in values.items()}
             return ScaledTable(den, list(map(num.__getitem__, texts)))
 
         metric_table = {}
         for s in sig.sort_names:
             n = sizes[s]
 
-            def in_metric(v, s=s):
-                if v > 1:
+            def in_metric(p, q, s=s):
+                if p > q:
                     raise DomainError(f"metric diameter exceeds 1 in sort {s}")
-                ensure_unit(v)
+                check_unit(p, q)
 
             cells = _flatten(data["metric"].get(s), (n, n))
             if cells is None:
@@ -266,7 +268,7 @@ class FiniteStructure:
                              [sizes[s] for s in decl.arg_sorts])
             if cells is None:
                 raise StructuralError(f"table {name} has wrong shape")
-            predicate_table[name] = scaled(cells, name, ensure_unit)
+            predicate_table[name] = scaled(cells, name, check_unit)
         return FiniteStructure.from_tables(sig, carriers, metric_table, function_table,
                                            predicate_table)
 
@@ -789,12 +791,12 @@ def validate(M: FiniteStructure) -> ValidationReport:
     Violations are data, not errors; the report lists each with witnesses.
     Uniform continuity is checked in the quantitative inverse-modulus form,
     which is exact on finite structures.  All comparisons are on the int
-    tables: a change c/D violates the bound u(d) iff c > floor(u(d) * D),
-    and u is evaluated once per distinct distance of each sort, shared by
-    every symbol and argument with that modulus and that D.
+    tables: a change c/D violates the bound u(d) = n/m iff c > floor(n * D / m),
+    and u is evaluated on ints once per distinct distance of each sort, shared
+    by every symbol and argument with that modulus and that D.
     """
     out = []
-    thresholds: dict = {}  # (u, sort, D) -> {distance numerator: (u(d), floor(u(d) * D))}
+    thresholds: dict = {}  # (u, sort, D) -> {distance numerator: ((n, m), floor(n * D / m))}
     rows = {}
     for sort in M.sig.sort_names:
         names = M.carriers[sort]
@@ -845,8 +847,8 @@ def validate(M: FiniteStructure) -> ValidationReport:
                 for w in range(z + 1, size):
                     d = dist[z * size + w]
                     if d not in bounds:
-                        bound = u.eval(Fraction(d, dist_den))
-                        bounds[d] = bound, bound.numerator * den // bound.denominator
+                        bound = u.at(d, dist_den)
+                        bounds[d] = bound, bound[0] * den // bound[1]
                     bound, threshold = bounds[d]
                     if max(changes(z, w)) > threshold:
                         found += [(k, z, w, c, bound) for k, c in enumerate(changes(z, w))
@@ -857,7 +859,7 @@ def validate(M: FiniteStructure) -> ValidationReport:
                     "modulus_function" if target_rows is not None else "modulus_predicate",
                     name, (M.element_name(sort, z), M.element_name(sort, w)),
                     f"argument {pos}: change {format_rational(Fraction(change, den))} > "
-                    f"u(d) = {format_rational(bound)}"))
+                    f"u(d) = {format_ratio(*bound)}"))
 
     for name, decl in M.sig.functions.items():
         check_symbol(name, decl, M.function_table[name], M.metric_table[decl.target].den,

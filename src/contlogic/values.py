@@ -10,8 +10,11 @@ the standard and inverse form.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import le, lt
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
@@ -23,13 +26,15 @@ ONE = Fraction(1)
 def ensure_unit(q) -> Fraction:
     """Coerce to Fraction and check membership in [0,1]."""
     v = Fraction(q)
-    if v < 0 or v > 1:
-        raise DomainError(f"value {v} outside [0,1]")
+    check_unit(v.numerator, v.denominator)
     return v
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p". Decimal notation is rejected to avoid silent rounding."""
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse "p/q" or "p" as ints (p, q) in lowest terms, q > 0; each part is read by `int`.
+
+    Decimal notation is rejected to avoid silent rounding.
+    """
     if not isinstance(text, str):
         raise DomainError(f"rational literal {text!r} must be a string")
     s = text.strip()
@@ -37,9 +42,22 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"decimal literal {text!r} rejected; use p/q")
     num, slash, den = s.partition("/")
     try:
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        p, q = int(num), int(den) if slash else 1
+        g = gcd(p, q) * (1 if q > 0 else -1 if q else 0)
+        return p // g, q // g  # q = 0 divides by zero
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad rational literal {text!r}") from exc
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or "p" as `parse_ratio` does."""
+    return Fraction(*parse_ratio(text))
+
+
+def check_unit(p: int, q: int) -> None:
+    """Raise a DomainError unless p / q (q > 0) lies in [0,1]."""
+    if not 0 <= p <= q:
+        raise DomainError(f"value {Fraction(p, q)} outside [0,1]")
 
 
 def format_rational(q: Fraction) -> str:
@@ -47,6 +65,12 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_ratio(num: int, den: int) -> str:
+    """`format_rational(Fraction(num, den))` for den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def is_dyadic(q: Fraction) -> bool:
@@ -165,100 +189,129 @@ def flim_prefix(seq: Sequence[Fraction]) -> ForcedLimitTrace:
 # Piecewise-linear monotone functions on [0,1]
 
 
-def _normalize_breakpoints(points: Iterable[tuple[Fraction, Fraction]]):
-    pts = [(Fraction(x), Fraction(y)) for x, y in points]
-    if not pts or pts[0][0] != 0 or pts[-1][0] != 1:
-        raise StructuralError("breakpoints must start at input 0 and end at input 1")
-    for (x0, _), (x1, _) in zip(pts, pts[1:]):
-        if x1 <= x0:
-            raise StructuralError("breakpoint inputs must be strictly increasing")
-    for (_, y0), (_, y1) in zip(pts, pts[1:]):
-        if y1 < y0:
-            raise StructuralError("breakpoint outputs must be non-decreasing")
-    for x, y in pts:
-        ensure_unit(x)
-        ensure_unit(y)
-    # drop interior points that are collinear with their neighbours
-    out = [pts[0]]
-    for i in range(1, len(pts) - 1):
-        (x0, y0), (x1, y1), (x2, y2) = out[-1], pts[i], pts[i + 1]
-        if (y1 - y0) * (x2 - x0) == (y2 - y0) * (x1 - x0):
-            continue
-        out.append((x1, y1))
-    out.append(pts[-1])
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PLMonotone:
     """Piecewise-linear non-decreasing function [0,1] -> [0,1].
 
-    Stored as breakpoints with strictly increasing inputs; the function
-    linearly interpolates between consecutive breakpoints.  An inverse
-    continuity modulus is a PLMonotone with value 0 at 0.
+    Breakpoint (xs[i] / den, ys[i] / den) for each i: int numerators over one
+    denominator, inputs strictly increasing from 0 to den.  The function
+    linearly interpolates between consecutive breakpoints.  Construction
+    checks the breakpoints, drops interior ones collinear with their
+    neighbours and reduces den to the lcm of the breakpoints' denominators,
+    so equal functions are equal objects.  An inverse continuity modulus is
+    a PLMonotone with value 0 at 0.
     """
 
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    den: int
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", _normalize_breakpoints(self.breakpoints))
+        den, xs, ys = self.den, self.xs, self.ys
+        if not xs or xs[0] != 0 or xs[-1] != den:
+            raise StructuralError("breakpoints must start at input 0 and end at input 1")
+        if not all(map(lt, xs, xs[1:])):
+            raise StructuralError("breakpoint inputs must be strictly increasing")
+        if not all(map(le, ys, ys[1:])):
+            raise StructuralError("breakpoint outputs must be non-decreasing")
+        for y in ys:  # the inputs lie in [0, den] by now
+            check_unit(y, den)
+        keep = [0]  # drop interior points that are collinear with their neighbours
+        for i in range(1, len(xs) - 1):
+            k = keep[-1]
+            if (ys[i] - ys[k]) * (xs[i + 1] - xs[k]) != (ys[i + 1] - ys[k]) * (xs[i] - xs[k]):
+                keep.append(i)
+        keep.append(len(xs) - 1)
+        g = gcd(den, *(xs[i] for i in keep), *(ys[i] for i in keep))
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "xs", tuple(xs[i] // g for i in keep))
+        object.__setattr__(self, "ys", tuple(ys[i] // g for i in keep))
+
+    @staticmethod
+    def through(points: Iterable[tuple[int, int, int, int]]) -> "PLMonotone":
+        """The function through exact points (x_num, x_den, y_num, y_den), denominators > 0."""
+        points = list(points)
+        den = lcm(*(d for _, xd, _, yd in points for d in (xd, yd)))
+        return PLMonotone(den, [xn * (den // xd) for xn, xd, _, _ in points],
+                          [yn * (den // yd) for _, _, yn, yd in points])
 
     @staticmethod
     def identity() -> "PLMonotone":
-        return PLMonotone(((ZERO, ZERO), (ONE, ONE)))
+        return PLMonotone(1, (0, 1), (0, 1))
 
     @staticmethod
     def constant(c) -> "PLMonotone":
         c = ensure_unit(c)
-        return PLMonotone(((ZERO, c), (ONE, c)))
+        return PLMonotone(c.denominator, (0, c.denominator), (c.numerator, c.numerator))
 
     @staticmethod
     def zero() -> "PLMonotone":
         return PLMonotone.constant(ZERO)
 
+    @property
+    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(x, self.den), Fraction(y, self.den))
+                     for x, y in zip(self.xs, self.ys))
+
+    def formatted(self) -> list[tuple[str, str]]:
+        """The breakpoints as (input, output) strings, as `format_rational` writes them."""
+        return [(format_ratio(x, self.den), format_ratio(y, self.den))
+                for x, y in zip(self.xs, self.ys)]
+
+    def at(self, num: int, den: int) -> tuple[int, int]:
+        """u(num / den) as an int pair (n, m), m > 0, not reduced; num / den in [0,1]."""
+        L, xs, ys = self.den, self.xs, self.ys
+        t = num * L
+        i = bisect_right(xs, t // den) - 1  # xs[i] * den <= t < xs[i + 1] * den
+        x0 = xs[i]
+        if x0 * den == t:
+            return ys[i], L
+        dx = xs[i + 1] - x0
+        return ys[i] * den * dx + (t - x0 * den) * (ys[i + 1] - ys[i]), L * den * dx
+
     def eval(self, x) -> Fraction:
         x = ensure_unit(x)
-        pts = self.breakpoints
-        if x == pts[0][0]:
-            return pts[0][1]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= x <= x1:
-                return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-        raise AssertionError("unreachable: breakpoints cover [0,1]")
+        return Fraction(*self.at(x.numerator, x.denominator))
 
     def is_inverse_modulus(self) -> bool:
-        return self.breakpoints[0][1] == 0
-
-    def input_knots(self) -> list[Fraction]:
-        return [x for x, _ in self.breakpoints]
+        return self.ys[0] == 0
 
 
 def pl_compose(f: PLMonotone, g: PLMonotone) -> PLMonotone:
-    """Composition f(g(x)) as a PLMonotone."""
-    xs = set(g.input_knots())
-    # preimages under g of f's knots make f∘g linear between candidates
-    for b, _ in f.breakpoints:
-        for (x0, y0), (x1, y1) in zip(g.breakpoints, g.breakpoints[1:]):
-            if y0 < b < y1:
-                xs.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
-    pts = sorted(xs)
-    return PLMonotone(tuple((x, f.eval(g.eval(x))) for x in pts))
+    """Composition f(g(x)): knots at g's knots and at the preimages of f's knots."""
+    lf, lg = f.den, g.den
+    points = []
+    for x0, y0, x1, y1 in zip(g.xs, g.ys, g.xs[1:], g.ys[1:]):
+        points.append((x0, lg, *f.at(y0, lg)))
+        for b, fb in zip(f.xs, f.ys):
+            if y0 * lf < b * lg < y1 * lf:  # g(x0) < b / lf < g(x1)
+                points.append((x0 * lf * (y1 - y0) + (b * lg - y0 * lf) * (x1 - x0),
+                               lf * lg * (y1 - y0), fb, lf))
+    points.append((lg, lg, *f.at(g.ys[-1], lg)))
+    return PLMonotone.through(points)
 
 
 def pl_capped_sum(f: PLMonotone, g: PLMonotone) -> PLMonotone:
     """min(f + g, 1) as a PLMonotone."""
-    xs = set(f.input_knots()) | set(g.input_knots())
-    for x0, x1 in zip(sorted(xs), sorted(xs)[1:]):
-        s0 = f.eval(x0) + g.eval(x0)
-        s1 = f.eval(x1) + g.eval(x1)
-        if s0 < 1 < s1:  # crossing of the cap inside the segment
-            xs.add(x0 + (1 - s0) * (x1 - x0) / (s1 - s0))
-    pts = sorted(xs)
-    return PLMonotone(tuple((x, min(f.eval(x) + g.eval(x), ONE)) for x in pts))
+    L = lcm(f.den, g.den)
+    knots = sorted({x * (L // f.den) for x in f.xs} | {x * (L // g.den) for x in g.xs})
+    sums = []  # (f + g)(x / L) as a / b
+    for x in knots:
+        (n1, m1), (n2, m2) = f.at(x, L), g.at(x, L)
+        sums.append((n1 * m2 + n2 * m1, m1 * m2))
+    points = []
+    for x0, x1, (a0, b0), (a1, b1) in zip(knots, knots[1:], sums, sums[1:]):
+        points.append((x0, L, min(a0, b0), b0))
+        if a0 < b0 and a1 > b1:  # crossing of the cap inside the segment
+            q = a1 * b0 - a0 * b1
+            points.append((x0 * q + (x1 - x0) * (b0 - a0) * b1, L * q, 1, 1))
+    a, b = sums[-1]
+    points.append((L, L, min(a, b), b))
+    return PLMonotone.through(points)
 
 
 def pl_half(f: PLMonotone) -> PLMonotone:
-    return PLMonotone(tuple((x, y / 2) for x, y in f.breakpoints))
+    return PLMonotone(2 * f.den, [2 * x for x in f.xs], f.ys)
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +326,18 @@ def delta_from_inverse(u: PLMonotone) -> Callable[[Fraction], Fraction]:
     """
     if not u.is_inverse_modulus():
         raise DomainError("inverse modulus must satisfy u(0) = 0")
+    L, xs, ys = u.den, u.xs, u.ys
 
     def delta(eps) -> Fraction:
         e = ensure_unit(eps)
         if e == 0:
             raise DomainError("delta(eps) is only defined for eps > 0")
-        best = ZERO
-        for (x0, y0), (x1, y1) in zip(u.breakpoints, u.breakpoints[1:]):
-            if y1 <= e:
-                best = x1
-            elif y0 <= e:  # then y0 <= e < y1, so the segment crosses e
-                best = x0 + (e - y0) * (x1 - x0) / (y1 - y0)
-        return best
+        a, b = e.numerator, e.denominator
+        i = bisect_right(ys, a * L // b) - 1  # the last breakpoint with u <= eps
+        if i == len(ys) - 1:
+            return ONE
+        x0, y0, x1, y1 = xs[i], ys[i], xs[i + 1], ys[i + 1]  # y0 <= eps < y1
+        return Fraction(x0 * b * (y1 - y0) + (a * L - y0 * b) * (x1 - x0), L * b * (y1 - y0))
 
     return delta
 
@@ -294,19 +347,14 @@ def _u0_pieces(delta: PLMonotone):
 
     The inverse u0(r) = sup{t : delta(t) <= r} is non-decreasing but jumps
     where delta has flat runs; pieces may therefore disagree at shared
-    endpoints, the larger value being the function value.
+    endpoints, the larger value being the function value.  Pieces are
+    (r0, t0, r1, t1) over `delta.den`; their r-ranges meet only at endpoints.
     """
-    bps = delta.breakpoints
-    pieces = []
-    d_first = bps[0][1]
-    if d_first > 0:
-        pieces.append((ZERO, ZERO, d_first, ZERO))
-    for (e0, v0), (e1, v1) in zip(bps, bps[1:]):
-        if v1 > v0:
-            pieces.append((v0, e0, v1, e1))
+    L, es, vs = delta.den, delta.xs, delta.ys
+    pieces = [(0, 0, vs[0], 0)] if vs[0] > 0 else []
+    pieces += [(v0, e0, v1, e1) for e0, v0, e1, v1 in zip(es, vs, es[1:], vs[1:]) if v1 > v0]
     # u0(r) = 1 for every r >= delta(1); degenerate point piece when delta(1) = 1
-    d_last = bps[-1][1]
-    pieces.append((d_last, ONE, ONE, ONE))
+    pieces.append((vs[-1], L, L, L))
     return pieces
 
 
@@ -317,70 +365,49 @@ def inverse_from_delta(delta: PLMonotone) -> PLMonotone:
     of u0 with one ramp per breakpoint of u0: the ramp anchored at (v, u0(v))
     rises linearly from v/2 and realizes the middle case of the formula.  The
     envelope is continuous, monotone and 0 at 0, and every function
-    respecting delta respects it.
+    respecting delta respects it.  Knots are numerators over D = 2 * delta.den
+    and component values numerators over one C; a crossing is an int pair.
     """
-    for _, y in delta.breakpoints[1:]:
-        if y == 0:
-            raise DomainError("delta must be positive on (0,1]")
+    if delta.ys[1] == 0:
+        raise DomainError("delta must be positive on (0,1]")
+    L = delta.den
     pieces = _u0_pieces(delta)
-
-    def u0_at(r: Fraction) -> Fraction:
-        best = ZERO
-        for r0, t0, r1, t1 in pieces:
-            if r0 <= r <= r1:
-                t = t0 if r1 == r0 else t0 + (r - r0) * (t1 - t0) / (r1 - r0)
-                best = max(best, t)
-        return best
-
-    anchors = sorted({r for piece in pieces for r in (piece[0], piece[2])} - {ZERO})
+    anchors = sorted({r for piece in pieces for r in (piece[0], piece[2])} - {0})
+    # an anchor is an endpoint of every piece that holds it
+    ramps = [(v, max(t0 if r0 == v else t1 for r0, t0, r1, t1 in pieces if r0 <= v <= r1))
+             for v in anchors]
+    M = lcm(*(2 * (r1 - r0) for r0, _, r1, _ in pieces if r1 > r0), *anchors)
+    D, C = 2 * L, L * M
+    base = sorted({0, D}.union(*((2 * r0, 2 * r1) for r0, _, r1, _ in pieces),
+                               *((v, 2 * v) for v in anchors)))
     # components of the envelope: u0's pieces plus one ramp per anchor
-    components = [("seg", piece) for piece in pieces]
-    for v in anchors:
-        components.append(("ramp", (v, u0_at(v))))
-
-    def comp_eval(comp, x: Fraction):
-        kind, data = comp
-        if kind == "seg":
-            r0, t0, r1, t1 = data
-            if not (r0 <= x <= r1):
-                return None
-            return t0 if r1 == r0 else t0 + (x - r0) * (t1 - t0) / (r1 - r0)
-        v, h = data
-        if x <= v / 2:
-            return ZERO
-        if x >= v:
-            return h
-        return h * (2 * x / v - 1)
-
-    xs = {ZERO, ONE}
-    for kind, data in components:
-        if kind == "seg":
-            xs.add(data[0])
-            xs.add(data[2])
-        else:
-            xs.add(data[0] / 2)
-            xs.add(data[0])
-    # each component once per base knot; between two adjacent knots every
-    # component is linear, and two of them cross strictly inside the interval
-    # exactly when their difference changes sign strictly across it
-    base = sorted(xs)
-    table = [[comp_eval(c, x) for x in base] for c in components]
+    table = []
+    for r0, t0, r1, t1 in pieces:
+        slope = (t1 - t0) * (M // (2 * (r1 - r0))) if r1 > r0 else 0
+        table.append([t0 * M + (x - 2 * r0) * slope if 2 * r0 <= x <= 2 * r1 else None
+                      for x in base])
+    for v, h in ramps:
+        m = M // v
+        table.append([0 if x <= v else h * M if x >= 2 * v else h * m * (x - v) for x in base])
+    points = [(x, D, max(c for c in column if c is not None), C)
+              for x, column in zip(base, zip(*table))]
+    # between two adjacent knots every component is linear, and two of them
+    # cross strictly inside the interval exactly when their difference
+    # changes sign strictly across it
     for k, (x0, x1) in enumerate(zip(base, base[1:])):
         live = [(row[k], row[k + 1]) for row in table
                 if row[k] is not None and row[k + 1] is not None]
         for i, (a0, a1) in enumerate(live):
             for b0, b1 in live[i + 1:]:
                 if (a0 < b0 and b1 < a1) or (b0 < a0 and a1 < b1):
-                    xs.add(x0 + (b0 - a0) * (x1 - x0) / ((a1 - a0) - (b1 - b0)))
-    top = {x: max(v for v in column if v is not None) for x, column in zip(base, zip(*table))}
-
-    def envelope(x: Fraction) -> Fraction:
-        if x in top:
-            return top[x]
-        return max(v for v in (comp_eval(c, x) for c in components) if v is not None)
-
-    pts = [(x, envelope(x)) for x in sorted(xs)]
-    for (_, y0), (_, y1) in zip(pts, pts[1:]):
-        if y1 < y0:
-            raise AssertionError("inverse_from_delta produced a non-monotone envelope")
-    return PLMonotone(tuple(pts))
+                    p, q = b0 - a0, (a1 - a0) - (b1 - b0)  # at x0 + (x1 - x0) * p / q
+                    if q < 0:
+                        p, q = -p, -q
+                    points.append((x0 * q + p * (x1 - x0), D * q,
+                                   max(c0 * q + (c1 - c0) * p for c0, c1 in live), C * q))
+    den = lcm(*(d for _, xd, _, yd in points for d in (xd, yd)))
+    knots = {xn * (den // xd): yn * (den // yd) for xn, xd, yn, yd in points}
+    xs, ys = zip(*sorted(knots.items()))
+    if not all(map(le, ys, ys[1:])):
+        raise AssertionError("inverse_from_delta produced a non-monotone envelope")
+    return PLMonotone(den, xs, ys)

@@ -7,6 +7,7 @@ agreement with the main code paths is meaningful.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
@@ -16,7 +17,6 @@ from contlogic.language import Atom, Const, Op, PredDecl, Quant, SortDecl, Value
 from contlogic.stability import (
     LadderWitness,
     MonotoneDefinition,
-    PhiTypeSpace,
     PhiTypeVector,
     _gap,
     _lowest_bit,
@@ -35,7 +35,6 @@ from contlogic.values import (
     ONE,
     ZERO,
     PLMonotone,
-    _u0_pieces,
     apply_connective,
     ensure_unit,
     format_rational,
@@ -474,6 +473,7 @@ def validate_reference(M) -> ValidationReport:
 
     def check_symbol(name, arg_sorts, moduli, value_at, is_function, target_sort=None):
         for pos, (sort, u) in enumerate(zip(arg_sorts, moduli)):
+            u = FractionPL.of(u)
             other = [range(len(M.carriers[s])) for p, s in enumerate(arg_sorts) if p != pos]
             size = len(M.carriers[sort])
             for ctx in itertools.product(*other):
@@ -925,8 +925,8 @@ def monotone_definition_reference(inst, epsilon, target) -> MonotoneDefinition:
                               tuple(records), bound, tuple(candidates), g)
 
 
-def phi_type_space_reference(inst) -> PhiTypeSpace:
-    """Realized phi-types and their sup-difference metric by Fraction arithmetic.
+def phi_type_space_reference(inst) -> tuple:
+    """(value rows, metric, realizers) of the realized phi-types by Fraction arithmetic.
 
     The code `stability.phi_type_space` ran before it worked on int rows.
     """
@@ -950,7 +950,7 @@ def phi_type_space_reference(inst) -> PhiTypeSpace:
             for i in range(n))
     else:
         metric = tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
-    return PhiTypeSpace(tuple(points), metric, tuple(tuple(r) for r in realizers))
+    return tuple(p.values for p in points), metric, tuple(tuple(r) for r in realizers)
 
 
 def imaginary_tables_reference(inst):
@@ -985,20 +985,160 @@ def imaginary_tables_reference(inst):
 
 
 # ---------------------------------------------------------------------------
-# Continuity moduli
+# Continuity moduli on Fractions
+#
+# `values` held its piecewise-linear moduli as Fraction breakpoints before it
+# moved them to int numerators over one denominator; this is that code, the
+# reference the int code must reproduce: the same breakpoints, values,
+# errors and messages.
 
 
-def inverse_from_delta_reference(delta: PLMonotone) -> PLMonotone:
-    """`values.inverse_from_delta` with the pairwise crossing scan it used to run.
+def parse_rational_reference(text) -> F:
+    """`values.parse_rational` as it read literals before the int parser."""
+    if not isinstance(text, str):
+        raise DomainError(f"rational literal {text!r} must be a string")
+    s = text.strip()
+    if "." in s:
+        raise DomainError(f"decimal literal {text!r} rejected; use p/q")
+    num, slash, den = s.partition("/")
+    try:
+        return F(int(num), int(den)) if slash else F(int(num))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"bad rational literal {text!r}") from exc
 
-    The same u0 pieces, ramps and base knots; then every pair of components
-    is evaluated afresh at both ends of every base interval, and the
-    crossing of the two lines is kept when it falls strictly inside.
-    """
+
+def pl_of(breakpoints) -> PLMonotone:
+    """The int `PLMonotone` through rational (input, output) breakpoints."""
+    pts = [(F(x), F(y)) for x, y in breakpoints]
+    return PLMonotone.through((x.numerator, x.denominator, y.numerator, y.denominator)
+                              for x, y in pts)
+
+
+def normalize_breakpoints_reference(points):
+    pts = [(F(x), F(y)) for x, y in points]
+    if not pts or pts[0][0] != 0 or pts[-1][0] != 1:
+        raise StructuralError("breakpoints must start at input 0 and end at input 1")
+    for (x0, _), (x1, _) in zip(pts, pts[1:]):
+        if x1 <= x0:
+            raise StructuralError("breakpoint inputs must be strictly increasing")
+    for (_, y0), (_, y1) in zip(pts, pts[1:]):
+        if y1 < y0:
+            raise StructuralError("breakpoint outputs must be non-decreasing")
+    for x, y in pts:
+        ensure_unit(x)
+        ensure_unit(y)
+    # drop interior points that are collinear with their neighbours
+    out = [pts[0]]
+    for i in range(1, len(pts) - 1):
+        (x0, y0), (x1, y1), (x2, y2) = out[-1], pts[i], pts[i + 1]
+        if (y1 - y0) * (x2 - x0) == (y2 - y0) * (x1 - x0):
+            continue
+        out.append((x1, y1))
+    out.append(pts[-1])
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class FractionPL:
+    """`values.PLMonotone` as Fraction breakpoints, normalized on construction."""
+
+    breakpoints: tuple[tuple[F, F], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "breakpoints",
+                           normalize_breakpoints_reference(self.breakpoints))
+
+    @staticmethod
+    def of(u: PLMonotone) -> "FractionPL":
+        return FractionPL(u.breakpoints)
+
+    def eval(self, x) -> F:
+        x = ensure_unit(x)
+        pts = self.breakpoints
+        if x == pts[0][0]:
+            return pts[0][1]
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            if x0 <= x <= x1:
+                return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+        raise AssertionError("unreachable: breakpoints cover [0,1]")
+
+    def is_inverse_modulus(self) -> bool:
+        return self.breakpoints[0][1] == 0
+
+    def input_knots(self) -> list[F]:
+        return [x for x, _ in self.breakpoints]
+
+
+def pl_compose_reference(f: FractionPL, g: FractionPL) -> FractionPL:
+    """Composition f(g(x)) as a FractionPL."""
+    xs = set(g.input_knots())
+    # preimages under g of f's knots make f∘g linear between candidates
+    for b, _ in f.breakpoints:
+        for (x0, y0), (x1, y1) in zip(g.breakpoints, g.breakpoints[1:]):
+            if y0 < b < y1:
+                xs.add(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
+    pts = sorted(xs)
+    return FractionPL(tuple((x, f.eval(g.eval(x))) for x in pts))
+
+
+def pl_capped_sum_reference(f: FractionPL, g: FractionPL) -> FractionPL:
+    """min(f + g, 1) as a FractionPL."""
+    xs = set(f.input_knots()) | set(g.input_knots())
+    for x0, x1 in zip(sorted(xs), sorted(xs)[1:]):
+        s0 = f.eval(x0) + g.eval(x0)
+        s1 = f.eval(x1) + g.eval(x1)
+        if s0 < 1 < s1:  # crossing of the cap inside the segment
+            xs.add(x0 + (1 - s0) * (x1 - x0) / (s1 - s0))
+    pts = sorted(xs)
+    return FractionPL(tuple((x, min(f.eval(x) + g.eval(x), ONE)) for x in pts))
+
+
+def pl_half_reference(f: FractionPL) -> FractionPL:
+    return FractionPL(tuple((x, y / 2) for x, y in f.breakpoints))
+
+
+def delta_from_inverse_reference(u: FractionPL):
+    """Standard modulus delta(eps) = sup{t : u(t) <= eps} from an inverse one."""
+    if not u.is_inverse_modulus():
+        raise DomainError("inverse modulus must satisfy u(0) = 0")
+
+    def delta(eps) -> F:
+        e = ensure_unit(eps)
+        if e == 0:
+            raise DomainError("delta(eps) is only defined for eps > 0")
+        best = ZERO
+        for (x0, y0), (x1, y1) in zip(u.breakpoints, u.breakpoints[1:]):
+            if y1 <= e:
+                best = x1
+            elif y0 <= e:  # then y0 <= e < y1, so the segment crosses e
+                best = x0 + (e - y0) * (x1 - x0) / (y1 - y0)
+        return best
+
+    return delta
+
+
+def u0_pieces_reference(delta: FractionPL):
+    """Generalized inverse of delta as closed pieces (r0, t0, r1, t1) over the value axis."""
+    bps = delta.breakpoints
+    pieces = []
+    d_first = bps[0][1]
+    if d_first > 0:
+        pieces.append((ZERO, ZERO, d_first, ZERO))
+    for (e0, v0), (e1, v1) in zip(bps, bps[1:]):
+        if v1 > v0:
+            pieces.append((v0, e0, v1, e1))
+    # u0(r) = 1 for every r >= delta(1); degenerate point piece when delta(1) = 1
+    d_last = bps[-1][1]
+    pieces.append((d_last, ONE, ONE, ONE))
+    return pieces
+
+
+def _envelope_components(delta: FractionPL):
+    """u0's pieces and one ramp per anchor, with the base knots where any of them bends."""
     for _, y in delta.breakpoints[1:]:
         if y == 0:
             raise DomainError("delta must be positive on (0,1]")
-    pieces = _u0_pieces(delta)
+    pieces = u0_pieces_reference(delta)
 
     def u0_at(r: F) -> F:
         best = ZERO
@@ -1009,25 +1149,9 @@ def inverse_from_delta_reference(delta: PLMonotone) -> PLMonotone:
         return best
 
     anchors = sorted({r for piece in pieces for r in (piece[0], piece[2])} - {ZERO})
-    # components of the envelope: u0's pieces plus one ramp per anchor
     components = [("seg", piece) for piece in pieces]
     for v in anchors:
         components.append(("ramp", (v, u0_at(v))))
-
-    def comp_eval(comp, x: F):
-        kind, data = comp
-        if kind == "seg":
-            r0, t0, r1, t1 = data
-            if not (r0 <= x <= r1):
-                return None
-            return t0 if r1 == r0 else t0 + (x - r0) * (t1 - t0) / (r1 - r0)
-        v, h = data
-        if x <= v / 2:
-            return ZERO
-        if x >= v:
-            return h
-        return h * (2 * x / v - 1)
-
     xs = {ZERO, ONE}
     for kind, data in components:
         if kind == "seg":
@@ -1036,13 +1160,69 @@ def inverse_from_delta_reference(delta: PLMonotone) -> PLMonotone:
         else:
             xs.add(data[0] / 2)
             xs.add(data[0])
-    # crossings between component pairs refine the envelope grid
+    return components, xs
+
+
+def _component_at(comp, x: F):
+    kind, data = comp
+    if kind == "seg":
+        r0, t0, r1, t1 = data
+        if not (r0 <= x <= r1):
+            return None
+        return t0 if r1 == r0 else t0 + (x - r0) * (t1 - t0) / (r1 - r0)
+    v, h = data
+    if x <= v / 2:
+        return ZERO
+    if x >= v:
+        return h
+    return h * (2 * x / v - 1)
+
+
+def _monotone_envelope(components, xs) -> FractionPL:
+    def envelope(x: F) -> F:
+        return max(v for v in (_component_at(c, x) for c in components) if v is not None)
+
+    pts = [(x, envelope(x)) for x in sorted(xs)]
+    for (_, y0), (_, y1) in zip(pts, pts[1:]):
+        if y1 < y0:
+            raise AssertionError("inverse_from_delta produced a non-monotone envelope")
+    return FractionPL(tuple(pts))
+
+
+def inverse_from_delta_reference(delta: FractionPL) -> FractionPL:
+    """Inverse modulus from a standard one: u0's envelope with one ramp per anchor.
+
+    The Fraction form of `values.inverse_from_delta`: one table of component
+    values per base knot, and a crossing wherever two live components swap
+    order strictly inside a base interval.
+    """
+    components, xs = _envelope_components(delta)
+    base = sorted(xs)
+    table = [[_component_at(c, x) for x in base] for c in components]
+    for k, (x0, x1) in enumerate(zip(base, base[1:])):
+        live = [(row[k], row[k + 1]) for row in table
+                if row[k] is not None and row[k + 1] is not None]
+        for i, (a0, a1) in enumerate(live):
+            for b0, b1 in live[i + 1:]:
+                if (a0 < b0 and b1 < a1) or (b0 < a0 and a1 < b1):
+                    xs.add(x0 + (b0 - a0) * (x1 - x0) / ((a1 - a0) - (b1 - b0)))
+    return _monotone_envelope(components, xs)
+
+
+def inverse_from_delta_pairwise(delta: FractionPL) -> FractionPL:
+    """`inverse_from_delta_reference` with the pairwise crossing scan it used to run.
+
+    The same u0 pieces, ramps and base knots; then every pair of components
+    is evaluated afresh at both ends of every base interval, and the
+    crossing of the two lines is kept when it falls strictly inside.
+    """
+    components, xs = _envelope_components(delta)
     base = sorted(xs)
     for x0, x1 in zip(base, base[1:]):
         for i, c1 in enumerate(components):
             for c2 in components[i + 1:]:
-                a0, a1 = comp_eval(c1, x0), comp_eval(c1, x1)
-                b0, b1 = comp_eval(c2, x0), comp_eval(c2, x1)
+                a0, a1 = _component_at(c1, x0), _component_at(c1, x1)
+                b0, b1 = _component_at(c2, x0), _component_at(c2, x1)
                 if None in (a0, a1, b0, b1):
                     continue
                 num = (b0 - a0) * (x1 - x0)
@@ -1051,13 +1231,4 @@ def inverse_from_delta_reference(delta: PLMonotone) -> PLMonotone:
                     x = x0 + num / den
                     if x0 < x < x1:
                         xs.add(x)
-
-    def envelope(x: F) -> F:
-        vals = [v for v in (comp_eval(c, x) for c in components) if v is not None]
-        return max(vals)
-
-    pts = [(x, envelope(x)) for x in sorted(xs)]
-    for (_, y0), (_, y1) in zip(pts, pts[1:]):
-        if y1 < y0:
-            raise AssertionError("inverse_from_delta produced a non-monotone envelope")
-    return PLMonotone(tuple(pts))
+    return _monotone_envelope(components, xs)

@@ -64,6 +64,7 @@ from oracles import (
     atomless_defect_bruteforce,
     glued_halfgraph,
     monotone_sup_on_grid,
+    pl_of,
     pra_axioms_bruteforce,
     random_metric,
     random_valid_topometric_space,
@@ -343,7 +344,7 @@ def test_criterion_10_modulus_conversion():
             for _ in xs[1:-1]:
                 ys.append(min(ys[-1] + F(rng.randrange(0, 9), 16), F(1)))
             ys.append(F(1))
-            u = PLMonotone(tuple(zip(xs, ys)))
+            u = pl_of(tuple(zip(xs, ys)))
             delta = delta_from_inverse(u)
 
             metric_a = random_metric(rng, 6, [F(1, 4), F(1, 2), F(3, 4)])
@@ -379,7 +380,7 @@ def test_criterion_10_modulus_conversion():
             ys = [F(rng.randrange(1, 5), 16)]
             for _ in xs[1:]:
                 ys.append(min(ys[-1] + F(rng.randrange(0, 9), 16), F(1)))
-            delta_pl = PLMonotone(tuple(zip(xs, ys)))
+            delta_pl = pl_of(tuple(zip(xs, ys)))
             uhat = inverse_from_delta(delta_pl)
             metric_a = random_metric(rng, 6, [F(1, 4), F(1, 2), F(3, 4)])
             metric_b = random_metric(rng, 6, [F(1, 4), F(1, 2), F(3, 4)])

@@ -215,6 +215,13 @@ def test_modulus_convert(capsys):
     assert report["report"]["inverse"] == "0:0,1:1"
 
 
+@pytest.mark.parametrize("epsilon", ["1/4", "0.5"])
+def test_modulus_convert_epsilon_with_delta_to_inverse_exits_1(capsys, epsilon):
+    run_fails_with(capsys, ["modulus-convert", "--direction", "delta-to-inverse",
+                            "--pl", "0:0,1:1", "--epsilon", epsilon],
+                   "--epsilon applies only to inverse-to-delta")
+
+
 def test_prenex_command(capsys, algebra_file):
     code, report = run_json(capsys, [
         "prenex", algebra_file, "--formula", "1/4 -. (sup x. mu(x))",

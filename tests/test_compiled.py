@@ -53,7 +53,7 @@ from contlogic.structures import (
     validate,
 )
 
-from oracles import eval_formula_reference, random_metric, validate_reference
+from oracles import eval_formula_reference, pl_of, random_metric, validate_reference
 from test_acceptance import _count_quantifiers, _prenex_signature, _random_closed_formula
 from test_acceptance import _random_structure as _random_prenex_structure
 
@@ -241,7 +241,7 @@ def binary_signature():
     return Signature([SortDecl("S", "d")],
                      functions=[FuncDecl("f", ("S",), "S", (IDENT,))],
                      predicates=[PredDecl("P", ("S",), (IDENT,)),
-                                 PredDecl("R", ("S", "S"), (IDENT, PLMonotone(
+                                 PredDecl("R", ("S", "S"), (IDENT, pl_of(
                                      ((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1))))))])
 
 

@@ -15,6 +15,7 @@ from contlogic.language import parse
 from contlogic.stability import phi_type_space
 from contlogic.structures import (
     PhiInstance,
+    fraction_rows,
     gen_prob_algebra,
     make_split,
     validate,
@@ -43,7 +44,9 @@ def binary_cases(M):
 
 
 def assert_matches_references(inst, check_validator=False):
-    assert phi_type_space(inst) == phi_type_space_reference(inst)
+    space = phi_type_space(inst)
+    assert (fraction_rows(space.rows, space.scale), fraction_rows(space.distances, space.scale),
+            space.realizers) == phi_type_space_reference(inst)
     E = build_imaginary(inst)
     classes, metric, predicate = imaginary_tables_reference(inst)
     assert E.class_members == classes

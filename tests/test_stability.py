@@ -30,6 +30,7 @@ from contlogic.structures import (
     FiniteStructure,
     PhiInstance,
     eval_formula,
+    fraction_rows,
     gen_halfgraph,
     gen_prob_algebra,
     make_split,
@@ -86,8 +87,8 @@ def constant_setup():
 def test_phi_type_space_constant():
     inst = constant_setup()
     space = phi_type_space(inst)
-    assert len(space.points) == 1
-    assert space.metric == ((F(0),),)
+    assert len(space.rows) == 1
+    assert fraction_rows(space.distances, space.scale) == ((F(0),),)
 
 
 def test_phi_type_space_halfgraph():
@@ -98,13 +99,13 @@ def test_phi_type_space_halfgraph():
     assert a0.values != a1.values
     d = max(abs(u - v) for u, v in zip(a0.values, a1.values))
     assert d == 1
-    assert any(p.values == a0.values for p in space.points)
+    assert a0.values in fraction_rows(space.rows, space.scale)
 
 
 def test_phi_type_space_two_atom_algebra():
     inst = algebra_setup([F(1, 2), F(1, 2)])
     space = phi_type_space(inst)
-    assert len(space.points) == 4
+    assert len(space.rows) == 4
 
 
 # -- ladders ----------------------------------------------------------------
@@ -651,7 +652,8 @@ def test_relabelled_carrier_keeps_monotone_bound_and_typespace(which, data):
     insts = [instance(K, text) for K in (M, N)]
 
     def distances(inst):
-        return sorted(d for row in phi_type_space(inst).metric for d in row)
+        space = phi_type_space(inst)
+        return sorted(F(d, space.scale) for row in space.distances for d in row)
 
     assert distances(insts[1]) == distances(insts[0])
     eps = data.draw(st.sampled_from((F(1, 16), F(1, 24), F(1, 32))))

@@ -1,11 +1,12 @@
 """Finite structures: evaluation, validation, completion, TV, generators."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from contlogic.errors import CompletionError, DomainError, StructuralError
+from contlogic.errors import CompletionError, ContlogicError, DomainError, StructuralError
 from contlogic.language import (
     Condition,
     PLMonotone,
@@ -30,6 +31,7 @@ from contlogic.structures import (
     pra_conditions,
     validate,
 )
+from contlogic.values import parse_rational
 from oracles import fraction_tables
 
 IDENT = PLMonotone.identity()
@@ -254,8 +256,34 @@ def test_json_rejects_diameter_above_one():
     M = gen_halfgraph(2)
     data = M.to_json()
     data["metric"]["V"][0][1] = "3/2"
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^metric diameter exceeds 1 in sort V$"):
         FiniteStructure.from_json(data)
+
+
+@pytest.mark.parametrize("table, text, message", [
+    ("metric", "-1/2", "value -1/2 outside [0,1]"),
+    ("metric", " -6/-4 ", "metric diameter exceeds 1 in sort V"),
+    ("predicates", "3/2", "value 3/2 outside [0,1]"),
+    ("predicates", "-0/7", None),
+    ("predicates", " 2/4 ", None),
+    ("predicates", "1_0/2_0", None),
+    ("predicates", "\u0661/\u0662", None),
+    ("predicates", "1/-2", "value -1/2 outside [0,1]"),
+    ("predicates", "1/0", "bad rational literal '1/0'"),
+    ("predicates", "0.5", "decimal literal '0.5' rejected; use p/q"),
+    ("predicates", 1, "rational literal 1 must be a string"),
+])
+def test_table_values_parse_and_range_check(table, text, message):
+    """A table cell is read as `parse_rational` reads it and range-checked in the same order."""
+    data = gen_halfgraph(2).to_json()
+    cells = data[table]["V"] if table == "metric" else data[table]["phi"]
+    cells[0][1] = text
+    if message is not None:
+        with pytest.raises(ContlogicError, match=f"^{re.escape(message)}$"):
+            FiniteStructure.from_json(data)
+        return
+    M = FiniteStructure.from_json(data)
+    assert fraction_tables(M).predicates["phi"][(0, 1)] == parse_rational(text)
 
 
 def test_apa_defect_law_small():

@@ -1,26 +1,42 @@
 """Tests for the exact truth-value layer: connectives, med, flim, PL moduli."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contlogic.errors import DomainError, StructuralError
+from contlogic.errors import ContlogicError, DomainError, StructuralError
 from contlogic.values import (
     PLMonotone,
     apply_connective,
     delta_from_inverse,
     flim_prefix,
+    format_ratio,
     format_rational,
     inverse_from_delta,
     is_dyadic,
     med,
+    parse_ratio,
     parse_rational,
     pl_capped_sum,
     pl_compose,
     pl_half,
 )
-from oracles import apply_connective_reference, med_by_subsets
+from oracles import (
+    FractionPL,
+    apply_connective_reference,
+    delta_from_inverse_reference,
+    inverse_from_delta_reference,
+    med_by_subsets,
+    parse_rational_reference,
+    pl_capped_sum_reference,
+    pl_compose_reference,
+    pl_half_reference,
+    pl_of,
+)
 
 
 def grid(step_denom=32):
@@ -140,7 +156,7 @@ def test_flim_stability_property():
 def test_pl_eval_and_algebra():
     ident = PLMonotone.identity()
     assert ident.eval(F(1, 3)) == F(1, 3)
-    dbl = PLMonotone(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1))))
+    dbl = pl_of(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1))))
     assert dbl.eval(F(1, 4)) == F(1, 2)
     assert ident.eval(F(0)) == 0
 
@@ -150,9 +166,9 @@ def test_pl_eval_and_algebra():
     assert pl_half(ident).eval(F(1, 2)) == F(1, 4)
 
     with pytest.raises(StructuralError):
-        PLMonotone(((F(0), F(1)), (F(1), F(0))))  # decreasing
+        pl_of(((F(0), F(1)), (F(1), F(0))))  # decreasing
     with pytest.raises(StructuralError):
-        PLMonotone(((F(1, 4), F(0)), (F(1), F(1))))  # does not start at 0
+        pl_of(((F(1, 4), F(0)), (F(1), F(1))))  # does not start at 0
 
 
 def test_pl_compose_matches_pointwise():
@@ -175,7 +191,7 @@ def random_pl(rng, inverse=False):
     ys = [start]
     for _ in xs[1:]:
         ys.append(min(ys[-1] + F(rng.randrange(0, 9), 16), F(1)))
-    return PLMonotone(tuple(zip(xs, ys)))
+    return pl_of(tuple(zip(xs, ys)))
 
 
 def test_delta_from_inverse_examples():
@@ -183,7 +199,7 @@ def test_delta_from_inverse_examples():
     delta = delta_from_inverse(ident)
     assert delta(F(1, 4)) == F(1, 4)
     assert delta(F(1)) == 1
-    dbl = PLMonotone(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1))))
+    dbl = pl_of(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1))))
     assert delta_from_inverse(dbl)(F(1, 2)) == F(1, 4)
     with pytest.raises(DomainError):
         delta(F(0))
@@ -198,7 +214,7 @@ def test_inverse_from_delta_identity_and_round_trip():
     delta = delta_from_inverse(u)
     assert delta(F(1, 2)) == F(1, 2)
     with pytest.raises(DomainError):
-        inverse_from_delta(PLMonotone(((F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1)))))
+        inverse_from_delta(pl_of(((F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1)))))
 
 
 def test_inverse_from_delta_dominates_u0_and_stays_sound():
@@ -231,17 +247,17 @@ def random_delta(rng):
         ys.append(min(ys[-1] + step, F(1)))
     if rng.random() < 0.3:
         ys[-1] = F(1)
-    return PLMonotone(tuple(zip(xs, ys)))
+    return pl_of(tuple(zip(xs, ys)))
 
 
 def test_inverse_from_delta_matches_the_pairwise_scan():
     """One table of component values per knot gives the reference's breakpoints exactly."""
-    from oracles import inverse_from_delta_reference
+    from oracles import inverse_from_delta_pairwise
 
     rng = random.Random(31)
     seen = {"flat run": 0, "delta(0) > 0": 0, "delta(1) = 1": 0}
     deltas = [PLMonotone.identity(), PLMonotone.constant(F(1)),
-              PLMonotone(((F(0), F(1, 2)), (F(1), F(1, 2))))]
+              pl_of(((F(0), F(1, 2)), (F(1), F(1, 2))))]
     deltas += [random_delta(rng) for _ in range(240)]
     for delta in deltas:
         ys = [y for _, y in delta.breakpoints]
@@ -249,5 +265,110 @@ def test_inverse_from_delta_matches_the_pairwise_scan():
         seen["delta(0) > 0"] += ys[0] > 0
         seen["delta(1) = 1"] += ys[-1] == 1
         assert inverse_from_delta(delta).breakpoints == \
-            inverse_from_delta_reference(delta).breakpoints
+            inverse_from_delta_pairwise(delta).breakpoints
     assert min(seen.values()) >= 40, seen
+
+
+# ---------------------------------------------------------------------------
+# The int moduli against the Fraction reference
+
+
+def outcome(fn, *args):
+    """("ok", result) with a modulus read as its breakpoints, or the error's type and message."""
+    try:
+        out = fn(*args)
+    except (ContlogicError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", getattr(out, "breakpoints", out)
+
+
+UNIT_FRACTIONS = sorted({F(p, q) for q in range(1, 17) for p in range(q + 1)})
+unit_fractions = st.sampled_from(UNIT_FRACTIONS)
+inner_fractions = st.sampled_from(UNIT_FRACTIONS[1:-1])
+
+
+@st.composite
+def breakpoint_lists(draw, inverse=False):
+    """2-6 pieces with inputs and outputs of denominator 1-16, flat runs and collinear points."""
+    inner = draw(st.lists(inner_fractions, min_size=1, max_size=5, unique=True))
+    xs = [F(0)] + sorted(inner) + [F(1)]
+    ys = sorted(draw(st.lists(unit_fractions, min_size=len(xs), max_size=len(xs))))
+    for j in draw(st.lists(st.integers(1, len(ys) - 1), max_size=2)):
+        ys[j] = ys[j - 1]  # a flat run
+    if inverse:
+        ys[0] = F(0)
+    pts = list(zip(xs, ys))
+    for i in sorted(draw(st.lists(st.integers(0, len(pts) - 2), max_size=2, unique=True)),
+                    reverse=True):  # a segment's midpoint is collinear with its ends
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        pts.insert(i + 1, ((x0 + x1) / 2, (y0 + y1) / 2))
+    return pts
+
+
+@settings(max_examples=200)
+@given(breakpoint_lists(), breakpoint_lists(), breakpoint_lists(inverse=True), unit_fractions)
+def test_int_moduli_match_the_fraction_reference(a, b, c, x):
+    """Breakpoints, values, the algebra and both conversions, errors included."""
+    f, g, u = pl_of(a), pl_of(b), pl_of(c)
+    rf, rg, ru = FractionPL(a), FractionPL(b), FractionPL(c)
+    assert f.breakpoints == rf.breakpoints
+    assert f.eval(x) == rf.eval(x)
+    assert f.formatted() == [(format_rational(p), format_rational(q)) for p, q in rf.breakpoints]
+    assert pl_compose(f, g).breakpoints == pl_compose_reference(rf, rg).breakpoints
+    assert pl_capped_sum(f, g).breakpoints == pl_capped_sum_reference(rf, rg).breakpoints
+    assert pl_half(f).breakpoints == pl_half_reference(rf).breakpoints
+    assert outcome(inverse_from_delta, f) == outcome(inverse_from_delta_reference, rf)
+    assert outcome(lambda: delta_from_inverse(f)(x)) == \
+        outcome(lambda: delta_from_inverse_reference(rf)(x))
+    assert outcome(delta_from_inverse(u), x) == outcome(delta_from_inverse_reference(ru), x)
+
+
+CORRUPTIONS = {
+    "not starting at 0": (lambda pts: [(F(1, 32), pts[0][1])] + pts[1:],
+                          "breakpoints must start at input 0 and end at input 1"),
+    "not ending at 1": (lambda pts: pts[:-1] + [(F(31, 32), pts[-1][1])],
+                        "breakpoints must start at input 0 and end at input 1"),
+    "non-increasing inputs": (lambda pts: [pts[0], (pts[2][0], pts[1][1])] + pts[2:],
+                              "breakpoint inputs must be strictly increasing"),
+    "decreasing outputs": (lambda pts: [(F(0), pts[1][1] + F(1, 16))] + pts[1:],
+                           "breakpoint outputs must be non-decreasing"),
+    "value below 0": (lambda pts: [(F(0), F(-1, 16))] + pts[1:], "value -1/16 outside [0,1]"),
+    "value above 1": (lambda pts: pts[:-1] + [(F(1), F(17, 16))], "value 17/16 outside [0,1]"),
+}
+
+
+@settings(max_examples=120)
+@given(breakpoint_lists(), st.sampled_from(sorted(CORRUPTIONS)))
+def test_invalid_breakpoints_raise_what_the_reference_raises(pts, kind):
+    corrupt, message = CORRUPTIONS[kind]
+    bad = corrupt(pts)
+    assert outcome(pl_of, bad) == outcome(FractionPL, bad)
+    assert outcome(pl_of, bad)[1] == message
+
+
+LITERALS = [" 1/2 ", "1_0", "2/4", "1/-2", "-6/-4", "\u0661/\u0662", "+3/6", "-0", "0/5",
+            "0.5", "1/0", "1//2", "", "1/2/3", "_1", "1__0", "abc", "1 /2", "1/ 2"]
+
+
+def assert_parses_like_the_reference(text):
+    want = outcome(parse_rational_reference, text)
+    got = outcome(parse_ratio, text)
+    if want[0] == "ok":
+        p, q = got[1]
+        assert q > 0 and math.gcd(p, q) == 1 and F(p, q) == want[1]
+        assert format_ratio(p, q) == format_rational(want[1])
+    else:
+        assert got == want
+    assert outcome(parse_rational, text) == want
+
+
+@pytest.mark.parametrize("text", LITERALS + [1, None, F(1, 2), ["1"]])
+def test_int_parser_matches_parse_rational_on_edge_literals(text):
+    assert_parses_like_the_reference(text)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(alphabet="0123456789\u0661\u0662 _/-+.", max_size=7),
+                 st.sampled_from(LITERALS)))
+def test_int_parser_matches_parse_rational(text):
+    assert_parses_like_the_reference(text)
