@@ -354,7 +354,7 @@ def _cmd_synth(args):
     target = GridFunction.from_json(_read_json(args.target))
     step = parse_rational(args.step_modulus) if args.step_modulus else None
     res = synthesize(target, parse_rational(args.epsilon), step_modulus=step)
-    text = expression_text(res.expression, res.written_out_nodes)
+    text = expression_text(res)
     return 0, {
         "expression": text if text is not None else "(too large to write out)",
         "max_error": format_rational(res.max_error),

@@ -687,57 +687,60 @@ _QUANT, _SUM, _PROD, _ATOM = 0, 1, 2, 3
 
 def print_formula(f, sig: Optional[Signature] = None) -> str:
     """Canonical text for a formula; parse(print_formula(f)) == f."""
-    annotate = sig is not None and sig.single_sort() is None
+    return _text(f, _QUANT, sig is not None and sig.single_sort() is None, {})
 
-    def pt(t) -> str:
-        if isinstance(t, Var):
-            return t.name
-        if not t.args:
-            return t.func
-        return f"{t.func}({', '.join(pt(a) for a in t.args)})"
 
-    memo: dict = {}  # (id(node), level) -> text: a shared node prints once per call
+def _term_text(t) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.func
+    return f"{t.func}({', '.join(_term_text(a) for a in t.args)})"
 
-    def go(f, level: int) -> str:
-        key = (id(f), level)
-        if key not in memo:
-            memo[key] = write(f, level)
-        return memo[key]
 
-    def write(f, level: int) -> str:
-        if isinstance(f, Quant):
-            ann = f":{f.sort}" if annotate and f.sort else ""
-            s = f"{f.kind} {f.var}{ann}. {go(f.body, _QUANT)}"
-            return f"({s})" if level > _QUANT else s
-        if isinstance(f, Atom):
-            if not f.args:
-                return f.pred
-            return f"{f.pred}({', '.join(pt(t) for t in f.args)})"
-        if isinstance(f, Const):
-            return format_rational(f.value)
-        if isinstance(f, ValueVar):
-            return f.name
-        if isinstance(f, Op):
-            if f.op in ("monus", "plus_trunc"):
-                sym = "-." if f.op == "monus" else "+."
-                s = f"{go(f.args[0], _SUM)} {sym} {go(f.args[1], _PROD)}"
-                return f"({s})" if level > _SUM else s
-            if f.op == "neg":
-                s = f"not {go(f.args[0], _PROD)}"
-                return f"({s})" if level > _PROD else s
-            if f.op == "half":
-                s = f"half {go(f.args[0], _PROD)}"
-                return f"({s})" if level > _PROD else s
-            if f.op in ("min", "max"):
-                return f"{f.op}({go(f.args[0], _QUANT)}, {go(f.args[1], _QUANT)})"
-            if f.op == "absdiff":
-                return f"|{go(f.args[0], _QUANT)} - {go(f.args[1], _QUANT)}|"
-            if f.op == "med":
-                inner = ", ".join(go(a, _QUANT) for a in f.args)
-                return f"med {f.n}({inner})"
-        raise StructuralError(f"not a formula: {f!r}")
+def _text(f, level: int, annotate: bool, memo: dict) -> str:
+    """`print_formula`'s text for f in a context of the given level.  The
+    memo maps (id(node), level) to the text, so a shared node prints once per
+    call; it is passed, not closed over, so no reference cycle outlives a call."""
+    key = (id(f), level)
+    if key not in memo:
+        memo[key] = _write(f, level, annotate, memo)
+    return memo[key]
 
-    return go(f, _QUANT)
+
+def _write(f, level: int, annotate: bool, memo: dict) -> str:
+    if isinstance(f, Quant):
+        ann = f":{f.sort}" if annotate and f.sort else ""
+        s = f"{f.kind} {f.var}{ann}. {_text(f.body, _QUANT, annotate, memo)}"
+        return f"({s})" if level > _QUANT else s
+    if isinstance(f, Atom):
+        if not f.args:
+            return f.pred
+        return f"{f.pred}({', '.join(_term_text(t) for t in f.args)})"
+    if isinstance(f, Const):
+        return format_rational(f.value)
+    if isinstance(f, ValueVar):
+        return f.name
+    if isinstance(f, Op):
+        args = f.args
+        if f.op in ("monus", "plus_trunc"):
+            sym = "-." if f.op == "monus" else "+."
+            s = (f"{_text(args[0], _SUM, annotate, memo)} {sym} "
+                 f"{_text(args[1], _PROD, annotate, memo)}")
+            return f"({s})" if level > _SUM else s
+        if f.op in ("neg", "half"):
+            s = f"{'not' if f.op == 'neg' else 'half'} {_text(args[0], _PROD, annotate, memo)}"
+            return f"({s})" if level > _PROD else s
+        if f.op in ("min", "max"):
+            return (f"{f.op}({_text(args[0], _QUANT, annotate, memo)}, "
+                    f"{_text(args[1], _QUANT, annotate, memo)})")
+        if f.op == "absdiff":
+            return (f"|{_text(args[0], _QUANT, annotate, memo)} - "
+                    f"{_text(args[1], _QUANT, annotate, memo)}|")
+        if f.op == "med":
+            inner = ", ".join(_text(a, _QUANT, annotate, memo) for a in args)
+            return f"med {f.n}({inner})"
+    raise StructuralError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------

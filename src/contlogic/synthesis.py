@@ -17,24 +17,21 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from typing import Mapping, Optional, Sequence
 
 from .errors import DomainError, StructuralError
 from .language import Const, Op, ValueVar, nodes
 from .values import (
-    CONNECTIVES,
-    ZERO,
     check_connective,
     ensure_unit,
     format_rational,
     is_dyadic,
-    monus,
-    neg,
     parse_rational,
 )
 
 MAX_SLOPE = 64
-_ARITY = {name: arity for name, (arity, _) in CONNECTIVES.items()}
 
 
 def _check_pitch(pitch: Fraction) -> Fraction:
@@ -62,12 +59,9 @@ class GridFunction:
         for v in self.values.values():
             ensure_unit(v)
 
-    def axis(self):
-        steps = int(1 / self.pitch)
-        return [self.pitch * k for k in range(steps + 1)]
-
     def grid_points(self):
-        return list(itertools.product(self.axis(), repeat=self.arity))
+        axis = [self.pitch * k for k in range(self.pitch.denominator + 1)]
+        return list(itertools.product(axis, repeat=self.arity))
 
     def to_json(self) -> dict:
         flat = [format_rational(self.values[pt]) for pt in self.grid_points()]
@@ -104,239 +98,251 @@ class GridFunction:
 
 
 def eval_on_grid(expr, points: Sequence[Sequence[Fraction]]) -> tuple[list[int], int]:
-    """Values of an expression at every point, as int numerators over one scale.
-
-    Value variable t<i> reads coordinate i of each point.  Constants and
-    coordinates must lie in [0,1].
-    """
-    nums, scale, _, _ = _eval_packed(expr, points)
-    return nums, scale
+    """Values of an expression at every point, as int numerators over one scale;
+    t<i> reads coordinate i, and constants and coordinates must lie in [0,1]."""
+    t, columns = _to_table(expr, points)
+    return _certify(t, columns, len(points))[0], t.den
 
 
-def _eval_packed(expr, points):
-    """`eval_on_grid`, the count of distinct nodes and the written-out size.
+# Table kinds: the connectives by their index in _KINDS, then constants and variables
+_KINDS = ("neg", "half", "monus", "min", "max", "absdiff", "plus_trunc", "med")
+NEG, HALF, MONUS, MIN, MAX, ABSDIFF, PLUS_TRUNC, MED, CONST, VAR = range(10)
 
-    One children-first walk over the DAG, without recursion, finishes each
-    distinct node once: it checks the node, records its written-out size (1
-    plus its arguments' sizes) and fixes its exact scale: a constant's
-    denominator, the lcm of the coordinates' denominators at a variable,
-    twice the child's scale under `half`, and the lcm of the children's
-    scales at a binary connective or `med`.  A second loop evaluates each
-    connective once over D, the lcm of all those scales, with the points
-    packed into one int, one lane of `D.bit_length() + 2` bits per point.
-    Every value lies in [0, D], so the top bit of a lane is free as a guard
-    for `monus`, and every lane of a `half` argument is even at scale D.
-    """
-    columns = {f"t{i}": [ensure_unit(pt[i]) for pt in points]
-               for i in range(len(points[0]) if points else 0)}
-    var_scale = {name: math.lcm(*(v.denominator for v in col)) for name, col in columns.items()}
-    scale: dict = {}  # id(node) -> exact scale of the node's values
-    size: dict = {}  # id(node) -> written-out size of the node
-    ops, consts, variables = [], [], []  # the distinct nodes, each list children first
-    lcm = math.lcm
 
-    def leaf(node) -> int:
+class _Table:
+    """An expression as four parallel int lists, each entry after its arguments
+    and the root last.  Entry i is the constant const[i] / den, the variable
+    t<left[i]>, or the connective _KINDS[kind[i]] over entries left[i] and
+    right[i] (equal when unary); a `med` takes n from const[i] and its
+    arguments from meds[left[i]].  Folded constants can leave unreached entries."""
+
+    __slots__ = ("kind", "left", "right", "const", "meds", "den")
+
+    def __init__(self, den: int):
+        self.kind, self.left, self.right, self.const, self.meds = [], [], [], [], []
+        self.den = den
+
+    def add(self, kind: int, left: int = 0, right: Optional[int] = None, const: int = 0) -> int:
+        self.kind.append(kind)
+        self.left.append(left)
+        self.right.append(left if right is None else right)
+        self.const.append(const)
+        return len(self.const) - 1
+
+    # one entry each, a constant when every argument is one: no all-constant subterm
+    def monus(self, a: int, b: int) -> int:
+        if self.kind[a] == CONST == self.kind[b]:
+            return self.add(CONST, const=max(self.const[a] - self.const[b], 0))
+        return self.add(MONUS, a, b)
+
+    def neg(self, a: int) -> int:
+        if self.kind[a] == CONST:
+            return self.add(CONST, const=self.den - self.const[a])
+        return self.add(NEG, a)
+
+
+def _to_table(expr, points):
+    """An expression as a table, with its variables' coordinates as int
+    numerators over the table's denominator D.  One children-first walk over
+    the DAG, without recursion, finishes each distinct node once: it checks
+    the node, adds its entry and fixes its exact scale: a constant's
+    denominator, the lcm of the coordinates' denominators at a variable, twice
+    the child's scale under `half`, and the lcm of the children's scales
+    otherwise.  D is their lcm, so a `half` argument's lanes are even at D."""
+    columns = [[ensure_unit(pt[i]) for pt in points]
+               for i in range(len(points[0]) if points else 0)]
+    names = {f"t{i}": i for i in range(len(columns))}
+    var_scale = [math.lcm(*(v.denominator for v in col)) for col in columns]
+    t, index, scale = _Table(1), {}, []  # id(node) -> its entry; entry -> its exact scale
+    stack = [expr]
+    while stack:  # an Op stays on the stack until its arguments are finished
+        node = stack[-1]
         cls = type(node)
-        if cls is Const:
-            if not 0 <= node.value.numerator <= node.value.denominator:
-                raise DomainError(f"value {node.value} outside [0,1]")
-            s = node.value.denominator
-            consts.append(node)
+        if id(node) in index:  # pushed by two parents before either was finished
+            stack.pop()
+        elif cls is Op and (todo := [a for a in node.args if id(a) not in index]):
+            # the leaves go on top, so they are checked next and in order
+            stack += [a for a in todo if type(a) is Op]
+            stack += [a for a in reversed(todo) if type(a) is not Op]
+        elif cls is Op:
+            stack.pop()
+            op, args = node.op, node.args
+            check_connective(op, len(args), node.n)
+            kids = [index[id(a)] for a in args]
+            if op == "med":
+                t.meds.append(kids)
+                index[id(node)] = t.add(MED, len(t.meds) - 1, 0, node.n)
+            else:
+                index[id(node)] = t.add(_KINDS.index(op), kids[0], kids[-1])
+            s = math.lcm(*(scale[i] for i in kids))
+            scale.append(2 * s if op == "half" else s)
+        elif cls is Const:
+            stack.pop()
+            v = node.value
+            if not 0 <= v.numerator <= v.denominator:
+                raise DomainError(f"value {v} outside [0,1]")
+            index[id(node)] = t.add(CONST, const=v)  # a numerator over D once D is known
+            scale.append(v.denominator)
+        elif cls is ValueVar and node.name in names:
+            stack.pop()
+            index[id(node)] = t.add(VAR, names[node.name])
+            scale.append(var_scale[names[node.name]])
         elif cls is ValueVar:
-            if node.name not in columns:
-                raise StructuralError(f"unbound value variable {node.name!r}")
-            s = var_scale[node.name]
-            variables.append(node)
+            raise StructuralError(f"unbound value variable {node.name!r}")
         else:
             raise StructuralError(
                 "expression must use only value variables, connectives, constants")
-        scale[id(node)] = s
-        size[id(node)] = 1
-        return s
+    t.den = D = math.lcm(*scale)
+    t.const = [c.numerator * (D // c.denominator) if k == CONST else c
+               for k, c in zip(t.kind, t.const)]
+    return t, [[v.numerator * (D // v.denominator) for v in col] for col in columns]
 
-    stack = [expr] if type(expr) is Op else []
-    if not stack:
-        leaf(expr)
-    push, pop = stack.append, stack.pop
-    while stack:  # an Op stays on the stack until its arguments are finished
-        node = stack[-1]
-        key = id(node)
-        if key in scale:  # pushed by two parents before either was finished
-            pop()
-            continue
-        s = z = 1
-        waiting = False
-        for a in node.args:
-            k = id(a)
-            if k in scale:
-                s = lcm(s, scale[k])
-                z += size[k]
-            elif type(a) is Op:
-                push(a)
-                waiting = True
-            else:
-                s = lcm(s, leaf(a))
-                z += 1
-        if waiting:
-            continue
-        pop()
-        op, args = node.op, node.args
-        if _ARITY.get(op) != len(args):  # med, or a call that raises
-            check_connective(op, len(args), node.n)
-        scale[key] = 2 * s if op == "half" else s
-        size[key] = z
-        ops.append(node)
 
-    D = math.lcm(*set(scale.values()))
-    written = size[id(expr)]
-    scale.clear()  # the walk's tables go before the values come
-    size.clear()
-    lanes = len(points)
-    width = D.bit_length() + 2
+def _pack(nums, width: int) -> int:
+    return sum(v << (i * width) for i, v in enumerate(nums))
+
+
+def _unpack(x: int, width: int, lanes: int) -> list[int]:
     mask = (1 << width) - 1
-    ones = ((1 << (width * lanes)) - 1) // mask  # 1 in every lane
-    full = D * ones
-    guard = ones << (width - 1)
+    return [(x >> (i * width)) & mask for i in range(lanes)]
+
+
+def _sub(x: int, y: int, guard: int, shift: int) -> int:
+    """Lane-wise x -. y: a lane of x + guard - y keeps its guard bit iff x >= y."""
+    t = x + guard - y
+    g = t & guard
+    return t & (g - (g >> shift))
+
+
+def _certify(t: _Table, columns, lanes: int) -> tuple[list[int], int, int]:
+    """The root's value on every lane as int numerators over t.den, the count
+    of entries the root reaches and its written-out size.  A backward loop
+    counts the paths from the root to each entry: positive exactly where the
+    root reaches, they add up to the written-out size.  A forward loop then
+    evaluates each reached entry once on lanes of `t.den.bit_length() + 2`
+    bits packed in one int; as values lie in [0, t.den], top bits guard `monus`."""
+    kind, left, right, const, meds = t.kind, t.left, t.right, t.const, t.meds
+    n = len(kind)
+    paths = [0] * n
+    paths[-1] = 1
+    for i in range(n - 1, -1, -1):
+        p = paths[i]
+        if p and kind[i] < MED:
+            paths[left[i]] += p
+            if kind[i] > HALF:
+                paths[right[i]] += p
+        elif p and kind[i] == MED:
+            for a in meds[left[i]]:
+                paths[a] += p
+    width = t.den.bit_length() + 2
     shift = width - 1
-
-    def pack(nums) -> int:
-        x = 0
-        for v in reversed(nums):
-            x = (x << width) | v
-        return x
-
-    def unpack(x: int) -> list[int]:
-        return [(x >> (i * width)) & mask for i in range(lanes)]
-
-    def monus(x: int, y: int) -> int:
-        t = x + guard - y  # lane = 2^shift + x - y, its guard bit set iff x >= y
-        g = t & guard
-        return t & (g - (g >> shift))
-
-    coords = {name: pack([v.numerator * (D // v.denominator) for v in col])
-              for name, col in columns.items()}
-    val: dict = {id(v): coords[v.name] for v in variables}
-    val.update((id(c), c.value.numerator * (D // c.value.denominator) * ones) for c in consts)
-    for node in ops:
-        op, args = node.op, node.args
-        if op == "monus":  # monus and neg are inlined: synthesis writes nothing else
-            t = val[id(args[0])] + guard - val[id(args[1])]
-            g = t & guard
-            x = t & (g - (g >> shift))
-        elif op == "neg":
-            x = full - val[id(args[0])]
+    ones = ((1 << (width * lanes)) - 1) // ((1 << width) - 1)  # 1 in every lane
+    full = t.den * ones
+    guard = ones << shift
+    coords = [_pack(col, width) for col in columns]
+    val = [0] * n
+    for i in compress(range(n), paths):
+        k = kind[i]
+        if k == MONUS:  # monus and neg first: synthesis writes no other connective
+            x = val[left[i]] + guard - val[right[i]]
+            g = x & guard
+            val[i] = x & (g - (g >> shift))
+        elif k == NEG:
+            val[i] = full - val[left[i]]
+        elif k == CONST:
+            val[i] = const[i] * ones
+        elif k == VAR:
+            val[i] = coords[left[i]]
+        elif k == HALF:
+            val[i] = val[left[i]] >> 1
+        elif k == MED:
+            cols = zip(*(_unpack(val[a], width, lanes) for a in meds[left[i]]))
+            val[i] = _pack([sorted(c)[const[i] - 1] for c in cols], width)
+        elif k == PLUS_TRUNC:
+            val[i] = full - _sub(full - val[left[i]], val[right[i]], guard, shift)
         else:
-            args = [val[id(a)] for a in args]
-            if op == "half":
-                x = args[0] >> 1
-            elif op == "min":
-                x = args[0] - monus(*args)
-            elif op == "max":
-                x = args[1] + monus(*args)
-            elif op == "absdiff":
-                x = monus(*args) + monus(args[1], args[0])
-            elif op == "plus_trunc":
-                x = full - monus(full - args[0], args[1])
-            else:  # med
-                k = node.n - 1
-                x = pack([sorted(column)[k] for column in zip(*map(unpack, args))])
-        val[id(node)] = x
-    return unpack(val[id(expr)]), D, len(ops) + len(consts) + len(variables), written
+            a, b = val[left[i]], val[right[i]]
+            d = _sub(a, b, guard, shift)
+            val[i] = a - d if k == MIN else b + d if k == MAX else d + _sub(b, a, guard, shift)
+    return _unpack(val[-1], width, lanes), n - paths.count(0), sum(paths)
 
 
-def _grid_error(expr, target: GridFunction) -> tuple[Fraction, int, int]:
-    """Exact max over grid points of |expression - target|, the distinct-node
-    count and the written-out size."""
-    pts = target.grid_points()
-    got, scale, nodes, written = _eval_packed(expr, pts)
-    want = [target.values[pt] for pt in pts]
-    den = math.lcm(scale, *(v.denominator for v in want))
-    k = den // scale
+def _grid_error(t: _Table, columns, want) -> tuple[Fraction, int, int]:
+    """Exact max of |expression - target| over the grid, `want` in grid order, and the counts."""
+    got, distinct, written = _certify(t, columns, len(want))
+    den = math.lcm(t.den, *(v.denominator for v in want))
+    k = den // t.den
     return Fraction(max(abs(x * k - v.numerator * (den // v.denominator))
-                        for x, v in zip(got, want)), den), nodes, written
+                        for x, v in zip(got, want)), den), distinct, written
 
 
-def uses_only_neg_monus_constants(expr) -> bool:
-    """AST scan: negation, truncated subtraction, dyadic constants, variables."""
-    return all(isinstance(node, ValueVar)
-               or isinstance(node, Const) and is_dyadic(node.value)
-               or isinstance(node, Op) and node.op in ("neg", "monus")
-               for node in nodes(expr))
-
-
-def value_variables(expr) -> set:
-    """Names of the value variables occurring in an expression (DAG-aware)."""
-    return {node.name for node in nodes(expr) if isinstance(node, ValueVar)}
-
-
-# Each constructor makes one node, and a Const when every argument is one,
-# so synthesized expressions hold no all-constant subterm.
-def _monus(a, b):
-    if type(a) is Const and type(b) is Const:
-        return Const(monus(a.value, b.value))
-    return Op("monus", (a, b))
-
-
-def _neg(a):
-    return Const(neg(a.value)) if type(a) is Const else Op("neg", (a,))
-
-
-def _fold_max(exprs):
-    """Balanced max tree; x \\/ y = not((not x) -. ((not x) -. (not y)))."""
+def _fold(t: _Table, exprs, join: bool) -> int:
+    """Balanced min tree, x /\\ y = x -. (x -. y), or with `join` its De Morgan dual."""
     if len(exprs) == 1:
         return exprs[0]
     mid = len(exprs) // 2
-    x = _fold_max(exprs[:mid])
-    y = _fold_max(exprs[mid:])
-    nx, ny = _neg(x), _neg(y)
-    return _neg(_monus(nx, _monus(nx, ny)))
+    x, y = _fold(t, exprs[:mid], join), _fold(t, exprs[mid:], join)
+    if join:
+        x, y = t.neg(x), t.neg(y)
+    z = t.monus(x, t.monus(x, y))
+    return t.neg(z) if join else z
 
 
-def _fold_min(exprs):
-    """Balanced min tree; x /\\ y = x -. (x -. y)."""
-    if len(exprs) == 1:
-        return exprs[0]
-    mid = len(exprs) // 2
-    x = _fold_min(exprs[:mid])
-    y = _fold_min(exprs[mid:])
-    return _monus(x, _monus(x, y))
+def _to_dag(t: _Table):
+    """A table without `med` as an `Op` DAG, one node per entry the root reaches."""
+    node = []
+    for k, a, b, c in zip(t.kind, t.left, t.right, t.const):
+        node.append(Const(Fraction(c, t.den)) if k == CONST else ValueVar(f"t{a}")
+                    if k == VAR else Op(_KINDS[k], (node[a], node[b]) if k > HALF else (node[a],)))
+    return node[-1]
 
 
 @dataclass
 class SynthesisResult:
-    expression: object
+    """A synthesized table with its certificate; `expression` is its DAG, built on first use."""
+
+    table: _Table
     max_error: Fraction
     size: int
     requested_epsilon: Fraction
     rounding_exponent: int
     written_out_nodes: int
+    expression = cached_property(lambda self: _to_dag(self.table))
 
 
 def expression_tree_size(expr) -> int:
     """Size of the expression written out as text (no sharing), exactly."""
-    memo: dict = {}
-
-    def go(node) -> int:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        size = 1 + sum(go(a) for a in node.args) if isinstance(node, Op) else 1
-        memo[key] = size
-        return size
-
-    return go(expr)
+    size: dict = {}
+    for node in nodes(expr):
+        size[id(node)] = 1 + sum(size[id(a)] for a in node.args) if type(node) is Op else 1
+    return size[id(expr)]
 
 
-def expression_text(expr, tree_size: int) -> Optional[str]:
-    """Grammar text of the expression, or None when its `expression_tree_size`
-    exceeds 200,000 nodes."""
-    from .language import print_formula
-
-    return None if tree_size > 200_000 else print_formula(expr)
-
-
-def _point_text(pt) -> str:
-    return f"({', '.join(map(format_rational, pt))})"
+def expression_text(res: SynthesisResult) -> Optional[str]:
+    """The text `print_formula` gives for `res.expression`, written from the
+    table, or None when the written-out size exceeds 200,000 nodes."""
+    if res.written_out_nodes > 200_000:
+        return None
+    t, consts = res.table, {}  # consts: numerator -> its text
+    text, last = [""] * len(t.kind), [0] * len(t.kind)  # last: the last entry reading each
+    for i, (k, a, b) in enumerate(zip(t.kind, t.left, t.right)):
+        if k == MONUS or k == NEG:
+            last[a] = last[b] = i
+    for i, (k, a, b, c) in enumerate(zip(t.kind, t.left, t.right, t.const)):
+        if k == MONUS:  # a monus is parenthesized as a right argument and under not
+            r = f"({text[b]})" if t.kind[b] == MONUS else text[b]
+            text[i] = f"{text[a]} -. {r}"
+        elif k == NEG:
+            text[i] = f"not ({text[a]})" if t.kind[a] == MONUS else f"not {text[a]}"
+        elif k == CONST:
+            text[i] = consts.get(c) or consts.setdefault(c, format_rational(Fraction(c, t.den)))
+        else:
+            text[i] = f"t{a}"
+        if last[a] == i:  # only a reader is an entry's last; the text goes with its use
+            text[a] = ""
+        if last[b] == i:
+            text[b] = ""
+    return text[-1]
 
 
 def synthesize(target: GridFunction, epsilon,
@@ -349,15 +355,10 @@ def synthesize(target: GridFunction, epsilon,
     is the dyadic rounding error, at most 2^-(k+1) <= epsilon).  The caller
     owns the off-grid contract: epsilon should be at least twice the
     target's oscillation over one pitch step for the expression to be
-    meaningful between grid points.  That precondition is enforced only
-    when `step_modulus` is supplied explicitly; the grid certificate
-    itself never needs it.  A pair needing a slope beyond the cap raises
-    a DomainError naming it.
-
-    The pairs are built on ints: coordinates as indices over steps =
-    1/pitch, roundings as numerators over K = 2^k, and constants take their
-    Fractions from per-call tables.
-    """
+    meaningful between grid points; it is enforced only when `step_modulus`
+    is given.  A slope beyond the cap raises a DomainError naming the pair.
+    The table is built on ints: coordinates as indices over steps = 1/pitch,
+    roundings over K = 2^k, constants over D = max(K, steps)."""
     eps = ensure_unit(epsilon)
     if eps == 0:
         raise DomainError("epsilon must be positive")
@@ -373,14 +374,14 @@ def synthesize(target: GridFunction, epsilon,
     K = 2 ** k
 
     steps = target.pitch.denominator
-    axis = target.axis()
+    D = max(K, steps)
     pts = target.grid_points()
+    want = list(map(target.values.__getitem__, pts))
     idx = list(itertools.product(range(steps + 1), repeat=target.arity))
     # nearest multiple of 1/K, half rounded up
-    approx = [(2 * v.numerator * K + v.denominator) // (2 * v.denominator)
-              for v in map(target.values.__getitem__, pts)]
-    level = {i: Fraction(i, K) for a in approx for i in (a, K - a)}
-    names = [f"t{c}" for c in range(target.arity)]
+    approx = [(2 * v.numerator * K + v.denominator) // (2 * v.denominator) for v in want]
+    t = _Table(D)
+    add = t.add
 
     g_rows = []
     for xi, (x, ax) in enumerate(zip(idx, approx)):
@@ -391,44 +392,43 @@ def synthesize(target: GridFunction, epsilon,
             c = 0
             while x[c] == y[c]:
                 c += 1
-            u, v = x[c], y[c]
-            a, b = (ax, ay) if u < v else (ay, ax)
-            if u > v:
-                u, v = v, u
+            u, v, a, b = (x[c], y[c], ax, ay) if x[c] < y[c] else (y[c], x[c], ay, ax)
             flip = a < b
             if flip:
                 a, b = K - a, K - b
             if a == 0:
-                row.append(Const(ZERO))
+                row.append(add(CONST))
                 continue
             m = -(-a * steps // ((v - u) * K))  # the least m with m * (v - u) / steps >= a / K
             if m > MAX_SLOPE:
-                raise DomainError(f"slope {m} exceeds the cap {MAX_SLOPE} for the pair "
-                                  f"{_point_text(pts[xi])} -> {_point_text(pts[yi])}")
-            step = Op("monus", (ValueVar(names[c]), Const(axis[u])))
-            ramp = Const(level[a])
+                pair = " -> ".join(f"({', '.join(map(format_rational, pts[j]))})" for j in (xi, yi))
+                raise DomainError(f"slope {m} exceeds the cap {MAX_SLOPE} for the pair {pair}")
+            step = add(MONUS, add(VAR, c), add(CONST, const=u * (D // steps)))
+            ramp = add(CONST, const=a * (D // K))
             for _ in range(m):
-                ramp = Op("monus", (ramp, step))
+                ramp = add(MONUS, ramp, step)
             if b > 0:  # (A -. m(t -. u)) \\/ B
-                nx = Op("neg", (ramp,))
-                ramp = Op("neg", (Op("monus", (nx, Op("monus", (nx, Const(level[K - b]))))),))
-            row.append(Op("neg", (ramp,)) if flip else ramp)
-        g_rows.append(_fold_max(row))
-    expr = _fold_min(g_rows)
+                nx = add(NEG, ramp)
+                ramp = add(NEG, add(MONUS, nx, add(MONUS, nx, add(CONST, const=(K - b) * D // K))))
+            row.append(add(NEG, ramp) if flip else ramp)
+        g_rows.append(_fold(t, row, True))
+    _fold(t, g_rows, False)  # the root: more than one row, so it is the last entry
 
-    worst, size, written = _grid_error(expr, target)
+    columns = [[x[c] * (D // steps) for x in idx] for c in range(target.arity)]
+    worst, size, written = _grid_error(t, columns, want)
     if worst > eps:
         raise AssertionError("synthesis exceeded the requested error bound")
-    return SynthesisResult(expr, worst, size, eps, k, written)
+    return SynthesisResult(t, worst, size, eps, k, written)
 
 
 def verify_synthesis(expr, target: GridFunction) -> Fraction:
     """Exact max over grid points of |expression - target|."""
-    names = value_variables(expr)
+    names = {node.name for node in nodes(expr) if type(node) is ValueVar}
     allowed = {f"t{i}" for i in range(target.arity)}
     if not names <= allowed:
         raise StructuralError(f"expression uses variables {sorted(names - allowed)}")
-    return _grid_error(expr, target)[0]
+    pts = target.grid_points()
+    return _grid_error(*_to_table(expr, pts), [target.values[p] for p in pts])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from contlogic.errors import DefinitionAbort, DomainError, StructuralError
-from contlogic.language import Atom, Const, Op, PredDecl, Quant, SortDecl, ValueVar, Var
+from contlogic.language import Atom, Const, Op, PredDecl, Quant, SortDecl, ValueVar, Var, nodes
 from contlogic.stability import (
     LadderWitness,
     MonotoneDefinition,
@@ -38,6 +38,7 @@ from contlogic.values import (
     apply_connective,
     ensure_unit,
     format_rational,
+    is_dyadic,
     med,
     monus,
     neg,
@@ -655,6 +656,14 @@ def constant_fold_reference(expr):
         return out
 
     return go(expr)
+
+
+def uses_only_neg_monus_constants(expr) -> bool:
+    """AST scan: negation, truncated subtraction, dyadic constants, variables."""
+    return all(isinstance(node, ValueVar)
+               or isinstance(node, Const) and is_dyadic(node.value)
+               or isinstance(node, Op) and node.op in ("neg", "monus")
+               for node in nodes(expr))
 
 
 def synthesize_reference(target, epsilon):

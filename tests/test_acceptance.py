@@ -48,7 +48,6 @@ from contlogic.synthesis import (
     GridFunction,
     lattice_closure_vectors,
     synthesize,
-    uses_only_neg_monus_constants,
     verify_synthesis,
 )
 from contlogic.topometric import FiniteTopometricSpace, cb_rank
@@ -68,6 +67,7 @@ from oracles import (
     pra_axioms_bruteforce,
     random_metric,
     random_valid_topometric_space,
+    uses_only_neg_monus_constants,
 )
 
 IDENT = PLMonotone.identity()

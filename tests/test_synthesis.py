@@ -17,9 +17,10 @@ from contlogic.synthesis import (
     expression_tree_size,
     lattice_closure_vectors,
     synthesize,
-    uses_only_neg_monus_constants,
     verify_synthesis,
 )
+
+from oracles import uses_only_neg_monus_constants
 
 
 def grid1(pitch, fn):
@@ -376,3 +377,133 @@ def test_packed_evaluator_rejects_values_outside_the_unit_interval():
         eval_on_grid(Op("neg", (Const(F(-1, 2)),)), [(F(1, 2),)])
     with pytest.raises(DomainError, match="outside"):
         eval_on_grid(Const(F(1, 2)), [(F(1, 2), F(3))])
+
+
+# ---------------------------------------------------------------------------
+# The node table: the evaluator against DAGs, reachability, no reference cycles
+
+
+def point_values(expr, points):
+    from oracles import eval_value_formula_reference
+
+    return [eval_value_formula_reference(expr, {f"t{i}": v for i, v in enumerate(pt)})
+            for pt in points]
+
+
+def edge_points(rng, arity):
+    """All-0 and all-1 points, whose lanes sit at 0 and at the scale, and drawn ones."""
+    return [(F(0),) * arity, (F(1),) * arity, (F(0), F(1), F(1))[:arity]] + [
+        tuple(F(rng.randrange(0, 7), 6) for _ in range(arity)) for _ in range(3)]
+
+
+def test_table_evaluator_matches_the_dag_it_was_converted_from():
+    """A DAG over every connective and med, converted to a table, evaluates to
+    the DAG's values, and the table counts its distinct nodes and its
+    written-out size."""
+    from contlogic.synthesis import _certify, _to_table
+
+    rng = random.Random(23)
+    ops = set()
+    for arity in (1, 2, 3):
+        for _ in range(60):
+            points = edge_points(rng, arity)
+            expr, pool = random_dag(rng, arity, rng.randrange(1, 30))
+            ops |= {n.op for n in pool if isinstance(n, Op)}
+            t, columns = _to_table(expr, points)
+            got, distinct, written = _certify(t, columns, len(points))
+            assert all(0 <= x <= t.den for x in got)
+            assert [F(x, t.den) for x in got] == point_values(expr, points)
+            assert (distinct, written) == (len(distinct_nodes(expr)), expression_tree_size(expr))
+    assert ops == {"neg", "half", "med", *BINARY}
+
+
+def random_table(rng, arity):
+    """A table built through the folding constructors over every binary
+    connective; the constants 0 and the scale are among its leaves."""
+    from contlogic.synthesis import ABSDIFF, CONST, MAX, MIN, PLUS_TRUNC, VAR, _Table
+
+    t = _Table(rng.choice((1, 4, 12)))
+    pool = [t.add(VAR, c) for c in range(arity)]
+    pool += [t.add(CONST, const=c) for c in (0, t.den, rng.randrange(t.den + 1))]
+    for _ in range(rng.randrange(1, 25)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        kind = rng.randrange(5)
+        if kind == 0:
+            pool.append(t.neg(a))
+        elif kind == 1:
+            pool.append(t.monus(a, b))
+        else:
+            pool.append(t.add(rng.choice((MIN, MAX, ABSDIFF, PLUS_TRUNC)), a, b))
+    return t
+
+
+def test_table_counts_only_the_entries_the_root_reaches():
+    """Folded constants and unused entries stay in the table; the certificate
+    counts, and the DAG holds, only what the root reaches."""
+    from contlogic.synthesis import CONST, VAR, _certify, _Table, _to_dag
+
+    t = _Table(4)
+    three, one = t.add(CONST, const=3), t.add(CONST, const=1)
+    half = t.monus(three, one)  # folded: entries 0 and 1 are left unreachable
+    t.monus(t.add(VAR, 0), half)
+    assert len(t.kind) == 5 and t.kind[half] == CONST and t.const[half] == 2
+    assert _certify(t, [[0, 2, 4]], 3) == ([0, 0, 2], 3, 3)
+
+    rng = random.Random(29)
+    skipped = 0
+    for arity in (1, 2, 3):
+        for _ in range(80):
+            t = random_table(rng, arity)
+            columns = [[0, t.den] + [rng.randrange(t.den + 1) for _ in range(4)]
+                       for _ in range(arity)]
+            points = [tuple(F(col[j], t.den) for col in columns) for j in range(6)]
+            expr = _to_dag(t)
+            got, distinct, written = _certify(t, columns, len(points))
+            assert [F(x, t.den) for x in got] == point_values(expr, points)
+            assert (distinct, written) == (len(distinct_nodes(expr)), expression_tree_size(expr))
+            skipped += len(t.kind) - distinct
+    assert skipped > 100
+
+
+def test_text_from_the_table_is_the_text_of_the_dag():
+    from contlogic.synthesis import expression_text
+
+    printed = 0
+    for target, eps in reference_targets():
+        res = synthesize(target, eps)
+        text = expression_text(res)
+        if res.written_out_nodes > 200_000:
+            assert text is None
+        else:
+            assert text == print_formula(res.expression)
+            printed += 1
+    assert printed > 20
+
+
+def test_synthesis_path_leaves_no_cyclic_garbage():
+    """synthesize, expression_text, the lazy DAG, eval_on_grid and print_formula
+    free everything they build by reference counting."""
+    import gc
+
+    from contlogic.language import Atom, Var
+    from contlogic.synthesis import expression_text
+
+    axis = [F(k, 4) for k in range(5)]
+    targets = [(grid1(F(1, 8), lambda t: min(2 * t, F(1))), F(1, 8)),
+               (GridFunction(2, F(1, 4), {(s, t): max(s - t, F(0)) for s in axis for t in axis}),
+                F(1, 8))]
+    formula = Quant("sup", "x", None, Op("max", (Atom("P", (Var("x"),)), Const(F(1, 2)))))
+    gc.collect()
+    gc.disable()
+    try:
+        for target, eps in targets:
+            res = synthesize(target, eps)
+            text = expression_text(res)
+            assert text is None or text == print_formula(res.expression)
+            eval_on_grid(res.expression, target.grid_points())
+            del res
+        assert print_formula(formula) == "sup x. max(P(x), 1/2)"
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
