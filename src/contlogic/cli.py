@@ -93,8 +93,8 @@ def _fmt_pl(u: PLMonotone) -> str:
 
 
 def _split_from_flag(text: str):
-    x_part, _, y_part = text.partition(";")
-    if not y_part:
+    x_part, sep, y_part = text.partition(";")
+    if not sep:
         raise DomainError("--split must look like x1,x2;y1,y2")
     xs = [v.strip() for v in x_part.split(",") if v.strip()]
     ys = [v.strip() for v in y_part.split(",") if v.strip()]
@@ -142,7 +142,9 @@ def _cmd_eval(args):
     f = parse(args.formula, M.sig)
     env = {}
     for binding in args.let or []:
-        name, _, elem = binding.partition("=")
+        name, sep, elem = binding.partition("=")
+        if not sep:
+            raise DomainError("--let must look like VAR=ELEMENT")
         env.update(env_from_names(M, {name.strip(): elem.strip()}, f))
     value = eval_formula(M, env, f)
     return 0, {"formula": print_formula(f, M.sig), "value": format_rational(value)}

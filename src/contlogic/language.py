@@ -30,10 +30,10 @@ from .errors import (
     UnknownSymbolError,
 )
 from .values import (
+    CONNECTIVES,
     PLMonotone,
     ensure_unit,
     format_rational,
-    is_dyadic,
     parse_ratio,
     pl_capped_sum,
     pl_compose,
@@ -274,17 +274,6 @@ class Quant:
 
 
 Formula = object  # Atom | Const | ValueVar | Op | Quant
-
-# monotonicity of each connective in each argument; +1 increasing, -1 decreasing
-MONOTONICITY = {
-    "neg": (-1,),
-    "half": (+1,),
-    "monus": (+1, -1),
-    "min": (+1, +1),
-    "max": (+1, +1),
-    "plus_trunc": (+1, +1),
-}
-
 
 def _term_vars(t, out: set):
     if isinstance(t, Var):
@@ -768,12 +757,13 @@ def prenex(f):
     """Equivalent formula with all quantifiers in front.
 
     Quantifiers are hoisted argument by argument using the monotonicity of
-    each connective (an increasing position preserves the quantifier kind, a
-    decreasing one swaps sup and inf); every bound variable is renamed to a
-    fresh name, which makes hoisting capture-free.  Fresh names are
-    `q1, q2, ...`, skipping every name that occurs in the formula, free or
-    bound.  `absdiff` is first rewritten via its plus/monus identity; `med`
-    is increasing in every argument and is hoisted like min/max.
+    each connective in `values.CONNECTIVES` (an increasing position preserves
+    the quantifier kind, a decreasing one swaps sup and inf); every bound
+    variable is renamed to a fresh name, which makes hoisting capture-free.
+    Fresh names are `q1, q2, ...`, skipping every name that occurs in the
+    formula, free or bound.  `absdiff` is first rewritten via its plus/monus
+    identity; `med` is increasing in every argument and is hoisted like
+    min/max.
     """
     taken = {name for name, _ in free_vars(f)}
     taken |= {node.var for node in nodes(f) if isinstance(node, Quant)}
@@ -793,11 +783,8 @@ def prenex(f):
         kids = children(f)  # raises for a non-formula
         if not isinstance(f, Op):
             return [], f
-        if f.op == "med":
-            dirs = (+1,) * len(kids)
-        elif f.op in MONOTONICITY:
-            dirs = MONOTONICITY[f.op]
-        else:
+        dirs = (+1,) * len(kids) if f.op == "med" else CONNECTIVES.get(f.op)
+        if dirs is None:
             raise StructuralError(f"no monotonicity data for connective {f.op!r}")
         prefix = []
         matrices = []
@@ -814,12 +801,6 @@ def prenex(f):
     for kind, var, sort in reversed(prefix):
         out = Quant(kind, var, sort, out)
     return out
-
-
-def is_prenex(f) -> bool:
-    while isinstance(f, Quant):
-        f = f.body
-    return not any(isinstance(node, Quant) for node in nodes(f))
 
 
 # ---------------------------------------------------------------------------
@@ -866,35 +847,3 @@ def infer_modulus(f, sig: Signature, var: str) -> PLMonotone:
         mods[id(node)] = out
     return mods[id(f)]
 
-
-# ---------------------------------------------------------------------------
-# Conditions
-
-
-@dataclass(frozen=True)
-class Condition:
-    """A formula paired with one of the relations = 0, <= r, >= r (r dyadic)."""
-
-    formula: object
-    relation: str  # "eq0" | "le" | "ge"
-    bound: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.relation == "eq0":
-            if self.bound is not None:
-                raise StructuralError("eq0 takes no bound")
-        elif self.relation in ("le", "ge"):
-            b = ensure_unit(self.bound)
-            if not is_dyadic(b):
-                raise StructuralError("condition bounds must be dyadic")
-        else:
-            raise StructuralError(f"unknown relation {self.relation!r}")
-
-
-def expand_condition(c: Condition):
-    """Rewrite a condition as an equivalent formula-equals-zero form."""
-    if c.relation == "eq0":
-        return c.formula
-    if c.relation == "le":
-        return Op("monus", (c.formula, Const(c.bound)))
-    return Op("monus", (Const(c.bound), c.formula))

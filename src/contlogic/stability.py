@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from .errors import DefinitionAbort, DomainError, StructuralError
 from .language import Atom, Op, Var, free_vars
 from .structures import PhiInstance, fraction_rows, sup_distances
-from .values import ZERO, flim_prefix, med
+from .values import ZERO, flim_prefix
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +574,7 @@ def median_definition(inst: PhiInstance, epsilon, target,
             raise DefinitionAbort("no-admissible-parameter", step=step)
         chosen.append(chosen_c)
 
-    defined = tuple(med([vals[c][b] for c in chosen], N) for b in range(len(yts)))
+    defined = tuple(sorted([vals[c][b] for c in chosen])[N - 1] for b in range(len(yts)))
     observed = max(abs(d - tv) for d, tv in zip(defined, t)) if defined else ZERO
     if observed > eps:
         raise AssertionError("median bound violated despite passing the ladder checks")

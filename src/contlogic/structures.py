@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 from .errors import CompletionError, DomainError, StructuralError
 from .language import (
     Atom,
-    Condition,
     Const,
     FuncDecl,
     Op,
@@ -36,10 +35,8 @@ from .language import (
     SortDecl,
     ValueVar,
     Var,
-    expand_condition,
     free_var_map,
     free_vars,
-    parse,
 )
 from .values import (
     ONE,
@@ -168,11 +165,6 @@ class FiniteStructure:
 
     def distance(self, sort: str, i: int, j: int) -> Fraction:
         return self.metric_table[sort].value(i * self.sizes[sort] + j)
-
-    def pred_value(self, name: str, args: tuple) -> Fraction:
-        if self.sig.is_metric(name):
-            return self.distance(self.sig.metric_sort[name], args[0], args[1])
-        return self.predicate_table[name].value(sum(map(mul, args, self._strides[name])))
 
     def fn_value(self, name: str, args: tuple) -> int:
         return self.function_table[name][sum(map(mul, args, self._strides[name]))]
@@ -881,23 +873,6 @@ def _columns(cells: list, dims: Sequence[int], pos: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Condition checking
-
-
-def check_condition(M: FiniteStructure, env: Mapping[str, object], c: Condition) -> bool:
-    return eval_formula(M, env, expand_condition(c)) == 0
-
-
-def check_theory(M: FiniteStructure, conditions: Sequence[tuple[str, Condition]]):
-    """Evaluate named sentential conditions; returns (all satisfied, value list)."""
-    rows = []
-    for name, c in conditions:
-        value = eval_formula(M, {}, expand_condition(c))
-        rows.append({"name": name, "value": format_rational(value), "holds": value == 0})
-    return all(r["holds"] for r in rows), rows
-
-
-# ---------------------------------------------------------------------------
 # Quotient completion
 
 
@@ -1170,43 +1145,6 @@ def gen_prob_algebra(atom_weights: Sequence[Fraction]) -> FiniteStructure:
     }
     predicates = {"mu": {(a,): mu[a] for a in range(n)}}
     return FiniteStructure(pra_signature(), {"B": names}, metric, functions, predicates)
-
-
-def pra_conditions(sig: Signature) -> list[tuple[str, Condition]]:
-    """The five probability-algebra axioms as named conditions."""
-    bool_defects = [
-        "d(meet(x,y), meet(y,x))",
-        "d(join(x,y), join(y,x))",
-        "d(meet(x,meet(y,z)), meet(meet(x,y),z))",
-        "d(join(x,join(y,z)), join(join(x,y),z))",
-        "d(meet(x,join(y,z)), join(meet(x,y),meet(x,z)))",
-        "d(join(x,meet(y,z)), meet(join(x,y),join(x,z)))",
-        "d(meet(x,compl(x)), zero)",
-        "d(join(x,compl(x)), one)",
-        "d(meet(x,one), x)",
-        "d(join(x,zero), x)",
-    ]
-    combined = bool_defects[0]
-    for defect in bool_defects[1:]:
-        combined = f"max({combined}, {defect})"
-    boolean = parse(f"sup x. sup y. sup z. {combined}", sig)
-    modular = parse(
-        "sup x. sup y. |half mu(x) +. half mu(y)"
-        " - half mu(join(x,y)) +. half mu(meet(x,y))|", sig)
-    metric_law = parse(
-        "sup x. sup y. |d(x,y) - mu(join(meet(x,compl(y)), meet(y,compl(x))))|", sig)
-    return [
-        ("boolean_algebra", Condition(boolean, "eq0")),
-        ("measure_of_one", Condition(parse("mu(one)", sig), "ge", ONE)),
-        ("measure_of_zero", Condition(parse("mu(zero)", sig), "eq0")),
-        ("modularity", Condition(modular, "eq0")),
-        ("metric_is_symmetric_difference", Condition(metric_law, "eq0")),
-    ]
-
-
-def apa_sentence(sig: Signature):
-    """Atomlessness defect: sup_x inf_y |mu(y meet x) - mu(x)/2|."""
-    return parse("sup x. inf y. |mu(meet(y,x)) - half mu(x)|", sig)
 
 
 def classical_signature(functions: Mapping[str, int], relations: Mapping[str, int]) -> Signature:

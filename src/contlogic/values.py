@@ -2,10 +2,14 @@
 
 Truth values are `fractions.Fraction` instances kept in [0,1]; Fraction
 already stores lowest terms, so no wrapper class is needed.  This module
-holds the connective algebra, the median connective, the forced-limit
+holds rational parsing and printing, the connective table (each
+connective's arity and per-argument monotonicity), the forced-limit
 recursion on finite prefixes, and piecewise-linear monotone functions
 used as (inverse) continuity moduli, including the conversion between
-the standard and inverse form.
+the standard and inverse form.  The connectives are computed on int
+numerators where formulas are evaluated (`structures`, `synthesis`); their
+Fraction semantics, the reference those evaluators are tested against,
+is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -81,77 +85,36 @@ def is_dyadic(q: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 # Connectives
 
-
-def neg(x: Fraction) -> Fraction:
-    return 1 - x
-
-
-def half(x: Fraction) -> Fraction:
-    return x / 2
-
-
-def monus(x: Fraction, y: Fraction) -> Fraction:
-    return max(x - y, ZERO)
-
-
-def meet(x: Fraction, y: Fraction) -> Fraction:
-    return min(x, y)
-
-
-def join(x: Fraction, y: Fraction) -> Fraction:
-    return max(x, y)
-
-
-def plus_trunc(x: Fraction, y: Fraction) -> Fraction:
-    return min(x + y, ONE)
-
-
-def absdiff(x: Fraction, y: Fraction) -> Fraction:
-    return abs(x - y)
-
-
-CONNECTIVES: dict[str, tuple[int, Callable[..., Fraction]]] = {
-    "neg": (1, neg),
-    "half": (1, half),
-    "monus": (2, monus),
-    "min": (2, meet),
-    "max": (2, join),
-    "plus_trunc": (2, plus_trunc),
-    "absdiff": (2, absdiff),
+# Each connective by its monotonicity in each argument: +1 non-decreasing,
+# -1 non-increasing, 0 neither; the arity is the tuple's length.  `med` is
+# not listed: with parameter n it takes 2n - 1 arguments, non-decreasing in
+# each.  `prenex` hoists quantifiers by these signs; it rewrites `absdiff`
+# first.
+CONNECTIVES: dict[str, tuple[int, ...]] = {
+    "neg": (-1,),
+    "half": (+1,),
+    "monus": (+1, -1),
+    "min": (+1, +1),
+    "max": (+1, +1),
+    "plus_trunc": (+1, +1),
+    "absdiff": (0, 0),
 }
 
 
-def apply_connective(name: str, args: Sequence[Fraction]) -> Fraction:
-    """Apply a named connective, at its declared arity, to exact rational arguments."""
-    if name not in CONNECTIVES:
-        raise StructuralError(f"unknown connective {name!r}")
-    arity, fn = CONNECTIVES[name]
-    if len(args) != arity:
-        raise StructuralError(f"{name} expects {arity} arguments, got {len(args)}")
-    return fn(*args)
-
-
 def check_connective(name: str, k: int, n: Optional[int] = None) -> None:
-    """Raise the StructuralError that applying `name` to k arguments raises.
+    """Raise a StructuralError unless `name` is a connective that takes k arguments.
 
     `n` is `med`'s arity parameter; the other connectives ignore it.
     """
     if name == "med":
-        med([ZERO] * k, n)
-    elif CONNECTIVES.get(name, (None,))[0] != k:
-        apply_connective(name, [ZERO] * k)
-
-
-def med(values: Sequence[Fraction], n: int) -> Fraction:
-    """Median connective: min over n-subsets of 2n-1 arguments of their max.
-
-    Equals the n-th smallest of the multiset, which is how it is computed.
-    """
-    if n < 1:
-        raise StructuralError("med requires n >= 1")
-    if len(values) != 2 * n - 1:
-        raise StructuralError(f"med_{n} expects {2 * n - 1} arguments, got {len(values)}")
-    return sorted(values)[n - 1]
+        if not isinstance(n, int) or n < 1:
+            raise StructuralError("med requires n >= 1")
+        if k != 2 * n - 1:
+            raise StructuralError(f"med_{n} expects {2 * n - 1} arguments, got {k}")
+    elif name not in CONNECTIVES:
+        raise StructuralError(f"unknown connective {name!r}")
+    elif len(CONNECTIVES[name]) != k:
+        raise StructuralError(f"{name} expects {len(CONNECTIVES[name])} arguments, got {k}")
 
 
 # ---------------------------------------------------------------------------

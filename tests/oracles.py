@@ -2,7 +2,10 @@
 
 The evaluators here deliberately avoid the package's formula and structure
 machinery: they compute expected values directly from raw definitions, so
-agreement with the main code paths is meaningful.
+agreement with the main code paths is meaningful.  The module also holds
+what only tests read: the Fraction semantics of the connectives, and the
+conditions and axiom sentences, which are checked through
+`structures.eval_formula`.
 """
 
 import itertools
@@ -13,7 +16,18 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from contlogic.errors import DefinitionAbort, DomainError, StructuralError
-from contlogic.language import Atom, Const, Op, PredDecl, Quant, SortDecl, ValueVar, Var, nodes
+from contlogic.language import (
+    Atom,
+    Const,
+    Op,
+    PredDecl,
+    Quant,
+    SortDecl,
+    ValueVar,
+    Var,
+    nodes,
+    parse,
+)
 from contlogic.stability import (
     LadderWitness,
     MonotoneDefinition,
@@ -27,6 +41,7 @@ from contlogic.structures import (
     ScaledTable,
     ValidationReport,
     Violation,
+    eval_formula,
     gen_halfgraph,
 )
 from contlogic.synthesis import MAX_SLOPE
@@ -35,14 +50,142 @@ from contlogic.values import (
     ONE,
     ZERO,
     PLMonotone,
-    apply_connective,
+    check_connective,
     ensure_unit,
     format_rational,
     is_dyadic,
-    med,
-    monus,
-    neg,
 )
+
+
+# ---------------------------------------------------------------------------
+# Fraction semantics of the connectives, conditions and sentences
+
+
+def neg(x: F) -> F:
+    return 1 - x
+
+
+def monus(x: F, y: F) -> F:
+    return max(x - y, ZERO)
+
+
+# each connective of `values.CONNECTIVES` on exact rationals
+CONNECTIVE_SEMANTICS = {
+    "neg": neg,
+    "half": lambda x: x / 2,
+    "monus": monus,
+    "min": min,
+    "max": max,
+    "plus_trunc": lambda x, y: min(x + y, ONE),
+    "absdiff": lambda x, y: abs(x - y),
+}
+
+
+def apply_connective(name: str, args: Sequence[F]) -> F:
+    """A named connective, at its declared arity, on exact rational arguments."""
+    check_connective(name, len(args))
+    return CONNECTIVE_SEMANTICS[name](*args)
+
+
+def med(values: Sequence[F], n: int) -> F:
+    """Median connective: min over n-subsets of 2n-1 arguments of their max,
+    which is the n-th smallest of the multiset (`med_by_subsets` is the definition)."""
+    check_connective("med", len(values), n)
+    return sorted(values)[n - 1]
+
+
+def pred_value(M, name: str, args: tuple) -> F:
+    """A predicate's or metric symbol's value at carrier indices, read as a Fraction."""
+    if M.sig.is_metric(name):
+        return M.distance(M.sig.metric_sort[name], *args)
+    index = 0  # row-major over the argument sorts
+    for sort, a in zip(M.sig.pred_decl(name).arg_sorts, args):
+        index = index * M.sizes[sort] + a
+    return M.predicate_table[name].value(index)
+
+
+@dataclass(frozen=True)
+class Condition:
+    """A formula paired with one of the relations = 0, <= r, >= r (r dyadic)."""
+
+    formula: object
+    relation: str  # "eq0" | "le" | "ge"
+    bound: F | None = None
+
+    def __post_init__(self):
+        if self.relation == "eq0":
+            if self.bound is not None:
+                raise StructuralError("eq0 takes no bound")
+        elif self.relation in ("le", "ge"):
+            if not is_dyadic(ensure_unit(self.bound)):
+                raise StructuralError("condition bounds must be dyadic")
+        else:
+            raise StructuralError(f"unknown relation {self.relation!r}")
+
+
+def expand_condition(c: Condition):
+    """Rewrite a condition as an equivalent formula-equals-zero form."""
+    if c.relation == "eq0":
+        return c.formula
+    if c.relation == "le":
+        return Op("monus", (c.formula, Const(c.bound)))
+    return Op("monus", (Const(c.bound), c.formula))
+
+
+def check_condition(M, env: Mapping[str, object], c: Condition) -> bool:
+    return eval_formula(M, env, expand_condition(c)) == 0
+
+
+def check_theory(M, conditions: Sequence[tuple[str, Condition]]):
+    """Evaluate named sentential conditions; returns (all satisfied, value list)."""
+    rows = []
+    for name, c in conditions:
+        value = eval_formula(M, {}, expand_condition(c))
+        rows.append({"name": name, "value": format_rational(value), "holds": value == 0})
+    return all(r["holds"] for r in rows), rows
+
+
+def pra_conditions(sig) -> list[tuple[str, Condition]]:
+    """The five probability-algebra axioms as named conditions."""
+    bool_defects = [
+        "d(meet(x,y), meet(y,x))",
+        "d(join(x,y), join(y,x))",
+        "d(meet(x,meet(y,z)), meet(meet(x,y),z))",
+        "d(join(x,join(y,z)), join(join(x,y),z))",
+        "d(meet(x,join(y,z)), join(meet(x,y),meet(x,z)))",
+        "d(join(x,meet(y,z)), meet(join(x,y),join(x,z)))",
+        "d(meet(x,compl(x)), zero)",
+        "d(join(x,compl(x)), one)",
+        "d(meet(x,one), x)",
+        "d(join(x,zero), x)",
+    ]
+    combined = bool_defects[0]
+    for defect in bool_defects[1:]:
+        combined = f"max({combined}, {defect})"
+    boolean = parse(f"sup x. sup y. sup z. {combined}", sig)
+    modular = parse(
+        "sup x. sup y. |half mu(x) +. half mu(y)"
+        " - half mu(join(x,y)) +. half mu(meet(x,y))|", sig)
+    metric_law = parse(
+        "sup x. sup y. |d(x,y) - mu(join(meet(x,compl(y)), meet(y,compl(x))))|", sig)
+    return [
+        ("boolean_algebra", Condition(boolean, "eq0")),
+        ("measure_of_one", Condition(parse("mu(one)", sig), "ge", ONE)),
+        ("measure_of_zero", Condition(parse("mu(zero)", sig), "eq0")),
+        ("modularity", Condition(modular, "eq0")),
+        ("metric_is_symmetric_difference", Condition(metric_law, "eq0")),
+    ]
+
+
+def apa_sentence(sig):
+    """Atomlessness defect: sup_x inf_y |mu(y meet x) - mu(x)/2|."""
+    return parse("sup x. inf y. |mu(meet(y,x)) - half mu(x)|", sig)
+
+
+def is_prenex(f) -> bool:
+    while isinstance(f, Quant):
+        f = f.body
+    return not any(isinstance(node, Quant) for node in nodes(f))
 
 
 class FractionTables(NamedTuple):
@@ -63,7 +206,7 @@ def fraction_tables(M) -> FractionTables:
               for s, n in M.sizes.items()}
     functions = {name: dict(zip(arg_tuples(decl.arg_sorts), M.function_table[name]))
                  for name, decl in M.sig.functions.items()}
-    predicates = {name: {args: M.pred_value(name, args) for args in arg_tuples(decl.arg_sorts)}
+    predicates = {name: {args: pred_value(M, name, args) for args in arg_tuples(decl.arg_sorts)}
                   for name, decl in M.sig.predicates.items()}
     return FractionTables(metric, functions, predicates)
 
@@ -417,7 +560,7 @@ def eval_formula_reference(M, env, f) -> F:
     Fractions.  Quantifiers take min/max over the bound sort's carrier.
     """
     if isinstance(f, Atom):
-        return M.pred_value(f.pred, tuple(eval_term_reference(M, env, t) for t in f.args))
+        return pred_value(M, f.pred, tuple(eval_term_reference(M, env, t) for t in f.args))
     if isinstance(f, Const):
         return f.value
     if isinstance(f, ValueVar):
@@ -505,7 +648,7 @@ def validate_reference(M) -> ValidationReport:
                      True, decl.target)
     for name, decl in M.sig.predicates.items():
         check_symbol(name, decl.arg_sorts, decl.moduli,
-                     lambda args, name=name: M.pred_value(name, args),
+                     lambda args, name=name: pred_value(M, name, args),
                      False)
     return ValidationReport(out)
 
@@ -619,7 +762,7 @@ def eval_value_formula_reference(expr, point: Mapping[str, F]) -> F:
 
 
 def apply_connective_reference(name: str, args: Sequence[F], const_value=None) -> F:
-    """`values.apply_connective`, plus the nullary `const` that returns its payload."""
+    """`apply_connective`, plus the nullary `const` that returns its payload."""
     if name == "const":
         if args:
             raise StructuralError("const takes no arguments")
@@ -782,7 +925,7 @@ def _is_automorphism(M, tables: FractionTables, pi: Mapping[str, Sequence[int]])
     for name, decl in M.sig.predicates.items():
         for args, value in tables.predicates[name].items():
             mapped = tuple(pi[s][a] for s, a in zip(decl.arg_sorts, args))
-            if M.pred_value(name, mapped) != value:
+            if pred_value(M, name, mapped) != value:
                 return False
     return True
 

@@ -35,14 +35,11 @@ from contlogic.stability import (
 from contlogic.structures import (
     FiniteStructure,
     PhiInstance,
-    apa_sentence,
-    check_theory,
     eval_formula,
     from_classical,
     gen_halfgraph,
     gen_prob_algebra,
     make_split,
-    pra_conditions,
 )
 from contlogic.synthesis import (
     GridFunction,
@@ -51,20 +48,19 @@ from contlogic.synthesis import (
     verify_synthesis,
 )
 from contlogic.topometric import FiniteTopometricSpace, cb_rank
-from contlogic.values import (
-    apply_connective,
-    delta_from_inverse,
-    flim_prefix,
-    inverse_from_delta,
-    med,
-)
+from contlogic.values import delta_from_inverse, flim_prefix, inverse_from_delta
 
 from oracles import (
+    apa_sentence,
+    apply_connective,
     atomless_defect_bruteforce,
+    check_theory,
     glued_halfgraph,
+    med,
     monotone_sup_on_grid,
     pl_of,
     pra_axioms_bruteforce,
+    pra_conditions,
     random_metric,
     random_valid_topometric_space,
     uses_only_neg_monus_constants,

@@ -579,3 +579,44 @@ def test_imaginary_name_already_in_the_signature_exits_1(capsys, algebra_file, t
     capsys.readouterr()
     fails_with(capsys, ["imaginary", str(path), "--formula", "mu(meet(x,y))", "--split", "x;y"],
                "name 'P_phi' already used in the signature")
+
+
+def test_eval_let_without_equals_exits_1(capsys, algebra_file):
+    fails_with(capsys, ["eval", algebra_file, "-e", "mu(x)", "--let", "x"],
+               "--let must look like VAR=ELEMENT")
+
+
+SPLIT_COMMANDS = {
+    "typespace": [],
+    "nvalue": ["--epsilon", "1/4"],
+    "define-median": ["--epsilon", "1/4", "--target", "s1"],
+}
+
+
+@pytest.mark.parametrize("command", SPLIT_COMMANDS)
+@pytest.mark.parametrize("formula, split", [
+    ("mu(x)", "x;"),  # no parameter variables
+    ("mu(one)", ";"),  # no variables at all
+    ("mu(meet(x,y))", "x;"),
+    ("mu(meet(x,y))", ";"),
+])
+def test_split_with_an_empty_side(capsys, algebra_file, command, formula, split):
+    """An empty side of the split gives a report or a one-line exit-1 error."""
+    code = run([command, algebra_file, "--formula", formula, "--split", split,
+                *SPLIT_COMMANDS[command]])
+    captured = capsys.readouterr()
+    if formula == "mu(meet(x,y))":
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "contlogic: split must partition the free variables ['x', 'y']\n"
+    elif code == 1:  # mu(one) has only the empty x-tuple, which no --target names
+        assert (command, captured.out) == ("define-median", "")
+        assert captured.err == "contlogic: no x-tuple named 's1'\n"
+    else:
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["report"]
+
+
+@pytest.mark.parametrize("command", SPLIT_COMMANDS)
+def test_split_without_separator_exits_1(capsys, algebra_file, command):
+    fails_with(capsys, [command, algebra_file, "--formula", "mu(x)", "--split", "x",
+                        *SPLIT_COMMANDS[command]], "--split must look like x1,x2;y1,y2")

@@ -31,9 +31,7 @@ from contlogic.language import (
     SortDecl,
     ValueVar,
     Var,
-    expand_condition,
     free_vars,
-    is_prenex,
     parse,
     prenex,
 )
@@ -41,19 +39,26 @@ from contlogic.structures import (
     FiniteStructure,
     PhiInstance,
     ScaledTable,
-    apa_sentence,
     compile_formula,
     compile_row,
     eval_formula,
     from_classical,
     gen_prob_algebra,
     make_split,
-    pra_conditions,
     tuples_of,
     validate,
 )
 
-from oracles import eval_formula_reference, pl_of, random_metric, validate_reference
+from oracles import (
+    apa_sentence,
+    eval_formula_reference,
+    expand_condition,
+    is_prenex,
+    pl_of,
+    pra_conditions,
+    random_metric,
+    validate_reference,
+)
 from test_acceptance import _count_quantifiers, _prenex_signature, _random_closed_formula
 from test_acceptance import _random_structure as _random_prenex_structure
 
@@ -177,6 +182,9 @@ def test_errors_match_reference():
     assert "'p'" in same_error(M, {"p": 1}, ValueVar("p"))
     assert "med_2" in same_error(M, {"x": 0}, Op("med", (P, P), 2))
     assert "n >= 1" in same_error(M, {"x": 0}, Op("med", (), 0))
+    # a med built without its parameter, or with one that is not an int
+    for n in (None, 2.0, "2"):
+        assert same_error(M, {"x": 0}, Op("med", (P, P, P), n)) == "med requires n >= 1"
     assert "unknown connective" in same_error(M, {"x": 0}, Op("nand", (P, P)))
     assert "expects 1" in same_error(M, {"x": 0}, Op("neg", (P, P)))
     assert "const" in same_error(M, {"x": 0}, Op("const", ()))

@@ -14,7 +14,6 @@ from contlogic.language import parse
 from contlogic.structures import (
     FiniteStructure,
     PhiInstance,
-    apa_sentence,
     eval_formula,
     from_classical,
     gen_prob_algebra,
@@ -23,7 +22,7 @@ from contlogic.structures import (
     validate,
     value_matrix,
 )
-from oracles import automorphisms, fraction_tables, relabelled_json
+from oracles import apa_sentence, automorphisms, fraction_tables, relabelled_json
 
 
 def discrete_two_point():

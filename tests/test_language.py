@@ -17,7 +17,6 @@ from contlogic.errors import (
 from contlogic.language import (
     App,
     Atom,
-    Condition,
     Const,
     FuncDecl,
     Op,
@@ -29,10 +28,8 @@ from contlogic.language import (
     ValueVar,
     Var,
     children,
-    expand_condition,
     free_vars,
     infer_modulus,
-    is_prenex,
     nodes,
     parse,
     prenex,
@@ -41,7 +38,7 @@ from contlogic.language import (
     rename_var,
 )
 from contlogic.structures import FiniteStructure, env_from_names, eval_formula, gen_halfgraph
-from oracles import fraction_tables
+from oracles import Condition, expand_condition, fraction_tables, is_prenex
 
 IDENT = PLMonotone.identity()
 

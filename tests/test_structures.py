@@ -7,20 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from contlogic.errors import CompletionError, ContlogicError, DomainError, StructuralError
-from contlogic.language import (
-    Condition,
-    PLMonotone,
-    PredDecl,
-    Signature,
-    SortDecl,
-    parse,
-    prenex,
-)
+from contlogic.language import PLMonotone, PredDecl, Signature, SortDecl, parse, prenex
 from contlogic.structures import (
     FiniteStructure,
-    apa_sentence,
-    check_condition,
-    check_theory,
     complete_structure,
     env_from_names,
     eval_formula,
@@ -28,11 +17,18 @@ from contlogic.structures import (
     gen_halfgraph,
     gen_prob_algebra,
     is_elementary_substructure,
-    pra_conditions,
     validate,
 )
 from contlogic.values import parse_rational
-from oracles import fraction_tables
+from oracles import (
+    Condition,
+    apa_sentence,
+    check_condition,
+    check_theory,
+    fraction_tables,
+    pra_conditions,
+    pred_value,
+)
 
 IDENT = PLMonotone.identity()
 
@@ -89,7 +85,7 @@ def test_prob_algebra_pra_axioms_and_apa_value():
 
     trivial = gen_prob_algebra([F(1)])
     assert len(trivial.carriers["B"]) == 2
-    assert trivial.pred_value("mu", (1,)) == 1
+    assert pred_value(trivial, "mu", (1,)) == 1
     ok, _ = check_theory(trivial, pra_conditions(trivial.sig))
     assert ok
 

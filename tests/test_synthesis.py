@@ -176,6 +176,7 @@ def test_grid_evaluator_property(seed, arity, size):
     (Quant("sup", "x", "S", ValueVar("t0")), "only value variables, connectives, constants"),
     (Op("max", (ValueVar("t0"), Quant("inf", "x", "S", "x"))),
      "only value variables, connectives, constants"),
+    (Op("med", (ValueVar("t0"),)), "med requires n >= 1"),  # built without n
 ])
 def test_grid_evaluator_errors(expr, message):
     from oracles import eval_value_formula_reference

@@ -1,8 +1,11 @@
-"""The benchmark's tracer wraps contlogic functions by name; those names must exist."""
+"""Checks on the source tree: the benchmark's tracer wraps contlogic functions by name,
+so those names must exist, and `src/` holds no code that only the tests call."""
 
+import ast
 import importlib
 import importlib.util
 import json
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,7 +14,24 @@ import contlogic.imaginaries  # noqa: F401
 from contlogic.cli import run
 from contlogic.structures import gen_prob_algebra
 
-LAYERTRACE = Path(__file__).resolve().parent.parent / "bench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parent.parent
+LAYERTRACE = ROOT / "bench" / "layertrace.py"
+SRC = ROOT / "src" / "contlogic"
+
+# documented library entry points that nothing in src/ calls: the console
+# script, the structure generators, and the synthesis and topometric helpers
+# the API offers beside the CLI (the names the tracer wraps are added below)
+LIBRARY_ENTRY_POINTS = {
+    "cli.main",
+    "structures.gen_prob_algebra",
+    "structures.gen_halfgraph",
+    "structures.from_classical",
+    "synthesis.eval_on_grid",
+    "synthesis.verify_synthesis",
+    "synthesis.lattice_closure_vectors",
+    "topometric.cb_derivative",
+    "topometric.epsilon_degree",
+}
 
 
 def load_layertrace():
@@ -76,3 +96,30 @@ def test_tracer_sees_every_stage_of_the_instance_commands(capsys, tmp_path):
     reached = [f"{short}.{attr}" for short in ("stability", "imaginaries")
                for attr in layertrace.WRAPPED[short] if attr != "glue_formula"]
     assert [name for name in reached if not calls.get(f"{name}.calls")] == []
+
+
+def _references(tree) -> list:
+    """Every name a tree reads, as a bare name or as an attribute."""
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_every_public_name_in_src_is_used_in_src():
+    """Each public top-level function or class of src/contlogic is referenced in src/
+    outside its own definition, or is a library entry point; test-only code
+    belongs in tests/oracles.py."""
+    wrapped = {f"{short}.{attr.split('.')[0]}"
+               for short, attrs in load_layertrace().WRAPPED.items() for attr in attrs}
+    allowed = LIBRARY_ENTRY_POINTS | wrapped
+    uses: Counter = Counter()
+    defined = {}  # "module.name" -> references to the name inside its own definition
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses.update(_references(tree))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[f"{path.stem}.{node.name}"] = _references(node).count(node.name)
+    assert sorted(LIBRARY_ENTRY_POINTS - set(defined)) == []
+    unused = [name for name, own in defined.items()
+              if uses[name.split(".")[1]] == own and name not in allowed]
+    assert unused == []

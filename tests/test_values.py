@@ -1,8 +1,10 @@
 """Tests for the exact truth-value layer: connectives, med, flim, PL moduli."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,14 @@ from hypothesis import strategies as st
 
 from contlogic.errors import ContlogicError, DomainError, StructuralError
 from contlogic.values import (
+    CONNECTIVES,
     PLMonotone,
-    apply_connective,
     delta_from_inverse,
     flim_prefix,
     format_ratio,
     format_rational,
     inverse_from_delta,
     is_dyadic,
-    med,
     parse_ratio,
     parse_rational,
     pl_capped_sum,
@@ -27,9 +28,11 @@ from contlogic.values import (
 )
 from oracles import (
     FractionPL,
+    apply_connective,
     apply_connective_reference,
     delta_from_inverse_reference,
     inverse_from_delta_reference,
+    med,
     med_by_subsets,
     parse_rational_reference,
     pl_capped_sum_reference,
@@ -86,6 +89,26 @@ def test_connective_identity_block_on_grid():
             assert apply_connective("neg", [apply_connective("min", [1 - x, 1 - y])]) == lor
             assert apply_connective("neg", [apply_connective("monus", [1 - x, y])]) == min(x + y, F(1))
             assert apply_connective("plus_trunc", [m, mrev]) == abs(x - y)
+
+
+@pytest.mark.parametrize("name", [*CONNECTIVES, "med"])
+def test_connective_signs_match_the_reference_semantics(name):
+    """Each sign in CONNECTIVES against the Fraction semantics on the 1/8 grid: +1 is
+    non-decreasing, -1 non-increasing, and 0 rises at some point and falls at another.
+    `med` (n = 2) is non-decreasing in each argument; `prenex` relies on all of them."""
+    signs = CONNECTIVES.get(name, (+1,) * 3)
+    value = (lambda args: med(args, 2)) if name == "med" else partial(apply_connective, name)
+    for i, sign in enumerate(signs):
+        steps = set()  # the signs of the changes a step of 1/8 in argument i makes
+        for args in itertools.product(grid(8), repeat=len(signs)):
+            if args[i] < 1:
+                bumped = args[:i] + (args[i] + F(1, 8),) + args[i + 1:]
+                change = value(bumped) - value(args)
+                steps.add((change > 0) - (change < 0))
+        if sign == 0:
+            assert {-1, +1} <= steps, (name, i, steps)
+        else:
+            assert -sign not in steps, (name, i, steps)
 
 
 def test_med_examples_and_properties():
