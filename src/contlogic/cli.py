@@ -111,7 +111,9 @@ def _instance(args) -> PhiInstance:
 
 def _target_vector_from_flags(inst, args):
     if args.target is not None:
-        want = inst.x_index.get(tuple(v.strip() for v in args.target.split(",")))
+        # "" names the empty x-tuple of a split whose x side is empty
+        names = tuple(v.strip() for v in args.target.split(",")) if args.target.strip() else ()
+        want = inst.x_index.get(names)
         if want is None:
             raise DomainError(f"no x-tuple named {args.target!r}")
         return phi_type(inst, want)

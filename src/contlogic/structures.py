@@ -974,13 +974,17 @@ def is_elementary_substructure(M: FiniteStructure, subset: Mapping[str, Sequence
             raise StructuralError(f"subset is empty in sort {sort}")
         sub_idx[sort] = [M.element_index(sort, n) for n in names]
     for name, decl in M.sig.functions.items():
-        pools = [sub_idx[s] for s in decl.arg_sorts]
-        for args in itertools.product(*pools):
-            value = M.fn_value(name, args)
-            if value not in sub_idx[decl.target]:
-                witness = tuple(M.element_name(s, a) for s, a in zip(decl.arg_sorts, args))
-                raise StructuralError(
-                    f"subset not closed under {name} at {witness}")
+        # each argument tuple drawn from the subset, in product order, as its
+        # offset into the flat table
+        offsets = [[a * stride for a in sub_idx[s]]
+                   for s, stride in zip(decl.arg_sorts, M._strides[name])]
+        inside = set(sub_idx[decl.target])
+        if not inside.issuperset(map(M.function_table[name].__getitem__,
+                                     map(sum, itertools.product(*offsets)))):
+            args = next(args for args in itertools.product(*(sub_idx[s] for s in decl.arg_sorts))
+                        if M.fn_value(name, args) not in inside)
+            witness = tuple(M.element_name(s, a) for s, a in zip(decl.arg_sorts, args))
+            raise StructuralError(f"subset not closed under {name} at {witness}")
     for f, first in formulas:
         fv = sorted(free_vars(f))
         var_sorts = dict(fv)

@@ -7,29 +7,28 @@ which closed metric neighbourhoods of closed sets must again be closed.
 The derivative of a subset removes its relatively open pieces of metric
 diameter at most epsilon; ranks iterate the derivative.
 
-Internally a set of points is an int bitmask (bit p for point p) and the
-metric is held as int numerators over its common denominator, so the
-derivative and the epsilon-degree compare ints only.  For each epsilon,
-`far[p]` is the mask of the points at distance > epsilon from p: a set S
-has diameter <= epsilon iff `far[p] & S == 0` for every p in S.
+A space runs on ints: a point set is a bitmask (bit p for point p) and the
+metric is int numerators over one denominator, which `from_json` reads by
+parsing each distinct literal once; the checks run on these ints.  For an
+epsilon, `far[p]` masks the points farther than epsilon from p: S has
+diameter <= epsilon iff no p in S has `far[p] & S`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from itertools import chain, compress
+from operator import add, and_, or_
 
 from .errors import StructuralError
-from .values import ensure_unit, format_rational, parse_rational
+from .values import check_unit, ensure_unit, format_rational, parse_ratio, parse_rational
 
 
 def _mask(indices) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+    return reduce(or_, map((1).__lshift__, indices), 0)
 
 
 def _bits(mask: int):
@@ -39,48 +38,55 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _members(mask: int) -> frozenset:
-    return frozenset(_bits(mask))
-
-
 @dataclass(frozen=True)
 class FiniteTopometricSpace:
     points: tuple[str, ...]
     closed_sets: tuple[frozenset, ...]  # frozensets of point indices
     metric: tuple[tuple[Fraction, ...], ...]
     test_epsilons: tuple[Fraction, ...]
-    # derived in __post_init__: the closed sets as bitmasks, and the metric
-    # as int numerators over the denominator `_den`
+    # (closed masks, numerators, denominator) from `from_json`, else derived
+    _ints: InitVar[tuple | None] = None
     _closed_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _num: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _den: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _ints):
         n = len(self.points)
         if len(set(self.points)) != n or n == 0:
             raise StructuralError("points must be distinct and non-empty")
-        masks = tuple(_mask(F) for F in self.closed_sets)
+        masks, num, den = _ints or (tuple(map(_mask, self.closed_sets)), None, None)
         fam = set(masks)
         if 0 not in fam or (1 << n) - 1 not in fam:
             raise StructuralError("closed sets must contain the empty and full sets")
+        # each closed set is the union of least[p], the meet of the closed sets
+        # through p, over its points p; if every closed set joined with every
+        # least set is closed, so is every union of least sets: the down-sets of
+        # the preorder "q in least[p]", a lattice that holds every closed set
         members = list(fam)
-        for A in members:
-            if not (fam.issuperset(map(A.__or__, members))
-                    and fam.issuperset(map(A.__and__, members))):
-                raise StructuralError("closed sets must be closed under union and intersection")
+        union = reduce(or_, members)
+        least = {reduce(and_, filter((1 << p).__and__, members), union)
+                 for p in range(union.bit_length())}
+        if not all(fam.issuperset(map(g.__or__, members)) for g in least):
+            raise StructuralError("closed sets must be closed under union and intersection")
         if len(self.metric) != n or any(len(row) != n for row in self.metric):
             raise StructuralError("metric matrix has the wrong shape")
-        rows = [[Fraction(v) for v in row] for row in self.metric]
-        den = math.lcm(*(v.denominator for row in rows for v in row))
-        num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+        if num is None:
+            rows = [[Fraction(v) for v in row] for row in self.metric]
+            den = math.lcm(*(v.denominator for row in rows for v in row))
+            num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+        # scan cell by cell, in row order, only a row that fails the whole-row
+        # test, so the first faulty cell names the error.  A row equal to its
+        # column, after rows that passed, meets the triangle inequality at
+        # (i, j) for j < i exactly when row j met it at (j, i)
         cols = list(zip(*num))
-        for i in range(n):
-            row = num[i]
+        for i, row in enumerate(num):
             if row[i] != 0:
                 raise StructuralError("metric must vanish on the diagonal")
+            if (min(row) >= 0 and max(row) <= den and row == cols[i] and row.count(0) == 1
+                    and all(row[j] <= min(map(add, row, cols[j])) for j in range(i + 1, n))):
+                continue
             for j in range(n):
-                if not 0 <= row[j] <= den:
-                    ensure_unit(rows[i][j])
+                check_unit(row[j], den)
                 if row[j] != num[j][i]:
                     raise StructuralError("metric must be symmetric")
                 if i != j and row[j] == 0:
@@ -91,36 +97,20 @@ class FiniteTopometricSpace:
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
         # the metric refines the topology automatically on a finite point set
-        # with a genuine metric; what needs checking is neighbourhood closure
-        for eps in self.test_epsilons:
-            eps = ensure_unit(eps)
-            near = self._near(eps)
-            for F in fam:
-                if _neighbourhood(near, F) not in fam:
-                    raise StructuralError(
-                        f"closed {format_rational(eps)}-neighbourhood of a closed set "
-                        "is not closed")
-
-    def _near(self, eps: Fraction) -> list[int]:
-        """near[q]: the mask of the points p with metric[p][q] <= eps."""
-        bound, scale = eps.numerator * self._den, eps.denominator
-        n = len(self.points)
-        return [_mask(p for p in range(n) if self._num[p][q] * scale <= bound)
-                for q in range(n)]
+        # with a genuine metric; what needs checking is neighbourhood closure,
+        # and as neighbourhoods preserve unions, only of the least closed sets
+        for eps in map(ensure_unit, self.test_epsilons):
+            near = [(1 << n) - 1 ^ far for far in self._far(eps)]
+            if not all(reduce(or_, map(near.__getitem__, _bits(g))) in fam for g in least):
+                raise StructuralError(
+                    f"closed {format_rational(eps)}-neighbourhood of a closed set "
+                    "is not closed")
 
     def _far(self, eps: Fraction) -> list[int]:
         """far[p]: the mask of the points q with metric[p][q] > eps."""
-        full = (1 << len(self.points)) - 1
-        return [full & ~m for m in self._near(eps)]
-
-    def index(self, name: str) -> int:
-        try:
-            return self.points.index(name)
-        except ValueError:
-            raise StructuralError(f"no point named {name!r}") from None
-
-    def closed_neighbourhood(self, subset: frozenset, eps: Fraction) -> frozenset:
-        return _members(_neighbourhood(self._near(Fraction(eps)), _mask(subset)))
+        limit = eps.numerator * self._den // eps.denominator
+        bits = [1 << p for p in range(len(self.points))]
+        return [sum(compress(bits, map(limit.__lt__, row))) for row in self._num]
 
     def to_json(self) -> dict:
         return {
@@ -147,29 +137,39 @@ class FiniteTopometricSpace:
         for F in data["closed_sets"]:
             if not isinstance(F, list):
                 raise StructuralError("each closed set must be a list of point names")
-            for p in F:
-                if not isinstance(p, str) or p not in pos:
-                    raise StructuralError(f"closed set names unknown point {p!r}")
-            closed.append(frozenset(pos[p] for p in F))
-        if not all(isinstance(row, list) for row in data["metric"]):
+            try:
+                closed.append(frozenset(map(pos.__getitem__, F)))
+            except (KeyError, TypeError):
+                bad = next(p for p in F if not isinstance(p, str) or p not in pos)
+                raise StructuralError(f"closed set names unknown point {bad!r}") from None
+        rows = data["metric"]
+        if not all(isinstance(row, list) for row in rows):
             raise StructuralError("each metric row must be a list")
-        metric = tuple(tuple(parse_rational(v) for v in row) for row in data["metric"])
+        try:
+            literals = list(dict.fromkeys(chain.from_iterable(rows)))
+        except TypeError:  # an unhashable cell: parse every cell, so the first bad one raises
+            literals = list(chain.from_iterable(rows))
+        ratios = list(map(parse_ratio, literals))
+        den = math.lcm(*(q for _, q in ratios))
+        scaled = dict(zip(literals, [p * (den // q) for p, q in ratios]))
+        value = dict(zip(literals, [Fraction(p, q) for p, q in ratios]))
         if not isinstance(data.get("test_epsilons", []), list):
             raise StructuralError("space file's 'test_epsilons' must be a list")
         eps = tuple(parse_rational(e) for e in data.get("test_epsilons", []))
-        return FiniteTopometricSpace(points, tuple(closed), metric, eps)
-
-
-def _neighbourhood(near: list[int], subset: int) -> int:
-    out = 0
-    for q in _bits(subset):
-        out |= near[q]
-    return out
+        return FiniteTopometricSpace(
+            points, tuple(closed), tuple(tuple(map(value.__getitem__, row)) for row in rows), eps,
+            (tuple(map(_mask, closed)), tuple(tuple(map(scaled.__getitem__, r)) for r in rows), den))
 
 
 def _is_small(far: list[int], subset: int) -> bool:
     """Diameter of the subset <= epsilon, for the epsilon of `far`."""
-    return not any(far[p] & subset for p in _bits(subset))
+    rest = subset
+    while rest:
+        low = rest & -rest
+        if far[low.bit_length() - 1] & subset:
+            return False
+        rest ^= low
+    return True
 
 
 def _derive(closed: tuple[int, ...], far: list[int], subset: int) -> int:
@@ -188,7 +188,7 @@ def cb_derivative(X: FiniteTopometricSpace, subset: frozenset, epsilon) -> froze
     has diameter at most epsilon.
     """
     far = X._far(ensure_unit(epsilon))
-    return _members(_derive(X._closed_masks, far, _mask(subset)))
+    return frozenset(_bits(_derive(X._closed_masks, far, _mask(subset))))
 
 
 @dataclass
@@ -214,14 +214,11 @@ def cb_rank(X: FiniteTopometricSpace, epsilon) -> CBResult:
             break
         stages.append(nxt)
     stationary = bool(stages[-1])
-    ranks: dict = {}
-    for p in range(len(X.points)):
-        if stationary and stages[-1] >> p & 1:
-            ranks[p] = None
-        else:
-            ranks[p] = max(i for i, S in enumerate(stages) if S >> p & 1)
+    ranks = {p: None if stationary and stages[-1] >> p & 1
+             else max(i for i, S in enumerate(stages) if S >> p & 1)
+             for p in range(len(X.points))}
     degrees = [_degree(far, S) for S in stages]
-    return CBResult([_members(S) for S in stages], ranks, degrees, stationary)
+    return CBResult([frozenset(_bits(S)) for S in stages], ranks, degrees, stationary)
 
 
 def epsilon_degree(X: FiniteTopometricSpace, subset: frozenset, epsilon) -> int:
@@ -243,18 +240,18 @@ def _degree(far: list[int], subset: int) -> int:
     """
     if not subset:
         return 0
-    through: dict = {p: [] for p in _bits(subset)}
+    through: list[list[int]] = [[] for _ in far]
     for block in _maximal_blocks(far, subset):
         for p in _bits(block):
             through[p].append(block)
 
     def covers(uncovered: int, k: int) -> bool:
-        if not uncovered:
-            return True
-        if not k:
-            return False
-        low = (uncovered & -uncovered).bit_length() - 1
-        return any(covers(uncovered & ~block, k - 1) for block in through[low])
+        """Some k blocks cover the non-empty `uncovered`."""
+        for block in through[(uncovered & -uncovered).bit_length() - 1]:
+            rest = uncovered & ~block
+            if not rest or (k > 1 and covers(rest, k - 1)):
+                return True
+        return False
 
     k = 1
     while not covers(subset, k):
@@ -266,7 +263,7 @@ def _maximal_blocks(far: list[int], subset: int) -> list[int]:
     """Inclusion-maximal subsets of diameter <= epsilon: the maximal cliques
     of the "within epsilon" graph on the subset (Bron-Kerbosch with pivoting).
     """
-    adj = {p: subset & ~far[p] & ~(1 << p) for p in _bits(subset)}
+    adj = [subset & ~f & ~(1 << p) for p, f in enumerate(far)]
     blocks: list[int] = []
 
     def expand(clique: int, cand: int, done: int):
@@ -274,8 +271,11 @@ def _maximal_blocks(far: list[int], subset: int) -> list[int]:
             if not done:
                 blocks.append(clique)
             return
-        pivot = max(_bits(cand | done), key=lambda u: (cand & adj[u]).bit_count())
-        for v in _bits(cand & ~adj[pivot]):
+        best = -1
+        for u in _bits(cand | done):  # pivot: the first u with the most candidates
+            if (cand & adj[u]).bit_count() > best:
+                best, pivot = (cand & adj[u]).bit_count(), adj[u]
+        for v in _bits(cand & ~pivot):
             bit = 1 << v
             expand(clique | bit, cand & adj[v], done & adj[v])
             cand &= ~bit

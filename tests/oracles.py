@@ -54,6 +54,7 @@ from contlogic.values import (
     ensure_unit,
     format_rational,
     is_dyadic,
+    parse_rational,
 )
 
 
@@ -305,8 +306,6 @@ def random_valid_topometric_space(rng, n=8, eps=F(1, 2)):
     fam = {frozenset(), frozenset(range(n))}
     for _ in range(4):
         fam.add(frozenset(rng.sample(range(n), rng.randrange(1, n))))
-    stub = FiniteTopometricSpace(points, (frozenset(), frozenset(range(n))),
-                                 tuple(tuple(row) for row in dists), ())
     changed = True
     while changed:
         changed = False
@@ -317,7 +316,7 @@ def random_valid_topometric_space(rng, n=8, eps=F(1, 2)):
                         fam.add(C)
                         changed = True
         for A in list(fam):
-            nb = stub.closed_neighbourhood(A, eps)
+            nb = frozenset(p for p in range(n) if any(dists[p][q] <= eps for q in A))
             if nb not in fam:
                 fam.add(nb)
                 changed = True
@@ -651,6 +650,79 @@ def validate_reference(M) -> ValidationReport:
                      lambda args, name=name: pred_value(M, name, args),
                      False)
     return ValidationReport(out)
+
+
+# ---------------------------------------------------------------------------
+# Topometric space files loaded on Fractions
+
+
+def topometric_from_json_reference(data) -> dict:
+    """The Fraction loader that `FiniteTopometricSpace.from_json` replaced.
+
+    Parses every metric cell with `parse_rational`, checks the closed sets
+    over every ordered pair and the metric cell by cell, and returns the
+    fields a loaded space must have by name (`_closed_masks`, `_num` and
+    `_den` included), or raises what the loader must raise.
+    """
+    if not isinstance(data, dict):
+        raise StructuralError("space file must be a JSON object")
+    for key in ("points", "closed_sets", "metric"):
+        if key not in data:
+            raise StructuralError(f"space file has no {key!r}")
+        if not isinstance(data[key], list):
+            raise StructuralError(f"space file's {key!r} must be a list")
+    points = tuple(data["points"])
+    if not all(isinstance(p, str) for p in points):
+        raise StructuralError("point names must be strings")
+    pos = {p: i for i, p in enumerate(points)}
+    closed = []
+    for C in data["closed_sets"]:
+        if not isinstance(C, list):
+            raise StructuralError("each closed set must be a list of point names")
+        for p in C:
+            if not isinstance(p, str) or p not in pos:
+                raise StructuralError(f"closed set names unknown point {p!r}")
+        closed.append(frozenset(pos[p] for p in C))
+    if not all(isinstance(row, list) for row in data["metric"]):
+        raise StructuralError("each metric row must be a list")
+    metric = tuple(tuple(parse_rational(v) for v in row) for row in data["metric"])
+    if not isinstance(data.get("test_epsilons", []), list):
+        raise StructuralError("space file's 'test_epsilons' must be a list")
+    epsilons = tuple(parse_rational(e) for e in data.get("test_epsilons", []))
+    n = len(points)
+    if len(set(points)) != n or n == 0:
+        raise StructuralError("points must be distinct and non-empty")
+    masks = tuple(sum(1 << i for i in C) for C in closed)
+    fam = set(masks)
+    if 0 not in fam or (1 << n) - 1 not in fam:
+        raise StructuralError("closed sets must contain the empty and full sets")
+    if any(A | B not in fam or A & B not in fam for A in fam for B in fam):
+        raise StructuralError("closed sets must be closed under union and intersection")
+    if len(metric) != n or any(len(row) != n for row in metric):
+        raise StructuralError("metric matrix has the wrong shape")
+    den = math.lcm(*(v.denominator for row in metric for v in row))
+    num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in metric)
+    for i in range(n):
+        if metric[i][i] != 0:
+            raise StructuralError("metric must vanish on the diagonal")
+        for j in range(n):
+            ensure_unit(metric[i][j])
+            if metric[i][j] != metric[j][i]:
+                raise StructuralError("metric must be symmetric")
+            if i != j and metric[i][j] == 0:
+                raise StructuralError("metric must separate distinct points")
+            if any(metric[i][j] > metric[i][k] + metric[k][j] for k in range(n)):
+                raise StructuralError("metric violates the triangle inequality")
+    for eps in epsilons:
+        eps = ensure_unit(eps)
+        for A in fam:
+            near = [p for p in range(n) if any(A >> q & 1 and metric[p][q] <= eps
+                                                for q in range(n))]
+            if sum(1 << p for p in near) not in fam:
+                raise StructuralError(f"closed {format_rational(eps)}-neighbourhood of a "
+                                      "closed set is not closed")
+    return {"points": points, "closed_sets": tuple(closed), "metric": metric,
+            "test_epsilons": epsilons, "_closed_masks": masks, "_num": num, "_den": den}
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,18 @@ def test_define_without_target_is_usage_error(capsys, algebra_file, command):
     run_fails_cleanly(capsys, argv + ["--target", "s1", "--target-file", algebra_file], 2)
 
 
+@pytest.mark.parametrize("command", ["define-median", "define-monotone", "define-global"])
+def test_define_names_the_empty_x_tuple(capsys, algebra_file, command):
+    """With the x side of the split empty, `--target ""` names its one x-tuple;
+    any other name is still a one-line error."""
+    argv = [command, algebra_file, "--formula", "mu(one)", "--split", ";"]
+    argv += ["--depth", "2"] if command == "define-global" else ["--epsilon", "1/4"]
+    code, report = run_json(capsys, argv + ["--target", ""])
+    assert code == 0 and report["command"][0] == command
+    assert run(argv + ["--target", "s9"]) == 1
+    assert capsys.readouterr().err == "contlogic: no x-tuple named 's9'\n"
+
+
 @pytest.mark.parametrize("kind", ["antisym", "order", "triple"])
 @pytest.mark.parametrize("max_len", ["0", "-3"])
 def test_stability_max_len_below_one(capsys, halfgraph_file, kind, max_len):

@@ -177,6 +177,13 @@ def test_tarski_vaught_function_closure():
     f = parse("mu(meet(y,x))", M.sig)
     ok, _ = is_elementary_substructure(M, full, [(f, "y")])
     assert ok
+    # the first argument tuple in product order, over the subset as listed, is the witness
+    M = gen_prob_algebra([F(1, 5)] * 5)
+    with pytest.raises(StructuralError, match=r"^subset not closed under compl at \('s1',\)$"):
+        is_elementary_substructure(M, {"B": ["s0", "s31", "s1"]}, [])
+    with pytest.raises(StructuralError,
+                       match=r"^subset not closed under meet at \('s30', 's29'\)$"):
+        is_elementary_substructure(M, {"B": ["s0", "s31", "s1", "s30", "s2", "s29"]}, [])
 
 
 def test_halfgraph_structure():

@@ -71,6 +71,40 @@ def test_tracer_sees_every_stage_of_the_instance_commands(capsys, tmp_path):
         ["imaginary", *instance],
     ]
 
+    untraced, traced, calls = run_traced(capsys, commands)
+    assert [code for code, _ in untraced] == [0] * len(commands)
+    assert traced == untraced
+    reached = [f"{short}.{attr}" for short in ("stability", "imaginaries")
+               for attr in load_layertrace().WRAPPED[short] if attr != "glue_formula"]
+    assert [name for name in reached if not calls.get(f"{name}.calls")] == []
+
+
+def test_tracer_sees_the_topometric_and_synthesis_stages(capsys, tmp_path):
+    """A traced cbrank and synth record calls of the loaders and kernels the
+    tracer wraps, which a wrapper it cannot install (on a classmethod, say)
+    would lose, and tracing changes no report."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "points": ["p", "q", "r"], "closed_sets": [[], ["p"], ["p", "q"], ["p", "q", "r"]],
+        "metric": [["0", "1/4", "1"], ["1/4", "0", "1"], ["1", "1", "0"]],
+        "test_epsilons": ["1/8"]}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"arity": 1, "pitch": "1/4",
+                                "values": ["0", "1/4", "1/2", "1/4", "0"]}))
+    commands = [["cbrank", str(space), "--epsilon", "1/2"],
+                ["synth", "--target", str(grid), "--epsilon", "1/4"]]
+    untraced, traced, calls = run_traced(capsys, commands)
+    assert [code for code, _ in untraced] == [0, 0]
+    assert traced == untraced
+    reached = ["topometric.from_json", "topometric.cb_rank", "synthesis.from_json",
+               "synthesis.synthesize"]
+    assert [name for name in reached if not calls.get(f"{name}.calls")] == []
+
+
+def run_traced(capsys, commands):
+    """Each command's (exit code, stdout), run plain and then under an
+    installed tracer, and the traced pass's summary."""
+
     def reports(recorder=None):
         out = []
         for argv in commands:
@@ -83,19 +117,13 @@ def test_tracer_sees_every_stage_of_the_instance_commands(capsys, tmp_path):
         return out
 
     untraced = reports()
-    assert [code for code, _ in untraced] == [0] * len(commands)
-    layertrace = load_layertrace()
-    recorder = layertrace.Recorder()
+    recorder = load_layertrace().Recorder()
     recorder.install()
     try:
         traced = reports(recorder)
     finally:
         recorder.uninstall()
-    assert traced == untraced
-    calls = recorder.summary()
-    reached = [f"{short}.{attr}" for short in ("stability", "imaginaries")
-               for attr in layertrace.WRAPPED[short] if attr != "glue_formula"]
-    assert [name for name in reached if not calls.get(f"{name}.calls")] == []
+    return untraced, traced, recorder.summary()
 
 
 def _references(tree) -> list:

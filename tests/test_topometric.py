@@ -247,11 +247,113 @@ def test_invariant_messages():
         space(["a", "b"], closed[:1] + [["a", "b"]], [[F(0), F(1)], [F(1, 2), F(0)]])
     with pytest.raises(StructuralError, match="diagonal"):
         space(["a", "b"], [[], ["a", "b"]], [[F(1), F(1)], [F(1), F(0)]])
-    with pytest.raises(DomainError, match="outside"):
-        space(["a", "b"], [[], ["a", "b"]], [[F(0), F(2)], [F(2), F(0)]])
+    # symmetric cells; a negative pair breaks the triangle inequality at the
+    # diagonal cell, which comes first
+    for far, error, message in ((F(2), DomainError, "outside"),
+                                (F(-1, 4), StructuralError, "triangle")):
+        with pytest.raises(error, match=message):
+            space(["a", "b"], [[], ["a", "b"]], [[F(0), far], [far, F(0)]])
     with pytest.raises(StructuralError, match="wrong shape"):
         space(["a", "b"], [[], ["a", "b"]], [[F(0), F(1)]])
     with pytest.raises(StructuralError, match="1/4-neighbourhood"):
         space(["a", "b", "c"], [[], ["a"], ["a", "b", "c"]],
               [[F(0), F(1, 4), F(1)], [F(1, 4), F(0), F(1)], [F(1), F(1), F(0)]],
               eps=[F(1, 4)])
+
+
+def _fault(kind, data, rng):
+    """Put one fault of the given kind into a space file, in place."""
+    rows, n = data["metric"], len(data["points"])
+    i, j = rng.sample(range(n), 2)
+    if kind == "asymmetric":
+        rows[i][j] = "1" if rows[i][j] != "1" else "1/2"
+    elif kind == "out of range":  # in one cell, or symmetric in two
+        rows[i][j] = rng.choice(["3/2", "-1/4", "2", "-1"])
+        if rng.random() < 0.5:
+            rows[j][i] = rows[i][j]
+    elif kind == "triangle" and n >= 3:  # two points cannot break it
+        k = next(k for k in range(n) if k not in (i, j))
+        for a, b, v in ((i, j, "1"), (i, k, "1/4"), (k, j, "1/4")):
+            rows[a][b] = rows[b][a] = v
+    elif kind == "zero":
+        rows[i][j] = rows[j][i] = "0"
+    elif kind == "diagonal":
+        rows[i][i] = "1/8"
+    elif kind == "cell":  # two bad cells, so the first in row order must name the error
+        bad = rng.sample([1, ["1"], None, "1/0", "0.5", "x", "1/2/3"], 2)
+        rows[i][j], rows[rng.randrange(n)][rng.randrange(n)] = bad
+    elif kind == "row length" and rng.random() < 0.5:
+        rows[i].append("1")
+    elif kind == "row length":
+        rows[i].pop()
+    elif kind == "dropped closed set":
+        data["closed_sets"].pop(rng.randrange(len(data["closed_sets"])))
+    elif kind == "unknown point":
+        rng.choice(data["closed_sets"]).append(rng.choice(["nowhere", 3, ["p0"]]))
+    elif kind == "duplicate point":
+        old, data["points"][i] = data["points"][i], data["points"][j]
+        data["closed_sets"] = [[data["points"][j] if p == old else p for p in C]
+                               for C in data["closed_sets"]]
+    elif kind == "epsilon":
+        data["test_epsilons"].append(rng.choice(["1/2", "3/4", "5/4"]))
+
+
+FAULTS = ("asymmetric", "out of range", "triangle", "zero", "diagonal", "cell", "row length",
+          "dropped closed set", "unknown point", "duplicate point", "epsilon")
+
+
+def space_files():
+    """Derandomized space files: valid ones written by `to_json` (random
+    lattices, and points on a line at sixteenths as the benchmark draws
+    them), and copies with one fault or two."""
+    from oracles import random_valid_topometric_space
+
+    rng = random.Random(18)
+    valid = []
+    for n in (2, 3, 5, 8, 11):
+        for _ in range(3):
+            X, _ = random_valid_topometric_space(rng, n, rng.choice([F(1, 8), F(1, 4), F(1, 2)]))
+            valid.append(X.to_json())
+    for n in (4, 9, 12):
+        coords = sorted(rng.sample(range(17), n))
+        family = saturate({frozenset(), frozenset(range(n)),
+                           *(frozenset(rng.sample(range(n), 2)) for _ in range(3))})
+        metric = tuple(tuple(F(abs(a - b), 16) for b in coords) for a in coords)
+        valid.append(FiniteTopometricSpace(tuple(f"p{i}" for i in range(n)), tuple(family),
+                                           metric, ()).to_json())
+    files = list(valid)
+    for data in valid:
+        for kinds in [[kind] for kind in FAULTS] + [rng.sample(FAULTS, 2) for _ in range(3)]:
+            faulty = json.loads(json.dumps(data))
+            for kind in kinds:
+                _fault(kind, faulty, rng)
+            files.append(faulty)
+    return files
+
+
+def test_from_json_matches_the_fraction_loader():
+    """On each file the int loader gives the reference's fields, or raises
+    its exception class with its message; its metric view holds one
+    Fraction per distinct literal."""
+    from oracles import topometric_from_json_reference
+
+    outcomes = []
+    for data in space_files():
+        try:
+            want = topometric_from_json_reference(json.loads(json.dumps(data)))
+        except (StructuralError, DomainError) as exc:
+            with pytest.raises(type(exc)) as got:
+                FiniteTopometricSpace.from_json(data)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc)), data
+            outcomes.append(str(exc))
+            continue
+        X = FiniteTopometricSpace.from_json(data)
+        assert {name: getattr(X, name) for name in want} == want
+        literals = {v for row in data["metric"] for v in row}
+        assert len({id(v) for row in X.metric for v in row}) == len(literals)
+        outcomes.append("valid")
+    for message in ("valid", "symmetric", "outside", "triangle", "separate", "diagonal",
+                    "must be a string", "rejected", "bad rational", "wrong shape",
+                    "union and intersection", "empty and full", "unknown point",
+                    "points must be distinct", "neighbourhood"):
+        assert any(message in outcome for outcome in outcomes), message
