@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -57,9 +58,37 @@ from .values import format_ratio, format_rational, parse_ratio, parse_rational
 _INPUT_HASHES: dict = {}
 
 
+def _json_text(obj, newline: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, for the str, int, bool, None, list, tuple and
+    str-keyed dict values that reports hold; `newline` is the line break and
+    indentation before obj's closing bracket."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _read_json(path: str) -> dict:
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     _INPUT_HASHES[path] = hashlib.sha256(raw).hexdigest()
@@ -155,14 +184,15 @@ def _cmd_eval(args):
 def _cmd_complete(args):
     M = _load_structure(args.structure)
     result = complete_structure(M)
+    structure = result.structure.to_json()
     payload = {
         "classes": {sort: [{"representative": rep, "members": members}
                            for rep, members in classes]
                     for sort, classes in result.classes.items()},
-        "structure": result.structure.to_json(),
+        "structure": structure,
     }
     if args.out:
-        Path(args.out).write_text(json.dumps(result.structure.to_json(), indent=2) + "\n")
+        Path(args.out).write_text(_json_text(structure) + "\n")
         payload["written"] = args.out
     return 0, payload
 
@@ -214,9 +244,8 @@ def _cmd_imaginary(args):
     if args.out:
         base = Path(args.out)
         base.with_suffix(".structure.json").write_text(
-            json.dumps(E.expanded.to_json(), indent=2) + "\n")
-        base.with_suffix(".classes.json").write_text(
-            json.dumps(payload["classes"], indent=2) + "\n")
+            _json_text(E.expanded.to_json()) + "\n")
+        base.with_suffix(".classes.json").write_text(_json_text(payload["classes"]) + "\n")
         payload["written"] = [str(base.with_suffix(".structure.json")),
                               str(base.with_suffix(".classes.json"))]
     return (0 if ok else 1), payload
@@ -411,8 +440,9 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; each parse_args call fills a fresh namespace."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level argument parser and each subcommand's own parser by name,
+    built once; each parse fills a fresh namespace."""
     top = argparse.ArgumentParser(prog="contlogic",
                                   description="continuous-logic workbench")
     sub = top.add_subparsers(dest="command", required=True)
@@ -488,15 +518,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pl", required=True, help="breakpoints in:out,in:out")
     p.add_argument("--epsilon")
 
-    return top
+    return top, sub.choices
 
 
 def run(argv) -> int:
     """Dispatch a command line; prints the JSON report on stdout."""
     _INPUT_HASHES.clear()
-    parser = _build_parser()
+    top, commands = _parsers()
+    # a subcommand's own parser takes the rest of argv, as the top-level parser
+    # would hand it on; argv naming no subcommand (none, -h, unknown) goes to the top
+    parser = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if parser is None:
+            args = top.parse_args(argv)
+        else:
+            args, extra = parser.parse_known_args(argv[1:])
+            if extra:
+                top.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -508,7 +547,7 @@ def run(argv) -> int:
             "inputs": dict(sorted(_INPUT_HASHES.items())),
             "report": payload,
         }
-        out = json.dumps(report, indent=2)
+        out = _json_text(report)
         if getattr(args, "report_out", None):
             Path(args.report_out).write_text(out + "\n")
         print(out)

@@ -1024,7 +1024,8 @@ class VariableSplit:
 
 def make_split(phi, x_names: Sequence[str], y_names: Sequence[str]) -> VariableSplit:
     fv = dict(free_vars(phi))
-    if set(x_names) | set(y_names) != set(fv) or set(x_names) & set(y_names):
+    # every free variable once: on one side, not both, and not twice on one
+    if set(x_names) | set(y_names) != set(fv) or len(x_names) + len(y_names) != len(fv):
         raise StructuralError(f"split must partition the free variables {sorted(fv)}")
     for name in (*x_names, *y_names):  # split variables range over carriers
         if fv[name] == VALUE_SORT:
@@ -1096,7 +1097,8 @@ def sup_distances(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     for i, u in enumerate(vectors):
         row = d[i]
         for j in range(i + 1, n):
-            row[j] = d[j][i] = max(map(abs, map(sub, u, vectors[j])), default=0)
+            row[j] = d[j][i] = max([x - y if x > y else y - x for x, y in zip(u, vectors[j])],
+                                   default=0)
     return d
 
 

@@ -1,16 +1,35 @@
 """End-to-end command-line tests: dispatch, exit codes, report determinism."""
 
+import gc
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from contlogic.cli import _verify_glue, run
+from contlogic import cli
+from contlogic.cli import _parsers, _verify_glue, run
 from contlogic.language import FuncDecl, PLMonotone, PredDecl, Signature, SortDecl, parse
 from contlogic.stability import glue_formula
-from contlogic.structures import FiniteStructure, gen_halfgraph, gen_prob_algebra
+from contlogic.errors import StructuralError
+from contlogic.structures import FiniteStructure, gen_halfgraph, gen_prob_algebra, make_split
 from contlogic.synthesis import GridFunction
 from oracles import glued_halfgraph
+
+
+@pytest.fixture(autouse=True)
+def reports_match_json_dumps(monkeypatch):
+    """Every report and --out file a test here writes has the text of
+    `json.dumps(obj, indent=2)`: the writer is checked at each outermost call."""
+    writer = cli._json_text
+
+    def checked(obj, newline="\n"):
+        text = writer(obj, newline)
+        if newline == "\n":
+            assert text == json.dumps(obj, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 @pytest.fixture()
@@ -429,19 +448,26 @@ def test_synth_malformed_grid(capsys, tmp_path, grid):
 
 
 def test_back_to_back_runs_share_no_state(capsys, algebra_file):
-    from contlogic.cli import _build_parser
-
     argv = ["tv", algebra_file, "--subset", "s0,s3",
             "--formula", "y@mu(meet(x,y))", "--formula", "y@d(x,y)"]
-    assert _build_parser().parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
+    assert _parsers()[0].parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
     run(argv)
     first = capsys.readouterr().out
-    assert _build_parser().parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
+    assert _parsers()[0].parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
     run(argv)
     assert capsys.readouterr().out == first
     assert run(["tv", algebra_file, "--subset", "s0", "--no-such-flag"]) == 2
     assert run(["check", algebra_file]) == 0
     assert run(["modulus-convert", "--direction", "sideways", "--pl", "0:0,1:1"]) == 2
+
+
+def test_out_files_hold_the_text_of_json_dumps(capsys, algebra_file, tmp_path):
+    out = tmp_path / "out.json"
+    code, report = run_json(capsys, ["complete", algebra_file, "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == json.dumps(report["report"]["structure"], indent=2) + "\n"
+    assert run(["check", algebra_file, "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", [["complete", "--out"], ["check", "--out"],
@@ -629,6 +655,144 @@ def test_split_with_an_empty_side(capsys, algebra_file, command, formula, split)
 
 
 @pytest.mark.parametrize("command", SPLIT_COMMANDS)
+@pytest.mark.parametrize("split", ["x,x;y", "x;y,y", "x;y,x"])
+def test_split_with_a_repeated_variable_exits_1(capsys, halfgraph_file, command, split):
+    """A variable named twice, on one side or on both, is no partition."""
+    fails_with(capsys, [command, halfgraph_file, "--formula", "phi(x,y)", "--split", split,
+                        *SPLIT_COMMANDS[command]],
+               "split must partition the free variables ['x', 'y']")
+
+
+@pytest.mark.parametrize("xs, ys", [(["x", "x"], ["y"]), (["x"], ["y", "y"]),
+                                    (["x", "y"], ["y"]), (["x"], []), (["x", "y", "z"], [])])
+def test_make_split_rejects_what_is_no_partition(xs, ys):
+    phi = parse("mu(meet(x,y))", gen_prob_algebra([F(1, 2), F(1, 2)]).sig)
+    split = make_split(phi, ["y"], ["x"])
+    assert (split.x, split.y) == ((("y", "B"),), (("x", "B"),))
+    with pytest.raises(StructuralError, match=r"^split must partition the free variables "):
+        make_split(phi, xs, ys)
+
+
+@pytest.mark.parametrize("command", SPLIT_COMMANDS)
 def test_split_without_separator_exits_1(capsys, algebra_file, command):
     fails_with(capsys, [command, algebra_file, "--formula", "mu(x)", "--split", "x",
                         *SPLIT_COMMANDS[command]], "--split must look like x1,x2;y1,y2")
+
+
+def random_json_value(rng, depth=0):
+    """A report-like value: str-keyed dicts, lists, tuples, strings with escapes,
+    bools, None and ints of any size, empty containers among them."""
+    kind = rng.randrange(8 if depth < 4 else 3)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, -1, 2**64 + 1, -(3**90), rng.randrange(-10**6, 10**6)])
+    if kind == 2:
+        alphabet = "ab\"\\/\n\t\x00\x1f\x7f \xe9\u20ac\u2028\ud800\udfff\U0001f600"
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+    items = [random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 3:
+        return tuple(items)
+    if kind < 6:
+        return items
+    keys = [random_json_value(rng, 4) for _ in items]
+    return {key if isinstance(key, str) else f"k{i}": item
+            for i, (key, item) in enumerate(zip(keys, items))}
+
+
+def test_writer_equals_json_dumps_on_nested_values():
+    rng = random.Random(20261019)
+    values = [random_json_value(rng) for _ in range(500)]
+    values += [{}, [], (), [[]], [{}], {"": {}}, {"a": {"b": []}}, "\ud800", 2**64,
+               [None, True, False]]
+    for value in values:
+        for wrapped in (value, {"report": value}, [value, (value,)]):
+            assert cli._json_text(wrapped) == json.dumps(wrapped, indent=2)
+
+
+INSTANCE = ["M.json", "--formula", "phi(x,y)", "--split", "x;y"]
+ODD_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["no-such-command"],
+    ["no-such-command", "-h"],
+    ["-x", "check"],
+    ["check"],
+    ["check", "-h"],
+    ["stability", *INSTANCE, "--epsilon", "1", "-h"],
+    ["check", "M.json", "extra"],
+    ["check", "M.json", "extra", "more", "--more"],
+    ["check", "M.json", "--no-such-flag"],
+    ["check", "M.json", "--no-such-flag=1", "-z"],
+    ["stability", "M.json", "--form", "phi(x,y)", "--spl", "x;y", "--eps", "1", "--max", "3"],
+    ["stability", *INSTANCE, "--epsilon=1", "--kind=order"],
+    ["define-median", *INSTANCE, "--epsilon", "1/4", "--tar", "s1"],
+    ["check", "--", "M.json"],
+    ["check", "--", "M.json", "--", "x"],
+    ["check", "M.json", "--"],
+    ["stability", *INSTANCE, "--epsilon", "1", "--kind", "sideways"],
+    ["modulus-convert", "--direction", "sideways", "--pl", "0:0,1:1"],
+    ["stability", *INSTANCE, "--epsilon", "1", "--max-len", "two"],
+    ["stability", *INSTANCE, "--epsilon", "1", "--max-len", "-3"],
+    ["define-global", *INSTANCE, "--depth", "2.5", "--target", "s1"],
+    ["define-median", *INSTANCE, "--epsilon", "1/4", "--target", "s1", "--target-file", "t"],
+    ["define-median", *INSTANCE, "--epsilon", "1/4"],
+    ["glue", "M.json", "--phi", "a", "--psi", "b", "--shared", "x", "--fresh", "t,w",
+     "--fresh-sort", "E", "--verify", "--verify"],
+    ["eval", "M.json", "-e", "mu(x)", "-e", "mu(y)", "--let", "x=s0", "--let", "y=s1"],
+    ["tv", "M.json", "--subset", "s0", "--formula", "y@mu(y)", "--formula", "y@d(x,y)"],
+    ["synth", "--target", "g.json"],
+    ["modulus-convert", "--direction", "inverse-to-delta", "--pl", "0:0,1:1", "-e", "1"],
+    ["cbrank", "space.json", "--epsilon", "1/2", "--out"],
+]
+
+
+@pytest.mark.parametrize("argv", ODD_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_odd_argv_parse_as_the_top_level_parser_does(capsys, monkeypatch, argv):
+    """run gives the exit code, stdout and stderr of the top-level parser on argv,
+    and on a successful parse hands the command the namespace that parser builds."""
+    try:
+        expected = ("args", vars(_parsers()[0].parse_args(argv)))
+    except SystemExit as exc:
+        expected = ("exit", 2 if exc.code not in (0, None) else 0)
+    want = capsys.readouterr()
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(
+        _parsers()[1], lambda args: (0, {"args": vars(args)})))
+    code = run(argv)
+    got = capsys.readouterr()
+    if expected[0] == "args":
+        assert (code, got.err) == (0, "")
+        assert json.loads(got.out)["report"] == {"args": expected[1]}
+    else:
+        assert (code, got.out, got.err) == (expected[1], want.out, want.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "ALGEBRA"],
+    ["complete", "ALGEBRA", "--out", "OUT"],
+    ["synth", "--target", "GRID", "--epsilon", "1/4"],
+    ["modulus-convert", "--direction", "delta-to-inverse", "--pl", "0:0,1/2:1/4,1:1"],
+])
+def test_a_command_leaves_no_reference_cycles(capsys, monkeypatch, tmp_path, algebra_file, argv):
+    """Parsing argv and writing the report leave nothing for the cyclic collector,
+    on commands whose loaders and kernels leave nothing either."""
+    monkeypatch.undo()  # the checking writer calls json.dumps, which leaves cycles
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"arity": 1, "pitch": "1/4",
+                                "values": ["0", "1/4", "1/2", "1/4", "0"]}))
+    words = {"ALGEBRA": algebra_file, "GRID": str(grid), "OUT": str(tmp_path / "out.json")}
+    argv = [words.get(word, word) for word in argv]
+    assert run(argv) == 0  # first use fills the caches of parsers and imports
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(argv) == 0
+        gc.collect()
+        left = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert left == []

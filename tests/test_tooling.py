@@ -151,3 +151,16 @@ def test_every_public_name_in_src_is_used_in_src():
     unused = [name for name, own in defined.items()
               if uses[name.split(".")[1]] == own and name not in allowed]
     assert unused == []
+
+
+def test_reports_have_one_writer():
+    """No `json.dumps(..., indent=...)` is left in src/contlogic: every report and
+    --out file goes through the CLI's one writer."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dumps"
+                    and any(kw.arg == "indent" for kw in node.keywords)):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
