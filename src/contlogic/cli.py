@@ -562,6 +562,9 @@ def run(argv) -> int:
     except (ContlogicError, OSError) as exc:  # OSError: an --out path cannot be written
         print(f"contlogic: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # a JSON input or a formula nested past the interpreter's stack
+        print("contlogic: input nested too deeply", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from operator import is_
 from typing import Optional, Sequence
 
 from .errors import (
@@ -275,48 +277,51 @@ class Quant:
 
 Formula = object  # Atom | Const | ValueVar | Op | Quant
 
-def _term_vars(t, out: set):
-    if isinstance(t, Var):
-        out.add((t.name, t.sort))
-    else:
-        for a in t.args:
-            _term_vars(a, out)
-
 
 def children(f) -> tuple:
-    """The subformulas of a node: an `Op`'s args, a `Quant`'s body, none at a leaf."""
-    if isinstance(f, Op):
+    """The subnodes of a node: the args of an `Op`, an `Atom` or an `App`, a
+    `Quant`'s body, none at any other leaf."""
+    if isinstance(f, (Op, Atom, App)):
         return f.args
     if isinstance(f, Quant):
         return (f.body,)
-    if isinstance(f, (Atom, Const, ValueVar)):
+    if isinstance(f, (Var, Const, ValueVar)):
         return ()
     raise StructuralError(f"not a formula: {f!r}")
 
 
 def rebuild(f, kids):
-    """The node f with its subformulas replaced by kids, in `children` order."""
+    """The node f with its subnodes replaced by kids, in `children` order;
+    f itself when each kid is the subnode it replaces."""
+    if all(map(is_, kids, children(f))):
+        return f
     if isinstance(f, Op):
         return Op(f.op, tuple(kids), f.n)
     if isinstance(f, Quant):
         (body,) = kids
         return Quant(f.kind, f.var, f.sort, body)
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(kids))
+    if isinstance(f, App):
+        return App(f.func, tuple(kids), f.sort)
     return f
 
 
 def nodes(f) -> list:
     """Each distinct node of f (by id) once, children first, without recursion."""
-    seen: set = set()
+    seen = {id(f)}
     order = []
-    stack = [(f, False)]
+    stack = [(f, iter(children(f)))]  # each open node, with the children left to visit
     while stack:
-        node, ready = stack.pop()
-        if ready:
+        node, kids = stack[-1]
+        for k in kids:
+            if id(k) not in seen:
+                seen.add(id(k))
+                stack.append((k, iter(children(k))))
+                break
+        else:
+            stack.pop()
             order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((k, False) for k in reversed(children(node)))
     return order
 
 
@@ -332,30 +337,24 @@ def free_var_map(f) -> dict:
     """id(node) -> the free variables of that node, as in `free_vars`, for every node of f."""
     free: dict = {}
     for node in nodes(f):
-        out = set().union(*(free[id(k)] for k in children(node)))
-        if isinstance(node, Atom):
-            for t in node.args:
-                _term_vars(t, out)
+        if isinstance(node, Var):
+            out = {(node.name, node.sort)}
         elif isinstance(node, ValueVar):
-            out.add((node.name, VALUE_SORT))
-        elif isinstance(node, Quant):
-            out = {(n, s) for (n, s) in out if n != node.var}
+            out = {(node.name, VALUE_SORT)}
+        else:
+            out = set().union(*(free[id(k)] for k in children(node)))
+            if isinstance(node, Quant):
+                out = {(n, s) for (n, s) in out if n != node.var}
         free[id(node)] = out
     return free
-
-
-def _rename_term(t, old: str, new: str):
-    if isinstance(t, Var):
-        return Var(new, t.sort) if t.name == old else t
-    return App(t.func, tuple(_rename_term(a, old, new) for a in t.args), t.sort)
 
 
 def rename_var(f, old: str, new: str):
     """Rename free occurrences of a structure variable, respecting shadowing."""
     out: dict = {}  # id(node) -> the renamed node
     for node in nodes(f):
-        if isinstance(node, Atom):
-            out[id(node)] = Atom(node.pred, tuple(_rename_term(t, old, new) for t in node.args))
+        if isinstance(node, Var) and node.name == old:
+            out[id(node)] = Var(new, node.sort)
         elif isinstance(node, Quant) and node.var == old:
             out[id(node)] = node
         else:
@@ -386,9 +385,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Token("int", text[i:j], i))
             i = j
@@ -411,14 +410,40 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
+class _Binder:
+    """A quantifier's variable, or a free name, while its formula is parsed:
+    the sorts that its occurrences and annotations demand, then its sort."""
+
+    __slots__ = ("name", "demands", "sort")
+
+    def __init__(self, name: str, annotation: Optional[str] = None):
+        self.name = name
+        self.demands = set() if annotation is None else {annotation}
+        self.sort: Optional[str] = None
+
+
 class _Parser:
+    """Recursive descent that resolves sorts as it reads.
+
+    Each variable occurrence belongs to a binder: the innermost enclosing
+    quantifier of its name, else the free name.  A term is read at the sort
+    its argument position declares, which the binder of a variable there
+    collects; arities and function targets are checked where they are read.
+    A quantifier's sort is resolved when its body closes.  The first sort
+    error is held, so an error of the text itself is still reported first.
+    The raw tree's `Var` and `Quant` nodes carry their binder as the sort.
+    """
+
     def __init__(self, text: str, sig: Signature):
         self.toks = _tokenize(text)
         self.sig = sig
         self.i = 0
+        self.scope: list[_Binder] = []  # the enclosing quantifiers, innermost last
+        self.free: dict[str, _Binder] = {}
+        self.fault: Optional[str] = None  # the first sort error
 
-    def peek(self, ahead=0) -> _Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> _Token:
+        return self.toks[min(self.i, len(self.toks) - 1)]
 
     def next(self) -> _Token:
         t = self.toks[self.i]
@@ -431,17 +456,36 @@ class _Parser:
             raise GrammarError(f"expected {kind!r}, found {t.text!r}", t.pos)
         return t
 
-    # raw parse: sorts are attached later
+    def hold(self, message: str) -> None:
+        if self.fault is None:
+            self.fault = message
+
+    def resolve(self, binder: _Binder) -> None:
+        """Give the binder the one sort it is demanded at, else the signature's only sort."""
+        if len(binder.demands) > 1:
+            self.hold(f"variable {binder.name!r} used at sorts {sorted(binder.demands)}")
+        elif binder.demands:
+            (binder.sort,) = binder.demands
+        else:
+            binder.sort = self.sig.single_sort()
+            if binder.sort is None:
+                self.hold(f"cannot infer the sort of variable {binder.name!r}; "
+                          f"annotate as {binder.name}:S")
+
     def formula(self):
         t = self.peek()
         if t.kind == "ident" and t.text in ("sup", "inf"):
             self.next()
-            var, sort = self.variable()
+            binder = self.variable()
             self.expect(".")
-            return Quant(t.text, var, sort, self.formula())
+            self.scope.append(binder)
+            body = self.formula()
+            self.scope.pop()
+            self.resolve(binder)
+            return Quant(t.text, binder.name, binder, body)
         return self.sum()
 
-    def variable(self):
+    def variable(self) -> _Binder:
         t = self.expect("ident")
         if not t.text[0].islower():
             raise GrammarError(f"variable {t.text!r} must start lowercase", t.pos)
@@ -450,13 +494,17 @@ class _Parser:
         if t.text in self.sig.functions:
             # the body would read the name as the function symbol, never as this variable
             raise GrammarError(f"function symbol {t.text!r} cannot be a variable", t.pos)
-        sort = None
-        if self.peek().kind == ":":
-            self.next()
-            sort = self.expect("ident").text
-            if sort not in self.sig.sorts:
-                raise UnknownSymbolError(f"unknown sort {sort!r}")
-        return t.text, sort
+        return _Binder(t.text, self.annotation())
+
+    def annotation(self) -> Optional[str]:
+        """The sort named after a ":", if one follows."""
+        if self.peek().kind != ":":
+            return None
+        self.next()
+        sort = self.expect("ident").text
+        if sort not in self.sig.sorts:
+            raise UnknownSymbolError(f"unknown sort {sort!r}")
+        return sort
 
     def sum(self):
         left = self.prod()
@@ -468,12 +516,9 @@ class _Parser:
 
     def prod(self):
         t = self.peek()
-        if t.kind == "ident" and t.text == "not":
+        if t.kind == "ident" and t.text in ("not", "half"):
             self.next()
-            return Op("neg", (self.prod(),))
-        if t.kind == "ident" and t.text == "half":
-            self.next()
-            return Op("half", (self.prod(),))
+            return Op("neg" if t.text == "not" else "half", (self.prod(),))
         return self.atom()
 
     def atom(self):
@@ -502,7 +547,7 @@ class _Parser:
             return Op(t.text, (a, b))
         if t.kind == "ident" and t.text == "med":
             self.next()
-            n = int(self.expect("int").text)
+            n = self.integer()
             if n < 1:
                 raise GrammarError("med arity parameter must be >= 1", t.pos)
             self.expect("(")
@@ -517,11 +562,10 @@ class _Parser:
         if t.kind == "ident":
             name = self.next().text
             if self.peek().kind == "(":
-                if name in self.sig.predicates or self.sig.is_metric(name):
-                    return Atom(name, self.term_args())
                 if name in self.sig.functions:
-                    raise SortMismatchError(f"function {name!r} used in formula position")
-                raise UnknownSymbolError(f"unknown predicate {name!r}")
+                    self.hold(f"function {name!r} used in formula position")
+                    return Atom(name, self.term_args(name, self.sig.functions[name]))
+                return Atom(name, self.term_args(name, self.sig.pred_decl(name)))
             if name in self.sig.predicates and not self.sig.pred_decl(name).arg_sorts:
                 return Atom(name, ())
             if not name[0].islower():
@@ -529,143 +573,83 @@ class _Parser:
             return ValueVar(name)
         raise GrammarError(f"unexpected token {t.text!r}", t.pos)
 
-    def rational(self) -> Fraction:
+    def integer(self) -> int:
         t = self.expect("int")
-        num = int(t.text)
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than int() converts
+            raise GrammarError("integer literal too long", t.pos) from None
+
+    def rational(self) -> Fraction:
+        pos = self.peek().pos
+        num = self.integer()
         if self.peek().kind == "/":
             self.next()
-            den = int(self.expect("int").text)
+            den = self.integer()
             if den == 0:
-                raise GrammarError("zero denominator", t.pos)
+                raise GrammarError("zero denominator", pos)
             return ensure_unit(Fraction(num, den))
         return ensure_unit(Fraction(num))
 
-    def term_args(self) -> tuple:
+    def term_args(self, symbol: str, decl) -> tuple:
+        """A symbol's parenthesized arguments, each read at its declared sort."""
+        sorts = decl.arg_sorts
         self.expect("(")
-        args = [self.term()]
+        args = [self.term(sorts[0] if sorts else None)]
         while self.peek().kind == ",":
             self.next()
-            args.append(self.term())
+            args.append(self.term(sorts[len(args)] if len(args) < len(sorts) else None))
         self.expect(")")
+        if len(args) != len(sorts):
+            self.hold(f"{symbol} expects {len(sorts)} arguments, got {len(args)}")
         return tuple(args)
 
-    def term(self):
+    def term(self, expected: Optional[str]):
+        """A term at a position of the expected sort (None past a symbol's arity)."""
         t = self.expect("ident")
         if self.peek().kind == "(":
-            if t.text not in self.sig.functions:
-                raise UnknownSymbolError(f"unknown function {t.text!r}")
-            return App(t.text, self.term_args())
-        if t.text in self.sig.functions:
+            decl = self.sig.func_decl(t.text)
+            args = self.term_args(t.text, decl)
+        elif t.text in self.sig.functions:
             decl = self.sig.functions[t.text]
+            args = ()
             if decl.arg_sorts:
-                raise SortMismatchError(f"function {t.text!r} needs {len(decl.arg_sorts)} arguments")
-            return App(t.text, ())
-        if not t.text[0].islower():
+                self.hold(f"function {t.text!r} needs {len(decl.arg_sorts)} arguments")
+        elif not t.text[0].islower():
             raise UnknownSymbolError(f"unknown symbol {t.text!r}")
-        sort = None
-        if self.peek().kind == ":":
-            self.next()
-            sort = self.expect("ident").text
-            if sort not in self.sig.sorts:
-                raise UnknownSymbolError(f"unknown sort {sort!r}")
-        return Var(t.text, sort)
-
-
-def _arg_sorts(symbol: str, args: tuple, decl) -> tuple:
-    """The argument sorts of a symbol's declaration, once `args` has as many entries."""
-    if len(args) != len(decl.arg_sorts):
-        raise SortMismatchError(
-            f"{symbol} expects {len(decl.arg_sorts)} arguments, got {len(args)}")
-    return decl.arg_sorts
-
-
-def _scan_sort_constraints(f, name: str, sig: Signature, out: set):
-    """Collect the sorts demanded for variable `name` by symbol positions."""
-
-    def scan_term(t, expected: str):
-        if isinstance(t, Var):
-            if t.name == name:
-                out.add(expected)
-                if t.sort is not None:
-                    out.add(t.sort)
         else:
-            for a, s in zip(t.args, _arg_sorts(t.func, t.args, sig.func_decl(t.func))):
-                scan_term(a, s)
-
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            for a, s in zip(node.args, _arg_sorts(node.pred, node.args, sig.pred_decl(node.pred))):
-                scan_term(a, s)
-        elif not (isinstance(node, Quant) and node.var == name):
-            # identical names shadow; the inner scope is a new variable
-            stack.extend(reversed(children(node)))
-
-
-def _resolve_var_sort(f, name: str, annotated: Optional[str], sig: Signature) -> str:
-    constraints: set = set()
-    if annotated is not None:
-        constraints.add(annotated)
-    _scan_sort_constraints(f, name, sig, constraints)
-    constraints.discard(None)
-    if len(constraints) > 1:
-        raise SortMismatchError(f"variable {name!r} used at sorts {sorted(constraints)}")
-    if constraints:
-        return constraints.pop()
-    single = sig.single_sort()
-    if single is not None:
-        return single
-    raise SortMismatchError(f"cannot infer the sort of variable {name!r}; annotate as {name}:S")
-
-
-def _attach_sorts(f, sig: Signature, env: dict):
-    """Rebuild the raw tree with every variable carrying its resolved sort."""
-
-    def fix_term(t, expected: str):
-        if isinstance(t, Var):
-            sort = env.get(t.name, expected)
-            if t.sort is not None and t.sort != sort:
-                raise SortMismatchError(f"variable {t.name!r}: declared {t.sort}, used at {sort}")
-            if sort != expected:
-                raise SortMismatchError(f"variable {t.name!r} of sort {sort} used at sort {expected}")
-            return Var(t.name, sort)
-        decl = sig.func_decl(t.func)
-        sorts = _arg_sorts(t.func, t.args, decl)
-        if decl.target != expected:
-            raise SortMismatchError(f"{t.func} has sort {decl.target}, used at sort {expected}")
-        return App(t.func, tuple(map(fix_term, t.args, sorts)), decl.target)
-
-    if isinstance(f, Atom):
-        sorts = _arg_sorts(f.pred, f.args, sig.pred_decl(f.pred))
-        return Atom(f.pred, tuple(map(fix_term, f.args, sorts)))
-    if isinstance(f, Quant):
-        sort = _resolve_var_sort(f.body, f.var, f.sort, sig)
-        return Quant(f.kind, f.var, sort, _attach_sorts(f.body, sig, {**env, f.var: sort}))
-    return rebuild(f, [_attach_sorts(k, sig, env) for k in children(f)])
+            binder = (next((b for b in reversed(self.scope) if b.name == t.text), None)
+                      or self.free.setdefault(t.text, _Binder(t.text)))
+            binder.demands |= {expected, self.annotation()} - {None}
+            return Var(t.text, binder)
+        if expected is not None and decl.target != expected:
+            self.hold(f"{t.text} has sort {decl.target}, used at sort {expected}")
+        return App(t.text, args, decl.target)
 
 
 def parse(text: str, sig: Signature):
-    """Parse formula text against a signature; round-trips with `print_formula`."""
+    """Parse formula text against a signature; round-trips with `print_formula`.
+
+    Errors of the text itself come first; then the first sort error in text
+    order; then the free variables, by name, whose sort is not fixed."""
     p = _Parser(text, sig)
     raw = p.formula()
-    if p.peek().kind != "eof":
-        t = p.peek()
+    t = p.peek()
+    if t.kind != "eof":
         raise GrammarError(f"trailing input {t.text!r}", t.pos)
-    annotations: dict = {}
-    for name, sort in free_vars(raw):
-        if sort == VALUE_SORT:
-            continue
-        if name in annotations:
-            if sort is not None and annotations[name] is not None and sort != annotations[name]:
-                raise SortMismatchError(f"variable {name!r} annotated at two sorts")
-            annotations[name] = annotations[name] or sort
+    for name in sorted(p.free):
+        p.resolve(p.free[name])
+    if p.fault is not None:
+        raise SortMismatchError(p.fault)
+    out: dict = {}  # id(raw node) -> the node with its variables' sorts set
+    for node in nodes(raw):
+        if isinstance(node, Var):
+            out[id(node)] = Var(node.name, node.sort.sort)
+        elif isinstance(node, Quant):
+            out[id(node)] = Quant(node.kind, node.var, node.sort.sort, out[id(node.body)])
         else:
-            annotations[name] = sort
-    env = {}
-    for name in sorted(annotations):
-        env[name] = _resolve_var_sort(raw, name, annotations[name], sig)
-    return _attach_sorts(raw, sig, env)
+            out[id(node)] = rebuild(node, [out[id(k)] for k in children(node)])
+    return out[id(raw)]
 
 
 # ---------------------------------------------------------------------------
@@ -677,14 +661,6 @@ _QUANT, _SUM, _PROD, _ATOM = 0, 1, 2, 3
 def print_formula(f, sig: Optional[Signature] = None) -> str:
     """Canonical text for a formula; parse(print_formula(f)) == f."""
     return _text(f, _QUANT, sig is not None and sig.single_sort() is None, {})
-
-
-def _term_text(t) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.func
-    return f"{t.func}({', '.join(_term_text(a) for a in t.args)})"
 
 
 def _text(f, level: int, annotate: bool, memo: dict) -> str:
@@ -702,14 +678,15 @@ def _write(f, level: int, annotate: bool, memo: dict) -> str:
         ann = f":{f.sort}" if annotate and f.sort else ""
         s = f"{f.kind} {f.var}{ann}. {_text(f.body, _QUANT, annotate, memo)}"
         return f"({s})" if level > _QUANT else s
-    if isinstance(f, Atom):
+    if isinstance(f, (Atom, App)):
+        symbol = f.pred if isinstance(f, Atom) else f.func
         if not f.args:
-            return f.pred
-        return f"{f.pred}({', '.join(_term_text(t) for t in f.args)})"
+            return symbol
+        return f"{symbol}({', '.join(_text(t, _ATOM, annotate, memo) for t in f.args)})"
+    if isinstance(f, (Var, ValueVar)):
+        return f.name
     if isinstance(f, Const):
         return format_rational(f.value)
-    if isinstance(f, ValueVar):
-        return f.name
     if isinstance(f, Op):
         args = f.args
         if f.op in ("monus", "plus_trunc"):
@@ -767,40 +744,36 @@ def prenex(f):
     """
     taken = {name for name, _ in free_vars(f)}
     taken |= {node.var for node in nodes(f) if isinstance(node, Quant)}
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        while f"q{counter[0]}" in taken:
-            counter[0] += 1
-        return f"q{counter[0]}"
-
-    def go(f):
-        if isinstance(f, Quant):
-            name = fresh()
-            prefix, matrix = go(rename_var(f.body, f.var, name))
-            return [(f.kind, name, f.sort)] + prefix, matrix
-        kids = children(f)  # raises for a non-formula
-        if not isinstance(f, Op):
-            return [], f
-        dirs = (+1,) * len(kids) if f.op == "med" else CONNECTIVES.get(f.op)
-        if dirs is None:
-            raise StructuralError(f"no monotonicity data for connective {f.op!r}")
-        prefix = []
-        matrices = []
-        for direction, arg in zip(dirs, kids):
-            sub_prefix, matrix = go(arg)
-            if direction < 0:
-                sub_prefix = [(_flip(k), v, s) for k, v, s in sub_prefix]
-            prefix.extend(sub_prefix)
-            matrices.append(matrix)
-        return prefix, rebuild(f, matrices)
-
-    prefix, matrix = go(rewrite_absdiff(f))
+    fresh = (f"q{i}" for i in count(1) if f"q{i}" not in taken)
+    prefix, matrix = _hoist(rewrite_absdiff(f), fresh)
     out = matrix
     for kind, var, sort in reversed(prefix):
         out = Quant(kind, var, sort, out)
     return out
+
+
+def _hoist(f, fresh) -> tuple:
+    """(prefix, matrix) of f: its quantifiers, outermost first, each as (kind,
+    name, sort) with a name drawn from `fresh`, and what is left below them."""
+    if isinstance(f, Quant):
+        name = next(fresh)
+        prefix, matrix = _hoist(rename_var(f.body, f.var, name), fresh)
+        return [(f.kind, name, f.sort)] + prefix, matrix
+    kids = children(f)  # raises for a non-formula
+    if not isinstance(f, Op):
+        return [], f
+    dirs = (+1,) * len(kids) if f.op == "med" else CONNECTIVES.get(f.op)
+    if dirs is None:
+        raise StructuralError(f"no monotonicity data for connective {f.op!r}")
+    prefix = []
+    matrices = []
+    for direction, arg in zip(dirs, kids):
+        sub_prefix, matrix = _hoist(arg, fresh)
+        if direction < 0:
+            sub_prefix = [(_flip(k), v, s) for k, v, s in sub_prefix]
+        prefix.extend(sub_prefix)
+        matrices.append(matrix)
+    return prefix, rebuild(f, matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -816,34 +789,21 @@ def infer_modulus(f, sig: Signature, var: str) -> PLMonotone:
     """
     if var not in {n for n, _ in free_vars(f)}:
         raise StructuralError(f"variable {var!r} is not free in the formula")
-    zero = PLMonotone.zero()
-
-    def total(mods) -> PLMonotone:
-        out = zero
-        for m in mods:
-            if m != zero:
-                out = pl_capped_sum(out, m)
-        return out
-
-    def through(moduli, args) -> PLMonotone:
-        """Modulus of a symbol with these argument moduli applied to these terms."""
-        return total(pl_compose(u, m) for u, m in zip(moduli, map(term_mod, args)) if m != zero)
-
-    def term_mod(t) -> PLMonotone:
-        if isinstance(t, Var):
-            return PLMonotone.identity() if t.name == var else zero
-        return through(sig.func_decl(t.func).moduli, t.args)
-
+    zero, ident = PLMonotone.zero(), PLMonotone.identity()
     mods: dict = {}  # id(node) -> the node's modulus in var
     for node in nodes(f):
-        if isinstance(node, Atom):
-            out = through(sig.pred_decl(node.pred).moduli, node.args)
-        elif isinstance(node, Quant) and node.var == var:
-            out = zero
-        else:
-            out = total(mods[id(k)] for k in children(node))
+        kids = [mods[id(k)] for k in children(node)]
+        if isinstance(node, (Atom, App)):
+            decl = sig.pred_decl(node.pred) if isinstance(node, Atom) else sig.func_decl(node.func)
+            kids = [pl_compose(u, m) for u, m in zip(decl.moduli, kids) if m != zero]
+        out = zero
+        if isinstance(node, Var) and node.name == var:
+            out = ident
+        elif not (isinstance(node, Quant) and node.var == var):
+            for m in kids:
+                if m != zero:
+                    out = pl_capped_sum(out, m)
             if isinstance(node, Op) and node.op == "half":
                 out = pl_half(out)
         mods[id(node)] = out
     return mods[id(f)]
-

@@ -15,8 +15,16 @@ from fractions import Fraction as F
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
-from contlogic.errors import DefinitionAbort, DomainError, StructuralError
+from contlogic.errors import (
+    DefinitionAbort,
+    DomainError,
+    GrammarError,
+    SortMismatchError,
+    StructuralError,
+    UnknownSymbolError,
+)
 from contlogic.language import (
+    App,
     Atom,
     Const,
     Op,
@@ -1456,3 +1464,335 @@ def inverse_from_delta_pairwise(delta: FractionPL) -> FractionPL:
                     if x0 < x < x1:
                         xs.add(x)
     return _monotone_envelope(components, xs)
+
+
+# ---------------------------------------------------------------------------
+# The formula parser in stages
+#
+# `language.parse` resolves sorts while it reads.  Before, it parsed the text
+# raw, collected the free variables' annotations, scanned the whole tree once
+# per free variable and then rebuilt it top-down, scanning each quantifier's
+# body again; this is that pipeline, the reference the one-pass parser must
+# reproduce: an equal tree for every text it accepts, and for a text with one
+# fault the same error and message.
+
+_REF_KEYWORDS = {"sup", "inf", "not", "half", "min", "max", "med"}
+_REF_PUNCT = ["-.", "+.", "(", ")", ",", ".", ":", "/", "|", "-"]
+
+
+class _RefToken(NamedTuple):
+    kind: str  # "int" | "ident" | punctuation literal
+    text: str
+    pos: int
+
+
+def _ref_tokenize(text: str) -> list:
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(_RefToken("int", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_RefToken("ident", text[i:j], i))
+            i = j
+            continue
+        for p in _REF_PUNCT:
+            if text.startswith(p, i):
+                toks.append(_RefToken(p, p, i))
+                i += len(p)
+                break
+        else:
+            raise GrammarError(f"unexpected character {c!r}", i)
+    toks.append(_RefToken("eof", "", n))
+    return toks
+
+
+class _RawParser:
+    """The grammar without sorts: variables keep only their annotations."""
+
+    def __init__(self, text: str, sig):
+        self.toks = _ref_tokenize(text)
+        self.sig = sig
+        self.i = 0
+
+    def peek(self):
+        return self.toks[min(self.i, len(self.toks) - 1)]
+
+    def next(self):
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, kind: str):
+        t = self.next()
+        if t.kind != kind:
+            raise GrammarError(f"expected {kind!r}, found {t.text!r}", t.pos)
+        return t
+
+    def formula(self):
+        t = self.peek()
+        if t.kind == "ident" and t.text in ("sup", "inf"):
+            self.next()
+            var, sort = self.variable()
+            self.expect(".")
+            return Quant(t.text, var, sort, self.formula())
+        return self.sum()
+
+    def variable(self):
+        t = self.expect("ident")
+        if not t.text[0].islower():
+            raise GrammarError(f"variable {t.text!r} must start lowercase", t.pos)
+        if t.text in _REF_KEYWORDS:
+            raise GrammarError(f"keyword {t.text!r} cannot be a variable", t.pos)
+        if t.text in self.sig.functions:
+            raise GrammarError(f"function symbol {t.text!r} cannot be a variable", t.pos)
+        sort = None
+        if self.peek().kind == ":":
+            self.next()
+            sort = self.expect("ident").text
+            if sort not in self.sig.sorts:
+                raise UnknownSymbolError(f"unknown sort {sort!r}")
+        return t.text, sort
+
+    def sum(self):
+        left = self.prod()
+        while self.peek().kind in ("-.", "+."):
+            op = self.next().kind
+            right = self.prod()
+            left = Op("monus" if op == "-." else "plus_trunc", (left, right))
+        return left
+
+    def prod(self):
+        t = self.peek()
+        if t.kind == "ident" and t.text in ("not", "half"):
+            self.next()
+            return Op("neg" if t.text == "not" else "half", (self.prod(),))
+        return self.atom()
+
+    def atom(self):
+        t = self.peek()
+        if t.kind == "int":
+            return Const(self.rational())
+        if t.kind == "(":
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
+        if t.kind == "|":
+            self.next()
+            a = self.formula()
+            self.expect("-")
+            b = self.formula()
+            self.expect("|")
+            return Op("absdiff", (a, b))
+        if t.kind == "ident" and t.text in ("min", "max"):
+            self.next()
+            self.expect("(")
+            a = self.formula()
+            self.expect(",")
+            b = self.formula()
+            self.expect(")")
+            return Op(t.text, (a, b))
+        if t.kind == "ident" and t.text == "med":
+            self.next()
+            n = int(self.expect("int").text)
+            if n < 1:
+                raise GrammarError("med arity parameter must be >= 1", t.pos)
+            self.expect("(")
+            args = [self.formula()]
+            while self.peek().kind == ",":
+                self.next()
+                args.append(self.formula())
+            self.expect(")")
+            if len(args) != 2 * n - 1:
+                raise StructuralError(f"med {n} expects {2 * n - 1} arguments, got {len(args)}")
+            return Op("med", tuple(args), n=n)
+        if t.kind == "ident":
+            name = self.next().text
+            if self.peek().kind == "(":
+                if name in self.sig.predicates or self.sig.is_metric(name):
+                    return Atom(name, self.term_args())
+                if name in self.sig.functions:
+                    raise SortMismatchError(f"function {name!r} used in formula position")
+                raise UnknownSymbolError(f"unknown predicate {name!r}")
+            if name in self.sig.predicates and not self.sig.pred_decl(name).arg_sorts:
+                return Atom(name, ())
+            if not name[0].islower():
+                raise UnknownSymbolError(f"unknown symbol {name!r}")
+            return ValueVar(name)
+        raise GrammarError(f"unexpected token {t.text!r}", t.pos)
+
+    def rational(self) -> F:
+        t = self.expect("int")
+        num = int(t.text)
+        if self.peek().kind == "/":
+            self.next()
+            den = int(self.expect("int").text)
+            if den == 0:
+                raise GrammarError("zero denominator", t.pos)
+            return ensure_unit(F(num, den))
+        return ensure_unit(F(num))
+
+    def term_args(self) -> tuple:
+        self.expect("(")
+        args = [self.term()]
+        while self.peek().kind == ",":
+            self.next()
+            args.append(self.term())
+        self.expect(")")
+        return tuple(args)
+
+    def term(self):
+        t = self.expect("ident")
+        if self.peek().kind == "(":
+            if t.text not in self.sig.functions:
+                raise UnknownSymbolError(f"unknown function {t.text!r}")
+            return App(t.text, self.term_args())
+        if t.text in self.sig.functions:
+            decl = self.sig.functions[t.text]
+            if decl.arg_sorts:
+                raise SortMismatchError(f"function {t.text!r} needs {len(decl.arg_sorts)} arguments")
+            return App(t.text, ())
+        if not t.text[0].islower():
+            raise UnknownSymbolError(f"unknown symbol {t.text!r}")
+        sort = None
+        if self.peek().kind == ":":
+            self.next()
+            sort = self.expect("ident").text
+            if sort not in self.sig.sorts:
+                raise UnknownSymbolError(f"unknown sort {sort!r}")
+        return Var(t.text, sort)
+
+
+def _ref_children(f) -> tuple:
+    """The subformulas of a formula node; atoms are leaves."""
+    if isinstance(f, Op):
+        return f.args
+    if isinstance(f, Quant):
+        return (f.body,)
+    return ()
+
+
+def _ref_free_vars(f) -> set:
+    """(name, annotation or the value pseudo-sort) of each free variable of a raw tree."""
+    if isinstance(f, Atom):
+        out: set = set()
+        stack = list(f.args)
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                out.add((t.name, t.sort))
+            else:
+                stack.extend(t.args)
+        return out
+    if isinstance(f, ValueVar):
+        return {(f.name, "@value")}
+    out = set().union(*map(_ref_free_vars, _ref_children(f)))
+    if isinstance(f, Quant):
+        out = {(n, s) for n, s in out if n != f.var}
+    return out
+
+
+def _ref_arg_sorts(symbol: str, args: tuple, decl) -> tuple:
+    if len(args) != len(decl.arg_sorts):
+        raise SortMismatchError(
+            f"{symbol} expects {len(decl.arg_sorts)} arguments, got {len(args)}")
+    return decl.arg_sorts
+
+
+def _ref_scan_term(t, expected: str, name: str, sig, out: set) -> None:
+    if isinstance(t, Var):
+        if t.name == name:
+            out.add(expected)
+            if t.sort is not None:
+                out.add(t.sort)
+    else:
+        for a, s in zip(t.args, _ref_arg_sorts(t.func, t.args, sig.func_decl(t.func))):
+            _ref_scan_term(a, s, name, sig, out)
+
+
+def _ref_resolve_var_sort(f, name: str, annotated, sig) -> str:
+    constraints = {annotated}
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            for a, s in zip(node.args, _ref_arg_sorts(node.pred, node.args,
+                                                      sig.pred_decl(node.pred))):
+                _ref_scan_term(a, s, name, sig, constraints)
+        elif not (isinstance(node, Quant) and node.var == name):
+            stack.extend(reversed(_ref_children(node)))
+    constraints.discard(None)
+    if len(constraints) > 1:
+        raise SortMismatchError(f"variable {name!r} used at sorts {sorted(constraints)}")
+    if constraints:
+        return constraints.pop()
+    single = sig.single_sort()
+    if single is not None:
+        return single
+    raise SortMismatchError(f"cannot infer the sort of variable {name!r}; annotate as {name}:S")
+
+
+def _ref_fix_term(t, expected: str, sig, env: dict):
+    if isinstance(t, Var):
+        sort = env.get(t.name, expected)
+        if t.sort is not None and t.sort != sort:
+            raise SortMismatchError(f"variable {t.name!r}: declared {t.sort}, used at {sort}")
+        if sort != expected:
+            raise SortMismatchError(f"variable {t.name!r} of sort {sort} used at sort {expected}")
+        return Var(t.name, sort)
+    decl = sig.func_decl(t.func)
+    sorts = _ref_arg_sorts(t.func, t.args, decl)
+    if decl.target != expected:
+        raise SortMismatchError(f"{t.func} has sort {decl.target}, used at sort {expected}")
+    return App(t.func, tuple(_ref_fix_term(a, s, sig, env) for a, s in zip(t.args, sorts)),
+               decl.target)
+
+
+def _ref_attach_sorts(f, sig, env: dict):
+    if isinstance(f, Atom):
+        sorts = _ref_arg_sorts(f.pred, f.args, sig.pred_decl(f.pred))
+        return Atom(f.pred, tuple(_ref_fix_term(a, s, sig, env) for a, s in zip(f.args, sorts)))
+    if isinstance(f, Quant):
+        sort = _ref_resolve_var_sort(f.body, f.var, f.sort, sig)
+        return Quant(f.kind, f.var, sort, _ref_attach_sorts(f.body, sig, {**env, f.var: sort}))
+    if isinstance(f, Op):
+        return Op(f.op, tuple(_ref_attach_sorts(a, sig, env) for a in f.args), f.n)
+    return f
+
+
+def parse_reference(text: str, sig):
+    """`language.parse` in stages: the raw parse, the annotation pass over the
+    free variables, one whole-tree scan per free variable, and the top-down
+    rebuild that scans each quantifier's body."""
+    p = _RawParser(text, sig)
+    raw = p.formula()
+    if p.peek().kind != "eof":
+        t = p.peek()
+        raise GrammarError(f"trailing input {t.text!r}", t.pos)
+    annotations: dict = {}
+    for name, sort in _ref_free_vars(raw):
+        if sort == "@value":
+            continue
+        if name in annotations:
+            if sort is not None and annotations[name] is not None and sort != annotations[name]:
+                raise SortMismatchError(f"variable {name!r} annotated at two sorts")
+            annotations[name] = annotations[name] or sort
+        else:
+            annotations[name] = sort
+    env = {name: _ref_resolve_var_sort(raw, name, annotations[name], sig)
+           for name in sorted(annotations)}
+    return _ref_attach_sorts(raw, sig, env)

@@ -774,6 +774,15 @@ def test_odd_argv_parse_as_the_top_level_parser_does(capsys, monkeypatch, argv):
     ["complete", "ALGEBRA", "--out", "OUT"],
     ["synth", "--target", "GRID", "--epsilon", "1/4"],
     ["modulus-convert", "--direction", "delta-to-inverse", "--pl", "0:0,1/2:1/4,1:1"],
+    ["eval", "ALGEBRA", "-e", "inf y. |mu(meet(y,x)) - half(mu(x))|", "--let", "x=s1"],
+    ["tv", "ALGEBRA", "--subset", "s0,s3", "--formula", "y@mu(meet(x,y))"],
+    ["prenex", "ALGEBRA", "--formula", "not (sup x. mu(x)) -. (inf y. mu(compl(y)))"],
+    ["typespace", "ALGEBRA", "--formula", "mu(meet(x,y))", "--split", "x;y"],
+    ["imaginary", "ALGEBRA", "--formula", "mu(meet(x,y))", "--split", "x;y"],
+    ["glue", "ALGEBRA", "--phi", "mu(meet(x,y))", "--psi", "mu(join(x,z))", "--shared", "x",
+     "--fresh", "t,w", "--fresh-sort", "B", "--verify"],
+    ["define-monotone", "ALGEBRA", "--formula", "mu(meet(x,y))", "--split", "x;y",
+     "--epsilon", "1/8", "--target", "s1"],
 ])
 def test_a_command_leaves_no_reference_cycles(capsys, monkeypatch, tmp_path, algebra_file, argv):
     """Parsing argv and writing the report leave nothing for the cyclic collector,

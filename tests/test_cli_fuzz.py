@@ -203,3 +203,46 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys, monkeypatch):
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert ran >= len(BASE)  # at least the unchanged command line of each subcommand
+
+
+DEEP_FORMULAS = {
+    "parens": "(" * 400 + "mu(x)" + ")" * 400,
+    "terms": "mu(" + "compl(" * 400 + "x" + ")" * 400 + ")",
+    "not": "not " * 1000 + "mu(x)",
+    "sup": "".join(f"sup y{i}. " for i in range(1000)) + "mu(x)",
+    "monus": " -. ".join(["mu(x)"] * 1001),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "prenex"])
+@pytest.mark.parametrize("shape", DEEP_FORMULAS)
+def test_a_deeply_nested_formula_exits_cleanly(tmp_path, capsys, command, shape):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(inputs()["alg"]))
+    text = DEEP_FORMULAS[shape]
+    argv = (["eval", str(path), "-e", text, "--let", "x=s1"] if command == "eval"
+            else ["prenex", str(path), "--formula", text])
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "contlogic: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv", [["check", "@deep"], ["cbrank", "@deep", "--epsilon", "1/4"],
+                                  ["synth", "--target", "@deep", "--epsilon", "1/4"]])
+def test_a_deeply_nested_json_input_exits_cleanly(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run([str(path) if a == "@deep" else a for a in argv]) == 1
+    assert capsys.readouterr().err == "contlogic: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mu(x) -. ²", "unexpected character '²' (at position 9)"),
+    ("mu(x) -. 1/²", "unexpected character '²' (at position 11)"),
+    ("med ²(mu(x))", "unexpected character '²' (at position 4)"),
+    ("mu(x) -. 1/" + "7" * 5000, "integer literal too long (at position 11)"),
+])
+def test_a_literal_int_cannot_read_exits_cleanly(tmp_path, capsys, text, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(inputs()["alg"]))
+    assert run(["eval", str(path), "-e", text, "--let", "x=s1"]) == 1
+    assert capsys.readouterr().err == f"contlogic: {message}\n"

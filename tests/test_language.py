@@ -1,14 +1,19 @@
 """Parser, printer, prenex shape, free variables, modulus inference."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contlogic.errors import (
+    ContlogicError,
     GrammarError,
     SortMismatchError,
     StructuralError,
@@ -38,7 +43,13 @@ from contlogic.language import (
     rename_var,
 )
 from contlogic.structures import FiniteStructure, env_from_names, eval_formula, gen_halfgraph
-from oracles import Condition, expand_condition, fraction_tables, is_prenex
+from oracles import (
+    Condition,
+    expand_condition,
+    fraction_tables,
+    is_prenex,
+    parse_reference,
+)
 
 IDENT = PLMonotone.identity()
 
@@ -121,15 +132,19 @@ def test_free_vars():
 
 
 def test_nodes_children_and_rebuild():
+    """The walker covers terms: an atom's and a function's argument terms are children."""
     x = Var("x", "S")
-    p = Atom("P", (x,))
+    gx = App("g", (x,), "S")
+    p = Atom("P", (gx,))
     shared = Op("half", (p,))
     q = Quant("sup", "x", "S", shared)
     f = Op("med", (shared, q, Const(F(1, 2))), 2)
-    assert [children(g) for g in (p, shared, q, f)] == [(), (p,), (shared,), f.args]
-    assert nodes(f) == [p, shared, q, Const(F(1, 2)), f]  # each once, children first
+    assert [children(g) for g in (x, gx, p, shared, q, f)] == [
+        (), (x,), (gx,), (p,), (shared,), f.args]
+    assert nodes(f) == [x, gx, p, shared, q, Const(F(1, 2)), f]  # each once, children first
     assert rebuild(q, [p]) == Quant("sup", "x", "S", p)
-    assert rebuild(f, f.args) == f and rebuild(p, []) is p
+    assert rebuild(p, [x]) == Atom("P", (x,)) and rebuild(gx, [gx]) == App("g", (gx,), "S")
+    assert rebuild(f, f.args) == f and rebuild(x, []) is x
 
 
 @pytest.mark.parametrize("f", [
@@ -458,3 +473,175 @@ def test_print_formula_on_a_shared_graph_matches_its_tree_copy():
     assert same_text
     round_trip = parse(text, sig) == tree
     assert round_trip
+
+
+# ---------------------------------------------------------------------------
+# The one-pass parser against the staged reference
+
+
+def one_sort_sig():
+    return Signature(
+        [SortDecl("S", "d")],
+        functions=[FuncDecl("c", (), "S", ()), FuncDecl("g", ("S",), "S", (IDENT,)),
+                   FuncDecl("h", ("S", "S"), "S", (IDENT, IDENT))],
+        predicates=[PredDecl("P", ("S",), (IDENT,)), PredDecl("R", ("S", "S"), (IDENT, IDENT)),
+                    PredDecl("Z", (), ())],
+    )
+
+
+def two_sort_sig():
+    return Signature(
+        [SortDecl("A", "dA"), SortDecl("B", "dB")],
+        functions=[FuncDecl("a0", (), "A", ()), FuncDecl("f", ("A",), "B", (IDENT,)),
+                   FuncDecl("k", ("B", "A"), "A", (IDENT, IDENT))],
+        predicates=[PredDecl("P", ("A",), (IDENT,)), PredDecl("Q", ("B",), (IDENT,)),
+                    PredDecl("R", ("A", "B"), (IDENT, IDENT)), PredDecl("Z", (), ())],
+    )
+
+
+def random_formula_text(rng, sig, depth=3) -> str:
+    """Formula text over sig: annotations (some at a wrong sort), shadowing binders,
+    unused binders, 0-ary symbols, and now and then a wrong arity or target."""
+    sorts = sig.sort_names
+
+    def var():
+        name = rng.choice("xyz")
+        return f"{name}:{rng.choice(sorts)}" if rng.random() < 0.2 else name
+
+    def arity(n):
+        return max(n + rng.choice([-1, 1]), 0) if rng.random() < 0.05 else n
+
+    def args(n, depth):
+        return "(" + ", ".join(term(depth - 1) for _ in range(n)) + ")" if n else ""
+
+    def term(depth):
+        if depth <= 0 or rng.random() < 0.5:
+            return var()
+        decl = rng.choice(list(sig.functions.values()))
+        return decl.name + args(arity(len(decl.arg_sorts)), depth)
+
+    def formula(depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            if rng.random() < 0.1:
+                return rng.choice(["1/2", "0", "1", "t"])
+            decl = sig.pred_decl(rng.choice([*sig.predicates, *sig.metric_sort]))
+            return decl.name + args(arity(len(decl.arg_sorts)), 3)
+        if r < 0.55:
+            return f"{rng.choice(['sup', 'inf'])} {var()}. {formula(depth - 1)}"
+        if r < 0.65:
+            return f"{rng.choice(['not', 'half'])} {formula(depth - 1)}"
+        if r < 0.85:
+            return f"({formula(depth - 1)} {rng.choice(['-.', '+.'])} {formula(depth - 1)})"
+        if r < 0.95:
+            return f"{rng.choice(['min', 'max'])}({formula(depth - 1)}, {formula(depth - 1)})"
+        return f"|{formula(depth - 1)} - {formula(depth - 1)}|"
+
+    return formula(depth)
+
+
+def parse_outcome(parser, text, sig):
+    """The parsed tree, or the error class and message."""
+    try:
+        return parser(text, sig)
+    except ContlogicError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("sig", [one_sort_sig(), two_sort_sig()], ids=["one-sort", "two-sort"])
+def test_parse_matches_the_staged_reference_on_random_texts(sig):
+    rng = random.Random(20261020)
+    accepted = rejected = 0
+    for _ in range(2500):
+        text = random_formula_text(rng, sig)
+        want = parse_outcome(parse_reference, text, sig)
+        got = parse_outcome(parse, text, sig)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple), (text, want)
+            rejected += 1
+        else:
+            assert got == want, text
+            accepted += 1
+    assert accepted > 500 and rejected > 500
+
+
+# one text per message `parse` can give, each with one fault
+SINGLE_FAULTS = [
+    ("one", "sup x P(x)"),
+    ("one", "P(x) )"),
+    ("one", "P(x"),
+    ("one", "P(x) # 1"),
+    ("one", "med 0(P(x))"),
+    ("one", "1/0"),
+    ("one", "sup not. P(x)"),
+    ("one", "sup X. P(x)"),
+    ("one", "sup g. P(x)"),
+    ("one", "|P(x) , P(x)|"),
+    ("one", "2"),
+    ("one", "med 2(P(x), Z)"),
+    ("one", "Nope(x)"),
+    ("one", "P(nope(x))"),
+    ("one", "P(x:C)"),
+    ("one", "sup x:C. P(x)"),
+    ("one", "P(X)"),
+    ("one", "Nope"),
+    ("one", "R(x)"),
+    ("one", "R(x, y, z)"),
+    ("one", "sup x. P(g(x, x))"),
+    ("one", "P(c(x))"),
+    ("one", "P(h)"),
+    ("one", "g(x)"),
+    ("two", "Q(a0)"),
+    ("two", "sup x. P(f(x))"),
+    ("two", "R(x, k(f(x), a0))"),
+    ("two", "P(x) -. Q(x)"),
+    ("two", "sup x. R(x, x)"),
+    ("two", "sup x:B. P(x)"),
+    ("two", "P(x:B)"),
+    ("two", "inf y. P(x:A) -. Q(y:A)"),
+    ("two", "sup y. P(x)"),
+    ("two", "sup y. sup y:A. P(y)"),
+    ("two", "P(x) -. sup x:B. Q(x) -. P(x)"),
+]
+
+
+@pytest.mark.parametrize("which, text", SINGLE_FAULTS)
+def test_a_single_fault_gives_the_reference_message(which, text):
+    sig = one_sort_sig() if which == "one" else two_sort_sig()
+    want = parse_outcome(parse_reference, text, sig)
+    assert isinstance(want, tuple), text
+    assert parse_outcome(parse, text, sig) == want
+
+
+def test_two_annotations_of_a_free_name_conflict_like_its_uses():
+    text = "P(x:A) -. Q(x:B)"
+    assert parse_outcome(parse_reference, text, two_sort_sig()) == (
+        SortMismatchError, "variable 'x' annotated at two sorts")
+    assert parse_outcome(parse, text, two_sort_sig()) == (
+        SortMismatchError, "variable 'x' used at sorts ['A', 'B']")
+
+
+def test_the_first_free_name_in_order_is_reported_under_every_hash_seed():
+    script = ("from contlogic.language import *\n"
+              "sig = Signature([SortDecl('A', 'dA'), SortDecl('B', 'dB')], predicates=["
+              "PredDecl('P', ('A',), (PLMonotone.identity(),)), "
+              "PredDecl('Q', ('B',), (PLMonotone.identity(),))])\n"
+              "try:\n"
+              "    parse('P(x:A) -. Q(x:B) -. P(y:A) -. Q(y:B)', sig)\n"
+              "except Exception as exc:\n"
+              "    print(exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    messages = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               check=True, env={**os.environ, "PYTHONPATH": src,
+                                                "PYTHONHASHSEED": str(seed)}).stdout
+                for seed in range(4)}
+    assert messages == {"variable 'x' used at sorts ['A', 'B']\n"}
+
+
+def test_int_literals_are_decimal_digits_that_int_reads():
+    """A decimal digit of any script is a digit; a literal past the digits
+    int() converts is a grammar error at the literal (tests/test_cli_fuzz.py
+    runs the other literals int() rejects through the CLI)."""
+    assert parse("P(x) -. ١/٢", one_sort_sig()).args[1] == Const(F(1, 2))
+    with pytest.raises(GrammarError, match=r"^integer literal too long \(at position 4\)$"):
+        parse("med " + "1" * 5000 + "(P(x))", one_sort_sig())
