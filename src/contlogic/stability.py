@@ -171,7 +171,6 @@ def find_ladder(inst: PhiInstance, epsilon, kind: str,
     if kind == "order":
         best_seq: list = []
         best_rs = (None, None)
-        bounded = False
         for r in values:
             at_most_r = [_bits(w <= r for w in row) for row in num]
             for s in values:
@@ -191,10 +190,11 @@ def find_ladder(inst: PhiInstance, epsilon, kind: str,
                     a, b = divmod(p, ny)
                     return _pair_row(num, ny, later[a], b) | _pair_row(num, ny, earlier[a], b)
 
-                seq, hit = _longest_chain(nx * ny, after, adjacent, max_len, len(best_seq))
+                seq, _ = _longest_chain(nx * ny, after, adjacent, max_len, len(best_seq))
                 if len(seq) > len(best_seq):
                     best_rs = (Fraction(r, inst.scale), Fraction(s, inst.scale))
-                    best_seq, bounded = seq, hit
+                    best_seq = seq
+        bounded = max_len is not None and len(best_seq) >= max_len
         return LadderWitness("order", eps, names(as_pairs(best_seq)),
                              r=best_rs[0], s=best_rs[1], at_searched_bound=bounded)
 
@@ -234,7 +234,12 @@ def _longest_chain(n, after, adjacent, max_len, floor):
     order at every position, stops at max_len when given, and keeps the
     first sequence of each strictly greater length, but only those longer
     than `floor`; it returns [] when there is none.  The flag says a
-    sequence of length max_len was found.
+    sequence of length max_len was found: it is exactly
+    `max_len is not None and len(best) >= max_len`.
+
+    The DFS is a loop over a list of frames, one [candidates, untried
+    candidates, last element of the prefix] per node on the current path,
+    the root first, so the prefix of a node is read off the frames.
 
     Bound.  The candidates of a node are the q allowed after every element
     of its prefix.  Every later element is one of them and any two later
@@ -244,11 +249,10 @@ def _longest_chain(n, after, adjacent, max_len, floor):
     a longer sequence, nor one of length max_len (the search ends once it
     has one), so cutting it changes neither the result nor the flag.  The
     bound is checked on entry to a node, and the number of candidates
-    alone again after each child.
+    alone again before each later child.
     """
     built: list = [None] * n
     best: list = []
-    stack: list = []
     target = floor  # a sequence must be longer than this to be kept
 
     def neighbours(p):
@@ -256,30 +260,26 @@ def _longest_chain(n, after, adjacent, max_len, floor):
             built[p] = adjacent(p)
         return built[p]
 
-    def extend(cand):
-        nonlocal best, target
-        depth = len(stack)
-        if max_len is not None and depth >= max_len:
-            return True
-        if _cliques_at_most(cand, neighbours, target - depth):
-            return False
-        hit = False
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            p = low.bit_length() - 1
-            stack.append(p)
-            if depth + 1 > target:
-                best, target = list(stack), depth + 1
-            hit = extend(cand & after(p)) or hit
-            stack.pop()
-            if max_len is not None and target >= max_len or cand.bit_count() <= target - depth:
+    root = (1 << n) - 1
+    frames = [] if _cliques_at_most(root, neighbours, target) else [[root, root, None]]
+    while frames:
+        frame = frames[-1]
+        cand, rest, _ = frame
+        depth = len(frames) - 1
+        if not rest or cand.bit_count() <= target - depth:
+            frames.pop()
+            continue
+        low = rest & -rest
+        frame[1] = rest ^ low
+        p = low.bit_length() - 1
+        if depth + 1 > target:
+            best, target = [f[2] for f in frames[1:]] + [p], depth + 1
+            if max_len is not None and target >= max_len:
                 break
-        return hit
-
-    hit = extend((1 << n) - 1)
-    return best, bool(max_len is not None and len(best) >= max_len and hit)
+        child = cand & after(p)
+        if not _cliques_at_most(child, neighbours, target - depth - 1):
+            frames.append([child, child, p])
+    return best, max_len is not None and len(best) >= max_len
 
 
 def _gap(eps: Fraction, scale: int) -> int:
@@ -301,7 +301,10 @@ def _longest_triple_sequence(num, scale, nx, ny, eps, max_len):
     The search visits valid sequences in lexicographic order (every prefix
     of a valid sequence is valid) and keeps the first one of each strictly
     greater length, so it returns the lexicographically least longest one,
-    or the least one of length max_len.
+    or the least one of length max_len.  The flag says one of length
+    max_len was found: it is exactly `max_len is not None and len(seq) >=
+    max_len`.  The DFS is a loop over a list of frames, one per node on
+    the current path whose children are not all tried.
 
     Column classes.  Parameters b, c with equal columns (phi(a, b) =
     phi(a, c) for every a) are interchangeable: swapping one for the other
@@ -345,8 +348,8 @@ def _longest_triple_sequence(num, scale, nx, ny, eps, max_len):
     bounded flag.  The bound is checked on entry with S = the node's
     candidates: all classes at the root, and below it the parent's V &
     nbr[b_{m-2}], which contains V by 1 and 2 and lies within C.  It is
-    checked again with S = V once the children are known and whenever a
-    child raised the best length, and only V is branched on.
+    checked again with S = V once the children are known and, before each
+    later child, whenever the best length rose; only V is branched on.
     """
     gap = _gap(eps, scale)
     cols = list(zip(*num)) if nx else [()] * ny
@@ -366,64 +369,59 @@ def _longest_triple_sequence(num, scale, nx, ny, eps, max_len):
                     far_k[l] |= bit
                     far[l][k] |= bit
     nbr = [_bits(far_k) for far_k in far]
+    far_somewhere = nbr.__getitem__
     everything = (1 << nx) - 1
     best_bs: list = []
     best_feasible: list = []
-
-    def hopeless(m, classes):
-        # m + 2 * (clique bound of classes) <= the best length so far
-        return _cliques_at_most(classes, nbr.__getitem__, (len(best_bs) - m) // 2)
-
-    def extend(bs, feasible, cand):
-        # feasible[j] = bitset of a-indices usable at position j of bs;
-        # cand = a superset of the classes that can be appended to bs
-        nonlocal best_bs, best_feasible
+    # one frame per node on the path whose children are not all tried:
+    # [prefix, valid classes, child candidates, untried children, best length at the last check]
+    frames: list = []
+    # the node to open next: its prefix, the x-tuples usable at each of its
+    # positions, and a superset of the classes that can be appended to it
+    bs, feasible, cand = [], [], (1 << nc) - 1
+    while max_len is None or len(best_bs) < max_len:
         m = len(bs)
-        if max_len is not None and m >= max_len:
-            return True
-        if hopeless(m, cand):
-            return False
-        children = []  # (class, feasible sets after appending it), in class order
-        valid = 0
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            b = low.bit_length() - 1
-            far_b = far[b]
-            new_feasible = feasible[:1]
-            acc = far_b[bs[0]] if bs else 0
-            for j in range(1, m):
-                allowed = feasible[j] & acc
-                if not allowed:
-                    break
-                new_feasible.append(allowed)
-                acc &= far_b[bs[j]]
-            else:
-                new_feasible.append(everything)  # the new last position, unconstrained so far
-                children.append((b, new_feasible))
-                valid |= low
-        if hopeless(m, valid):
-            return False
-        child_cand = valid & nbr[bs[-1]] if bs else valid
-        hit = False
-        for b, new_feasible in children:
-            reached = len(best_bs)
-            new_bs = bs + [b]
-            if m + 1 > len(best_bs):
-                best_bs, best_feasible = new_bs, new_feasible
-            hit = extend(new_bs, new_feasible, child_cand) or hit
-            if max_len is not None and len(best_bs) >= max_len:
-                return hit
-            if len(best_bs) > reached and hopeless(m, valid):
-                return hit
-        return hit
-
-    hit_bound = extend([], [], (1 << nc) - 1)
+        if not _cliques_at_most(cand, far_somewhere, (len(best_bs) - m) // 2):
+            children = []  # (class, feasible sets after appending it), the last class first
+            valid = 0
+            rest = cand
+            while rest:
+                b = rest.bit_length() - 1
+                low = 1 << b
+                rest ^= low
+                far_b = far[b]
+                new_feasible = feasible[:1]
+                acc = far_b[bs[0]] if bs else 0
+                for j in range(1, m):
+                    allowed = feasible[j] & acc
+                    if not allowed:
+                        break
+                    new_feasible.append(allowed)
+                    acc &= far_b[bs[j]]
+                else:
+                    new_feasible.append(everything)  # the new last position, unconstrained so far
+                    children.append((b, new_feasible))
+                    valid |= low
+            if not _cliques_at_most(valid, far_somewhere, (len(best_bs) - m) // 2):
+                frames.append([bs, valid, valid & nbr[bs[-1]] if bs else valid, children,
+                               len(best_bs)])
+        while frames:  # drop the frames with no child left or cut since the best length rose
+            frame = frames[-1]
+            bs, valid, cand, children, last = frame
+            if children and (len(best_bs) == last or not _cliques_at_most(
+                    valid, far_somewhere, (len(best_bs) - len(bs)) // 2)):
+                break
+            frames.pop()
+        if not frames:
+            break
+        frame[4] = len(best_bs)
+        b, feasible = children.pop()  # the least class not tried yet
+        bs = bs + [b]
+        if len(bs) > len(best_bs):
+            best_bs, best_feasible = bs, feasible
     seq = [(_lowest_bit(best_feasible[j]) if 0 < j < len(best_bs) - 1 else 0, reps[k])
            for j, k in enumerate(best_bs)]
-    bounded = bool(max_len is not None and len(best_bs) >= max_len and hit_bound)
-    return seq, bounded
+    return seq, max_len is not None and len(best_bs) >= max_len
 
 
 def _cliques_at_most(cand: int, adjacent, size: int) -> bool:

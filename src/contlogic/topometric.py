@@ -231,30 +231,23 @@ def epsilon_degree(X: FiniteTopometricSpace, subset: frozenset, epsilon) -> int:
 
 
 def _degree(far: list[int], subset: int) -> int:
-    """Minimum cover of the subset by maximal blocks, by iterative deepening.
+    """Minimum cover of the subset by maximal blocks, level by level.
 
     Restricting covers to maximal blocks is harmless: any admissible block
     extends to a maximal one.  Some block of any cover holds the lowest
-    uncovered point, so each level branches only on the maximal blocks
-    through that point.
+    uncovered point, so level k + 1 is every set of level k less one
+    maximal block through its lowest point, starting from {subset}.  Equal
+    sets merge.  The degree is the number of the first level that holds
+    the empty set: 0 for the empty subset.
     """
-    if not subset:
-        return 0
     through: list[list[int]] = [[] for _ in far]
     for block in _maximal_blocks(far, subset):
         for p in _bits(block):
             through[p].append(block)
-
-    def covers(uncovered: int, k: int) -> bool:
-        """Some k blocks cover the non-empty `uncovered`."""
-        for block in through[(uncovered & -uncovered).bit_length() - 1]:
-            rest = uncovered & ~block
-            if not rest or (k > 1 and covers(rest, k - 1)):
-                return True
-        return False
-
-    k = 1
-    while not covers(subset, k):
+    level = {subset}
+    k = 0
+    while 0 not in level:
+        level = {u & ~b for u in level for b in through[(u & -u).bit_length() - 1]}
         k += 1
     return k
 
@@ -262,24 +255,32 @@ def _degree(far: list[int], subset: int) -> int:
 def _maximal_blocks(far: list[int], subset: int) -> list[int]:
     """Inclusion-maximal subsets of diameter <= epsilon: the maximal cliques
     of the "within epsilon" graph on the subset (Bron-Kerbosch with pivoting).
+
+    The search is a loop over a list of (clique, cand, done) frames.  A
+    node branches on each v of cand outside the pivot's neighbours in
+    increasing order, each with the earlier ones moved from cand to done.
+    Its children are pushed in reverse, so nodes are expanded, and blocks
+    found, depth first with siblings in increasing vertex order.
     """
     adj = [subset & ~f & ~(1 << p) for p, f in enumerate(far)]
     blocks: list[int] = []
-
-    def expand(clique: int, cand: int, done: int):
+    frames = [(0, subset, 0)]
+    while frames:
+        clique, cand, done = frames.pop()
         if not cand:
             if not done:
                 blocks.append(clique)
-            return
+            continue
         best = -1
         for u in _bits(cand | done):  # pivot: the first u with the most candidates
             if (cand & adj[u]).bit_count() > best:
                 best, pivot = (cand & adj[u]).bit_count(), adj[u]
-        for v in _bits(cand & ~pivot):
+        branch = cand & ~pivot
+        rest = branch
+        while rest:  # the last branch vertex first; the earlier ones are moved to done
+            v = rest.bit_length() - 1
             bit = 1 << v
-            expand(clique | bit, cand & adj[v], done & adj[v])
-            cand &= ~bit
-            done |= bit
-
-    expand(0, subset, 0)
+            rest ^= bit
+            earlier = branch & (bit - 1)
+            frames.append((clique | bit, cand & ~earlier & adj[v], (done | earlier) & adj[v]))
     return blocks

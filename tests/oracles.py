@@ -807,6 +807,30 @@ def _maximal_small_blocks(X, pts: Sequence[int], eps: F):
     return candidates
 
 
+def bron_kerbosch_reference(far: list, subset: int) -> list:
+    """The maximal cliques of the "within epsilon" graph on the subset, as
+    masks, in the order of a recursive Bron-Kerbosch with the pivot and
+    branch order of `topometric._maximal_blocks`."""
+    adj = [subset & ~f & ~(1 << p) for p, f in enumerate(far)]
+    blocks: list = []
+    _bron_kerbosch(adj, 0, subset, 0, blocks)
+    return blocks
+
+
+def _bron_kerbosch(adj, clique, cand, done, blocks):
+    if not cand:
+        if not done:
+            blocks.append(clique)
+        return
+    members = [u for u in range(len(adj)) if (cand | done) >> u & 1]
+    pivot = adj[max(members, key=lambda u: ((cand & adj[u]).bit_count(), -u))]
+    for v in range(len(adj)):
+        if (cand & ~pivot) >> v & 1:
+            _bron_kerbosch(adj, clique | 1 << v, cand & adj[v], done & adj[v], blocks)
+            cand &= ~(1 << v)
+            done |= 1 << v
+
+
 # ---------------------------------------------------------------------------
 # Value expressions, one point at a time
 

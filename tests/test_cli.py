@@ -783,6 +783,18 @@ def test_odd_argv_parse_as_the_top_level_parser_does(capsys, monkeypatch, argv):
      "--fresh", "t,w", "--fresh-sort", "B", "--verify"],
     ["define-monotone", "ALGEBRA", "--formula", "mu(meet(x,y))", "--split", "x;y",
      "--epsilon", "1/8", "--target", "s1"],
+    ["define-median", "ALGEBRA", "--formula", "mu(meet(x,y))", "--split", "x;y",
+     "--epsilon", "1/2", "--target", "s1"],
+    ["define-global", "ALGEBRA", "--formula", "mu(meet(x,y))", "--split", "x;y",
+     "--target", "s2", "--depth", "2"],
+    ["nvalue", "HG", "--formula", "phi(x,y)", "--split", "x;y", "--epsilon", "1/2"],
+    ["stability", "HG", "--formula", "phi(x,y)", "--split", "x;y", "--epsilon", "1",
+     "--kind", "antisym"],
+    ["stability", "HG", "--formula", "phi(x,y)", "--split", "x;y", "--epsilon", "1",
+     "--kind", "order"],
+    ["stability", "HG", "--formula", "phi(x,y)", "--split", "x;y", "--epsilon", "1",
+     "--kind", "triple"],
+    ["cbrank", "SPACE", "--epsilon", "1/4"],
 ])
 def test_a_command_leaves_no_reference_cycles(capsys, monkeypatch, tmp_path, algebra_file, argv):
     """Parsing argv and writing the report leave nothing for the cyclic collector,
@@ -791,7 +803,15 @@ def test_a_command_leaves_no_reference_cycles(capsys, monkeypatch, tmp_path, alg
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"arity": 1, "pitch": "1/4",
                                 "values": ["0", "1/4", "1/2", "1/4", "0"]}))
-    words = {"ALGEBRA": algebra_file, "GRID": str(grid), "OUT": str(tmp_path / "out.json")}
+    halfgraph = tmp_path / "halfgraph.json"
+    halfgraph.write_text(json.dumps(gen_halfgraph(3).to_json()))
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({
+        "points": ["p", "q", "r"], "closed_sets": [[], ["p"], ["p", "r"], ["p", "q", "r"]],
+        "metric": [["0", "1", "1/2"], ["1", "0", "1"], ["1/2", "1", "0"]],
+        "test_epsilons": ["1/2"]}))
+    words = {"ALGEBRA": algebra_file, "GRID": str(grid), "HG": str(halfgraph),
+             "SPACE": str(space), "OUT": str(tmp_path / "out.json")}
     argv = [words.get(word, word) for word in argv]
     assert run(argv) == 0  # first use fills the caches of parsers and imports
     gc.collect()

@@ -46,7 +46,7 @@ def inputs():
         "grid": {"arity": 1, "pitch": "1/4",
                  "values": [str(min(2 * t, F(1))) for t in axis]},
         "space": {"points": ["p", "q", "r"],
-                  "closed_sets": [[], ["p"], ["p", "q"], ["p", "q", "r"]],
+                  "closed_sets": [[], ["p"], ["p", "r"], ["p", "q", "r"]],
                   "metric": [["0", "1", "1/2"], ["1", "0", "1"], ["1/2", "1", "0"]],
                   "test_epsilons": ["1/2"]},
         "target": {"values": {f"s{i}": str(F(i, 8)) for i in range(8)}},
@@ -70,7 +70,7 @@ BASE = {
     "define-global": ["define-global", "@alg", *PHI, "--target", "s2", "--depth", "2"],
     "glue": ["glue", "@alg", "--phi", "mu(meet(x,y))", "--psi", "mu(join(x,z))",
              "--shared", "x", "--fresh", "t,w", "--fresh-sort", "B", "--verify"],
-    "prenex": ["prenex", "@alg", "--formula", "not (sup x. mu(x)) -. inf y. mu(y)"],
+    "prenex": ["prenex", "@alg", "--formula", "not (sup x. mu(x)) -. (inf y. mu(y))"],
     "cbrank": ["cbrank", "@space", "--epsilon", "1/4"],
     "synth": ["synth", "--target", "@grid", "--epsilon", "1/8", "--step-modulus", "1/16"],
     "modulus-convert": ["modulus-convert", "--direction", "delta-to-inverse",
@@ -163,6 +163,18 @@ def _alarm(signum, frame):
 
 def test_every_subcommand_covered():
     assert set(BASE) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(BASE))
+def test_base_command_line_exits_0(tmp_path, capsys, command):
+    """Each unchanged base command line works, so the fuzz starts from a working command."""
+    paths = {"out": str(tmp_path / "out.json")}
+    for name, data in inputs().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    code = run([paths.get(a[1:], a) if a.startswith("@") else a for a in BASE[command]])
+    assert code == 0, capsys.readouterr().err
 
 
 def test_mutated_inputs_exit_cleanly(tmp_path, capsys, monkeypatch):

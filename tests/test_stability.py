@@ -413,15 +413,20 @@ def test_N_and_ladder_lengths_as_epsilon_grows(n, den, data):
     """Metamorphic, on random binary structures of 2-6 points: N and the
     antisym, order and triple ladder lengths do not grow with eps, N equals
     max(2, the longest triple ladder found without a length cap), and N is
-    even."""
+    even.  A ladder searched up to a drawn max_len is flagged exactly when
+    it reaches that length."""
     cells = data.draw(st.lists(st.integers(0, den), min_size=n * n, max_size=n * n))
     inst = binary_setup({(i, j): F(cells[i * n + j], den) for i in range(n) for j in range(n)}, n)
+    max_len = data.draw(st.sampled_from((None, 2, 3, 4, 6)))
     previous = None
     for eps in (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)):
         N = compute_N(inst, eps)
         lengths = [N] + [len(find_ladder(inst, eps, kind))
                          for kind in ("antisym", "order", "triple")]
         assert N == max(2, lengths[3]) and N % 2 == 0, (eps, lengths)
+        for kind in ("antisym", "order", "triple"):
+            w = find_ladder(inst, eps, kind, max_len)
+            assert w.at_searched_bound == (max_len is not None and len(w) >= max_len), (eps, w)
         if previous:
             assert all(b <= a for a, b in zip(previous, lengths)), (eps, previous, lengths)
         previous = lengths

@@ -166,15 +166,6 @@ def test_reports_have_one_writer():
     assert calls == []
 
 
-# the recursive searches whose closures still leave reference cycles behind
-RECURSIVE_CLOSURES_LEFT = {
-    "stability._longest_chain.extend",
-    "stability._longest_triple_sequence.extend",
-    "topometric._maximal_blocks.expand",
-    "topometric._degree.covers",
-}
-
-
 def _recursive_closures(node, name: str) -> list:
     """The qualified names of the functions nested in a function under node
     that call themselves, directly or through a sibling nested function."""
@@ -210,9 +201,8 @@ def _direct_defs(node) -> list:
 
 def test_no_nested_function_is_recursive():
     """A nested function that calls itself sits in a reference cycle with its
-    closure cell, which the cyclic collector must free after every call; only
-    the hot recursion of two searches is left in that form."""
+    closure cell, which the cyclic collector must free after every call."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += _recursive_closures(ast.parse(path.read_text()), path.stem)
-    assert sorted(found) == sorted(RECURSIVE_CLOSURES_LEFT)
+    assert found == []

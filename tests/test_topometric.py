@@ -155,6 +155,23 @@ def assert_blocks_match_reference(X, eps):
     assert blocks == set(_maximal_small_blocks(X, full, eps))
 
 
+def test_maximal_blocks_in_bron_kerbosch_order():
+    """The frame loop lists the blocks in the order of the recursive search."""
+    from oracles import bron_kerbosch_reference
+
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        far = [0] * n
+        density = rng.random()
+        for p, q in itertools.combinations(range(n), 2):
+            if rng.random() < density:
+                far[p] |= 1 << q
+                far[q] |= 1 << p
+        subset = rng.getrandbits(n)
+        assert _maximal_blocks(far, subset) == bron_kerbosch_reference(far, subset)
+
+
 def test_cb_rank_matches_reference_on_random_spaces():
     """Bitmask ranks == the frozenset/Fraction reference, 6-14 points."""
     from oracles import random_valid_topometric_space
