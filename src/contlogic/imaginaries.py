@@ -25,6 +25,7 @@ from .structures import (
     FiniteStructure,
     PhiInstance,
     ScaledTable,
+    equal_classes,
     eval_formula,
     sup_distances,
     validate,
@@ -47,9 +48,10 @@ class ImaginaryExpansion:
 def build_imaginary(inst: PhiInstance) -> ImaginaryExpansion:
     """Expand M with the canonical-parameter sort for phi under the instance's split.
 
-    The new sort's elements are classes of parameter tuples at pseudo-distance
-    zero (equal value rows); the class predicate has identity modulus in the
-    class argument and inferred moduli in the free arguments.
+    The new sort's elements are the classes of parameter tuples at
+    pseudo-distance zero, the `equal_classes` of the value columns, each
+    represented by its first member; the class predicate has identity
+    modulus in the class argument and inferred moduli in the free arguments.
     """
     M, phi, split = inst.M, inst.phi, inst.split
     report = validate(M)
@@ -63,18 +65,8 @@ def build_imaginary(inst: PhiInstance) -> ImaginaryExpansion:
     num, yts = inst.num, inst.yts
     columns = [tuple(row[yi] for row in num) for yi in range(len(yts))]
 
-    class_members: list[list[int]] = []
-    projection = {}
-    column_to_class: dict = {}
-    for yi, col in enumerate(columns):
-        if col in column_to_class:
-            ci = column_to_class[col]
-            class_members[ci].append(yi)
-        else:
-            ci = len(class_members)
-            column_to_class[col] = ci
-            class_members.append([yi])
-        projection[yi] = ci
+    class_members = equal_classes(columns)
+    projection = {yi: ci for ci, members in enumerate(class_members) for yi in members}
     representatives = [members[0] for members in class_members]
     class_names = ["[" + ",".join(inst.y_names[rep]) + "]" for rep in representatives]
 
@@ -116,28 +108,23 @@ def tphi_sentences(E: ImaginaryExpansion) -> list[tuple[str, object]]:
         args = tuple(Var(n, s) for n, s in split.x) + (Var(zname, SORT_NAME),)
         return Atom(PRED_NAME, args)
 
-    def sup_over(vars_, body):
+    def prefix(kind, vars_, body):
         for name, sort in reversed(vars_):
-            body = Quant("sup", name, sort, body)
-        return body
-
-    def inf_over(vars_, body):
-        for name, sort in reversed(vars_):
-            body = Quant("inf", name, sort, body)
+            body = Quant(kind, name, sort, body)
         return body
 
     # sup_zz' | d_phi(z,z') - sup_x |P(x,z) - P(x,z')| |
-    inner = sup_over(split.x, Op("absdiff", (p_phi_atom(z1), p_phi_atom(z2))))
+    inner = prefix("sup", split.x, Op("absdiff", (p_phi_atom(z1), p_phi_atom(z2))))
     s1 = Quant("sup", z1, SORT_NAME,
                Quant("sup", z2, SORT_NAME,
                      Op("absdiff", (Atom(METRIC_NAME,
                                          (Var(z1, SORT_NAME), Var(z2, SORT_NAME))),
                                     inner))))
     # sup_z inf_y sup_x |phi(x,y) - P(x,z)|
-    mismatch = sup_over(split.x, Op("absdiff", (phi, p_phi_atom(z1))))
-    s2 = Quant("sup", z1, SORT_NAME, inf_over(split.y, mismatch))
+    mismatch = prefix("sup", split.x, Op("absdiff", (phi, p_phi_atom(z1))))
+    s2 = Quant("sup", z1, SORT_NAME, prefix("inf", split.y, mismatch))
     # sup_y inf_z sup_x |phi(x,y) - P(x,z)|
-    s3 = sup_over(split.y, Quant("inf", z1, SORT_NAME, mismatch))
+    s3 = prefix("sup", split.y, Quant("inf", z1, SORT_NAME, mismatch))
     return [("metric_matches_sup_difference", s1),
             ("every_class_is_a_parameter", s2),
             ("every_parameter_has_a_class", s3)]

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DefinitionAbort, DomainError, StructuralError
 from .language import Atom, Op, Var, free_vars
-from .structures import PhiInstance, fraction_rows, sup_distances
+from .structures import PhiInstance, equal_classes, fraction_rows, sup_distances
 from .values import ZERO, flim_prefix
 
 
@@ -59,13 +59,10 @@ def phi_type(inst: PhiInstance, xi: int) -> PhiTypeVector:
 
 
 def phi_type_space(inst: PhiInstance) -> PhiTypeSpace:
-    """All realized phi-types, deduplicated, with the sup-difference metric."""
-    realizers: dict = {}  # distinct int row -> the x-tuple indices realizing it
-    for xi, row in enumerate(inst.num):
-        realizers.setdefault(row, []).append(xi)
-    rows = tuple(realizers)
-    return PhiTypeSpace(inst.scale, rows, sup_distances(rows),
-                        tuple(map(tuple, realizers.values())))
+    """Realized phi-types: the `equal_classes` of the rows, with the sup-difference metric."""
+    realizers = equal_classes(inst.num)
+    rows = tuple(inst.num[members[0]] for members in realizers)
+    return PhiTypeSpace(inst.scale, rows, sup_distances(rows), tuple(map(tuple, realizers)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +307,8 @@ def _longest_triple_sequence(num, scale, nx, ny, eps, max_len):
     phi(a, c) for every a) are interchangeable: swapping one for the other
     anywhere in a sequence changes no comparison, no feasible set and no
     witness.  So the least sequence of any length uses only the lowest index
-    of each class, and only those representatives are branched on.
+    of each class, and only those representatives are branched on; the
+    classes are `equal_classes` of the columns, numbered by first appearance.
 
     Sets of x-tuple indices are int bitsets, bit a standing for x-tuple a.
     `far[k][l]` is the set of a with |phi(a, b) - phi(a, c)| >= eps for the
@@ -352,11 +350,7 @@ def _longest_triple_sequence(num, scale, nx, ny, eps, max_len):
     later child, whenever the best length rose; only V is branched on.
     """
     gap = _gap(eps, scale)
-    cols = list(zip(*num)) if nx else [()] * ny
-    first: dict = {}  # column -> the lowest b with that column
-    for b, col in enumerate(cols):
-        first.setdefault(col, b)
-    reps = list(first.values())
+    reps = [members[0] for members in equal_classes(zip(*num) if nx else [()] * ny)]
     nc = len(reps)
     far = [[0] * nc for _ in range(nc)]
     for a, row in enumerate(num):
@@ -506,16 +500,27 @@ def median_definition(inst: PhiInstance, epsilon, target,
     """Constructive median-value definition of a target vector within eps.
 
     Runs the 2N-1 step loop with N = compute_N (which `n_value` may supply
-    precomputed): maintain chosen parameters c_i; at each step collect the
-    family K of index sets w such that some parameter a has
-    |target(a) - phi(c_i, a)| > eps for all i in w (storing the first
-    witness per set), and pick the first c in carrier order that moves by
-    more than eps against every stored witness.  Aborts when some w reaches
-    size N (the target is inconsistent with the ladder bound) or no
-    admissible c exists (the target is not realizable from M).  For targets
-    realized in M the realizer is admissible at every step, so the
-    construction always succeeds.  On success the verified bound
+    precomputed), choosing parameters c_i.  S_a is the set of prefix
+    positions i with |target(a) - phi(c_i, a)| > eps; `seen` holds the sets
+    S_a that no earlier set contained, and `kept[a]` the last such S_a.
+    Each step picks the first c in carrier order that is admissible: for
+    each kept (a, S), c moves by more than eps at a against every c_i with
+    i in S.  Aborts when some S_a reaches size N (the target is
+    inconsistent with the ladder bound) or no admissible c exists (the
+    target is not realizable from M).  For targets realized in M the
+    realizer is admissible at every step, so the construction always
+    succeeds.  On success the verified bound
     max_b |med_N(phi(c_i, b)) - target(b)| <= eps is exact.
+
+    This is the construction's test against its family K: every non-empty
+    subset w of an S_a, stored under its first witness a, rejects the c
+    that are near (within eps of) some c_i, i in w, at a.
+    1. That test rejects c at a iff a near position lies in U[a], the
+       union of the w stored under a.
+    2. A subset of S_a is stored iff no earlier set contains it, so S_a
+       stores sets only when S_a itself is new, and U[a] then contains S_a.
+    3. S_a only grows as the prefix grows, so U[a] is the last new S_a:
+       `kept[a] = S` is exact, not `|=`.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -528,46 +533,24 @@ def median_definition(inst: PhiInstance, epsilon, target,
         raise DomainError("the ladder bound N is always at least 2")
     arity = 2 * N - 1
 
-    # index sets w are bitmasks over positions of the chosen prefix
-    witnesses: dict[int, int] = {}
-    by_witness: dict[int, list[int]] = {}
+    seen: list[int] = []  # bitmasks over positions of the chosen prefix
+    kept: dict[int, int] = {}
     chosen: list[int] = []
     for step in range(arity + 1):
-        # refresh K for the current chosen prefix; keep earlier witnesses
         for a in range(len(yts)):
-            S = 0
-            size = 0
-            for i, c in enumerate(chosen):
-                if abs(t[a] - vals[c][a]) > eps:
-                    S |= 1 << i
-                    size += 1
-            if size >= N:
-                bits = tuple(i for i in range(len(chosen)) if S >> i & 1)
-                raise DefinitionAbort("ladder-bound-exceeded", step=step,
-                                      w=bits[:N],
+            S = _bits(abs(t[a] - vals[c][a]) > eps for c in chosen)
+            if S.bit_count() >= N:
+                w = tuple(i for i in range(len(chosen)) if S >> i & 1)[:N]
+                raise DefinitionAbort("ladder-bound-exceeded", step=step, w=w,
                                       witness=inst.y_names[a])
-            sub = S
-            while sub:  # all non-empty submasks of S
-                if sub not in witnesses:
-                    witnesses[sub] = a
-                    by_witness.setdefault(a, []).append(sub)
-                sub = (sub - 1) & S
+            if S and all(S & ~T for T in seen):
+                seen.append(S)
+                kept[a] = S
         if step == arity:
             break
-        chosen_c = None
-        for c in range(len(xts)):
-            admissible = True
-            for a, masks in by_witness.items():
-                near = 0  # prefix positions the candidate fails to move away from, at a
-                for i, ci in enumerate(chosen):
-                    if abs(vals[ci][a] - vals[c][a]) <= eps:
-                        near |= 1 << i
-                if near and any(w & near for w in masks):
-                    admissible = False
-                    break
-            if admissible:
-                chosen_c = c
-                break
+        chosen_c = next((c for c in range(len(xts))
+                         if all(abs(vals[ci][a] - vals[c][a]) > eps for a, S in kept.items()
+                                for i, ci in enumerate(chosen) if S >> i & 1)), None)
         if chosen_c is None:
             raise DefinitionAbort("no-admissible-parameter", step=step)
         chosen.append(chosen_c)

@@ -219,7 +219,7 @@ class FiniteStructure:
 
         def scaled(texts: list, name: str, check) -> ScaledTable:
             try:
-                distinct = set(texts)
+                distinct = dict.fromkeys(texts)  # in order, so the first bad cell raises
             except TypeError:  # a leaf that is a list: the table is nested too deep
                 raise StructuralError(f"table {name} has wrong shape") from None
             values = {text: parse_ratio(text) for text in distinct}
@@ -925,7 +925,8 @@ def complete_structure(M: FiniteStructure) -> CompletionResult:
             row = new_rows[cls[i]]
             for j in range(n):
                 if dist[i * n + j] != row[cls[j]]:
-                    bad.append(("d", (M.element_name(sort, i), M.element_name(sort, j))))
+                    bad.append((M.sig.metric_of[sort],
+                                (M.element_name(sort, i), M.element_name(sort, j))))
 
     def quotient(name, arg_sorts, cells, value_class):
         table = {}
@@ -1084,6 +1085,19 @@ def fraction_rows(rows, scale: int) -> tuple:
     """Int rows over `scale` as rows of Fractions, each distinct value converted once."""
     frac = {v: Fraction(v, scale) for v in set().union(*rows)}
     return tuple(tuple(map(frac.__getitem__, row)) for row in rows)
+
+
+def equal_classes(vectors: Iterable[tuple]) -> list[list[int]]:
+    """The index lists of equal vectors, in order of first appearance.
+
+    Groups the equal rows of a value matrix (realized phi-types) or its
+    equal columns (canonical parameters).  Each list is increasing, so its
+    first index is the least of its class.
+    """
+    classes: dict = {}
+    for i, v in enumerate(vectors):
+        classes.setdefault(v, []).append(i)
+    return list(classes.values())
 
 
 def sup_distances(vectors: Sequence[Sequence[int]]) -> list[list[int]]:

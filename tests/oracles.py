@@ -38,11 +38,13 @@ from contlogic.language import (
 )
 from contlogic.stability import (
     LadderWitness,
+    MedianDefinition,
     MonotoneDefinition,
     PhiTypeVector,
     _gap,
     _lowest_bit,
     _target_vector,
+    compute_N,
 )
 from contlogic.structures import (
     FiniteStructure,
@@ -1092,6 +1094,71 @@ def revalidate_ladder_reference(inst, witness) -> bool:
         return all(abs(vals[pairs[j][0]][pairs[i][1]] - vals[pairs[j][0]][pairs[k][1]]) >= eps
                    for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
     raise StructuralError(f"unknown ladder kind {witness.kind!r}")
+
+
+def median_definition_reference(inst, epsilon, target, n_value=None) -> MedianDefinition:
+    """`stability.median_definition` as it kept the family K before one set per witness.
+
+    Every non-empty submask of each S_a goes into a first-witness table, and
+    a candidate is rejected when a prefix position it does not move away
+    from lies in one of the masks stored under some witness.
+    """
+    eps = F(epsilon)
+    if eps <= 0:
+        raise DomainError("epsilon must be positive")
+    xts, yts, vals = inst.xts, inst.yts, inst.vals
+    tgt = _target_vector(inst, target)
+    t = tgt.values
+    N = compute_N(inst, eps) if n_value is None else n_value
+    if N < 2:
+        raise DomainError("the ladder bound N is always at least 2")
+    arity = 2 * N - 1
+
+    witnesses: dict = {}  # index set (a bitmask over prefix positions) -> its first witness
+    by_witness: dict = {}
+    chosen: list = []
+    for step in range(arity + 1):
+        for a in range(len(yts)):
+            S = 0
+            size = 0
+            for i, c in enumerate(chosen):
+                if abs(t[a] - vals[c][a]) > eps:
+                    S |= 1 << i
+                    size += 1
+            if size >= N:
+                bits = tuple(i for i in range(len(chosen)) if S >> i & 1)
+                raise DefinitionAbort("ladder-bound-exceeded", step=step, w=bits[:N],
+                                      witness=inst.y_names[a])
+            sub = S
+            while sub:
+                if sub not in witnesses:
+                    witnesses[sub] = a
+                    by_witness.setdefault(a, []).append(sub)
+                sub = (sub - 1) & S
+        if step == arity:
+            break
+        chosen_c = None
+        for c in range(len(xts)):
+            admissible = True
+            for a, masks in by_witness.items():
+                near = 0
+                for i, ci in enumerate(chosen):
+                    if abs(vals[ci][a] - vals[c][a]) <= eps:
+                        near |= 1 << i
+                if near and any(w & near for w in masks):
+                    admissible = False
+                    break
+            if admissible:
+                chosen_c = c
+                break
+        if chosen_c is None:
+            raise DefinitionAbort("no-admissible-parameter", step=step)
+        chosen.append(chosen_c)
+
+    defined = tuple(sorted([vals[c][b] for c in chosen])[N - 1] for b in range(len(yts)))
+    observed = max(abs(d - tv) for d, tv in zip(defined, t)) if defined else ZERO
+    return MedianDefinition(eps, N, tuple(chosen), tuple(inst.x_names[c] for c in chosen),
+                            tgt, observed, defined)
 
 
 def monotone_parameters_reference(inst, epsilon, target):

@@ -2,8 +2,12 @@
 
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -445,6 +449,43 @@ def test_synth_malformed_grid(capsys, tmp_path, grid):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid))
     run_fails_cleanly(capsys, ["synth", "--target", str(path), "--epsilon", "1/8"], 1)
+
+
+def bad_literal_input(command, cells):
+    """(argv before the input file, its contents, argv after it) for an input
+    holding the literals `cells`, in that order, after valid ones."""
+    if command == "synth":  # three grid values at pitch 1/2
+        values = ["0"] * (3 - len(cells)) + cells
+        return ["synth", "--target"], {"arity": 1, "pitch": "1/2", "values": values}, \
+            ["--epsilon", "1/2"]
+    flat = ["0"] * (4 - len(cells)) + cells
+    table = [flat[:2], flat[2:]]
+    if command == "cbrank":
+        space = {"points": ["p", "q"], "closed_sets": [[], ["p"], ["p", "q"]], "metric": table}
+        return ["cbrank"], space, ["--epsilon", "1/2"]
+    M = gen_halfgraph(1).to_json()
+    M["predicates"]["phi"] = table
+    return ["check"], M, []
+
+
+@pytest.mark.parametrize("cells, message", [
+    (["x1", "x2"], "bad rational literal 'x1'"),
+    (["2", "3", "5/4"], "value 2 outside [0,1]"),
+])
+@pytest.mark.parametrize("command", ["check", "cbrank", "synth"])
+def test_the_first_bad_literal_is_reported_under_every_hash_seed(tmp_path, command, cells,
+                                                                 message):
+    before, data, after = bad_literal_input(command, cells)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    script = "from contlogic.cli import main; main()"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    lines = {subprocess.run([sys.executable, "-c", script, *before, str(path), *after],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src,
+                                 "PYTHONHASHSEED": str(seed)}).stderr
+             for seed in range(6)}
+    assert lines == {f"contlogic: {message}\n"}
 
 
 def test_back_to_back_runs_share_no_state(capsys, algebra_file):

@@ -37,6 +37,7 @@ from contlogic.structures import (
 )
 from oracles import (
     glued_halfgraph,
+    median_definition_reference,
     monotone_definition_reference,
     monotone_parameters_reference,
     monotone_sup_on_grid,
@@ -488,6 +489,50 @@ def test_median_definition_unrealizable_target_aborts():
 
 def med(values, n):
     return sorted(values)[n - 1]
+
+
+def median_corpus():
+    """(name, instance, targets) for the comparison with the K-family reference.
+
+    Half-graphs n = 2-4, three 3-atom algebras and 60 seeded random binary
+    structures of 3-5 points with quarter values; the targets are every
+    realized phi-type and 4 seeded random vectors in eighths.
+    """
+    rng = random.Random(22)
+    corpus = [(f"halfgraph{n}", halfgraph_setup(n)) for n in (2, 3, 4)]
+    corpus += [(f"algebra-{w}", algebra_setup(w))
+               for w in ([F(1, 2), F(1, 4), F(1, 4)], [F(1, 3)] * 3, [F(1, 8), F(3, 8), F(1, 2)])]
+    for k in range(60):
+        n = rng.randint(3, 5)
+        table = {(i, j): F(rng.randint(0, 4), 4) for i in range(n) for j in range(n)}
+        corpus.append((f"random{k}-{n}", binary_setup(table, n)))
+    for name, inst in corpus:
+        targets = [phi_type(inst, xi) for xi in range(len(inst.xts))]
+        targets += [[F(rng.randint(0, 8), 8) for _ in inst.yts] for _ in range(4)]
+        yield name, inst, targets
+
+
+def median_outcome(defn, *args):
+    """The choices of a median definition, or the reason and details of its abort."""
+    try:
+        d = defn(*args)
+    except DefinitionAbort as abort:
+        return ("aborted", abort.reason, abort.details)
+    return d.n_value, d.parameters, d.defined_values, d.observed_error
+
+
+def test_median_definition_matches_k_family_reference():
+    """One set per witness chooses what every submask in a first-witness table chose."""
+    outcomes = set()
+    for name, inst, targets in median_corpus():
+        for eps in (F(1), F(1, 2), F(3, 8), F(1, 4)):
+            n_value = compute_N(inst, eps)
+            for target in targets:
+                want = median_outcome(median_definition_reference, inst, eps, target, n_value)
+                assert median_outcome(median_definition, inst, eps, target, n_value) == want, \
+                    (name, eps, target)
+                outcomes.add(want[1] if want[0] == "aborted" else "defined")
+    assert outcomes == {"defined", "no-admissible-parameter"}
 
 
 # -- monotone definitions ------------------------------------------------------

@@ -149,6 +149,17 @@ def test_complete_quotients_zero_distance():
         complete_structure(M)
 
 
+def test_completion_witnesses_name_the_sort_metric():
+    """A metric not constant on zero-distance classes is reported under its own name."""
+    sig = Signature([SortDecl("A", "d_A"), SortDecl("B", "d_B")])
+    third = [[F(0), F(0), F(1)], [F(0), F(0), F(1, 2)], [F(1), F(1, 2), F(0)]]
+    M = FiniteStructure(sig, {"A": ["o"], "B": ["p", "q", "r"]},
+                        {"A": [[F(0)]], "B": third}, {}, {})
+    with pytest.raises(CompletionError) as info:
+        complete_structure(M)
+    assert info.value.witnesses == [("d_B", ("q", "r")), ("d_B", ("r", "q"))]
+
+
 def test_already_metric_structure_completes_to_itself():
     M = gen_halfgraph(2)
     res = complete_structure(M)
