@@ -496,7 +496,8 @@ def median_corpus():
 
     Half-graphs n = 2-4, three 3-atom algebras and 60 seeded random binary
     structures of 3-5 points with quarter values; the targets are every
-    realized phi-type and 4 seeded random vectors in eighths.
+    realized phi-type and 4 seeded random vectors in eighths.  The
+    comparison runs each at N = compute_N and at N = 2.
     """
     rng = random.Random(22)
     corpus = [(f"halfgraph{n}", halfgraph_setup(n)) for n in (2, 3, 4)]
@@ -526,13 +527,13 @@ def test_median_definition_matches_k_family_reference():
     outcomes = set()
     for name, inst, targets in median_corpus():
         for eps in (F(1), F(1, 2), F(3, 8), F(1, 4)):
-            n_value = compute_N(inst, eps)
-            for target in targets:
-                want = median_outcome(median_definition_reference, inst, eps, target, n_value)
-                assert median_outcome(median_definition, inst, eps, target, n_value) == want, \
-                    (name, eps, target)
-                outcomes.add(want[1] if want[0] == "aborted" else "defined")
-    assert outcomes == {"defined", "no-admissible-parameter"}
+            for n_value in (compute_N(inst, eps), 2):  # 2 undersizes N: the ladder-bound abort
+                for target in targets:
+                    want = median_outcome(median_definition_reference, inst, eps, target, n_value)
+                    assert median_outcome(median_definition, inst, eps, target, n_value) == want, \
+                        (name, eps, n_value, target)
+                    outcomes.add(want[1] if want[0] == "aborted" else "defined")
+    assert outcomes == {"defined", "no-admissible-parameter", "ladder-bound-exceeded"}
 
 
 # -- monotone definitions ------------------------------------------------------
