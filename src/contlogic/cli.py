@@ -171,13 +171,15 @@ def _cmd_check(args):
 def _cmd_eval(args):
     M = _load_structure(args.structure)
     f = parse(args.formula, M.sig)
-    env = {}
+    bindings = {}
     for binding in args.let or []:
-        name, sep, elem = binding.partition("=")
+        name, sep, elem = map(str.strip, binding.partition("="))
         if not sep:
             raise DomainError("--let must look like VAR=ELEMENT")
-        env.update(env_from_names(M, {name.strip(): elem.strip()}, f))
-    value = eval_formula(M, env, f)
+        if name in bindings:
+            raise DomainError(f"--let binds {name!r} twice")
+        bindings[name] = elem
+    value = eval_formula(M, env_from_names(M, bindings, f), f)
     return 0, {"formula": print_formula(f, M.sig), "value": format_rational(value)}
 
 
@@ -201,14 +203,17 @@ def _cmd_tv(args):
     M = _load_structure(args.structure)
     subset = {}
     for chunk in args.subset.split("|"):
-        if ":" in chunk:
-            sort, _, names = chunk.partition(":")
-            subset[sort.strip()] = [v.strip() for v in names.split(",") if v.strip()]
-        else:
-            only = M.sig.single_sort()
-            if only is None:
-                raise DomainError("--subset needs sort prefixes on multi-sorted structures")
-            subset[only] = [v.strip() for v in chunk.split(",") if v.strip()]
+        sort, prefixed, names = chunk.partition(":")
+        if not prefixed:
+            sort, names = M.sig.single_sort(), chunk
+        if sort is None:
+            raise DomainError("--subset needs sort prefixes on multi-sorted structures")
+        sort = sort.strip()
+        if sort not in M.sig.sorts:
+            raise DomainError(f"--subset names unknown sort {sort!r}")
+        if sort in subset:
+            raise DomainError(f"--subset names sort {sort!r} twice")
+        subset[sort] = [v.strip() for v in names.split(",") if v.strip()]
     formulas = []
     for text in args.formula or []:
         var, _, body = text.partition("@")
@@ -370,8 +375,7 @@ def _verify_glue(M, phi, psi, chi, fresh, fresh_sort):
 
 
 def _cmd_cbrank(args):
-    data = _read_json(args.space)
-    X = FiniteTopometricSpace.from_json(data)
+    X = FiniteTopometricSpace.from_json(_read_json(args.space))
     res = cb_rank(X, parse_rational(args.epsilon))
     return 0, {
         "epsilon": args.epsilon,

@@ -46,7 +46,7 @@ from .values import (
     ensure_unit,
     format_ratio,
     format_rational,
-    parse_ratio,
+    parse_literals,
 )
 
 IDENTITY = PLMonotone.identity()
@@ -219,14 +219,11 @@ class FiniteStructure:
 
         def scaled(texts: list, name: str, check) -> ScaledTable:
             try:
-                distinct = dict.fromkeys(texts)  # in order, so the first bad cell raises
+                den, num = parse_literals(texts)
             except TypeError:  # a leaf that is a list: the table is nested too deep
                 raise StructuralError(f"table {name} has wrong shape") from None
-            values = {text: parse_ratio(text) for text in distinct}
-            for p, q in values.values():
-                check(p, q)
-            den = math.lcm(*(q for _, q in values.values()))
-            num = {text: p * (den // q) for text, (p, q) in values.items()}
+            for v in num.values():
+                check(v, den)
             return ScaledTable(den, list(map(num.__getitem__, texts)))
 
         metric_table = {}
@@ -737,11 +734,13 @@ def _median(args: list, n: int, width: int):
 
 def env_from_names(M: FiniteStructure, bindings: Mapping[str, str], f) -> dict:
     """Build an evaluation environment from element names using f's variable sorts."""
-    sorts = {name: sort for name, sort in free_vars(f) if sort != "@value"}
+    sorts = dict(free_vars(f))
     env = {}
     for var, elem in bindings.items():
         if var not in sorts:
             raise StructuralError(f"variable {var!r} is not free in the formula")
+        if sorts[var] == VALUE_SORT:
+            raise StructuralError(f"value variable {var!r} cannot be bound to an element")
         env[var] = M.element_index(sorts[var], elem)
     return env
 

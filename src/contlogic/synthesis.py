@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, StructuralError
 from .language import Const, Op, ValueVar, nodes
 from .values import (
     check_connective,
     ensure_unit,
+    format_ratio,
     format_rational,
     is_dyadic,
     parse_rational,
@@ -47,16 +48,15 @@ class GridFunction:
 
     arity: int
     pitch: Fraction
-    values: Mapping[tuple, Fraction]
+    values: tuple[Fraction, ...]  # in the order of `grid_points`, as the file lists them
 
     def __post_init__(self):
         if self.arity < 1:
             raise StructuralError("arity must be at least 1")
         _check_pitch(self.pitch)
-        pts = set(self.grid_points())
-        if set(self.values) != pts:
+        if len(self.values) != (self.pitch.denominator + 1) ** self.arity:
             raise StructuralError("values must cover exactly the grid")
-        for v in self.values.values():
+        for v in self.values:
             ensure_unit(v)
 
     def grid_points(self):
@@ -64,12 +64,12 @@ class GridFunction:
         return list(itertools.product(axis, repeat=self.arity))
 
     def to_json(self) -> dict:
-        flat = [format_rational(self.values[pt]) for pt in self.grid_points()]
-        return {"arity": self.arity, "pitch": format_rational(self.pitch), "values": flat}
+        return {"arity": self.arity, "pitch": format_rational(self.pitch),
+                "values": list(map(format_rational, self.values))}
 
     @staticmethod
     def from_json(data: dict) -> "GridFunction":
-        """Checks arity, pitch and the value count before building the grid."""
+        """Checks arity, pitch and the value count before parsing the values."""
         if not isinstance(data, dict):
             raise StructuralError("grid function file must be a JSON object")
         for key in ("arity", "pitch", "values"):
@@ -92,9 +92,7 @@ class GridFunction:
         if arity > len(texts).bit_length() or (steps + 1) ** arity != len(texts):
             raise StructuralError(
                 f"expected {steps + 1}^{arity} grid values, got {len(texts)}")
-        axis = [pitch * k for k in range(steps + 1)]
-        pts = itertools.product(axis, repeat=arity)
-        return GridFunction(arity, pitch, dict(zip(pts, map(parse_rational, texts))))
+        return GridFunction(arity, pitch, tuple(map(parse_rational, texts)))
 
 
 def eval_on_grid(expr, points: Sequence[Sequence[Fraction]]) -> tuple[list[int], int]:
@@ -375,11 +373,10 @@ def synthesize(target: GridFunction, epsilon,
 
     steps = target.pitch.denominator
     D = max(K, steps)
-    pts = target.grid_points()
-    want = list(map(target.values.__getitem__, pts))
     idx = list(itertools.product(range(steps + 1), repeat=target.arity))
     # nearest multiple of 1/K, half rounded up
-    approx = [(2 * v.numerator * K + v.denominator) // (2 * v.denominator) for v in want]
+    approx = [(2 * v.numerator * K + v.denominator) // (2 * v.denominator)
+              for v in target.values]
     t = _Table(D)
     add = t.add
 
@@ -401,7 +398,8 @@ def synthesize(target: GridFunction, epsilon,
                 continue
             m = -(-a * steps // ((v - u) * K))  # the least m with m * (v - u) / steps >= a / K
             if m > MAX_SLOPE:
-                pair = " -> ".join(f"({', '.join(map(format_rational, pts[j]))})" for j in (xi, yi))
+                pair = " -> ".join(f"({', '.join(format_ratio(i, steps) for i in idx[j])})"
+                                   for j in (xi, yi))
                 raise DomainError(f"slope {m} exceeds the cap {MAX_SLOPE} for the pair {pair}")
             step = add(MONUS, add(VAR, c), add(CONST, const=u * (D // steps)))
             ramp = add(CONST, const=a * (D // K))
@@ -415,7 +413,7 @@ def synthesize(target: GridFunction, epsilon,
     _fold(t, g_rows, False)  # the root: more than one row, so it is the last entry
 
     columns = [[x[c] * (D // steps) for x in idx] for c in range(target.arity)]
-    worst, size, written = _grid_error(t, columns, want)
+    worst, size, written = _grid_error(t, columns, target.values)
     if worst > eps:
         raise AssertionError("synthesis exceeded the requested error bound")
     return SynthesisResult(t, worst, size, eps, k, written)
@@ -427,8 +425,7 @@ def verify_synthesis(expr, target: GridFunction) -> Fraction:
     allowed = {f"t{i}" for i in range(target.arity)}
     if not names <= allowed:
         raise StructuralError(f"expression uses variables {sorted(names - allowed)}")
-    pts = target.grid_points()
-    return _grid_error(*_to_table(expr, pts), [target.values[p] for p in pts])[0]
+    return _grid_error(*_to_table(expr, target.grid_points()), target.values)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,31 +7,38 @@ which closed metric neighbourhoods of closed sets must again be closed.
 The derivative of a subset removes its relatively open pieces of metric
 diameter at most epsilon; ranks iterate the derivative.
 
-A space runs on ints: a point set is a bitmask (bit p for point p) and the
-metric is int numerators over one denominator, which `from_json` reads by
-parsing each distinct literal once; the checks run on these ints.  For an
-epsilon, `far[p]` masks the points farther than epsilon from p: S has
-diameter <= epsilon iff no p in S has `far[p] & S`.
+A space holds ints only: a point set is a bitmask (bit p for point p) and
+the metric is int numerators over one denominator.  Frozensets of point
+indices are only taken and returned at the edges (`cb_derivative`,
+`epsilon_degree`, the stages of `cb_rank`).  For an epsilon, `far[p]`
+masks the points farther than epsilon from p: S has diameter <= epsilon
+iff no p in S has `far[p] & S`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
 from operator import add, and_, or_
 
 from .errors import StructuralError
-from .values import check_unit, ensure_unit, format_rational, parse_ratio, parse_rational
+from .values import (
+    check_unit,
+    ensure_unit,
+    format_ratio,
+    format_rational,
+    parse_literals,
+    parse_rational,
+)
 
 
 def _mask(indices) -> int:
     return reduce(or_, map((1).__lshift__, indices), 0)
 
 
-def _bits(mask: int):
+def _members(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -41,21 +48,16 @@ def _bits(mask: int):
 @dataclass(frozen=True)
 class FiniteTopometricSpace:
     points: tuple[str, ...]
-    closed_sets: tuple[frozenset, ...]  # frozensets of point indices
-    metric: tuple[tuple[Fraction, ...], ...]
+    closed_masks: tuple[int, ...]  # bit p for point p
+    num: tuple[tuple[int, ...], ...]  # the distance from p to q is num[p][q] / den
+    den: int
     test_epsilons: tuple[Fraction, ...]
-    # (closed masks, numerators, denominator) from `from_json`, else derived
-    _ints: InitVar[tuple | None] = None
-    _closed_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _num: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _ints):
+    def __post_init__(self):
         n = len(self.points)
         if len(set(self.points)) != n or n == 0:
             raise StructuralError("points must be distinct and non-empty")
-        masks, num, den = _ints or (tuple(map(_mask, self.closed_sets)), None, None)
-        fam = set(masks)
+        fam = set(self.closed_masks)
         if 0 not in fam or (1 << n) - 1 not in fam:
             raise StructuralError("closed sets must contain the empty and full sets")
         # each closed set is the union of least[p], the meet of the closed sets
@@ -68,12 +70,9 @@ class FiniteTopometricSpace:
                  for p in range(union.bit_length())}
         if not all(fam.issuperset(map(g.__or__, members)) for g in least):
             raise StructuralError("closed sets must be closed under union and intersection")
-        if len(self.metric) != n or any(len(row) != n for row in self.metric):
+        num, den = self.num, self.den
+        if len(num) != n or any(len(row) != n for row in num):
             raise StructuralError("metric matrix has the wrong shape")
-        if num is None:
-            rows = [[Fraction(v) for v in row] for row in self.metric]
-            den = math.lcm(*(v.denominator for row in rows for v in row))
-            num = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
         # scan cell by cell, in row order, only a row that fails the whole-row
         # test, so the first faulty cell names the error.  A row equal to its
         # column, after rows that passed, meets the triangle inequality at
@@ -93,30 +92,28 @@ class FiniteTopometricSpace:
                     raise StructuralError("metric must separate distinct points")
                 if row[j] > min(map(add, row, cols[j])):
                     raise StructuralError("metric violates the triangle inequality")
-        object.__setattr__(self, "_closed_masks", masks)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
         # the metric refines the topology automatically on a finite point set
         # with a genuine metric; what needs checking is neighbourhood closure,
         # and as neighbourhoods preserve unions, only of the least closed sets
         for eps in map(ensure_unit, self.test_epsilons):
             near = [(1 << n) - 1 ^ far for far in self._far(eps)]
-            if not all(reduce(or_, map(near.__getitem__, _bits(g))) in fam for g in least):
+            if not all(reduce(or_, map(near.__getitem__, _members(g))) in fam for g in least):
                 raise StructuralError(
                     f"closed {format_rational(eps)}-neighbourhood of a closed set "
                     "is not closed")
 
     def _far(self, eps: Fraction) -> list[int]:
-        """far[p]: the mask of the points q with metric[p][q] > eps."""
-        limit = eps.numerator * self._den // eps.denominator
+        """far[p]: the mask of the points q with num[p][q] / den > eps."""
+        limit = eps.numerator * self.den // eps.denominator
         bits = [1 << p for p in range(len(self.points))]
-        return [sum(compress(bits, map(limit.__lt__, row))) for row in self._num]
+        return [sum(compress(bits, map(limit.__lt__, row))) for row in self.num]
 
     def to_json(self) -> dict:
         return {
             "points": list(self.points),
-            "closed_sets": [sorted(self.points[i] for i in F) for F in self.closed_sets],
-            "metric": [[format_rational(v) for v in row] for row in self.metric],
+            "closed_sets": [sorted(map(self.points.__getitem__, _members(F)))
+                            for F in self.closed_masks],
+            "metric": [[format_ratio(v, self.den) for v in row] for row in self.num],
             "test_epsilons": [format_rational(e) for e in self.test_epsilons],
         }
 
@@ -133,51 +130,46 @@ class FiniteTopometricSpace:
         if not all(isinstance(p, str) for p in points):
             raise StructuralError("point names must be strings")
         pos = {p: i for i, p in enumerate(points)}
-        closed = []
+        masks = []
         for F in data["closed_sets"]:
             if not isinstance(F, list):
                 raise StructuralError("each closed set must be a list of point names")
             try:
-                closed.append(frozenset(map(pos.__getitem__, F)))
+                masks.append(_mask(map(pos.__getitem__, F)))
             except (KeyError, TypeError):
                 bad = next(p for p in F if not isinstance(p, str) or p not in pos)
                 raise StructuralError(f"closed set names unknown point {bad!r}") from None
         rows = data["metric"]
         if not all(isinstance(row, list) for row in rows):
             raise StructuralError("each metric row must be a list")
+        cells = list(chain.from_iterable(rows))
         try:
-            literals = list(dict.fromkeys(chain.from_iterable(rows)))
-        except TypeError:  # an unhashable cell: parse every cell, so the first bad one raises
-            literals = list(chain.from_iterable(rows))
-        ratios = list(map(parse_ratio, literals))
-        den = math.lcm(*(q for _, q in ratios))
-        scaled = dict(zip(literals, [p * (den // q) for p, q in ratios]))
-        value = dict(zip(literals, [Fraction(p, q) for p, q in ratios]))
+            den, scaled = parse_literals(cells)
+        except TypeError:  # an unhashable cell: the first bad cell in row order names the error
+            for cell in cells:
+                parse_rational(cell)
+            raise
         if not isinstance(data.get("test_epsilons", []), list):
             raise StructuralError("space file's 'test_epsilons' must be a list")
         eps = tuple(parse_rational(e) for e in data.get("test_epsilons", []))
-        return FiniteTopometricSpace(
-            points, tuple(closed), tuple(tuple(map(value.__getitem__, row)) for row in rows), eps,
-            (tuple(map(_mask, closed)), tuple(tuple(map(scaled.__getitem__, r)) for r in rows), den))
-
-
-def _is_small(far: list[int], subset: int) -> bool:
-    """Diameter of the subset <= epsilon, for the epsilon of `far`."""
-    rest = subset
-    while rest:
-        low = rest & -rest
-        if far[low.bit_length() - 1] & subset:
-            return False
-        rest ^= low
-    return True
+        return FiniteTopometricSpace(points, tuple(masks),
+                                     tuple(tuple(map(scaled.__getitem__, r)) for r in rows),
+                                     den, eps)
 
 
 def _derive(closed: tuple[int, ...], far: list[int], subset: int) -> int:
+    """The meet of the sets F & subset, F closed, whose relative complement
+    has diameter <= epsilon: no p in it has `far[p]` meeting it."""
     result = subset
     for F in closed:
-        G = F & subset
-        if _is_small(far, subset & ~G):
-            result &= G
+        rest = small = subset & ~F
+        while rest:
+            low = rest & -rest
+            if far[low.bit_length() - 1] & small:
+                break
+            rest ^= low
+        else:
+            result &= F
     return result
 
 
@@ -188,7 +180,7 @@ def cb_derivative(X: FiniteTopometricSpace, subset: frozenset, epsilon) -> froze
     has diameter at most epsilon.
     """
     far = X._far(ensure_unit(epsilon))
-    return frozenset(_bits(_derive(X._closed_masks, far, _mask(subset))))
+    return frozenset(_members(_derive(X.closed_masks, far, _mask(subset))))
 
 
 @dataclass
@@ -209,7 +201,7 @@ def cb_rank(X: FiniteTopometricSpace, epsilon) -> CBResult:
     far = X._far(ensure_unit(epsilon))
     stages = [(1 << len(X.points)) - 1]
     while stages[-1]:
-        nxt = _derive(X._closed_masks, far, stages[-1])
+        nxt = _derive(X.closed_masks, far, stages[-1])
         if nxt == stages[-1]:
             break
         stages.append(nxt)
@@ -218,7 +210,7 @@ def cb_rank(X: FiniteTopometricSpace, epsilon) -> CBResult:
              else max(i for i, S in enumerate(stages) if S >> p & 1)
              for p in range(len(X.points))}
     degrees = [_degree(far, S) for S in stages]
-    return CBResult([frozenset(_bits(S)) for S in stages], ranks, degrees, stationary)
+    return CBResult([frozenset(_members(S)) for S in stages], ranks, degrees, stationary)
 
 
 def epsilon_degree(X: FiniteTopometricSpace, subset: frozenset, epsilon) -> int:
@@ -242,7 +234,7 @@ def _degree(far: list[int], subset: int) -> int:
     """
     through: list[list[int]] = [[] for _ in far]
     for block in _maximal_blocks(far, subset):
-        for p in _bits(block):
+        for p in _members(block):
             through[p].append(block)
     level = {subset}
     k = 0
@@ -272,7 +264,7 @@ def _maximal_blocks(far: list[int], subset: int) -> list[int]:
                 blocks.append(clique)
             continue
         best = -1
-        for u in _bits(cand | done):  # pivot: the first u with the most candidates
+        for u in _members(cand | done):  # pivot: the first u with the most candidates
             if (cand & adj[u]).bit_count() > best:
                 best, pivot = (cand & adj[u]).bit_count(), adj[u]
         branch = cand & ~pivot

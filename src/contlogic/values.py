@@ -58,6 +58,15 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
+def parse_literals(cells) -> tuple[int, dict]:
+    """(den, {literal: numerator over den}) for a table of rational literals, den the lcm
+    of their denominators.  Each distinct literal is parsed once, in first-appearance order,
+    so the first bad cell raises; an unhashable cell raises a TypeError before any is."""
+    ratios = {text: parse_ratio(text) for text in dict.fromkeys(cells)}
+    den = lcm(*(q for _, q in ratios.values()))
+    return den, {text: p * (den // q) for text, (p, q) in ratios.items()}
+
+
 def check_unit(p: int, q: int) -> None:
     """Raise a DomainError unless p / q (q > 0) lies in [0,1]."""
     if not 0 <= p <= q:
@@ -66,9 +75,7 @@ def check_unit(p: int, q: int) -> None:
 
 def format_rational(q: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return format_ratio(q.numerator, q.denominator)
 
 
 def format_ratio(num: int, den: int) -> str:

@@ -330,8 +330,19 @@ def random_valid_topometric_space(rng, n=8, eps=F(1, 2)):
             if nb not in fam:
                 fam.add(nb)
                 changed = True
-    return FiniteTopometricSpace(points, tuple(sorted(fam, key=sorted)),
-                                 tuple(tuple(row) for row in dists), (eps,)), eps
+    return topometric_space(points, sorted(fam, key=sorted), dists, (eps,)), eps
+
+
+def topometric_space(points, closed_sets, metric, test_epsilons=()) -> FiniteTopometricSpace:
+    """A space from closed sets given as sets of point indices and a metric of
+    rationals, held as `from_json` holds one: masks, and numerators over the
+    lcm of the metric's denominators."""
+    metric = [[F(v) for v in row] for row in metric]
+    den = math.lcm(*(v.denominator for row in metric for v in row))
+    return FiniteTopometricSpace(
+        tuple(points), tuple(sum(1 << p for p in C) for C in closed_sets),
+        tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in metric),
+        den, tuple(map(F, test_epsilons)))
 
 
 def classical_eval(carrier, relations, node, env):
@@ -671,8 +682,8 @@ def topometric_from_json_reference(data) -> dict:
 
     Parses every metric cell with `parse_rational`, checks the closed sets
     over every ordered pair and the metric cell by cell, and returns the
-    fields a loaded space must have by name (`_closed_masks`, `_num` and
-    `_den` included), or raises what the loader must raise.
+    fields a loaded space must have by name (`closed_masks`, `num`, `den`),
+    or raises what the loader must raise.
     """
     if not isinstance(data, dict):
         raise StructuralError("space file must be a JSON object")
@@ -731,8 +742,8 @@ def topometric_from_json_reference(data) -> dict:
             if sum(1 << p for p in near) not in fam:
                 raise StructuralError(f"closed {format_rational(eps)}-neighbourhood of a "
                                       "closed set is not closed")
-    return {"points": points, "closed_sets": tuple(closed), "metric": metric,
-            "test_epsilons": epsilons, "_closed_masks": masks, "_num": num, "_den": den}
+    return {"points": points, "closed_masks": masks, "num": num, "den": den,
+            "test_epsilons": epsilons}
 
 
 # ---------------------------------------------------------------------------
@@ -743,15 +754,15 @@ def _diameter(X, subset) -> F:
     pts = list(subset)
     if len(pts) < 2:
         return F(0)
-    return max(X.metric[p][q] for p in pts for q in pts)
+    return max(F(X.num[p][q], X.den) for p in pts for q in pts)
 
 
 def cb_derivative_reference(X, subset: frozenset, epsilon) -> frozenset:
     eps = ensure_unit(epsilon)
     subset = frozenset(subset)
     result = subset
-    for C in X.closed_sets:
-        G = C & subset
+    for C in X.closed_masks:
+        G = frozenset(p for p in subset if C >> p & 1)
         if _diameter(X, subset - G) <= eps:
             result &= G
     return result
@@ -927,8 +938,8 @@ def synthesize_reference(target, epsilon):
     while F(1, 2 ** (k + 1)) > epsilon:
         k += 1
     pts = target.grid_points()
-    approx = {pt: F((target.values[pt] * 2 ** (k + 1) + 1).__floor__() // 2, 2 ** k)
-              for pt in pts}
+    approx = {pt: F((v * 2 ** (k + 1) + 1).__floor__() // 2, 2 ** k)
+              for pt, v in zip(pts, target.values)}
     rows = []
     for x in pts:
         row = []

@@ -47,7 +47,7 @@ from contlogic.synthesis import (
     synthesize,
     verify_synthesis,
 )
-from contlogic.topometric import FiniteTopometricSpace, cb_rank
+from contlogic.topometric import cb_rank
 from contlogic.values import delta_from_inverse, flim_prefix, inverse_from_delta
 
 from oracles import (
@@ -63,6 +63,7 @@ from oracles import (
     pra_conditions,
     random_metric,
     random_valid_topometric_space,
+    topometric_space,
     uses_only_neg_monus_constants,
 )
 
@@ -290,21 +291,19 @@ def test_criterion_08_gluing_identities():
 
 def test_criterion_09_cb_ranks():
     with budget(9, 10.0, "Cantor-Bendixson ranks and decreasing stages"):
-        X = FiniteTopometricSpace(
+        X = topometric_space(
             ("p", "q", "r"),
             (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})),
-            tuple(tuple(F(0) if i == j else F(1) for j in range(3)) for i in range(3)),
-            ())
+            tuple(tuple(F(0) if i == j else F(1) for j in range(3)) for i in range(3)))
         res = cb_rank(X, F(1, 2))
         assert {X.points[i]: r for i, r in res.ranks.items()} == {"r": 0, "q": 1, "p": 2}
 
         pts = tuple(f"p{i}" for i in range(4))
         family = tuple(frozenset(c) for size in range(5)
                        for c in itertools.combinations(range(4), size))
-        disc = FiniteTopometricSpace(
+        disc = topometric_space(
             pts, family,
-            tuple(tuple(F(0) if i == j else F(1) for j in range(4)) for i in range(4)),
-            ())
+            tuple(tuple(F(0) if i == j else F(1) for j in range(4)) for i in range(4)))
         for eps in (F(0), F(1, 2), F(1)):
             res = cb_rank(disc, eps)
             assert all(r == 0 for r in res.ranks.values())
@@ -394,14 +393,14 @@ def test_criterion_11_synthesis():
     with budget(11, 300.0, "synthesis corpus and the lattice negative witness"):
         axis8 = [F(k, 8) for k in range(9)]
         targets = [
-            GridFunction(1, F(1, 8), {(t,): t for t in axis8}),
-            GridFunction(1, F(1, 8), {(t,): min(2 * t, F(1)) for t in axis8}),
-            GridFunction(1, F(1, 8), {(t,): F(1, 3) for t in axis8}),
-            GridFunction(1, F(1, 8), {(t,): 1 - t for t in axis8}),
+            GridFunction(1, F(1, 8), tuple(axis8)),
+            GridFunction(1, F(1, 8), tuple(min(2 * t, F(1)) for t in axis8)),
+            GridFunction(1, F(1, 8), (F(1, 3),) * 9),
+            GridFunction(1, F(1, 8), tuple(1 - t for t in axis8)),
         ]
         axis4 = [F(k, 4) for k in range(5)]
         targets.append(GridFunction(
-            2, F(1, 4), {(s, t): max(s - t, F(0)) for s in axis4 for t in axis4}))
+            2, F(1, 4), tuple(max(s - t, F(0)) for s in axis4 for t in axis4)))
         requests = [F(1, 8), F(1, 8), F(1, 16), F(1, 8), F(1, 8)]
         for target, eps in zip(targets, requests):
             res = synthesize(target, eps)

@@ -86,6 +86,26 @@ def test_eval_with_binding(capsys, algebra_file):
     assert report["report"]["value"] == "1"
 
 
+@pytest.mark.parametrize("lets, message", [
+    (["x=s1", "x=s2"], "--let binds 'x' twice"),
+    (["x=s1", "u=1/2"], "value variable 'u' cannot be bound to an element"),
+    (["z=s1"], "variable 'z' is not free in the formula"),
+])
+def test_eval_let_binds_each_element_variable_once(capsys, algebra_file, lets, message):
+    argv = ["eval", algebra_file, "-e", "max(mu(x), u)"]
+    fails_with(capsys, [*argv, *(arg for let in lets for arg in ("--let", let))], message)
+
+
+@pytest.mark.parametrize("subset, message", [
+    ("B:s0,s3|C:s1", "--subset names unknown sort 'C'"),
+    ("B:s0,s3|B:s1", "--subset names sort 'B' twice"),
+    ("s0,s3|s1", "--subset names sort 'B' twice"),
+])
+def test_tv_subset_names_each_sort_once(capsys, algebra_file, subset, message):
+    fails_with(capsys, ["tv", algebra_file, "--subset", subset, "--formula", "y@mu(y)"],
+               message)
+
+
 def test_stability_ladder_length_8(capsys, halfgraph_file):
     code, report = run_json(capsys, [
         "stability", halfgraph_file, "--formula", "phi(x,y)", "--split", "x;y",
@@ -216,7 +236,7 @@ def test_cbrank(capsys, tmp_path):
 
 def test_synth(capsys, tmp_path):
     axis = [F(k, 8) for k in range(9)]
-    target = GridFunction(1, F(1, 8), {(t,): min(2 * t, F(1)) for t in axis})
+    target = GridFunction(1, F(1, 8), tuple(min(2 * t, F(1)) for t in axis))
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(target.to_json()))
     code, report = run_json(capsys, ["synth", "--target", str(path), "--epsilon", "1/8"])
@@ -594,8 +614,7 @@ def test_constant_structure_ladders_revalidate(capsys, tmp_path, kind, length):
 
 def write_grid(tmp_path, steps, value_at):
     """A 1-D grid file of pitch 1/steps with value_at(k) at the k-th point."""
-    target = GridFunction(1, F(1, steps), {(F(k, steps),): value_at(k)
-                                           for k in range(steps + 1)})
+    target = GridFunction(1, F(1, steps), tuple(map(value_at, range(steps + 1))))
     path = tmp_path / f"grid{steps}.json"
     path.write_text(json.dumps(target.to_json()))
     return str(path)

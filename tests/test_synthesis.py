@@ -26,7 +26,7 @@ from oracles import uses_only_neg_monus_constants
 def grid1(pitch, fn):
     steps = int(1 / F(pitch))
     axis = [F(pitch) * k for k in range(steps + 1)]
-    return GridFunction(1, F(pitch), {(t,): fn(t) for t in axis})
+    return GridFunction(1, F(pitch), tuple(map(fn, axis)))
 
 
 def test_identity_target():
@@ -58,7 +58,7 @@ def test_constant_third_target():
 def test_two_dimensional_target():
     pitch = F(1, 4)
     axis = [pitch * k for k in range(5)]
-    values = {(s, t): max(s - t, F(0)) for s in axis for t in axis}
+    values = tuple(max(s - t, F(0)) for s in axis for t in axis)
     target = GridFunction(2, pitch, values)
     res = synthesize(target, F(1, 8))
     assert res.max_error <= F(1, 8)
@@ -83,12 +83,16 @@ def test_epsilon_zero_and_declared_step_modulus():
 
 
 def test_grid_function_json_round_trip():
-    target = grid1(F(1, 4), lambda t: t * t if t < 1 else F(1))
-    data = json.loads(json.dumps(target.to_json()))
-    back = GridFunction.from_json(data)
-    assert back.arity == target.arity
-    assert back.pitch == target.pitch
-    assert back.values == dict(target.values)
+    """A grid written by `to_json` loads back identical, its values in grid order."""
+    rng = random.Random(29)
+    targets = [grid1(F(1, 4), lambda t: t * t if t < 1 else F(1))]
+    for arity, pitch in ((1, F(1)), (1, F(1, 16)), (2, F(1, 4)), (3, F(1, 2))):
+        for den in (1, 3, 64):
+            count = (pitch.denominator + 1) ** arity
+            values = tuple(F(rng.randrange(den + 1), den) for _ in range(count))
+            targets.append(GridFunction(arity, pitch, values))
+    for target in targets:
+        assert GridFunction.from_json(json.loads(json.dumps(target.to_json()))) == target
 
 
 def test_negative_witness_double_capped():
@@ -117,12 +121,12 @@ def test_grid_evaluator_matches_reference_on_synthesized_expressions():
     rng = random.Random(5)
     axis8 = [F(k, 8) for k in range(9)]
     for _ in range(4):
-        values = {(t,): F(rng.randrange(17), 16) for t in axis8}
+        values = tuple(F(rng.randrange(17), 16) for t in axis8)
         res = synthesize(GridFunction(1, F(1, 8), values), F(1, 16))
         points = [(t,) for t in axis8] + [(F(1, 3),), (F(5, 7),)]  # off-grid too
         assert_grid_matches_reference(res.expression, points)
     axis4 = [F(k, 4) for k in range(5)]
-    values = {pt: F(rng.randrange(9), 8) for pt in itertools.product(axis4, repeat=2)}
+    values = tuple(F(rng.randrange(9), 8) for pt in itertools.product(axis4, repeat=2))
     res = synthesize(GridFunction(2, F(1, 4), values), F(1, 8))
     assert_grid_matches_reference(res.expression, list(itertools.product(axis4, repeat=2)))
 
@@ -206,7 +210,7 @@ def test_grid_function_from_json_rejects(data, message):
 
 def test_grid_function_from_json_accepts_string_arity():
     back = GridFunction.from_json({"arity": "1", "pitch": "1/2", "values": ["0", "1/2", "1"]})
-    assert back.values == {(F(0),): F(0), (F(1, 2),): F(1, 2), (F(1),): F(1)}
+    assert back.values == (F(0), F(1, 2), F(1))
 
 
 def test_lattice_closure_values_are_exact_unit_vectors():
@@ -246,7 +250,7 @@ def fold_targets():
     axis4 = [F(k, 4) for k in range(5)]
     for fn in (lambda s, t: F(rng.randrange(9), 8), lambda s, t: F(0),
                lambda s, t: F(1), lambda s, t: F(3, 8), lambda s, t: max(s - t, F(0))):
-        values = {(s, t): fn(s, t) for s in axis4 for t in axis4}
+        values = tuple(fn(s, t) for s in axis4 for t in axis4)
         out.append((GridFunction(2, F(1, 4), values), F(1, 8)))
     return out
 
@@ -288,7 +292,7 @@ def reference_targets():
                                       repeat=arity))
         drawn = {pt: F(rng.randrange(65), 64) for pt in grid}
         for fn in (drawn.get, lambda pt: 1 - drawn[pt], lambda pt: F(0), lambda pt: F(1, 3)):
-            out.append((GridFunction(arity, pitch, {pt: fn(pt) for pt in grid}), eps))
+            out.append((GridFunction(arity, pitch, tuple(map(fn, grid))), eps))
     return out
 
 
@@ -317,8 +321,8 @@ def test_slope_cap_names_the_pair_like_the_reference(arity, spike, message):
     from oracles import synthesize_reference
 
     axis = [F(k, 128) for k in range(129)]
-    target = GridFunction(arity, F(1, 128), {pt: F(int(pt[-1] == axis[spike]))
-                                             for pt in itertools.product(axis, repeat=arity)})
+    target = GridFunction(arity, F(1, 128), tuple(F(int(pt[-1] == axis[spike]))
+                                                  for pt in itertools.product(axis, repeat=arity)))
     for build in (synthesize_reference, synthesize):
         with pytest.raises(DomainError) as info:
             build(target, F(1, 4))
@@ -491,7 +495,7 @@ def test_synthesis_path_leaves_no_cyclic_garbage():
 
     axis = [F(k, 4) for k in range(5)]
     targets = [(grid1(F(1, 8), lambda t: min(2 * t, F(1))), F(1, 8)),
-               (GridFunction(2, F(1, 4), {(s, t): max(s - t, F(0)) for s in axis for t in axis}),
+               (GridFunction(2, F(1, 4), tuple(max(s - t, F(0)) for s in axis for t in axis)),
                 F(1, 8))]
     formula = Quant("sup", "x", None, Op("max", (Atom("P", (Var("x"),)), Const(F(1, 2)))))
     gc.collect()
