@@ -81,15 +81,13 @@ class Signature:
                  predicates: Sequence[PredDecl] = ()):
         if not sorts:
             raise StructuralError("a signature needs at least one sort")
-        self.sorts = {s.name: s for s in sorts}
-        if len(self.sorts) != len(sorts):
-            raise StructuralError("duplicate sort name")
+        self.sorts = _by_name("sort", sorts)
         self.metric_of = {s.name: s.metric for s in sorts}
         self.metric_sort = {s.metric: s.name for s in sorts}
         if len(self.metric_sort) != len(sorts):
             raise StructuralError("metric symbols must be distinct")
-        self.functions = {f.name: f for f in functions}
-        self.predicates = {p.name: p for p in predicates}
+        self.functions = _by_name("function", functions)
+        self.predicates = _by_name("predicate", predicates)
         names = (list(self.functions) + list(self.predicates) + list(self.metric_sort))
         if len(set(names)) != len(names):
             raise StructuralError("function/predicate/metric names must be distinct")
@@ -222,6 +220,16 @@ class Signature:
             for p in checked("predicates", "name", "arg_sorts", "moduli")
         ]
         return Signature(sorts, functions, predicates)
+
+
+def _by_name(kind: str, decls: Sequence) -> dict:
+    """name -> declaration, in order; a name declared twice raises StructuralError."""
+    out: dict = {}
+    for decl in decls:
+        if decl.name in out:
+            raise StructuralError(f"duplicate {kind} name {decl.name!r}")
+        out[decl.name] = decl
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import CompletionError, DomainError, StructuralError
 from .language import (
+    App,
     Atom,
     Const,
     FuncDecl,
@@ -311,24 +312,31 @@ def _symbol_table(data: dict, section: str, name: str):
 # atom, twice the child's scale under `half`, and the lcm of the children's
 # scales at a binary connective or `med`.  Every value lies in [0, scale].
 #
-# Each node is compiled against at most one row variable: the last
-# variable given to `compile_row`, or the variable of the innermost
-# quantifier above it whose body reads it and is not itself a quantifier.
-# A node that reads the row variable is a row node, a closure e -> list of
-# numerators with one entry per element of that variable's carrier, in
-# carrier order.  Rows are read-only: a node may return the same list on
-# every call.  Any other node is a scalar node, a closure e -> int, and a
-# row parent broadcasts it.  A lookup with the row variable in one
+# Each node is compiled against at most one row: the last variable given
+# to `compile_row`, over its carrier in carrier order, or the row of the
+# innermost quantifier above it whose body reads its variable y and is not
+# itself a quantifier.  When that body reads y only inside one function
+# term t, no quantifier in it reads y and t's other variables are bound
+# outside, the row runs over the distinct values t takes as y runs over
+# the carrier, in increasing order, and the body reads t there; otherwise
+# it runs over y's carrier (the case t = y).  The sup or inf of a finite
+# multiset is that of its support, so values are unchanged.  A node that
+# reads y is a row node, a closure e -> list of numerators with one entry
+# per row element; row lengths may change from call to call.  Rows are
+# read-only: a node may return the same list on every call.  Any other node
+# is a scalar node, a closure e -> int, and a row parent takes its value
+# as one operand against every row entry.  A lookup with the row in one
 # argument reads a slice of the flat table, taken once per compile;
 # connectives and `med` work element-wise on rows, and sup/inf over a row
 # body is max/min of the row.  A quantifier whose body does not read its
 # variable is its body, since carriers are not empty.  Python loops remain
 # only where a nested quantifier reads an outer variable: a quantifier that
-# reads the enclosing row variable sets that variable's slot element by
-# element, and a quantifier whose body is a quantifier reading its variable
-# sets its own slot, stopping early once the value reaches the scale (sup)
-# or 0 (inf).  Which variables each node reads comes from one
-# `free_var_map` pass, made when the compiler first needs it.
+# reads the enclosing row variable (whose row is then its carrier) sets
+# that variable's slot element by element, and a quantifier whose body is
+# a quantifier reading its variable sets its own slot, stopping early once
+# the value reaches the scale (sup) or 0 (inf).  Which variables each node
+# reads comes from one `free_var_map` pass, made when the compiler first
+# needs it.
 #
 # Nodes that do per-element work are tabled: connective and `med` rows,
 # lookups through a function term, rows filled by a quantifier, and
@@ -377,7 +385,7 @@ def compile_row(M: FiniteStructure, f, variables: Sequence[tuple[str, str]],
         return (lambda prefix: [node([*pad])]), scale
     name, sort = variables[-1]
     carrier = range(M.sizes[sort])
-    node, scale, is_row, pad = _compile(M, f, names, env, (name, carrier))
+    node, scale, is_row, pad = _compile(M, f, names, env, (name, carrier, None))
     pad = [0, *pad]  # the last variable's slot, which only quantifier loops set
     if is_row:
         return (lambda prefix: node([*prefix, *pad])), scale
@@ -388,7 +396,7 @@ def compile_row(M: FiniteStructure, f, variables: Sequence[tuple[str, str]],
 def _compile(M: FiniteStructure, f, names: Sequence[str], env, row):
     """(node, scale, is_row, pad): f compiled with `names` in slots 0, 1, ...
 
-    `row` is (name, carrier) of the row variable, or None; `pad` fills the
+    `row` is (name, carrier, None) of the row variable, or None; `pad` fills the
     quantifier slots after the variables' slots.
     """
     compiler = _Compiler(M, env or {}, len(names), f)
@@ -461,17 +469,43 @@ class _Compiler:
         """(getter, is_row) of a term.
 
         A scalar getter is a variable's slot (an int) or a closure e ->
-        carrier index; a row getter is the row variable's carrier (a range)
-        or a closure e -> list of carrier indices.
+        carrier index; a row getter is the row's values (at the row's
+        variable or term) or a closure e -> list of carrier indices over them.
         """
         if isinstance(t, Var):
             if t.name not in scope:
                 raise StructuralError(f"unbound variable {t.name!r}")
-            if row is not None and t.name == row[0]:
+            if row is not None and t.name == row[0]:  # a term row never meets its bare variable
                 return row[1], True
             return scope[t.name], False
+        if row is not None and t == row[2]:
+            return row[1], True
         return self.lookup(self.M.function_table[t.func],
                            [self.term(a, scope, row) for a in t.args], self.M._strides[t.func])
+
+    def row(self, q, scope: Mapping[str, int]):
+        """The row of quantifier q, whose body reads q.var: (q.var, values, term).
+
+        values is a closure e -> the distinct values of the one term through
+        which the body reads q.var, or q.var's carrier (a range, term None).
+        """
+        bare = q.var, range(self.M.sizes[q.sort]), None
+        terms = set()
+        stack = [q.body]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, Op):
+                stack.extend(g.args)
+            elif isinstance(g, Atom):
+                terms.update(t for t in g.args if self.reads_var(t, q.var))
+            elif isinstance(g, Quant) and self.reads_var(g, q.var):
+                return bare
+        t = terms.pop() if len(terms) == 1 else None
+        # an unbound variable in t is reported where the body meets it
+        if not isinstance(t, App) or not scope.keys() >= {n for n, _ in self.reads[id(t)]}:
+            return bare
+        g, _ = self.term(t, scope, bare)
+        return q.var, (lambda e: sorted({*g(e)})), t
 
     def lookup(self, cells: list, args: list, strides: Sequence[int]):
         """(closure, is_row): cells at the flat index of the argument terms."""
@@ -507,7 +541,7 @@ class _Compiler:
         return node, True
 
     def formula(self, f, scope: Mapping[str, int], row):
-        """(closure, scale, is_row); `row` is (name, carrier) of the row variable or None."""
+        """(closure, scale, is_row); `row` is (name, values, term) as `row` builds it, or None."""
         if isinstance(f, Atom):
             args = [self.term(t, scope, row) for t in f.args]
             sig = self.M.sig
@@ -532,9 +566,8 @@ class _Compiler:
         if isinstance(f, Op):
             args = [self.formula(a, scope, row) for a in f.args]
             check_connective(f.op, len(args), f.n)
-            width = len(row[1]) if row is not None else 0
-            node, scale, is_row = (_median(args, f.n, width) if f.op == "med"
-                                   else _connective(f.op, args, width))
+            node, scale, is_row = (_median(args, f.n) if f.op == "med"
+                                   else _connective(f.op, args))
             if is_row and f.op != "half":
                 node = self.tabled(f, node, scope, row)
             return node, scale, is_row
@@ -545,18 +578,17 @@ class _Compiler:
             if not self.reads_var(f.body, f.var):
                 self.unset.add(slot)
                 return self.formula(f.body, inner, row)  # the carrier is not empty
-            carrier = range(self.M.sizes[f.sort])
             if isinstance(f.body, Quant):
                 # a row of the body would loop over f.var anyway: loop here, stopping early
                 body, scale, _ = self.formula(f.body, inner, None)
-                node = _quantifier(f.kind, body, slot, carrier, scale)
+                node = _quantifier(f.kind, body, slot, range(self.M.sizes[f.sort]), scale)
             else:
-                body, scale, _ = self.formula(f.body, inner, (f.var, carrier))
+                body, scale, _ = self.formula(f.body, inner, self.row(f, inner))
                 best = max if f.kind == "sup" else min
                 node = lambda e: best(body(e))  # noqa: E731
             if row is None or not self.reads_var(f, row[0]):
                 return self.tabled(f, node, scope, row), scale, False
-            r, outer = scope[row[0]], row[1]
+            r, outer = scope[row[0]], row[1]  # a carrier: f reads the row's variable
             return self.tabled(f, lambda e: [node(e) for e[r] in outer], scope, row), scale, True
         raise StructuralError(f"not a formula: {f!r}")
 
@@ -666,16 +698,31 @@ def _index_lookup(cells: list, rows: list, scalars: list):
     return node
 
 
-def _broadcast(a, k: int, is_row: bool, width: int):
-    """Row closure of a child's numerators times k; a scalar child is repeated `width` times."""
-    if is_row:
-        return a if k == 1 else (lambda e: [k * x for x in a(e)])
-    if k == 1:
-        return lambda e: [a(e)] * width
-    return lambda e: [a(e) * k] * width
+def _scaled(a, k: int):
+    """Row closure of a row child's numerators times k."""
+    return a if k == 1 else (lambda e: [k * x for x in a(e)])
 
 
-def _connective(op: str, args: list, width: int):
+# Element-wise kernels of the binary connectives on numerators over scale s:
+# on two rows, and on a row with a value on the right or on the left.
+_ROWS = {
+    "monus": lambda r, q, s: [x - y if x > y else 0 for x, y in zip(r, q)],
+    "min": lambda r, q, s: [x if x < y else y for x, y in zip(r, q)],
+    "max": lambda r, q, s: [x if x > y else y for x, y in zip(r, q)],
+    "plus_trunc": lambda r, q, s: [t if t < s else s for t in map(add, r, q)],
+    "absdiff": lambda r, q, s: [x - y if x > y else y - x for x, y in zip(r, q)],
+}
+_ROW_VALUE = {
+    "monus": lambda r, v, s: [x - v if x > v else 0 for x in r],
+    "min": lambda r, v, s: [x if x < v else v for x in r],
+    "max": lambda r, v, s: [x if x > v else v for x in r],
+    "plus_trunc": lambda r, v, s: [t if t < s else s for t in map(v.__add__, r)],
+    "absdiff": lambda r, v, s: [x - v if x > v else v - x for x in r],
+}
+_VALUE_ROW = {**_ROW_VALUE, "monus": lambda r, v, s: [v - x if v > x else 0 for x in r]}
+
+
+def _connective(op: str, args: list):
     if op == "neg":
         (a, s, is_row), = args
         if is_row:
@@ -687,20 +734,13 @@ def _connective(op: str, args: list, width: int):
     (a, sa, ra), (b, sb, rb) = args
     scale = math.lcm(sa, sb)
     ka, kb = scale // sa, scale // sb
-    if ra or rb:
-        a, b = _broadcast(a, ka, ra, width), _broadcast(b, kb, rb, width)
-        if op == "monus":
-            node = lambda e: [x - y if x > y else 0 for x, y in zip(a(e), b(e))]  # noqa: E731
-        elif op == "min":
-            node = lambda e: [x if x < y else y for x, y in zip(a(e), b(e))]  # noqa: E731
-        elif op == "max":
-            node = lambda e: [x if x > y else y for x, y in zip(a(e), b(e))]  # noqa: E731
-        elif op == "plus_trunc":
-            node = lambda e: [t if t < scale else scale  # noqa: E731
-                              for t in map(add, a(e), b(e))]
-        else:  # absdiff
-            node = lambda e: [x - y if x > y else y - x for x, y in zip(a(e), b(e))]  # noqa: E731
-        return node, scale, True
+    if ra and rb:
+        a, b, kernel = _scaled(a, ka), _scaled(b, kb), _ROWS[op]
+        return (lambda e: kernel(a(e), b(e), scale)), scale, True
+    if ra or rb:  # the scalar child is one value, however long the row
+        r, c, k, kernel = ((_scaled(a, ka), b, kb, _ROW_VALUE[op]) if ra
+                           else (_scaled(b, kb), a, ka, _VALUE_ROW[op]))
+        return (lambda e: kernel(r(e), c(e) * k, scale)), scale, True
     if op == "monus":
         def node(e):
             d = a(e) * ka - b(e) * kb
@@ -723,13 +763,18 @@ def _connective(op: str, args: list, width: int):
     return node, scale, False
 
 
-def _median(args: list, n: int, width: int):
+def _median(args: list, n: int):
     scale = math.lcm(*(s for _, s, _ in args))
     if not any(is_row for _, _, is_row in args):
         parts = [(a, scale // s) for a, s, _ in args]
         return (lambda e: sorted([a(e) * k for a, k in parts])[n - 1]), scale, False
-    parts = [_broadcast(a, scale // s, is_row, width) for a, s, is_row in args]
-    return (lambda e: [sorted(t)[n - 1] for t in zip(*[p(e) for p in parts])]), scale, True
+    rows = [_scaled(a, scale // s) for a, s, is_row in args if is_row]
+    values = [(a, scale // s) for a, s, is_row in args if not is_row]
+
+    def node(e):
+        vs = tuple([a(e) * k for a, k in values])
+        return [sorted(t + vs)[n - 1] for t in zip(*[r(e) for r in rows])]
+    return node, scale, True
 
 
 def env_from_names(M: FiniteStructure, bindings: Mapping[str, str], f) -> dict:

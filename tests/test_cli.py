@@ -18,7 +18,7 @@ from contlogic.stability import glue_formula
 from contlogic.errors import StructuralError
 from contlogic.structures import FiniteStructure, gen_halfgraph, gen_prob_algebra, make_split
 from contlogic.synthesis import GridFunction
-from oracles import glued_halfgraph
+from oracles import eval_formula_reference, glued_halfgraph
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +84,20 @@ def test_eval_with_binding(capsys, algebra_file):
     code, report = run_json(capsys, ["eval", algebra_file, "-e", "mu(x)", "--let", "x=s3"])
     assert code == 0
     assert report["report"]["value"] == "1"
+
+
+def test_eval_let_on_term_rows_matches_reference(capsys, tmp_path):
+    """Quantifiers whose bodies read y only through meet(y,x) or join(meet(y,x),z)."""
+    M = gen_prob_algebra([F(1, 8), F(3, 8), F(1, 6), F(1, 3)])
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(M.to_json()))
+    text = "(inf y. |mu(meet(y,x)) - half mu(x)|) +. (sup y. mu(join(meet(y,x),z)) -. d(x,z))"
+    f = parse(text, M.sig)
+    for x, z in [(5, 12), (15, 0), (0, 15), (9, 9), (6, 3)]:
+        code, report = run_json(capsys, ["eval", str(path), "-e", text,
+                                         "--let", f"x=s{x}", "--let", f"z=s{z}"])
+        assert code == 0
+        assert F(report["report"]["value"]) == eval_formula_reference(M, {"x": x, "z": z}, f)
 
 
 @pytest.mark.parametrize("lets, message", [
@@ -677,6 +691,30 @@ def test_imaginary_name_already_in_the_signature_exits_1(capsys, algebra_file, t
     capsys.readouterr()
     fails_with(capsys, ["imaginary", str(path), "--formula", "mu(meet(x,y))", "--split", "x;y"],
                "name 'P_phi' already used in the signature")
+
+
+HALF_MODULUS = [["0", "0"], ["1", "1/2"]]
+
+
+@pytest.mark.parametrize("section, change, message", [
+    # a second mu with a stricter modulus, after and before the identity one
+    ("predicates", lambda mu: [mu, {**mu, "moduli": [HALF_MODULUS]}],
+     "duplicate predicate name 'mu'"),
+    ("predicates", lambda mu: [{**mu, "moduli": [HALF_MODULUS]}, mu],
+     "duplicate predicate name 'mu'"),
+    ("functions", lambda meet: [meet, {**meet, "arg_sorts": ["B"], "moduli": [HALF_MODULUS]}],
+     "duplicate function name 'meet'"),
+    ("sorts", lambda B: [B, B], "duplicate sort name 'B'"),
+], ids=["mu-identity-first", "mu-identity-second", "unary-meet", "sort"])
+def test_check_rejects_a_symbol_declared_twice(capsys, tmp_path, section, change, message):
+    data = gen_prob_algebra([F(1, 2), F(1, 2)]).to_json()
+    entries = data["signature"][section]
+    name = message.split("'")[1]
+    at = next(i for i, entry in enumerate(entries) if entry["name"] == name)
+    entries[at:at + 1] = change(entries[at])
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    fails_with(capsys, ["check", str(path)], message)
 
 
 def test_eval_let_without_equals_exits_1(capsys, algebra_file):

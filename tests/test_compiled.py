@@ -190,6 +190,11 @@ def test_errors_match_reference():
     assert "const" in same_error(M, {"x": 0}, Op("const", ()))
     # the first error in evaluation order wins
     assert same_error(M, {}, Op("nand", (P,))) == "unbound variable 'x'"
+    # also where the body reads its variable only inside a term that reads an unbound one
+    A = gen_prob_algebra([F(1, 2), F(1, 2)])
+    t = App("meet", (Var("y", "B"), Var("w", "B")), "B")
+    assert "'p'" in same_error(A, {}, Quant("sup", "y", "B", Op("min", (ValueVar("p"),
+                                                                       Atom("mu", (t,))))))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +362,7 @@ def test_random_structures_validate_like_reference(M):
 
 
 # ---------------------------------------------------------------------------
-# row kernels: a quantifier's body over the whole carrier at once
+# row kernels: a quantifier's body over a whole row at once
 
 # z (and w, u) are bound; x and y are free, p is a value variable.  Each term
 # puts the bound variable at another argument position or depth.
@@ -366,7 +371,7 @@ ROW_TERMS = ["z", "meet(z,x)", "meet(x,z)", "join(z,y)", "join(y,z)", "compl(z)"
 ROW_ATOMS = [f"mu({t})" for t in ROW_TERMS] + [
     "d(z,x)", "d(x,z)", "d(z,z)", "d(meet(z,x),join(y,z))", "d(compl(z),meet(x,y))",
     "d(one,z)", "d(z,zero)"]
-# children that do not read z, so a row parent broadcasts them
+# children that do not read z, so a row parent takes each as one value
 SCALARS = ["mu(x)", "d(x,y)", "p", "1/3", "mu(meet(compl(x),y))"]
 ROW_BODIES = (
     ROW_ATOMS
@@ -646,3 +651,64 @@ def test_tphi_sentences_vanish_for_the_sup_phi(k):
             assert same_value(E.expanded, {}, sentence) == 0
         else:
             assert eval_formula(E.expanded, {}, sentence) == 0
+
+
+# ---------------------------------------------------------------------------
+# term rows: a quantifier whose body reads its variable y only inside one
+# function term t runs its row over the distinct values of t
+
+# x and z are free, p is a value variable; every other name is bound.
+TERM_ROWS = [
+    "inf y. |mu(meet(y,x)) - half mu(x)|",
+    "sup x. inf y. |mu(meet(y,x)) - half mu(x)|",  # the binder hides the free x
+    "sup y. mu(meet(x,y)) -. p",
+    "inf y. p -. mu(compl(y))",
+    "sup y. half mu(meet(y,x)) +. p",
+    "inf y. min(1/3, mu(meet(y,x)))",
+    "sup y. max(mu(meet(y,x)), half p)",
+    "inf y. med 2(mu(meet(x,y)), p, half mu(x))",
+    "sup y. med 3(mu(meet(y,x)), p, half mu(meet(y,x)), not mu(meet(y,x)), 1/4)",
+    "inf y. max(mu(meet(y,x)), d(meet(y,x), z))",  # two lookups through t
+    "sup y. |d(meet(y,x), meet(y,x)) - half half mu(meet(y,x))|",  # t in both arguments
+    "inf y. mu(join(meet(y,x), z))",  # t reads two free variables
+    "sup y. mu(meet(y, one))",
+    "inf y. (sup w. mu(meet(w,z))) -. mu(meet(y,x))",  # a quantifier that ignores y
+    "sup y. max(mu(meet(y,x)), sup y. d(y,x))",  # the inner y is another variable
+    "sup y. |mu(meet(y,x)) - inf x. mu(meet(x,z))|",  # t's x is free, the inner x bound
+]
+# bodies that keep the carrier row; under sup, a row over the values of
+# meet(y,x) alone would miss the y outside x in the first two
+CARRIER_ROWS = [f"{q} y. {body}" for q in ("sup", "inf") for body in [
+    "max(mu(meet(y,x)), d(y,x))",  # y also bare
+    "|mu(meet(y,x)) - mu(join(y,x))|",  # y in two different terms
+    "min(mu(meet(y,x)), inf w. d(meet(y,x), w))",  # t inside a nested quantifier
+    "sup w. mu(meet(y,w))",  # t reads a variable bound inside the body
+    "max(mu(meet(y,x)), inf x. mu(meet(y,x)))",  # the same term, its x bound inside
+]]
+
+
+@pytest.mark.parametrize("atoms", [2, 3, 4, 5, 6])
+def test_term_rows_match_reference(atoms):
+    rng = random.Random(atoms)
+    weights = [rng.randint(1, 9) for _ in range(atoms)]
+    M = gen_prob_algebra([F(w, sum(weights)) for w in weights])
+    pairs = list(itertools.product(range(M.sizes["B"]), repeat=2))
+    pairs = rng.sample(pairs, min(len(pairs), 12))
+    for text in TERM_ROWS + CARRIER_ROWS:
+        f = parse(text, M.sig)
+        for x, z in pairs:
+            same_value(M, {"x": x, "z": z, "p": F(3, 7)}, f)
+
+
+def test_term_row_reads_each_distinct_value_once():
+    """inf y. mu(meet(y,x)) reads mu once per value of meet(y,x): 2^|x| times, not 8."""
+    M, counted = counting_measure(gen_prob_algebra([F(1, 3)] * 3))
+    term_row = parse("inf y. mu(meet(y,x))", M.sig)
+    carrier_row = parse("inf y. max(mu(meet(y,x)), d(y,x))", M.sig)  # y also bare
+    for x in range(M.sizes["B"]):
+        counted.reads = 0
+        assert eval_formula(M, {"x": x}, term_row) == 0
+        assert counted.reads == 2 ** bin(x).count("1")
+        counted.reads = 0
+        eval_formula(M, {"x": x}, carrier_row)
+        assert counted.reads == 8
