@@ -41,6 +41,7 @@ from .language import (
 )
 from .values import (
     ONE,
+    Lanes,
     ZERO,
     check_connective,
     check_unit,
@@ -801,6 +802,9 @@ class Violation:
     witnesses: tuple[str, ...]
     detail: str
 
+    def __str__(self) -> str:  # as `check` reports it, on one line
+        return f"{self.kind} {self.subject} ({', '.join(self.witnesses)}): {self.detail}"
+
 
 @dataclass
 class ValidationReport:
@@ -830,10 +834,24 @@ def validate(M: FiniteStructure) -> ValidationReport:
     tables: a change c/D violates the bound u(d) = n/m iff c > floor(n * D / m),
     and u is evaluated on ints once per distinct distance of each sort, shared
     by every symbol and argument with that modulus and that D.
+
+    A modulus scans only the base pairs of its (u, sort, D) when the argument
+    sort's metric is symmetric and, for a function, the target sort's metric is
+    symmetric and obeys the triangle inequality.  With thr(d) = floor(u(d) * D),
+    a pair z < w is a base pair unless its first midpoint y, with d(z,y) > 0,
+    d(y,w) > 0 and d(z,y) + d(y,w) = d(z,w), has thr(d(z,y)) + thr(d(y,w)) <=
+    thr(d(z,w)).  If no base pair violates, no pair does, by strong induction on
+    d(z,w): the halves of any other pair are nearer, so in every context
+    change(z,w) <= change(z,y) + change(y,w) <= thr(d(z,y)) + thr(d(y,w)) <=
+    thr(d(z,w)), by the triangle inequality of |.| on predicate values or of the
+    target metric, exact on ints (symmetry makes d and change independent of a
+    pair's order).  Otherwise every pair is scanned, so the report is always a
+    full scan's.  Midpoints and the triangle check read the metric rows packed
+    as `Lanes`: lane y of row z + row w is d(z,y) + d(y,w).
     """
     out = []
-    thresholds: dict = {}  # (u, sort, D) -> {distance numerator: ((n, m), floor(n * D / m))}
-    rows = {}
+    rows, mids = {}, {}  # sort -> metric rows; symmetric sort -> [(z, w, first midpoint or -1)]
+    metric_sorts = set()  # symmetric sorts that obey the triangle inequality
     for sort in M.sig.sort_names:
         names = M.carriers[sort]
         den, cells = M.metric_table[sort]
@@ -845,22 +863,40 @@ def validate(M: FiniteStructure) -> ValidationReport:
                 out.append(Violation("metric_reflexivity", sort, (names[i],),
                                      f"d({names[i]},{names[i]}) = "
                                      f"{format_rational(Fraction(dm[i][i], den))}"))
+        symmetric = triangle = True
         for i in range(n):
             if dm[i][i + 1:] != cols[i][i + 1:]:
+                symmetric = False
                 for j in range(i + 1, n):
                     if dm[i][j] != dm[j][i]:
                         out.append(Violation("metric_symmetry", sort, (names[i], names[j]),
                                              "d(x,y) != d(y,x)"))
+        lanes = Lanes(2 * den, n)
+        level = {d: d * lanes.ones for d in set(cells)}
+        prow = [lanes.pack(row) for row in dm]
+        pcol = prow if symmetric else [lanes.pack(col) for col in cols]
         for i, row in enumerate(dm):
-            for j, col in enumerate(cols):
-                dij = row[j]
-                if dij and dij > min(map(add, row, col)):
+            for j, (c, col) in enumerate(zip(pcol, cols)):
+                dij = row[j]  # some lane k has d(i,k) + d(k,j) < dij iff a guard bit is clear
+                if dij and lanes.at_least(prow[i] + c, level[dij]) != lanes.guard:
+                    triangle = False
                     for k in range(n):
                         if dij > row[k] + col[k]:
                             out.append(Violation(
                                 "metric_triangle", sort, (names[i], names[j], names[k]),
                                 f"d = {format_rational(Fraction(dij, den))} > "
                                 f"{format_rational(Fraction(row[k] + col[k], den))}"))
+        if symmetric:
+            apart = [lanes.at_least(r, lanes.ones) for r in prow]  # the lanes y with d(z,y) > 0
+            mids[sort] = pairs = []
+            for z, w in itertools.combinations(range(n), 2):
+                d, s = level[cells[z * n + w]], prow[z] + prow[w]
+                m = lanes.at_least(s, d) & lanes.at_least(d, s) & apart[z] & apart[w]
+                pairs.append((z, w, (m & -m).bit_length() // lanes.width - 1))
+            if triangle:
+                metric_sorts.add(sort)
+
+    moduli = {}  # (u, sort, D) -> {distance: u(d) as (n, m)}, {distance: thr}, base pairs
 
     def check_symbol(name, decl, cells, den, target_rows=None):
         """Moduli of one symbol; `target_rows` (the target sort's metric) marks a function."""
@@ -877,18 +913,24 @@ def validate(M: FiniteStructure) -> ValidationReport:
             else:
                 def changes(z, w):  # |P(.., z, ..) - P(.., w, ..)| per context
                     return map(abs, map(sub, cols[z], cols[w]))
-            bounds = thresholds.setdefault((u, sort, den), {})
+            key = u, sort, den
+            if key not in moduli:
+                at = {d: u.at(d, dist_den) for d in set(dist)}
+                thr = {d: n * den // m for d, (n, m) in at.items()}
+                moduli[key] = at, thr, [
+                    (z, w) for z, w, y in mids.get(sort, ())
+                    if y < 0 or thr[dist[z * size + y]] + thr[dist[y * size + w]]
+                    > thr[dist[z * size + w]]]
+            at, thr, base = moduli[key]
+            if sort in mids and (target_rows is None or decl.target in metric_sorts) \
+                    and all(max(changes(z, w)) <= thr[dist[z * size + w]] for z, w in base):
+                continue  # no base pair violates, so no pair does
             found = []
-            for z in range(size):
-                for w in range(z + 1, size):
-                    d = dist[z * size + w]
-                    if d not in bounds:
-                        bound = u.at(d, dist_den)
-                        bounds[d] = bound, bound[0] * den // bound[1]
-                    bound, threshold = bounds[d]
-                    if max(changes(z, w)) > threshold:
-                        found += [(k, z, w, c, bound) for k, c in enumerate(changes(z, w))
-                                  if c > threshold]
+            for z, w in itertools.combinations(range(size), 2):
+                d = dist[z * size + w]
+                if max(changes(z, w)) > thr[d]:
+                    found += [(k, z, w, c, at[d]) for k, c in enumerate(changes(z, w))
+                              if c > thr[d]]
             found.sort(key=lambda v: v[:3])  # context, then z, then w
             for _, z, w, change, bound in found:
                 out.append(Violation(

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, StructuralError
 from .language import Const, Op, ValueVar, nodes
 from .values import (
+    Lanes,
     check_connective,
     ensure_unit,
     format_ratio,
@@ -196,29 +197,12 @@ def _to_table(expr, points):
     return t, [[v.numerator * (D // v.denominator) for v in col] for col in columns]
 
 
-def _pack(nums, width: int) -> int:
-    return sum(v << (i * width) for i, v in enumerate(nums))
-
-
-def _unpack(x: int, width: int, lanes: int) -> list[int]:
-    mask = (1 << width) - 1
-    return [(x >> (i * width)) & mask for i in range(lanes)]
-
-
-def _sub(x: int, y: int, guard: int, shift: int) -> int:
-    """Lane-wise x -. y: a lane of x + guard - y keeps its guard bit iff x >= y."""
-    t = x + guard - y
-    g = t & guard
-    return t & (g - (g >> shift))
-
-
 def _certify(t: _Table, columns, lanes: int) -> tuple[list[int], int, int]:
     """The root's value on every lane as int numerators over t.den, the count
     of entries the root reaches and its written-out size.  A backward loop
     counts the paths from the root to each entry: positive exactly where the
     root reaches, they add up to the written-out size.  A forward loop then
-    evaluates each reached entry once on lanes of `t.den.bit_length() + 2`
-    bits packed in one int; as values lie in [0, t.den], top bits guard `monus`."""
+    evaluates each reached entry once on `Lanes` of values in [0, t.den]."""
     kind, left, right, const, meds = t.kind, t.left, t.right, t.const, t.meds
     n = len(kind)
     paths = [0] * n
@@ -232,19 +216,14 @@ def _certify(t: _Table, columns, lanes: int) -> tuple[list[int], int, int]:
         elif p and kind[i] == MED:
             for a in meds[left[i]]:
                 paths[a] += p
-    width = t.den.bit_length() + 2
-    shift = width - 1
-    ones = ((1 << (width * lanes)) - 1) // ((1 << width) - 1)  # 1 in every lane
-    full = t.den * ones
-    guard = ones << shift
-    coords = [_pack(col, width) for col in columns]
+    packed = Lanes(t.den, lanes)
+    ones, monus, full = packed.ones, packed.monus, t.den * packed.ones
+    coords = [packed.pack(col) for col in columns]
     val = [0] * n
     for i in compress(range(n), paths):
         k = kind[i]
         if k == MONUS:  # monus and neg first: synthesis writes no other connective
-            x = val[left[i]] + guard - val[right[i]]
-            g = x & guard
-            val[i] = x & (g - (g >> shift))
+            val[i] = monus(val[left[i]], val[right[i]])
         elif k == NEG:
             val[i] = full - val[left[i]]
         elif k == CONST:
@@ -254,15 +233,15 @@ def _certify(t: _Table, columns, lanes: int) -> tuple[list[int], int, int]:
         elif k == HALF:
             val[i] = val[left[i]] >> 1
         elif k == MED:
-            cols = zip(*(_unpack(val[a], width, lanes) for a in meds[left[i]]))
-            val[i] = _pack([sorted(c)[const[i] - 1] for c in cols], width)
+            cols = zip(*(packed.unpack(val[a]) for a in meds[left[i]]))
+            val[i] = packed.pack([sorted(c)[const[i] - 1] for c in cols])
         elif k == PLUS_TRUNC:
-            val[i] = full - _sub(full - val[left[i]], val[right[i]], guard, shift)
+            val[i] = full - monus(full - val[left[i]], val[right[i]])
         else:
             a, b = val[left[i]], val[right[i]]
-            d = _sub(a, b, guard, shift)
-            val[i] = a - d if k == MIN else b + d if k == MAX else d + _sub(b, a, guard, shift)
-    return _unpack(val[-1], width, lanes), n - paths.count(0), sum(paths)
+            d = monus(a, b)
+            val[i] = a - d if k == MIN else b + d if k == MAX else d + monus(b, a)
+    return packed.unpack(val[-1]), n - paths.count(0), sum(paths)
 
 
 def _grid_error(t: _Table, columns, want) -> tuple[Fraction, int, int]:

@@ -3,7 +3,7 @@
 Truth values are `fractions.Fraction` instances kept in [0,1]; Fraction
 already stores lowest terms, so no wrapper class is needed.  This module
 holds rational parsing and printing, the connective table (each
-connective's arity and per-argument monotonicity), the forced-limit
+connective's arity and per-argument monotonicity), packed int lanes, the forced-limit
 recursion on finite prefixes, and piecewise-linear monotone functions
 used as (inverse) continuity moduli, including the conversion between
 the standard and inverse form.  The connectives are computed on int
@@ -122,6 +122,43 @@ def check_connective(name: str, k: int, n: Optional[int] = None) -> None:
         raise StructuralError(f"unknown connective {name!r}")
     elif len(CONNECTIVES[name]) != k:
         raise StructuralError(f"{name} expects {len(CONNECTIVES[name])} arguments, got {k}")
+
+
+# ---------------------------------------------------------------------------
+# Packed lanes
+
+
+class Lanes:
+    """`count` ints in [0, bound] as the lanes of one int: lane i is bits
+    [i * width, (i + 1) * width) and width = bound.bit_length() + 1, so the top
+    bit of every lane, its guard, is 0 in a packed value.  Then x + guard - y
+    borrows across no lane, and a lane keeps its guard bit iff x >= y there."""
+
+    __slots__ = ("width", "count", "ones", "guard")
+
+    def __init__(self, bound: int, count: int):
+        self.width = width = bound.bit_length() + 1
+        self.count = count
+        self.ones = ((1 << width * count) - 1) // ((1 << width) - 1)  # 1 in every lane
+        self.guard = self.ones << (width - 1)
+
+    def pack(self, nums) -> int:
+        width = self.width
+        return sum(v << (i * width) for i, v in enumerate(nums))
+
+    def unpack(self, x: int) -> list[int]:
+        width, mask = self.width, (1 << self.width) - 1
+        return [(x >> (i * width)) & mask for i in range(self.count)]
+
+    def at_least(self, x: int, y: int) -> int:
+        """The guard bit of every lane where x >= y, and no other bit."""
+        return (x + self.guard - y) & self.guard
+
+    def monus(self, x: int, y: int) -> int:
+        """Lane-wise x -. y: each guard bit g of `at_least` spreads to g - (g >> (width - 1))."""
+        t = x + self.guard - y
+        g = t & self.guard
+        return t & (g - (g >> (self.width - 1)))
 
 
 # ---------------------------------------------------------------------------

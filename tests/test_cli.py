@@ -693,6 +693,21 @@ def test_imaginary_name_already_in_the_signature_exits_1(capsys, algebra_file, t
                "name 'P_phi' already used in the signature")
 
 
+def test_imaginary_on_an_invalid_base_names_its_first_violation(capsys, tmp_path):
+    """The message gives the violation's fields as `check` reports them, not a repr."""
+    data = gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)]).to_json()
+    data["predicates"]["mu"][3] = "0"
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(data))
+    code, report = run_json(capsys, ["check", str(path)])
+    assert code == 1 and report["report"]["violations"] == [
+        {"kind": "modulus_predicate", "subject": "mu", "witnesses": ["s3", "s7"],
+         "detail": "argument 0: change 1 > u(d) = 1/2"}]
+    fails_with(capsys, ["imaginary", str(path), "--formula", "mu(meet(x,y))", "--split", "x;y"],
+               "base structure fails validation: "
+               "modulus_predicate mu (s3, s7): argument 0: change 1 > u(d) = 1/2")
+
+
 HALF_MODULUS = [["0", "0"], ["1", "1/2"]]
 
 

@@ -247,6 +247,125 @@ def test_validate_matches_reference_on_mutated_algebras(change, kind):
 
 
 # ---------------------------------------------------------------------------
+# validate's base pairs: structures valid by construction, and one mutation each
+
+IDENT_J = [["0", "0"], ["1", "1"]]
+CONVEX_J = [["0", "0"], ["1/2", "1/4"], ["1", "1"]]  # u(d) >= d/2: the threshold sum holds
+CONCAVE_J = [["0", "0"], ["1/3", "1/2"], ["1", "1"]]  # u(d) >= d: the threshold sum fails
+LIPSCHITZ = [IDENT_J, CONCAVE_J]  # u(d) >= d, so a 1-Lipschitz symbol is valid under either
+
+
+def line_structure(rng):
+    """Points of a line at 16ths, some coinciding; a second sort T, the line of
+    |p - c| over the points p, with an extra point; f: S -> T, p |-> |p - c|, the
+    identity g on S; distance-to-a-point predicates (P, Q on T; H at half the
+    distance, under the convex modulus) and the distance R(x, y).  C climbs by
+    u(gap) from point to point under the concave u, so only pairs with a
+    midpoint can violate its modulus."""
+    n = rng.randint(3, 7)
+    pool = rng.sample(range(17), rng.randint(2, n))
+    pos = [rng.choice(pool) for _ in range(n)]
+    c, q, q_t = rng.randrange(17), rng.choice(pos), rng.randrange(17)
+    tpos = sorted({abs(p - c) for p in pos} | {rng.randrange(17)})
+    sig = {"sorts": [{"name": "S", "metric": "d"}, {"name": "T", "metric": "dT"}],
+           "functions": [{"name": "f", "arg_sorts": ["S"], "target_sort": "T",
+                          "moduli": [rng.choice(LIPSCHITZ)]},
+                         {"name": "g", "arg_sorts": ["S"], "target_sort": "S",
+                          "moduli": [rng.choice(LIPSCHITZ)]}],
+           "predicates": [{"name": "P", "arg_sorts": ["S"], "moduli": [rng.choice(LIPSCHITZ)]},
+                          {"name": "H", "arg_sorts": ["S"], "moduli": [CONVEX_J]},
+                          {"name": "R", "arg_sorts": ["S", "S"],
+                           "moduli": [rng.choice(LIPSCHITZ), rng.choice(LIPSCHITZ)]},
+                          {"name": "Q", "arg_sorts": ["T"], "moduli": [rng.choice(LIPSCHITZ)]},
+                          {"name": "C", "arg_sorts": ["S"], "moduli": [CONCAVE_J]}]}
+    S, T = [f"e{i}" for i in range(n)], [f"t{i}" for i in range(len(tpos))]
+    u, line = pl_of(CONCAVE_J).eval, sorted(set(pos))
+    climb = {line[0]: F(0)}
+    for a, b in itertools.pairwise(line):
+        climb[b] = min(F(1), climb[a] + u(F(b - a, 16)))
+    return {"signature": sig, "carriers": {"S": S, "T": T},
+            "metric": {"S": [[f"{abs(a - b)}/16" for b in pos] for a in pos],
+                       "T": [[f"{abs(a - b)}/16" for b in tpos] for a in tpos]},
+            "functions": {"f": [T[tpos.index(abs(p - c))] for p in pos], "g": S},
+            "predicates": {"P": [f"{abs(p - q)}/16" for p in pos],
+                           "H": [f"{abs(p - q)}/32" for p in pos],
+                           "R": [[f"{abs(a - b)}/16" for b in pos] for a in pos],
+                           "Q": [f"{abs(p - q_t)}/16" for p in tpos],
+                           "C": [str(climb[p]) for p in pos]}}
+
+
+def algebra_structure(rng):
+    """A probability algebra on 2-3 atoms with random weights and Lipschitz moduli."""
+    weights = [rng.randint(1, 9) for _ in range(rng.randint(2, 3))]
+    data = gen_prob_algebra([F(w, sum(weights)) for w in weights]).to_json()
+    for decl in data["signature"]["functions"] + data["signature"]["predicates"]:
+        decl["moduli"] = [rng.choice(LIPSCHITZ) for _ in decl["moduli"]]
+    return data
+
+
+def move_a_cell(rng, data):
+    name = rng.choice(["P", "H", "Q", "C", "f", "g"] if "S" in data["carriers"]
+                      else ["mu", "compl", "meet", "join"])
+    section = "predicates" if name in data["predicates"] else "functions"
+    cells, target = data[section][name], None
+    if section == "functions":
+        decl = next(d for d in data["signature"]["functions"] if d["name"] == name)
+        target = data["carriers"][decl["target_sort"]]
+    while isinstance(cells[0], list):
+        cells = rng.choice(cells)
+    k = rng.randrange(len(cells))
+    cells[k] = rng.choice(target) if target else f"{rng.randrange(17)}/16"
+
+
+def make_a_pair_asymmetric(rng, data):
+    sort = rng.choice([s for s in data["carriers"] if len(data["carriers"][s]) > 1])
+    i, j = rng.sample(range(len(data["carriers"][sort])), 2)
+    data["metric"][sort][i][j] = f"{rng.randrange(17)}/16"
+
+
+def break_the_target_triangle(rng, data):
+    sort = "T" if "T" in data["carriers"] else "B"
+    if len(data["carriers"][sort]) > 1:
+        i, j = rng.sample(range(len(data["carriers"][sort])), 2)
+        data["metric"][sort][i][j] = data["metric"][sort][j][i] = "1"
+
+
+def test_base_pairs_give_the_reference_report():
+    """validate scans only the base pairs of a symmetric metric; valid structures
+    and each mutation of them get the reference's report entry for entry."""
+    rng = random.Random(25)
+    for build in [line_structure, algebra_structure] * 30:
+        data = build(rng)
+        M = FiniteStructure.from_json(json.loads(json.dumps(data)))
+        assert {v.subject for v in validate(M).violations} <= {"C"}
+        same_report(M)
+        for mutate in (move_a_cell, make_a_pair_asymmetric, break_the_target_triangle):
+            changed = json.loads(json.dumps(data))
+            mutate(rng, changed)
+            same_report(FiniteStructure.from_json(changed))
+
+
+def test_symmetry_is_a_precondition_of_the_base_pairs():
+    """Over 16ths: a midpoint through an asymmetric entry must not certify a pair."""
+    def three_points(metric, values):
+        return FiniteStructure(
+            Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENT,))]),
+            {"S": ["a", "b", "c"]}, {"S": [[F(d, 16) for d in row] for row in metric]},
+            {}, {"P": {(i,): F(v, 16) for i, v in enumerate(values)}})
+
+    M = three_points([[0, 2, 6], [2, 0, 5], [6, 4, 0]], [0, 2, 7])
+    assert [(v.kind, v.witnesses, v.detail) for v in validate(M).violations] == [
+        ("metric_symmetry", ("b", "c"), "d(x,y) != d(y,x)"),
+        ("modulus_predicate", ("a", "c"), "argument 0: change 7/16 > u(d) = 3/8")]
+    same_report(M)
+    # b's midpoint a lies below b: d(b,a) + d(c,a) = d(b,c), but the scanned pair is (a,b)
+    M = three_points([[0, 4, 3], [1, 0, 4], [3, 4, 0]], [4, 0, 7])
+    assert [(v.kind, v.witnesses) for v in validate(M).violations] == [
+        ("metric_symmetry", ("a", "b")), ("modulus_predicate", ("b", "c"))]
+    same_report(M)
+
+
+# ---------------------------------------------------------------------------
 # random structures
 
 

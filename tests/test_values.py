@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from contlogic.errors import ContlogicError, DomainError, StructuralError
 from contlogic.values import (
     CONNECTIVES,
+    Lanes,
     PLMonotone,
     delta_from_inverse,
     flim_prefix,
@@ -395,3 +396,20 @@ def test_int_parser_matches_parse_rational_on_edge_literals(text):
                  st.sampled_from(LITERALS)))
 def test_int_parser_matches_parse_rational(text):
     assert_parses_like_the_reference(text)
+
+
+def test_lanes_match_the_list_form():
+    """pack/unpack round-trip, and at_least and monus agree lane by lane with
+    the list form, for bounds of 1 to 63 bits, at 0 and at the bound."""
+    rng = random.Random(6)
+    for bits in range(1, 64):
+        bound = rng.randrange(1 << bits - 1, 1 << bits)
+        count = rng.randint(1, 9)
+        lanes = Lanes(bound, count)
+        xs, ys = ([rng.choice([0, bound, rng.randint(0, bound)]) for _ in range(count)]
+                  for _ in range(2))
+        x, y = lanes.pack(xs), lanes.pack(ys)
+        assert lanes.unpack(x) == xs
+        assert lanes.unpack(lanes.monus(x, y)) == [max(a - b, 0) for a, b in zip(xs, ys)]
+        at_least = [a >= b for a, b in zip(xs, ys)]
+        assert lanes.at_least(x, y) == lanes.pack(at_least) << lanes.width - 1
