@@ -87,8 +87,8 @@ def build_imaginary(inst: PhiInstance) -> ImaginaryExpansion:
     metric_table[SORT_NAME] = ScaledTable.over(inst.scale, [d for row in d_phi for d in row])
     predicate_table = dict(M.predicate_table)
     predicate_table[PRED_NAME] = ScaledTable.over(inst.scale, pred_values)
-    expanded = FiniteStructure.from_tables(new_sig, carriers, metric_table, M.function_table,
-                                           predicate_table)
+    expanded = FiniteStructure(new_sig, carriers, metric_table, M.function_table,
+                               predicate_table)
     return ImaginaryExpansion(inst, class_members, class_names,
                               [yts[r] for r in representatives], projection, expanded)
 

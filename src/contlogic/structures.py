@@ -26,32 +26,23 @@ from .language import (
     App,
     Atom,
     Const,
-    FuncDecl,
     Op,
-    PLMonotone,
-    PredDecl,
     Quant,
     Signature,
     VALUE_SORT,
-    SortDecl,
     ValueVar,
     Var,
     free_var_map,
     free_vars,
 )
 from .values import (
-    ONE,
     Lanes,
-    ZERO,
     check_connective,
     check_unit,
-    ensure_unit,
     format_ratio,
     format_rational,
     parse_literals,
 )
-
-IDENTITY = PLMonotone.identity()
 
 
 class ScaledTable(NamedTuple):
@@ -61,14 +52,9 @@ class ScaledTable(NamedTuple):
     cells: list
 
     @staticmethod
-    def of(values: Iterable[Fraction]) -> "ScaledTable":
-        values = list(values)
-        den = math.lcm(*{v.denominator for v in values})
-        return ScaledTable(den, [v.numerator * (den // v.denominator) for v in values])
-
-    @staticmethod
     def over(scale: int, cells: list) -> "ScaledTable":
-        """The values cells[i] / scale, in the lowest terms `of` would give them."""
+        """The values cells[i] / scale over their least common denominator, as `from_json`
+        reads them from a file."""
         g = math.gcd(scale, *cells)
         return ScaledTable(scale // g, [c // g for c in cells])
 
@@ -93,62 +79,18 @@ class FiniteStructure:
     """
 
     def __init__(self, sig: Signature, carriers: Mapping[str, Sequence[str]],
-                 metric: Mapping[str, Sequence[Sequence[Fraction]]],
-                 functions: Mapping[str, Mapping[tuple, int]],
-                 predicates: Mapping[str, Mapping[tuple, Fraction]]):
-        carriers = _checked_carriers(sig, carriers)
-        sizes = {s: len(names) for s, names in carriers.items()}
-        metric_table = {}
-        for s in sig.sort_names:
-            n = sizes[s]
-            rows = metric.get(s)
-            if rows is None or len(rows) != n or any(len(r) != n for r in rows):
-                raise StructuralError(f"metric matrix for sort {s} must be {n}x{n}")
-            metric_table[s] = ScaledTable.of(ensure_unit(v) for row in rows for v in row)
-        function_table = {}
-        for name, decl in sig.functions.items():
-            table = functions.get(name)
-            if table is None:
-                raise StructuralError(f"missing table for function {name}")
-            cells = []
-            for args in _arg_tuples(sizes, decl.arg_sorts):
-                if args not in table:
-                    raise StructuralError(f"function table {name} not total at {args}")
-                v = table[args]
-                if not 0 <= v < sizes[decl.target]:
-                    raise StructuralError(f"function table {name} out of range at {args}")
-                cells.append(v)
-            function_table[name] = cells
-        predicate_table = {}
-        for name, decl in sig.predicates.items():
-            table = predicates.get(name)
-            if table is None:
-                raise StructuralError(f"missing table for predicate {name}")
-            values = []
-            for args in _arg_tuples(sizes, decl.arg_sorts):
-                if args not in table:
-                    raise StructuralError(f"predicate table {name} not total at {args}")
-                values.append(ensure_unit(table[args]))
-            predicate_table[name] = ScaledTable.of(values)
-        self._set_tables(sig, carriers, metric_table, function_table, predicate_table)
+                 metric_table: Mapping[str, ScaledTable],
+                 function_table: Mapping[str, list],
+                 predicate_table: Mapping[str, ScaledTable]):
+        """A structure on flat tables that are already checked, shared, not copied.
 
-    @classmethod
-    def from_tables(cls, sig: Signature, carriers: Mapping[str, Sequence[str]],
-                    metric_table: Mapping[str, ScaledTable],
-                    function_table: Mapping[str, list],
-                    predicate_table: Mapping[str, ScaledTable]) -> "FiniteStructure":
-        """A structure on flat tables that are already checked, shared, not copied."""
-        M = cls.__new__(cls)
-        M._set_tables(sig, {s: tuple(names) for s, names in carriers.items()},
-                      metric_table, function_table, predicate_table)
-        return M
-
-    def _set_tables(self, sig, carriers, metric_table, function_table, predicate_table):
+        `from_json` is the checked way to build one from a file's tables.
+        """
         self.sig = sig
-        self.carriers = carriers
-        self.sizes = {s: len(names) for s, names in carriers.items()}
+        self.carriers = {s: tuple(names) for s, names in carriers.items()}
+        self.sizes = {s: len(names) for s, names in self.carriers.items()}
         self.index = {s: {name: i for i, name in enumerate(names)}
-                      for s, names in carriers.items()}
+                      for s, names in self.carriers.items()}
         self.metric_table = dict(metric_table)
         self.function_table = dict(function_table)
         self.predicate_table = dict(predicate_table)
@@ -216,7 +158,11 @@ class FiniteStructure:
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise StructuralError(f"carrier of sort {s} must be a list of element names")
             carriers[s] = tuple(names)
-        carriers = _checked_carriers(sig, carriers)
+        for s in sig.sort_names:
+            if not carriers.get(s):
+                raise StructuralError(f"empty or missing carrier for sort {s}")
+            if len(set(carriers[s])) != len(carriers[s]):
+                raise StructuralError(f"duplicate element names in sort {s}")
         sizes = {s: len(names) for s, names in carriers.items()}
 
         def scaled(texts: list, name: str, check) -> ScaledTable:
@@ -260,18 +206,7 @@ class FiniteStructure:
             if cells is None:
                 raise StructuralError(f"table {name} has wrong shape")
             predicate_table[name] = scaled(cells, name, check_unit)
-        return FiniteStructure.from_tables(sig, carriers, metric_table, function_table,
-                                           predicate_table)
-
-
-def _checked_carriers(sig: Signature, carriers: Mapping[str, Sequence[str]]) -> dict:
-    carriers = {s: tuple(names) for s, names in carriers.items()}
-    for s in sig.sort_names:
-        if not carriers.get(s):
-            raise StructuralError(f"empty or missing carrier for sort {s}")
-        if len(set(carriers[s])) != len(carriers[s]):
-            raise StructuralError(f"duplicate element names in sort {s}")
-    return carriers
+        return FiniteStructure(sig, carriers, metric_table, function_table, predicate_table)
 
 
 def _arg_tuples(sizes: Mapping[str, int], arg_sorts: Sequence[str]):
@@ -1034,8 +969,7 @@ def complete_structure(M: FiniteStructure) -> CompletionResult:
         new_predicates[name] = ScaledTable(den, quotient(name, decl.arg_sorts, cells, int))
     if bad:
         raise CompletionError("tables not constant on zero-distance classes", bad)
-    structure = FiniteStructure.from_tables(M.sig, new_carriers, new_metric, new_functions,
-                                            new_predicates)
+    structure = FiniteStructure(M.sig, new_carriers, new_metric, new_functions, new_predicates)
     return CompletionResult(structure, classes)
 
 
@@ -1200,128 +1134,3 @@ def sup_distances(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
             row[j] = d[j][i] = max([x - y if x > y else y - x for x, y in zip(u, vectors[j])],
                                    default=0)
     return d
-
-
-# ---------------------------------------------------------------------------
-# Generators: probability algebras, classical structures, half-graphs
-
-
-def pra_signature() -> Signature:
-    """Probability algebras: Boolean operations with a measure, identity moduli."""
-    return Signature(
-        [SortDecl("B", "d")],
-        functions=[
-            FuncDecl("zero", (), "B", ()),
-            FuncDecl("one", (), "B", ()),
-            FuncDecl("compl", ("B",), "B", (IDENTITY,)),
-            FuncDecl("meet", ("B", "B"), "B", (IDENTITY, IDENTITY)),
-            FuncDecl("join", ("B", "B"), "B", (IDENTITY, IDENTITY)),
-        ],
-        predicates=[PredDecl("mu", ("B",), (IDENTITY,))],
-    )
-
-
-def gen_prob_algebra(atom_weights: Sequence[Fraction]) -> FiniteStructure:
-    """Finite probability algebra on the given atoms.
-
-    Carrier is the power set of the atom index set (element s<mask>), the
-    measure is the weight sum, and the metric is the measure of the
-    symmetric difference.  The atom count is capped at 8: the metric matrix
-    has 4^k entries, and larger algebras break the exhaustive-evaluation
-    budget this artifact is designed around.
-    """
-    k = len(atom_weights)
-    weights = [Fraction(w) for w in atom_weights]
-    if k < 1 or k > 8:
-        raise DomainError("atom count must be between 1 and 8")
-    if any(w <= 0 for w in weights):
-        raise DomainError("atom weights must be positive")
-    if sum(weights) != 1:
-        raise DomainError("atom weights must sum to 1")
-    n = 1 << k
-    names = [f"s{m}" for m in range(n)]
-    mu = [sum((w for b, w in enumerate(weights) if m >> b & 1), ZERO) for m in range(n)]
-    metric = {"B": [[mu[a ^ b] for b in range(n)] for a in range(n)]}
-    functions = {
-        "zero": {(): 0},
-        "one": {(): n - 1},
-        "compl": {(a,): (n - 1) ^ a for a in range(n)},
-        "meet": {(a, b): a & b for a in range(n) for b in range(n)},
-        "join": {(a, b): a | b for a in range(n) for b in range(n)},
-    }
-    predicates = {"mu": {(a,): mu[a] for a in range(n)}}
-    return FiniteStructure(pra_signature(), {"B": names}, metric, functions, predicates)
-
-
-def classical_signature(functions: Mapping[str, int], relations: Mapping[str, int]) -> Signature:
-    return Signature(
-        [SortDecl("S", "d")],
-        functions=[FuncDecl(name, ("S",) * ar, "S", (IDENTITY,) * ar)
-                   for name, ar in functions.items()],
-        predicates=[PredDecl(name, ("S",) * ar, (IDENTITY,) * ar)
-                    for name, ar in relations.items()],
-    )
-
-
-def from_classical(carrier: Sequence[str], functions: Mapping[str, Mapping[tuple, str]],
-                   relations: Mapping[str, Iterable[tuple]]) -> FiniteStructure:
-    """Continuous structure for a classical discrete one: d discrete, truth 0, falsity 1.
-
-    Relation tables list the tuples (of element names) where the relation
-    holds; those evaluate to 0 and all others to 1, matching the convention
-    that 0 is true.  The discrete metric makes any table respect any moduli.
-    """
-    n = len(carrier)
-    fn_arities = {}
-    for name, table in functions.items():
-        arities = {len(k) for k in table}
-        if len(arities) != 1:
-            raise StructuralError(f"mixed arity in function {name}")
-        fn_arities[name] = arities.pop()
-    rel_arities = {}
-    rel_sets = {}
-    for name, tuples in relations.items():
-        tuples = [tuple(t) for t in tuples]
-        arities = {len(t) for t in tuples}
-        if len(arities) > 1:
-            raise StructuralError(f"mixed arity in relation {name}")
-        rel_arities[name] = arities.pop() if arities else 1
-        rel_sets[name] = set(tuples)
-    sig = classical_signature(fn_arities, rel_arities)
-    index = {name: i for i, name in enumerate(carrier)}
-    metric = {"S": [[ZERO if i == j else ONE for j in range(n)] for i in range(n)]}
-    fn_tables = {}
-    for name, table in functions.items():
-        fn_tables[name] = {tuple(index[e] for e in args): index[val]
-                           for args, val in table.items()}
-    pred_tables = {}
-    for name, tuples in rel_sets.items():
-        ar = rel_arities[name]
-        pred_tables[name] = {
-            args: (ZERO if tuple(carrier[i] for i in args) in tuples else ONE)
-            for args in itertools.product(range(n), repeat=ar)
-        }
-    return FiniteStructure(sig, {"S": list(carrier)}, metric, fn_tables, pred_tables)
-
-
-def halfgraph_signature() -> Signature:
-    return Signature([SortDecl("V", "d")],
-                     predicates=[PredDecl("phi", ("V", "V"), (IDENTITY, IDENTITY))])
-
-
-def gen_halfgraph(n: int) -> FiniteStructure:
-    """Half-graph on 2n points: phi(a_i, b_j) = 1 iff i <= j, else 0 everywhere.
-
-    Discrete metric, so the structure is trivially uniformly continuous.
-    """
-    if not 1 <= n <= 16:
-        raise DomainError("half-graph size must be between 1 and 16")
-    names = [f"a{i}" for i in range(n)] + [f"b{j}" for j in range(n)]
-    size = 2 * n
-    metric = {"V": [[ZERO if i == j else ONE for j in range(size)] for i in range(size)]}
-    table = {}
-    for i in range(size):
-        for j in range(size):
-            is_edge = i < n and j >= n and i <= j - n
-            table[(i, j)] = ONE if is_edge else ZERO
-    return FiniteStructure(halfgraph_signature(), {"V": names}, metric, {}, {"phi": table})

@@ -405,44 +405,3 @@ def verify_synthesis(expr, target: GridFunction) -> Fraction:
     if not names <= allowed:
         raise StructuralError(f"expression uses variables {sorted(names - allowed)}")
     return _grid_error(*_to_table(expr, target.grid_points()), target.values)[0]
-
-
-# ---------------------------------------------------------------------------
-# Negative witness: the monotone-lattice system is 1-Lipschitz
-
-
-def lattice_closure_vectors(axis: Sequence[Fraction], constants: Sequence[Fraction],
-                            depth: int):
-    """Value vectors on a 1-variable grid of all {neg, min, max} expressions.
-
-    Seeds are the variable itself and the given constants; closure is taken
-    to the stated depth with deduplication by value vector.  Every vector in
-    the closure is 1-Lipschitz on the grid, which is the point of the
-    negative witness.  The closure runs on int numerators over the common
-    denominator of the axis and the constants.
-    """
-    constants = [ensure_unit(c) for c in constants]
-    axis = [Fraction(t) for t in axis]
-    den = math.lcm(*(v.denominator for v in [*axis, *constants]))
-    var = tuple(t.numerator * (den // t.denominator) for t in axis)
-    seeds = {var} | {(c.numerator * (den // c.denominator),) * len(var) for c in constants}
-    known = dict.fromkeys(seeds, 0)
-    frontier = set(seeds)
-    for level in range(1, depth + 1):
-        new = set()
-        snapshot = list(known)
-        for u in frontier:
-            cand = tuple(den - x for x in u)
-            if cand not in known:
-                new.add(cand)
-        for u in frontier:
-            for v in snapshot:
-                for cand in (tuple(map(min, u, v)), tuple(map(max, u, v))):
-                    if cand not in known:
-                        new.add(cand)
-        for cand in new:
-            known[cand] = level
-        frontier = new
-        if not new:
-            break
-    return [tuple(Fraction(x, den) for x in vec) for vec in known]

@@ -3,9 +3,12 @@
 The evaluators here deliberately avoid the package's formula and structure
 machinery: they compute expected values directly from raw definitions, so
 agreement with the main code paths is meaningful.  The module also holds
-what only tests read: the Fraction semantics of the connectives, and the
+what only tests read: the Fraction semantics of the connectives, the
 conditions and axiom sentences, which are checked through
-`structures.eval_formula`.
+`structures.eval_formula`, and the structure builders and generators,
+which write a structure file's tables and load them through
+`FiniteStructure.from_json`, so every structure a test builds passes the
+loader's checks.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from contlogic.errors import (
     DefinitionAbort,
@@ -27,9 +30,11 @@ from contlogic.language import (
     App,
     Atom,
     Const,
+    FuncDecl,
     Op,
     PredDecl,
     Quant,
+    Signature,
     SortDecl,
     ValueVar,
     Var,
@@ -52,7 +57,6 @@ from contlogic.structures import (
     ValidationReport,
     Violation,
     eval_formula,
-    gen_halfgraph,
 )
 from contlogic.synthesis import MAX_SLOPE
 from contlogic.topometric import CBResult, FiniteTopometricSpace
@@ -199,8 +203,159 @@ def is_prenex(f) -> bool:
     return not any(isinstance(node, Quant) for node in nodes(f))
 
 
+# ---------------------------------------------------------------------------
+# Structure builders and generators
+#
+# Each writes a structure file's tables, as nested lists of element names
+# and rational literals, and loads them with `FiniteStructure.from_json`.
+
+IDENT = PLMonotone.identity()
+
+
+def _nested(dims: Sequence[int], cell, args: tuple = ()):
+    """Nested lists of shape `dims`, row-major, holding cell(t) at each index tuple t."""
+    if len(args) == len(dims):
+        return cell(args)
+    return [_nested(dims, cell, (*args, i)) for i in range(dims[len(args)])]
+
+
+def structure(sig, carriers, metric, functions, predicates) -> FiniteStructure:
+    """The structure with these tables: `metric` maps each sort to its rows of
+    rationals, `functions` each function symbol to {argument index tuple:
+    carrier index} and `predicates` each predicate symbol to {argument index
+    tuple: rational}."""
+    sizes = {s: len(elements) for s, elements in carriers.items()}
+    data = {"carriers": {s: list(elements) for s, elements in carriers.items()},
+            "metric": {s: [[format_rational(F(v)) for v in row] for row in rows]
+                       for s, rows in metric.items()},
+            "functions": {}, "predicates": {}}
+    for name, table in functions.items():
+        decl = sig.functions[name]
+        target = carriers[decl.target]
+        data["functions"][name] = _nested([sizes[s] for s in decl.arg_sorts],
+                                          lambda t: target[table[t]])
+    for name, table in predicates.items():
+        data["predicates"][name] = _nested([sizes[s] for s in sig.predicates[name].arg_sorts],
+                                           lambda t: format_rational(F(table[t])))
+    return FiniteStructure.from_json(data, sig)
+
+
+def pra_signature() -> Signature:
+    """Probability algebras: Boolean operations with a measure, identity moduli."""
+    return Signature(
+        [SortDecl("B", "d")],
+        functions=[
+            FuncDecl("zero", (), "B", ()),
+            FuncDecl("one", (), "B", ()),
+            FuncDecl("compl", ("B",), "B", (IDENT,)),
+            FuncDecl("meet", ("B", "B"), "B", (IDENT, IDENT)),
+            FuncDecl("join", ("B", "B"), "B", (IDENT, IDENT)),
+        ],
+        predicates=[PredDecl("mu", ("B",), (IDENT,))],
+    )
+
+
+def gen_prob_algebra(atom_weights: Sequence[F]) -> FiniteStructure:
+    """Finite probability algebra on the given atoms.
+
+    Carrier is the power set of the atom index set (element s<mask>), the
+    measure is the weight sum, and the metric is the measure of the
+    symmetric difference.  The atom count is capped at 8: the metric matrix
+    has 4^k entries.
+    """
+    k = len(atom_weights)
+    weights = [F(w) for w in atom_weights]
+    if k < 1 or k > 8:
+        raise DomainError("atom count must be between 1 and 8")
+    if any(w <= 0 for w in weights):
+        raise DomainError("atom weights must be positive")
+    if sum(weights) != 1:
+        raise DomainError("atom weights must sum to 1")
+    n = 1 << k
+    names = [f"s{m}" for m in range(n)]
+    mu = [format_rational(sum((w for b, w in enumerate(weights) if m >> b & 1), ZERO))
+          for m in range(n)]
+    return FiniteStructure.from_json({
+        "carriers": {"B": names},
+        "metric": {"B": [[mu[a ^ b] for b in range(n)] for a in range(n)]},
+        "functions": {"zero": names[0], "one": names[n - 1],
+                      "compl": [names[(n - 1) ^ a] for a in range(n)],
+                      "meet": [[names[a & b] for b in range(n)] for a in range(n)],
+                      "join": [[names[a | b] for b in range(n)] for a in range(n)]},
+        "predicates": {"mu": mu},
+    }, pra_signature())
+
+
+def classical_signature(functions: Mapping[str, int], relations: Mapping[str, int]) -> Signature:
+    return Signature(
+        [SortDecl("S", "d")],
+        functions=[FuncDecl(name, ("S",) * ar, "S", (IDENT,) * ar)
+                   for name, ar in functions.items()],
+        predicates=[PredDecl(name, ("S",) * ar, (IDENT,) * ar)
+                    for name, ar in relations.items()],
+    )
+
+
+def from_classical(carrier: Sequence[str], functions: Mapping[str, Mapping[tuple, str]],
+                   relations: Mapping[str, Iterable[tuple]]) -> FiniteStructure:
+    """Continuous structure for a classical discrete one: d discrete, truth 0, falsity 1.
+
+    Function tables map tuples of element names to element names.  Relation
+    tables list the tuples (of element names) where the relation holds;
+    those evaluate to 0 and all others to 1, matching the convention that 0
+    is true.  The discrete metric makes any table respect any moduli.
+    """
+    fn_arities = {}
+    for name, table in functions.items():
+        arities = {len(k) for k in table}
+        if len(arities) != 1:
+            raise StructuralError(f"mixed arity in function {name}")
+        fn_arities[name] = arities.pop()
+    rel_sets = {name: {tuple(t) for t in tuples} for name, tuples in relations.items()}
+    rel_arities = {}
+    for name, tuples in rel_sets.items():
+        arities = {len(t) for t in tuples}
+        if len(arities) > 1:
+            raise StructuralError(f"mixed arity in relation {name}")
+        rel_arities[name] = arities.pop() if arities else 1
+
+    def table(arity, cell):
+        return _nested([len(carrier)] * arity, lambda t: cell(tuple(carrier[i] for i in t)))
+
+    return FiniteStructure.from_json({
+        "carriers": {"S": list(carrier)},
+        "metric": {"S": [["0" if a == b else "1" for b in carrier] for a in carrier]},
+        "functions": {name: table(fn_arities[name], functions[name].__getitem__)
+                      for name in functions},
+        "predicates": {name: table(rel_arities[name], lambda t, r=rel_sets[name]:
+                                   "0" if t in r else "1")
+                       for name in relations},
+    }, classical_signature(fn_arities, rel_arities))
+
+
+def halfgraph_signature() -> Signature:
+    return Signature([SortDecl("V", "d")],
+                     predicates=[PredDecl("phi", ("V", "V"), (IDENT, IDENT))])
+
+
+def gen_halfgraph(n: int) -> FiniteStructure:
+    """Half-graph on 2n points: phi(a_i, b_j) = 1 iff i <= j, else 0 everywhere.
+
+    Discrete metric, so the structure is trivially uniformly continuous.
+    """
+    if not 1 <= n <= 16:
+        raise DomainError("half-graph size must be between 1 and 16")
+    size = 2 * n
+    return FiniteStructure.from_json({
+        "carriers": {"V": [f"a{i}" for i in range(n)] + [f"b{j}" for j in range(n)]},
+        "metric": {"V": [["0" if i == j else "1" for j in range(size)] for i in range(size)]},
+        "predicates": {"phi": [["1" if i + n <= j else "0" for j in range(size)]
+                               for i in range(size)]},
+    }, halfgraph_signature())
+
+
 class FractionTables(NamedTuple):
-    """A structure's tables in the form the `FiniteStructure` constructor takes."""
+    """A structure's tables in the form `structure` takes."""
 
     metric: dict  # sort -> n x n rows of Fractions
     functions: dict  # function -> {argument index tuple: carrier index}
@@ -225,9 +380,8 @@ def fraction_tables(M) -> FractionTables:
 def glued_halfgraph(n):
     """Half-graph n with a discrete two-point sort E and psi(x, y) = phi(y, x), for gluing."""
     base = gen_halfgraph(n)
-    ident = PLMonotone.identity()
     sig = base.sig.extended(sorts=[SortDecl("E", "d_E")],
-                            predicates=[PredDecl("psi", ("V", "V"), (ident, ident))])
+                            predicates=[PredDecl("psi", ("V", "V"), (IDENT, IDENT))])
     carriers = dict(base.carriers)
     carriers["E"] = ["e0", "e1"]
     metric, _, predicates = fraction_tables(base)
@@ -235,7 +389,7 @@ def glued_halfgraph(n):
     size = len(base.carriers["V"])
     predicates["psi"] = {(i, j): predicates["phi"][(j, i)]
                          for i in range(size) for j in range(size)}
-    return FiniteStructure(sig, carriers, metric, {}, predicates)
+    return structure(sig, carriers, metric, {}, predicates)
 
 
 def relabelled_json(data: dict, perm: Mapping[str, Sequence[int]]) -> dict:
@@ -754,7 +908,8 @@ def _diameter(X, subset) -> F:
     pts = list(subset)
     if len(pts) < 2:
         return F(0)
-    return max(F(X.num[p][q], X.den) for p in pts for q in pts)
+    # one Fraction: the denominator is shared and positive, so the max numerator is the max
+    return F(max(X.num[p][q] for p in pts for q in pts), X.den)
 
 
 def cb_derivative_reference(X, subset: frozenset, epsilon) -> frozenset:
@@ -1002,6 +1157,43 @@ def _fold_min(exprs):
     mid = len(exprs) // 2
     x, y = _fold_min(exprs[:mid]), _fold_min(exprs[mid:])
     return _monus(x, _monus(x, y))
+
+
+def lattice_closure_vectors(axis: Sequence[F], constants: Sequence[F], depth: int):
+    """Value vectors on a 1-variable grid of all {neg, min, max} expressions.
+
+    Seeds are the variable itself and the given constants; closure is taken
+    to the stated depth with deduplication by value vector.  Every vector in
+    the closure is 1-Lipschitz on the grid, which is the point of the
+    negative witness: the monotone-lattice system cannot synthesize a
+    steeper target.  The closure runs on int numerators over the common
+    denominator of the axis and the constants.
+    """
+    constants = [ensure_unit(c) for c in constants]
+    axis = [F(t) for t in axis]
+    den = math.lcm(*(v.denominator for v in [*axis, *constants]))
+    var = tuple(t.numerator * (den // t.denominator) for t in axis)
+    seeds = {var} | {(c.numerator * (den // c.denominator),) * len(var) for c in constants}
+    known = dict.fromkeys(seeds, 0)
+    frontier = set(seeds)
+    for level in range(1, depth + 1):
+        new = set()
+        snapshot = list(known)
+        for u in frontier:
+            cand = tuple(den - x for x in u)
+            if cand not in known:
+                new.add(cand)
+        for u in frontier:
+            for v in snapshot:
+                for cand in (tuple(map(min, u, v)), tuple(map(max, u, v))):
+                    if cand not in known:
+                        new.add(cand)
+        for cand in new:
+            known[cand] = level
+        frontier = new
+        if not new:
+            break
+    return [tuple(F(x, den) for x in vec) for vec in known]
 
 
 def med_by_subsets(values: Sequence[F], n: int) -> F:
@@ -1312,9 +1504,13 @@ def imaginary_tables_reference(inst):
         b = columns[representatives[cj]]
         return max(abs(u - v) for u, v in zip(a, b))
 
+    def scaled(values: list) -> ScaledTable:  # over the least common denominator
+        den = math.lcm(*(v.denominator for v in values))
+        return ScaledTable(den, [v.numerator * (den // v.denominator) for v in values])
+
     n = len(class_members)
-    metric = ScaledTable.of(d_phi(i, j) for i in range(n) for j in range(n))
-    predicate = ScaledTable.of(vals[xi][rep] for xi in range(len(xts)) for rep in representatives)
+    metric = scaled([d_phi(i, j) for i in range(n) for j in range(n)])
+    predicate = scaled([vals[xi][rep] for xi in range(len(xts)) for rep in representatives])
     return class_members, metric, predicate
 
 

@@ -32,21 +32,8 @@ from contlogic.stability import (
     phi_type,
     revalidate_ladder,
 )
-from contlogic.structures import (
-    FiniteStructure,
-    PhiInstance,
-    eval_formula,
-    from_classical,
-    gen_halfgraph,
-    gen_prob_algebra,
-    make_split,
-)
-from contlogic.synthesis import (
-    GridFunction,
-    lattice_closure_vectors,
-    synthesize,
-    verify_synthesis,
-)
+from contlogic.structures import PhiInstance, eval_formula, make_split
+from contlogic.synthesis import GridFunction, synthesize, verify_synthesis
 from contlogic.topometric import cb_rank
 from contlogic.values import delta_from_inverse, flim_prefix, inverse_from_delta
 
@@ -55,7 +42,11 @@ from oracles import (
     apply_connective,
     atomless_defect_bruteforce,
     check_theory,
+    from_classical,
+    gen_halfgraph,
+    gen_prob_algebra,
     glued_halfgraph,
+    lattice_closure_vectors,
     med,
     monotone_sup_on_grid,
     pl_of,
@@ -63,6 +54,7 @@ from oracles import (
     pra_conditions,
     random_metric,
     random_valid_topometric_space,
+    structure,
     topometric_space,
     uses_only_neg_monus_constants,
 )
@@ -189,7 +181,7 @@ def constant_structure():
     n = 3
     metric = {"S": [[F(0) if i == j else F(1) for j in range(n)] for i in range(n)]}
     table = {(i, j): F(1, 2) for i in range(n) for j in range(n)}
-    return FiniteStructure(sig, {"S": ["e0", "e1", "e2"]}, metric, {}, {"P": table})
+    return structure(sig, {"S": ["e0", "e1", "e2"]}, metric, {}, {"P": table})
 
 
 def xy_instance(M, text):
@@ -460,7 +452,7 @@ def _random_structure(rng, sig):
         "P": {(i,): F(rng.randrange(0, 9), 8) for i in range(n)},
         "R": {(i, j): F(rng.randrange(0, 9), 8) for i in range(n) for j in range(n)},
     }
-    return FiniteStructure(sig, {"S": names}, metric, {}, preds)
+    return structure(sig, {"S": names}, metric, {}, preds)
 
 
 def _count_quantifiers(f):

@@ -16,9 +16,15 @@ from contlogic.cli import _parsers, _verify_glue, run
 from contlogic.language import FuncDecl, PLMonotone, PredDecl, Signature, SortDecl, parse
 from contlogic.stability import glue_formula
 from contlogic.errors import StructuralError
-from contlogic.structures import FiniteStructure, gen_halfgraph, gen_prob_algebra, make_split
+from contlogic.structures import make_split
 from contlogic.synthesis import GridFunction
-from oracles import eval_formula_reference, glued_halfgraph
+from oracles import (
+    eval_formula_reference,
+    gen_halfgraph,
+    gen_prob_algebra,
+    glued_halfgraph,
+    structure,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -522,6 +528,28 @@ def test_the_first_bad_literal_is_reported_under_every_hash_seed(tmp_path, comma
     assert lines == {f"contlogic: {message}\n"}
 
 
+def test_module_entry_runs_the_cli(capsys, tmp_path):
+    """`python -m contlogic.cli` is the CLI: on a structure that fails validation
+    it prints the report `run` prints and exits 1, and --help exits 0."""
+    data = gen_halfgraph(1).to_json()
+    data["metric"]["V"] = [["0", "1/2"], ["1/2", "0"]]  # phi changes by 1 over distance 1/2
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path)]) == 1
+    report = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "contlogic.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    checked = module("check", str(path))
+    assert (checked.returncode, checked.stdout, checked.stderr) == (1, report, "")
+    helped = module("--help")
+    assert helped.returncode == 0 and helped.stdout.startswith("usage: contlogic")
+
+
 def test_back_to_back_runs_share_no_state(capsys, algebra_file):
     argv = ["tv", algebra_file, "--subset", "s0,s3",
             "--formula", "y@mu(meet(x,y))", "--formula", "y@d(x,y)"]
@@ -615,7 +643,7 @@ def test_constant_structure_ladders_revalidate(capsys, tmp_path, kind, length):
                     predicates=[PredDecl("P", ("S", "S"), (identity, identity))])
     metric = {"S": [[F(int(i != j)) for j in range(3)] for i in range(3)]}
     table = {(i, j): F(1, 2) for i in range(3) for j in range(3)}
-    M = FiniteStructure(sig, {"S": ["e0", "e1", "e2"]}, metric, {}, {"P": table})
+    M = structure(sig, {"S": ["e0", "e1", "e2"]}, metric, {}, {"P": table})
     path = tmp_path / "const.json"
     path.write_text(json.dumps(M.to_json()))
     code, report = run_json(capsys, ["stability", str(path), "--formula", "P(x,y)",
@@ -670,10 +698,10 @@ def test_eval_function_arity_error_exits_1(capsys, tmp_path, formula, message):
                                FuncDecl("c", (), "A", ())],
                     predicates=[PredDecl("P", ("A", "B"), (identity, identity))])
     discrete = [[F(0), F(1)], [F(1), F(0)]]
-    M = FiniteStructure(sig, {"A": ["a0", "a1"], "B": ["b0", "b1"]},
-                        {"A": discrete, "B": discrete},
-                        {"f": {(0,): 0, (1,): 1}, "c": {(): 0}},
-                        {"P": {(i, j): F(i * j) for i in range(2) for j in range(2)}})
+    M = structure(sig, {"A": ["a0", "a1"], "B": ["b0", "b1"]},
+                  {"A": discrete, "B": discrete},
+                  {"f": {(0,): 0, (1,): 1}, "c": {(): 0}},
+                  {"P": {(i, j): F(i * j) for i in range(2) for j in range(2)}})
     path = tmp_path / "two-sorted.json"
     path.write_text(json.dumps(M.to_json()))
     fails_with(capsys, ["eval", str(path), "-e", formula], message)

@@ -21,7 +21,7 @@ from fractions import Fraction as F
 import pytest
 
 from contlogic.cli import _COMMANDS, run
-from contlogic.structures import gen_halfgraph, gen_prob_algebra
+from oracles import gen_halfgraph, gen_prob_algebra
 
 DEADLINE_S = 10
 CASES_PER_COMMAND = 24

@@ -42,8 +42,6 @@ from contlogic.structures import (
     compile_formula,
     compile_row,
     eval_formula,
-    from_classical,
-    gen_prob_algebra,
     make_split,
     tuples_of,
     validate,
@@ -53,10 +51,13 @@ from oracles import (
     apa_sentence,
     eval_formula_reference,
     expand_condition,
+    from_classical,
+    gen_prob_algebra,
     is_prenex,
     pl_of,
     pra_conditions,
     random_metric,
+    structure,
     validate_reference,
 )
 from test_acceptance import _count_quantifiers, _prenex_signature, _random_closed_formula
@@ -129,7 +130,7 @@ def small_structure():
                     predicates=[PredDecl("P", ("S",), (IDENT,)),
                                 PredDecl("R", ("S", "S"), (IDENT, IDENT))])
     metric = {"S": [[F(0), F(1, 2), F(1)], [F(1, 2), F(0), F(1, 2)], [F(1), F(1, 2), F(0)]]}
-    return FiniteStructure(
+    return structure(
         sig, {"S": ["a", "b", "c"]}, metric, {"f": {(0,): 1, (1,): 2, (2,): 2}},
         {"P": {(0,): F(1, 3), (1,): F(3, 4), (2,): F(0)},
          "R": {(i, j): F((i * 3 + j) % 5, 7) for i in range(3) for j in range(3)}})
@@ -348,7 +349,7 @@ def test_base_pairs_give_the_reference_report():
 def test_symmetry_is_a_precondition_of_the_base_pairs():
     """Over 16ths: a midpoint through an asymmetric entry must not certify a pair."""
     def three_points(metric, values):
-        return FiniteStructure(
+        return structure(
             Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENT,))]),
             {"S": ["a", "b", "c"]}, {"S": [[F(d, 16) for d in row] for row in metric]},
             {}, {"P": {(i,): F(v, 16) for i, v in enumerate(values)}})
@@ -385,7 +386,7 @@ def binary_structures(draw):
         metric = random_metric(random.Random(draw(st.integers(0, 2 ** 16))), n, QUARTERS[1:])
     else:  # any matrix, so every kind of metric violation can occur
         metric = [[draw(quarter) for _ in range(n)] for _ in range(n)]
-    return FiniteStructure(
+    return structure(
         binary_signature(), {"S": [f"e{i}" for i in range(n)]}, {"S": metric},
         {"f": {(i,): draw(st.integers(0, n - 1)) for i in range(n)}},
         {"P": {(i,): draw(quarter) for i in range(n)},
@@ -567,7 +568,7 @@ def test_row_entry_point_matches_reference():
 
 
 def one_point_structure():
-    return FiniteStructure(
+    return structure(
         binary_signature(), {"S": ["e0"]}, {"S": [[F(0)]]}, {"f": {(0,): 0}},
         {"P": {(0,): F(1, 3)}, "R": {(0, 0): F(3, 4)}})
 
@@ -597,7 +598,7 @@ def test_row_kernels_on_ternary_symbols():
                     predicates=[PredDecl("T", ("S", "S", "S"), (IDENT,) * 3)])
     n = 3
     cube = list(itertools.product(range(n), repeat=3))
-    M = FiniteStructure(
+    M = structure(
         sig, {"S": ["a", "b", "c"]}, {"S": [[F(int(i != j)) for j in range(n)] for i in range(n)]},
         {"g": {t: (t[0] * 2 + t[1] + 2 * t[2]) % n for t in cube}},
         {"T": {t: F((t[0] + 3 * t[1] + 5 * t[2]) % 7, 6) for t in cube}})
@@ -733,8 +734,8 @@ def counting_measure(M):
     den, cells = M.predicate_table["mu"]
     counted = CountingCells(cells)
     tables = {**M.predicate_table, "mu": ScaledTable(den, counted)}
-    return FiniteStructure.from_tables(M.sig, M.carriers, M.metric_table, M.function_table,
-                                       tables), counted
+    return FiniteStructure(M.sig, M.carriers, M.metric_table, M.function_table,
+                           tables), counted
 
 
 SUP_PHI = "sup z. |mu(meet(x,z)) - mu(meet(y,z))|"

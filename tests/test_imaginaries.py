@@ -15,14 +15,20 @@ from contlogic.structures import (
     FiniteStructure,
     PhiInstance,
     eval_formula,
-    from_classical,
-    gen_prob_algebra,
     make_split,
     tuples_of,
     validate,
     value_matrix,
 )
-from oracles import apa_sentence, automorphisms, fraction_tables, relabelled_json
+from oracles import (
+    apa_sentence,
+    automorphisms,
+    fraction_tables,
+    from_classical,
+    gen_prob_algebra,
+    relabelled_json,
+    structure,
+)
 
 
 def discrete_two_point():
@@ -67,7 +73,7 @@ def test_tphi_detects_perturbation():
         if key[-1] == 0:  # every entry of class 0's row, moved 1/4 toward 1/2
             v = tables["P_phi"][key]
             tables["P_phi"][key] = v + F(1, 4) if v <= F(1, 2) else v - F(1, 4)
-    mutated = FiniteStructure(E.expanded.sig, E.expanded.carriers, metric, functions, tables)
+    mutated = structure(E.expanded.sig, E.expanded.carriers, metric, functions, tables)
     sentences = tphi_sentences(E)
     value = eval_formula(mutated, {}, sentences[0][1])
     assert value == F(1, 4)

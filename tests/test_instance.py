@@ -13,15 +13,9 @@ from contlogic.cli import run
 from contlogic.imaginaries import PRED_NAME, SORT_NAME, build_imaginary
 from contlogic.language import parse
 from contlogic.stability import phi_type_space
-from contlogic.structures import (
-    PhiInstance,
-    fraction_rows,
-    gen_prob_algebra,
-    make_split,
-    validate,
-    value_matrix,
-)
+from contlogic.structures import PhiInstance, fraction_rows, make_split, validate, value_matrix
 from oracles import (
+    gen_prob_algebra,
     imaginary_tables_reference,
     phi_type_space_reference,
     validate_reference,

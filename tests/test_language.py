@@ -42,13 +42,16 @@ from contlogic.language import (
     rebuild,
     rename_var,
 )
-from contlogic.structures import FiniteStructure, env_from_names, eval_formula, gen_halfgraph
+from contlogic.structures import env_from_names, eval_formula, validate
 from oracles import (
     Condition,
     expand_condition,
     fraction_tables,
+    gen_halfgraph,
+    gen_prob_algebra,
     is_prenex,
     parse_reference,
+    structure,
 )
 
 IDENT = PLMonotone.identity()
@@ -154,9 +157,9 @@ def test_nodes_children_and_rebuild():
 ])
 def test_a_non_formula_node_raises_structural_error(f):
     sig = simple_sig()
-    M = FiniteStructure(sig, {"S": ["a", "b"]}, {"S": [[F(0), F(1)], [F(1), F(0)]]},
-                        {"g": {(0,): 1, (1,): 0}},
-                        {"P": {(0,): F(0), (1,): F(1)}, "Q": {(0,): F(1), (1,): F(0)},
+    M = structure(sig, {"S": ["a", "b"]}, {"S": [[F(0), F(1)], [F(1), F(0)]]},
+                  {"g": {(0,): 1, (1,): 0}},
+                  {"P": {(0,): F(0), (1,): F(1)}, "Q": {(0,): F(1), (1,): F(0)},
                          "R": {(i, j): F(i * j) for i in range(2) for j in range(2)}})
     calls = [lambda: free_vars(f), lambda: rename_var(f, "x", "z"), lambda: prenex(f),
              lambda: infer_modulus(f, sig, "x"), lambda: print_formula(f, sig),
@@ -349,13 +352,6 @@ def test_infer_modulus_soundness_on_validated_structures():
     Exhaustive over all pairs of carrier elements substituted for the
     variable, on structures that pass the axiom validator.
     """
-    from contlogic.structures import (
-        eval_formula,
-        gen_halfgraph,
-        gen_prob_algebra,
-        validate,
-    )
-
     algebra = gen_prob_algebra([F(1, 4), F(3, 4)])
     halfgraph = gen_halfgraph(3)
     assert validate(algebra).valid and validate(halfgraph).valid

@@ -31,11 +31,11 @@ from contlogic.structures import (
     PhiInstance,
     eval_formula,
     fraction_rows,
-    gen_halfgraph,
-    gen_prob_algebra,
     make_split,
 )
 from oracles import (
+    gen_halfgraph,
+    gen_prob_algebra,
     glued_halfgraph,
     median_definition_reference,
     monotone_definition_reference,
@@ -44,6 +44,7 @@ from oracles import (
     pairwise_ladder_unpruned,
     relabelled_json,
     revalidate_ladder_reference,
+    structure,
     triple_sequence_reference,
     triple_sequence_unpruned,
 )
@@ -70,7 +71,7 @@ def binary_structure(table, n):
     sig = Signature([SortDecl("S", "d")],
                     predicates=[PredDecl("P", ("S", "S"), (IDENT, IDENT))])
     metric = {"S": [[F(0) if i == j else F(1) for j in range(n)] for i in range(n)]}
-    return FiniteStructure(sig, {"S": [f"e{i}" for i in range(n)]}, metric, {}, {"P": table})
+    return structure(sig, {"S": [f"e{i}" for i in range(n)]}, metric, {}, {"P": table})
 
 
 def binary_setup(table, n):

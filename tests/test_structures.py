@@ -13,9 +13,6 @@ from contlogic.structures import (
     complete_structure,
     env_from_names,
     eval_formula,
-    from_classical,
-    gen_halfgraph,
-    gen_prob_algebra,
     is_elementary_substructure,
     validate,
 )
@@ -26,8 +23,12 @@ from oracles import (
     check_condition,
     check_theory,
     fraction_tables,
+    from_classical,
+    gen_halfgraph,
+    gen_prob_algebra,
     pra_conditions,
     pred_value,
+    structure,
 )
 
 IDENT = PLMonotone.identity()
@@ -37,8 +38,8 @@ def two_point(p_a=F(0), p_b=F(1), dist=F(1)):
     sig = Signature([SortDecl("S", "d")],
                     predicates=[PredDecl("P", ("S",), (IDENT,))])
     metric = {"S": [[F(0), dist], [dist, F(0)]]}
-    return FiniteStructure(sig, {"S": ["a", "b"]}, metric, {},
-                           {"P": {(0,): p_a, (1,): p_b}})
+    return structure(sig, {"S": ["a", "b"]}, metric, {},
+                     {"P": {(0,): p_a, (1,): p_b}})
 
 
 def test_eval_sup_of_two_values():
@@ -62,14 +63,14 @@ def test_validate_modulus_violation():
 
 def test_validate_one_point_structure():
     sig = Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENT,))])
-    M = FiniteStructure(sig, {"S": ["a"]}, {"S": [[F(0)]]}, {}, {"P": {(0,): F(2, 3)}})
+    M = structure(sig, {"S": ["a"]}, {"S": [[F(0)]]}, {}, {"P": {(0,): F(2, 3)}})
     assert validate(M).valid
 
 
 def test_validate_catches_metric_violations():
     sig = Signature([SortDecl("S", "d")], predicates=[])
     metric = {"S": [[F(0), F(1), F(1, 4)], [F(1), F(0), F(1, 4)], [F(1, 4), F(1, 4), F(0)]]}
-    M = FiniteStructure(sig, {"S": ["a", "b", "c"]}, metric, {}, {})
+    M = structure(sig, {"S": ["a", "b", "c"]}, metric, {}, {})
     report = validate(M)
     assert any(v.kind == "metric_triangle" for v in report.violations)
 
@@ -123,16 +124,16 @@ def test_metric_reflexivity_condition_via_env():
 def test_complete_quotients_zero_distance():
     sig = Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENT,))])
     metric = {"S": [[F(0), F(0)], [F(0), F(0)]]}
-    M = FiniteStructure(sig, {"S": ["a", "b"]}, metric, {},
-                        {"P": {(0,): F(1, 2), (1,): F(1, 2)}})
+    M = structure(sig, {"S": ["a", "b"]}, metric, {},
+                  {"P": {(0,): F(1, 2), (1,): F(1, 2)}})
     res = complete_structure(M)
     assert len(res.structure.carriers["S"]) == 1
     assert res.classes["S"] == [("a", ["a", "b"])]
 
     # 3 elements, a~b, c apart
     metric = {"S": [[F(0), F(0), F(1, 2)], [F(0), F(0), F(1, 2)], [F(1, 2), F(1, 2), F(0)]]}
-    M = FiniteStructure(sig, {"S": ["a", "b", "c"]}, metric, {},
-                        {"P": {(0,): F(1, 4), (1,): F(1, 4), (2,): F(1)}})
+    M = structure(sig, {"S": ["a", "b", "c"]}, metric, {},
+                  {"P": {(0,): F(1, 4), (1,): F(1, 4), (2,): F(1)}})
     res = complete_structure(M)
     assert res.structure.carriers["S"] == ("a", "c")
     assert fraction_tables(res.structure).metric["S"][0][1] == F(1, 2)
@@ -143,8 +144,8 @@ def test_complete_quotients_zero_distance():
     assert fraction_tables(again.structure).metric == fraction_tables(res.structure).metric
 
     # ill-defined predicate on a class
-    M = FiniteStructure(sig, {"S": ["a", "b"]}, {"S": [[F(0), F(0)], [F(0), F(0)]]}, {},
-                        {"P": {(0,): F(0), (1,): F(1)}})
+    M = structure(sig, {"S": ["a", "b"]}, {"S": [[F(0), F(0)], [F(0), F(0)]]}, {},
+                  {"P": {(0,): F(0), (1,): F(1)}})
     with pytest.raises(CompletionError):
         complete_structure(M)
 
@@ -153,8 +154,8 @@ def test_completion_witnesses_name_the_sort_metric():
     """A metric not constant on zero-distance classes is reported under its own name."""
     sig = Signature([SortDecl("A", "d_A"), SortDecl("B", "d_B")])
     third = [[F(0), F(0), F(1)], [F(0), F(0), F(1, 2)], [F(1), F(1, 2), F(0)]]
-    M = FiniteStructure(sig, {"A": ["o"], "B": ["p", "q", "r"]},
-                        {"A": [[F(0)]], "B": third}, {}, {})
+    M = structure(sig, {"A": ["o"], "B": ["p", "q", "r"]},
+                  {"A": [[F(0)]], "B": third}, {}, {})
     with pytest.raises(CompletionError) as info:
         complete_structure(M)
     assert info.value.witnesses == [("d_B", ("q", "r")), ("d_B", ("r", "q"))]
@@ -298,6 +299,44 @@ def test_table_values_parse_and_range_check(table, text, message):
         return
     M = FiniteStructure.from_json(data)
     assert fraction_tables(M).predicates["phi"][(0, 1)] == parse_rational(text)
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ((), ["s0", "s1"], "structure file must be a JSON object"),
+    (("signature",), DELETE, "structure file has no signature and none was supplied"),
+    (("carriers",), DELETE, "structure file has no 'carriers'"),
+    (("carriers", "B"), DELETE, "empty or missing carrier for sort B"),
+    (("carriers", "B"), [], "empty or missing carrier for sort B"),
+    (("carriers", "B"), ["s0", 1], "carrier of sort B must be a list of element names"),
+    (("carriers", "B"), ["s0", "s0"], "duplicate element names in sort B"),
+    (("metric", "B"), [["0", "1"]], "metric matrix for sort B must be 2x2"),
+    (("metric", "B", 1), ["1", "0", "1"], "metric matrix for sort B must be 2x2"),
+    (("functions", "meet", 0), "s0", "table meet has wrong shape"),
+    (("predicates", "mu"), [["0"], ["1"]], "table mu has wrong shape"),
+    (("functions", "compl"), DELETE, "structure file has no functions table for 'compl'"),
+    (("predicates", "mu"), DELETE, "structure file has no predicates table for 'mu'"),
+    (("functions", "meet", 1, 0), "s2", "function table meet has a value outside sort B"),
+])
+def test_loader_reports_each_structural_fault(path, value, message):
+    """A structure file with one structural fault fails to load with a one-line
+    message naming it: the entry at `path` is replaced by `value` or deleted."""
+    data = gen_prob_algebra([F(1)]).to_json()
+    if path:
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    else:
+        data = value
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        FiniteStructure.from_json(data)
 
 
 def test_apa_defect_law_small():

@@ -15,12 +15,11 @@ from contlogic.synthesis import (
     GridFunction,
     eval_on_grid,
     expression_tree_size,
-    lattice_closure_vectors,
     synthesize,
     verify_synthesis,
 )
 
-from oracles import uses_only_neg_monus_constants
+from oracles import lattice_closure_vectors, uses_only_neg_monus_constants
 
 
 def grid1(pitch, fn):

@@ -12,23 +12,19 @@ from pathlib import Path
 # the CLI imports it on first use, and the tracer patches only loaded modules
 import contlogic.imaginaries  # noqa: F401
 from contlogic.cli import run
-from contlogic.structures import gen_prob_algebra
+from oracles import gen_prob_algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERTRACE = ROOT / "bench" / "layertrace.py"
 SRC = ROOT / "src" / "contlogic"
 
 # documented library entry points that nothing in src/ calls: the console
-# script, the structure generators, and the synthesis and topometric helpers
-# the API offers beside the CLI (the names the tracer wraps are added below)
+# script, and the synthesis and topometric helpers the API offers beside the
+# CLI (the names the tracer wraps are added below)
 LIBRARY_ENTRY_POINTS = {
     "cli.main",
-    "structures.gen_prob_algebra",
-    "structures.gen_halfgraph",
-    "structures.from_classical",
     "synthesis.eval_on_grid",
     "synthesis.verify_synthesis",
-    "synthesis.lattice_closure_vectors",
     "topometric.cb_derivative",
     "topometric.epsilon_degree",
 }
