@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .errors import StructuralError
 from .language import (
     Atom,
+    IDENTITY,
     Op,
-    PLMonotone,
     PredDecl,
     Quant,
     SortDecl,
@@ -73,7 +73,7 @@ def build_imaginary(inst: PhiInstance) -> ImaginaryExpansion:
     x_moduli = tuple(infer_modulus(phi, M.sig, name) for name, _ in split.x)
     pred_decl = PredDecl(PRED_NAME,
                          tuple(s for _, s in split.x) + (SORT_NAME,),
-                         x_moduli + (PLMonotone.identity(),))
+                         x_moduli + (IDENTITY,))
     new_sig = M.sig.extended(sorts=[SortDecl(SORT_NAME, METRIC_NAME)],
                              predicates=[pred_decl])
 

@@ -19,9 +19,10 @@ structure variable of some sort.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from operator import is_
 from typing import Optional, Sequence
 
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .values import (
     CONNECTIVES,
+    IDENTITY,
     PLMonotone,
     ensure_unit,
     format_rational,
@@ -88,10 +90,10 @@ class Signature:
             raise StructuralError("metric symbols must be distinct")
         self.functions = _by_name("function", functions)
         self.predicates = _by_name("predicate", predicates)
-        names = (list(self.functions) + list(self.predicates) + list(self.metric_sort))
-        if len(set(names)) != len(names):
+        if len({*self.functions, *self.predicates, *self.metric_sort}) != (
+                len(self.functions) + len(self.predicates) + len(sorts)):
             raise StructuralError("function/predicate/metric names must be distinct")
-        for decl in list(self.functions.values()) + list(self.predicates.values()):
+        for decl in (*self.functions.values(), *self.predicates.values()):
             if len(decl.moduli) != len(decl.arg_sorts):
                 raise StructuralError(f"{decl.name}: one modulus per argument required")
             for u in decl.moduli:
@@ -103,8 +105,7 @@ class Signature:
         for fdecl in self.functions.values():
             if fdecl.target not in self.sorts:
                 raise UnknownSymbolError(f"{fdecl.name}: unknown target sort {fdecl.target}")
-        ident = PLMonotone.identity()
-        self._pred_decls = {m: PredDecl(m, (s, s), (ident, ident))
+        self._pred_decls = {m: PredDecl(m, (s, s), (IDENTITY, IDENTITY))
                             for m, s in self.metric_sort.items()}
         self._pred_decls.update(self.predicates)
 
@@ -162,6 +163,9 @@ class Signature:
     def from_json(data: dict) -> "Signature":
         if not isinstance(data, dict):
             raise StructuralError("signature must be a JSON object")
+        # breakpoint strings -> their PLMonotone, built once per signature; the
+        # identity, as `to_json` writes it, is not built at all
+        built: dict = {(("0", "0"), ("1", "1")): IDENTITY}
 
         def checked(section: str, *keys: str) -> list:
             """The section's entries; a sort may also be a bare name."""
@@ -169,9 +173,9 @@ class Signature:
             if not isinstance(raw, list):
                 raise StructuralError(f"signature {section} must be a list")
             for entry in raw:
-                if section == "sorts" and isinstance(entry, str):
-                    continue
                 if not isinstance(entry, dict):
+                    if section == "sorts" and isinstance(entry, str):
+                        continue
                     raise StructuralError(f"a signature {section} entry must be an object")
                 for key in keys:
                     if key not in entry:
@@ -181,44 +185,40 @@ class Signature:
                         raise StructuralError(f"a signature {section} {key} must be a string")
             return raw
 
-        def arg_sorts(entry) -> tuple:
+        def declared(entry) -> tuple:
+            """The entry's arg_sorts and moduli, each shape checked before any modulus is read."""
             value = entry["arg_sorts"]
-            if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
                 raise StructuralError(f"{entry['name']}: arg_sorts must be a list of sort names")
-            return tuple(value)
+            keys = []
+            for bps in entry["moduli"] if isinstance(entry["moduli"], list) else (None,):
+                if not isinstance(bps, list) or not all(
+                        isinstance(bp, list) and len(bp) == 2 for bp in bps):
+                    raise StructuralError(f"{entry['name']}: moduli must be a list of "
+                                          "breakpoint lists, each breakpoint [in, out]")
+                keys.append(tuple(map(tuple, bps)))
+            return tuple(value), tuple(map(modulus, keys))
 
-        built: dict = {}  # breakpoint strings -> their PLMonotone, built once per signature
-
-        def modulus(bps: list) -> PLMonotone:
-            key = tuple(map(tuple, bps))
-            u = built.get(key) if all(isinstance(v, str) for bp in key for v in bp) else None
-            if u is None:  # parse_ratio rejects a breakpoint that is not a string
+        def modulus(key: tuple) -> PLMonotone:
+            try:
+                return built[key]
+            except (KeyError, TypeError):  # TypeError: a breakpoint that is a list or a dict
+                # parse_ratio rejects a breakpoint that is not a string, so only
+                # hashable keys are stored
                 u = built[key] = PLMonotone.through((*parse_ratio(x), *parse_ratio(y))
                                                     for x, y in key)
-            return u
-
-        def moduli(entry) -> tuple:
-            value = entry["moduli"]
-            if not isinstance(value, list) or not all(
-                    isinstance(bps, list)
-                    and all(isinstance(bp, list) and len(bp) == 2 for bp in bps)
-                    for bps in value):
-                raise StructuralError(f"{entry['name']}: moduli must be a list of "
-                                      "breakpoint lists, each breakpoint [in, out]")
-            return tuple(map(modulus, value))
+                return u
 
         raw_sorts = checked("sorts", "name")
         sorts = [SortDecl(entry, "d" if len(raw_sorts) == 1 else f"d_{entry}")
                  if isinstance(entry, str) else SortDecl(entry["name"], entry.get("metric", "d"))
                  for entry in raw_sorts]
-        functions = [
-            FuncDecl(f["name"], arg_sorts(f), f["target_sort"], moduli(f))
-            for f in checked("functions", "name", "arg_sorts", "target_sort", "moduli")
-        ]
-        predicates = [
-            PredDecl(p["name"], arg_sorts(p), moduli(p))
-            for p in checked("predicates", "name", "arg_sorts", "moduli")
-        ]
+        functions = []
+        for f in checked("functions", "name", "arg_sorts", "target_sort", "moduli"):
+            arg_sorts, moduli = declared(f)
+            functions.append(FuncDecl(f["name"], arg_sorts, f["target_sort"], moduli))
+        predicates = [PredDecl(p["name"], *declared(p))
+                      for p in checked("predicates", "name", "arg_sorts", "moduli")]
         return Signature(sorts, functions, predicates)
 
 
@@ -374,59 +374,45 @@ def rename_var(f, old: str, new: str):
 # Tokenizer and parser
 
 _KEYWORDS = {"sup", "inf", "not", "half", "min", "max", "med"}
-_PUNCT = ["-.", "+.", "(", ")", ",", ".", ":", "/", "|", "-"]
+# an int, an identifier, punctuation, any other visible character, or the end,
+# after optional whitespace (the end stops a whitespace run from being rescanned
+# from each of its positions); \d, \w and \s are str.isdecimal, str.isalnum
+# plus "_" and str.isspace, character by character
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(-\.|\+\.|[(),.:/|-])|(\S)|\Z)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "ident" | punctuation literal
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text as (kind, text, position), kind "int", "ident", "eof" or
+    the punctuation itself; an identifier starts with a letter or "_"."""
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Token(p, p, i))
-                i += len(p)
-                break
-        else:
-            raise GrammarError(f"unexpected character {c!r}", i)
-    toks.append(_Token("eof", "", n))
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group is None:  # the end
+            break
+        tok, pos = m[group], m.start(group)
+        if group == 3:
+            toks.append((tok, tok, pos))
+        elif group == 1:
+            toks.append(("int", tok, pos))
+        elif group == 2 and (tok[0].isalpha() or tok[0] == "_"):
+            toks.append(("ident", tok, pos))
+        else:  # a character that starts no token
+            raise GrammarError(f"unexpected character {tok[0]!r}", pos)
+    toks.append(("eof", "", len(text)))
     return toks
 
 
 class _Binder:
     """A quantifier's variable, or a free name, while its formula is parsed:
-    the sorts that its occurrences and annotations demand, then its sort."""
+    the sorts that its occurrences and annotations demand, its `Var` nodes,
+    then its sort."""
 
-    __slots__ = ("name", "demands", "sort")
+    __slots__ = ("name", "demands", "vars", "sort")
 
     def __init__(self, name: str, annotation: Optional[str] = None):
         self.name = name
         self.demands = set() if annotation is None else {annotation}
+        self.vars: list[Var] = []
         self.sort: Optional[str] = None
 
 
@@ -437,9 +423,11 @@ class _Parser:
     quantifier of its name, else the free name.  A term is read at the sort
     its argument position declares, which the binder of a variable there
     collects; arities and function targets are checked where they are read.
-    A quantifier's sort is resolved when its body closes.  The first sort
-    error is held, so an error of the text itself is still reported first.
-    The raw tree's `Var` and `Quant` nodes carry their binder as the sort.
+    A quantifier's sort is resolved when its body closes, a free name's when
+    the text ends.  The first sort error is held, so an error of the text
+    itself is still reported first.  The tree is built once, as it is read:
+    a `Var` node is made with no sort, and its binder sets the sort when it
+    resolves, before `parse` returns the tree.
     """
 
     def __init__(self, text: str, sig: Signature):
@@ -450,18 +438,18 @@ class _Parser:
         self.free: dict[str, _Binder] = {}
         self.fault: Optional[str] = None  # the first sort error
 
-    def peek(self) -> _Token:
-        return self.toks[min(self.i, len(self.toks) - 1)]
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> tuple[str, str, int]:
         t = self.next()
-        if t.kind != kind:
-            raise GrammarError(f"expected {kind!r}, found {t.text!r}", t.pos)
+        if t[0] != kind:
+            raise GrammarError(f"expected {kind!r}, found {t[1]!r}", t[2])
         return t
 
     def hold(self, message: str) -> None:
@@ -469,20 +457,25 @@ class _Parser:
             self.fault = message
 
     def resolve(self, binder: _Binder) -> None:
-        """Give the binder the one sort it is demanded at, else the signature's only sort."""
+        """Give the binder, and each of its `Var` nodes, the one sort it is demanded
+        at, else the signature's only sort."""
         if len(binder.demands) > 1:
             self.hold(f"variable {binder.name!r} used at sorts {sorted(binder.demands)}")
-        elif binder.demands:
+            return
+        if binder.demands:
             (binder.sort,) = binder.demands
         else:
             binder.sort = self.sig.single_sort()
             if binder.sort is None:
                 self.hold(f"cannot infer the sort of variable {binder.name!r}; "
                           f"annotate as {binder.name}:S")
+                return
+        for var in binder.vars:  # made here and not yet read, so still free to set
+            object.__setattr__(var, "sort", binder.sort)
 
     def formula(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text in ("sup", "inf"):
+        kind, text, _ = self.peek()
+        if kind == "ident" and text in ("sup", "inf"):
             self.next()
             binder = self.variable()
             self.expect(".")
@@ -490,108 +483,106 @@ class _Parser:
             body = self.formula()
             self.scope.pop()
             self.resolve(binder)
-            return Quant(t.text, binder.name, binder, body)
+            return Quant(text, binder.name, binder.sort, body)
         return self.sum()
 
     def variable(self) -> _Binder:
-        t = self.expect("ident")
-        if not t.text[0].islower():
-            raise GrammarError(f"variable {t.text!r} must start lowercase", t.pos)
-        if t.text in _KEYWORDS:
-            raise GrammarError(f"keyword {t.text!r} cannot be a variable", t.pos)
-        if t.text in self.sig.functions:
+        _, name, pos = self.expect("ident")
+        if not name[0].islower():
+            raise GrammarError(f"variable {name!r} must start lowercase", pos)
+        if name in _KEYWORDS:
+            raise GrammarError(f"keyword {name!r} cannot be a variable", pos)
+        if name in self.sig.functions:
             # the body would read the name as the function symbol, never as this variable
-            raise GrammarError(f"function symbol {t.text!r} cannot be a variable", t.pos)
-        return _Binder(t.text, self.annotation())
+            raise GrammarError(f"function symbol {name!r} cannot be a variable", pos)
+        return _Binder(name, self.annotation())
 
     def annotation(self) -> Optional[str]:
         """The sort named after a ":", if one follows."""
-        if self.peek().kind != ":":
+        if self.peek()[0] != ":":
             return None
         self.next()
-        sort = self.expect("ident").text
+        sort = self.expect("ident")[1]
         if sort not in self.sig.sorts:
             raise UnknownSymbolError(f"unknown sort {sort!r}")
         return sort
 
     def sum(self):
         left = self.prod()
-        while self.peek().kind in ("-.", "+."):
-            op = self.next().kind
+        while self.peek()[0] in ("-.", "+."):
+            op = self.next()[0]
             right = self.prod()
             left = Op("monus" if op == "-." else "plus_trunc", (left, right))
         return left
 
     def prod(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text in ("not", "half"):
+        kind, text, _ = self.peek()
+        if kind == "ident" and text in ("not", "half"):
             self.next()
-            return Op("neg" if t.text == "not" else "half", (self.prod(),))
+            return Op("neg" if text == "not" else "half", (self.prod(),))
         return self.atom()
 
     def atom(self):
-        t = self.peek()
-        if t.kind == "int":
+        kind, text, pos = self.peek()
+        if kind == "int":
             return Const(self.rational())
-        if t.kind == "(":
+        if kind == "(":
             self.next()
             f = self.formula()
             self.expect(")")
             return f
-        if t.kind == "|":
+        if kind == "|":
             self.next()
             a = self.formula()
             self.expect("-")
             b = self.formula()
             self.expect("|")
             return Op("absdiff", (a, b))
-        if t.kind == "ident" and t.text in ("min", "max"):
-            self.next()
+        if kind != "ident":
+            raise GrammarError(f"unexpected token {text!r}", pos)
+        self.next()
+        if text in ("min", "max"):
             self.expect("(")
             a = self.formula()
             self.expect(",")
             b = self.formula()
             self.expect(")")
-            return Op(t.text, (a, b))
-        if t.kind == "ident" and t.text == "med":
-            self.next()
+            return Op(text, (a, b))
+        if text == "med":
             n = self.integer()
             if n < 1:
-                raise GrammarError("med arity parameter must be >= 1", t.pos)
+                raise GrammarError("med arity parameter must be >= 1", pos)
             self.expect("(")
             args = [self.formula()]
-            while self.peek().kind == ",":
+            while self.peek()[0] == ",":
                 self.next()
                 args.append(self.formula())
             self.expect(")")
             if len(args) != 2 * n - 1:
                 raise StructuralError(f"med {n} expects {2 * n - 1} arguments, got {len(args)}")
             return Op("med", tuple(args), n=n)
-        if t.kind == "ident":
-            name = self.next().text
-            if self.peek().kind == "(":
-                if name in self.sig.functions:
-                    self.hold(f"function {name!r} used in formula position")
-                    return Atom(name, self.term_args(name, self.sig.functions[name]))
-                return Atom(name, self.term_args(name, self.sig.pred_decl(name)))
-            if name in self.sig.predicates and not self.sig.pred_decl(name).arg_sorts:
-                return Atom(name, ())
-            if not name[0].islower():
-                raise UnknownSymbolError(f"unknown symbol {name!r}")
-            return ValueVar(name)
-        raise GrammarError(f"unexpected token {t.text!r}", t.pos)
+        if self.peek()[0] == "(":
+            if text in self.sig.functions:
+                self.hold(f"function {text!r} used in formula position")
+                return Atom(text, self.term_args(text, self.sig.functions[text]))
+            return Atom(text, self.term_args(text, self.sig.pred_decl(text)))
+        if text in self.sig.predicates and not self.sig.pred_decl(text).arg_sorts:
+            return Atom(text, ())
+        if not text[0].islower():
+            raise UnknownSymbolError(f"unknown symbol {text!r}")
+        return ValueVar(text)
 
     def integer(self) -> int:
-        t = self.expect("int")
+        _, text, pos = self.expect("int")
         try:
-            return int(t.text)
+            return int(text)
         except ValueError:  # more digits than int() converts
-            raise GrammarError("integer literal too long", t.pos) from None
+            raise GrammarError("integer literal too long", pos) from None
 
     def rational(self) -> Fraction:
-        pos = self.peek().pos
+        pos = self.peek()[2]
         num = self.integer()
-        if self.peek().kind == "/":
+        if self.peek()[0] == "/":
             self.next()
             den = self.integer()
             if den == 0:
@@ -604,7 +595,7 @@ class _Parser:
         sorts = decl.arg_sorts
         self.expect("(")
         args = [self.term(sorts[0] if sorts else None)]
-        while self.peek().kind == ",":
+        while self.peek()[0] == ",":
             self.next()
             args.append(self.term(sorts[len(args)] if len(args) < len(sorts) else None))
         self.expect(")")
@@ -614,25 +605,32 @@ class _Parser:
 
     def term(self, expected: Optional[str]):
         """A term at a position of the expected sort (None past a symbol's arity)."""
-        t = self.expect("ident")
-        if self.peek().kind == "(":
-            decl = self.sig.func_decl(t.text)
-            args = self.term_args(t.text, decl)
-        elif t.text in self.sig.functions:
-            decl = self.sig.functions[t.text]
+        name = self.expect("ident")[1]
+        if self.peek()[0] == "(":
+            decl = self.sig.func_decl(name)
+            args = self.term_args(name, decl)
+        elif name in self.sig.functions:
+            decl = self.sig.functions[name]
             args = ()
             if decl.arg_sorts:
-                self.hold(f"function {t.text!r} needs {len(decl.arg_sorts)} arguments")
-        elif not t.text[0].islower():
-            raise UnknownSymbolError(f"unknown symbol {t.text!r}")
+                self.hold(f"function {name!r} needs {len(decl.arg_sorts)} arguments")
+        elif not name[0].islower():
+            raise UnknownSymbolError(f"unknown symbol {name!r}")
         else:
-            binder = (next((b for b in reversed(self.scope) if b.name == t.text), None)
-                      or self.free.setdefault(t.text, _Binder(t.text)))
-            binder.demands |= {expected, self.annotation()} - {None}
-            return Var(t.text, binder)
+            for binder in reversed(self.scope):
+                if binder.name == name:
+                    break
+            else:
+                binder = self.free.get(name)
+                if binder is None:
+                    binder = self.free[name] = _Binder(name)
+            binder.demands.update({expected, self.annotation()} - {None})
+            var = Var(name)
+            binder.vars.append(var)
+            return var
         if expected is not None and decl.target != expected:
-            self.hold(f"{t.text} has sort {decl.target}, used at sort {expected}")
-        return App(t.text, args, decl.target)
+            self.hold(f"{name} has sort {decl.target}, used at sort {expected}")
+        return App(name, args, decl.target)
 
 
 def parse(text: str, sig: Signature):
@@ -641,23 +639,15 @@ def parse(text: str, sig: Signature):
     Errors of the text itself come first; then the first sort error in text
     order; then the free variables, by name, whose sort is not fixed."""
     p = _Parser(text, sig)
-    raw = p.formula()
-    t = p.peek()
-    if t.kind != "eof":
-        raise GrammarError(f"trailing input {t.text!r}", t.pos)
+    f = p.formula()
+    kind, rest, pos = p.peek()
+    if kind != "eof":
+        raise GrammarError(f"trailing input {rest!r}", pos)
     for name in sorted(p.free):
         p.resolve(p.free[name])
     if p.fault is not None:
         raise SortMismatchError(p.fault)
-    out: dict = {}  # id(raw node) -> the node with its variables' sorts set
-    for node in nodes(raw):
-        if isinstance(node, Var):
-            out[id(node)] = Var(node.name, node.sort.sort)
-        elif isinstance(node, Quant):
-            out[id(node)] = Quant(node.kind, node.var, node.sort.sort, out[id(node.body)])
-        else:
-            out[id(node)] = rebuild(node, [out[id(k)] for k in children(node)])
-    return out[id(raw)]
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +787,7 @@ def infer_modulus(f, sig: Signature, var: str) -> PLMonotone:
     """
     if var not in {n for n, _ in free_vars(f)}:
         raise StructuralError(f"variable {var!r} is not free in the formula")
-    zero, ident = PLMonotone.zero(), PLMonotone.identity()
+    zero = PLMonotone.zero()
     mods: dict = {}  # id(node) -> the node's modulus in var
     for node in nodes(f):
         kids = [mods[id(k)] for k in children(node)]
@@ -806,7 +796,7 @@ def infer_modulus(f, sig: Signature, var: str) -> PLMonotone:
             kids = [pl_compose(u, m) for u, m in zip(decl.moduli, kids) if m != zero]
         out = zero
         if isinstance(node, Var) and node.name == var:
-            out = ident
+            out = IDENTITY
         elif not (isinstance(node, Quant) and node.var == var):
             for m in kids:
                 if m != zero:

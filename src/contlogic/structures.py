@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import add, getitem, itemgetter, mul, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -89,13 +90,12 @@ class FiniteStructure:
         self.sig = sig
         self.carriers = {s: tuple(names) for s, names in carriers.items()}
         self.sizes = {s: len(names) for s, names in self.carriers.items()}
-        self.index = {s: {name: i for i, name in enumerate(names)}
-                      for s, names in self.carriers.items()}
-        self.metric_table = dict(metric_table)
-        self.function_table = dict(function_table)
-        self.predicate_table = dict(predicate_table)
-        decls = {**sig.functions, **sig.predicates}
+        self.index = {s: dict(zip(names, range(len(names)))) for s, names in self.carriers.items()}
+        self.metric_table = metric_table
+        self.function_table = function_table
+        self.predicate_table = predicate_table
         self._strides = {name: _strides([self.sizes[s] for s in decl.arg_sorts])
+                         for decls in (sig.functions, sig.predicates)
                          for name, decl in decls.items()}
 
     def element_name(self, sort: str, idx: int) -> str:
@@ -153,60 +153,59 @@ class FiniteStructure:
         for key in ("carriers", "metric"):
             if not isinstance(data.get(key), dict):
                 raise StructuralError(f"structure file has no {key!r}")
-        carriers = {}
-        for s, names in data["carriers"].items():
-            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        carriers = data["carriers"]
+        for s, names in carriers.items():
+            if s not in sig.sorts:
+                raise StructuralError(f"carrier for undeclared sort {s}")
+            if not isinstance(names, list) or not all(map(isinstance, names, repeat(str))):
                 raise StructuralError(f"carrier of sort {s} must be a list of element names")
-            carriers[s] = tuple(names)
-        for s in sig.sort_names:
-            if not carriers.get(s):
+        for s in sig.sorts:
+            names = carriers.get(s)
+            if not names:
                 raise StructuralError(f"empty or missing carrier for sort {s}")
-            if len(set(carriers[s])) != len(carriers[s]):
+            if len(set(names)) != len(names):
                 raise StructuralError(f"duplicate element names in sort {s}")
-        sizes = {s: len(names) for s, names in carriers.items()}
-
-        def scaled(texts: list, name: str, check) -> ScaledTable:
-            try:
-                den, num = parse_literals(texts)
-            except TypeError:  # a leaf that is a list: the table is nested too deep
-                raise StructuralError(f"table {name} has wrong shape") from None
-            for v in num.values():
-                check(v, den)
-            return ScaledTable(den, list(map(num.__getitem__, texts)))
-
-        metric_table = {}
-        for s in sig.sort_names:
-            n = sizes[s]
-
-            def in_metric(p, q, s=s):
-                if p > q:
-                    raise DomainError(f"metric diameter exceeds 1 in sort {s}")
-                check_unit(p, q)
-
+        # the tables are read into the new structure's, which nothing else holds yet
+        M = FiniteStructure(sig, carriers, {}, {}, {})
+        for s in sig.sorts:
+            n = M.sizes[s]
             cells = _flatten(data["metric"].get(s), (n, n))
             if cells is None:
                 raise StructuralError(f"metric matrix for sort {s} must be {n}x{n}")
-            metric_table[s] = scaled(cells, sig.metric_of[s], in_metric)
-        function_table = {}
+            den, num = _literals(cells, sig.metric_of[s])
+            for v in num.values():
+                if v > den:
+                    raise DomainError(f"metric diameter exceeds 1 in sort {s}")
+                check_unit(v, den)
+            M.metric_table[s] = ScaledTable(den, list(map(num.__getitem__, cells)))
         for name, decl in sig.functions.items():
             cells = _flatten(_symbol_table(data, "functions", name),
-                             [sizes[s] for s in decl.arg_sorts])
+                             [M.sizes[s] for s in decl.arg_sorts])
             if cells is None:
                 raise StructuralError(f"table {name} has wrong shape")
-            index = {e: i for i, e in enumerate(carriers[decl.target])}
             try:
-                function_table[name] = list(map(index.__getitem__, cells))
+                M.function_table[name] = list(map(M.index[decl.target].__getitem__, cells))
             except (KeyError, TypeError):
                 raise StructuralError(
                     f"function table {name} has a value outside sort {decl.target}") from None
-        predicate_table = {}
         for name, decl in sig.predicates.items():
             cells = _flatten(_symbol_table(data, "predicates", name),
-                             [sizes[s] for s in decl.arg_sorts])
+                             [M.sizes[s] for s in decl.arg_sorts])
             if cells is None:
                 raise StructuralError(f"table {name} has wrong shape")
-            predicate_table[name] = scaled(cells, name, check_unit)
-        return FiniteStructure(sig, carriers, metric_table, function_table, predicate_table)
+            den, num = _literals(cells, name)
+            for v in num.values():
+                check_unit(v, den)
+            M.predicate_table[name] = ScaledTable(den, list(map(num.__getitem__, cells)))
+        return M
+
+
+def _literals(cells: list, name: str) -> tuple[int, dict]:
+    """`parse_literals` of a table's flat cells; a cell that is a list is a wrong shape."""
+    try:
+        return parse_literals(cells)
+    except TypeError:  # a leaf that is a list: the table is nested too deep
+        raise StructuralError(f"table {name} has wrong shape") from None
 
 
 def _arg_tuples(sizes: Mapping[str, int], arg_sorts: Sequence[str]):
@@ -217,8 +216,9 @@ def _flatten(node, dims: Sequence[int]) -> Optional[list]:
     """Row-major leaves of a nested list of shape `dims`, or None if it has another shape."""
     level = [node]
     for n in dims:
-        if any(type(x) is not list or len(x) != n for x in level):
-            return None
+        for x in level:
+            if type(x) is not list or len(x) != n:
+                return None
         level = list(itertools.chain.from_iterable(level))
     return level
 
@@ -1057,12 +1057,7 @@ def make_split(phi, x_names: Sequence[str], y_names: Sequence[str]) -> VariableS
 
 def tuples_of(M: FiniteStructure, vars_: Sequence[tuple[str, str]]):
     """All assignments for a variable tuple, in carrier-lexicographic order."""
-    pools = [range(len(M.carriers[s])) for _, s in vars_]
-    return list(itertools.product(*pools))
-
-
-def tuple_names(M: FiniteStructure, vars_: Sequence[tuple[str, str]], tup) -> tuple[str, ...]:
-    return tuple(M.element_name(s, i) for (_, s), i in zip(vars_, tup))
+    return list(itertools.product(*[range(M.sizes[s]) for _, s in vars_]))
 
 
 class PhiInstance:
@@ -1077,18 +1072,20 @@ class PhiInstance:
 
     def __init__(self, M: FiniteStructure, phi, split: VariableSplit):
         self.M, self.phi, self.split = M, phi, split
-        self.xts = xts = tuples_of(M, split.x)
-        self.yts = yts = tuples_of(M, split.y)
-        self.x_names = [tuple_names(M, split.x, t) for t in xts]
-        self.y_names = [tuple_names(M, split.y, t) for t in yts]
-        self.x_index = {names: i for i, names in enumerate(self.x_names)}
-        self.y_index = {names: i for i, names in enumerate(self.y_names)}
+        self.xts = tuples_of(M, split.x)
+        self.yts = tuples_of(M, split.y)
+        # the element names, in the order in which tuples_of orders the indices
+        self.x_names = list(itertools.product(*[M.carriers[s] for _, s in split.x]))
+        self.y_names = list(itertools.product(*[M.carriers[s] for _, s in split.y]))
+        self.x_index = dict(zip(self.x_names, itertools.count()))
+        self.y_index = dict(zip(self.y_names, itertools.count()))
         variables = split.x + split.y
         row, self.scale = compile_row(M, phi, variables)
-        # one row per tuple of all variables but the last, in lexicographic order
-        flat = list(itertools.chain.from_iterable(map(row, tuples_of(M, variables[:-1]))))
-        m = len(yts)
-        self.num = tuple(tuple(flat[i:i + m]) for i in range(0, len(flat), m))
+        # one row per tuple of all variables but the last, in lexicographic order,
+        # cut into one tuple of len(yts) values per x-tuple
+        prefixes = itertools.product(*[range(M.sizes[s]) for _, s in variables[:-1]])
+        flat = itertools.chain.from_iterable(map(row, prefixes))
+        self.num = tuple(zip(*[flat] * len(self.yts)))
 
     @cached_property
     def vals(self) -> tuple:

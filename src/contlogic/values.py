@@ -243,10 +243,6 @@ class PLMonotone:
                           [yn * (den // yd) for _, _, yn, yd in points])
 
     @staticmethod
-    def identity() -> "PLMonotone":
-        return PLMonotone(1, (0, 1), (0, 1))
-
-    @staticmethod
     def constant(c) -> "PLMonotone":
         c = ensure_unit(c)
         return PLMonotone(c.denominator, (0, c.denominator), (c.numerator, c.numerator))
@@ -282,6 +278,9 @@ class PLMonotone:
 
     def is_inverse_modulus(self) -> bool:
         return self.ys[0] == 0
+
+
+IDENTITY = PLMonotone(1, (0, 1), (0, 1))  # the metric symbols' modulus
 
 
 def pl_compose(f: PLMonotone, g: PLMonotone) -> PLMonotone:

@@ -61,6 +61,7 @@ from contlogic.structures import (
 from contlogic.synthesis import MAX_SLOPE
 from contlogic.topometric import CBResult, FiniteTopometricSpace
 from contlogic.values import (
+    IDENTITY,
     ONE,
     ZERO,
     PLMonotone,
@@ -209,9 +210,6 @@ def is_prenex(f) -> bool:
 # Each writes a structure file's tables, as nested lists of element names
 # and rational literals, and loads them with `FiniteStructure.from_json`.
 
-IDENT = PLMonotone.identity()
-
-
 def _nested(dims: Sequence[int], cell, args: tuple = ()):
     """Nested lists of shape `dims`, row-major, holding cell(t) at each index tuple t."""
     if len(args) == len(dims):
@@ -247,11 +245,11 @@ def pra_signature() -> Signature:
         functions=[
             FuncDecl("zero", (), "B", ()),
             FuncDecl("one", (), "B", ()),
-            FuncDecl("compl", ("B",), "B", (IDENT,)),
-            FuncDecl("meet", ("B", "B"), "B", (IDENT, IDENT)),
-            FuncDecl("join", ("B", "B"), "B", (IDENT, IDENT)),
+            FuncDecl("compl", ("B",), "B", (IDENTITY,)),
+            FuncDecl("meet", ("B", "B"), "B", (IDENTITY, IDENTITY)),
+            FuncDecl("join", ("B", "B"), "B", (IDENTITY, IDENTITY)),
         ],
-        predicates=[PredDecl("mu", ("B",), (IDENT,))],
+        predicates=[PredDecl("mu", ("B",), (IDENTITY,))],
     )
 
 
@@ -289,9 +287,9 @@ def gen_prob_algebra(atom_weights: Sequence[F]) -> FiniteStructure:
 def classical_signature(functions: Mapping[str, int], relations: Mapping[str, int]) -> Signature:
     return Signature(
         [SortDecl("S", "d")],
-        functions=[FuncDecl(name, ("S",) * ar, "S", (IDENT,) * ar)
+        functions=[FuncDecl(name, ("S",) * ar, "S", (IDENTITY,) * ar)
                    for name, ar in functions.items()],
-        predicates=[PredDecl(name, ("S",) * ar, (IDENT,) * ar)
+        predicates=[PredDecl(name, ("S",) * ar, (IDENTITY,) * ar)
                     for name, ar in relations.items()],
     )
 
@@ -335,7 +333,7 @@ def from_classical(carrier: Sequence[str], functions: Mapping[str, Mapping[tuple
 
 def halfgraph_signature() -> Signature:
     return Signature([SortDecl("V", "d")],
-                     predicates=[PredDecl("phi", ("V", "V"), (IDENT, IDENT))])
+                     predicates=[PredDecl("phi", ("V", "V"), (IDENTITY, IDENTITY))])
 
 
 def gen_halfgraph(n: int) -> FiniteStructure:
@@ -381,7 +379,7 @@ def glued_halfgraph(n):
     """Half-graph n with a discrete two-point sort E and psi(x, y) = phi(y, x), for gluing."""
     base = gen_halfgraph(n)
     sig = base.sig.extended(sorts=[SortDecl("E", "d_E")],
-                            predicates=[PredDecl("psi", ("V", "V"), (IDENT, IDENT))])
+                            predicates=[PredDecl("psi", ("V", "V"), (IDENTITY, IDENTITY))])
     carriers = dict(base.carriers)
     carriers["E"] = ["e0", "e1"]
     metric, _, predicates = fraction_tables(base)

@@ -13,8 +13,8 @@ from fractions import Fraction as F
 from contlogic.language import (
     Atom,
     Const,
+    IDENTITY,
     Op,
-    PLMonotone,
     PredDecl,
     Quant,
     Signature,
@@ -58,8 +58,6 @@ from oracles import (
     topometric_space,
     uses_only_neg_monus_constants,
 )
-
-IDENT = PLMonotone.identity()
 
 
 @contextmanager
@@ -177,7 +175,7 @@ def test_criterion_04_tphi_exactness():
 
 def constant_structure():
     sig = Signature([SortDecl("S", "d")],
-                    predicates=[PredDecl("P", ("S", "S"), (IDENT, IDENT))])
+                    predicates=[PredDecl("P", ("S", "S"), (IDENTITY, IDENTITY))])
     n = 3
     metric = {"S": [[F(0) if i == j else F(1) for j in range(n)] for i in range(n)]}
     table = {(i, j): F(1, 2) for i in range(n) for j in range(n)}
@@ -316,9 +314,8 @@ def _respects_u(metric_a, metric_b, fn, u):
 
 def test_criterion_10_modulus_conversion():
     with budget(10, 30.0, "modulus conversions against table functions"):
-        ident = PLMonotone.identity()
-        assert inverse_from_delta(ident) == ident
-        assert delta_from_inverse(inverse_from_delta(ident))(F(1, 2)) == F(1, 2)
+        assert inverse_from_delta(IDENTITY) == IDENTITY
+        assert delta_from_inverse(inverse_from_delta(IDENTITY))(F(1, 2)) == F(1, 2)
 
         rng = random.Random(1003)
         eps_grid = [F(k, 32) for k in range(1, 33)]
@@ -415,8 +412,8 @@ def _prenex_signature():
         [SortDecl("S", "d")],
         functions=[],
         predicates=[
-            PredDecl("P", ("S",), (IDENT,)),
-            PredDecl("R", ("S", "S"), (IDENT, IDENT)),
+            PredDecl("P", ("S",), (IDENTITY,)),
+            PredDecl("R", ("S", "S"), (IDENTITY, IDENTITY)),
         ],
     )
 

@@ -13,7 +13,7 @@ import pytest
 
 from contlogic import cli
 from contlogic.cli import _parsers, _verify_glue, run
-from contlogic.language import FuncDecl, PLMonotone, PredDecl, Signature, SortDecl, parse
+from contlogic.language import FuncDecl, IDENTITY, PredDecl, Signature, SortDecl, parse
 from contlogic.stability import glue_formula
 from contlogic.errors import StructuralError
 from contlogic.structures import make_split
@@ -638,9 +638,8 @@ def test_target_outside_unit_interval_exits_1(capsys, algebra_file, tmp_path, co
 @pytest.mark.parametrize("kind, length", [("antisym", 1), ("order", 0), ("triple", 2)])
 def test_constant_structure_ladders_revalidate(capsys, tmp_path, kind, length):
     """On a constant structure the order ladder is empty, and it revalidates vacuously."""
-    identity = PLMonotone.identity()
     sig = Signature([SortDecl("S", "d")],
-                    predicates=[PredDecl("P", ("S", "S"), (identity, identity))])
+                    predicates=[PredDecl("P", ("S", "S"), (IDENTITY, IDENTITY))])
     metric = {"S": [[F(int(i != j)) for j in range(3)] for i in range(3)]}
     table = {(i, j): F(1, 2) for i in range(3) for j in range(3)}
     M = structure(sig, {"S": ["e0", "e1", "e2"]}, metric, {}, {"P": table})
@@ -692,11 +691,10 @@ def test_synth_slope_cap(capsys, tmp_path):
 ])
 def test_eval_function_arity_error_exits_1(capsys, tmp_path, formula, message):
     """On two sorts, an extra function argument is reported as such, not as unsortable."""
-    identity = PLMonotone.identity()
     sig = Signature([SortDecl("A", "dA"), SortDecl("B", "dB")],
-                    functions=[FuncDecl("f", ("A",), "B", (identity,)),
+                    functions=[FuncDecl("f", ("A",), "B", (IDENTITY,)),
                                FuncDecl("c", (), "A", ())],
-                    predicates=[PredDecl("P", ("A", "B"), (identity, identity))])
+                    predicates=[PredDecl("P", ("A", "B"), (IDENTITY, IDENTITY))])
     discrete = [[F(0), F(1)], [F(1), F(0)]]
     M = structure(sig, {"A": ["a0", "a1"], "B": ["b0", "b1"]},
                   {"A": discrete, "B": discrete},
@@ -756,6 +754,65 @@ def test_check_rejects_a_symbol_declared_twice(capsys, tmp_path, section, change
     at = next(i for i, entry in enumerate(entries) if entry["name"] == name)
     entries[at:at + 1] = change(entries[at])
     path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    fails_with(capsys, ["check", str(path)], message)
+
+
+def _set_modulus(bps):
+    def change(sig):
+        sig["predicates"][0]["moduli"] = [bps]
+    return change
+
+
+def _add(section, entry):
+    def change(sig):
+        sig[section].append(entry)
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda sig: ["B"], "signature must be a JSON object"),
+    (lambda sig: sig.update(functions={}), "signature functions must be a list"),
+    (lambda sig: sig["predicates"].__setitem__(0, "mu"),
+     "a signature predicates entry must be an object"),
+    (lambda sig: sig["functions"][0].pop("target_sort") and None,
+     "a signature functions entry has no 'target_sort'"),
+    (lambda sig: sig["sorts"][0].update(name=1), "a signature sorts name must be a string"),
+    (lambda sig: sig["predicates"][0].update(arg_sorts="B"),
+     "mu: arg_sorts must be a list of sort names"),
+    (lambda sig: sig["predicates"][0].update(moduli=[[["0", "0", "0"]]]),
+     "mu: moduli must be a list of breakpoint lists, each breakpoint [in, out]"),
+    (lambda sig: sig.update(sorts=[]), "a signature needs at least one sort"),
+    (_add("sorts", {"name": "C", "metric": "d"}), "metric symbols must be distinct"),
+    (_add("predicates", {"name": "meet", "arg_sorts": [], "moduli": []}),
+     "function/predicate/metric names must be distinct"),
+    (lambda sig: sig["predicates"][0].update(moduli=[]), "mu: one modulus per argument required"),
+    (_set_modulus([["0", "1/2"], ["1", "1"]]), "mu: modulus must satisfy u(0) = 0"),
+    (lambda sig: sig["predicates"][0].update(arg_sorts=["C"]), "mu: unknown sort C"),
+    (lambda sig: sig["functions"][0].update(target_sort="C"), "zero: unknown target sort C"),
+    (_set_modulus([["1/2", "0"], ["1", "1"]]),
+     "breakpoints must start at input 0 and end at input 1"),
+    (_set_modulus([["0", "0"], ["1/2", "1"]]),
+     "breakpoints must start at input 0 and end at input 1"),
+    (_set_modulus([["0", "0"], ["1/2", "1/2"], ["1/2", "1/2"], ["1", "1"]]),
+     "breakpoint inputs must be strictly increasing"),
+    (_set_modulus([["0", "0"], ["1/2", "1"], ["1", "1/2"]]),
+     "breakpoint outputs must be non-decreasing"),
+    (_set_modulus([["0", "0"], ["1", "3/2"]]), "value 3/2 outside [0,1]"),
+    (_set_modulus([["0", "0"], ["1", "0.5"]]), "decimal literal '0.5' rejected; use p/q"),
+    (_set_modulus([["0", "0"], [1, "1"]]), "rational literal 1 must be a string"),
+], ids=["not-an-object", "section-not-a-list", "entry-not-an-object", "missing-key",
+        "name-not-a-string", "arg-sorts", "moduli", "no-sorts", "metric-twice",
+        "name-clash", "modulus-count", "u0-not-zero", "unknown-sort", "unknown-target",
+        "pl-start", "pl-end", "pl-inputs", "pl-outputs", "pl-outside", "pl-decimal",
+        "pl-not-a-string"])
+def test_check_reports_each_signature_fault(capsys, tmp_path, change, message):
+    """A structure file whose signature has one fault fails `check` with a
+    one-line message naming it; `change` edits the signature in place or returns
+    its replacement."""
+    data = gen_prob_algebra([F(1, 2), F(1, 2)]).to_json()
+    data["signature"] = change(data["signature"]) or data["signature"]
+    path = tmp_path / "signature.json"
     path.write_text(json.dumps(data))
     fails_with(capsys, ["check", str(path)], message)
 

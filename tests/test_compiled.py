@@ -23,8 +23,8 @@ from contlogic.language import (
     Atom,
     Const,
     FuncDecl,
+    IDENTITY,
     Op,
-    PLMonotone,
     PredDecl,
     Quant,
     Signature,
@@ -63,7 +63,6 @@ from oracles import (
 from test_acceptance import _count_quantifiers, _prenex_signature, _random_closed_formula
 from test_acceptance import _random_structure as _random_prenex_structure
 
-IDENT = PLMonotone.identity()
 QUARTERS = [F(k, 4) for k in range(5)]
 
 
@@ -126,9 +125,9 @@ def test_tphi_sentences_on_imaginary_expansions_match_reference():
 
 def small_structure():
     sig = Signature([SortDecl("S", "d")],
-                    functions=[FuncDecl("f", ("S",), "S", (IDENT,))],
-                    predicates=[PredDecl("P", ("S",), (IDENT,)),
-                                PredDecl("R", ("S", "S"), (IDENT, IDENT))])
+                    functions=[FuncDecl("f", ("S",), "S", (IDENTITY,))],
+                    predicates=[PredDecl("P", ("S",), (IDENTITY,)),
+                                PredDecl("R", ("S", "S"), (IDENTITY, IDENTITY))])
     metric = {"S": [[F(0), F(1, 2), F(1)], [F(1, 2), F(0), F(1, 2)], [F(1), F(1, 2), F(0)]]}
     return structure(
         sig, {"S": ["a", "b", "c"]}, metric, {"f": {(0,): 1, (1,): 2, (2,): 2}},
@@ -350,7 +349,7 @@ def test_symmetry_is_a_precondition_of_the_base_pairs():
     """Over 16ths: a midpoint through an asymmetric entry must not certify a pair."""
     def three_points(metric, values):
         return structure(
-            Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENT,))]),
+            Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENTITY,))]),
             {"S": ["a", "b", "c"]}, {"S": [[F(d, 16) for d in row] for row in metric]},
             {}, {"P": {(i,): F(v, 16) for i, v in enumerate(values)}})
 
@@ -372,9 +371,9 @@ def test_symmetry_is_a_precondition_of_the_base_pairs():
 
 def binary_signature():
     return Signature([SortDecl("S", "d")],
-                     functions=[FuncDecl("f", ("S",), "S", (IDENT,))],
-                     predicates=[PredDecl("P", ("S",), (IDENT,)),
-                                 PredDecl("R", ("S", "S"), (IDENT, pl_of(
+                     functions=[FuncDecl("f", ("S",), "S", (IDENTITY,))],
+                     predicates=[PredDecl("P", ("S",), (IDENTITY,)),
+                                 PredDecl("R", ("S", "S"), (IDENTITY, pl_of(
                                      ((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1))))))])
 
 
@@ -594,8 +593,8 @@ def test_row_kernels_on_one_and_three_points():
 
 def test_row_kernels_on_ternary_symbols():
     sig = Signature([SortDecl("S", "d")],
-                    functions=[FuncDecl("g", ("S", "S", "S"), "S", (IDENT,) * 3)],
-                    predicates=[PredDecl("T", ("S", "S", "S"), (IDENT,) * 3)])
+                    functions=[FuncDecl("g", ("S", "S", "S"), "S", (IDENTITY,) * 3)],
+                    predicates=[PredDecl("T", ("S", "S", "S"), (IDENTITY,) * 3)])
     n = 3
     cube = list(itertools.product(range(n), repeat=3))
     M = structure(

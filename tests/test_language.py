@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from contlogic.errors import (
     ContlogicError,
+    DomainError,
     GrammarError,
     SortMismatchError,
     StructuralError,
@@ -24,8 +26,8 @@ from contlogic.language import (
     Atom,
     Const,
     FuncDecl,
+    IDENTITY,
     Op,
-    PLMonotone,
     PredDecl,
     Quant,
     Signature,
@@ -54,17 +56,15 @@ from oracles import (
     structure,
 )
 
-IDENT = PLMonotone.identity()
-
 
 def simple_sig():
     return Signature(
         [SortDecl("S", "d")],
-        functions=[FuncDecl("g", ("S",), "S", (IDENT,))],
+        functions=[FuncDecl("g", ("S",), "S", (IDENTITY,))],
         predicates=[
-            PredDecl("P", ("S",), (IDENT,)),
-            PredDecl("Q", ("S",), (IDENT,)),
-            PredDecl("R", ("S", "S"), (IDENT, IDENT)),
+            PredDecl("P", ("S",), (IDENTITY,)),
+            PredDecl("Q", ("S",), (IDENTITY,)),
+            PredDecl("R", ("S", "S"), (IDENTITY, IDENTITY)),
         ],
     )
 
@@ -75,11 +75,11 @@ def pra_like_sig():
         functions=[
             FuncDecl("zero", (), "B", ()),
             FuncDecl("one", (), "B", ()),
-            FuncDecl("compl", ("B",), "B", (IDENT,)),
-            FuncDecl("meet", ("B", "B"), "B", (IDENT, IDENT)),
-            FuncDecl("join", ("B", "B"), "B", (IDENT, IDENT)),
+            FuncDecl("compl", ("B",), "B", (IDENTITY,)),
+            FuncDecl("meet", ("B", "B"), "B", (IDENTITY, IDENTITY)),
+            FuncDecl("join", ("B", "B"), "B", (IDENTITY, IDENTITY)),
         ],
-        predicates=[PredDecl("mu", ("B",), (IDENT,))],
+        predicates=[PredDecl("mu", ("B",), (IDENTITY,))],
     )
 
 
@@ -218,9 +218,9 @@ def random_formula(rng, sig, depth, scope=()):
 def two_sorted_sig():
     return Signature(
         [SortDecl("A", "dA"), SortDecl("B", "dB")],
-        functions=[FuncDecl("a0", (), "A", ()), FuncDecl("f", ("A",), "B", (IDENT,))],
-        predicates=[PredDecl("P", ("A",), (IDENT,)),
-                    PredDecl("R", ("A", "B"), (IDENT, IDENT))],
+        functions=[FuncDecl("a0", (), "A", ()), FuncDecl("f", ("A",), "B", (IDENTITY,))],
+        predicates=[PredDecl("P", ("A",), (IDENTITY,)),
+                    PredDecl("R", ("A", "B"), (IDENTITY, IDENTITY))],
     )
 
 
@@ -328,7 +328,7 @@ def test_prenex_fresh_names_avoid_free_and_bound_names():
 def test_infer_modulus_rules():
     sig = simple_sig()
     f = parse("P(x)", sig)
-    assert infer_modulus(f, sig, "x") == IDENT
+    assert infer_modulus(f, sig, "x") == IDENTITY
 
     f = parse("P(x) -. P(x)", sig)
     u = infer_modulus(f, sig, "x")
@@ -340,7 +340,7 @@ def test_infer_modulus_rules():
     assert u.eval(F(1, 2)) == F(1, 4)
 
     f = parse("sup y. R(y,x)", sig)
-    assert infer_modulus(f, sig, "x") == IDENT
+    assert infer_modulus(f, sig, "x") == IDENTITY
 
     with pytest.raises(StructuralError):
         infer_modulus(parse("P(x)", sig), sig, "y")
@@ -397,7 +397,7 @@ def test_expand_condition():
 def test_multisort_annotations():
     sig = Signature(
         [SortDecl("A", "d_A"), SortDecl("B", "d_B")],
-        predicates=[PredDecl("across", ("A", "B"), (IDENT, IDENT))],
+        predicates=[PredDecl("across", ("A", "B"), (IDENTITY, IDENTITY))],
     )
     f = parse("sup x. inf y. across(x, y)", sig)
     assert f.sort == "A" and f.body.sort == "B"
@@ -418,8 +418,8 @@ def arity_sig():
     """Two sorts, so a free variable gets its sort only from the position it stands in."""
     return Signature(
         [SortDecl("A", "dA"), SortDecl("B", "dB")],
-        functions=[FuncDecl("f", ("A",), "B", (IDENT,)), FuncDecl("c", (), "A", ())],
-        predicates=[PredDecl("P", ("A", "B"), (IDENT, IDENT))],
+        functions=[FuncDecl("f", ("A",), "B", (IDENTITY,)), FuncDecl("c", (), "A", ())],
+        predicates=[PredDecl("P", ("A", "B"), (IDENTITY, IDENTITY))],
     )
 
 
@@ -478,9 +478,9 @@ def test_print_formula_on_a_shared_graph_matches_its_tree_copy():
 def one_sort_sig():
     return Signature(
         [SortDecl("S", "d")],
-        functions=[FuncDecl("c", (), "S", ()), FuncDecl("g", ("S",), "S", (IDENT,)),
-                   FuncDecl("h", ("S", "S"), "S", (IDENT, IDENT))],
-        predicates=[PredDecl("P", ("S",), (IDENT,)), PredDecl("R", ("S", "S"), (IDENT, IDENT)),
+        functions=[FuncDecl("c", (), "S", ()), FuncDecl("g", ("S",), "S", (IDENTITY,)),
+                   FuncDecl("h", ("S", "S"), "S", (IDENTITY, IDENTITY))],
+        predicates=[PredDecl("P", ("S",), (IDENTITY,)), PredDecl("R", ("S", "S"), (IDENTITY, IDENTITY)),
                     PredDecl("Z", (), ())],
     )
 
@@ -488,10 +488,10 @@ def one_sort_sig():
 def two_sort_sig():
     return Signature(
         [SortDecl("A", "dA"), SortDecl("B", "dB")],
-        functions=[FuncDecl("a0", (), "A", ()), FuncDecl("f", ("A",), "B", (IDENT,)),
-                   FuncDecl("k", ("B", "A"), "A", (IDENT, IDENT))],
-        predicates=[PredDecl("P", ("A",), (IDENT,)), PredDecl("Q", ("B",), (IDENT,)),
-                    PredDecl("R", ("A", "B"), (IDENT, IDENT)), PredDecl("Z", (), ())],
+        functions=[FuncDecl("a0", (), "A", ()), FuncDecl("f", ("A",), "B", (IDENTITY,)),
+                   FuncDecl("k", ("B", "A"), "A", (IDENTITY, IDENTITY))],
+        predicates=[PredDecl("P", ("A",), (IDENTITY,)), PredDecl("Q", ("B",), (IDENTITY,)),
+                    PredDecl("R", ("A", "B"), (IDENTITY, IDENTITY)), PredDecl("Z", (), ())],
     )
 
 
@@ -620,8 +620,8 @@ def test_two_annotations_of_a_free_name_conflict_like_its_uses():
 def test_the_first_free_name_in_order_is_reported_under_every_hash_seed():
     script = ("from contlogic.language import *\n"
               "sig = Signature([SortDecl('A', 'dA'), SortDecl('B', 'dB')], predicates=["
-              "PredDecl('P', ('A',), (PLMonotone.identity(),)), "
-              "PredDecl('Q', ('B',), (PLMonotone.identity(),))])\n"
+              "PredDecl('P', ('A',), (IDENTITY,)), "
+              "PredDecl('Q', ('B',), (IDENTITY,))])\n"
               "try:\n"
               "    parse('P(x:A) -. Q(x:B) -. P(y:A) -. Q(y:B)', sig)\n"
               "except Exception as exc:\n"
@@ -641,3 +641,45 @@ def test_int_literals_are_decimal_digits_that_int_reads():
     assert parse("P(x) -. ١/٢", one_sort_sig()).args[1] == Const(F(1, 2))
     with pytest.raises(GrammarError, match=r"^integer literal too long \(at position 4\)$"):
         parse("med " + "1" * 5000 + "(P(x))", one_sort_sig())
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("P(x) # 1", GrammarError, "unexpected character '#' (at position 5)"),
+    ("sup x P(x)", GrammarError, "expected '.', found 'P' (at position 6)"),
+    ("P(x) )", GrammarError, "trailing input ')' (at position 5)"),
+    ("sup X. P(x)", GrammarError, "variable 'X' must start lowercase (at position 4)"),
+    ("sup not. P(x)", GrammarError, "keyword 'not' cannot be a variable (at position 4)"),
+    ("sup g. P(x)", GrammarError, "function symbol 'g' cannot be a variable (at position 4)"),
+    ("med 0(P(x))", GrammarError, "med arity parameter must be >= 1 (at position 0)"),
+    ("1/0", GrammarError, "zero denominator (at position 0)"),
+    ("P(x) -. ,", GrammarError, "unexpected token ',' (at position 8)"),
+    # a text error comes before the sort error held earlier in the text
+    ("P(x) -. Q(x) )", GrammarError, "trailing input ')' (at position 13)"),
+    # a digit or letter of any script: "²" is alphanumeric but not a letter
+    ("²x", GrammarError, "unexpected character '²' (at position 0)"),
+    ("٣", DomainError, "value 3 outside [0,1]"),
+    ("x\u00a0y", GrammarError, "trailing input 'y' (at position 2)"),
+], ids=["character", "expected", "trailing", "uppercase", "keyword", "function-symbol",
+        "med-0", "zero-denominator", "token", "text-error-first", "superscript-first",
+        "arabic-indic-digit", "no-break-space"])
+def test_parse_reports_each_fault_with_its_position(text, error, message):
+    sig = two_sort_sig() if "Q" in text else one_sort_sig()
+    assert parse_outcome(parse, text, sig) == (error, message)
+
+
+def test_identifiers_and_ints_follow_the_unicode_character_classes():
+    """An identifier starts with a letter or "_" and goes on over alphanumerics;
+    an int is decimal digits of any script; any Unicode space separates tokens."""
+    sig = one_sort_sig()
+    assert parse("P(x²)", sig) == Atom("P", (Var("x²", "S"),))
+    assert parse("٣/٤", sig) == Const(F(3, 4))
+    assert parse("sup\u00a0x.\u2003P(x)", sig) == Quant("sup", "x", "S",
+                                                         Atom("P", (Var("x", "S"),)))
+
+
+def test_a_whitespace_run_is_scanned_once():
+    """Trailing whitespace costs time linear in its length (20,000 spaces took
+    about 23 s when the tokenizer rescanned the run from each of its positions)."""
+    start = time.perf_counter()
+    assert parse("P(x)" + " " * 20_000, one_sort_sig()) == Atom("P", (Var("x", "S"),))
+    assert time.perf_counter() - start < 2

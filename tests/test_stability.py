@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contlogic.errors import DefinitionAbort, StructuralError
-from contlogic.language import PLMonotone, PredDecl, Signature, SortDecl, parse
+from contlogic.language import IDENTITY, PredDecl, Signature, SortDecl, parse
 from contlogic.stability import (
     LadderWitness,
     PhiTypeVector,
@@ -49,8 +49,6 @@ from oracles import (
     triple_sequence_unpruned,
 )
 
-IDENT = PLMonotone.identity()
-
 
 def instance(M, text, xs=("x",), ys=("y",)):
     """The instance of the formula `text` on M, split into xs and ys."""
@@ -69,7 +67,7 @@ def algebra_setup(weights):
 def binary_structure(table, n):
     """n discrete points e0.., with the binary predicate P given by its value table."""
     sig = Signature([SortDecl("S", "d")],
-                    predicates=[PredDecl("P", ("S", "S"), (IDENT, IDENT))])
+                    predicates=[PredDecl("P", ("S", "S"), (IDENTITY, IDENTITY))])
     metric = {"S": [[F(0) if i == j else F(1) for j in range(n)] for i in range(n)]}
     return structure(sig, {"S": [f"e{i}" for i in range(n)]}, metric, {}, {"P": table})
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from contlogic.errors import CompletionError, ContlogicError, DomainError, StructuralError
-from contlogic.language import PLMonotone, PredDecl, Signature, SortDecl, parse, prenex
+from contlogic.language import IDENTITY, PredDecl, Signature, SortDecl, parse, prenex
 from contlogic.structures import (
     FiniteStructure,
     complete_structure,
@@ -31,12 +31,10 @@ from oracles import (
     structure,
 )
 
-IDENT = PLMonotone.identity()
-
 
 def two_point(p_a=F(0), p_b=F(1), dist=F(1)):
     sig = Signature([SortDecl("S", "d")],
-                    predicates=[PredDecl("P", ("S",), (IDENT,))])
+                    predicates=[PredDecl("P", ("S",), (IDENTITY,))])
     metric = {"S": [[F(0), dist], [dist, F(0)]]}
     return structure(sig, {"S": ["a", "b"]}, metric, {},
                      {"P": {(0,): p_a, (1,): p_b}})
@@ -62,7 +60,7 @@ def test_validate_modulus_violation():
 
 
 def test_validate_one_point_structure():
-    sig = Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENT,))])
+    sig = Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENTITY,))])
     M = structure(sig, {"S": ["a"]}, {"S": [[F(0)]]}, {}, {"P": {(0,): F(2, 3)}})
     assert validate(M).valid
 
@@ -122,7 +120,7 @@ def test_metric_reflexivity_condition_via_env():
 
 
 def test_complete_quotients_zero_distance():
-    sig = Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENT,))])
+    sig = Signature([SortDecl("S", "d")], predicates=[PredDecl("P", ("S",), (IDENTITY,))])
     metric = {"S": [[F(0), F(0)], [F(0), F(0)]]}
     M = structure(sig, {"S": ["a", "b"]}, metric, {},
                   {"P": {(0,): F(1, 2), (1,): F(1, 2)}})
@@ -319,6 +317,7 @@ DELETE = object()
     (("functions", "compl"), DELETE, "structure file has no functions table for 'compl'"),
     (("predicates", "mu"), DELETE, "structure file has no predicates table for 'mu'"),
     (("functions", "meet", 1, 0), "s2", "function table meet has a value outside sort B"),
+    (("carriers", "Z"), ["z0", "z1"], "carrier for undeclared sort Z"),
 ])
 def test_loader_reports_each_structural_fault(path, value, message):
     """A structure file with one structural fault fails to load with a one-line

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -120,6 +121,64 @@ def run_traced(capsys, commands):
     finally:
         recorder.uninstall()
     return untraced, traced, recorder.summary()
+
+
+def _module_state():
+    """(id of each contlogic module global, size of each module-level dict, list
+    and set, the names with a `cache_info`), keyed by "module.name"."""
+    ids, sizes, cached = {}, {}, set()
+    for module_name, module in list(sys.modules.items()):
+        if module is None or module_name.split(".")[0] != "contlogic":
+            continue
+        for name, value in vars(module).items():
+            key = f"{module_name}.{name}"
+            ids[key] = id(value)
+            if isinstance(value, (dict, list, set)):
+                sizes[key] = len(value)
+            members = vars(value).items() if isinstance(value, type) else [(None, value)]
+            for member, attr in members:
+                if hasattr(getattr(attr, "__func__", attr), "cache_info"):
+                    cached.add(key if member is None else f"{key}.{member}")
+    return ids, sizes, cached
+
+
+def test_no_state_derived_from_input_survives_a_command(capsys, tmp_path):
+    """One command of each structure subcommand, on a file and formulas no other
+    test uses, leaves every contlogic module global bound as it was and no
+    module-level container larger (but the input hashes, which the next command
+    clears), and `cli._parsers` is the one function with a cache: so no memo
+    keyed by a file, a signature or a formula outlives a command."""
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(gen_prob_algebra([F(2, 7), F(5, 7)]).to_json()))
+    alg = str(path)
+    instance = [alg, "--formula", "mu(meet(x,y)) -. 1/7", "--split", "x;y"]
+    commands = [
+        ["check", alg],
+        ["eval", alg, "-e", "sup x. mu(x) -. 1/7"],
+        ["complete", alg, "--out", str(tmp_path / "completed.json")],
+        ["tv", alg, "--subset", "s0,s3", "--formula", "y@d(x,y) -. 1/7"],
+        ["imaginary", *instance, "--out", str(tmp_path / "imag")],
+        ["typespace", *instance],
+        ["stability", *instance, "--epsilon", "1/7"],
+        ["nvalue", *instance, "--epsilon", "1/7"],
+        ["define-median", *instance, "--epsilon", "1/7", "--target", "s1"],
+        ["define-monotone", *instance, "--epsilon", "1/7", "--target", "s1"],
+        ["define-global", *instance, "--depth", "2", "--target", "s1"],
+        ["glue", alg, "--phi", "mu(meet(x,y)) -. 1/7", "--psi", "mu(join(x,z))",
+         "--shared", "x", "--fresh", "t,w", "--fresh-sort", "B", "--verify"],
+        ["prenex", alg, "--formula", "sup x. mu(x) -. 1/7"],
+    ]
+    ids, sizes, _ = _module_state()
+    codes = []
+    for argv in commands:
+        codes.append(run(argv))
+        capsys.readouterr()
+    assert codes == [0] * len(commands)
+    after_ids, after_sizes, cached = _module_state()
+    assert {key for key in after_ids if ids.get(key) != after_ids[key]} == set()
+    grown = {key for key, n in after_sizes.items() if n > sizes[key]}
+    assert grown <= {"contlogic.cli._INPUT_HASHES"}
+    assert cached == {"contlogic.cli._parsers"}
 
 
 def _references(tree) -> list:

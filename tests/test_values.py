@@ -14,6 +14,7 @@ from contlogic.errors import ContlogicError, DomainError, StructuralError
 from contlogic.values import (
     CONNECTIVES,
     Lanes,
+    IDENTITY,
     PLMonotone,
     delta_from_inverse,
     flim_prefix,
@@ -178,16 +179,15 @@ def test_flim_stability_property():
 
 
 def test_pl_eval_and_algebra():
-    ident = PLMonotone.identity()
-    assert ident.eval(F(1, 3)) == F(1, 3)
+    assert IDENTITY.eval(F(1, 3)) == F(1, 3)
     dbl = pl_of(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1))))
     assert dbl.eval(F(1, 4)) == F(1, 2)
-    assert ident.eval(F(0)) == 0
+    assert IDENTITY.eval(F(0)) == 0
 
-    assert pl_compose(ident, ident) == ident
-    assert pl_capped_sum(ident, ident).eval(F(3, 4)) == 1
-    assert pl_capped_sum(ident, ident).eval(F(1, 4)) == F(1, 2)
-    assert pl_half(ident).eval(F(1, 2)) == F(1, 4)
+    assert pl_compose(IDENTITY, IDENTITY) == IDENTITY
+    assert pl_capped_sum(IDENTITY, IDENTITY).eval(F(3, 4)) == 1
+    assert pl_capped_sum(IDENTITY, IDENTITY).eval(F(1, 4)) == F(1, 2)
+    assert pl_half(IDENTITY).eval(F(1, 2)) == F(1, 4)
 
     with pytest.raises(StructuralError):
         pl_of(((F(0), F(1)), (F(1), F(0))))  # decreasing
@@ -219,8 +219,7 @@ def random_pl(rng, inverse=False):
 
 
 def test_delta_from_inverse_examples():
-    ident = PLMonotone.identity()
-    delta = delta_from_inverse(ident)
+    delta = delta_from_inverse(IDENTITY)
     assert delta(F(1, 4)) == F(1, 4)
     assert delta(F(1)) == 1
     dbl = pl_of(((F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1))))
@@ -232,9 +231,8 @@ def test_delta_from_inverse_examples():
 
 
 def test_inverse_from_delta_identity_and_round_trip():
-    ident = PLMonotone.identity()
-    u = inverse_from_delta(ident)
-    assert u == ident
+    u = inverse_from_delta(IDENTITY)
+    assert u == IDENTITY
     delta = delta_from_inverse(u)
     assert delta(F(1, 2)) == F(1, 2)
     with pytest.raises(DomainError):
@@ -280,7 +278,7 @@ def test_inverse_from_delta_matches_the_pairwise_scan():
 
     rng = random.Random(31)
     seen = {"flat run": 0, "delta(0) > 0": 0, "delta(1) = 1": 0}
-    deltas = [PLMonotone.identity(), PLMonotone.constant(F(1)),
+    deltas = [IDENTITY, PLMonotone.constant(F(1)),
               pl_of(((F(0), F(1, 2)), (F(1), F(1, 2))))]
     deltas += [random_delta(rng) for _ in range(240)]
     for delta in deltas:
