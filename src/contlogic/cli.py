@@ -16,6 +16,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .errors import ContlogicError, DefinitionAbort, DomainError
@@ -81,7 +82,11 @@ def _json_text(obj, newline: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + newline + "]"
+        try:  # a list of strings in one join; encode_basestring_ascii takes only str
+            items = ("," + inner).join(map(encode_basestring_ascii, obj))
+        except TypeError:
+            items = ("," + inner).join([_json_text(v, inner) for v in obj])
+        return "[" + inner + items + newline + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -423,65 +428,82 @@ def _cmd_prenex(args):
     return 0, {"prenex": print_formula(prenex(f), M.sig)}
 
 
+# each subcommand's handler and help, in the order the top-level usage lists them
 _COMMANDS = {
-    "check": _cmd_check,
-    "eval": _cmd_eval,
-    "complete": _cmd_complete,
-    "tv": _cmd_tv,
-    "imaginary": _cmd_imaginary,
-    "typespace": _cmd_typespace,
-    "stability": _cmd_stability,
-    "nvalue": _cmd_nvalue,
-    "define-median": _cmd_define_median,
-    "define-monotone": _cmd_define_monotone,
-    "define-global": _cmd_define_global,
-    "glue": _cmd_glue,
-    "cbrank": _cmd_cbrank,
-    "synth": _cmd_synth,
-    "modulus-convert": _cmd_modulus_convert,
-    "prenex": _cmd_prenex,
+    "check": (_cmd_check, "validate the metric and modulus axioms"),
+    "eval": (_cmd_eval, "evaluate a formula"),
+    "complete": (_cmd_complete, "quotient by zero distance"),
+    "tv": (_cmd_tv, "Tarski-Vaught test for a formula family"),
+    **{name: (handler, f"{name} for a formula with a split") for name, handler in (
+        ("imaginary", _cmd_imaginary),
+        ("typespace", _cmd_typespace),
+        ("stability", _cmd_stability),
+        ("nvalue", _cmd_nvalue),
+        ("define-median", _cmd_define_median),
+        ("define-monotone", _cmd_define_monotone),
+        ("define-global", _cmd_define_global),
+    )},
+    "glue": (_cmd_glue, "glue two formulas sharing a variable"),
+    "prenex": (_cmd_prenex, "prenex normal form of a formula"),
+    "cbrank": (_cmd_cbrank, "epsilon-Cantor-Bendixson ranks"),
+    "synth": (_cmd_synth, "synthesize a connective expression"),
+    "modulus-convert": (_cmd_modulus_convert, "convert continuity moduli"),
 }
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level argument parser and each subcommand's own parser by name,
-    built once; each parse fills a fresh namespace."""
-    top = argparse.ArgumentParser(prog="contlogic",
-                                  description="continuous-logic workbench")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def report_out(p):
-        p.add_argument("--out", dest="report_out", help="also write the report here")
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give p the arguments of subcommand `name`; returns p."""
+    report_out = functools.partial(p.add_argument, "--out", dest="report_out",
+                                   help="also write the report here")
+    if name == "cbrank":
+        report_out()
+        p.add_argument("space", help="topometric space JSON file")
+        p.add_argument("--epsilon", required=True)
         return p
-
-    def structure_cmd(name, help_):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("structure", help="structure JSON file")
+    if name == "synth":
+        report_out()
+        p.add_argument("--target", required=True, help="grid function JSON file")
+        p.add_argument("--epsilon", required=True)
+        p.add_argument("--step-modulus", dest="step_modulus")
         return p
-
-    report_out(structure_cmd("check", "validate the metric and modulus axioms"))
-
-    p = report_out(structure_cmd("eval", "evaluate a formula"))
-    p.add_argument("--formula", "-e", required=True)
-    p.add_argument("--let", action="append", metavar="VAR=ELEMENT")
-
-    p = structure_cmd("complete", "quotient by zero distance")
-    p.add_argument("--out", help="write the completed structure here")
-
-    p = report_out(structure_cmd("tv", "Tarski-Vaught test for a formula family"))
-    p.add_argument("--subset", required=True, help="a,b or Sort:a,b|Sort2:c")
-    p.add_argument("--formula", action="append", metavar="Y@TEXT")
-
-    for name in ("imaginary", "typespace", "stability", "nvalue",
-                 "define-median", "define-monotone", "define-global"):
-        p = structure_cmd(name, f"{name} for a formula with a split")
+    if name == "modulus-convert":
+        report_out()
+        p.add_argument("--direction", required=True,
+                       choices=["inverse-to-delta", "delta-to-inverse"])
+        p.add_argument("--pl", required=True, help="breakpoints in:out,in:out")
+        p.add_argument("--epsilon")
+        return p
+    p.add_argument("structure", help="structure JSON file")
+    if name == "complete":
+        p.add_argument("--out", help="write the completed structure here")
+    elif name == "eval":
+        report_out()
+        p.add_argument("--formula", "-e", required=True)
+        p.add_argument("--let", action="append", metavar="VAR=ELEMENT")
+    elif name == "tv":
+        report_out()
+        p.add_argument("--subset", required=True, help="a,b or Sort:a,b|Sort2:c")
+        p.add_argument("--formula", action="append", metavar="Y@TEXT")
+    elif name == "glue":
+        report_out()
+        p.add_argument("--phi", required=True)
+        p.add_argument("--psi", required=True)
+        p.add_argument("--shared", required=True)
+        p.add_argument("--fresh", required=True, help="t,w")
+        p.add_argument("--fresh-sort", dest="fresh_sort", required=True)
+        p.add_argument("--verify", action="store_true")
+    elif name == "prenex":
+        report_out()
+        p.add_argument("--formula", required=True)
+    elif name == "check":
+        report_out()
+    else:  # a formula with a split
         p.add_argument("--formula", required=True)
         p.add_argument("--split", required=True, help="x1,x2;y1,y2")
         if name == "imaginary":
             p.add_argument("--out", help="basename for the expansion and class files")
         else:
-            report_out(p)
+            report_out()
         if name in ("stability", "nvalue", "define-median", "define-monotone"):
             p.add_argument("--epsilon", required=True)
         if name == "stability":
@@ -495,51 +517,38 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
                                 help="JSON file with a values map")
         if name == "define-global":
             p.add_argument("--depth", type=int, required=True)
+    return p
 
-    p = report_out(structure_cmd("glue", "glue two formulas sharing a variable"))
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", required=True)
-    p.add_argument("--shared", required=True)
-    p.add_argument("--fresh", required=True, help="t,w")
-    p.add_argument("--fresh-sort", dest="fresh_sort", required=True)
-    p.add_argument("--verify", action="store_true")
 
-    p = report_out(structure_cmd("prenex", "prenex normal form of a formula"))
-    p.add_argument("--formula", required=True)
-
-    p = report_out(sub.add_parser("cbrank", help="epsilon-Cantor-Bendixson ranks"))
-    p.add_argument("space", help="topometric space JSON file")
-    p.add_argument("--epsilon", required=True)
-
-    p = report_out(sub.add_parser("synth", help="synthesize a connective expression"))
-    p.add_argument("--target", required=True, help="grid function JSON file")
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--step-modulus", dest="step_modulus")
-
-    p = report_out(sub.add_parser("modulus-convert", help="convert continuity moduli"))
-    p.add_argument("--direction", required=True,
-                   choices=["inverse-to-delta", "delta-to-inverse"])
-    p.add_argument("--pl", required=True, help="breakpoints in:out,in:out")
-    p.add_argument("--epsilon")
-
-    return top, sub.choices
+@functools.cache
+def _parsers(name: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of subcommand `name`, which reads the arguments after the name
+    and writes the help and errors the top-level parser would hand it; with no
+    name, the top-level parser holding every subcommand.  Each is built on first
+    use, and each parse fills a fresh namespace."""
+    if name is not None:
+        return _add_arguments(argparse.ArgumentParser(prog=f"contlogic {name}"), name)
+    top = argparse.ArgumentParser(prog="contlogic", description="continuous-logic workbench")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (_, help_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_), name)
+    return top
 
 
 def run(argv) -> int:
     """Dispatch a command line; prints the JSON report on stdout."""
     _INPUT_HASHES.clear()
-    top, commands = _parsers()
-    # a subcommand's own parser takes the rest of argv, as the top-level parser
-    # would hand it on; argv naming no subcommand (none, -h, unknown) goes to the top
-    parser = commands.get(argv[0]) if argv else None
+    # argv naming no subcommand (none, -h, unknown) goes to the top-level parser;
+    # extra arguments after a subcommand are the top-level parser's error
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        if parser is None:
-            args = top.parse_args(argv)
+        if name is None:
+            args = _parsers().parse_args(argv)
         else:
-            args, extra = parser.parse_known_args(argv[1:])
+            args, extra = _parsers(name).parse_known_args(argv[1:])
             if extra:
-                top.error(f"unrecognized arguments: {' '.join(extra)}")
-            args.command = argv[0]
+                _parsers().error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = name
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -558,7 +567,8 @@ def run(argv) -> int:
         return code
 
     try:
-        code, payload = _COMMANDS[args.command](args)
+        handler, _ = _COMMANDS[args.command]
+        code, payload = handler(args)
         return emit(code, payload)
     except DefinitionAbort as exc:
         return emit(1, {"aborted": exc.reason,

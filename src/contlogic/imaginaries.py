@@ -8,7 +8,7 @@ recovering phi through class representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import StructuralError
 from .language import (
@@ -35,8 +35,7 @@ from .structures import (
 SORT_NAME, METRIC_NAME, PRED_NAME = "S_phi", "d_phi", "P_phi"
 
 
-@dataclass
-class ImaginaryExpansion:
+class ImaginaryExpansion(NamedTuple):
     instance: PhiInstance
     class_members: list  # list of lists of y-tuple indices
     class_names: list

@@ -20,7 +20,6 @@ structure variable of some sort.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
 from operator import is_
@@ -35,6 +34,7 @@ from .errors import (
 from .values import (
     CONNECTIVES,
     IDENTITY,
+    Frozen,
     PLMonotone,
     ensure_unit,
     format_rational,
@@ -51,25 +51,32 @@ VALUE_SORT = "@value"
 # Signatures
 
 
-@dataclass(frozen=True)
-class SortDecl:
-    name: str
-    metric: str
+class SortDecl(Frozen):
+    __slots__ = ("name", "metric")
+
+    def __init__(self, name: str, metric: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "metric", metric)
 
 
-@dataclass(frozen=True)
-class FuncDecl:
-    name: str
-    arg_sorts: tuple[str, ...]
-    target: str
-    moduli: tuple[PLMonotone, ...]
+class FuncDecl(Frozen):
+    __slots__ = ("name", "arg_sorts", "target", "moduli")
+
+    def __init__(self, name: str, arg_sorts: tuple[str, ...], target: str,
+                 moduli: tuple[PLMonotone, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arg_sorts", arg_sorts)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "moduli", moduli)
 
 
-@dataclass(frozen=True)
-class PredDecl:
-    name: str
-    arg_sorts: tuple[str, ...]
-    moduli: tuple[PLMonotone, ...]
+class PredDecl(Frozen):
+    __slots__ = ("name", "arg_sorts", "moduli")
+
+    def __init__(self, name: str, arg_sorts: tuple[str, ...], moduli: tuple[PLMonotone, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arg_sorts", arg_sorts)
+        object.__setattr__(self, "moduli", moduli)
 
 
 class Signature:
@@ -236,51 +243,65 @@ def _by_name(kind: str, decls: Sequence) -> dict:
 # Terms and formulas
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    sort: Optional[str] = None
+class Var(Frozen):
+    __slots__ = ("name", "sort")
+
+    def __init__(self, name: str, sort: Optional[str] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sort", sort)
 
 
-@dataclass(frozen=True)
-class App:
-    func: str
-    args: tuple
-    sort: Optional[str] = None
+class App(Frozen):
+    __slots__ = ("func", "args", "sort")
+
+    def __init__(self, func: str, args: tuple, sort: Optional[str] = None):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "sort", sort)
 
 
 Term = object  # Var | App
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple
+class Atom(Frozen):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple):
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
+class Const(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ValueVar:
-    name: str
+class ValueVar(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Op:
-    op: str
-    args: tuple
-    n: Optional[int] = None  # median arity parameter, for op == "med" only
+class Op(Frozen):
+    __slots__ = ("op", "args", "n")  # n: the median arity parameter, for op == "med" only
+
+    def __init__(self, op: str, args: tuple, n: Optional[int] = None):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Quant:
-    kind: str  # "sup" | "inf"
-    var: str
-    sort: Optional[str]
-    body: object
+class Quant(Frozen):
+    __slots__ = ("kind", "var", "sort", "body")  # kind: "sup" | "inf"
+
+    def __init__(self, kind: str, var: str, sort: Optional[str], body):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "body", body)
 
 
 Formula = object  # Atom | Const | ValueVar | Op | Quant

@@ -17,22 +17,20 @@ parameter-sequence order for the triple kind).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DefinitionAbort, DomainError, StructuralError
 from .language import Atom, Op, Var, free_vars
 from .structures import PhiInstance, equal_classes, fraction_rows, sup_distances
-from .values import ZERO, flim_prefix
+from .values import ZERO, Frozen, flim_prefix
 
 
 # ---------------------------------------------------------------------------
 # Phi-types and their metric space
 
 
-@dataclass(frozen=True)
-class PhiTypeVector:
+class PhiTypeVector(NamedTuple):
     """A phi-type over M as its exact value vector b -> phi(a, b).
 
     `values` is indexed by the parameter-tuple enumeration of the split;
@@ -43,8 +41,7 @@ class PhiTypeVector:
     realizer: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PhiTypeSpace:
+class PhiTypeSpace(NamedTuple):
     """The realized phi-types as distinct int value rows over `scale`, with their sup-distances."""
 
     scale: int
@@ -69,16 +66,24 @@ def phi_type_space(inst: PhiInstance) -> PhiTypeSpace:
 # Ladder searches
 
 
-@dataclass(frozen=True)
-class LadderWitness:
-    """A ladder with the exact inequalities it satisfies, re-checkable from names."""
+class LadderWitness(Frozen):
+    """A ladder with the exact inequalities it satisfies, re-checkable from names.
 
-    kind: str  # "antisym" | "order" | "triple"
-    epsilon: Fraction
-    pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    r: Optional[Fraction] = None
-    s: Optional[Fraction] = None
-    at_searched_bound: bool = False
+    Its length is the number of pairs (a NamedTuple's length is its field count).
+    """
+
+    __slots__ = ("kind", "epsilon", "pairs", "r", "s", "at_searched_bound")
+
+    def __init__(self, kind: str, epsilon: Fraction,
+                 pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...],
+                 r: Optional[Fraction] = None, s: Optional[Fraction] = None,
+                 at_searched_bound: bool = False):
+        object.__setattr__(self, "kind", kind)  # "antisym" | "order" | "triple"
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "at_searched_bound", at_searched_bound)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -469,8 +474,7 @@ def compute_N(inst: PhiInstance, epsilon) -> int:
 # Median-value definitions
 
 
-@dataclass
-class MedianDefinition:
+class MedianDefinition(NamedTuple):
     """2N-1 parameters whose median of phi-instances tracks a target vector."""
 
     epsilon: Fraction
@@ -567,8 +571,7 @@ def median_definition(inst: PhiInstance, epsilon, target,
 # Monotone definitions (stability inside a single structure)
 
 
-@dataclass
-class MonotoneDefinition:
+class MonotoneDefinition(NamedTuple):
     """Monotone combination of phi-instances tracking a target within 3*eps."""
 
     epsilon: Fraction
@@ -577,7 +580,7 @@ class MonotoneDefinition:
     records: tuple  # (a_idx, b_idx, r, s) per violation round
     observed_error: Fraction
     candidates: tuple  # u-tuples the sup runs over
-    evaluate: Callable[[Sequence[Fraction]], Fraction] = field(repr=False)
+    evaluate: Callable[[Sequence[Fraction]], Fraction]
 
 
 def _monotone_scale(scale: int, eps: Fraction, t) -> tuple:
@@ -706,8 +709,7 @@ def monotone_definition(inst: PhiInstance, epsilon, target) -> MonotoneDefinitio
 # Staged (global) definitions through forced limits
 
 
-@dataclass
-class StagedDefinition:
+class StagedDefinition(NamedTuple):
     depth: int
     stages: tuple  # MedianDefinition per stage, eps = 2^-n
     final_values: tuple[Fraction, ...]
@@ -721,14 +723,30 @@ def global_definition(inst: PhiInstance, target, depth: int) -> StagedDefinition
     For targets whose every stage succeeds (realized targets in particular),
     the per-parameter error of the combined value against the target is at
     most 2^-(depth-1).
+
+    A stage's N depends on eps only through `_gap(eps, scale)`, and its
+    choices, values and error only through floor(eps * S), S the lcm of the
+    scale and the target's denominators: every difference it compares with
+    eps is an int over S.  So a stage whose pair of ints equals the previous
+    stage's is that stage under its own eps, and one whose gap equals the
+    previous gap reuses that N.  Neither int grows as eps halves, so no
+    earlier stage can match where the previous one does not.
     """
     if not 1 <= depth <= 16:  # each stage is a full median search, seconds at small eps
         raise DomainError("depth must be between 1 and 16")
     tgt = _target_vector(inst, target)
+    S = math.lcm(inst.scale, *(v.denominator for v in tgt.values))
     stages = []
+    key = None
     for n in range(depth):
+        eps = Fraction(1, 2 ** n)
+        prev, key = key, (_gap(eps, inst.scale), S >> n)
+        if key == prev:
+            stages.append(stages[-1]._replace(epsilon=eps))
+            continue
+        n_value = stages[-1].n_value if prev is not None and key[0] == prev[0] else None
         try:
-            stages.append(median_definition(inst, Fraction(1, 2 ** n), tgt))
+            stages.append(median_definition(inst, eps, tgt, n_value))
         except DefinitionAbort as abort:
             raise DefinitionAbort("stage-failed", stage=n, inner=abort.reason,
                                   **abort.details) from abort

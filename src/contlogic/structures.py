@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -141,7 +140,8 @@ class FiniteStructure:
     def from_json(data: dict, sig: Optional[Signature] = None) -> "FiniteStructure":
         """Load a structure file, filling the flat tables from its nested lists.
 
-        Each distinct rational string of a table is parsed and range-checked once.
+        Each distinct rational string of the file is parsed once, and each of a
+        table range-checked once.
         """
         if not isinstance(data, dict):
             raise StructuralError("structure file must be a JSON object")
@@ -167,12 +167,13 @@ class FiniteStructure:
                 raise StructuralError(f"duplicate element names in sort {s}")
         # the tables are read into the new structure's, which nothing else holds yet
         M = FiniteStructure(sig, carriers, {}, {}, {})
+        parsed = {}  # literal -> its parse_ratio pair, shared by the file's tables
         for s in sig.sorts:
             n = M.sizes[s]
             cells = _flatten(data["metric"].get(s), (n, n))
             if cells is None:
                 raise StructuralError(f"metric matrix for sort {s} must be {n}x{n}")
-            den, num = _literals(cells, sig.metric_of[s])
+            den, num = _literals(cells, sig.metric_of[s], parsed)
             for v in num.values():
                 if v > den:
                     raise DomainError(f"metric diameter exceeds 1 in sort {s}")
@@ -193,17 +194,17 @@ class FiniteStructure:
                              [M.sizes[s] for s in decl.arg_sorts])
             if cells is None:
                 raise StructuralError(f"table {name} has wrong shape")
-            den, num = _literals(cells, name)
+            den, num = _literals(cells, name, parsed)
             for v in num.values():
                 check_unit(v, den)
             M.predicate_table[name] = ScaledTable(den, list(map(num.__getitem__, cells)))
         return M
 
 
-def _literals(cells: list, name: str) -> tuple[int, dict]:
+def _literals(cells: list, name: str, parsed: dict) -> tuple[int, dict]:
     """`parse_literals` of a table's flat cells; a cell that is a list is a wrong shape."""
     try:
-        return parse_literals(cells)
+        return parse_literals(cells, parsed)
     except TypeError:  # a leaf that is a list: the table is nested too deep
         raise StructuralError(f"table {name} has wrong shape") from None
 
@@ -730,8 +731,7 @@ def env_from_names(M: FiniteStructure, bindings: Mapping[str, str], f) -> dict:
 # Validation
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     subject: str
     witnesses: tuple[str, ...]
@@ -741,8 +741,7 @@ class Violation:
         return f"{self.kind} {self.subject} ({', '.join(self.witnesses)}): {self.detail}"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: list
 
     @property
@@ -897,8 +896,7 @@ def _columns(cells: list, dims: Sequence[int], pos: int) -> list:
 # Quotient completion
 
 
-@dataclass
-class CompletionResult:
+class CompletionResult(NamedTuple):
     structure: FiniteStructure
     classes: dict  # sort -> list of (representative name, list of member names)
 
@@ -1035,8 +1033,7 @@ def is_elementary_substructure(M: FiniteStructure, subset: Mapping[str, Sequence
 # Formulas with a declared variable split
 
 
-@dataclass(frozen=True)
-class VariableSplit:
+class VariableSplit(NamedTuple):
     """Free variables of a formula split into a kept tuple and a parameter tuple."""
 
     x: tuple[tuple[str, str], ...]

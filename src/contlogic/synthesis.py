@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -24,6 +23,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, StructuralError
 from .language import Const, Op, ValueVar, nodes
 from .values import (
+    Frozen,
     Lanes,
     check_connective,
     ensure_unit,
@@ -43,15 +43,16 @@ def _check_pitch(pitch: Fraction) -> Fraction:
     return p
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Frozen):
     """A [0,1]-valued function tabulated on the dyadic grid of a given pitch."""
 
-    arity: int
-    pitch: Fraction
-    values: tuple[Fraction, ...]  # in the order of `grid_points`, as the file lists them
+    # values: in the order of `grid_points`, as the file lists them
+    __slots__ = ("arity", "pitch", "values")
 
-    def __post_init__(self):
+    def __init__(self, arity: int, pitch: Fraction, values: tuple[Fraction, ...]):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "pitch", pitch)
+        object.__setattr__(self, "values", values)
         if self.arity < 1:
             raise StructuralError("arity must be at least 1")
         _check_pitch(self.pitch)
@@ -274,16 +275,18 @@ def _to_dag(t: _Table):
     return node[-1]
 
 
-@dataclass
 class SynthesisResult:
     """A synthesized table with its certificate; `expression` is its DAG, built on first use."""
 
-    table: _Table
-    max_error: Fraction
-    size: int
-    requested_epsilon: Fraction
-    rounding_exponent: int
-    written_out_nodes: int
+    def __init__(self, table: _Table, max_error: Fraction, size: int,
+                 requested_epsilon: Fraction, rounding_exponent: int, written_out_nodes: int):
+        self.table = table
+        self.max_error = max_error
+        self.size = size
+        self.requested_epsilon = requested_epsilon
+        self.rounding_exponent = rounding_exponent
+        self.written_out_nodes = written_out_nodes
+
     expression = cached_property(lambda self: _to_dag(self.table))
 
 

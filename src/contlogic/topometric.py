@@ -17,14 +17,15 @@ iff no p in S has `far[p] & S`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
 from operator import add, and_, or_
+from typing import NamedTuple
 
 from .errors import StructuralError
 from .values import (
+    Frozen,
     check_unit,
     ensure_unit,
     format_ratio,
@@ -45,15 +46,18 @@ def _members(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class FiniteTopometricSpace:
-    points: tuple[str, ...]
-    closed_masks: tuple[int, ...]  # bit p for point p
-    num: tuple[tuple[int, ...], ...]  # the distance from p to q is num[p][q] / den
-    den: int
-    test_epsilons: tuple[Fraction, ...]
+class FiniteTopometricSpace(Frozen):
+    # closed_masks: bit p for point p; the distance from p to q is num[p][q] / den
+    __slots__ = ("points", "closed_masks", "num", "den", "test_epsilons")
 
-    def __post_init__(self):
+    def __init__(self, points: tuple[str, ...], closed_masks: tuple[int, ...],
+                 num: tuple[tuple[int, ...], ...], den: int,
+                 test_epsilons: tuple[Fraction, ...]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "closed_masks", closed_masks)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "test_epsilons", test_epsilons)
         n = len(self.points)
         if len(set(self.points)) != n or n == 0:
             raise StructuralError("points must be distinct and non-empty")
@@ -183,8 +187,7 @@ def cb_derivative(X: FiniteTopometricSpace, subset: frozenset, epsilon) -> froze
     return frozenset(_members(_derive(X.closed_masks, far, _mask(subset))))
 
 
-@dataclass
-class CBResult:
+class CBResult(NamedTuple):
     stages: list  # decreasing closed stages, stages[0] = all points
     ranks: dict  # point index -> rank; None means the stages became stationary
     degrees: list  # epsilon-degree of each stage

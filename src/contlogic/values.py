@@ -15,11 +15,10 @@ is in `tests/oracles.py`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import le, lt
-from typing import Callable, Iterable, Optional, Sequence
+from operator import attrgetter, le, lt
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, StructuralError
 
@@ -58,11 +57,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*parse_ratio(text))
 
 
-def parse_literals(cells) -> tuple[int, dict]:
+def parse_literals(cells, parsed: Optional[dict] = None) -> tuple[int, dict]:
     """(den, {literal: numerator over den}) for a table of rational literals, den the lcm
     of their denominators.  Each distinct literal is parsed once, in first-appearance order,
-    so the first bad cell raises; an unhashable cell raises a TypeError before any is."""
-    ratios = {text: parse_ratio(text) for text in dict.fromkeys(cells)}
+    so the first bad cell raises; an unhashable cell raises a TypeError before any is.
+    `parsed` maps literals to their `parse_ratio` pairs: a literal found there is not
+    parsed again, and each new one is added, so the tables of one file can share it."""
+    ratios = dict.fromkeys(cells)
+    if parsed is None:
+        parsed = {}
+    for text in ratios:
+        if text not in parsed:
+            parsed[text] = parse_ratio(text)
+    ratios = {text: parsed[text] for text in ratios}
     den = lcm(*(q for _, q in ratios.values()))
     return den, {text: p * (den // q) for text, (p, q) in ratios.items()}
 
@@ -162,11 +169,55 @@ class Lanes:
 
 
 # ---------------------------------------------------------------------------
+# Immutable value classes
+
+
+class Frozen:
+    """Base of the immutable value classes: formula nodes, signature declarations,
+    the checked values (`PLMonotone`, `GridFunction`, `FiniteTopometricSpace`) and
+    `LadderWitness`.
+
+    A subclass names its fields in `__slots__` and sets each in `__init__` with
+    `object.__setattr__`.  Two instances are equal when they are of one class
+    and their fields are equal; the hash is the hash of the field tuple;
+    assigning or deleting a field raises an AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        get = attrgetter(*cls.__slots__)  # the field tuple, or a lone field bare
+        cls._fields_of = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields_of(self) == self._fields_of(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields_of(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self.__slots__, self._fields_of(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the constructor, not field writes
+        return type(self), self._fields_of(self)
+
+
+# ---------------------------------------------------------------------------
 # Forced limits on finite prefixes
 
 
-@dataclass(frozen=True)
-class ForcedLimitTrace:
+class ForcedLimitTrace(NamedTuple):
     """Prefix of a forced-limit computation with its a-priori error bound.
 
     The true forced limit of any infinite extension of `input_prefix` lies
@@ -196,8 +247,7 @@ def flim_prefix(seq: Sequence[Fraction]) -> ForcedLimitTrace:
 # Piecewise-linear monotone functions on [0,1]
 
 
-@dataclass(frozen=True)
-class PLMonotone:
+class PLMonotone(Frozen):
     """Piecewise-linear non-decreasing function [0,1] -> [0,1].
 
     Breakpoint (xs[i] / den, ys[i] / den) for each i: int numerators over one
@@ -209,12 +259,9 @@ class PLMonotone:
     a PLMonotone with value 0 at 0.
     """
 
-    den: int
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
+    __slots__ = ("den", "xs", "ys")
 
-    def __post_init__(self):
-        den, xs, ys = self.den, self.xs, self.ys
+    def __init__(self, den: int, xs: Sequence[int], ys: Sequence[int]):
         if not xs or xs[0] != 0 or xs[-1] != den:
             raise StructuralError("breakpoints must start at input 0 and end at input 1")
         if not all(map(lt, xs, xs[1:])):

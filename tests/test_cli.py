@@ -553,10 +553,10 @@ def test_module_entry_runs_the_cli(capsys, tmp_path):
 def test_back_to_back_runs_share_no_state(capsys, algebra_file):
     argv = ["tv", algebra_file, "--subset", "s0,s3",
             "--formula", "y@mu(meet(x,y))", "--formula", "y@d(x,y)"]
-    assert _parsers()[0].parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
+    assert _parsers().parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
     run(argv)
     first = capsys.readouterr().out
-    assert _parsers()[0].parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
+    assert _parsers().parse_args(argv).formula == ["y@mu(meet(x,y))", "y@d(x,y)"]
     run(argv)
     assert capsys.readouterr().out == first
     assert run(["tv", algebra_file, "--subset", "s0", "--no-such-flag"]) == 2
@@ -909,6 +909,25 @@ def test_writer_equals_json_dumps_on_nested_values():
 
 
 INSTANCE = ["M.json", "--formula", "phi(x,y)", "--split", "x;y"]
+# each subcommand with every required argument but one
+MISSING_ONE = {
+    "check": ["check", "--out", "report.json"],
+    "eval": ["eval", "M.json"],
+    "complete": ["complete"],
+    "tv": ["tv", "M.json"],
+    "imaginary": ["imaginary", "M.json", "--formula", "phi(x,y)"],
+    "typespace": ["typespace", "M.json", "--split", "x;y"],
+    "stability": ["stability", *INSTANCE],
+    "nvalue": ["nvalue", *INSTANCE],
+    "define-median": ["define-median", *INSTANCE, "--epsilon", "1/4"],
+    "define-monotone": ["define-monotone", *INSTANCE, "--epsilon", "1/4"],
+    "define-global": ["define-global", *INSTANCE, "--target", "s1"],
+    "glue": ["glue", "M.json", "--phi", "a", "--psi", "b", "--shared", "x", "--fresh", "t,w"],
+    "prenex": ["prenex", "M.json"],
+    "cbrank": ["cbrank", "space.json"],
+    "synth": ["synth", "--epsilon", "1/4"],
+    "modulus-convert": ["modulus-convert", "--direction", "inverse-to-delta"],
+}
 ODD_ARGV = [
     [],
     ["-h"],
@@ -944,7 +963,13 @@ ODD_ARGV = [
     ["synth", "--target", "g.json"],
     ["modulus-convert", "--direction", "inverse-to-delta", "--pl", "0:0,1:1", "-e", "1"],
     ["cbrank", "space.json", "--epsilon", "1/2", "--out"],
+    *([name, "--help"] for name in MISSING_ONE),
+    *MISSING_ONE.values(),
 ]
+
+
+def test_odd_argv_reach_every_subcommand():
+    assert list(MISSING_ONE) == list(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("argv", ODD_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
@@ -952,12 +977,13 @@ def test_odd_argv_parse_as_the_top_level_parser_does(capsys, monkeypatch, argv):
     """run gives the exit code, stdout and stderr of the top-level parser on argv,
     and on a successful parse hands the command the namespace that parser builds."""
     try:
-        expected = ("args", vars(_parsers()[0].parse_args(argv)))
+        expected = ("args", vars(_parsers().parse_args(argv)))
     except SystemExit as exc:
         expected = ("exit", 2 if exc.code not in (0, None) else 0)
     want = capsys.readouterr()
-    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(
-        _parsers()[1], lambda args: (0, {"args": vars(args)})))
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        name: (lambda args: (0, {"args": vars(args)}), help_)
+        for name, (_, help_) in cli._COMMANDS.items()})
     code = run(argv)
     got = capsys.readouterr()
     if expected[0] == "args":
@@ -965,6 +991,20 @@ def test_odd_argv_parse_as_the_top_level_parser_does(capsys, monkeypatch, argv):
         assert json.loads(got.out)["report"] == {"args": expected[1]}
     else:
         assert (code, got.out, got.err) == (expected[1], want.out, want.err)
+
+
+def test_a_command_builds_only_its_own_parser(capsys, algebra_file):
+    """run builds the parser of the subcommand argv names, not the top-level one
+    with all sixteen, unless argv names no subcommand or has arguments left over."""
+    _parsers.cache_clear()
+    try:
+        assert run(["check", algebra_file]) == 0
+        assert _parsers.cache_info().currsize == 1
+        assert run(["check", algebra_file, "extra"]) == 2
+        assert _parsers.cache_info().currsize == 2
+    finally:
+        _parsers.cache_clear()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,8 @@
 """Parser, printer, prenex shape, free variables, modulus inference."""
 
-import dataclasses
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -436,13 +437,44 @@ def test_function_arity_is_reported_before_sort_inference(text, message):
         parse(text, arity_sig())
     assert str(err.value) == message
 
+def test_nodes_are_immutable_values_of_one_class():
+    """Nodes of one class with equal fields are equal and hash alike; nodes of two
+    classes with the same field shapes are not equal; a field cannot be set; the
+    repr names the fields; a copy or a pickle round trip is an equal node."""
+    x = Var("x", "S")
+    same_shape = [(App("f", (x,)), Op("f", (x,))), (Atom("P", (x,)), App("P", (x,))),
+                  (Var("t"), ValueVar("t"))]
+    for a, b in same_shape:
+        assert a != b and b != a
+    f = Quant("sup", "x", "S", Op("min", (Atom("P", (x,)), Const(F(1, 3)))))
+    g = Quant("sup", "x", "S", Op("min", (Atom("P", (Var("x", "S"),)), Const(F(1, 3)))))
+    assert f == g and hash(f) == hash(g) and f is not g
+    assert hash(x) == hash(("x", "S")) and hash(Const(F(1, 3))) == hash((F(1, 3),))
+    assert Op("min", (x, x)) != Op("max", (x, x))
+    assert repr(x) == "Var(name='x', sort='S')"
+    assert repr(Op("med", (x,), 1)) == "Op(op='med', args=(Var(name='x', sort='S'),), n=1)"
+    for node in (x, f):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            node.sort = "T"
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            del node.sort
+    assert x.sort == "S"
+    for node in (x, f, IDENTITY, SortDecl("S", "d")):
+        assert copy.copy(node) == node == copy.deepcopy(node) == pickle.loads(pickle.dumps(node))
+    assert copy.deepcopy(IDENTITY) == IDENTITY and copy.deepcopy(IDENTITY) is not IDENTITY
+
+
 def tree_copy(f):
     """The same formula with no node shared: every occurrence is its own object."""
     if isinstance(f, Op):
         return Op(f.op, tuple(tree_copy(a) for a in f.args), f.n)
     if isinstance(f, Quant):
         return Quant(f.kind, f.var, f.sort, tree_copy(f.body))
-    return dataclasses.replace(f)
+    if isinstance(f, Atom):
+        return Atom(f.pred, f.args)
+    if isinstance(f, Const):
+        return Const(f.value)
+    return ValueVar(f.name)
 
 
 def test_print_formula_on_a_shared_graph_matches_its_tree_copy():

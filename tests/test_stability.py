@@ -736,6 +736,30 @@ def test_global_definition_depths():
     assert all(e <= F(1, 8) for e in staged.errors)
 
 
+@pytest.mark.parametrize("inst, target", [
+    (algebra_setup([F(1, 2), F(1, 4), F(1, 4)]), 6),
+    (halfgraph_setup(3), 3),
+    (constant_setup(), [F(5, 8)] * 3),  # eighths on a matrix of halves: fails at eps 1/16
+], ids=["algebra3", "halfgraph3", "constant-eighths"])
+def test_global_definition_stages_are_the_median_definitions_at_their_eps(inst, target):
+    """Each stage of a depth-16 run, reused from an earlier stage or not, is the
+    median definition at its own eps, run on its own; a run fails at the first
+    stage whose own run fails, with that failure."""
+    if isinstance(target, int):
+        target = phi_type(inst, target)
+    alone = []
+    for n in range(16):
+        try:
+            alone.append(median_definition(inst, F(1, 2 ** n), target))
+        except DefinitionAbort as abort:
+            with pytest.raises(DefinitionAbort) as staged:
+                global_definition(inst, target, 16)
+            assert (staged.value.reason, staged.value.details) == (
+                "stage-failed", {"stage": n, "inner": abort.reason, **abort.details})
+            break
+    assert list(global_definition(inst, target, len(alone)).stages) == alone
+
+
 def test_global_definition_constant_exact():
     inst = constant_setup()
     target = [F(1, 2)] * len(inst.yts)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from contlogic import values
 from contlogic.errors import CompletionError, ContlogicError, DomainError, StructuralError
 from contlogic.language import IDENTITY, PredDecl, Signature, SortDecl, parse, prenex
 from contlogic.structures import (
@@ -263,6 +264,24 @@ def test_json_round_trip():
     M2 = FiniteStructure.from_json(json.loads(json.dumps(data)))
     assert M2.carriers == M.carriers
     assert fraction_tables(M2) == fraction_tables(M)
+
+
+def test_from_json_parses_each_literal_of_a_file_once(monkeypatch):
+    """The metric and mu tables of an algebra share their literals: each distinct
+    one is parsed once per file, and the next file parses it again."""
+    data = json.loads(json.dumps(gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)]).to_json()))
+    parsed = []
+    parse_ratio = values.parse_ratio
+    monkeypatch.setattr(values, "parse_ratio",
+                        lambda text: parsed.append(text) or parse_ratio(text))
+    M = FiniteStructure.from_json(data)
+    cells = [c for rows in data["metric"].values() for row in rows for c in row]
+    cells += [c for table in data["predicates"].values() for c in table]
+    assert sorted(parsed) == sorted(set(cells))
+    assert data["predicates"]["mu"][1] in data["metric"]["B"][0]
+    FiniteStructure.from_json(data)
+    assert len(parsed) == 2 * len(set(cells))
+    assert fraction_tables(M) == fraction_tables(gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)]))
 
 
 def test_json_rejects_diameter_above_one():

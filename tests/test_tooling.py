@@ -5,6 +5,8 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -219,6 +221,28 @@ def test_reports_have_one_writer():
                     and any(kw.arg == "indent" for kw in node.keywords)):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_no_module_imports_dataclasses():
+    """The value classes are NamedTuples and `__slots__` classes: a `@dataclass`
+    generates its methods' code each time its module is imported."""
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                imports.append(f"{path.name}:{node.lineno}")
+    assert imports == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter that imports the CLI has not imported `dataclasses`, nor
+    `inspect`, which it imports and which costs more still."""
+    code = "import sys, contlogic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def _recursive_closures(node, name: str) -> list:
