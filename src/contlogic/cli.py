@@ -30,7 +30,6 @@ from .language import (
     print_formula,
 )
 from .stability import (
-    PhiTypeVector,
     compute_N,
     find_ladder,
     global_definition,
@@ -160,7 +159,7 @@ def _target_vector_from_flags(inst, args):
         if key not in data["values"]:
             raise DomainError(f"target file misses parameter {key!r}")
         values.append(parse_rational(data["values"][key]))
-    return PhiTypeVector(tuple(values))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +294,9 @@ def _cmd_stability(args):
 
 
 def _cmd_nvalue(args):
-    n = compute_N(_instance(args), parse_rational(args.epsilon))
-    return 0, {"epsilon": args.epsilon, "N": n}
+    inst = _instance(args)
+    eps = parse_rational(args.epsilon)
+    return 0, {"epsilon": format_rational(eps), "N": compute_N(inst, eps)}
 
 
 def _cmd_define_median(args):
@@ -381,9 +381,10 @@ def _verify_glue(M, phi, psi, chi, fresh, fresh_sort):
 
 def _cmd_cbrank(args):
     X = FiniteTopometricSpace.from_json(_read_json(args.space))
-    res = cb_rank(X, parse_rational(args.epsilon))
+    eps = parse_rational(args.epsilon)
+    res = cb_rank(X, eps)
     return 0, {
-        "epsilon": args.epsilon,
+        "epsilon": format_rational(eps),
         "ranks": {X.points[p]: ("infinity" if r is None else r)
                   for p, r in sorted(res.ranks.items())},
         "stages": [sorted(X.points[p] for p in S) for S in res.stages],

@@ -30,17 +30,6 @@ from .values import ZERO, Frozen, flim_prefix
 # Phi-types and their metric space
 
 
-class PhiTypeVector(NamedTuple):
-    """A phi-type over M as its exact value vector b -> phi(a, b).
-
-    `values` is indexed by the parameter-tuple enumeration of the split;
-    `realizer` is the witnessing x-tuple index when the type is realized.
-    """
-
-    values: tuple[Fraction, ...]
-    realizer: Optional[int] = None
-
-
 class PhiTypeSpace(NamedTuple):
     """The realized phi-types as distinct int value rows over `scale`, with their sup-distances."""
 
@@ -50,9 +39,10 @@ class PhiTypeSpace(NamedTuple):
     realizers: tuple[tuple[int, ...], ...]  # x-tuple indices realizing each row
 
 
-def phi_type(inst: PhiInstance, xi: int) -> PhiTypeVector:
-    """The phi-type of the x-tuple at index `xi`: its values at every parameter."""
-    return PhiTypeVector(fraction_rows([inst.num[xi]], inst.scale)[0], realizer=xi)
+def phi_type(inst: PhiInstance, xi: int) -> tuple[Fraction, ...]:
+    """The phi-type of the x-tuple at index `xi`: its exact values b -> phi(a, b),
+    indexed by the parameter-tuple enumeration of the split."""
+    return fraction_rows([inst.num[xi]], inst.scale)[0]
 
 
 def phi_type_space(inst: PhiInstance) -> PhiTypeSpace:
@@ -481,18 +471,17 @@ class MedianDefinition(NamedTuple):
     n_value: int
     parameters: tuple  # x-tuple indices, in choice order
     parameter_names: tuple
-    target: PhiTypeVector
+    target: tuple[Fraction, ...]
     observed_error: Fraction
     defined_values: tuple[Fraction, ...]
 
 
-def _target_vector(inst: PhiInstance, target) -> PhiTypeVector:
-    """The target as a PhiTypeVector with one value in [0, 1] per parameter tuple."""
-    tgt = target if isinstance(target, PhiTypeVector) else PhiTypeVector(
-        tuple(Fraction(v) for v in target))
-    if len(tgt.values) != len(inst.yts):
+def _target_vector(inst: PhiInstance, target) -> tuple[Fraction, ...]:
+    """The target as a tuple of Fractions, one value in [0, 1] per parameter tuple."""
+    tgt = tuple(map(Fraction, target))
+    if len(tgt) != len(inst.yts):
         raise StructuralError("target vector length does not match the parameter carrier")
-    for b, v in enumerate(tgt.values):
+    for b, v in enumerate(tgt):
         if not 0 <= v <= 1:
             name = ",".join(inst.y_names[b])
             raise DomainError(f"target value {v} at parameter {name!r} is outside [0, 1]")
@@ -530,8 +519,7 @@ def median_definition(inst: PhiInstance, epsilon, target,
     if eps <= 0:
         raise DomainError("epsilon must be positive")
     xts, yts, vals = inst.xts, inst.yts, inst.vals
-    tgt = _target_vector(inst, target)
-    t = tgt.values
+    t = _target_vector(inst, target)
     N = compute_N(inst, eps) if n_value is None else n_value
     if N < 2:
         raise DomainError("the ladder bound N is always at least 2")
@@ -564,7 +552,7 @@ def median_definition(inst: PhiInstance, epsilon, target,
     if observed > eps:
         raise AssertionError("median bound violated despite passing the ladder checks")
     return MedianDefinition(eps, N, tuple(chosen), tuple(inst.x_names[c] for c in chosen),
-                            tgt, observed, defined)
+                            t, observed, defined)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +606,7 @@ def monotone_parameters(inst: PhiInstance, epsilon, target):
         raise DomainError("epsilon must be positive")
     num = inst.num
     tgt = _target_vector(inst, target)
-    L, k, T, E = _monotone_scale(inst.scale, eps, tgt.values)
+    L, k, T, E = _monotone_scale(inst.scale, eps, tgt)
 
     chosen: list[int] = []
     rows: list = []  # the chosen rows of the value matrix, over L
@@ -665,7 +653,7 @@ def monotone_definition(inst: PhiInstance, epsilon, target) -> MonotoneDefinitio
     """
     eps = Fraction(epsilon)
     chosen, records, tgt = monotone_parameters(inst, eps, target)
-    L, k, T, E = _monotone_scale(inst.scale, eps, tgt.values)
+    L, k, T, E = _monotone_scale(inst.scale, eps, tgt)
     n = len(chosen)
 
     observed = list(zip(*([v * k for v in inst.num[c]] for c in chosen))) or [()] * len(T)
@@ -735,7 +723,7 @@ def global_definition(inst: PhiInstance, target, depth: int) -> StagedDefinition
     if not 1 <= depth <= 16:  # each stage is a full median search, seconds at small eps
         raise DomainError("depth must be between 1 and 16")
     tgt = _target_vector(inst, target)
-    S = math.lcm(inst.scale, *(v.denominator for v in tgt.values))
+    S = math.lcm(inst.scale, *(v.denominator for v in tgt))
     stages = []
     key = None
     for n in range(depth):
@@ -752,7 +740,7 @@ def global_definition(inst: PhiInstance, target, depth: int) -> StagedDefinition
                                   **abort.details) from abort
     finals = []
     errors = []
-    for b, target_value in enumerate(tgt.values):
+    for b, target_value in enumerate(tgt):
         trace = flim_prefix([st.defined_values[b] for st in stages])
         finals.append(trace.modified_prefix[-1])
         errors.append(abs(finals[-1] - target_value))

@@ -58,9 +58,6 @@ class ScaledTable(NamedTuple):
         g = math.gcd(scale, *cells)
         return ScaledTable(scale // g, [c // g for c in cells])
 
-    def value(self, i: int) -> Fraction:
-        return Fraction(self.cells[i], self.den)
-
 
 def _strides(dims: Sequence[int]) -> list[int]:
     out = [1] * len(dims)
@@ -105,9 +102,6 @@ class FiniteStructure:
             return self.index[sort][name]
         except KeyError:
             raise StructuralError(f"no element {name!r} in sort {sort}") from None
-
-    def distance(self, sort: str, i: int, j: int) -> Fraction:
-        return self.metric_table[sort].value(i * self.sizes[sort] + j)
 
     def fn_value(self, name: str, args: tuple) -> int:
         return self.function_table[name][sum(map(mul, args, self._strides[name]))]
@@ -291,20 +285,6 @@ def _symbol_table(data: dict, section: str, name: str):
 # are unchanged.
 
 
-def compile_formula(M: FiniteStructure, f, variables: Sequence[str],
-                    env: Optional[Mapping[str, object]] = None
-                    ) -> Callable[[Sequence[int]], Fraction]:
-    """Exact evaluator of f on M as a function of carrier indices.
-
-    The returned function takes one carrier index per entry of `variables`,
-    in that order, and returns the truth value as a Fraction.  Value
-    variables are read from `env` now, as constants.  Unbound variables,
-    bad `med` arities and unknown connectives raise StructuralError here.
-    """
-    node, scale, _, pad = _compile(M, f, variables, env, None)
-    return lambda indices: Fraction(node([*indices, *pad]), scale)
-
-
 def compile_row(M: FiniteStructure, f, variables: Sequence[tuple[str, str]],
                 env: Optional[Mapping[str, object]] = None
                 ) -> tuple[Callable[[Sequence[int]], list], int]:
@@ -314,7 +294,9 @@ def compile_row(M: FiniteStructure, f, variables: Sequence[tuple[str, str]],
     per variable but the last and returns one int per element of the last
     variable's carrier, in carrier order; each over `scale` is the truth
     value there.  Without variables, row(()) holds the one value.  The list
-    is read-only.  Errors are those of `compile_formula`.
+    is read-only.  Value variables are read from `env` now, as constants.
+    Unbound variables, bad `med` arities and unknown connectives raise
+    StructuralError here, not when row is called.
     """
     names = [name for name, _ in variables]
     if not variables:
@@ -348,10 +330,10 @@ def eval_formula(M: FiniteStructure, env: Mapping[str, object], f) -> Fraction:
     Structure variables map to carrier indices; value variables map to
     Fractions.  Quantifiers take min/max over the bound sort's carrier.
     Callers that evaluate one formula many times compile it once with
-    `compile_formula` or `compile_row` instead.
+    `compile_row` instead.
     """
-    names = list(env)
-    return compile_formula(M, f, names, env)([env[n] for n in names])
+    node, scale, _, pad = _compile(M, f, list(env), env, None)
+    return Fraction(node([*env.values(), *pad]), scale)
 
 
 def _constant(c):

@@ -141,31 +141,29 @@ class _Table:
         return self.add(NEG, a)
 
 
+_ONLY_VALUE_NODES = "expression must use only value variables, connectives, constants"
+
+
 def _to_table(expr, points):
     """An expression as a table, with its variables' coordinates as int
-    numerators over the table's denominator D.  One children-first walk over
-    the DAG, without recursion, finishes each distinct node once: it checks
-    the node, adds its entry and fixes its exact scale: a constant's
-    denominator, the lcm of the coordinates' denominators at a variable, twice
-    the child's scale under `half`, and the lcm of the children's scales
-    otherwise.  D is their lcm, so a `half` argument's lanes are even at D."""
+    numerators over the table's denominator D.  The walk over `nodes` finishes
+    each distinct node once, children first: it checks the node, adds its
+    entry and fixes its exact scale: a constant's denominator, the lcm of the
+    coordinates' denominators at a variable, twice the child's scale under
+    `half`, and the lcm of the children's scales otherwise.  D is their lcm,
+    so a `half` argument's lanes are even at D."""
     columns = [[ensure_unit(pt[i]) for pt in points]
                for i in range(len(points[0]) if points else 0)]
     names = {f"t{i}": i for i in range(len(columns))}
     var_scale = [math.lcm(*(v.denominator for v in col)) for col in columns]
     t, index, scale = _Table(1), {}, []  # id(node) -> its entry; entry -> its exact scale
-    stack = [expr]
-    while stack:  # an Op stays on the stack until its arguments are finished
-        node = stack[-1]
+    try:
+        order = nodes(expr)
+    except StructuralError:  # an argument that is no node at all
+        raise StructuralError(_ONLY_VALUE_NODES) from None
+    for node in order:
         cls = type(node)
-        if id(node) in index:  # pushed by two parents before either was finished
-            stack.pop()
-        elif cls is Op and (todo := [a for a in node.args if id(a) not in index]):
-            # the leaves go on top, so they are checked next and in order
-            stack += [a for a in todo if type(a) is Op]
-            stack += [a for a in reversed(todo) if type(a) is not Op]
-        elif cls is Op:
-            stack.pop()
+        if cls is Op:
             op, args = node.op, node.args
             check_connective(op, len(args), node.n)
             kids = [index[id(a)] for a in args]
@@ -177,21 +175,18 @@ def _to_table(expr, points):
             s = math.lcm(*(scale[i] for i in kids))
             scale.append(2 * s if op == "half" else s)
         elif cls is Const:
-            stack.pop()
             v = node.value
             if not 0 <= v.numerator <= v.denominator:
                 raise DomainError(f"value {v} outside [0,1]")
             index[id(node)] = t.add(CONST, const=v)  # a numerator over D once D is known
             scale.append(v.denominator)
         elif cls is ValueVar and node.name in names:
-            stack.pop()
             index[id(node)] = t.add(VAR, names[node.name])
             scale.append(var_scale[names[node.name]])
         elif cls is ValueVar:
             raise StructuralError(f"unbound value variable {node.name!r}")
         else:
-            raise StructuralError(
-                "expression must use only value variables, connectives, constants")
+            raise StructuralError(_ONLY_VALUE_NODES)
     t.den = D = math.lcm(*scale)
     t.const = [c.numerator * (D // c.denominator) if k == CONST else c
                for k, c in zip(t.kind, t.const)]

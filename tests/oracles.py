@@ -45,7 +45,6 @@ from contlogic.stability import (
     LadderWitness,
     MedianDefinition,
     MonotoneDefinition,
-    PhiTypeVector,
     _gap,
     _lowest_bit,
     _target_vector,
@@ -113,11 +112,14 @@ def med(values: Sequence[F], n: int) -> F:
 def pred_value(M, name: str, args: tuple) -> F:
     """A predicate's or metric symbol's value at carrier indices, read as a Fraction."""
     if M.sig.is_metric(name):
-        return M.distance(M.sig.metric_sort[name], *args)
+        sort = M.sig.metric_sort[name]
+        table, arg_sorts = M.metric_table[sort], (sort, sort)
+    else:
+        table, arg_sorts = M.predicate_table[name], M.sig.pred_decl(name).arg_sorts
     index = 0  # row-major over the argument sorts
-    for sort, a in zip(M.sig.pred_decl(name).arg_sorts, args):
+    for sort, a in zip(arg_sorts, args):
         index = index * M.sizes[sort] + a
-    return M.predicate_table[name].value(index)
+    return F(table.cells[index], table.den)
 
 
 @dataclass(frozen=True)
@@ -366,7 +368,8 @@ def fraction_tables(M) -> FractionTables:
     def arg_tuples(arg_sorts):
         return itertools.product(*(range(M.sizes[s]) for s in arg_sorts))
 
-    metric = {s: tuple(tuple(M.distance(s, i, j) for j in range(n)) for i in range(n))
+    metric = {s: tuple(tuple(pred_value(M, M.sig.metric_of[s], (i, j)) for j in range(n))
+                       for i in range(n))
               for s, n in M.sizes.items()}
     functions = {name: dict(zip(arg_tuples(decl.arg_sorts), M.function_table[name]))
                  for name, decl in M.sig.functions.items()}
@@ -1244,7 +1247,7 @@ def monotone_sup_on_grid(defn, inst, target, vs: Sequence[Sequence[F]], pitch: F
     ints: u, v and eps over one common denominator, the target over its own.
     """
     yts, vals = inst.yts, inst.vals
-    t = _target_vector(inst, target).values
+    t = _target_vector(inst, target)
     observed = [[vals[c][a] for c in defn.parameters] for a in range(len(yts))]
     den = math.lcm(pitch.denominator, defn.epsilon.denominator,
                    *(x.denominator for row in [*observed, *vs] for x in row))
@@ -1308,8 +1311,7 @@ def median_definition_reference(inst, epsilon, target, n_value=None) -> MedianDe
     if eps <= 0:
         raise DomainError("epsilon must be positive")
     xts, yts, vals = inst.xts, inst.yts, inst.vals
-    tgt = _target_vector(inst, target)
-    t = tgt.values
+    t = _target_vector(inst, target)
     N = compute_N(inst, eps) if n_value is None else n_value
     if N < 2:
         raise DomainError("the ladder bound N is always at least 2")
@@ -1359,7 +1361,7 @@ def median_definition_reference(inst, epsilon, target, n_value=None) -> MedianDe
     defined = tuple(sorted([vals[c][b] for c in chosen])[N - 1] for b in range(len(yts)))
     observed = max(abs(d - tv) for d, tv in zip(defined, t)) if defined else ZERO
     return MedianDefinition(eps, N, tuple(chosen), tuple(inst.x_names[c] for c in chosen),
-                            tgt, observed, defined)
+                            t, observed, defined)
 
 
 def monotone_parameters_reference(inst, epsilon, target):
@@ -1372,8 +1374,7 @@ def monotone_parameters_reference(inst, epsilon, target):
     if eps <= 0:
         raise DomainError("epsilon must be positive")
     xts, yts, vals = inst.xts, inst.yts, inst.vals
-    tgt = _target_vector(inst, target)
-    t = tgt.values
+    t = _target_vector(inst, target)
 
     chosen: list = []
     records: list = []
@@ -1389,7 +1390,7 @@ def monotone_parameters_reference(inst, epsilon, target):
             if violation:
                 break
         if violation is None:
-            return chosen, records, tgt
+            return chosen, records, t
         a, b = violation
         slack = (t[a] - t[b] - 3 * eps) / 3
         r = t[b] + slack
@@ -1412,9 +1413,8 @@ def monotone_definition_reference(inst, epsilon, target) -> MonotoneDefinition:
     g(v) multiplies h(u, v) by f(u) as Fractions at every candidate u.
     """
     eps = F(epsilon)
-    chosen, records, tgt = monotone_parameters_reference(inst, eps, target)
+    chosen, records, t = monotone_parameters_reference(inst, eps, target)
     yts, vals = inst.yts, inst.vals
-    t = tgt.values
     n = len(chosen)
 
     observed = [tuple(vals[c][a] for c in chosen) for a in range(len(yts))]
@@ -1464,17 +1464,17 @@ def phi_type_space_reference(inst) -> tuple:
             realizers[seen[row]].append(xi)
         else:
             seen[row] = len(points)
-            points.append(PhiTypeVector(row, realizer=xi))
+            points.append(row)
             realizers.append([xi])
     n = len(points)
-    if points and points[0].values:
+    if points and points[0]:
         metric = tuple(
-            tuple(max(abs(u - v) for u, v in zip(points[i].values, points[j].values))
+            tuple(max(abs(u - v) for u, v in zip(points[i], points[j]))
                   for j in range(n))
             for i in range(n))
     else:
         metric = tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
-    return tuple(p.values for p in points), metric, tuple(tuple(r) for r in realizers)
+    return tuple(points), metric, tuple(tuple(r) for r in realizers)
 
 
 def imaginary_tables_reference(inst):

@@ -234,7 +234,7 @@ def test_criterion_06_median_definition_bound():
                     # bound re-verified by an explicit exhaustive scan
                     worst = max(
                         abs(med([vals[c][b] for c in d.parameters], d.n_value)
-                            - target.values[b])
+                            - target[b])
                         for b in range(len(yts)))
                     assert worst <= eps, (name, eps, xi)
                     assert d.observed_error == worst

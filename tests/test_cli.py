@@ -349,6 +349,40 @@ def test_define_names_the_empty_x_tuple(capsys, algebra_file, command):
     assert capsys.readouterr().err == "contlogic: no x-tuple named 's9'\n"
 
 
+@pytest.mark.parametrize("command", ["define-median", "define-monotone", "define-global"])
+def test_target_name_and_target_file_build_one_target(capsys, tmp_path, command):
+    """`--target s1` and a `--target-file` holding s1's realized values give one
+    report payload on a 3-atom algebra: both flags build the same target."""
+    M = gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)])
+    path = tmp_path / "algebra3.json"
+    path.write_text(json.dumps(M.to_json()))
+    phi = parse("mu(meet(x,y))", M.sig)
+    s1 = M.element_index("B", "s1")
+    values = {y: str(eval_formula_reference(M, {"x": s1, "y": b}, phi))
+              for b, y in enumerate(M.carriers["B"])}
+    tf = tmp_path / "s1.json"
+    tf.write_text(json.dumps({"values": values}))
+    argv = [command, str(path), "--formula", "mu(meet(x,y))", "--split", "x;y"]
+    argv += ["--depth", "3"] if command == "define-global" else ["--epsilon", "1/8"]
+    by_name = run_json(capsys, argv + ["--target", "s1"])
+    by_file = run_json(capsys, argv + ["--target-file", str(tf)])
+    assert by_name[0] == 0
+    assert (by_file[0], by_file[1]["report"]) == (by_name[0], by_name[1]["report"])
+
+
+def test_nvalue_and_cbrank_report_the_parsed_epsilon(capsys, algebra_file, tmp_path):
+    """Like the other commands, nvalue and cbrank report the epsilon they parsed,
+    in lowest terms, not the text of the flag."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": ["p", "q"], "closed_sets": [[], ["p"], ["p", "q"]],
+                                 "metric": [["0", "1"], ["1", "0"]], "test_epsilons": []}))
+    instance = [algebra_file, "--formula", "mu(meet(x,y))", "--split", "x;y"]
+    for argv in (["nvalue", *instance], ["stability", *instance], ["cbrank", str(space)]):
+        for flag in (" 2/4", "2/4", "1/2"):
+            code, report = run_json(capsys, argv + ["--epsilon", flag])
+            assert (code, report["report"]["epsilon"]) == (0, "1/2"), (argv[0], flag)
+
+
 @pytest.mark.parametrize("kind", ["antisym", "order", "triple"])
 @pytest.mark.parametrize("max_len", ["0", "-3"])
 def test_stability_max_len_below_one(capsys, halfgraph_file, kind, max_len):

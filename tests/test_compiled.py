@@ -39,7 +39,6 @@ from contlogic.structures import (
     FiniteStructure,
     PhiInstance,
     ScaledTable,
-    compile_formula,
     compile_row,
     eval_formula,
     make_split,
@@ -467,12 +466,15 @@ def test_prenex_with_colliding_names_matches_reference(M, f):
     g = prenex(f)
     assert is_prenex(g)
     carrier = range(len(M.carriers["S"]))
+    *head, last = FREE_NAMES
     for ps in itertools.product((F(1, 4), F(2, 3)), repeat=len(VALUE_NAMES)):
         values = dict(zip(VALUE_NAMES, ps))
-        prenex_value = compile_formula(M, g, FREE_NAMES, values)
-        for xs in itertools.product(carrier, repeat=len(FREE_NAMES)):
-            env = {**dict(zip(FREE_NAMES, xs)), **values}
-            assert prenex_value(xs) == eval_formula_reference(M, env, f), (f, g)
+        prenex_row, scale = compile_row(M, g, [(name, "S") for name in FREE_NAMES], values)
+        for prefix in itertools.product(carrier, repeat=len(head)):
+            got = [F(v, scale) for v in prenex_row(prefix)]
+            env = {**dict(zip(head, prefix)), **values}
+            assert got == [eval_formula_reference(M, {**env, last: x}, f) for x in carrier], \
+                (f, g)
 
 
 @given(binary_structures())
@@ -687,22 +689,27 @@ def test_tabled_nodes_match_reference(weights):
 
 
 def test_tables_hold_across_calls_in_any_order():
-    """compile_formula's free slots change between calls, in whatever order they come.
+    """compile_row's prefix slots change between calls, in whatever order they come.
 
     Each formula has a node that reads both x and y under a loop over u that
     it ignores, so it keeps only its last output; a key without one of x, y
-    returns a stale one when only that slot has changed since.
+    returns a stale one when only that slot has changed since.  The row runs
+    over r, which the formula reads beside that node or not at all.
     """
     M = gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)])
-    pairs = list(itertools.product(range(M.sizes["B"]), repeat=2))
+    carrier = range(M.sizes["B"])
+    pairs = list(itertools.product(carrier, repeat=2))
     random.Random(13).shuffle(pairs)
     for text in ["inf u. sup z. |mu(meet(meet(x,y),z)) - mu(meet(u,z))|",
                  "sup u. |(inf z. d(meet(x,z), join(y,z))) - mu(meet(u,x))|",
                  "sup u. inf z. med 2(mu(meet(join(x,z),y)), mu(meet(u,z)), p)"]:
-        f = parse(text, M.sig)
-        value = compile_formula(M, f, ["x", "y"], {"p": F(2, 5)})
-        for x, y in pairs + pairs[::-1]:
-            assert value((x, y)) == eval_formula_reference(M, {"x": x, "y": y, "p": F(2, 5)}, f)
+        for wrapped in (text, f"max(mu(meet(r,x)), {text})"):
+            f = parse(wrapped, M.sig)
+            row, scale = compile_row(M, f, [("x", "B"), ("y", "B"), ("r", "B")], {"p": F(2, 5)})
+            for x, y in pairs + pairs[::-1]:
+                env = {"x": x, "y": y, "p": F(2, 5)}
+                assert [F(v, scale) for v in row((x, y))] == [
+                    eval_formula_reference(M, {**env, "r": r}, f) for r in carrier], (wrapped, x, y)
 
 
 def test_tabled_rows_across_calls_match_reference():

@@ -13,7 +13,6 @@ from contlogic.errors import DefinitionAbort, StructuralError
 from contlogic.language import IDENTITY, PredDecl, Signature, SortDecl, parse
 from contlogic.stability import (
     LadderWitness,
-    PhiTypeVector,
     _longest_triple_sequence,
     compute_N,
     find_ladder,
@@ -96,10 +95,10 @@ def test_phi_type_space_halfgraph():
     space = phi_type_space(inst)
     a0 = phi_type(inst, inst.x_index[("a0",)])
     a1 = phi_type(inst, inst.x_index[("a1",)])
-    assert a0.values != a1.values
-    d = max(abs(u - v) for u, v in zip(a0.values, a1.values))
+    assert a0 != a1
+    d = max(abs(u - v) for u, v in zip(a0, a1))
     assert d == 1
-    assert a0.values in fraction_rows(space.rows, space.scale)
+    assert a0 in fraction_rows(space.rows, space.scale)
 
 
 def test_phi_type_space_two_atom_algebra():
@@ -712,13 +711,12 @@ def test_relabelled_carrier_keeps_monotone_bound_and_typespace(which, data):
     for inst in insts:
         targets = [phi_type(inst, inst.x_index[(x,)]), [by_name[b] for (b,) in inst.y_names]]
         for target in targets:
-            t = target.values if isinstance(target, PhiTypeVector) else target
             try:
                 d = monotone_definition(inst, eps, target)
             except DefinitionAbort:
                 continue
             assert d.observed_error <= 3 * eps
-            for b, tb in enumerate(t):
+            for b, tb in enumerate(target):
                 v = [F(inst.num[c][b], inst.scale) for c in d.parameters]
                 assert abs(d.evaluate(v) - tb) <= 3 * eps
 

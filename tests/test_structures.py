@@ -81,7 +81,7 @@ def test_prob_algebra_pra_axioms_and_apa_value():
     assert ok, rows
     assert eval_formula(M, {}, apa_sentence(M.sig)) == F(1, 4)
     # d({atom0},{atom1}) = 1
-    assert M.distance("B", M.element_index("B", "s1"), M.element_index("B", "s2")) == 1
+    assert pred_value(M, "d", (M.element_index("B", "s1"), M.element_index("B", "s2"))) == 1
 
     trivial = gen_prob_algebra([F(1)])
     assert len(trivial.carriers["B"]) == 2

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contlogic.errors import DomainError, StructuralError
-from contlogic.language import Const, Op, Quant, ValueVar, nodes, print_formula
+from contlogic.language import Atom, Const, Op, Quant, ValueVar, Var, nodes, print_formula
 from contlogic.synthesis import (
     GridFunction,
     eval_on_grid,
@@ -188,6 +188,29 @@ def test_grid_evaluator_errors(expr, message):
         eval_on_grid(expr, [(F(1, 2),)])
     with pytest.raises(StructuralError, match=message):
         eval_value_formula_reference(expr, {"t0": F(1, 2)})
+
+
+ONLY_VALUE_NODES = "expression must use only value variables, connectives, constants"
+
+
+@pytest.mark.parametrize("leaf, error, message", [
+    (Const(F(3, 2)), DomainError, "value 3/2 outside [0,1]"),
+    (ValueVar("s"), StructuralError, "unbound value variable 's'"),
+    (Atom("mu", (Var("x", "B"),)), StructuralError, ONLY_VALUE_NODES),
+    ("t0", StructuralError, ONLY_VALUE_NODES),  # no node at all
+], ids=["constant", "unbound", "atom", "non-node"])
+def test_table_conversion_names_its_one_bad_leaf(leaf, error, message):
+    """The one bad leaf of an expression gives its whole message, wherever it sits
+    in the DAG: at the root, under a connective, or as a shared argument."""
+    from contlogic.synthesis import _to_table
+
+    t0 = ValueVar("t0")
+    shared = Op("neg", (leaf,))
+    for expr in (leaf, shared, Op("max", (Op("half", (t0,)), shared)),
+                 Op("med", (shared, t0, shared), 2)):
+        with pytest.raises(error) as raised:
+            _to_table(expr, [(F(1, 2),)])
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("data, message", [

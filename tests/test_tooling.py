@@ -22,14 +22,17 @@ LAYERTRACE = ROOT / "bench" / "layertrace.py"
 SRC = ROOT / "src" / "contlogic"
 
 # documented library entry points that nothing in src/ calls: the console
-# script, and the synthesis and topometric helpers the API offers beside the
-# CLI (the names the tracer wraps are added below)
+# script, the synthesis and topometric helpers the API offers beside the CLI,
+# and the Fraction view of a modulus, which src/ reads as ints (the names the
+# tracer wraps are added below)
 LIBRARY_ENTRY_POINTS = {
     "cli.main",
     "synthesis.eval_on_grid",
     "synthesis.verify_synthesis",
     "topometric.cb_derivative",
     "topometric.epsilon_degree",
+    "values.PLMonotone.breakpoints",
+    "values.PLMonotone.eval",
 }
 
 
@@ -190,23 +193,30 @@ def _references(tree) -> list:
 
 
 def test_every_public_name_in_src_is_used_in_src():
-    """Each public top-level function or class of src/contlogic is referenced in src/
-    outside its own definition, or is a library entry point; test-only code
-    belongs in tests/oracles.py."""
-    wrapped = {f"{short}.{attr.split('.')[0]}"
-               for short, attrs in load_layertrace().WRAPPED.items() for attr in attrs}
+    """Each public top-level function or class of src/contlogic, and each public
+    method or property of a class there, is referenced in src/ outside its own
+    definition, or is a library entry point; test-only code belongs in
+    tests/oracles.py."""
+    wrapped = {f"{short}.{attr}" for short, attrs in load_layertrace().WRAPPED.items()
+               for attr in attrs}
     allowed = LIBRARY_ENTRY_POINTS | wrapped
     uses: Counter = Counter()
-    defined = {}  # "module.name" -> references to the name inside its own definition
+    defined = {}  # "module.name" or "module.Class.name" -> references to the name inside it
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         uses.update(_references(tree))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[f"{path.stem}.{node.name}"] = _references(node).count(node.name)
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(f"{node.name}.{m.name}", m) for m in node.body
+                       if isinstance(node, ast.ClassDef) and isinstance(m, ast.FunctionDef)]
+            for name, definition in [(node.name, node), *members]:
+                short = name.rpartition(".")[2]
+                if not short.startswith("_"):
+                    defined[f"{path.stem}.{name}"] = _references(definition).count(short)
     assert sorted(LIBRARY_ENTRY_POINTS - set(defined)) == []
     unused = [name for name, own in defined.items()
-              if uses[name.split(".")[1]] == own and name not in allowed]
+              if uses[name.rpartition(".")[2]] == own and name not in allowed]
     assert unused == []
 
 
