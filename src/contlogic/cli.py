@@ -24,6 +24,7 @@ from .language import (
     VALUE_SORT,
     PLMonotone,
     Signature,
+    free_var_map,
     free_vars,
     parse,
     prenex,
@@ -139,7 +140,8 @@ def _instance(args) -> PhiInstance:
     M = _load_structure(args.structure)
     phi = parse(args.formula, M.sig)
     xs, ys = _split_from_flag(args.split)
-    return PhiInstance(M, phi, make_split(phi, xs, ys))
+    free = free_var_map(phi)  # one walk, for the split and the compiler
+    return PhiInstance(M, phi, make_split(phi, xs, ys, free), free)
 
 
 def _target_vector_from_flags(inst, args):
@@ -452,83 +454,91 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give p the arguments of subcommand `name`; returns p."""
-    report_out = functools.partial(p.add_argument, "--out", dest="report_out",
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> tuple:
+    """Give p the arguments of subcommand `name`; returns the actions added, in
+    order, and each mutually exclusive group with its actions."""
+    actions, groups = [], []
+
+    def add(*flags, **kwargs):
+        actions.append(p.add_argument(*flags, **kwargs))
+
+    report_out = functools.partial(add, "--out", dest="report_out",
                                    help="also write the report here")
     if name == "cbrank":
         report_out()
-        p.add_argument("space", help="topometric space JSON file")
-        p.add_argument("--epsilon", required=True)
-        return p
+        add("space", help="topometric space JSON file")
+        add("--epsilon", required=True)
+        return actions, groups
     if name == "synth":
         report_out()
-        p.add_argument("--target", required=True, help="grid function JSON file")
-        p.add_argument("--epsilon", required=True)
-        p.add_argument("--step-modulus", dest="step_modulus")
-        return p
+        add("--target", required=True, help="grid function JSON file")
+        add("--epsilon", required=True)
+        add("--step-modulus", dest="step_modulus")
+        return actions, groups
     if name == "modulus-convert":
         report_out()
-        p.add_argument("--direction", required=True,
-                       choices=["inverse-to-delta", "delta-to-inverse"])
-        p.add_argument("--pl", required=True, help="breakpoints in:out,in:out")
-        p.add_argument("--epsilon")
-        return p
-    p.add_argument("structure", help="structure JSON file")
+        add("--direction", required=True, choices=["inverse-to-delta", "delta-to-inverse"])
+        add("--pl", required=True, help="breakpoints in:out,in:out")
+        add("--epsilon")
+        return actions, groups
+    add("structure", help="structure JSON file")
     if name == "complete":
-        p.add_argument("--out", help="write the completed structure here")
+        add("--out", help="write the completed structure here")
     elif name == "eval":
         report_out()
-        p.add_argument("--formula", "-e", required=True)
-        p.add_argument("--let", action="append", metavar="VAR=ELEMENT")
+        add("--formula", "-e", required=True)
+        add("--let", action="append", metavar="VAR=ELEMENT")
     elif name == "tv":
         report_out()
-        p.add_argument("--subset", required=True, help="a,b or Sort:a,b|Sort2:c")
-        p.add_argument("--formula", action="append", metavar="Y@TEXT")
+        add("--subset", required=True, help="a,b or Sort:a,b|Sort2:c")
+        add("--formula", action="append", metavar="Y@TEXT")
     elif name == "glue":
         report_out()
-        p.add_argument("--phi", required=True)
-        p.add_argument("--psi", required=True)
-        p.add_argument("--shared", required=True)
-        p.add_argument("--fresh", required=True, help="t,w")
-        p.add_argument("--fresh-sort", dest="fresh_sort", required=True)
-        p.add_argument("--verify", action="store_true")
+        add("--phi", required=True)
+        add("--psi", required=True)
+        add("--shared", required=True)
+        add("--fresh", required=True, help="t,w")
+        add("--fresh-sort", dest="fresh_sort", required=True)
+        add("--verify", action="store_true")
     elif name == "prenex":
         report_out()
-        p.add_argument("--formula", required=True)
+        add("--formula", required=True)
     elif name == "check":
         report_out()
     else:  # a formula with a split
-        p.add_argument("--formula", required=True)
-        p.add_argument("--split", required=True, help="x1,x2;y1,y2")
+        add("--formula", required=True)
+        add("--split", required=True, help="x1,x2;y1,y2")
         if name == "imaginary":
-            p.add_argument("--out", help="basename for the expansion and class files")
+            add("--out", help="basename for the expansion and class files")
         else:
             report_out()
         if name in ("stability", "nvalue", "define-median", "define-monotone"):
-            p.add_argument("--epsilon", required=True)
+            add("--epsilon", required=True)
         if name == "stability":
-            p.add_argument("--kind", choices=["antisym", "order", "triple"],
-                           default="antisym")
-            p.add_argument("--max-len", type=int, dest="max_len")
+            add("--kind", choices=["antisym", "order", "triple"], default="antisym")
+            add("--max-len", type=int, dest="max_len")
         if name.startswith("define-"):
             target = p.add_mutually_exclusive_group(required=True)
-            target.add_argument("--target", help="comma-joined x-tuple element names")
-            target.add_argument("--target-file", dest="target_file",
-                                help="JSON file with a values map")
+            members = (target.add_argument("--target", help="comma-joined x-tuple element names"),
+                       target.add_argument("--target-file", dest="target_file",
+                                           help="JSON file with a values map"))
+            actions.extend(members)
+            groups.append((target, members))
         if name == "define-global":
-            p.add_argument("--depth", type=int, required=True)
-    return p
+            add("--depth", type=int, required=True)
+    return actions, groups
 
 
 @functools.cache
-def _parsers(name: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of subcommand `name`, which reads the arguments after the name
-    and writes the help and errors the top-level parser would hand it; with no
-    name, the top-level parser holding every subcommand.  Each is built on first
-    use, and each parse fills a fresh namespace."""
+def _parsers(name: Optional[str] = None):
+    """With no name, the top-level parser holding every subcommand.  With a
+    name, (parser, actions, groups): the parser of that subcommand, which reads
+    the arguments after the name and writes the help and errors the top-level
+    parser would hand it, with the actions and groups `_add_arguments` gave it.
+    Each is built on first use, and each parse fills a fresh namespace."""
     if name is not None:
-        return _add_arguments(argparse.ArgumentParser(prog=f"contlogic {name}"), name)
+        p = argparse.ArgumentParser(prog=f"contlogic {name}")
+        return (p, *_add_arguments(p, name))
     top = argparse.ArgumentParser(prog="contlogic", description="continuous-logic workbench")
     sub = top.add_subparsers(dest="command", required=True)
     for name, (_, help_) in _COMMANDS.items():
@@ -536,19 +546,79 @@ def _parsers(name: Optional[str] = None) -> argparse.ArgumentParser:
     return top
 
 
+def _parse_exact(parser, actions, groups, tokens) -> Optional[argparse.Namespace]:
+    """The namespace `parser.parse_known_args(tokens)` builds, when tokens are
+    well formed and plain, or None for argparse to read them and write its help
+    and errors.  Plain: each token is an exact option string of one of
+    `actions` (followed by its value, which does not start with "-", unless
+    the action takes none) or fills the next positional, every required action
+    is given, each of `groups` has at most one action given (one when it is
+    required), and each value passes its action's type and choices."""
+    flags = {flag: action for action in actions for flag in action.option_strings}
+    positionals = [action for action in actions if not action.option_strings][::-1]
+    given = []  # (action, option string or None, value text or None)
+    tokens = iter(tokens)
+    for token in tokens:
+        if token[:1] != "-":
+            if not positionals or positionals[-1].nargs is not None:
+                return None
+            given.append((positionals.pop(), None, token))
+            continue
+        action = flags.get(token)
+        if action is None or action.nargs not in (None, 0):
+            return None
+        value = None if action.nargs == 0 else next(tokens, "-")  # none left: argparse's error
+        if value is not None and value[:1] == "-":
+            return None
+        given.append((action, token, value))
+    seen = {action for action, _, _ in given}
+    if any(action.required and action not in seen for action in actions):
+        return None
+    for group, members in groups:
+        count = len(seen.intersection(members))
+        if count > 1 or (count == 0 and group.required):
+            return None
+    args = argparse.Namespace()
+    for action in actions:
+        if not hasattr(args, action.dest):
+            setattr(args, action.dest, action.default)
+    try:
+        for action, flag, text in given:  # each action stores, appends or sets its const
+            if text is None:
+                action(parser, args, [], flag)
+                continue
+            value = text if action.type is None else action.type(text)
+            if action.choices is not None and value not in action.choices:
+                return None
+            action(parser, args, value, flag)
+        for action in actions:  # argparse converts a str default left in place
+            if (action.type is not None and action not in seen
+                    and isinstance(action.default, str)
+                    and getattr(args, action.dest) is action.default):
+                setattr(args, action.dest, action.type(action.default))
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return args
+
+
 def run(argv) -> int:
     """Dispatch a command line; prints the JSON report on stdout."""
     _INPUT_HASHES.clear()
     # argv naming no subcommand (none, -h, unknown) goes to the top-level parser;
-    # extra arguments after a subcommand are the top-level parser's error
+    # a subcommand's arguments are read in one exact pass when they are plain,
+    # and by its argparse parser otherwise, whose extra arguments are the
+    # top-level parser's error
     name = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         if name is None:
             args = _parsers().parse_args(argv)
         else:
-            args, extra = _parsers(name).parse_known_args(argv[1:])
-            if extra:
-                _parsers().error(f"unrecognized arguments: {' '.join(extra)}")
+            parser, actions, groups = _parsers(name)
+            args = _parse_exact(parser, actions, groups, argv[1:])
+            if args is None:
+                args, extra = parser.parse_known_args(argv[1:])
+                if extra:
+                    _parsers().error(f"unrecognized arguments: {' '.join(extra)}")
             args.command = name
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

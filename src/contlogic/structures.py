@@ -267,7 +267,7 @@ def _symbol_table(data: dict, section: str, name: str):
 # a quantifier reading its variable sets its own slot, stopping early once
 # the value reaches the scale (sup) or 0 (inf).  Which variables each node
 # reads comes from one `free_var_map` pass, made when the compiler first
-# needs it.
+# needs it, or handed over by the caller that made it.
 #
 # Nodes that do per-element work are tabled: connective and `med` rows,
 # lookups through a function term, rows filled by a quantifier, and
@@ -286,7 +286,7 @@ def _symbol_table(data: dict, section: str, name: str):
 
 
 def compile_row(M: FiniteStructure, f, variables: Sequence[tuple[str, str]],
-                env: Optional[Mapping[str, object]] = None
+                env: Optional[Mapping[str, object]] = None, free_map: Optional[dict] = None
                 ) -> tuple[Callable[[Sequence[int]], list], int]:
     """Exact evaluator of f on M along the carrier of its last variable: (row, scale).
 
@@ -295,16 +295,17 @@ def compile_row(M: FiniteStructure, f, variables: Sequence[tuple[str, str]],
     variable's carrier, in carrier order; each over `scale` is the truth
     value there.  Without variables, row(()) holds the one value.  The list
     is read-only.  Value variables are read from `env` now, as constants.
-    Unbound variables, bad `med` arities and unknown connectives raise
+    `free_map` is `free_var_map(f)` when the caller has it.  Unbound
+    variables, bad `med` arities and unknown connectives raise
     StructuralError here, not when row is called.
     """
     names = [name for name, _ in variables]
     if not variables:
-        node, scale, _, pad = _compile(M, f, names, env, None)
+        node, scale, _, pad = _compile(M, f, names, env, None, free_map)
         return (lambda prefix: [node([*pad])]), scale
     name, sort = variables[-1]
     carrier = range(M.sizes[sort])
-    node, scale, is_row, pad = _compile(M, f, names, env, (name, carrier, None))
+    node, scale, is_row, pad = _compile(M, f, names, env, (name, carrier, None), free_map)
     pad = [0, *pad]  # the last variable's slot, which only quantifier loops set
     if is_row:
         return (lambda prefix: node([*prefix, *pad])), scale
@@ -312,13 +313,16 @@ def compile_row(M: FiniteStructure, f, variables: Sequence[tuple[str, str]],
     return (lambda prefix: [node([*prefix, *pad])] * width), scale
 
 
-def _compile(M: FiniteStructure, f, names: Sequence[str], env, row):
+def _compile(M: FiniteStructure, f, names: Sequence[str], env, row, free_map=None):
     """(node, scale, is_row, pad): f compiled with `names` in slots 0, 1, ...
 
     `row` is (name, carrier, None) of the row variable, or None; `pad` fills the
-    quantifier slots after the variables' slots.
+    quantifier slots after the variables' slots.  `free_map`, when given, is
+    `free_var_map(f)`, and the compiler reads it instead of walking f again.
     """
     compiler = _Compiler(M, env or {}, len(names), f)
+    if free_map is not None:
+        compiler.reads = free_map
     node, scale, is_row = compiler.formula(
         f, {name: slot for slot, name in enumerate(names)}, row)
     return node, scale, is_row, [0] * compiler.quantifiers
@@ -1022,8 +1026,11 @@ class VariableSplit(NamedTuple):
     y: tuple[tuple[str, str], ...]
 
 
-def make_split(phi, x_names: Sequence[str], y_names: Sequence[str]) -> VariableSplit:
-    fv = dict(free_vars(phi))
+def make_split(phi, x_names: Sequence[str], y_names: Sequence[str],
+               free_map: Optional[dict] = None) -> VariableSplit:
+    """The split of phi's free variables into x_names and y_names; `free_map` is
+    `free_var_map(phi)` when the caller has it."""
+    fv = dict(free_vars(phi) if free_map is None else free_map[id(phi)])
     # every free variable once: on one side, not both, and not twice on one
     if set(x_names) | set(y_names) != set(fv) or len(x_names) + len(y_names) != len(fv):
         raise StructuralError(f"split must partition the free variables {sorted(fv)}")
@@ -1047,9 +1054,11 @@ class PhiInstance:
     phi(xts[i], yts[j]); `vals` holds the same values as Fractions and is
     built on first use.  `x_names[i]` and `y_names[j]` are the element
     names of xts[i] and yts[j], and `x_index` and `y_index` map them back.
+    `free_map`, when given, is `free_var_map(phi)`, made once for the split.
     """
 
-    def __init__(self, M: FiniteStructure, phi, split: VariableSplit):
+    def __init__(self, M: FiniteStructure, phi, split: VariableSplit,
+                 free_map: Optional[dict] = None):
         self.M, self.phi, self.split = M, phi, split
         self.xts = tuples_of(M, split.x)
         self.yts = tuples_of(M, split.y)
@@ -1059,7 +1068,7 @@ class PhiInstance:
         self.x_index = dict(zip(self.x_names, itertools.count()))
         self.y_index = dict(zip(self.y_names, itertools.count()))
         variables = split.x + split.y
-        row, self.scale = compile_row(M, phi, variables)
+        row, self.scale = compile_row(M, phi, variables, free_map=free_map)
         # one row per tuple of all variables but the last, in lexicographic order,
         # cut into one tuple of len(yts) values per x-tuple
         prefixes = itertools.product(*[range(M.sizes[s]) for _, s in variables[:-1]])

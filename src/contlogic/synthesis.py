@@ -397,9 +397,6 @@ def synthesize(target: GridFunction, epsilon,
 
 
 def verify_synthesis(expr, target: GridFunction) -> Fraction:
-    """Exact max over grid points of |expression - target|."""
-    names = {node.name for node in nodes(expr) if type(node) is ValueVar}
-    allowed = {f"t{i}" for i in range(target.arity)}
-    if not names <= allowed:
-        raise StructuralError(f"expression uses variables {sorted(names - allowed)}")
+    """Exact max over grid points of |expression - target|; an expression
+    `eval_on_grid` rejects is rejected with the same error."""
     return _grid_error(*_to_table(expr, target.grid_points()), target.values)[0]

@@ -1,6 +1,9 @@
 """End-to-end command-line tests: dispatch, exit codes, report determinism."""
 
+import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import random
@@ -10,8 +13,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contlogic import cli
+from contlogic import cli, language
 from contlogic.cli import _parsers, _verify_glue, run
 from contlogic.language import FuncDecl, IDENTITY, PredDecl, Signature, SortDecl, parse
 from contlogic.stability import glue_formula
@@ -1039,6 +1044,188 @@ def test_a_command_builds_only_its_own_parser(capsys, algebra_file):
     finally:
         _parsers.cache_clear()
     capsys.readouterr()
+
+
+def _echo(args):
+    """A handler that reports its namespace, and leaves run no --out file to write."""
+    payload = {"args": dict(vars(args))}
+    args.report_out = None
+    return 0, payload
+
+
+def _echo_commands():
+    """_COMMANDS with every handler replaced by `_echo`."""
+    return {name: (_echo, help_) for name, (_, help_) in cli._COMMANDS.items()}
+
+
+# argv values of each kind the corpora pass, and values that are odd or fail
+PLAIN = ["M.json", "1/4", "s1", "x;y", "phi(x,y)", "0:0,1:1", "", "a b"]
+ODD = ["two", "2.5", "sideways", "-3", "-x", "--", "-h"]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand's argv.  A plain one gives each required action once, one
+    action of each group (now and then two) and any other action at most once,
+    with values from its choices, ints or PLAIN.  A noisy one gives each action zero, one or two
+    times with now and then a value from ODD, and puts in up to two odd tokens:
+    help, "--", an abbreviation, --opt=value, a word.  Either in any order."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, actions, groups = _parsers(name)
+    noisy = draw(st.booleans())
+    chosen = [draw(st.sampled_from(members)) for _, members in groups]
+    grouped = {action for _, members in groups for action in members}
+    parts = []
+    for action in actions:
+        if noisy:
+            times = draw(st.sampled_from([1, 1, 1, 0, 2]))
+        elif action in grouped:  # now and then a second action of a group
+            times = 1 if action in chosen else draw(st.sampled_from([0, 0, 0, 1]))
+        else:
+            times = 1 if action.required else draw(st.sampled_from([0, 1]))
+        for _ in range(times):
+            plain = action.choices or (["0", "2", "3"] if action.type is int else PLAIN)
+            value = draw(st.sampled_from(ODD if noisy and draw(st.booleans()) else plain))
+            if not action.option_strings:
+                parts.append([value])
+            else:
+                flag = draw(st.sampled_from(action.option_strings))
+                parts.append([flag] if action.nargs == 0 else [flag, value])
+    tokens = [token for part in draw(st.permutations(parts)) for token in part]
+    long_flags = [flag for action in actions for flag in action.option_strings
+                  if flag.startswith("--")]
+    odd = st.one_of(
+        st.sampled_from([*PLAIN, *ODD, "--help", "-z", "--no-such-flag", "extra"]),
+        st.sampled_from(long_flags).flatmap(
+            lambda flag: st.integers(3, len(flag) - 1).map(lambda k: flag[:k])),
+        st.tuples(st.sampled_from(long_flags), st.sampled_from(PLAIN)).map("=".join),
+    )
+    for _ in range(draw(st.integers(0, 2)) if noisy else 0):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(odd))
+    return [name, *tokens]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(command_lines())
+def test_drawn_argv_parse_as_the_top_level_parser_does(argv):
+    """As test_odd_argv_parse_as_the_top_level_parser_does, on drawn command lines:
+    run writes what the top-level parser writes and exits as it does, or hands
+    the command the namespace that parser builds."""
+    want_out, want_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(want_out), contextlib.redirect_stderr(want_err):
+        try:
+            expected = ("args", vars(_parsers().parse_args(argv)))
+        except SystemExit as exc:
+            expected = ("exit", 2 if exc.code not in (0, None) else 0)
+    got_out, got_err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_COMMANDS", _echo_commands())
+        with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
+            code = run(argv)
+    if expected[0] == "args":
+        assert (code, got_err.getvalue()) == (0, "")
+        assert json.loads(got_out.getvalue())["report"] == {"args": expected[1]}
+    else:
+        assert (code, got_out.getvalue(), got_err.getvalue()) == (
+            expected[1], want_out.getvalue(), want_err.getvalue())
+
+
+@pytest.mark.parametrize("tokens, exact", [
+    ([], True),
+    (["--n", "3", "--c", "--a", "x"], True),
+    (["--b", "--n", "3", "--n", "4"], True),
+    (["--n", "x"], False),
+    (["--a", "x", "--b"], False),
+    (["--maybe"], False),
+    (["--maybe", "x"], False),
+    (["--c", "extra"], False),
+])
+def test_exact_pass_reads_other_actions_as_argparse_does(tokens, exact):
+    """On actions no subcommand has (a str default with a type, a store_const
+    flag, a group that need not be given, an option with nargs "?"), the exact
+    pass builds the namespace parse_known_args builds, or leaves tokens to it."""
+    p = argparse.ArgumentParser()
+    actions = [p.add_argument("--n", type=int, default="5"),
+               p.add_argument("--c", action="store_const", const=7),
+               p.add_argument("--maybe", nargs="?")]
+    group = p.add_mutually_exclusive_group()
+    members = (group.add_argument("--a"), group.add_argument("--b", action="store_true"))
+    got = cli._parse_exact(p, [*actions, *members], [(group, members)], tokens)
+    assert (got is not None) == exact
+    if exact:
+        assert p.parse_known_args(tokens) == (got, [])
+
+
+INSTANCE_LINE = ["M.json", "--formula", "mu(meet(x,y))", "--split", "x;y"]
+# one well-formed command line per subcommand, in the shapes the corpora use
+TRAFFIC = {
+    "check": ["check", "M.json"],
+    "eval": ["eval", "M.json", "-e", "mu(meet(x,y))", "--let", "x=s0", "--let", "y=s1"],
+    "complete": ["complete", "M.json", "--out", "out.json"],
+    "tv": ["tv", "M.json", "--subset", "s0,s3", "--formula", "y@mu(meet(x,y))",
+           "--formula", "y@d(x,y)"],
+    "imaginary": ["imaginary", *INSTANCE_LINE, "--out", "imag"],
+    "typespace": ["typespace", *INSTANCE_LINE],
+    "stability": ["stability", *INSTANCE_LINE, "--epsilon", "1/4", "--kind", "order",
+                  "--max-len", "3"],
+    "nvalue": ["nvalue", *INSTANCE_LINE, "--epsilon", "1/4"],
+    "define-median": ["define-median", *INSTANCE_LINE, "--epsilon", "1/4", "--target", "s1"],
+    "define-monotone": ["define-monotone", *INSTANCE_LINE, "--epsilon", "1/4",
+                        "--target-file", "target.json"],
+    "define-global": ["define-global", *INSTANCE_LINE, "--target", "s1", "--depth", "2"],
+    "glue": ["glue", "M.json", "--phi", "mu(meet(x,y))", "--psi", "mu(join(x,z))",
+             "--shared", "x", "--fresh", "t,w", "--fresh-sort", "B", "--verify"],
+    "prenex": ["prenex", "M.json", "--formula", "sup x. mu(x)"],
+    "cbrank": ["cbrank", "space.json", "--epsilon", "1/4"],
+    "synth": ["synth", "--target", "grid.json", "--epsilon", "1/4", "--out", "report.json"],
+    "modulus-convert": ["modulus-convert", "--direction", "inverse-to-delta",
+                        "--pl", "0:0,1/2:1/4,1:1", "--epsilon", "1/4"],
+}
+
+
+def test_well_formed_lines_take_the_exact_pass(capsys, monkeypatch):
+    """A well-formed command line of each subcommand reaches its handler, with the
+    namespace the top-level parser builds, without argparse reading it."""
+    assert list(TRAFFIC) == list(cli._COMMANDS)
+    expected = {name: vars(_parsers().parse_args(argv)) for name, argv in TRAFFIC.items()}
+    monkeypatch.setattr(cli, "_COMMANDS", _echo_commands())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a well-formed command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for name, argv in TRAFFIC.items():
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["report"] == {"args": expected[name]}
+
+
+def test_an_instance_command_walks_its_formula_once(capsys, monkeypatch, algebra_file,
+                                                    halfgraph_file):
+    """The split and the compiler of a command's instance read one `free_var_map`
+    walk of phi: one walk per command that compiles no other formula."""
+    real = language.free_var_map
+    walks = []
+
+    def counting(f):
+        walks.append(f)
+        return real(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("contlogic") and getattr(module, "free_var_map", None) is real:
+            monkeypatch.setattr(module, "free_var_map", counting)
+    for path, phi, target in ((algebra_file, "mu(meet(x,y))", "s1"),
+                              (halfgraph_file, "phi(x,y)", "a1")):
+        instance = [path, "--formula", phi, "--split", "x;y"]
+        for argv in (["typespace", *instance],
+                     ["stability", *instance, "--epsilon", "1/4"],
+                     ["nvalue", *instance, "--epsilon", "1/4"],
+                     ["define-median", *instance, "--epsilon", "1/4", "--target", target],
+                     ["define-monotone", *instance, "--epsilon", "1/4", "--target", target],
+                     ["define-global", *instance, "--depth", "2", "--target", target]):
+            walks.clear()
+            assert run(argv) == 0
+            capsys.readouterr()
+            assert len(walks) == 1, argv
 
 
 @pytest.mark.parametrize("argv", [

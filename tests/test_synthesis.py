@@ -71,6 +71,27 @@ def test_verify_synthesis_basics():
         verify_synthesis(ValueVar("t1"), target)
 
 
+@pytest.mark.parametrize("expr", [
+    "t0",
+    Op("neg", ("t0",)),
+    Op("neg", (Var("x", "S"),)),
+    Op("max", (ValueVar("t0"), ValueVar("t1"))),
+    ValueVar("t1"),
+    Op("sqrt", (ValueVar("t0"),)),
+], ids=["bare-string", "string-leaf", "structure-var", "t-arity-inside", "t-arity", "unknown-op"])
+def test_grid_entry_points_give_one_error(expr):
+    """verify_synthesis rejects an expression with the error eval_on_grid gives
+    on the grid's own points."""
+    target = grid1(F(1, 2), lambda t: t)
+    errors = []
+    for check in (lambda: eval_on_grid(expr, target.grid_points()),
+                  lambda: verify_synthesis(expr, target)):
+        with pytest.raises(StructuralError) as raised:
+            check()
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+
+
 def test_epsilon_zero_and_declared_step_modulus():
     target = grid1(F(1, 8), lambda t: min(2 * t, F(1)))
     with pytest.raises(DomainError):

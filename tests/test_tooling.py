@@ -1,6 +1,7 @@
 """Checks on the source tree: the benchmark's tracer wraps contlogic functions by name,
 so those names must exist, and `src/` holds no code that only the tests call."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -218,6 +219,25 @@ def test_every_public_name_in_src_is_used_in_src():
     unused = [name for name, own in defined.items()
               if uses[name.rpartition(".")[2]] == own and name not in allowed]
     assert unused == []
+
+
+def test_cli_reads_no_private_argparse_attribute():
+    """cli.py reads argparse parsers, groups and actions only through public
+    names, so its exact pass over a subcommand's actions holds on every Python
+    argparse that pyproject.toml allows."""
+    parser = argparse.ArgumentParser()
+    group = parser.add_mutually_exclusive_group()
+    objects = (parser, group, parser.add_argument("--a"), group.add_argument("--b"),
+               parser.add_subparsers())
+    private = {name for obj in objects for name in dir(obj)
+               if name.startswith("_") and not name.startswith("__")}
+    assert {"_actions", "_option_string_actions", "_mutually_exclusive_groups",
+            "_group_actions", "_registries"} <= private
+    tree = ast.parse((SRC / "cli.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(read & private) == []
 
 
 def test_reports_have_one_writer():
