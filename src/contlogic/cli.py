@@ -24,7 +24,6 @@ from .language import (
     VALUE_SORT,
     PLMonotone,
     Signature,
-    free_var_map,
     free_vars,
     parse,
     prenex,
@@ -49,7 +48,6 @@ from .structures import (
     env_from_names,
     eval_formula,
     is_elementary_substructure,
-    make_split,
     validate,
 )
 from .synthesis import GridFunction, expression_text, synthesize
@@ -139,9 +137,7 @@ def _instance(args) -> PhiInstance:
     """The structure file, formula and split of a command, built into one instance."""
     M = _load_structure(args.structure)
     phi = parse(args.formula, M.sig)
-    xs, ys = _split_from_flag(args.split)
-    free = free_var_map(phi)  # one walk, for the split and the compiler
-    return PhiInstance(M, phi, make_split(phi, xs, ys, free), free)
+    return PhiInstance(M, phi, *_split_from_flag(args.split))
 
 
 def _target_vector_from_flags(inst, args):

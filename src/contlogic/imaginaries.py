@@ -8,6 +8,7 @@ recovering phi through class representatives.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import NamedTuple
 
 from .errors import StructuralError
@@ -99,9 +100,9 @@ def tphi_sentences(E: ImaginaryExpansion) -> list[tuple[str, object]]:
     """
     phi, split = E.instance.phi, E.instance.split
     used = {n for n, _ in split.x} | {n for n, _ in split.y}
-    z1, z2 = "z_cp1", "z_cp2"
-    if z1 in used or z2 in used:
-        z1, z2 = "z_cp1_", "z_cp2_"
+    # no quantifier over a split variable may rebind a class variable
+    fresh = (f"z_cp{i}" for i in count(1) if f"z_cp{i}" not in used)
+    z1, z2 = next(fresh), next(fresh)
 
     def p_phi_atom(zname: str):
         args = tuple(Var(n, s) for n, s in split.x) + (Var(zname, SORT_NAME),)

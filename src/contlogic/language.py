@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import count, repeat
 from operator import is_
 from typing import Optional, Sequence
@@ -378,19 +379,6 @@ def free_var_map(f) -> dict:
     return free
 
 
-def rename_var(f, old: str, new: str):
-    """Rename free occurrences of a structure variable, respecting shadowing."""
-    out: dict = {}  # id(node) -> the renamed node
-    for node in nodes(f):
-        if isinstance(node, Var) and node.name == old:
-            out[id(node)] = Var(new, node.sort)
-        elif isinstance(node, Quant) and node.var == old:
-            out[id(node)] = node
-        else:
-            out[id(node)] = rebuild(node, [out[id(k)] for k in children(node)])
-    return out[id(f)]
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer and parser
 
@@ -732,19 +720,6 @@ def _write(f, level: int, annotate: bool, memo: dict) -> str:
 # Prenex normal form
 
 
-def rewrite_absdiff(f):
-    """Replace |a-b| by (a -. b) +. (b -. a) throughout."""
-    out: dict = {}  # id(node) -> the rewritten node
-    for node in nodes(f):
-        kids = [out[id(k)] for k in children(node)]
-        if isinstance(node, Op) and node.op == "absdiff":
-            a, b = kids
-            out[id(node)] = Op("plus_trunc", (Op("monus", (a, b)), Op("monus", (b, a))))
-        else:
-            out[id(node)] = rebuild(node, kids)
-    return out[id(f)]
-
-
 def _flip(kind: str) -> str:
     return "inf" if kind == "sup" else "sup"
 
@@ -757,37 +732,45 @@ def prenex(f):
     the quantifier kind, a decreasing one swaps sup and inf); every bound
     variable is renamed to a fresh name, which makes hoisting capture-free.
     Fresh names are `q1, q2, ...`, skipping every name that occurs in the
-    formula, free or bound.  `absdiff` is first rewritten via its plus/monus
-    identity; `med` is increasing in every argument and is hoisted like
-    min/max.
+    formula, free or bound.  `absdiff` is hoisted as its plus/monus identity
+    (a -. b) +. (b -. a); `med` is increasing in every argument and is
+    hoisted like min/max.
     """
-    taken = {name for name, _ in free_vars(f)}
-    taken |= {node.var for node in nodes(f) if isinstance(node, Quant)}
+    taken = set()
+    for node in nodes(f):  # raises for a non-formula
+        if isinstance(node, (Var, ValueVar)):
+            taken.add(node.name)
+        elif isinstance(node, Quant):
+            taken.add(node.var)
     fresh = (f"q{i}" for i in count(1) if f"q{i}" not in taken)
-    prefix, matrix = _hoist(rewrite_absdiff(f), fresh)
+    prefix, matrix = _hoist(f, fresh, {})
     out = matrix
     for kind, var, sort in reversed(prefix):
         out = Quant(kind, var, sort, out)
     return out
 
 
-def _hoist(f, fresh) -> tuple:
+def _hoist(f, fresh, names: dict) -> tuple:
     """(prefix, matrix) of f: its quantifiers, outermost first, each as (kind,
-    name, sort) with a name drawn from `fresh`, and what is left below them."""
+    name, sort) with a name drawn from `fresh`, and what is left below them,
+    where `names` maps each bound variable in scope to its fresh name."""
     if isinstance(f, Quant):
         name = next(fresh)
-        prefix, matrix = _hoist(rename_var(f.body, f.var, name), fresh)
+        prefix, matrix = _hoist(f.body, fresh, {**names, f.var: name})
         return [(f.kind, name, f.sort)] + prefix, matrix
-    kids = children(f)  # raises for a non-formula
-    if not isinstance(f, Op):
-        return [], f
-    dirs = (+1,) * len(kids) if f.op == "med" else CONNECTIVES.get(f.op)
+    if isinstance(f, Var):
+        return [], Var(names[f.name], f.sort) if f.name in names else f
+    if isinstance(f, Op) and f.op == "absdiff":
+        a, b = f.args
+        f = Op("plus_trunc", (Op("monus", (a, b)), Op("monus", (b, a))))
+    kids = children(f)  # an atom's or a term's arguments hold no quantifier
+    dirs = CONNECTIVES.get(f.op) if isinstance(f, Op) and f.op != "med" else (+1,) * len(kids)
     if dirs is None:
         raise StructuralError(f"no monotonicity data for connective {f.op!r}")
     prefix = []
     matrices = []
     for direction, arg in zip(dirs, kids):
-        sub_prefix, matrix = _hoist(arg, fresh)
+        sub_prefix, matrix = _hoist(arg, fresh, names)
         if direction < 0:
             sub_prefix = [(_flip(k), v, s) for k, v, s in sub_prefix]
         prefix.extend(sub_prefix)
@@ -806,23 +789,24 @@ def infer_modulus(f, sig: Signature, var: str) -> PLMonotone:
     moving `var` by distance t moves the value of `f` by at most u(t).
     Tightness is not attempted.
     """
-    if var not in {n for n, _ in free_vars(f)}:
-        raise StructuralError(f"variable {var!r} is not free in the formula")
-    zero = PLMonotone.zero()
-    mods: dict = {}  # id(node) -> the node's modulus in var
+    mods: dict = {}  # id(node) -> the node's modulus in var, for the nodes where var is free
     for node in nodes(f):
-        kids = [mods[id(k)] for k in children(node)]
+        if isinstance(node, (Var, ValueVar)):
+            if node.name == var:  # a value variable does not move with var
+                mods[id(node)] = (IDENTITY if isinstance(node, Var)
+                                  else PLMonotone(1, (0, 1), (0, 0)))
+            continue
+        kids = [k for k in children(node) if id(k) in mods]
+        if not kids or isinstance(node, Quant) and node.var == var:
+            continue
         if isinstance(node, (Atom, App)):
             decl = sig.pred_decl(node.pred) if isinstance(node, Atom) else sig.func_decl(node.func)
-            kids = [pl_compose(u, m) for u, m in zip(decl.moduli, kids) if m != zero]
-        out = zero
-        if isinstance(node, Var) and node.name == var:
-            out = IDENTITY
-        elif not (isinstance(node, Quant) and node.var == var):
-            for m in kids:
-                if m != zero:
-                    out = pl_capped_sum(out, m)
-            if isinstance(node, Op) and node.op == "half":
-                out = pl_half(out)
-        mods[id(node)] = out
+            kids = [pl_compose(u, mods[id(k)]) for u, k in zip(decl.moduli, node.args)
+                    if id(k) in mods]
+        else:
+            kids = [mods[id(k)] for k in kids]
+        out = reduce(pl_capped_sum, kids)
+        mods[id(node)] = pl_half(out) if isinstance(node, Op) and node.op == "half" else out
+    if id(f) not in mods:
+        raise StructuralError(f"variable {var!r} is not free in the formula")
     return mods[id(f)]

@@ -1027,10 +1027,10 @@ class VariableSplit(NamedTuple):
 
 
 def make_split(phi, x_names: Sequence[str], y_names: Sequence[str],
-               free_map: Optional[dict] = None) -> VariableSplit:
+               free_map: dict) -> VariableSplit:
     """The split of phi's free variables into x_names and y_names; `free_map` is
-    `free_var_map(phi)` when the caller has it."""
-    fv = dict(free_vars(phi) if free_map is None else free_map[id(phi)])
+    `free_var_map(phi)`."""
+    fv = dict(free_map[id(phi)])
     # every free variable once: on one side, not both, and not twice on one
     if set(x_names) | set(y_names) != set(fv) or len(x_names) + len(y_names) != len(fv):
         raise StructuralError(f"split must partition the free variables {sorted(fv)}")
@@ -1050,16 +1050,19 @@ class PhiInstance:
     """A formula with a variable split on one structure, and its value matrix.
 
     The stability and canonical-parameter functions take one; a command
-    builds it once and passes it on.  `num[i][j]` over `scale` is
-    phi(xts[i], yts[j]); `vals` holds the same values as Fractions and is
-    built on first use.  `x_names[i]` and `y_names[j]` are the element
-    names of xts[i] and yts[j], and `x_index` and `y_index` map them back.
-    `free_map`, when given, is `free_var_map(phi)`, made once for the split.
+    builds it once and passes it on.  Its split puts the variables named by
+    the arguments x_names and y_names on the x and the y side.
+    `num[i][j]` over `scale` is phi(xts[i], yts[j]); `vals` holds the same
+    values as Fractions and is built on first use.  The attributes
+    `x_names[i]` and `y_names[j]` are the element names of xts[i] and
+    yts[j], and `x_index` and `y_index` map them back.
     """
 
-    def __init__(self, M: FiniteStructure, phi, split: VariableSplit,
-                 free_map: Optional[dict] = None):
-        self.M, self.phi, self.split = M, phi, split
+    def __init__(self, M: FiniteStructure, phi, x_names: Sequence[str],
+                 y_names: Sequence[str]):
+        free_map = free_var_map(phi)  # one walk, for the split and the compiler
+        self.M, self.phi = M, phi
+        self.split = split = make_split(phi, x_names, y_names, free_map)
         self.xts = tuples_of(M, split.x)
         self.yts = tuples_of(M, split.y)
         # the element names, in the order in which tuples_of orders the indices
@@ -1082,7 +1085,7 @@ class PhiInstance:
 
 def value_matrix(M: FiniteStructure, phi, split: VariableSplit):
     """vals[x_tuple_index][y_tuple_index] = phi(x_tuple, y_tuple), exact."""
-    inst = PhiInstance(M, phi, split)
+    inst = PhiInstance(M, phi, [n for n, _ in split.x], [n for n, _ in split.y])
     return inst.xts, inst.yts, inst.vals
 
 

@@ -36,15 +36,11 @@ from .values import (
 MAX_SLOPE = 64
 
 
-def _check_pitch(pitch: Fraction) -> Fraction:
-    p = ensure_unit(pitch)
-    if p == 0 or not is_dyadic(p) or p.numerator != 1:
-        raise StructuralError("pitch must be a dyadic unit fraction")
-    return p
-
-
 class GridFunction(Frozen):
-    """A [0,1]-valued function tabulated on the dyadic grid of a given pitch."""
+    """A [0,1]-valued function tabulated on the dyadic grid of a given pitch.
+
+    `from_json` is the checked entry; the constructor trusts its caller.
+    """
 
     # values: in the order of `grid_points`, as the file lists them
     __slots__ = ("arity", "pitch", "values")
@@ -53,13 +49,6 @@ class GridFunction(Frozen):
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "pitch", pitch)
         object.__setattr__(self, "values", values)
-        if self.arity < 1:
-            raise StructuralError("arity must be at least 1")
-        _check_pitch(self.pitch)
-        if len(self.values) != (self.pitch.denominator + 1) ** self.arity:
-            raise StructuralError("values must cover exactly the grid")
-        for v in self.values:
-            ensure_unit(v)
 
     def grid_points(self):
         axis = [self.pitch * k for k in range(self.pitch.denominator + 1)]
@@ -84,7 +73,9 @@ class GridFunction(Frozen):
             raise StructuralError(f"arity {arity!r} is not an integer")
         if arity < 1:
             raise StructuralError("arity must be at least 1")
-        pitch = _check_pitch(parse_rational(data["pitch"]))
+        pitch = ensure_unit(parse_rational(data["pitch"]))
+        if pitch == 0 or not is_dyadic(pitch) or pitch.numerator != 1:
+            raise StructuralError("pitch must be a dyadic unit fraction")
         texts = data["values"]
         if not isinstance(texts, list):
             raise StructuralError("grid function values must be a list")
@@ -94,7 +85,11 @@ class GridFunction(Frozen):
         if arity > len(texts).bit_length() or (steps + 1) ** arity != len(texts):
             raise StructuralError(
                 f"expected {steps + 1}^{arity} grid values, got {len(texts)}")
-        return GridFunction(arity, pitch, tuple(map(parse_rational, texts)))
+        # every value is parsed before any is range-checked
+        values = tuple(map(parse_rational, texts))
+        for v in values:
+            ensure_unit(v)
+        return GridFunction(arity, pitch, values)
 
 
 def eval_on_grid(expr, points: Sequence[Sequence[Fraction]]) -> tuple[list[int], int]:

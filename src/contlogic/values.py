@@ -289,15 +289,6 @@ class PLMonotone(Frozen):
         return PLMonotone(den, [xn * (den // xd) for xn, xd, _, _ in points],
                           [yn * (den // yd) for _, _, yn, yd in points])
 
-    @staticmethod
-    def constant(c) -> "PLMonotone":
-        c = ensure_unit(c)
-        return PLMonotone(c.denominator, (0, c.denominator), (c.numerator, c.numerator))
-
-    @staticmethod
-    def zero() -> "PLMonotone":
-        return PLMonotone.constant(ZERO)
-
     @property
     def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple((Fraction(x, self.den), Fraction(y, self.den))

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from contlogic.errors import (
@@ -38,8 +38,11 @@ from contlogic.language import (
     SortDecl,
     ValueVar,
     Var,
+    children,
+    free_vars,
     nodes,
     parse,
+    rebuild,
 )
 from contlogic.stability import (
     LadderWitness,
@@ -60,6 +63,7 @@ from contlogic.structures import (
 from contlogic.synthesis import MAX_SLOPE
 from contlogic.topometric import CBResult, FiniteTopometricSpace
 from contlogic.values import (
+    CONNECTIVES,
     IDENTITY,
     ONE,
     ZERO,
@@ -69,6 +73,9 @@ from contlogic.values import (
     format_rational,
     is_dyadic,
     parse_rational,
+    pl_capped_sum,
+    pl_compose,
+    pl_half,
 )
 
 
@@ -204,6 +211,118 @@ def is_prenex(f) -> bool:
     while isinstance(f, Quant):
         f = f.body
     return not any(isinstance(node, Quant) for node in nodes(f))
+
+
+# ---------------------------------------------------------------------------
+# Prenex forms and continuity moduli by separate walks: `prenex_reference`
+# rewrites absdiff in one walk and renames each quantifier's variable in a walk
+# of its body; `infer_modulus_reference` checks that the variable is free
+# before a walk that keeps a modulus, zero or not, for every node
+
+
+def rename_var(f, old: str, new: str):
+    """Rename free occurrences of a structure variable, respecting shadowing."""
+    out: dict = {}  # id(node) -> the renamed node
+    for node in nodes(f):
+        if isinstance(node, Var) and node.name == old:
+            out[id(node)] = Var(new, node.sort)
+        elif isinstance(node, Quant) and node.var == old:
+            out[id(node)] = node
+        else:
+            out[id(node)] = rebuild(node, [out[id(k)] for k in children(node)])
+    return out[id(f)]
+
+
+def rewrite_absdiff(f):
+    """Replace |a-b| by (a -. b) +. (b -. a) throughout."""
+    out: dict = {}  # id(node) -> the rewritten node
+    for node in nodes(f):
+        kids = [out[id(k)] for k in children(node)]
+        if isinstance(node, Op) and node.op == "absdiff":
+            a, b = kids
+            out[id(node)] = Op("plus_trunc", (Op("monus", (a, b)), Op("monus", (b, a))))
+        else:
+            out[id(node)] = rebuild(node, kids)
+    return out[id(f)]
+
+
+def _flip_reference(kind: str) -> str:
+    return "inf" if kind == "sup" else "sup"
+
+
+def prenex_reference(f):
+    """Equivalent formula with all quantifiers in front.
+
+    Quantifiers are hoisted argument by argument using the monotonicity of
+    each connective in `values.CONNECTIVES` (an increasing position preserves
+    the quantifier kind, a decreasing one swaps sup and inf); every bound
+    variable is renamed to a fresh name, which makes hoisting capture-free.
+    Fresh names are `q1, q2, ...`, skipping every name that occurs in the
+    formula, free or bound.  `absdiff` is first rewritten via its plus/monus
+    identity; `med` is increasing in every argument and is hoisted like
+    min/max.
+    """
+    taken = {name for name, _ in free_vars(f)}
+    taken |= {node.var for node in nodes(f) if isinstance(node, Quant)}
+    fresh = (f"q{i}" for i in count(1) if f"q{i}" not in taken)
+    prefix, matrix = _hoist_reference(rewrite_absdiff(f), fresh)
+    out = matrix
+    for kind, var, sort in reversed(prefix):
+        out = Quant(kind, var, sort, out)
+    return out
+
+
+def _hoist_reference(f, fresh) -> tuple:
+    """(prefix, matrix) of f: its quantifiers, outermost first, each as (kind,
+    name, sort) with a name drawn from `fresh`, and what is left below them."""
+    if isinstance(f, Quant):
+        name = next(fresh)
+        prefix, matrix = _hoist_reference(rename_var(f.body, f.var, name), fresh)
+        return [(f.kind, name, f.sort)] + prefix, matrix
+    kids = children(f)  # raises for a non-formula
+    if not isinstance(f, Op):
+        return [], f
+    dirs = (+1,) * len(kids) if f.op == "med" else CONNECTIVES.get(f.op)
+    if dirs is None:
+        raise StructuralError(f"no monotonicity data for connective {f.op!r}")
+    prefix = []
+    matrices = []
+    for direction, arg in zip(dirs, kids):
+        sub_prefix, matrix = _hoist_reference(arg, fresh)
+        if direction < 0:
+            sub_prefix = [(_flip_reference(k), v, s) for k, v, s in sub_prefix]
+        prefix.extend(sub_prefix)
+        matrices.append(matrix)
+    return prefix, rebuild(f, matrices)
+
+
+def infer_modulus_reference(f, sig: Signature, var: str) -> PLMonotone:
+    """Sound inverse modulus for a formula in one of its free variables.
+
+    On every structure satisfying the signature's uniform-continuity axioms,
+    moving `var` by distance t moves the value of `f` by at most u(t).
+    Tightness is not attempted.
+    """
+    if var not in {n for n, _ in free_vars(f)}:
+        raise StructuralError(f"variable {var!r} is not free in the formula")
+    zero = PLMonotone(1, (0, 1), (0, 0))
+    mods: dict = {}  # id(node) -> the node's modulus in var
+    for node in nodes(f):
+        kids = [mods[id(k)] for k in children(node)]
+        if isinstance(node, (Atom, App)):
+            decl = sig.pred_decl(node.pred) if isinstance(node, Atom) else sig.func_decl(node.func)
+            kids = [pl_compose(u, m) for u, m in zip(decl.moduli, kids) if m != zero]
+        out = zero
+        if isinstance(node, Var) and node.name == var:
+            out = IDENTITY
+        elif not (isinstance(node, Quant) and node.var == var):
+            for m in kids:
+                if m != zero:
+                    out = pl_capped_sum(out, m)
+            if isinstance(node, Op) and node.op == "half":
+                out = pl_half(out)
+        mods[id(node)] = out
+    return mods[id(f)]
 
 
 # ---------------------------------------------------------------------------

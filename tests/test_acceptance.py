@@ -32,7 +32,7 @@ from contlogic.stability import (
     phi_type,
     revalidate_ladder,
 )
-from contlogic.structures import PhiInstance, eval_formula, make_split
+from contlogic.structures import PhiInstance, eval_formula
 from contlogic.synthesis import GridFunction, synthesize, verify_synthesis
 from contlogic.topometric import cb_rank
 from contlogic.values import delta_from_inverse, flim_prefix, inverse_from_delta
@@ -168,7 +168,7 @@ def test_criterion_04_tphi_exactness():
         assert len(corpus) == 10
         for M, text, (xs, ys) in corpus:
             phi = parse(text, M.sig)
-            E = build_imaginary(PhiInstance(M, phi, make_split(phi, xs, ys)))
+            E = build_imaginary(PhiInstance(M, phi, xs, ys))
             ok, rows = verify_tphi(E)
             assert ok, (text, rows)
 
@@ -184,7 +184,7 @@ def constant_structure():
 
 def xy_instance(M, text):
     phi = parse(text, M.sig)
-    return PhiInstance(M, phi, make_split(phi, ["x"], ["y"]))
+    return PhiInstance(M, phi, ["x"], ["y"])
 
 
 def stability_corpus():

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from contlogic import cli, language
 from contlogic.cli import _parsers, _verify_glue, run
-from contlogic.language import FuncDecl, IDENTITY, PredDecl, Signature, SortDecl, parse
+from contlogic.language import (
+    FuncDecl, IDENTITY, PredDecl, Signature, SortDecl, free_var_map, parse,
+)
 from contlogic.stability import glue_formula
 from contlogic.errors import StructuralError
 from contlogic.structures import make_split
@@ -904,10 +906,10 @@ def test_split_with_a_repeated_variable_exits_1(capsys, halfgraph_file, command,
                                     (["x", "y"], ["y"]), (["x"], []), (["x", "y", "z"], [])])
 def test_make_split_rejects_what_is_no_partition(xs, ys):
     phi = parse("mu(meet(x,y))", gen_prob_algebra([F(1, 2), F(1, 2)]).sig)
-    split = make_split(phi, ["y"], ["x"])
+    split = make_split(phi, ["y"], ["x"], free_var_map(phi))
     assert (split.x, split.y) == ((("y", "B"),), (("x", "B"),))
     with pytest.raises(StructuralError, match=r"^split must partition the free variables "):
-        make_split(phi, xs, ys)
+        make_split(phi, xs, ys, free_var_map(phi))
 
 
 @pytest.mark.parametrize("command", SPLIT_COMMANDS)
@@ -1226,6 +1228,54 @@ def test_an_instance_command_walks_its_formula_once(capsys, monkeypatch, algebra
             assert run(argv) == 0
             capsys.readouterr()
             assert len(walks) == 1, argv
+
+
+@pytest.mark.parametrize("argv, walks", [
+    (["prenex", "M.json", "--formula", "sup x. (mu(x) -. (inf y. mu(meet(x,y))))"], 1),
+    # the instance's walk, one modulus walk per x variable, one walk per T_phi sentence
+    (["imaginary", *INSTANCE_LINE], 1 + 1 + 3),
+    (["typespace", *INSTANCE_LINE], 1),
+    (["stability", *INSTANCE_LINE, "--epsilon", "1/4"], 1),
+    (["nvalue", *INSTANCE_LINE, "--epsilon", "1/4"], 1),
+    (["define-median", *INSTANCE_LINE, "--epsilon", "1/4", "--target", "s1"], 1),
+    (["define-monotone", *INSTANCE_LINE, "--epsilon", "1/4", "--target", "s1"], 1),
+    (["define-global", *INSTANCE_LINE, "--depth", "2", "--target", "s1"], 1),
+])
+def test_a_formula_analysis_walks_its_formula_once(capsys, monkeypatch, algebra_file, argv,
+                                                    walks):
+    """Each `language.nodes` walk of a command: prenex, each modulus and each
+    instance walk their formula once."""
+    real = language.nodes
+    seen = []
+
+    def counting(f):
+        seen.append(f)
+        return real(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("contlogic") and getattr(module, "nodes", None) is real:
+            monkeypatch.setattr(module, "nodes", counting)
+    assert run([algebra_file if word == "M.json" else word for word in argv]) == 0
+    capsys.readouterr()
+    assert len(seen) == walks
+
+
+@pytest.mark.parametrize("formula, split", [
+    ("phi(z_cp1_, z_cp1)", "z_cp1_;z_cp1"),
+    ("phi(z_cp1, z_cp2)", "z_cp1;z_cp2"),
+    ("phi(z_cp3, z_cp1)", "z_cp3;z_cp1"),
+])
+def test_tphi_class_variables_are_no_split_variable(capsys, tmp_path, formula, split):
+    """No quantifier of a T_phi sentence over a split variable rebinds a class
+    variable, whichever z_cp names the split takes."""
+    path = tmp_path / "halfgraph.json"
+    path.write_text(json.dumps(gen_halfgraph(2).to_json()))
+    reports = []
+    for text, names in (("phi(a, b)", "a;b"), (formula, split)):
+        assert run(["imaginary", str(path), "--formula", text, "--split", names]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["report"])
+    assert reports[1]["all_zero"] is True
+    assert reports[1]["t_phi"] == reports[0]["t_phi"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -41,7 +41,6 @@ from contlogic.structures import (
     ScaledTable,
     compile_row,
     eval_formula,
-    make_split,
     tuples_of,
     validate,
 )
@@ -115,7 +114,7 @@ def test_tphi_sentences_on_imaginary_expansions_match_reference():
     ]
     for M, text, (xs, ys) in cases:
         phi = parse(text, M.sig)
-        E = build_imaginary(PhiInstance(M, phi, make_split(phi, xs, ys)))
+        E = build_imaginary(PhiInstance(M, phi, xs, ys))
         assert len(E.expanded.sig.sort_names) == 2
         for _, sentence in tphi_sentences(E):
             assert same_value(E.expanded, {}, sentence) == 0
@@ -616,7 +615,7 @@ def test_row_kernels_on_ternary_symbols():
 def test_rows_over_an_imaginary_sort_match_reference():
     M = gen_prob_algebra([F(1, 4), F(3, 4)])
     phi = parse("mu(meet(x,y))", M.sig)
-    E = build_imaginary(PhiInstance(M, phi, make_split(phi, ["x"], ["y"])))
+    E = build_imaginary(PhiInstance(M, phi, ["x"], ["y"]))
     N, pred = E.expanded, Atom(PRED_NAME, (Var("x", "B"), Var("c", SORT_NAME)))
     for f in (pred, Op("absdiff", (pred, Atom(METRIC_NAME, (Var("c", SORT_NAME),
                                                              Var("c2", SORT_NAME)))))):
@@ -632,8 +631,8 @@ def test_rows_over_an_imaginary_sort_match_reference():
 def test_phi_instance_rows_match_fraction_matrix(text):
     M = gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)])
     phi = parse(text, M.sig)
-    split = make_split(phi, ["x"], ["y1", "y2"])
-    inst = PhiInstance(M, phi, split)
+    inst = PhiInstance(M, phi, ["x"], ["y1", "y2"])
+    split = inst.split
     names = [n for n, _ in split.x + split.y]
     want = [[eval_formula_reference(M, dict(zip(names, xt + yt)), phi)
              for yt in tuples_of(M, split.y)] for xt in tuples_of(M, split.x)]
@@ -752,8 +751,7 @@ def test_tables_build_each_row_once():
     M, counted = counting_measure(gen_prob_algebra([F(1, 4), F(1, 4), F(1, 2)]))
     n = M.sizes["B"]
     phi = parse(SUP_PHI, M.sig)
-    split = make_split(phi, ["x"], ["y"])
-    inst = PhiInstance(M, phi, split)
+    inst = PhiInstance(M, phi, ["x"], ["y"])
     assert counted.reads == 2 * n * n  # without tables: one of each per (x, y), 2 * n**3
     E = build_imaginary(inst)
     counted.reads = 0
@@ -771,7 +769,7 @@ def sup_phi_algebra(k):
 def test_tphi_sentences_vanish_for_the_sup_phi(k):
     M = sup_phi_algebra(k)
     phi = parse(SUP_PHI, M.sig)
-    E = build_imaginary(PhiInstance(M, phi, make_split(phi, ["x"], ["y"])))
+    E = build_imaginary(PhiInstance(M, phi, ["x"], ["y"]))
     for _, sentence in tphi_sentences(E):
         if k == 3:
             assert same_value(E.expanded, {}, sentence) == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from contlogic.errors import StructuralError
 from contlogic.imaginaries import build_imaginary, tphi_sentences, verify_tphi
-from contlogic.language import parse
+from contlogic.language import free_var_map, parse
 from contlogic.structures import (
     FiniteStructure,
     PhiInstance,
@@ -38,7 +38,7 @@ def discrete_two_point():
 def test_distance_formula_two_classes():
     M = discrete_two_point()
     phi = parse("d(x,y)", M.sig)
-    E = build_imaginary(PhiInstance(M, phi, make_split(phi, ["x"], ["y"])))
+    E = build_imaginary(PhiInstance(M, phi, ["x"], ["y"]))
     assert len(E.class_names) == 2
     assert fraction_tables(E.expanded).metric["S_phi"][0][1] == 1
     assert validate(E.expanded).valid
@@ -47,7 +47,7 @@ def test_distance_formula_two_classes():
 def test_constant_formula_single_class():
     M = discrete_two_point()
     phi = parse("max(max(d(x,x), 1/2), d(y,y))", M.sig)
-    E = build_imaginary(PhiInstance(M, phi, make_split(phi, ["x"], ["y"])))
+    E = build_imaginary(PhiInstance(M, phi, ["x"], ["y"]))
     assert len(E.class_names) == 1
     ok, rows = verify_tphi(E)
     assert ok, rows
@@ -56,7 +56,7 @@ def test_constant_formula_single_class():
 def test_meet_measure_four_classes():
     M = gen_prob_algebra([F(1, 2), F(1, 2)])
     phi = parse("mu(meet(x,y))", M.sig)
-    E = build_imaginary(PhiInstance(M, phi, make_split(phi, ["x"], ["y"])))
+    E = build_imaginary(PhiInstance(M, phi, ["x"], ["y"]))
     assert len(E.class_names) == 4
     ok, rows = verify_tphi(E)
     assert ok, rows
@@ -67,7 +67,7 @@ def test_tphi_detects_perturbation():
     """Shifting one class's predicate row by 1/4 breaks the metric sentence."""
     M = discrete_two_point()
     phi = parse("d(x,y)", M.sig)
-    E = build_imaginary(PhiInstance(M, phi, make_split(phi, ["x"], ["y"])))
+    E = build_imaginary(PhiInstance(M, phi, ["x"], ["y"]))
     metric, functions, tables = fraction_tables(E.expanded)
     for key in list(tables["P_phi"]):
         if key[-1] == 0:  # every entry of class 0's row, moved 1/4 toward 1/2
@@ -82,7 +82,7 @@ def test_tphi_detects_perturbation():
 def test_representatives_are_lexicographically_least():
     M = gen_prob_algebra([F(1, 2), F(1, 2)])
     phi = parse("mu(meet(x,y))", M.sig)
-    E = build_imaginary(PhiInstance(M, phi, make_split(phi, ["x"], ["y"])))
+    E = build_imaginary(PhiInstance(M, phi, ["x"], ["y"]))
     for members, rep in zip(E.class_members, E.representatives):
         assert min(members) == members[0]
         yts = tuples_of(M, E.instance.split.y)
@@ -92,9 +92,8 @@ def test_representatives_are_lexicographically_least():
 def test_tuple_sort_is_pairs_with_max_metric():
     M = discrete_two_point()
     phi = parse("max(d(x0,y0), d(x1,y1))", M.sig)
-    split = make_split(phi, ["x0", "x1"], ["y0", "y1"])
-    E = build_imaginary(PhiInstance(M, phi, split))
-    yts = tuples_of(M, split.y)
+    E = build_imaginary(PhiInstance(M, phi, ["x0", "x1"], ["y0", "y1"]))
+    yts = tuples_of(M, E.instance.split.y)
     assert len(E.class_names) == len(yts) == 4
     metric, expanded = fraction_tables(M).metric, fraction_tables(E.expanded).metric
     for i, yi in enumerate(yts):
@@ -107,9 +106,8 @@ def test_tuple_sort_is_pairs_with_max_metric():
 def test_automorphism_fixes_class_iff_it_fixes_row():
     M = gen_prob_algebra([F(1, 4), F(3, 4)])
     phi = parse("mu(meet(x,y))", M.sig)
-    split = make_split(phi, ["x"], ["y"])
-    E = build_imaginary(PhiInstance(M, phi, split))
-    xts, yts, vals = value_matrix(M, phi, split)
+    E = build_imaginary(PhiInstance(M, phi, ["x"], ["y"]))
+    xts, yts, vals = value_matrix(M, phi, E.instance.split)
     autos = list(automorphisms(M))
     assert autos  # identity at least
     for pi in autos:
@@ -127,9 +125,9 @@ def test_split_must_partition_free_vars():
     M = discrete_two_point()
     phi = parse("d(x,y)", M.sig)
     with pytest.raises(StructuralError):
-        make_split(phi, ["x"], ["z"])
+        make_split(phi, ["x"], ["z"], free_var_map(phi))
     with pytest.raises(StructuralError):
-        make_split(phi, ["x", "y"], ["y"])
+        make_split(phi, ["x", "y"], ["y"], free_var_map(phi))
 
 
 # -- relabelling ----------------------------------------------------------------
@@ -174,13 +172,13 @@ def test_relabelled_carrier_keeps_validation_sentences_and_classes(which, perm):
     if not validate(M).valid:
         phi = parse(SUP_PHI, N.sig)
         with pytest.raises(StructuralError):
-            build_imaginary(PhiInstance(N, phi, make_split(phi, ["x"], ["y"])))
+            build_imaginary(PhiInstance(N, phi, ["x"], ["y"]))
         return
     for text in (SUP_PHI, "mu(meet(x,y))", "|mu(y) - half mu(x)|"):  # 8, 8 and 5 or 8 classes
         classes = []
         for K in (M, N):
             phi = parse(text, K.sig)
-            E = build_imaginary(PhiInstance(K, phi, make_split(phi, ["x"], ["y"])))
+            E = build_imaginary(PhiInstance(K, phi, ["x"], ["y"]))
             all_zero, _ = verify_tphi(E)
             assert all_zero
             classes.append(len(E.class_names))

@@ -13,7 +13,7 @@ from contlogic.cli import run
 from contlogic.imaginaries import PRED_NAME, SORT_NAME, build_imaginary
 from contlogic.language import parse
 from contlogic.stability import phi_type_space
-from contlogic.structures import PhiInstance, fraction_rows, make_split, validate, value_matrix
+from contlogic.structures import PhiInstance, fraction_rows, validate, value_matrix
 from oracles import (
     gen_prob_algebra,
     imaginary_tables_reference,
@@ -82,8 +82,8 @@ def test_metric_property(n, data):
 def test_value_matrix_is_a_view_of_the_instance():
     M = gen_prob_algebra([F(1, 4), F(3, 4)])
     phi = parse("mu(meet(x,y))", M.sig)
-    split = make_split(phi, ["x"], ["y"])
-    inst = PhiInstance(M, phi, split)
+    inst = PhiInstance(M, phi, ["x"], ["y"])
+    split = inst.split
     xts, yts, vals = value_matrix(M, phi, split)
     assert (xts, yts) == (inst.xts, inst.yts)
     assert vals == tuple(tuple(F(v, inst.scale) for v in row) for row in inst.num)

@@ -43,17 +43,19 @@ from contlogic.language import (
     prenex,
     print_formula,
     rebuild,
-    rename_var,
 )
 from contlogic.structures import env_from_names, eval_formula, validate
+from contlogic.values import PLMonotone
 from oracles import (
     Condition,
     expand_condition,
     fraction_tables,
     gen_halfgraph,
     gen_prob_algebra,
+    infer_modulus_reference,
     is_prenex,
     parse_reference,
+    prenex_reference,
     structure,
 )
 
@@ -162,7 +164,7 @@ def test_a_non_formula_node_raises_structural_error(f):
                   {"g": {(0,): 1, (1,): 0}},
                   {"P": {(0,): F(0), (1,): F(1)}, "Q": {(0,): F(1), (1,): F(0)},
                          "R": {(i, j): F(i * j) for i in range(2) for j in range(2)}})
-    calls = [lambda: free_vars(f), lambda: rename_var(f, "x", "z"), lambda: prenex(f),
+    calls = [lambda: free_vars(f), lambda: prenex(f),
              lambda: infer_modulus(f, sig, "x"), lambda: print_formula(f, sig),
              lambda: eval_formula(M, {"x": 0}, f), lambda: nodes(f)]
     for call in calls:
@@ -324,6 +326,97 @@ def test_prenex_fresh_names_avoid_free_and_bound_names():
     g = prenex(f)
     assert free_vars(g) == free_vars(f)
     assert print_formula(g, sig) == "sup q4. sup q5. R(q4, q1) -. R(q5, q3)"
+
+
+# names that quantifiers shadow, that prenex's fresh names q1, q2, ... must skip,
+# and that value variables share with structure variables
+ONE_WALK_NAMES = ("x", "y", "q1", "q2", "q4")
+ONE_WALK_VALUES = ("t", "x", "q3")
+
+
+def one_walk_sig():
+    """One sort, with moduli other than the identity, so that composing by position shows."""
+    steep = PLMonotone.through([(0, 1, 0, 1), (1, 2, 1, 1), (1, 1, 1, 1)])
+    flat = PLMonotone.through([(0, 1, 0, 1), (1, 1, 1, 3)])
+    return Signature(
+        [SortDecl("S", "d")],
+        functions=[FuncDecl("g", ("S",), "S", (steep,)),
+                   FuncDecl("h", ("S", "S"), "S", (flat, IDENTITY))],
+        predicates=[PredDecl("P", ("S",), (steep,)),
+                    PredDecl("R", ("S", "S"), (IDENTITY, flat))],
+    )
+
+
+def one_walk_term(rng, depth):
+    roll = rng.randrange(4) if depth else 0
+    if roll < 2:
+        return Var(rng.choice(ONE_WALK_NAMES), "S")
+    if roll == 2:
+        return App("g", (one_walk_term(rng, depth - 1),), "S")
+    return App("h", (one_walk_term(rng, depth - 1), one_walk_term(rng, depth - 1)), "S")
+
+
+def one_walk_formula(rng, depth):
+    """A formula with shadowed quantifiers, colliding names, value variables,
+    absdiff, med and shared subformulas."""
+    roll = rng.randrange(10) if depth else rng.randrange(4)
+    if roll == 0:
+        return Const(F(rng.randrange(5), 4))
+    if roll == 1:
+        return ValueVar(rng.choice(ONE_WALK_VALUES))
+    if roll == 2:
+        return Atom("P", (one_walk_term(rng, 2),))
+    if roll == 3:
+        return Atom("R", (one_walk_term(rng, 2), one_walk_term(rng, 2)))
+    if roll in (4, 5):
+        return Quant(rng.choice(("sup", "inf")), rng.choice(ONE_WALK_NAMES), "S",
+                     one_walk_formula(rng, depth - 1))
+    if roll == 6:
+        return Op(rng.choice(("neg", "half")), (one_walk_formula(rng, depth - 1),))
+    if roll == 7:
+        n = rng.randrange(1, 3)
+        return Op("med", tuple(one_walk_formula(rng, depth - 1) for _ in range(2 * n - 1)), n)
+    if roll == 8:  # one subformula in both places
+        shared = one_walk_formula(rng, depth - 1)
+        return Op(rng.choice(("absdiff", "monus", "max")), (shared, shared))
+    return Op(rng.choice(("monus", "plus_trunc", "min", "max", "absdiff")),
+              (one_walk_formula(rng, depth - 1), one_walk_formula(rng, depth - 1)))
+
+
+def test_prenex_matches_the_reference_on_random_formulas():
+    """The one-pass prenex form prints as the reference's, which renames each
+    quantifier's variable in a walk of its body."""
+    sig = one_walk_sig()
+    rng = random.Random(3101)
+    hoisted = 0
+    for _ in range(1500):
+        f = one_walk_formula(rng, rng.randrange(1, 6))
+        got, want = prenex(f), prenex_reference(f)
+        assert print_formula(got, sig) == print_formula(want, sig)
+        assert got == want
+        hoisted += isinstance(got, Quant)
+    assert hoisted > 400
+
+
+def test_infer_modulus_matches_the_reference_on_random_formulas():
+    """Every name's one-walk modulus equals the reference's, or both say it is not free."""
+    sig = one_walk_sig()
+    rng = random.Random(3102)
+    outcomes = {"modulus": 0, "not free": 0}
+    for _ in range(800):
+        f = one_walk_formula(rng, rng.randrange(1, 6))
+        for name in (*ONE_WALK_NAMES, *ONE_WALK_VALUES, "q5"):
+            try:
+                want = infer_modulus_reference(f, sig, name)
+            except StructuralError as exc:
+                with pytest.raises(StructuralError) as raised:
+                    infer_modulus(f, sig, name)
+                assert str(raised.value) == str(exc)
+                outcomes["not free"] += 1
+            else:
+                assert infer_modulus(f, sig, name) == want
+                outcomes["modulus"] += 1
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_infer_modulus_rules():

@@ -30,7 +30,6 @@ from contlogic.structures import (
     PhiInstance,
     eval_formula,
     fraction_rows,
-    make_split,
 )
 from oracles import (
     gen_halfgraph,
@@ -52,7 +51,7 @@ from oracles import (
 def instance(M, text, xs=("x",), ys=("y",)):
     """The instance of the formula `text` on M, split into xs and ys."""
     phi = parse(text, M.sig)
-    return PhiInstance(M, phi, make_split(phi, xs, ys))
+    return PhiInstance(M, phi, xs, ys)
 
 
 def halfgraph_setup(n):

@@ -227,7 +227,7 @@ def test_delta_from_inverse_examples():
     with pytest.raises(DomainError):
         delta(F(0))
     with pytest.raises(DomainError):
-        delta_from_inverse(PLMonotone.constant(F(1, 2)))
+        delta_from_inverse(PLMonotone(2, (0, 2), (1, 1)))
 
 
 def test_inverse_from_delta_identity_and_round_trip():
@@ -278,7 +278,7 @@ def test_inverse_from_delta_matches_the_pairwise_scan():
 
     rng = random.Random(31)
     seen = {"flat run": 0, "delta(0) > 0": 0, "delta(1) = 1": 0}
-    deltas = [IDENTITY, PLMonotone.constant(F(1)),
+    deltas = [IDENTITY, PLMonotone(1, (0, 1), (1, 1)),
               pl_of(((F(0), F(1, 2)), (F(1), F(1, 2))))]
     deltas += [random_delta(rng) for _ in range(240)]
     for delta in deltas:
